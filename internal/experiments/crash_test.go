@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,23 +13,7 @@ import (
 // deliberately with -update.
 func TestCrashGolden(t *testing.T) {
 	out, _ := Crash(mini)
-	path := filepath.Join("testdata", "crash.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if out != string(want) {
-		t.Errorf("crash report drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
-	}
+	checkGolden(t, "crash", out)
 }
 
 // TestCrashGauntletShapes: the experiment's headline — every architecture

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,23 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // deliberately with -update.
 func TestPartitionGolden(t *testing.T) {
 	out, _ := Partition(mini)
-	path := filepath.Join("testdata", "partition.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if out != string(want) {
-		t.Errorf("partition report drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
-	}
+	checkGolden(t, "partition", out)
 }
 
 // TestPartitionContrastsRepairArchitectures: the experiment's headline —

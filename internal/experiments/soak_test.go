@@ -10,9 +10,9 @@ import (
 	"cloudybench/internal/evaluator"
 )
 
-// soakGolden pins one rendered soak artifact byte for byte against
-// testdata/<name>.golden.
-func soakGolden(t *testing.T, name, out string) {
+// checkGolden pins one rendered report or artifact byte for byte against
+// testdata/<name>.golden (-update rewrites it).
+func checkGolden(t *testing.T, name, out string) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
@@ -57,8 +57,8 @@ func TestSoakGolden(t *testing.T) {
 	if !strings.HasPrefix(md, string(diskMD)) {
 		t.Fatal("returned markdown does not start with the written soak.md")
 	}
-	soakGolden(t, "soak_md", string(diskMD))
-	soakGolden(t, "soak_csv", string(csv))
+	checkGolden(t, "soak_md", string(diskMD))
+	checkGolden(t, "soak_csv", string(csv))
 
 	if len(results) != len(SUTs) {
 		t.Fatalf("results = %d, want %d", len(results), len(SUTs))

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,23 +13,7 @@ import (
 // EXPERIMENTS.md verbatim. Regenerate deliberately with -update.
 func TestSuitesGolden(t *testing.T) {
 	out, _ := Suites(mini)
-	path := filepath.Join("testdata", "suites.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if out != string(want) {
-		t.Errorf("suites report drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", out, want)
-	}
+	checkGolden(t, "suites", out)
 }
 
 // TestSuitesCoversGridAndPasses checks the experiment's shape: every
