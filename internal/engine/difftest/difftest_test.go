@@ -54,7 +54,7 @@ func TestDifferentialAllSuitesAllSUTs(t *testing.T) {
 func TestDifferentialUnderChaos(t *testing.T) {
 	for _, suite := range core.SuiteNames() {
 		runOne(t, suite, cdb.CDB2, evaluator.SuiteConfig{
-			Span: 8 * time.Second, Concurrency: 4, Chaos: true,
+			Span: 8 * time.Second, Concurrency: 4, Gauntlet: evaluator.SuiteChaos,
 		})
 	}
 }
@@ -65,7 +65,7 @@ func TestDifferentialUnderChaos(t *testing.T) {
 func TestDifferentialUnderFailover(t *testing.T) {
 	for _, suite := range core.SuiteNames() {
 		runOne(t, suite, cdb.CDB4, evaluator.SuiteConfig{
-			Span: 12 * time.Second, Concurrency: 4, Partition: true,
+			Span: 12 * time.Second, Concurrency: 4, Gauntlet: evaluator.SuitePartition,
 		})
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/chaos"
 	"cloudybench/internal/check"
-	"cloudybench/internal/core"
 	"cloudybench/internal/obs"
-	"cloudybench/internal/sim"
 )
 
 // ChaosConfig parameterizes one SUT's run through the chaos gauntlet.
@@ -21,39 +19,11 @@ type ChaosConfig struct {
 	// (default 20s; must leave room for the replica restart, which takes up
 	// to ~5s of virtual time depending on the SUT).
 	Span time.Duration
-	// Mix defaults to an all-four-transaction blend so every invariant has
-	// work to judge (T1 inserts, T2 payments, T3 reads, T4 deletes).
-	Mix  core.Mix
 	Seed int64
-	// Schedule overrides the standard gauntlet (nil = chaos.Standard(Span)).
-	Schedule *chaos.Schedule
-	// BreakReplayEveryNth deliberately breaks the replica's replay by
-	// dropping every n-th shipped record — the convergence checker must
-	// FAIL. Test-only: proves the harness has teeth.
-	BreakReplayEveryNth int
 	// Tracer, if non-nil, records per-transaction stage traces through the
 	// gauntlet. Attaching it must not change the verdict sheet: the chaos
 	// determinism test asserts byte-identical reports with tracing on/off.
 	Tracer *obs.Tracer
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 16
-	}
-	if c.Span <= 0 {
-		c.Span = 20 * time.Second
-	}
-	if c.Mix == (core.Mix{}) {
-		c.Mix = core.Mix{T1: 30, T2: 20, T3: 40, T4: 10}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
 }
 
 // ChaosResult is one SUT's verdict sheet plus recovery metrics.
@@ -78,95 +48,39 @@ type ChaosResult struct {
 // Passed reports whether every invariant held.
 func (r ChaosResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 
+// chaosSpec: chaos.Standard over the mix with the plain (non-rerouting)
+// client and no detector, the recorder on the RW only; nothing to wait for —
+// every standard fault heals itself inside the window.
+func chaosSpec(cfg ChaosConfig) spec {
+	span := orDefault(cfg.Span, 20*time.Second)
+	return spec{
+		name: "chaos", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		clients: orDefault(cfg.Concurrency, 16), span: span, mix: gauntletMix,
+		schedule:   chaos.Standard(span),
+		observe:    observePrimary,
+		invariants: []invariant{conservation, rowBalance, readCommitted, convergence},
+		tracer:     cfg.Tracer,
+	}
+}
+
 // RunChaos drives one SUT through the standard fault schedule while the
 // invariant recorder watches every transaction, then quiesces replication
 // and passes judgement. Deterministic: the same config yields the same
 // verdicts, metrics, and fault log.
-func RunChaos(cfg ChaosConfig) ChaosResult {
-	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	prof := cdb.ProfileFor(cfg.Kind)
-	prof.Replication.DropEveryNth = cfg.BreakReplayEveryNth
-	d := cdb.MustDeploy(s, prof, cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-		Tracer:     cfg.Tracer,
-	})
+func RunChaos(cfg ChaosConfig) ChaosResult { return chaosResult(runGauntlet(chaosSpec(cfg))) }
 
-	rec := check.NewRecorder()
-	d.RW().DB.SetObserver(rec)
-
-	sched := chaos.Standard(cfg.Span)
-	if cfg.Schedule != nil {
-		sched = *cfg.Schedule
-	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: chaos schedule: " + err.Error())
-	}
-	inj.Start()
-
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "chaos", Seed: cfg.Seed, Mix: cfg.Mix,
-		Write: d.RW, Read: d.ReadNode,
-		Collector: col,
-		Tracer:    cfg.Tracer,
-	})
-
-	var quiesce time.Duration
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		stopAt := p.Elapsed()
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
-		quiesce = p.Elapsed() - stopAt
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: chaos run: " + err.Error())
-	}
-
+func chaosResult(rc *run) ChaosResult {
 	res := ChaosResult{
-		Kind:        cfg.Kind,
-		Applied:     inj.Applied(),
-		Errors:      col.Errors(),
-		TPS:         col.TPS(0, cfg.Span),
-		QuiesceTime: quiesce,
+		Kind:        rc.spec.kind,
+		Verdicts:    rc.verdicts,
+		Applied:     rc.inj.Applied(),
+		Errors:      rc.col.Errors(),
+		TPS:         rc.col.TPS(0, rc.spec.span),
+		QuiesceTime: rc.quiesceTime,
 	}
-	res.Commits, res.Aborts = rec.Counts()
-	for _, n := range d.Nodes() {
+	res.Commits, res.Aborts = rc.rec.Counts()
+	for _, n := range rc.d.Nodes() {
 		res.InjectedFaults += n.InjectedFaults()
-	}
-
-	rwDB := d.RW().DB
-	res.Verdicts = append(res.Verdicts,
-		check.Conservation(rec),
-		check.RowBalance(rec, rwDB),
-		check.ReadCommitted(rec),
-	)
-	for i := 0; ; i++ {
-		m := d.Cluster.Replica(i)
-		if m == nil {
-			break
-		}
-		name := "ro" + string(rune('0'+i))
-		res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
 	}
 	return res
 }

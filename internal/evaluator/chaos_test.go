@@ -21,11 +21,12 @@ func chaosFingerprint(r ChaosResult) string {
 	return s
 }
 
+// quickChaos runs a short gauntlet; breakNth > 0 sabotages the replica's
+// replay by dropping every n-th shipped record.
 func quickChaos(kind cdb.Kind, breakNth int) ChaosResult {
-	return RunChaos(ChaosConfig{
-		Kind: kind, Span: 6 * time.Second, Concurrency: 4, Seed: 7,
-		BreakReplayEveryNth: breakNth,
-	})
+	sp := chaosSpec(ChaosConfig{Kind: kind, Span: 6 * time.Second, Concurrency: 4, Seed: 7})
+	sp.sabotage.dropEveryNth = breakNth
+	return chaosResult(runGauntlet(sp))
 }
 
 // TestChaosInvariantsHoldUnderFaults runs one representative of each

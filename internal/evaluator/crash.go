@@ -1,17 +1,12 @@
 package evaluator
 
 import (
-	"strings"
 	"time"
 
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/chaos"
 	"cloudybench/internal/check"
 	"cloudybench/internal/cluster"
-	"cloudybench/internal/core"
-	"cloudybench/internal/engine"
-	"cloudybench/internal/node"
-	"cloudybench/internal/sim"
 	"cloudybench/internal/storage"
 )
 
@@ -29,37 +24,7 @@ type CrashConfig struct {
 	// Span is the traffic window the crash schedule is compiled onto
 	// (default 20s; see CrashSchedule for the kill instants).
 	Span time.Duration
-	// Mix defaults to the all-four blend so the log carries inserts,
-	// updates, and deletes when the crashes land.
-	Mix  core.Mix
 	Seed int64
-	// Schedule overrides the standard crash schedule (nil =
-	// CrashSchedule(Span)).
-	Schedule *chaos.Schedule
-	// Recovery deliberately breaks every crash recovery in the run (the
-	// teeth knobs: skip undo, trust torn tails). Test-only: the durability
-	// verdicts must then FAIL, proving the gauntlet bites. Zero value =
-	// honest ARIES recovery.
-	Recovery engine.RecoveryOpts
-}
-
-func (c CrashConfig) withDefaults() CrashConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 12
-	}
-	if c.Span <= 0 {
-		c.Span = 20 * time.Second
-	}
-	if c.Mix == (core.Mix{}) {
-		c.Mix = core.Mix{T1: 30, T2: 20, T3: 40, T4: 10}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
 }
 
 // CrashSchedule is the canonical durability gauntlet scaled onto a run
@@ -107,133 +72,45 @@ type CrashResult struct {
 // Passed reports whether every invariant held.
 func (r CrashResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 
-// RunCrash drives one SUT through the durability gauntlet. One recorder is
-// attached to every member's engine (observer hooks fire only on the node
-// running write transactions, and recovery carries the observer onto each
-// rebuilt instance), so the acknowledged-commit history spans every crash
-// and promotion in the run. Deterministic: the same config yields the same
-// verdicts, recovery stats, and timeline.
-func RunCrash(cfg CrashConfig) CrashResult {
-	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+// crashSpec: one recorder on every member, so the history spans every crash
+// and promotion. The commit path is crash-atomic after the durability wait
+// (engine commit, client ack, and replication publish run in one runnable
+// slice), so the acknowledged set it saw is exactly the durable set recovery
+// must restore. The last kill lands near the end of the window, so the run
+// holds until every member is back.
+func crashSpec(cfg CrashConfig) spec {
+	span := orDefault(cfg.Span, 20*time.Second)
+	return spec{
+		name: "crash", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
+		schedule:  CrashSchedule(span),
+		observe:   observeAll,
+		resilient: true,
+		detector:  true,
+		await:     awaitAllRunning,
+		invariants: []invariant{fenceTrio, durability, noResurrection, conservation, readCommitted,
+			indexCoherent, convergence},
+	}
+}
 
-	rec := check.NewRecorder()
-	for _, m := range d.Cluster.Members() {
-		m.Node.DB.SetObserver(rec)
-	}
-	d.Fence.SetRecording(true)
+// RunCrash drives one SUT through the durability gauntlet. Deterministic:
+// the same config yields the same verdicts, recovery stats, and timeline.
+func RunCrash(cfg CrashConfig) CrashResult { return crashResult(runGauntlet(crashSpec(cfg))) }
 
-	sched := CrashSchedule(cfg.Span)
-	if cfg.Schedule != nil {
-		sched = *cfg.Schedule
+func crashResult(rc *run) CrashResult {
+	d, col := rc.d, rc.col
+	return CrashResult{
+		Kind:        rc.spec.kind,
+		BaselineTPS: col.TPS(0, rc.outageAt),
+		Commits:     col.Commits(),
+		Errors:      col.Errors(),
+		Terminals:   col.Terminals(),
+		Reroutes:    rc.reroutes,
+		Fenced:      d.Fence.Rejects(),
+		Epoch:       d.Fence.Epoch(),
+		Crashes:     rc.inj.Crashes(),
+		Verdicts:    rc.verdicts,
+		Timeline:    d.Cluster.Timeline(),
+		Applied:     rc.inj.Applied(),
 	}
-	injectAt := cfg.Span // falls past the window if no crash is scheduled
-	for _, ev := range sched.Events {
-		if ev.Kind == chaos.NodeCrash {
-			injectAt = ev.At
-			break
-		}
-	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster:       d.Cluster,
-		Links:         d.Links(),
-		Net:           d.Net,
-		Seed:          cfg.Seed,
-		CrashRecovery: cfg.Recovery,
-	})
-	if err != nil {
-		panic("evaluator: crash schedule: " + err.Error())
-	}
-	inj.Start()
-	d.StartDetector()
-
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "crash", Seed: cfg.Seed, Mix: cfg.Mix,
-		Write:          d.RW,
-		Read:           d.ReadNode,
-		ReadCandidates: d.ReadCandidates,
-		Reachable:      d.ClientReachable,
-		Collector:      col,
-	})
-
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		// The last kill lands near the end of the traffic window: keep the
-		// cluster running until every member is back in service, with a
-		// virtual deadline so a wedged recovery cannot hang the run.
-		allRunning := func() bool {
-			for _, m := range d.Cluster.Members() {
-				if m.Node.State() != node.Running {
-					return false
-				}
-			}
-			return true
-		}
-		deadline := p.Elapsed() + 2*time.Minute
-		for p.Elapsed() < deadline && !allRunning() {
-			p.Sleep(500 * time.Millisecond)
-		}
-		// Quiesce replication: the resynced replica drains any backlog that
-		// accumulated while it was down.
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: crash run: " + err.Error())
-	}
-
-	res := CrashResult{
-		Kind:      cfg.Kind,
-		Commits:   col.Commits(),
-		Errors:    col.Errors(),
-		Terminals: col.Terminals(),
-		Reroutes:  r.Reroutes(),
-		Fenced:    d.Fence.Rejects(),
-		Epoch:     d.Fence.Epoch(),
-		Crashes:   inj.Crashes(),
-		Timeline:  d.Cluster.Timeline(),
-		Applied:   inj.Applied(),
-	}
-	res.BaselineTPS = col.TPS(0, injectAt)
-
-	// Verdicts. Durability and NoResurrection judge the full cross-crash
-	// history against the surviving primary's state; the commit path is
-	// crash-atomic after the durability wait (engine commit, client ack, and
-	// replication publish run in one runnable slice), so the acknowledged set
-	// the recorder saw is exactly the durable set recovery must restore.
-	rwDB := d.RW().DB
-	res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
-	res.Verdicts = append(res.Verdicts,
-		check.Durability("rw", rec, rwDB),
-		check.NoResurrection("rw", rec, rwDB),
-		check.Conservation(rec),
-		check.ReadCommitted(rec),
-	)
-	for _, m := range d.Cluster.Members() {
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-		if m.Node != d.RW() {
-			res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-		}
-	}
-	return res
 }

@@ -9,11 +9,12 @@ import (
 	"cloudybench/internal/engine"
 )
 
+// quickCrash runs a short gauntlet; non-zero recovery opts sabotage every
+// crash recovery in the run (skip undo, trust torn tails).
 func quickCrash(kind cdb.Kind, recovery engine.RecoveryOpts) CrashResult {
-	return RunCrash(CrashConfig{
-		Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7,
-		Recovery: recovery,
-	})
+	sp := crashSpec(CrashConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
+	sp.sabotage.recovery = recovery
+	return crashResult(runGauntlet(sp))
 }
 
 // crashFingerprint flattens a result into a comparable string: every metric,

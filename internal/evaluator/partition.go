@@ -1,16 +1,12 @@
 package evaluator
 
 import (
-	"strings"
 	"time"
 
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/chaos"
 	"cloudybench/internal/check"
 	"cloudybench/internal/cluster"
-	"cloudybench/internal/core"
-	"cloudybench/internal/sim"
-	"cloudybench/internal/storage"
 )
 
 // PartitionConfig parameterizes one SUT's run through the partition
@@ -26,36 +22,7 @@ type PartitionConfig struct {
 	// Span is the traffic window the partition schedule is compiled onto
 	// (default 20s: cut at 25%, heal at 60%).
 	Span time.Duration
-	// Mix defaults to the all-four blend so writes hit the fence and reads
-	// exercise the reroute path.
-	Mix  core.Mix
 	Seed int64
-	// Schedule overrides the standard partition schedule (nil =
-	// PartitionSchedule(Span)).
-	Schedule *chaos.Schedule
-	// DisableFencing deliberately breaks the write lease: stale-epoch
-	// commits are acknowledged instead of rejected. Test-only: the
-	// no-split-brain checker must then FAIL, proving it has teeth.
-	DisableFencing bool
-}
-
-func (c PartitionConfig) withDefaults() PartitionConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 12
-	}
-	if c.Span <= 0 {
-		c.Span = 20 * time.Second
-	}
-	if c.Mix == (core.Mix{}) {
-		c.Mix = core.Mix{T1: 30, T2: 20, T3: 40, T4: 10}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
 }
 
 // PartitionSchedule is the canonical partition gauntlet scaled onto a run
@@ -102,177 +69,62 @@ type PartitionResult struct {
 // Passed reports whether every invariant held.
 func (r PartitionResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 
-// recoveredAfter reports whether the timeline shows write service restored
-// after the given instant (promotion completing or a restart finishing).
-func recoveredAfter(tl []cluster.PhaseEvent, at time.Duration) bool {
-	return firstMarkAfter(tl, at, "RW' serving requests") > 0 ||
-		firstMarkAfter(tl, at, "RW service restored") > 0
-}
-
-// firstMarkAfter returns the time of the first timeline event after `at`
-// whose phase starts with the prefix (0 = none).
-func firstMarkAfter(tl []cluster.PhaseEvent, at time.Duration, prefix string) time.Duration {
-	for _, ev := range tl {
-		if ev.At > at && strings.HasPrefix(ev.Phase, prefix) {
-			return ev.At
-		}
+// partitionSpec: the recorder sits on the initial RW, so history is judged up
+// to the fail-over; recovery may land past the traffic window, so the run
+// holds until write service is back.
+func partitionSpec(cfg PartitionConfig) spec {
+	span := orDefault(cfg.Span, 20*time.Second)
+	return spec{
+		name: "partition", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
+		schedule:   PartitionSchedule(span),
+		observe:    observePrimary,
+		resilient:  true,
+		detector:   true,
+		await:      awaitWriteService,
+		invariants: []invariant{fenceTrio, conservation, readCommitted, convergence},
 	}
-	return 0
 }
 
 // RunPartition drives one SUT through the partition gauntlet and measures
 // detection, repair, unavailability, and the lease invariants. Deterministic:
 // the same config yields the same verdicts, metrics, and timeline.
 func RunPartition(cfg PartitionConfig) PartitionResult {
-	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+	return partitionResult(runGauntlet(partitionSpec(cfg)))
+}
 
-	rec := check.NewRecorder()
-	d.RW().DB.SetObserver(rec)
-	d.Fence.SetRecording(true)
-	if cfg.DisableFencing {
-		d.Fence.Disable()
-	}
-
-	sched := PartitionSchedule(cfg.Span)
-	if cfg.Schedule != nil {
-		sched = *cfg.Schedule
-	}
-	injectAt := cfg.Span // falls past the window if no partition is scheduled
-	for _, ev := range sched.Events {
-		if ev.Kind == chaos.Partition || ev.Kind == chaos.AsymPartition {
-			injectAt = ev.At
-			break
-		}
-	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: partition schedule: " + err.Error())
-	}
-	inj.Start()
-	d.StartDetector()
-
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "partition", Seed: cfg.Seed, Mix: cfg.Mix,
-		Write:          d.RW,
-		Read:           d.ReadNode,
-		ReadCandidates: d.ReadCandidates,
-		Reachable:      d.ClientReachable,
-		Collector:      col,
-	})
-
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		// Recovery may land past the traffic window (an RDS-style restart
-		// waits out the heal and then replays for tens of seconds): keep the
-		// cluster running until the timeline shows service restored, with a
-		// virtual deadline so a wedged recovery cannot hang the run.
-		deadline := p.Elapsed() + 2*time.Minute
-		for p.Elapsed() < deadline && !recoveredAfter(d.Cluster.Timeline(), injectAt) {
-			p.Sleep(500 * time.Millisecond)
-		}
-		// Quiesce replication: the healed side drains its backlog (the
-		// stopped pre-promotion stream is already balanced and stays so).
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: partition run: " + err.Error())
-	}
-
+func partitionResult(rc *run) PartitionResult {
+	d, col, injectAt := rc.d, rc.col, rc.outageAt
 	res := PartitionResult{
-		Kind:      cfg.Kind,
-		Commits:   col.Commits(),
-		Errors:    col.Errors(),
-		Terminals: col.Terminals(),
-		Reroutes:  r.Reroutes(),
-		Fenced:    d.Fence.Rejects(),
-		Epoch:     d.Fence.Epoch(),
-		Timeline:  d.Cluster.Timeline(),
-		Applied:   inj.Applied(),
+		Kind:        rc.spec.kind,
+		BaselineTPS: col.TPS(0, injectAt),
+		Commits:     col.Commits(),
+		Errors:      col.Errors(),
+		Terminals:   col.Terminals(),
+		Reroutes:    rc.reroutes,
+		Fenced:      d.Fence.Rejects(),
+		Epoch:       d.Fence.Epoch(),
+		Verdicts:    rc.verdicts,
+		Timeline:    d.Cluster.Timeline(),
+		Applied:     rc.inj.Applied(),
 	}
-	res.BaselineTPS = col.TPS(0, injectAt)
 
 	// Detection and repair, from the cluster's own marks.
 	if at := firstMarkAfter(res.Timeline, injectAt, "partition: RW suspected"); at > 0 {
 		res.MTTD = at - injectAt
 	}
-	if at := firstMarkAfter(res.Timeline, injectAt, "RW' serving requests"); at > 0 {
-		res.MTTR = at - injectAt
-	} else if at := firstMarkAfter(res.Timeline, injectAt, "RW service restored"); at > 0 {
+	if at := restoredAfter(res.Timeline, injectAt); at > 0 {
 		res.MTTR = at - injectAt
 	}
 
 	// Unavailability: whole-second buckets below a small fraction of the
 	// baseline (raw zero would be fooled by stragglers draining lock
 	// queues), counted across the traffic window after injection.
-	threshold := res.BaselineTPS * 0.05
-	if threshold < 2 {
-		threshold = 2
-	}
-	for _, b := range col.TPSBuckets(injectAt, cfg.Span) {
+	threshold := max(res.BaselineTPS*0.05, 2)
+	for _, b := range col.TPSBuckets(injectAt, rc.spec.span) {
 		if b < threshold {
 			res.Unavailable += time.Second
 		}
 	}
-
-	// Verdicts. The lease trio judges the fence event log directly. The
-	// history invariants are judged on the pre-fail-over prefix: after the
-	// old primary rejoins as a replica, replay mutates its DB beneath the
-	// recorder (Apply fires no observer hooks), so post-advance events would
-	// be judged against state the history cannot see.
-	res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
-	hist := rec
-	if advanceAt := firstAdvance(d.Fence.Events()); advanceAt > 0 {
-		hist = rec.Before(advanceAt)
-	}
-	res.Verdicts = append(res.Verdicts,
-		check.Conservation(hist),
-		check.ReadCommitted(hist),
-	)
-	// Convergence: after quiesce every member must match the current RW.
-	rwDB := d.RW().DB
-	for _, m := range d.Cluster.Members() {
-		if m.Node == d.RW() {
-			continue
-		}
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-	}
 	return res
-}
-
-// firstAdvance returns the time of the first epoch advance in a fence log
-// (0 = the lease never moved).
-func firstAdvance(events []storage.FenceEvent) time.Duration {
-	for _, ev := range events {
-		if ev.Kind == storage.FenceAdvance {
-			return ev.At
-		}
-	}
-	return 0
 }

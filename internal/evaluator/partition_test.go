@@ -8,11 +8,12 @@ import (
 	"cloudybench/internal/cdb"
 )
 
+// quickPartition runs a short gauntlet; disableFencing sabotages the write
+// lease so stale-epoch commits are acknowledged.
 func quickPartition(kind cdb.Kind, disableFencing bool) PartitionResult {
-	return RunPartition(PartitionConfig{
-		Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7,
-		DisableFencing: disableFencing,
-	})
+	sp := partitionSpec(PartitionConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
+	sp.sabotage.unfenced = disableFencing
+	return partitionResult(runGauntlet(sp))
 }
 
 // partitionFingerprint flattens a result into a comparable string: every
@@ -109,4 +110,23 @@ func TestPartitionCheckerHasTeeth(t *testing.T) {
 	if !splitBrain {
 		t.Fatalf("expected no-split-brain to fail, verdicts: %v", r.Verdicts)
 	}
+}
+
+// TestPartitionThatNeverHealsEndsTheRun: on RDS (no promotable replica) a
+// gray partition with no heal leaves a replication backlog that can never
+// drain. The harness's waits are bounded in virtual time, so the run must
+// return — with Convergence failing — instead of spinning the host forever.
+func TestPartitionThatNeverHealsEndsTheRun(t *testing.T) {
+	sp := partitionSpec(PartitionConfig{Kind: cdb.RDS, Span: 12 * time.Second, Concurrency: 6, Seed: 7})
+	sp.schedule.Events = sp.schedule.Events[:1] // the cut, without its heal
+	r := partitionResult(runGauntlet(sp))
+	if r.Passed() {
+		t.Fatal("verdict sheet passed although the replica was cut off for good")
+	}
+	for _, v := range r.Verdicts {
+		if v.Name == "convergence/ro0" && !v.Passed {
+			return
+		}
+	}
+	t.Fatalf("expected convergence/ro0 to fail, verdicts: %v", r.Verdicts)
 }

@@ -42,31 +42,6 @@ type SoakConfig struct {
 	Seed       int64
 }
 
-func (c SoakConfig) withDefaults() SoakConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Days <= 0 {
-		c.Days = 3
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * time.Hour
-	}
-	if c.Burst <= 0 {
-		c.Burst = time.Second
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 4
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
-
 // tenantPattern is the tenant-churn cycle: how many tenants are active in
 // window w (each contributing Concurrency clients). Adjacent windows change
 // by at most one tenant so churn itself never trips the window-over-window
@@ -193,11 +168,15 @@ func (r SoakResult) Passed() bool {
 // RunSoak drives one SUT through a multi-day soak: duty-cycled traffic
 // bursts (one per timeline window, tenant churn reshaping the client count),
 // the rolling SoakSchedule chaos, in-flight invariant sweeps every
-// SweepEvery windows, and a final quiesce + convergence judgement.
-// Deterministic: the same config yields byte-identical timelines, sweeps,
-// and anomalies at any GOMAXPROCS.
+// SweepEvery windows, and a final quiesce + convergence judgement — the
+// gauntlet harness with a windowed body. Deterministic: the same config
+// yields byte-identical timelines, sweeps, and anomalies at any GOMAXPROCS.
 func RunSoak(cfg SoakConfig) SoakResult {
-	cfg = cfg.withDefaults()
+	cfg.Days = orDefault(cfg.Days, 3)
+	cfg.Window = orDefault(cfg.Window, 2*time.Hour)
+	cfg.Burst = orDefault(cfg.Burst, time.Second)
+	cfg.Concurrency = orDefault(cfg.Concurrency, 4)
+	cfg.SweepEvery = orDefault(cfg.SweepEvery, 3)
 	if 24*time.Hour%cfg.Window != 0 {
 		panic(fmt.Sprintf("evaluator: soak window %v must divide 24h", cfg.Window))
 	}
@@ -207,147 +186,74 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	}
 	totalWindows := cfg.Days * wpd
 
-	s := sim.New(simEpoch)
 	tl := obs.NewTimeline(string(cfg.Kind), cfg.Window)
 	tr := obs.NewTracer(string(cfg.Kind), tl)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-		Tracer:     tr,
+	res := SoakResult{Kind: cfg.Kind, Days: cfg.Days, Window: cfg.Window, Timeline: tl, Agg: tr.Agg()}
+
+	rc := runGauntlet(spec{
+		name: "soak", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed, mix: gauntletMix,
 		// A secondary index on the order status column: T2 payments rewrite
 		// O_STATUS, so index maintenance runs for days and the in-flight
 		// IndexCoherent sweeps judge a moving target, not an empty catalog.
-		ExtraSchema: func(db *engine.DB) error {
+		schema: func(db *engine.DB) error {
 			_, err := db.CreateIndex(core.TableOrders, "ix_orders_status", "O_STATUS")
 			return err
 		},
-	})
-	d.Fence.SetRecording(true)
-
-	sched := SoakSchedule(cfg.Days, cfg.Window, cfg.Burst)
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: soak schedule: " + err.Error())
-	}
-	inj.Start()
-
-	res := SoakResult{Kind: cfg.Kind, Days: cfg.Days, Window: cfg.Window, Timeline: tl, Agg: tr.Agg()}
-
-	// The in-flight sweep judges the history invariants over the segment
-	// recorded since the previous sweep: a fresh recorder replaces the
-	// observer while traffic is fully quiesced, so every segment holds only
-	// whole transactions. The recorder is attached to every member (observer
-	// hooks fire only on the node running write transactions, and crash
-	// recovery carries the observer onto the rebuilt engine), so segments
-	// span the daily primary kill — and any promotion it triggers.
-	rec := check.NewRecorder()
-	attach := func(r *check.Recorder) {
-		for _, m := range d.Cluster.Members() {
-			m.Node.DB.SetObserver(r)
-		}
-	}
-	attach(rec)
-	sweep := func(p *sim.Proc, w int) {
-		verdicts := []check.Verdict{
-			check.Conservation(rec),
-			check.ReadCommitted(rec),
-			check.Durability("rw", rec, d.RW().DB),
-			check.NoResurrection("rw", rec, d.RW().DB),
-			check.IndexCoherent("rw", d.RW().DB),
-			check.NoSplitBrain(d.Fence.Events()),
-		}
-		sw := SoakSweep{At: p.Elapsed(), Window: w, Verdicts: verdicts}
-		var names []string
-		for _, v := range verdicts {
-			status := "PASS"
-			if !v.Passed {
-				status = "FAIL"
-			}
-			names = append(names, v.Name+"="+status)
-		}
-		tl.Mark(sw.At, "sweep", strings.Join(names, " "), sw.Passed())
-		res.Sweeps = append(res.Sweeps, sw)
-		rec = check.NewRecorder()
-		attach(rec)
-	}
-
-	s.Go("ctl", func(p *sim.Proc) {
-		for w := 0; w < totalWindows; w++ {
-			// Burst: a fresh runner per window (its own deterministic RNG
-			// streams, named by window) at the churned tenant population.
-			// The short retry budget keeps blackout-window stragglers from
-			// draining past the healed partition.
-			col := core.NewCollector()
-			r := core.NewRunner(s, core.Config{
-				Name: fmt.Sprintf("soak/w%03d", w), Seed: cfg.Seed,
-				Mix:            core.Mix{T1: 30, T2: 20, T3: 40, T4: 10},
-				Write:          d.RW,
-				Read:           d.ReadNode,
-				ReadCandidates: d.ReadCandidates,
-				Reachable:      d.ClientReachable,
-				Collector:      col,
-				Tracer:         tr,
-				Retry: core.RetryPolicy{
-					MaxAttempts: 4, BackoffBase: 50 * time.Millisecond,
-					BackoffCap: 400 * time.Millisecond,
-				},
-			})
-			r.SetConcurrency(cfg.Concurrency * cfg.Tenants(w))
-			p.Sleep(cfg.Burst)
-			r.Stop()
-			r.Wait(p)
-			res.Commits += col.Commits()
-			res.Errors += col.Errors()
-			res.Terminals += col.Terminals()
-			// col goes out of scope here: per-window collectors are
-			// throwaways, so live memory stays O(windows) — the timeline —
-			// no matter how long the run is.
-
-			if (w+1)%cfg.SweepEvery == 0 {
-				sweep(p, w)
-			}
-			if next := time.Duration(w+1) * cfg.Window; p.Elapsed() < next {
-				p.Sleep(next - p.Elapsed())
-			}
-		}
-
-		// Quiesce replication (the crashed-and-restarted replica drains its
-		// backlog), then judge the end-of-run invariants.
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
+		schedule:  SoakSchedule(cfg.Days, cfg.Window, cfg.Burst),
+		observe:   observeAll,
+		resilient: true,
+		// The short retry budget keeps blackout-window stragglers from
+		// draining past the healed partition.
+		retry: core.RetryPolicy{
+			MaxAttempts: 4, BackoffBase: 50 * time.Millisecond,
+			BackoffCap: 400 * time.Millisecond,
+		},
+		invariants: []invariant{fenceTrio, indexCoherent, convergence},
+		tracer:     tr,
+		body: func(p *sim.Proc, rc *run) {
+			// The in-flight sweep judges the history invariants over the
+			// segment since the previous sweep; the recorder is on every member,
+			// so segments span the daily primary kill and any promotion.
+			sweep := func(w int) {
+				verdicts := append(rc.judge([]invariant{conservation, readCommitted, durability, noResurrection}),
+					check.IndexCoherent("rw", rc.d.RW().DB),
+					check.NoSplitBrain(rc.d.Fence.Events()))
+				sw := SoakSweep{At: p.Elapsed(), Window: w, Verdicts: verdicts}
+				var names []string
+				for _, v := range verdicts {
+					status := "PASS"
+					if !v.Passed {
+						status = "FAIL"
+					}
+					names = append(names, v.Name+"="+status)
 				}
-				p.Sleep(10 * time.Millisecond)
+				tl.Mark(sw.At, "sweep", strings.Join(names, " "), sw.Passed())
+				res.Sweeps = append(res.Sweeps, sw)
+				rc.attachRecorder()
 			}
-		}
-		res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
-		rwDB := d.RW().DB
-		for _, m := range d.Cluster.Members() {
-			name := m.Node.Name
-			if i := strings.LastIndexByte(name, '/'); i >= 0 {
-				name = name[i+1:]
+			for w := 0; w < totalWindows; w++ {
+				// One burst per window at the churned tenant population. Its
+				// collector is a throwaway, so live memory stays O(windows) —
+				// the timeline — no matter how long the run is.
+				col := rc.burst(p, fmt.Sprintf("soak/w%03d", w), cfg.Concurrency*cfg.Tenants(w), cfg.Burst)
+				res.Commits += col.Commits()
+				res.Errors += col.Errors()
+				res.Terminals += col.Terminals()
+
+				if (w+1)%cfg.SweepEvery == 0 {
+					sweep(w)
+				}
+				if next := time.Duration(w+1) * cfg.Window; p.Elapsed() < next {
+					p.Sleep(next - p.Elapsed())
+				}
 			}
-			res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-			if m.Node != d.RW() {
-				res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-			}
-		}
-		d.Shutdown()
+		},
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: soak run: " + err.Error())
-	}
+	res.Verdicts = rc.verdicts
 
 	// Stamp the applied chaos onto the timeline, run the anomaly pass, and
 	// price each window.
-	res.Applied = inj.Applied()
+	res.Applied = rc.inj.Applied()
 	for _, a := range res.Applied {
 		detail := string(a.Kind)
 		if a.Target != "" {
@@ -361,7 +267,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	}
 	for w := 0; w < totalWindows; w++ {
 		row := tl.Row(w)
-		cost := d.RUCCost(row.Start, row.End)
+		cost := rc.d.RUCCost(row.Start, row.End)
 		sw := SoakWindow{WindowRow: row, Cost: cost}
 		if row.Commits > 0 {
 			sw.CostPer1kTxn = cost / float64(row.Commits) * 1000

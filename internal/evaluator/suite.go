@@ -2,33 +2,28 @@ package evaluator
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"time"
 
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/chaos"
 	"cloudybench/internal/check"
 	"cloudybench/internal/core"
-	"cloudybench/internal/engine"
-	"cloudybench/internal/sim"
 	"cloudybench/internal/storage"
 )
 
-// sortedNames fixes the walk order over a table map so summed planner
-// stats accumulate deterministically.
-func sortedNames(m map[string]*engine.Table) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// SuiteGauntlet selects the fault schedule a suite run composes with.
+type SuiteGauntlet string
+
+const (
+	SuitePlain     SuiteGauntlet = ""          // fault-free
+	SuiteChaos     SuiteGauntlet = "chaos"     // the standard chaos schedule
+	SuitePartition SuiteGauntlet = "partition" // the gray partition: fail-over or await-heal restart, lease fencing
+)
 
 // SuiteConfig parameterizes one registered workload suite's run on one SUT.
-// Suites compose with the same gauntlets as the Table II mix: Chaos attaches
-// the standard fault schedule, Partition the gray-partition fail-over — so
+// Suites compose with the same gauntlets as the Table II mix, so
 // secondary-index maintenance is exercised under exactly the conditions the
 // invariants judge.
 type SuiteConfig struct {
@@ -41,30 +36,11 @@ type SuiteConfig struct {
 	// Span is the traffic window (default 10s).
 	Span time.Duration
 	Seed int64
-	// Chaos runs the suite under the standard chaos gauntlet.
-	Chaos bool
-	// Partition runs the suite under the gray-partition gauntlet (fail-over
-	// or await-heal restart, lease fencing, resilient client).
-	Partition bool
+	// Gauntlet is the fault schedule to run under (default SuitePlain).
+	Gauntlet SuiteGauntlet
 	// ScanOverride intercepts every read-only suite scan — the differential
 	// harness's dual-plan hook. Nil scans through the planner normally.
 	ScanOverride core.ScanFunc
-}
-
-func (c SuiteConfig) withDefaults() SuiteConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 8
-	}
-	if c.Span <= 0 {
-		c.Span = 10 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
 }
 
 // SuiteResult is one suite × SUT verdict sheet plus planner and index-WAL
@@ -100,113 +76,60 @@ type SuiteResult struct {
 // Passed reports whether every invariant held.
 func (r SuiteResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 
-// RunSuite drives one registered suite against one SUT, optionally under
-// the chaos or partition gauntlet, then judges IndexCoherent on every node
-// and Convergence on every replica. Deterministic: the same config yields
-// the same verdicts and metrics.
-func RunSuite(cfg SuiteConfig) SuiteResult {
-	cfg = cfg.withDefaults()
+// suiteSpec: no recorder — a suite is judged on final state, IndexCoherent
+// on every node and Convergence on every replica. Under the partition
+// gauntlet the lease trio joins the sheet and the run holds until write
+// service is back, so the post-fail-over index state is judged, not the
+// mid-outage one.
+func suiteSpec(cfg SuiteConfig) spec {
 	suite := core.SuiteByName(cfg.Suite)
 	if suite == nil {
 		panic(fmt.Sprintf("evaluator: unknown suite %q (have %v)", cfg.Suite, core.SuiteNames()))
 	}
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless:  cdb.Bool(false),
-		ExtraSchema: func(db *engine.DB) error { return suite.Tables(db, cfg.SF, cfg.Seed) },
-	})
-	if cfg.Partition {
-		d.Fence.SetRecording(true)
+	sp := spec{
+		name: "suite/" + cfg.Suite, kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		clients: orDefault(cfg.Concurrency, 8), span: orDefault(cfg.Span, 10*time.Second),
+		suite: suite, scanOverride: cfg.ScanOverride,
+		resilient:  true,
+		invariants: []invariant{indexCoherent, convergence},
 	}
-
-	var inj *chaos.Injector
-	injectAt := cfg.Span
-	if cfg.Chaos || cfg.Partition {
-		sched := chaos.Standard(cfg.Span)
-		if cfg.Partition {
-			sched = PartitionSchedule(cfg.Span)
-			for _, ev := range sched.Events {
-				if ev.Kind == chaos.Partition || ev.Kind == chaos.AsymPartition {
-					injectAt = ev.At
-					break
-				}
-			}
-		}
-		var err error
-		inj, err = chaos.NewInjector(s, sched, chaos.Targets{
-			Cluster: d.Cluster,
-			Links:   d.Links(),
-			Net:     d.Net,
-			Seed:    cfg.Seed,
-		})
-		if err != nil {
-			panic("evaluator: suite schedule: " + err.Error())
-		}
-		inj.Start()
+	switch cfg.Gauntlet {
+	case SuitePlain:
+	case SuiteChaos:
+		sp.schedule = chaos.Standard(sp.span)
+	case SuitePartition:
+		sp.schedule = PartitionSchedule(sp.span)
+		sp.detector = true
+		sp.await = awaitWriteService
+		sp.invariants = append([]invariant{fenceTrio}, sp.invariants...)
+	default:
+		panic(fmt.Sprintf("evaluator: unknown suite gauntlet %q", cfg.Gauntlet))
 	}
-	if cfg.Partition {
-		d.StartDetector()
-	}
+	return sp
+}
 
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "suite/" + cfg.Suite, Seed: cfg.Seed,
-		Write:          d.RW,
-		Read:           d.ReadNode,
-		ReadCandidates: d.ReadCandidates,
-		Reachable:      d.ClientReachable,
-		Collector:      col,
-		Ops:            suite.Ops(cfg.SF),
-		ScanOverride:   cfg.ScanOverride,
-	})
-
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		if cfg.Partition {
-			// Keep the cluster running until write service is restored, so
-			// the post-fail-over index state is judged, not the mid-outage
-			// one (bounded by a virtual deadline).
-			deadline := p.Elapsed() + 2*time.Minute
-			for p.Elapsed() < deadline && !recoveredAfter(d.Cluster.Timeline(), injectAt) {
-				p.Sleep(500 * time.Millisecond)
-			}
-		}
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: suite run: " + err.Error())
-	}
-
+// RunSuite drives one registered suite against one SUT, optionally under
+// the chaos or partition gauntlet. Deterministic: the same config yields
+// the same verdicts and metrics.
+func RunSuite(cfg SuiteConfig) SuiteResult {
+	rc := runGauntlet(suiteSpec(cfg))
+	d, col := rc.d, rc.col
 	res := SuiteResult{
 		Suite:     cfg.Suite,
 		Kind:      cfg.Kind,
 		Commits:   col.Commits(),
 		Errors:    col.Errors(),
 		Terminals: col.Terminals(),
-		TPS:       col.TPS(0, cfg.Span),
+		TPS:       col.TPS(0, rc.spec.span),
 		Ops:       col.OpCounts(),
 		Fenced:    d.Fence.Rejects(),
 		Epoch:     d.Fence.Epoch(),
-	}
-	if inj != nil {
-		res.Applied = inj.Applied()
+		Verdicts:  rc.verdicts,
+		Applied:   rc.inj.Applied(),
 	}
 	for _, n := range d.Nodes() {
 		tables := n.DB.Tables()
-		for _, name := range sortedNames(tables) {
+		for _, name := range slices.Sorted(maps.Keys(tables)) {
 			ix, full := tables[name].ScanStats()
 			res.IndexScans += ix
 			res.FullScans += full
@@ -218,23 +141,6 @@ func RunSuite(cfg SuiteConfig) SuiteResult {
 			case storage.RecIndexDelete:
 				res.IndexWALDels++
 			}
-		}
-	}
-
-	// Verdicts: the lease trio (partition only), index coherence on every
-	// node, convergence on every replica.
-	if cfg.Partition {
-		res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
-	}
-	rwDB := d.RW().DB
-	for _, m := range d.Cluster.Members() {
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-		if m.Node != d.RW() {
-			res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
 		}
 	}
 	return res

@@ -43,7 +43,7 @@ func TestRunSuitePlain(t *testing.T) {
 func TestRunSuiteChaos(t *testing.T) {
 	res := RunSuite(SuiteConfig{
 		Suite: core.SuiteIdxRange, Kind: cdb.CDB1,
-		Span: 8 * time.Second, Concurrency: 6, Chaos: true,
+		Span: 8 * time.Second, Concurrency: 6, Gauntlet: SuiteChaos,
 	})
 	if len(res.Applied) == 0 {
 		t.Fatal("chaos schedule injected nothing")
@@ -63,7 +63,7 @@ func TestRunSuiteChaos(t *testing.T) {
 func TestRunSuitePartition(t *testing.T) {
 	res := RunSuite(SuiteConfig{
 		Suite: core.SuiteTimeseries, Kind: cdb.CDB4,
-		Span: 12 * time.Second, Concurrency: 6, Partition: true,
+		Span: 12 * time.Second, Concurrency: 6, Gauntlet: SuitePartition,
 	})
 	if !res.Passed() {
 		t.Fatalf("verdicts failed under partition: %v", res.Verdicts)

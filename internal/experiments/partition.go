@@ -74,7 +74,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		return evaluator.RunSuite(evaluator.SuiteConfig{
 			Suite: suiteNames[i], Kind: cdb.CDB4,
 			Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
-			Partition: true,
+			Gauntlet: evaluator.SuitePartition,
 		})
 	})
 	stbl := report.NewTable("Suite gauntlet — registered suites through the same gray partition (cdb4)",

@@ -16,10 +16,9 @@ import (
 // suiteCell is one (suite, SUT, gauntlet) combination of the scenario-suite
 // experiment grid.
 type suiteCell struct {
-	suite     string
-	kind      cdb.Kind
-	chaos     bool
-	partition bool
+	suite    string
+	kind     cdb.Kind
+	gauntlet evaluator.SuiteGauntlet
 }
 
 // suiteGrid enumerates the experiment's cells in rendering order: every
@@ -33,10 +32,10 @@ func suiteGrid() []suiteCell {
 		}
 	}
 	for _, suite := range core.SuiteNames() {
-		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB1, chaos: true})
+		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB1, gauntlet: evaluator.SuiteChaos})
 	}
 	for _, suite := range core.SuiteNames() {
-		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB4, partition: true})
+		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB4, gauntlet: evaluator.SuitePartition})
 	}
 	return cells
 }
@@ -58,7 +57,7 @@ func Suites(sc Scale) (string, []evaluator.SuiteResult) {
 		return evaluator.RunSuite(evaluator.SuiteConfig{
 			Suite: c.suite, Kind: c.kind,
 			Span: sc.SuiteSpan, Concurrency: sc.SuiteConc, Seed: sc.Seed,
-			Chaos: c.chaos, Partition: c.partition,
+			Gauntlet: c.gauntlet,
 		})
 	})
 
@@ -67,7 +66,7 @@ func Suites(sc Scale) (string, []evaluator.SuiteResult) {
 		"Suite", "System", "Verdict", "Commits", "Errors", "TPS", "IdxScan", "FullScan", "IxPut", "IxDel")
 	var detail strings.Builder
 	for i, r := range results {
-		if cells[i].chaos || cells[i].partition {
+		if cells[i].gauntlet != evaluator.SuitePlain {
 			continue
 		}
 		tbl.AddRow(r.Suite, string(r.Kind), passFail(r.Passed()),
@@ -99,14 +98,10 @@ func Suites(sc Scale) (string, []evaluator.SuiteResult) {
 		"Suite", "Gauntlet", "Verdict", "Commits", "Faults", "Fenced", "Epoch", "IxPut", "IxDel")
 	for i, r := range results {
 		c := cells[i]
-		if !c.chaos && !c.partition {
+		if c.gauntlet == evaluator.SuitePlain {
 			continue
 		}
-		mode := "chaos"
-		if c.partition {
-			mode = "partition"
-		}
-		gnt.AddRow(r.Suite, mode, passFail(r.Passed()),
+		gnt.AddRow(r.Suite, string(c.gauntlet), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", len(r.Applied)),
 			fmt.Sprintf("%d", r.Fenced),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudybench/internal/core"
+	"cloudybench/internal/evaluator"
 )
 
 // TestSuitesGolden pins the rendered scenario-suite report byte for byte —
@@ -56,7 +57,7 @@ func TestSuitesCoversGridAndPasses(t *testing.T) {
 	var sawPromotion bool
 	for i, r := range results {
 		c := suiteGrid()[i]
-		if !c.partition {
+		if c.gauntlet != evaluator.SuitePartition {
 			continue
 		}
 		if r.Epoch >= 2 {
