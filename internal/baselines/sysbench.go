@@ -54,14 +54,14 @@ func sbSchema(i int) *engine.Schema {
 func (sb *SysBench) CreateTables(db *engine.DB, seed int64) error {
 	for i := 0; i < sb.Tables; i++ {
 		tag := uint64(0x5B7E57 + i)
-		gen := func(id int64) engine.Row {
+		gen := func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, tag, id)
-			return engine.Row{
+			return append(dst[:0],
 				engine.Int(id),
-				engine.Int(r.Int63n(sb.RowsPerTB) + 1),
+				engine.Int(r.Int63n(sb.RowsPerTB)+1),
 				engine.Str(r.Letters(32)),
 				engine.Str(r.Letters(16)),
-			}
+			)
 		}
 		if _, err := db.CreateTable(sbSchema(i), sb.RowsPerTB, gen); err != nil {
 			return err

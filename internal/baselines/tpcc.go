@@ -102,10 +102,10 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 	err := mk(schema("warehouse", 0,
 		col("W_ID", engine.KindInt), col("W_NAME", engine.KindString),
 		col("W_TAX", engine.KindFloat), col("W_YTD", engine.KindFloat)),
-		int64(W), func(id int64) engine.Row {
+		int64(W), func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0x7a1, id)
-			return engine.Row{engine.Int(id), engine.Str("wh-" + r.Letters(6)),
-				engine.Float(r.Float64() * 0.2), engine.Float(300_000)}
+			return append(dst[:0], engine.Int(id), engine.Str("wh-"+r.Letters(6)),
+				engine.Float(r.Float64()*0.2), engine.Float(300_000))
 		})
 	if err != nil {
 		return err
@@ -115,12 +115,12 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 		col("D_KEY", engine.KindInt), col("D_W_ID", engine.KindInt),
 		col("D_TAX", engine.KindFloat), col("D_YTD", engine.KindFloat),
 		col("D_NEXT_O_ID", engine.KindInt)),
-		int64(W*tpccDistrictsPerW), func(id int64) engine.Row {
+		int64(W*tpccDistrictsPerW), func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0xd15, id)
 			w := (id-1)/tpccDistrictsPerW + 1
-			return engine.Row{engine.Int(id), engine.Int(w),
-				engine.Float(r.Float64() * 0.2), engine.Float(30_000),
-				engine.Int(tpccInitialOrders + 1)}
+			return append(dst[:0], engine.Int(id), engine.Int(w),
+				engine.Float(r.Float64()*0.2), engine.Float(30_000),
+				engine.Int(tpccInitialOrders+1))
 		})
 	if err != nil {
 		return err
@@ -131,12 +131,12 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 		col("C_NAME", engine.KindString), col("C_BALANCE", engine.KindFloat),
 		col("C_YTD_PAYMENT", engine.KindFloat), col("C_PAYMENT_CNT", engine.KindInt),
 		col("C_DELIVERY_CNT", engine.KindInt)),
-		int64(W*tpccDistrictsPerW*tpccCustomersPerD), func(id int64) engine.Row {
+		int64(W*tpccDistrictsPerW*tpccCustomersPerD), func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0xc57, id)
 			dkey := (id-1)/tpccCustomersPerD + 1
-			return engine.Row{engine.Int(id), engine.Int(dkey),
-				engine.Str("cust-" + r.Letters(10)), engine.Float(-10),
-				engine.Float(10), engine.Int(1), engine.Int(0)}
+			return append(dst[:0], engine.Int(id), engine.Int(dkey),
+				engine.Str("cust-"+r.Letters(10)), engine.Float(-10),
+				engine.Float(10), engine.Int(1), engine.Int(0))
 		})
 	if err != nil {
 		return err
@@ -145,10 +145,10 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 	err = mk(schema("item", 0,
 		col("I_ID", engine.KindInt), col("I_NAME", engine.KindString),
 		col("I_PRICE", engine.KindFloat)),
-		tpccItems, func(id int64) engine.Row {
+		tpccItems, func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0x17e, id)
-			return engine.Row{engine.Int(id), engine.Str("item-" + r.Letters(8)),
-				engine.Float(1 + r.Float64()*99)}
+			return append(dst[:0], engine.Int(id), engine.Str("item-"+r.Letters(8)),
+				engine.Float(1+r.Float64()*99))
 		})
 	if err != nil {
 		return err
@@ -157,10 +157,10 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 	err = mk(schema("stock", 0,
 		col("S_KEY", engine.KindInt), col("S_QUANTITY", engine.KindInt),
 		col("S_YTD", engine.KindInt), col("S_ORDER_CNT", engine.KindInt)),
-		int64(W)*tpccStockPerW, func(id int64) engine.Row {
+		int64(W)*tpccStockPerW, func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0x57c, id)
-			return engine.Row{engine.Int(id), engine.Int(10 + r.Int63n(91)),
-				engine.Int(0), engine.Int(0)}
+			return append(dst[:0], engine.Int(id), engine.Int(10+r.Int63n(91)),
+				engine.Int(0), engine.Int(0))
 		})
 	if err != nil {
 		return err

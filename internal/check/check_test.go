@@ -17,14 +17,14 @@ import (
 // (amounts 10.00/20.00/..., all NEW), 8 base orderlines.
 func salesDB(s *sim.Sim) *engine.DB {
 	db := engine.NewDB(s)
-	db.MustCreateTable(core.CustomerSchema(), 4, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Str("c"), engine.Float(100), engine.Int(0)}
+	db.MustCreateTable(core.CustomerSchema(), 4, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Str("c"), engine.Float(100), engine.Int(0))
 	})
-	db.MustCreateTable(core.OrdersSchema(), 4, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Int(id), engine.Float(float64(id) * 10), engine.Int(0), engine.Str(core.StatusNew), engine.Int(0)}
+	db.MustCreateTable(core.OrdersSchema(), 4, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Int(id), engine.Float(float64(id)*10), engine.Int(0), engine.Str(core.StatusNew), engine.Int(0))
 	})
-	db.MustCreateTable(core.OrderlineSchema(), 8, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Int((id-1)/2 + 1), engine.Str("sku"), engine.Int(1), engine.Float(5)}
+	db.MustCreateTable(core.OrderlineSchema(), 8, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Int((id-1)/2+1), engine.Str("sku"), engine.Int(1), engine.Float(5))
 	})
 	return db
 }
@@ -184,8 +184,8 @@ func TestReadCommittedCatchesDirtyRead(t *testing.T) {
 }
 
 func salesInto(db *engine.DB) {
-	db.MustCreateTable(core.OrderlineSchema(), 8, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Int((id-1)/2 + 1), engine.Str("sku"), engine.Int(1), engine.Float(5)}
+	db.MustCreateTable(core.OrderlineSchema(), 8, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Int((id-1)/2+1), engine.Str("sku"), engine.Int(1), engine.Float(5))
 	})
 }
 

@@ -24,8 +24,8 @@ func TestIndexCoherent(t *testing.T) {
 		KeyCols:     []int{0},
 		AvgRowBytes: 32,
 	}
-	tbl := db.MustCreateTable(schema, 30, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Int(id % 5)}
+	tbl := db.MustCreateTable(schema, 30, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Int(id%5))
 	})
 	ix := db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
 

@@ -70,8 +70,14 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 var _ engine.Observer = (*Recorder)(nil)
 
+// add appends ev to the history. The key is copied, as rows are (cloneRow):
+// callers encode lookup keys into scratch buffers they reuse, and the engine
+// hands observers the caller's bytes.
 func (r *Recorder) add(ev Event) {
 	ev.Seq = int64(len(r.events))
+	if ev.Key != nil {
+		ev.Key = append(engine.Key(nil), ev.Key...)
+	}
 	r.events = append(r.events, ev)
 }
 

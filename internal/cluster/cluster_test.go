@@ -24,7 +24,9 @@ func ordersSchema() *engine.Schema {
 	}
 }
 
-func genOrder(id int64) engine.Row { return engine.Row{engine.Int(id), engine.Str("NEW")} }
+func genOrder(dst engine.Row, id int64) engine.Row {
+	return append(dst[:0], engine.Int(id), engine.Str("NEW"))
+}
 
 func makeNode(s *sim.Sim, name string) *node.Node {
 	n := node.New(s, node.Config{

@@ -34,7 +34,7 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 	d := NewDataset(1, 42)
 	cg, og, olg := d.CustomerGen(), d.OrdersGen(), d.OrderlineGen()
 	for _, id := range []int64{1, 1000, 299_999} {
-		a, b := cg(id), cg(id)
+		a, b := cg(nil, id), cg(nil, id)
 		if !a.Equal(b) {
 			t.Fatalf("customer gen not deterministic for %d", id)
 		}
@@ -42,7 +42,7 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 			t.Fatalf("customer PK mismatch: %v", a[0])
 		}
 	}
-	o := og(5000)
+	o := og(nil, 5000)
 	if o[0].I != 5000 || o[1].I < 1 || o[1].I > d.Customers {
 		t.Fatalf("order row: %v", o)
 	}
@@ -50,13 +50,13 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 		t.Fatalf("order status %q", s)
 	}
 	// Orderline 47 belongs to order (47-1)/10+1 = 5.
-	ol := olg(47)
+	ol := olg(nil, 47)
 	if ol[1].I != 5 {
 		t.Fatalf("orderline 47 order ref = %d, want 5", ol[1].I)
 	}
 	// Different seeds produce different content.
 	d2 := NewDataset(1, 43)
-	if d2.CustomerGen()(7).Equal(cg(7)) {
+	if d2.CustomerGen()(nil, 7).Equal(cg(nil, 7)) {
 		t.Fatal("different seeds produced identical rows")
 	}
 }

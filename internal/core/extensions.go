@@ -97,42 +97,42 @@ const (
 func (d Dataset) CreateExtensionTables(db *engine.DB) error {
 	seed := d.Seed
 	products := int64(d.SF) * ProductsPerSF
-	if _, err := db.CreateTable(ProductSchema(), products, func(id int64) engine.Row {
+	if _, err := db.CreateTable(ProductSchema(), products, func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagProduct, id)
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
-			engine.Str("prod-" + r.Letters(8)),
-			engine.Float(float64(r.IntRange(100, 50_000)) / 100),
+			engine.Str("prod-"+r.Letters(8)),
+			engine.Float(float64(r.IntRange(100, 50_000))/100),
 			engine.Int(baseDate),
-		}
+		)
 	}); err != nil {
 		return err
 	}
-	if _, err := db.CreateTable(WorkorderSchema(), int64(d.SF)*WorkordersPerSF, func(id int64) engine.Row {
+	if _, err := db.CreateTable(WorkorderSchema(), int64(d.SF)*WorkordersPerSF, func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagWorkorder, id)
 		status := WorkorderDone
 		if r.Float64() < 0.2 {
 			status = WorkorderOpen
 		}
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
-			engine.Int(1 + r.Int63n(products)),
+			engine.Int(1+r.Int63n(products)),
 			engine.Int(r.IntRange(1, 500)),
 			engine.Str(status),
 			engine.Int(baseDate),
-		}
+		)
 	}); err != nil {
 		return err
 	}
-	if _, err := db.CreateTable(StockitemSchema(), int64(d.SF)*StockitemsPerSF, func(id int64) engine.Row {
+	if _, err := db.CreateTable(StockitemSchema(), int64(d.SF)*StockitemsPerSF, func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagStockitem, id)
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
 			engine.Int(id), // stock item i tracks product i
 			engine.Int(r.IntRange(0, 10_000)),
 			engine.Int(0),
 			engine.Int(baseDate),
-		}
+		)
 	}); err != nil {
 		return err
 	}

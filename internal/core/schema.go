@@ -136,14 +136,14 @@ const (
 // CustomerGen returns the deterministic CUSTOMER row generator.
 func (d Dataset) CustomerGen() engine.RowGen {
 	seed := d.Seed
-	return func(id int64) engine.Row {
+	return func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagCustomer, id)
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
-			engine.Str("cust-" + r.Letters(8)),
+			engine.Str("cust-"+r.Letters(8)),
 			engine.Float(float64(r.IntRange(0, 50_000))),
 			engine.Int(baseDate),
-		}
+		)
 	}
 }
 
@@ -152,20 +152,20 @@ func (d Dataset) CustomerGen() engine.RowGen {
 func (d Dataset) OrdersGen() engine.RowGen {
 	seed := d.Seed
 	customers := d.Customers
-	return func(id int64) engine.Row {
+	return func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagOrders, id)
 		status := StatusPaid
 		if r.Float64() < 0.3 {
 			status = StatusNew
 		}
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
-			engine.Int(1 + r.Int63n(customers)),
-			engine.Float(float64(r.IntRange(1, 10_000)) / 100),
-			engine.Int(baseDate - r.Int63n(86_400_000_000*365)),
+			engine.Int(1+r.Int63n(customers)),
+			engine.Float(float64(r.IntRange(1, 10_000))/100),
+			engine.Int(baseDate-r.Int63n(86_400_000_000*365)),
 			engine.Str(status),
 			engine.Int(baseDate),
-		}
+		)
 	}
 }
 
@@ -174,19 +174,19 @@ func (d Dataset) OrdersGen() engine.RowGen {
 func (d Dataset) OrderlineGen() engine.RowGen {
 	seed := d.Seed
 	orders := d.Orders
-	return func(id int64) engine.Row {
+	return func(dst engine.Row, id int64) engine.Row {
 		r := rng.QuickOf(seed, tagOrderline, id)
 		orderID := (id-1)/10 + 1
 		if orderID > orders {
 			orderID = orders
 		}
-		return engine.Row{
+		return append(dst[:0],
 			engine.Int(id),
 			engine.Int(orderID),
-			engine.Str("sku-" + r.Letters(6)),
+			engine.Str("sku-"+r.Letters(6)),
 			engine.Int(r.IntRange(1, 9)),
-			engine.Float(float64(r.IntRange(100, 99_99)) / 100),
-		}
+			engine.Float(float64(r.IntRange(100, 99_99))/100),
+		)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 type ScanFunc func(p *sim.Proc, n *node.Node, table string, col int, lo, hi engine.Value, limit int) ([]engine.Row, error)
 
 // OpCtx is what one suite operation executes with: the routed node, the
-// worker's deterministic random streams, and the scan hook.
+// worker's deterministic random streams, the scan hook, and the worker's
+// point-access scratch.
 type OpCtx struct {
 	P    *sim.Proc
 	Node *node.Node
@@ -24,6 +25,23 @@ type OpCtx struct {
 	Dist rng.Dist
 
 	scan ScanFunc
+	// key holds the lookup key IntKey encoded last; row is where a base row
+	// read through the *Into forms lands. Nothing below the op retains
+	// either (DESIGN.md §15, "Who owns which buffer"), so ops allocate only
+	// what the database keeps.
+	key engine.Key
+	row engine.Row
+}
+
+// rowScratchCols sizes the row scratch so no shipped schema's generator has
+// to grow it (a generator that must grows into a fresh row instead).
+const rowScratchCols = 8
+
+// IntKey encodes a single-int primary key into the op's key scratch. The
+// key is valid until the next IntKey call on this context.
+func (c *OpCtx) IntKey(id int64) engine.Key {
+	c.key = engine.AppendIntKey(c.key[:0], id)
+	return c.key
 }
 
 // ScanRead runs a read-only range scan on the op's node through the

@@ -50,13 +50,13 @@ func init() {
 				KeyCols:     []int{0},
 				AvgRowBytes: 96,
 			}
-			_, err := db.CreateTable(schema, int64(sf)*2000, func(id int64) engine.Row {
-				return engine.Row{
+			_, err := db.CreateTable(schema, int64(sf)*2000, func(dst engine.Row, id int64) engine.Row {
+				return append(dst[:0],
 					engine.Int(id),
-					engine.Int(id % idxGroups),
-					engine.Float(float64(id%997) / 4),
+					engine.Int(id%idxGroups),
+					engine.Float(float64(id%997)/4),
 					engine.Str("tag-base"),
-				}
+				)
 			})
 			if err != nil {
 				return err
@@ -89,13 +89,13 @@ func init() {
 				KeyCols:     []int{0},
 				AvgRowBytes: 72,
 			}
-			_, err := db.CreateTable(schema, int64(sf)*2000, func(id int64) engine.Row {
-				return engine.Row{
+			_, err := db.CreateTable(schema, int64(sf)*2000, func(dst engine.Row, id int64) engine.Row {
+				return append(dst[:0],
 					engine.Int(id),
-					engine.Int(id / tsPerBkt),
-					engine.Float(float64(id%101) / 2),
+					engine.Int(id/tsPerBkt),
+					engine.Float(float64(id%101)/2),
 					engine.Str("src-base"),
-				}
+				)
 			})
 			if err != nil {
 				return err
@@ -126,12 +126,12 @@ func init() {
 				KeyCols:     []int{0},
 				AvgRowBytes: 16 * 1024,
 			}
-			_, err := db.CreateTable(schema, int64(sf)*200, func(id int64) engine.Row {
-				return engine.Row{
+			_, err := db.CreateTable(schema, int64(sf)*200, func(dst engine.Row, id int64) engine.Row {
+				return append(dst[:0],
 					engine.Int(id),
-					engine.Int(id % lobBkts),
+					engine.Int(id%lobBkts),
 					engine.Str("blob-base"),
-				}
+				)
 			})
 			if err != nil {
 				return err
@@ -195,7 +195,7 @@ func opIdxUpdate(c *OpCtx) error {
 		engine.Float(float64(c.Src.IntRange(0, 999)) / 4),
 		engine.Str("tag-upd"),
 	}
-	if err := tx.Update(tbl, engine.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+	if err := tx.Update(tbl, c.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
 	}
@@ -209,7 +209,7 @@ func opIdxDelete(c *OpCtx) error {
 	}
 	tbl := c.Node.DB.Table(TableIdxItems)
 	id := c.Dist.Next(tbl.MaxID())
-	if err := tx.Delete(tbl, engine.IntKey(id)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+	if err := tx.Delete(tbl, c.IntKey(id)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
 	}
@@ -268,7 +268,7 @@ func opTsRetention(c *OpCtx) error {
 		return err
 	}
 	for _, row := range rows {
-		if err := tx.Delete(tbl, engine.IntKey(row[0].I)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+		if err := tx.Delete(tbl, c.IntKey(row[0].I)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 			tx.Abort()
 			return err
 		}
@@ -279,7 +279,7 @@ func opTsRetention(c *OpCtx) error {
 func opLobGet(c *OpCtx) error {
 	tbl := c.Node.DB.Table(TableLobObject)
 	id := c.Dist.Next(tbl.MaxID())
-	_, _, err := c.Node.Read(c.P, TableLobObject, engine.IntKey(id))
+	_, _, err := c.Node.ReadInto(c.P, TableLobObject, c.IntKey(id), c.row)
 	if errors.Is(err, engine.ErrRowNotFound) {
 		return nil
 	}
@@ -306,7 +306,7 @@ func opLobPut(c *OpCtx) error {
 	}
 	id := c.Dist.Next(tbl.MaxID())
 	row := engine.Row{engine.Int(id), engine.Int(c.Src.IntRange(0, lobBkts-1)), payload}
-	if err := tx.Update(tbl, engine.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+	if err := tx.Update(tbl, c.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
 	}

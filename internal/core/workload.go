@@ -175,6 +175,7 @@ func (r *Runner) SetConcurrency(n int) {
 			boff: rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d/backoff", r.cfg.Name, idx)),
 		}
 		w.dist = r.makeDist(w.src)
+		w.ctx = OpCtx{Src: w.src, Dist: w.dist, scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols)}
 		r.group.Go(fmt.Sprintf("%s/w%d", r.cfg.Name, idx), w.run)
 	}
 }
@@ -208,6 +209,10 @@ type worker struct {
 	src  *rng.Source
 	boff *rng.Source // dedicated jitter stream: retries don't perturb the txn stream
 	dist rng.Dist
+	// ctx is the context every suite op of this worker runs with, and the
+	// owner of the worker's key/row scratch, which T2–T4 use too: a worker is
+	// one process running one transaction at a time.
+	ctx OpCtx
 }
 
 func (w *worker) run(p *sim.Proc) {
@@ -331,7 +336,8 @@ func (w *worker) executeOnce(p *sim.Proc, typ TxnType, op *SuiteOp) error {
 	b := w.r.breaker(n)
 	t0 := p.Elapsed()
 	if op != nil {
-		err = op.Run(&OpCtx{P: p, Node: n, Src: w.src, Dist: w.dist, scan: w.r.cfg.ScanOverride})
+		w.ctx.P, w.ctx.Node = p, n
+		err = op.Run(&w.ctx)
 	} else {
 		err = w.execute(p, typ, n)
 	}
@@ -429,7 +435,8 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 	oid := w.dist.Next(orders.MaxID())
 	now := engine.Int(p.Now().UnixMicro())
 
-	row, err := tx.GetForUpdate(orders, engine.IntKey(oid))
+	key := w.ctx.IntKey(oid)
+	row, err := tx.GetForUpdateInto(orders, key, w.ctx.row)
 	if errors.Is(err, engine.ErrRowNotFound) {
 		return tx.Commit() // order vanished: empty but successful payment check
 	}
@@ -437,23 +444,26 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 		tx.Abort()
 		return err
 	}
+	// row may live in the scratch: take what the customer half needs before the
+	// next read reuses the scratch. The clones are what the table keeps.
+	cid, amount := row[1].I, row[2].F
 	upd := row.Clone()
 	upd[4] = engine.Str(StatusPaid)
 	upd[5] = now
-	if err := tx.Update(orders, engine.IntKey(oid), upd); err != nil {
+	if err := tx.Update(orders, key, upd); err != nil {
 		tx.Abort()
 		return err
 	}
-	cid := row[1].I
-	crow, err := tx.GetForUpdate(customers, engine.IntKey(cid))
+	key = w.ctx.IntKey(cid)
+	crow, err := tx.GetForUpdateInto(customers, key, w.ctx.row)
 	if err != nil {
 		tx.Abort()
 		return err
 	}
 	cupd := crow.Clone()
-	cupd[2] = engine.Float(crow[2].F + row[2].F)
+	cupd[2] = engine.Float(crow[2].F + amount)
 	cupd[3] = now
-	if err := tx.Update(customers, engine.IntKey(cid), cupd); err != nil {
+	if err := tx.Update(customers, key, cupd); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -465,7 +475,7 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 func (w *worker) t3OrderStatus(p *sim.Proc, n *node.Node) error {
 	orders := n.DB.Table(TableOrders)
 	oid := w.dist.Next(orders.MaxID())
-	_, _, err := n.Read(p, TableOrders, engine.IntKey(oid))
+	_, _, err := n.ReadInto(p, TableOrders, w.ctx.IntKey(oid), w.ctx.row)
 	return err
 }
 
@@ -477,7 +487,7 @@ func (w *worker) t4OrderlineDeletion(p *sim.Proc, n *node.Node) error {
 	}
 	ol := n.DB.Table(TableOrderline)
 	olid := w.dist.Next(ol.MaxID())
-	if err := tx.Delete(ol, engine.IntKey(olid)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+	if err := tx.Delete(ol, w.ctx.IntKey(olid)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
 	}

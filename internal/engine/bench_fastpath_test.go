@@ -38,13 +38,13 @@ func benchSchema() *Schema {
 	}
 }
 
-func benchRow(id int64) Row {
-	return Row{
+func benchRow(dst Row, id int64) Row {
+	return append(dst[:0],
 		Int(id),
 		Str(fmt.Sprintf("name-%04d", id%512)),
 		Str("pending"),
-		Float(float64(id) * 0.25),
-	}
+		Float(float64(id)*0.25),
+	)
 }
 
 // benchInSim runs fn on a simulation process and drains the sim.
@@ -68,13 +68,13 @@ func BenchmarkTxnCommit(b *testing.B) {
 		db := NewDB(s)
 		tbl := db.MustCreateTable(benchSchema(), 0, nil)
 		seedTxn := db.Begin(p)
-		if _, err := seedTxn.Insert(tbl, benchRow(1)); err != nil {
+		if _, err := seedTxn.Insert(tbl, benchRow(nil, 1)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := seedTxn.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		rowA, rowB := benchRow(1), benchRow(1)
+		rowA, rowB := benchRow(nil, 1), benchRow(nil, 1)
 		k := tbl.Schema.KeyOf(rowA)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -103,13 +103,13 @@ func BenchmarkTxnAbort(b *testing.B) {
 		db := NewDB(s)
 		tbl := db.MustCreateTable(benchSchema(), 0, nil)
 		seedTxn := db.Begin(p)
-		if _, err := seedTxn.Insert(tbl, benchRow(1)); err != nil {
+		if _, err := seedTxn.Insert(tbl, benchRow(nil, 1)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := seedTxn.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		rowA, rowB := benchRow(1), benchRow(1)
+		rowA, rowB := benchRow(nil, 1), benchRow(nil, 1)
 		k := tbl.Schema.KeyOf(rowA)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -145,7 +145,7 @@ func replicaBatch(b *testing.B) (*DB, []storage.Record) {
 			t := primary.Begin(p)
 			for j := 0; j < 7; j++ {
 				id := int64(txn*7 + j + 1)
-				if _, err := t.Insert(tbl, benchRow(id)); err != nil {
+				if _, err := t.Insert(tbl, benchRow(nil, id)); err != nil {
 					panic(err)
 				}
 			}

@@ -32,11 +32,11 @@ func crashedBenchLog(b *testing.B) storage.LogSnapshot {
 			t := db.Begin(p)
 			id := int64(i%64 + 1)
 			if _, _, ok := tbl.Get(IntKey(id)); !ok {
-				if _, err := t.Insert(tbl, benchRow(id)); err != nil {
+				if _, err := t.Insert(tbl, benchRow(nil, id)); err != nil {
 					panic(err)
 				}
 			} else {
-				row := benchRow(id)
+				row := benchRow(nil, id)
 				row[3] = Float(float64(i))
 				if _, err := t.Update(tbl, IntKey(id), row); err != nil {
 					panic(err)
@@ -51,14 +51,14 @@ func crashedBenchLog(b *testing.B) storage.LogSnapshot {
 		losers := make([]*Txn, 0, 4)
 		for w := 0; w < 4; w++ {
 			t := db.Begin(p)
-			if _, err := t.Insert(tbl, benchRow(int64(1000+w))); err != nil {
+			if _, err := t.Insert(tbl, benchRow(nil, int64(1000+w))); err != nil {
 				panic(err)
 			}
 			losers = append(losers, t)
 		}
 		_ = losers
 		t := db.Begin(p)
-		row := benchRow(1)
+		row := benchRow(nil, 1)
 		row[3] = Float(9.5)
 		if _, err := t.Update(tbl, IntKey(1), row); err != nil {
 			panic(err)

@@ -18,6 +18,23 @@ const (
 type BTree[V any] struct {
 	root *btreeNode[V]
 	size int
+	// arena is the tail of the tree's append-only key storage: a leaf insert
+	// copies the caller's key bytes here, so callers keep ownership of (and
+	// may reuse) the buffer they passed. Keys are immutable once stored;
+	// a chunk is collected when every key carved from it has left the tree.
+	// An empty tree owns no chunk.
+	arena []byte
+}
+
+// keyArenaChunk sizes one block of key storage (about 450 int keys).
+const keyArenaChunk = 4 << 10
+
+// ownKey copies k into the tree's key arena.
+func (t *BTree[V]) ownKey(k []byte) []byte {
+	t.arena = reserve(t.arena, len(k), keyArenaChunk)
+	n := len(t.arena)
+	t.arena = append(t.arena, k...)
+	return t.arena[n:len(t.arena):len(t.arena)]
 }
 
 type btreeNode[V any] struct {
@@ -123,7 +140,7 @@ func (t *BTree[V]) insertNonFull(n *btreeNode[V], k Key, v V) (old V, replaced b
 		if n.leaf() {
 			n.keys = append(n.keys, nil)
 			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = append([]byte(nil), k...)
+			n.keys[i] = t.ownKey(k)
 			var zero V
 			n.vals = append(n.vals, zero)
 			copy(n.vals[i+1:], n.vals[i:])

@@ -130,8 +130,9 @@ func (db *DB) Index(name string) *Index { return db.ixByName[name] }
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table { return db.byName[name] }
 
-// Tables returns all tables in creation order is not guaranteed; callers
-// needing order should track names themselves.
+// Tables returns every table by name. It is the catalog map itself, so
+// iteration order is not deterministic: callers that need an order sort the
+// names.
 func (db *DB) Tables() map[string]*Table { return db.byName }
 
 // Log returns the database's WAL (the RW node's replication source).
@@ -146,11 +147,18 @@ func (db *DB) Stats() (commits, aborts int64) { return db.commits, db.aborts }
 // Read performs a lock-free snapshot read, the path replicas use to serve
 // read-only queries at their current replay position.
 func (db *DB) Read(table string, k Key) (Row, storage.PageID, bool) {
+	return db.ReadInto(table, k, nil)
+}
+
+// ReadInto is Read with caller-owned row scratch (see Table.GetInto).
+//
+//detlint:hotpath
+func (db *DB) ReadInto(table string, k Key, dst Row) (Row, storage.PageID, bool) {
 	t := db.byName[table]
 	if t == nil {
 		return nil, storage.PageID{}, false
 	}
-	return t.Get(k)
+	return t.GetInto(k, dst)
 }
 
 // Apply replays one shipped WAL record into this (replica) instance.
@@ -179,9 +187,9 @@ func (db *DB) ApplyBatch(recs []storage.Record) error {
 }
 
 // applyRecord replays one record, reusing *cache when the record names the
-// same table as its predecessor. The decoded row and the key bytes go into
-// the delta overlay uncloned: record images are immutable once shipped, so
-// the overlay may alias them.
+// same table as its predecessor. The decoded row goes into the delta overlay
+// uncloned: record images are immutable once shipped, so the overlay may
+// alias them. Key bytes are copied by the overlay B-tree.
 func (db *DB) applyRecord(rec *storage.Record, cache **Table) error {
 	switch rec.Type {
 	case storage.RecInsert, storage.RecUpdate, storage.RecDelete:
@@ -248,7 +256,9 @@ func (db *DB) intern(b []byte) string {
 var ErrTxnDone = errors.New("engine: transaction already finished")
 
 type undoEntry struct {
-	table   *Table
+	table *Table
+	// key is the slab copy the write's WAL record holds (DB.stable), so it
+	// outlives whatever scratch buffer the caller encoded the key in.
 	key     Key
 	prior   Row
 	page    storage.PageID
@@ -272,14 +282,17 @@ type Txn struct {
 	p    *sim.Proc
 	id   uint64
 	done bool
-	// lockSorted is the txn's lock set as a sorted slice of the lock
-	// table's canonical key strings — membership is a binary search, and
-	// the slice recycles with the txn where the old per-txn map allocated
-	// on every Begin. lockSeq preserves acquisition order for release.
-	lockSorted []string
-	lockSeq    []string
-	// keyBuf is the composite lock-key scratch (table name, NUL, row key).
-	keyBuf []byte
+	// locks is the txn's lock set in acquisition order: the lock table's
+	// own state for each key this txn became a holder of (AcquireKey says
+	// when), which is all release needs.
+	locks []*lockState
+	// keyBuf is the composite lock-key scratch (table name, NUL, row key),
+	// pkBuf the primary-key scratch Insert encodes into, and priorBuf the
+	// row a base-only before-image is materialized in (it is only encoded
+	// into the WAL record's Prior, never retained).
+	keyBuf   []byte
+	pkBuf    []byte
+	priorBuf Row
 	// pending holds this txn's WAL records as already appended to the log
 	// (write-ahead discipline: redo + undo images reach the log at write
 	// time, before commit). Commit republishes Prior-stripped copies to the
@@ -319,8 +332,7 @@ func (db *DB) release(t *Txn) {
 	}
 	t.undo = t.undo[:0]
 	t.pending = t.pending[:0]
-	t.lockSorted = t.lockSorted[:0]
-	t.lockSeq = t.lockSeq[:0]
+	t.locks = t.locks[:0]
 	t.lastIxPages = t.lastIxPages[:0]
 	t.p = nil
 	db.txnFree = append(db.txnFree, t)
@@ -329,63 +341,17 @@ func (db *DB) release(t *Txn) {
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
 
-// cmpStringBytes is bytes.Compare across a string and a byte slice, avoiding
-// the conversion allocation in the lock-set binary search.
-func cmpStringBytes(s string, b []byte) int {
-	n := len(s)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if s[i] != b[i] {
-			if s[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(s) < len(b):
-		return -1
-	case len(s) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// searchLocks binary-searches the sorted lock set for the composite key kb,
-// returning the insertion index and whether it is present.
-func searchLocks(sorted []string, kb []byte) (int, bool) {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		switch c := cmpStringBytes(sorted[mid], kb); {
-		case c < 0:
-			lo = mid + 1
-		case c > 0:
-			hi = mid
-		default:
-			return mid, true
-		}
-	}
-	return lo, false
-}
-
 func (t *Txn) acquire(table *Table, k Key, mode LockMode) error {
 	kb := append(t.keyBuf[:0], table.Schema.Name...)
 	kb = append(kb, 0)
 	kb = append(kb, k...)
 	t.keyBuf = kb
-	i, found := searchLocks(t.lockSorted, kb)
-	canonical, err := t.db.locks.AcquireKey(t.p, t.id, kb, mode)
+	st, fresh, err := t.db.locks.AcquireKey(t.p, t.id, kb, mode)
 	if err != nil {
 		return err
 	}
-	if !found {
-		t.lockSorted = append(t.lockSorted, "")
-		copy(t.lockSorted[i+1:], t.lockSorted[i:])
-		t.lockSorted[i] = canonical
-		t.lockSeq = append(t.lockSeq, canonical)
+	if fresh {
+		t.locks = append(t.locks, st)
 	}
 	return nil
 }
@@ -402,6 +368,16 @@ func (t *Txn) logOp(rec storage.Record) {
 	}
 	rec.LSN = db.log.Append(rec)
 	t.pending = append(t.pending, rec)
+}
+
+// undoPrior is the before-image rollback must keep: the displaced overlay
+// row. A base-only image (in txn scratch, about to be reused) is dropped —
+// Table.undoSet restores it by removing the overlay entry, never from prior.
+func undoPrior(old Row, wasDelta bool) Row {
+	if !wasDelta {
+		return nil
+	}
+	return old
 }
 
 // priorFlags encodes the exact overlay shape a write displaced, so recovery
@@ -421,14 +397,46 @@ func priorFlags(existed, wasDelta bool) uint8 {
 // page it lives on (for the caller's buffer accounting). A missing row
 // returns ErrRowNotFound with the page that was probed.
 func (t *Txn) Get(table *Table, k Key) (Row, storage.PageID, error) {
+	return t.GetInto(table, k, nil)
+}
+
+// GetInto is Get with caller-owned row scratch: a base row is materialized
+// into dst's storage, so the result is valid only until the caller reuses
+// dst (see Table.GetInto). k is not retained.
+//
+//detlint:hotpath
+func (t *Txn) GetInto(table *Table, k Key, dst Row) (Row, storage.PageID, error) {
+	return t.read(table, k, dst, LockShared)
+}
+
+// GetForUpdate reads the row under k with an exclusive lock, the
+// read-modify-write pattern for contended rows (acquiring S first and
+// upgrading would deadlock two concurrent writers of the same row).
+func (t *Txn) GetForUpdate(table *Table, k Key) (Row, storage.PageID, error) {
+	return t.GetForUpdateInto(table, k, nil)
+}
+
+// GetForUpdateInto is GetForUpdate with caller-owned row scratch (see
+// GetInto).
+//
+//detlint:hotpath
+func (t *Txn) GetForUpdateInto(table *Table, k Key, dst Row) (Row, storage.PageID, error) {
+	return t.read(table, k, dst, LockExclusive)
+}
+
+func (t *Txn) read(table *Table, k Key, dst Row, mode LockMode) (Row, storage.PageID, error) {
 	if t.done {
 		return nil, storage.PageID{}, ErrTxnDone
 	}
-	if err := t.acquire(table, k, LockShared); err != nil {
+	if err := t.acquire(table, k, mode); err != nil {
 		return nil, storage.PageID{}, err
 	}
-	row, page, ok := table.Get(k)
-	if o := t.db.observer; o != nil {
+	o := t.db.observer
+	if o != nil {
+		dst = nil // an observer may retain the row it is shown
+	}
+	row, page, ok := table.GetInto(k, dst)
+	if o != nil {
 		o.OnRead(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, row)
 	}
 	if !ok {
@@ -437,24 +445,17 @@ func (t *Txn) Get(table *Table, k Key) (Row, storage.PageID, error) {
 	return row, page, nil
 }
 
-// GetForUpdate reads the row under k with an exclusive lock, the
-// read-modify-write pattern for contended rows (acquiring S first and
-// upgrading would deadlock two concurrent writers of the same row).
-func (t *Txn) GetForUpdate(table *Table, k Key) (Row, storage.PageID, error) {
-	if t.done {
-		return nil, storage.PageID{}, ErrTxnDone
+// priorScratch returns the buffer a write's base-only before-image may be
+// materialized in: the txn's own, sized so the generator never grows it —
+// or nil, for a fresh row, when an observer is attached to retain it.
+func (t *Txn) priorScratch(table *Table) Row {
+	if t.db.observer != nil {
+		return nil
 	}
-	if err := t.acquire(table, k, LockExclusive); err != nil {
-		return nil, storage.PageID{}, err
+	if n := len(table.Schema.Cols); cap(t.priorBuf) < n {
+		t.priorBuf = make(Row, 0, n)
 	}
-	row, page, ok := table.Get(k)
-	if o := t.db.observer; o != nil {
-		o.OnRead(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, row)
-	}
-	if !ok {
-		return nil, page, ErrRowNotFound
-	}
-	return row, page, nil
+	return t.priorBuf
 }
 
 // Insert adds a new row (primary key taken from the row per schema).
@@ -462,7 +463,8 @@ func (t *Txn) Insert(table *Table, row Row) (storage.PageID, error) {
 	if t.done {
 		return storage.PageID{}, ErrTxnDone
 	}
-	k := table.Schema.KeyOf(row)
+	k := table.Schema.appendKeyOf(t.pkBuf[:0], row)
+	t.pkBuf = k
 	if err := t.acquire(table, k, LockExclusive); err != nil {
 		return storage.PageID{}, err
 	}
@@ -471,7 +473,8 @@ func (t *Txn) Insert(table *Table, row Row) (storage.PageID, error) {
 	if err != nil {
 		return storage.PageID{}, err
 	}
-	t.undo = append(t.undo, undoEntry{table: table, key: k, page: page, existed: false, inDelta: wasDelta})
+	sk := t.db.stable(k)
+	t.undo = append(t.undo, undoEntry{table: table, key: sk, page: page, existed: false, inDelta: wasDelta})
 	if o := t.db.observer; o != nil {
 		o.OnWrite(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, nil, row)
 	}
@@ -481,7 +484,7 @@ func (t *Txn) Insert(table *Table, row Row) (storage.PageID, error) {
 		Flags: priorFlags(false, wasDelta),
 		Table: table.ID,
 		Page:  page,
-		Key:   t.db.stable(k),
+		Key:   sk,
 		Image: t.db.stableRow(row),
 	})
 	t.recordIndexOps(table)
@@ -497,11 +500,12 @@ func (t *Txn) Update(table *Table, k Key, row Row) (storage.PageID, error) {
 		return storage.PageID{}, err
 	}
 	_, wasDelta := table.delta.Get(k)
-	page, old, err := table.Update(k, row)
+	page, old, err := table.Update(k, row, t.priorScratch(table))
 	if err != nil {
 		return page, err
 	}
-	t.undo = append(t.undo, undoEntry{table: table, key: k, prior: old, page: page, existed: true, inDelta: wasDelta})
+	sk := t.db.stable(k)
+	t.undo = append(t.undo, undoEntry{table: table, key: sk, prior: undoPrior(old, wasDelta), page: page, existed: true, inDelta: wasDelta})
 	if o := t.db.observer; o != nil {
 		o.OnWrite(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, old, row)
 	}
@@ -511,7 +515,7 @@ func (t *Txn) Update(table *Table, k Key, row Row) (storage.PageID, error) {
 		Flags: priorFlags(true, wasDelta),
 		Table: table.ID,
 		Page:  page,
-		Key:   t.db.stable(k),
+		Key:   sk,
 		Image: t.db.stableRow(row),
 		Prior: t.db.stableRow(old),
 	})
@@ -528,11 +532,12 @@ func (t *Txn) Delete(table *Table, k Key) (storage.PageID, error) {
 		return storage.PageID{}, err
 	}
 	_, wasDelta := table.delta.Get(k)
-	page, old, err := table.Delete(k)
+	page, old, err := table.Delete(k, t.priorScratch(table))
 	if err != nil {
 		return page, err
 	}
-	t.undo = append(t.undo, undoEntry{table: table, key: k, prior: old, page: page, existed: true, inDelta: wasDelta})
+	sk := t.db.stable(k)
+	t.undo = append(t.undo, undoEntry{table: table, key: sk, prior: undoPrior(old, wasDelta), page: page, existed: true, inDelta: wasDelta})
 	if o := t.db.observer; o != nil {
 		o.OnWrite(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, old, nil)
 	}
@@ -542,7 +547,7 @@ func (t *Txn) Delete(table *Table, k Key) (storage.PageID, error) {
 		Flags: priorFlags(true, wasDelta),
 		Table: table.ID,
 		Page:  page,
-		Key:   t.db.stable(k),
+		Key:   sk,
 		Prior: t.db.stableRow(old),
 	})
 	t.recordIndexOps(table)
@@ -611,25 +616,31 @@ func (t *Txn) ScanRange(table *Table, col int, lo, hi Value, limit int, mode Pla
 	return out, nil
 }
 
-// stable copies b into the DB's slab, returning an immortal copy for WAL
-// records to retain. Slab chunks amortize the copy-out to well under one
-// allocation per record.
+// reserve returns an append-only byte arena with room for need more bytes at
+// its tail, starting a new chunk when the current one is full. Slices carved
+// from earlier chunks keep those alive; the arena itself only ever names the
+// newest. It backs the WAL payload slab here and the B-tree key arenas.
+func reserve(arena []byte, need, chunk int) []byte {
+	if cap(arena)-len(arena) >= need {
+		return arena
+	}
+	return make([]byte, 0, max(chunk, need))
+}
+
+// slabChunk sizes the DB slab: chunks amortize the copy-out of record
+// payloads to well under one allocation per record.
 const slabChunk = 64 << 10
 
+// stable copies b into the DB's slab, returning an immortal copy for WAL
+// records to retain.
 func (db *DB) stable(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	if cap(db.slab)-len(db.slab) < len(b) {
-		size := slabChunk
-		if len(b) > size {
-			size = len(b)
-		}
-		db.slab = make([]byte, 0, size)
-	}
+	db.slab = reserve(db.slab, len(b), slabChunk)
 	n := len(db.slab)
 	db.slab = append(db.slab, b...)
-	return db.slab[n : n+len(b) : n+len(b)]
+	return db.slab[n:len(db.slab):len(db.slab)]
 }
 
 // stableRow encodes r straight into the DB slab, returning the immortal
@@ -638,14 +649,7 @@ func (db *DB) stableRow(r Row) []byte {
 	if r == nil {
 		return nil
 	}
-	need := EncodedRowSize(r)
-	if cap(db.slab)-len(db.slab) < need {
-		size := slabChunk
-		if need > size {
-			size = need
-		}
-		db.slab = make([]byte, 0, size)
-	}
+	db.slab = reserve(db.slab, EncodedRowSize(r), slabChunk)
 	n := len(db.slab)
 	db.slab = EncodeRow(db.slab, r)
 	return db.slab[n:len(db.slab):len(db.slab)]
@@ -691,7 +695,7 @@ func (t *Txn) Commit() ([]storage.Record, error) {
 		db.appended = appended
 		delete(db.active, t.id)
 	}
-	db.locks.ReleaseAll(t.id, t.lockSeq)
+	db.locks.releaseAll(t.id, t.locks)
 	db.commits++
 	if o := db.observer; o != nil {
 		o.OnCommit(db.sim.Elapsed(), t.id)
@@ -723,7 +727,7 @@ func (t *Txn) Abort() error {
 		db.log.Append(storage.Record{Type: storage.RecAbort, Txn: t.id})
 		delete(db.active, t.id)
 	}
-	db.locks.ReleaseAll(t.id, t.lockSeq)
+	db.locks.releaseAll(t.id, t.locks)
 	db.aborts++
 	if o := db.observer; o != nil {
 		o.OnAbort(db.sim.Elapsed(), t.id)

@@ -25,7 +25,7 @@ func TestTxnCommitAppendsWAL(t *testing.T) {
 	s.Go("t", func(p *sim.Proc) {
 		txn := db.Begin(p)
 		id := tbl.NextAutoID()
-		if _, err := txn.Insert(tbl, genOrder(id)); err != nil {
+		if _, err := txn.Insert(tbl, genOrder(nil, id)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -107,7 +107,7 @@ func TestTxnAbortUndoesEverything(t *testing.T) {
 	s.Go("t", func(p *sim.Proc) {
 		txn := db.Begin(p)
 		id := tbl.NextAutoID()
-		txn.Insert(tbl, genOrder(id))
+		txn.Insert(tbl, genOrder(nil, id))
 		txn.Update(tbl, IntKey(5), Row{Int(5), Str("PAID")})
 		txn.Delete(tbl, IntKey(6))
 		if err := txn.Abort(); err != nil {
@@ -153,7 +153,7 @@ func TestTxnDoneErrors(t *testing.T) {
 		if _, _, err := txn.Get(tbl, IntKey(1)); !errors.Is(err, ErrTxnDone) {
 			t.Errorf("get after commit: %v", err)
 		}
-		if _, err := txn.Insert(tbl, genOrder(999)); !errors.Is(err, ErrTxnDone) {
+		if _, err := txn.Insert(tbl, genOrder(nil, 999)); !errors.Is(err, ErrTxnDone) {
 			t.Errorf("insert after commit: %v", err)
 		}
 		if _, err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
@@ -213,7 +213,7 @@ func TestReplicaApplyFollowsPrimary(t *testing.T) {
 	s.Go("t", func(p *sim.Proc) {
 		txn := primary.Begin(p)
 		id := ptbl.NextAutoID()
-		txn.Insert(ptbl, genOrder(id))
+		txn.Insert(ptbl, genOrder(nil, id))
 		txn.Update(ptbl, IntKey(5), Row{Int(5), Str("PAID")})
 		txn.Delete(ptbl, IntKey(6))
 		txn.Commit()
@@ -276,7 +276,7 @@ func TestTxnGetMissingRowReturnsPageForCharging(t *testing.T) {
 	db, tbl := newTestDB(s, t)
 	s.Go("t", func(p *sim.Proc) {
 		txn := db.Begin(p)
-		tbl.Delete(IntKey(7)) // tombstone outside txn for test setup
+		tbl.Delete(IntKey(7), nil) // tombstone outside txn for test setup
 		_, page, err := txn.Get(tbl, IntKey(7))
 		if !errors.Is(err, ErrRowNotFound) {
 			t.Errorf("err = %v", err)
@@ -302,8 +302,8 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 		KeyCols:     []int{0},
 		AvgRowBytes: 32,
 	}
-	tbl, err := db.CreateTable(schema, 10, func(id int64) Row {
-		return Row{Int(id), Float(100)}
+	tbl, err := db.CreateTable(schema, 10, func(dst Row, id int64) Row {
+		return append(dst[:0], Int(id), Float(100))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -382,14 +382,14 @@ func TestAbortRestoresDeltaOverlayExactly(t *testing.T) {
 		// aborted re-insert over it must put the tombstone back, not drop it.
 		id := tbl.NextAutoID()
 		txn = db.Begin(p)
-		txn.Insert(tbl, genOrder(id))
+		txn.Insert(tbl, genOrder(nil, id))
 		txn.Commit()
 		txn = db.Begin(p)
 		txn.Delete(tbl, IntKey(id))
 		txn.Commit()
 		before := tbl.DeltaLen()
 		txn = db.Begin(p)
-		txn.Insert(tbl, genOrder(id))
+		txn.Insert(tbl, genOrder(nil, id))
 		txn.Abort()
 		if n := tbl.DeltaLen(); n != before {
 			t.Errorf("delta entries after aborted re-insert = %d, want %d (tombstone dropped)", n, before)

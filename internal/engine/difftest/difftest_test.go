@@ -84,8 +84,8 @@ func TestDifferDetectsCorruption(t *testing.T) {
 		},
 		KeyCols:     []int{0},
 		AvgRowBytes: 32,
-	}, 20, func(id int64) engine.Row {
-		return engine.Row{engine.Int(id), engine.Int(id % 4)}
+	}, 20, func(dst engine.Row, id int64) engine.Row {
+		return append(dst[:0], engine.Int(id), engine.Int(id%4))
 	})
 	ix := db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
 

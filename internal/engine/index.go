@@ -71,8 +71,8 @@ func newIndex(name string, id storage.TableID, t *Table, col int) *Index {
 
 // EntryKey builds the index entry key for a column value and primary key.
 func (ix *Index) EntryKey(v Value, pk Key) Key {
-	ek := EncodeKey(v)
-	return append(ek, pk...)
+	ek := growKey(nil, keyValueSize(v)+len(pk))
+	return append(appendKeyValue(ek, v), pk...)
 }
 
 // pageOf assigns an entry to an index page. Pages are content-addressed

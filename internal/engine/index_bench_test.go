@@ -53,10 +53,10 @@ func BenchmarkIndexMaintenance(b *testing.B) {
 		if _, err := tbl.Insert(k, Row{Int(id), Int(id % 7), Float(1), Str("b")}); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := tbl.Update(k, Row{Int(id), Int((id + 1) % 7), Float(1), Str("b")}); err != nil {
+		if _, _, err := tbl.Update(k, Row{Int(id), Int((id + 1) % 7), Float(1), Str("b")}, nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := tbl.Delete(k); err != nil {
+		if _, _, err := tbl.Delete(k, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,8 +23,8 @@ func indexedSchema() *Schema {
 	}
 }
 
-func genItem(id int64) Row {
-	return Row{Int(id), Int(id % 10), Float(float64(id) / 2), Str("base")}
+func genItem(dst Row, id int64) Row {
+	return append(dst[:0], Int(id), Int(id%10), Float(float64(id)/2), Str("base"))
 }
 
 func newIndexedDB(t *testing.T, baseRows int64) (*sim.Sim, *DB, *Table, *Index) {

@@ -33,35 +33,96 @@ func floatKeyBits(f float64) uint64 {
 	return bits | (1 << 63)
 }
 
+// AppendKey appends the memcomparable encoding of vals to dst and returns
+// the extended slice. It sizes the result once, so encoding into a buffer
+// with enough spare capacity allocates nothing and a short (or nil) one grows
+// exactly once. dst is caller-owned scratch: nothing in the engine retains a
+// key it is handed (see DESIGN.md §15, "Who owns which buffer").
+//
+//detlint:hotpath
+func AppendKey(dst []byte, vals ...Value) Key {
+	need := 0
+	for i := range vals {
+		need += keyValueSize(vals[i])
+	}
+	dst = growKey(dst, need) //detlint:allow hotalloc(growKey inlined: see there)
+	for i := range vals {
+		dst = appendKeyValue(dst, vals[i])
+	}
+	return dst
+}
+
+// AppendIntKey appends a single int64 primary key (the common CloudyBench
+// case) to dst.
+//
+//detlint:hotpath
+func AppendIntKey(dst []byte, id int64) Key {
+	dst = growKey(dst, 9) //detlint:allow hotalloc(growKey inlined: see there)
+	dst = append(dst, tagInt)
+	// Flip the sign bit so negative < positive in unsigned order.
+	return binary.BigEndian.AppendUint64(dst, uint64(id)^(1<<63))
+}
+
 // EncodeKey builds a memcomparable key from the given values.
-func EncodeKey(vals ...Value) Key {
-	var k []byte
-	for _, v := range vals {
-		switch v.Kind {
-		case KindNull:
-			k = append(k, tagNull)
-		case KindInt:
-			k = append(k, tagInt)
-			// Flip the sign bit so negative < positive in unsigned order.
-			k = binary.BigEndian.AppendUint64(k, uint64(v.I)^(1<<63))
-		case KindString:
-			k = append(k, tagString)
-			// Escape 0x00 as 0x00 0xFF and terminate with 0x00 0x00 so
-			// prefixes order correctly.
-			for i := 0; i < len(v.S); i++ {
-				c := v.S[i]
-				k = append(k, c)
-				if c == 0x00 {
-					k = append(k, 0xFF)
-				}
+func EncodeKey(vals ...Value) Key { return AppendKey(nil, vals...) }
+
+// growKey returns dst with room for need more bytes, growing at most once.
+func growKey(dst []byte, need int) []byte {
+	if cap(dst)-len(dst) >= need {
+		return dst
+	}
+	grown := make([]byte, len(dst), len(dst)+need) //detlint:allow hotalloc(a nil or short dst grows once; steady-state callers pass scratch with capacity)
+	copy(grown, dst)
+	return grown
+}
+
+// keyValueSize returns the encoded key size of one value.
+func keyValueSize(v Value) int {
+	switch v.Kind {
+	case KindNull:
+		return 1
+	case KindInt, KindFloat:
+		return 9
+	case KindString:
+		n := 3 // tag + two-byte terminator
+		for i := 0; i < len(v.S); i++ {
+			n++
+			if v.S[i] == 0x00 {
+				n++
 			}
-			k = append(k, 0x00, 0x00)
-		case KindFloat:
-			k = append(k, tagFloat)
-			k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.F))
-		default:
-			panic(fmt.Sprintf("engine: cannot encode kind %v in key", v.Kind))
 		}
+		return n
+	default:
+		panic(fmt.Sprintf("engine: cannot encode kind %v in key", v.Kind))
+	}
+}
+
+// appendKeyValue appends the encoding of one value; dst has room for it.
+func appendKeyValue(k []byte, v Value) []byte {
+	switch v.Kind {
+	case KindNull:
+		k = append(k, tagNull)
+	case KindInt:
+		k = append(k, tagInt)
+		// Flip the sign bit so negative < positive in unsigned order.
+		k = binary.BigEndian.AppendUint64(k, uint64(v.I)^(1<<63))
+	case KindString:
+		k = append(k, tagString)
+		// Escape 0x00 as 0x00 0xFF and terminate with 0x00 0x00 so
+		// prefixes order correctly.
+		for i := 0; i < len(v.S); i++ {
+			c := v.S[i]
+			k = append(k, c)
+			if c == 0x00 {
+				k = append(k, 0xFF)
+			}
+		}
+		k = append(k, 0x00, 0x00)
+	case KindFloat:
+		k = append(k, tagFloat)
+		k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.F))
+	default:
+		panic(fmt.Sprintf("engine: cannot encode kind %v in key", v.Kind))
 	}
 	return k
 }
@@ -118,7 +179,7 @@ func DecodeKeyValue(k Key) (Value, int, bool) {
 }
 
 // IntKey encodes a single int64 primary key (the common CloudyBench case).
-func IntKey(id int64) Key { return EncodeKey(Int(id)) }
+func IntKey(id int64) Key { return AppendIntKey(nil, id) }
 
 // DecodeIntKey extracts the int64 from a single-column integer key. It
 // reports ok=false for keys of any other shape.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -42,22 +43,90 @@ type lockRequest struct {
 	cond    *sim.Cond
 }
 
+type lockHolder struct {
+	txn  uint64
+	mode LockMode
+}
+
+// lockState is one locked key. A state lives in the table only while it has
+// a holder or a waiter; Release recycles a drained state onto the table's
+// free-list with its key buffer, holder slice and queue array intact, so
+// steady-state locking allocates nothing and the table's memory follows the
+// keys locked now, not every key ever locked.
 type lockState struct {
-	// key is the canonical interned key string for this lock. Transactions
-	// record it in their lock sets instead of re-allocating the composite
-	// key per acquisition: the string is allocated once per distinct key
-	// for the lifetime of the lock table (states are retained when they
-	// drain — see Release).
-	key     string
-	holders map[uint64]LockMode
-	queue   []*lockRequest
+	key  []byte     // composite key bytes, copied from the acquirer's scratch
+	hash uint64     // hashKey(key)
+	next *lockState // next live state in the same bucket
+	// holders is inline: a row lock has one X holder or a few S holders, so
+	// a linear scan beats a map and the slice survives recycling.
+	holders []lockHolder
+	// queue holds the waiters, oldest first. Removal shifts the few
+	// entries down, so the array never walks off its end and re-allocates.
+	queue []*lockRequest
+}
+
+// enqueue adds a waiter at the back, or — for an upgrade — at the front.
+func (st *lockState) enqueue(req *lockRequest, front bool) {
+	st.queue = append(st.queue, req)
+	if front {
+		copy(st.queue[1:], st.queue)
+		st.queue[0] = req
+	}
+}
+
+// unqueue removes the waiter at index i.
+func (st *lockState) unqueue(i int) {
+	last := len(st.queue) - 1
+	copy(st.queue[i:], st.queue[i+1:])
+	st.queue[last] = nil
+	st.queue = st.queue[:last]
+}
+
+// holder returns the index of txn in holders, or -1.
+func (st *lockState) holder(txn uint64) int {
+	for i := range st.holders {
+		if st.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// grant records txn as holding the state in mode (an upgrade overwrites the
+// mode it held).
+func (st *lockState) grant(txn uint64, mode LockMode) {
+	if i := st.holder(txn); i >= 0 {
+		st.holders[i].mode = mode
+		return
+	}
+	st.holders = append(st.holders, lockHolder{txn: txn, mode: mode})
+}
+
+// compatible reports whether txn may be granted mode on st right now.
+func (st *lockState) compatible(txn uint64, mode LockMode) bool {
+	for _, h := range st.holders {
+		if h.txn == txn {
+			continue
+		}
+		if mode == LockExclusive || h.mode == LockExclusive {
+			return false
+		}
+	}
+	return true
 }
 
 // LockTable is a simulation-aware row lock manager with shared/exclusive
 // modes, FIFO waiting, lock upgrade, and timeout-based deadlock recovery.
 type LockTable struct {
-	s       *sim.Sim
-	locks   map[string]*lockState
+	s *sim.Sim
+	// buckets is a chained hash table of the live states, indexed by the
+	// low bits of a fixed hash of the composite key bytes; it doubles when
+	// live outgrows it and never shrinks. Together with free, the LIFO of
+	// drained states awaiting reuse, it makes the table's memory — and its
+	// allocations — a function of the most keys ever locked at once.
+	buckets []*lockState
+	live    int
+	free    []*lockState
 	timeout time.Duration
 
 	waits    int64 // lock acquisitions that had to wait
@@ -74,23 +143,89 @@ type LockTable struct {
 // NewLockTable returns a lock table bound to the simulation with the
 // default timeout.
 func NewLockTable(s *sim.Sim) *LockTable {
-	return &LockTable{s: s, locks: make(map[string]*lockState), timeout: DefaultLockTimeout}
+	return &LockTable{s: s, timeout: DefaultLockTimeout}
 }
 
 // SetTimeout overrides the lock-wait timeout.
 func (lt *LockTable) SetTimeout(d time.Duration) { lt.timeout = d }
 
-// compatibleLocked reports whether txn may be granted mode on st right now.
-func (st *lockState) compatible(txn uint64, mode LockMode) bool {
-	for holder, hm := range st.holders {
-		if holder == txn {
-			continue
-		}
-		if mode == LockExclusive || hm == LockExclusive {
-			return false
+// hashKey is FNV-1a over the key bytes.
+func hashKey(k []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range k {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// lookup returns the live state for key, or nil.
+func (lt *LockTable) lookup(h uint64, key []byte) *lockState {
+	if len(lt.buckets) == 0 {
+		return nil
+	}
+	for st := lt.buckets[h&uint64(len(lt.buckets)-1)]; st != nil; st = st.next {
+		if st.hash == h && bytes.Equal(st.key, key) {
+			return st
 		}
 	}
-	return true
+	return nil
+}
+
+// link puts st at the head of its bucket.
+func (lt *LockTable) link(st *lockState) {
+	b := &lt.buckets[st.hash&uint64(len(lt.buckets)-1)]
+	st.next = *b
+	*b = st
+}
+
+// state returns the live state for key, installing a recycled (or, failing
+// that, new) one when the key is not currently locked.
+func (lt *LockTable) state(key []byte) *lockState {
+	h := hashKey(key)
+	if st := lt.lookup(h, key); st != nil {
+		return st
+	}
+	if lt.live == len(lt.buckets) {
+		lt.growBuckets() //detlint:allow hotalloc(doubles when more keys are locked at once than ever before)
+	}
+	var st *lockState
+	if n := len(lt.free); n > 0 {
+		st = lt.free[n-1]
+		lt.free = lt.free[:n-1]
+	} else {
+		st = &lockState{} //detlint:allow hotalloc(free-list miss: more keys locked at once than ever before)
+	}
+	st.key = append(st.key[:0], key...)
+	st.hash = h
+	lt.link(st)
+	lt.live++
+	return st
+}
+
+// growBuckets doubles the bucket array and rehashes the live states.
+func (lt *LockTable) growBuckets() {
+	old := lt.buckets
+	lt.buckets = make([]*lockState, max(64, 2*len(old)))
+	for _, st := range old {
+		for st != nil {
+			next := st.next
+			lt.link(st)
+			st = next
+		}
+	}
+}
+
+// recycle unlinks a drained state and parks it on the free-list.
+func (lt *LockTable) recycle(st *lockState) {
+	b := &lt.buckets[st.hash&uint64(len(lt.buckets)-1)]
+	for *b != st {
+		b = &(*b).next
+	}
+	*b = st.next
+	st.next = nil
+	lt.live--
+	lt.free = append(lt.free, st)
 }
 
 // Acquire obtains a lock on key for txn in the given mode, blocking in
@@ -99,48 +234,46 @@ func (st *lockState) compatible(txn uint64, mode LockMode) bool {
 // as upgrades must to avoid guaranteed deadlock between two upgraders —
 // which the timeout still resolves).
 func (lt *LockTable) Acquire(p *sim.Proc, txn uint64, key string, mode LockMode) error {
-	st, ok := lt.locks[key]
-	if !ok {
-		st = &lockState{key: key, holders: make(map[uint64]LockMode)}
-		lt.locks[key] = st
-	}
-	_, err := lt.acquireState(p, txn, st, mode)
+	_, _, err := lt.AcquireKey(p, txn, []byte(key), mode)
 	return err
 }
 
-// AcquireKey is Acquire probing with raw key bytes: the map access compiles
-// to an allocation-free lookup, and the state's interned canonical string is
-// returned so callers can record the lock without materializing the key. The
+// AcquireKey is Acquire with raw key bytes, which it copies: the
 // transaction hot loop builds composite keys into a reusable scratch buffer
-// and acquires through here.
-func (lt *LockTable) AcquireKey(p *sim.Proc, txn uint64, key []byte, mode LockMode) (string, error) {
-	st, ok := lt.locks[string(key)]
-	if !ok {
-		st = &lockState{key: string(key), holders: make(map[uint64]LockMode)}
-		lt.locks[st.key] = st
+// and acquires through here. It returns the key's lock state — the handle
+// release takes — and whether this call made txn a holder (false when it
+// already held the key, at any strength), so a transaction records each
+// state it must release exactly once.
+//
+//detlint:hotpath
+func (lt *LockTable) AcquireKey(p *sim.Proc, txn uint64, key []byte, mode LockMode) (st *lockState, fresh bool, err error) {
+	st = lt.state(key)
+	hi := st.holder(txn)
+	if hi >= 0 && (st.holders[hi].mode == LockExclusive || st.holders[hi].mode == mode) {
+		return st, false, nil // already held at sufficient strength
 	}
-	return lt.acquireState(p, txn, st, mode)
-}
-
-// acquireState grants or waits for st in the given mode, returning the
-// canonical key string.
-func (lt *LockTable) acquireState(p *sim.Proc, txn uint64, st *lockState, mode LockMode) (string, error) {
-	key := st.key
-	if held, ok := st.holders[txn]; ok && (held == LockExclusive || held == mode) {
-		return key, nil // already held at sufficient strength
-	}
-	_, upgrade := st.holders[txn]
+	upgrade := hi >= 0
 	// Grant immediately when compatible and not queue-jumping non-upgrades.
 	if st.compatible(txn, mode) && (upgrade || len(st.queue) == 0) {
-		st.holders[txn] = mode
-		return key, nil
+		st.grant(txn, mode)
+		return st, !upgrade, nil
 	}
+	if err := lt.wait(p, txn, st, mode, upgrade); err != nil {
+		return st, false, err
+	}
+	return st, !upgrade, nil
+}
+
+// wait queues txn behind st's conflicting holders until it is granted the
+// lock or times out. The state cannot drain (and be recycled) under a queued
+// request, so the timeout watcher may hold st. A blocked acquisition costs a
+// request, a cond and a watcher process; only the uncontended path is held
+// to zero allocations.
+//
+//detlint:coldpath
+func (lt *LockTable) wait(p *sim.Proc, txn uint64, st *lockState, mode LockMode, upgrade bool) error {
 	req := &lockRequest{txn: txn, mode: mode, upgrade: upgrade, cond: sim.NewCond(lt.s)}
-	if upgrade {
-		st.queue = append([]*lockRequest{req}, st.queue...)
-	} else {
-		st.queue = append(st.queue, req)
-	}
+	st.enqueue(req, upgrade)
 	lt.waits++
 	var waitStart time.Duration
 	if lt.OnWait != nil {
@@ -155,7 +288,7 @@ func (lt *LockTable) acquireState(p *sim.Proc, txn uint64, st *lockState, mode L
 		req.timeout = true
 		for i, q := range st.queue {
 			if q == req {
-				st.queue = append(st.queue[:i], st.queue[i+1:]...)
+				st.unqueue(i)
 				break
 			}
 		}
@@ -166,45 +299,59 @@ func (lt *LockTable) acquireState(p *sim.Proc, txn uint64, st *lockState, mode L
 		req.cond.Wait(p)
 	}
 	if lt.OnWait != nil {
-		lt.OnWait(p, txn, key, waitStart, lt.s.Elapsed())
+		lt.OnWait(p, txn, string(st.key), waitStart, lt.s.Elapsed())
 	}
 	if req.timeout {
-		return key, ErrLockTimeout
+		return ErrLockTimeout
 	}
-	return key, nil
+	return nil
 }
 
 // grantWaiters admits queued requests in FIFO order while compatible.
-func (lt *LockTable) grantWaiters(key string, st *lockState) {
+func (lt *LockTable) grantWaiters(st *lockState) {
 	for len(st.queue) > 0 {
 		req := st.queue[0]
 		if !st.compatible(req.txn, req.mode) {
 			return
 		}
-		st.queue = st.queue[1:]
-		st.holders[req.txn] = req.mode
+		st.unqueue(0)
+		st.grant(req.txn, req.mode)
 		req.granted = true
 		req.cond.Signal()
 	}
 }
 
-// Release drops txn's lock on key, waking eligible waiters. Drained states
-// are retained (not deleted) so the canonical key string survives: the
-// workloads hammer a hot working set, and keeping the state makes the next
-// acquisition of the same key allocation-free.
+// Release drops txn's lock on key, waking eligible waiters.
+//
+//detlint:hotpath
 func (lt *LockTable) Release(txn uint64, key string) {
-	st, ok := lt.locks[key]
-	if !ok {
-		return
+	kb := []byte(key)
+	if st := lt.lookup(hashKey(kb), kb); st != nil {
+		lt.release(txn, st)
 	}
-	delete(st.holders, txn)
-	lt.grantWaiters(key, st)
 }
 
-// ReleaseAll drops every lock named in keys for txn (commit/abort).
-func (lt *LockTable) ReleaseAll(txn uint64, keys []string) {
-	for _, k := range keys {
-		lt.Release(txn, k)
+// release drops txn's hold on st, wakes eligible waiters, and recycles the
+// state once nothing holds or awaits it.
+func (lt *LockTable) release(txn uint64, st *lockState) {
+	i := st.holder(txn)
+	if i < 0 {
+		return
+	}
+	last := len(st.holders) - 1
+	st.holders[i] = st.holders[last]
+	st.holders = st.holders[:last]
+	lt.grantWaiters(st)
+	if len(st.holders) == 0 && len(st.queue) == 0 {
+		lt.recycle(st)
+	}
+}
+
+// releaseAll drops every lock txn recorded (commit/abort), in acquisition
+// order.
+func (lt *LockTable) releaseAll(txn uint64, states []*lockState) {
+	for _, st := range states {
+		lt.release(txn, st)
 	}
 }
 
@@ -212,13 +359,5 @@ func (lt *LockTable) ReleaseAll(txn uint64, keys []string) {
 func (lt *LockTable) Stats() (waits, timeouts int64) { return lt.waits, lt.timeouts }
 
 // HeldLocks returns the number of keys with at least one holder or waiter
-// (for tests asserting clean release). Drained interned states don't count.
-func (lt *LockTable) HeldLocks() int {
-	n := 0
-	for _, st := range lt.locks {
-		if len(st.holders) > 0 || len(st.queue) > 0 {
-			n++
-		}
-	}
-	return n
-}
+// (for tests asserting clean release).
+func (lt *LockTable) HeldLocks() int { return lt.live }

@@ -198,8 +198,55 @@ func TestLockReleaseUnknownKeyHarmless(t *testing.T) {
 	s := sim.New(epoch)
 	lt := NewLockTable(s)
 	lt.Release(1, "never-held")
-	lt.ReleaseAll(1, []string{"a", "b"})
+	lt.Release(1, "a")
+	lt.Release(1, "b")
 	if lt.HeldLocks() != 0 {
 		t.Fatal("phantom locks")
+	}
+}
+
+// TestLockTableRecyclesDrainedStates pins the lock table's memory to the keys
+// locked at once: every drained state leaves the table for the free-list, so
+// a soak holds no state for keys it locked days ago, and a pass over keys the
+// table has never seen reuses those states without allocating.
+func TestLockTableRecyclesDrainedStates(t *testing.T) {
+	const n = 500
+	s := sim.New(epoch)
+	lt := NewLockTable(s)
+	key := func(buf []byte, pass, i int) []byte {
+		return AppendKey(append(buf[:0], "orders\x00"...), Int(int64(pass*n+i)))
+	}
+	states := make([]*lockState, 0, n)
+	var buf []byte
+	pass := func(pass int) {
+		states = states[:0]
+		for i := 0; i < n; i++ {
+			buf = key(buf, pass, i)
+			st, fresh, err := lt.AcquireKey(nil, 1, buf, LockExclusive)
+			if err != nil || !fresh {
+				t.Fatalf("pass %d key %d: fresh=%v err=%v", pass, i, fresh, err)
+			}
+			states = append(states, st)
+		}
+		if lt.HeldLocks() != n {
+			t.Fatalf("pass %d: %d keys held, want %d", pass, lt.HeldLocks(), n)
+		}
+		lt.releaseAll(1, states)
+	}
+	pass(0)
+	if lt.HeldLocks() != 0 || len(lt.free) != n {
+		t.Fatalf("after release: %d live states, %d on the free-list; want 0 and %d", lt.HeldLocks(), len(lt.free), n)
+	}
+	for _, b := range lt.buckets {
+		if b != nil {
+			t.Fatal("a drained state is still linked into the table")
+		}
+	}
+	next := 1
+	if allocs := testing.AllocsPerRun(5, func() { pass(next); next++ }); allocs != 0 {
+		t.Fatalf("a pass over %d new keys allocated %v times, want 0", n, allocs)
+	}
+	if len(lt.free) != n {
+		t.Fatalf("free-list holds %d states, want %d", len(lt.free), n)
 	}
 }

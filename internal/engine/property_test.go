@@ -43,7 +43,7 @@ func TestPropertyTxnSequencesMatchReference(t *testing.T) {
 					case 0: // insert
 						id := nextID
 						nextID++
-						if _, err := txn.Insert(tbl, genOrder(id)); err != nil {
+						if _, err := txn.Insert(tbl, genOrder(nil, id)); err != nil {
 							okAll = false
 							return
 						}
@@ -138,7 +138,7 @@ func TestPropertyWALReplayReconstructsState(t *testing.T) {
 				id := int64(r.Intn(base*2)) + 1
 				switch r.Intn(3) {
 				case 0:
-					txn.Insert(pt, genOrder(pt.NextAutoID()))
+					txn.Insert(pt, genOrder(nil, pt.NextAutoID()))
 				case 1:
 					txn.Update(pt, IntKey(id), Row{Int(id), Str("PAID")})
 				case 2:

@@ -34,13 +34,13 @@ func recoverySchema() *engine.Schema {
 	}
 }
 
-func recoveryRow(id int64) engine.Row {
-	return engine.Row{
+func recoveryRow(dst engine.Row, id int64) engine.Row {
+	return append(dst[:0],
 		engine.Int(id),
-		engine.Int(id % 12),
-		engine.Float(float64(id%97) / 4),
+		engine.Int(id%12),
+		engine.Float(float64(id%97)/4),
 		engine.Str(fmt.Sprintf("t%d", id%8)),
-	}
+	)
 }
 
 func newRecoveryDB(t *testing.T) (*sim.Sim, *engine.DB, *engine.Table) {
@@ -67,7 +67,7 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 			id := int64(r.Intn(150)) + 20
 			switch r.Intn(3) {
 			case 0:
-				txn.Insert(tbl, recoveryRow(id))
+				txn.Insert(tbl, recoveryRow(nil, id))
 			case 1:
 				txn.Update(tbl, engine.IntKey(id), engine.Row{engine.Int(id), engine.Int(r.Int63n(12)), engine.Float(1), engine.Str("upd")})
 			case 2:

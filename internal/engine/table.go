@@ -34,12 +34,20 @@ func (s *Schema) ColIndex(name string) int {
 }
 
 // KeyOf builds the primary key of a row under this schema.
-func (s *Schema) KeyOf(r Row) Key {
-	vals := make([]Value, len(s.KeyCols))
-	for i, ci := range s.KeyCols {
-		vals[i] = r[ci]
+func (s *Schema) KeyOf(r Row) Key { return s.appendKeyOf(nil, r) }
+
+// appendKeyOf appends the primary key of r to dst, encoding the key columns
+// straight from the row.
+func (s *Schema) appendKeyOf(dst []byte, r Row) Key {
+	need := 0
+	for _, ci := range s.KeyCols {
+		need += keyValueSize(r[ci])
 	}
-	return EncodeKey(vals...)
+	dst = growKey(dst, need)
+	for _, ci := range s.KeyCols {
+		dst = appendKeyValue(dst, r[ci])
+	}
+	return dst
 }
 
 // Validate checks structural sanity of the schema.
@@ -65,9 +73,11 @@ func (s *Schema) Validate() error {
 }
 
 // RowGen deterministically materializes the base row with the given dense
-// primary key id in [1, baseRows]. The returned row must have that id as
-// its primary key.
-type RowGen func(id int64) Row
+// primary key id in [1, baseRows] into dst's storage — append(dst[:0], ...) —
+// and returns it; a nil dst yields a fresh row. The returned row must have
+// that id as its primary key and must share no slice storage with anything
+// but dst.
+type RowGen func(dst Row, id int64) Row
 
 type deltaVal struct {
 	row  Row // nil marks a tombstone
@@ -181,7 +191,15 @@ func (t *Table) isBaseKey(k Key) (int64, bool) {
 }
 
 // Get returns the visible row under k and the page it resides on.
-func (t *Table) Get(k Key) (Row, storage.PageID, bool) {
+func (t *Table) Get(k Key) (Row, storage.PageID, bool) { return t.GetInto(k, nil) }
+
+// GetInto is Get with caller-owned row scratch: a row the overlay holds is
+// returned as stored (immutable, shared), a base row is materialized into
+// dst's storage. Either way the result is valid only until the caller reuses
+// dst, and k is not retained.
+//
+//detlint:hotpath
+func (t *Table) GetInto(k Key, dst Row) (Row, storage.PageID, bool) {
 	if dv, ok := t.delta.Get(k); ok {
 		if dv.row == nil {
 			return nil, dv.page, false // tombstone
@@ -189,9 +207,18 @@ func (t *Table) Get(k Key) (Row, storage.PageID, bool) {
 		return dv.row, dv.page, true
 	}
 	if id, ok := t.isBaseKey(k); ok {
-		return t.gen(id), t.PageOfBase(id), true
+		return t.gen(dst, id), t.PageOfBase(id), true
 	}
 	return nil, storage.PageID{}, false
+}
+
+// visible reports whether a row is visible under k, without materializing it.
+func (t *Table) visible(k Key) bool {
+	if dv, ok := t.delta.Get(k); ok {
+		return dv.row != nil
+	}
+	_, ok := t.isBaseKey(k)
+	return ok
 }
 
 // ErrDuplicateKey is returned when inserting an existing primary key.
@@ -200,10 +227,10 @@ var ErrDuplicateKey = errors.New("engine: duplicate primary key")
 // Insert adds a new row, assigning it a physical page. The caller must hold
 // the X lock. It fails on duplicate keys.
 //
-// The table takes ownership of r (and of k, when the key is new to the
-// overlay): callers must not mutate either after a successful write. Every
-// write path used to clone defensively; the workloads all build fresh rows
-// per write, so the clone only fed the allocator (DESIGN.md §15).
+// The table takes ownership of r: callers must not mutate it after a
+// successful write (the workloads all build fresh rows per write, so a
+// defensive clone would only feed the allocator — DESIGN.md §15). k stays
+// the caller's: the overlay B-tree copies key bytes into its own arena.
 func (t *Table) Insert(k Key, r Row) (storage.PageID, error) {
 	if dv, ok := t.delta.Get(k); ok {
 		if dv.row != nil {
@@ -230,8 +257,8 @@ func (t *Table) Insert(k Key, r Row) (storage.PageID, error) {
 
 // InsertAt adds a row at a specific page (replica replay of a shipped
 // insert, keeping page identity consistent with the primary). Like Insert,
-// it takes ownership of k and r — replay hands over rows decoded from
-// immutable record images.
+// it takes ownership of r — replay hands over rows decoded from immutable
+// record images — and copies k.
 func (t *Table) InsertAt(k Key, r Row, page storage.PageID) {
 	old := t.visibleForIndex(k)
 	// One overlay descent: Set returns the displaced entry, which tells
@@ -251,10 +278,12 @@ func (t *Table) InsertAt(k Key, r Row, page storage.PageID) {
 var ErrRowNotFound = errors.New("engine: row not found")
 
 // Update replaces the row under k, returning the page and the old row (for
-// undo). The caller must hold the X lock. The table takes ownership of k and
-// r (see Insert).
-func (t *Table) Update(k Key, r Row) (storage.PageID, Row, error) {
-	old, page, ok := t.Get(k)
+// undo). The caller must hold the X lock. The table takes ownership of r
+// (see Insert). A prior image that lived only in the base table is
+// materialized into scratch (nil for a fresh row), so old is valid only
+// until the caller reuses scratch.
+func (t *Table) Update(k Key, r Row, scratch Row) (storage.PageID, Row, error) {
+	old, page, ok := t.GetInto(k, scratch)
 	if !ok {
 		return storage.PageID{}, nil, ErrRowNotFound
 	}
@@ -264,17 +293,18 @@ func (t *Table) Update(k Key, r Row) (storage.PageID, Row, error) {
 }
 
 // UpdateAt applies a replicated update image at the given page, taking
-// ownership of k and r (see InsertAt).
+// ownership of r (see InsertAt).
 func (t *Table) UpdateAt(k Key, r Row, page storage.PageID) {
 	old := t.visibleForIndex(k)
 	t.delta.Set(k, deltaVal{row: r, page: page})
 	t.refreshIndexes(k, old)
 }
 
-// Delete tombstones the row under k, returning the page and old row. The
-// caller must hold the X lock.
-func (t *Table) Delete(k Key) (storage.PageID, Row, error) {
-	old, page, ok := t.Get(k)
+// Delete tombstones the row under k, returning the page and old row (in
+// scratch when it lived only in the base table — see Update). The caller
+// must hold the X lock.
+func (t *Table) Delete(k Key, scratch Row) (storage.PageID, Row, error) {
+	old, page, ok := t.GetInto(k, scratch)
 	if !ok {
 		return storage.PageID{}, nil, ErrRowNotFound
 	}
@@ -308,7 +338,7 @@ func (t *Table) DeleteAt(k Key, page storage.PageID) {
 // transaction rollback.
 func (t *Table) undoSet(k Key, prior Row, page storage.PageID, existedBefore, wasDelta bool) {
 	old := t.visibleForIndex(k)
-	_, _, visible := t.Get(k)
+	visible := t.visible(k)
 	switch {
 	case existedBefore && wasDelta:
 		// prior is the exact row object the transaction displaced; rows are
@@ -345,8 +375,9 @@ func (t *Table) undoSet(k Key, prior Row, page storage.PageID, existedBefore, wa
 // only integer single-column keys for the base portion; delta-only tables
 // (baseRows == 0) may use Range instead for arbitrary keys.
 func (t *Table) Scan(loID, hiID int64, fn func(id int64, r Row) bool) {
+	var k Key
 	for id := loID; id <= hiID; id++ {
-		k := IntKey(id)
+		k = AppendIntKey(k[:0], id)
 		if dv, ok := t.delta.Get(k); ok {
 			if dv.row == nil {
 				continue
@@ -357,7 +388,7 @@ func (t *Table) Scan(loID, hiID int64, fn func(id int64, r Row) bool) {
 			continue
 		}
 		if id >= 1 && id <= t.baseRows {
-			if !fn(id, t.gen(id)) {
+			if !fn(id, t.gen(nil, id)) {
 				return
 			}
 		}
@@ -420,7 +451,7 @@ func (t *Table) VisibleScan(fn func(k Key, r Row) bool) {
 			di++
 			continue
 		}
-		if !fn(k, t.gen(id)) {
+		if !fn(k, t.gen(nil, id)) {
 			return
 		}
 	}

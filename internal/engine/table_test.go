@@ -19,7 +19,7 @@ func testSchema() *Schema {
 	}
 }
 
-func genOrder(id int64) Row { return Row{Int(id), Str("NEW")} }
+func genOrder(dst Row, id int64) Row { return append(dst[:0], Int(id), Str("NEW")) }
 
 func newTestTable(t *testing.T, baseRows int64) *Table {
 	t.Helper()
@@ -90,7 +90,7 @@ func TestTableInsertAssignsAppendPages(t *testing.T) {
 	if id != 101 {
 		t.Fatalf("first auto id = %d, want 101", id)
 	}
-	page, err := tbl.Insert(IntKey(id), genOrder(id))
+	page, err := tbl.Insert(IntKey(id), genOrder(nil, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTableInsertAssignsAppendPages(t *testing.T) {
 	// 128 more inserts overflow to the next page.
 	for i := 0; i < 128; i++ {
 		id := tbl.NextAutoID()
-		p, err := tbl.Insert(IntKey(id), genOrder(id))
+		p, err := tbl.Insert(IntKey(id), genOrder(nil, id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +118,14 @@ func TestTableInsertAssignsAppendPages(t *testing.T) {
 
 func TestTableInsertDuplicate(t *testing.T) {
 	tbl := newTestTable(t, 100)
-	if _, err := tbl.Insert(IntKey(50), genOrder(50)); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tbl.Insert(IntKey(50), genOrder(nil, 50)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate base insert: %v", err)
 	}
 	id := tbl.NextAutoID()
-	if _, err := tbl.Insert(IntKey(id), genOrder(id)); err != nil {
+	if _, err := tbl.Insert(IntKey(id), genOrder(nil, id)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Insert(IntKey(id), genOrder(id)); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := tbl.Insert(IntKey(id), genOrder(nil, id)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate delta insert: %v", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestTableInsertDuplicate(t *testing.T) {
 func TestTableUpdateOverlaysBase(t *testing.T) {
 	tbl := newTestTable(t, 100)
 	newRow := Row{Int(7), Str("PAID")}
-	page, old, err := tbl.Update(IntKey(7), newRow)
+	page, old, err := tbl.Update(IntKey(7), newRow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestTableUpdateOverlaysBase(t *testing.T) {
 	if tbl.LiveRows() != 100 {
 		t.Fatal("update changed live count")
 	}
-	if _, _, err := tbl.Update(IntKey(9999), newRow); !errors.Is(err, ErrRowNotFound) {
+	if _, _, err := tbl.Update(IntKey(9999), newRow, nil); !errors.Is(err, ErrRowNotFound) {
 		t.Fatalf("update missing: %v", err)
 	}
 }
 
 func TestTableDeleteTombstonesBase(t *testing.T) {
 	tbl := newTestTable(t, 100)
-	_, old, err := tbl.Delete(IntKey(10))
+	_, old, err := tbl.Delete(IntKey(10), nil)
 	if err != nil || old[0].I != 10 {
 		t.Fatalf("delete: %v %v", old, err)
 	}
@@ -167,11 +167,11 @@ func TestTableDeleteTombstonesBase(t *testing.T) {
 	if tbl.LiveRows() != 99 {
 		t.Fatalf("live = %d, want 99", tbl.LiveRows())
 	}
-	if _, _, err := tbl.Delete(IntKey(10)); !errors.Is(err, ErrRowNotFound) {
+	if _, _, err := tbl.Delete(IntKey(10), nil); !errors.Is(err, ErrRowNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// Re-insert over tombstone reuses the base page.
-	page, err := tbl.Insert(IntKey(10), genOrder(10))
+	page, err := tbl.Insert(IntKey(10), genOrder(nil, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestTableDeleteTombstonesBase(t *testing.T) {
 
 func TestTableScanMergesBaseAndDelta(t *testing.T) {
 	tbl := newTestTable(t, 10)
-	tbl.Delete(IntKey(3))
-	tbl.Update(IntKey(5), Row{Int(5), Str("PAID")})
+	tbl.Delete(IntKey(3), nil)
+	tbl.Update(IntKey(5), Row{Int(5), Str("PAID")}, nil)
 	id := tbl.NextAutoID() // 11
-	tbl.Insert(IntKey(id), genOrder(id))
+	tbl.Insert(IntKey(id), genOrder(nil, id))
 	var ids []int64
 	var status5 string
 	tbl.Scan(1, 20, func(id int64, r Row) bool {
@@ -236,7 +236,7 @@ func TestTableRangeDeltaOnly(t *testing.T) {
 			}
 		}
 	}
-	tbl.Delete(EncodeKey(Int(2), Int(2)))
+	tbl.Delete(EncodeKey(Int(2), Int(2)), nil)
 	var got []int64
 	tbl.Range(EncodeKey(Int(2)), EncodeKey(Int(3)), func(k Key, r Row) bool {
 		got = append(got, r[1].I)
@@ -250,7 +250,7 @@ func TestTableRangeDeltaOnly(t *testing.T) {
 func TestTableApplyAtKeepsPageIdentity(t *testing.T) {
 	tbl := newTestTable(t, 100)
 	page := storage.PageID{Table: 1, Num: 77}
-	tbl.InsertAt(IntKey(200), genOrder(200), page)
+	tbl.InsertAt(IntKey(200), genOrder(nil, 200), page)
 	got, gotPage, ok := tbl.Get(IntKey(200))
 	if !ok || got[0].I != 200 || gotPage != page {
 		t.Fatalf("InsertAt: %v %v %v", got, gotPage, ok)
@@ -259,7 +259,7 @@ func TestTableApplyAtKeepsPageIdentity(t *testing.T) {
 		t.Fatalf("MaxID after replay = %d", tbl.MaxID())
 	}
 	// Idempotent replay.
-	tbl.InsertAt(IntKey(200), genOrder(200), page)
+	tbl.InsertAt(IntKey(200), genOrder(nil, 200), page)
 	if tbl.LiveRows() != 101 {
 		t.Fatalf("live after idempotent replay = %d", tbl.LiveRows())
 	}

@@ -138,7 +138,14 @@ type Node struct {
 	// makes checkpoint interference visible in the stage breakdown.
 	checkpointActive bool
 
+	// ioLatch holds the I/O-in-progress latch of every page being fetched;
+	// latchFree and txFree are LIFO free-lists (the engine's Txn idiom) of
+	// latches whose fetch finished and transaction shells whose Commit or
+	// Abort returned, so a page miss and a Begin allocate nothing in steady
+	// state.
 	ioLatch               map[storage.PageID]*sim.Cond
+	latchFree             []*sim.Cond
+	txFree                []*Tx
 	pageReads, pageWrites int64
 
 	faults faultState
@@ -349,7 +356,12 @@ func (n *Node) pagedIn(p *sim.Proc, pg storage.PageID, kind obs.Kind) {
 			}
 			continue // re-check: the fetcher admitted the page
 		}
-		latch = sim.NewCond(n.S)
+		if k := len(n.latchFree); k > 0 {
+			latch = n.latchFree[k-1]
+			n.latchFree = n.latchFree[:k-1]
+		} else {
+			latch = sim.NewCond(n.S)
+		}
 		n.ioLatch[pg] = latch
 		var t0 time.Duration
 		if tr != nil {
@@ -363,6 +375,9 @@ func (n *Node) pagedIn(p *sim.Proc, pg storage.PageID, kind obs.Kind) {
 		_, dirty, ok := n.Buf.Admit(pg)
 		delete(n.ioLatch, pg)
 		latch.Broadcast()
+		// Woken waiters re-probe the buffer and never touch the latch
+		// again, so it can serve the next miss at once.
+		n.latchFree = append(n.latchFree, latch)
 		if ok && dirty {
 			n.Backend.FlushPage(p, pg)
 		}
@@ -425,7 +440,8 @@ func (n *Node) checkpointLoop(p *sim.Proc) {
 func (n *Node) StopCheckpointer() { n.stopCheckpoint = true }
 
 // Tx is a transaction executing on this node, charging resources around
-// every engine operation.
+// every engine operation. Like the engine.Txn it wraps, a finished Tx returns
+// to a free-list: drop the handle once Commit or Abort returns.
 type Tx struct {
 	n     *Node
 	p     *sim.Proc
@@ -454,13 +470,32 @@ func (n *Node) Begin(p *sim.Proc) (*Tx, error) {
 		// time — error loops cannot livelock the simulation.
 		return nil, ErrIOFault
 	}
-	return &Tx{n: n, p: p, inner: n.DB.Begin(p), epoch: n.crashEpoch}, nil
+	var t *Tx
+	if k := len(n.txFree); k > 0 {
+		t = n.txFree[k-1]
+		n.txFree = n.txFree[:k-1]
+	} else {
+		t = &Tx{n: n}
+	}
+	t.p, t.inner, t.epoch = p, n.DB.Begin(p), n.crashEpoch
+	return t, nil
+}
+
+// finish recycles the transaction shell once its engine txn is done.
+func (t *Tx) finish() {
+	t.p, t.inner = nil, nil
+	t.n.txFree = append(t.n.txFree, t)
 }
 
 // Get reads a row with a shared lock, charging CPU and page access.
 func (t *Tx) Get(tbl *engine.Table, k engine.Key) (engine.Row, error) {
+	return t.GetInto(tbl, k, nil)
+}
+
+// GetInto is Get with caller-owned row scratch (see engine.Txn.GetInto).
+func (t *Tx) GetInto(tbl *engine.Table, k engine.Key, dst engine.Row) (engine.Row, error) {
 	t.n.ChargeCPU(t.p, t.n.opCPU)
-	row, page, err := t.inner.Get(tbl, k)
+	row, page, err := t.inner.GetInto(tbl, k, dst)
 	if err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		return nil, err
 	}
@@ -471,8 +506,14 @@ func (t *Tx) Get(tbl *engine.Table, k engine.Key) (engine.Row, error) {
 // GetForUpdate reads a row with an exclusive lock (read-modify-write),
 // charging CPU and page access.
 func (t *Tx) GetForUpdate(tbl *engine.Table, k engine.Key) (engine.Row, error) {
+	return t.GetForUpdateInto(tbl, k, nil)
+}
+
+// GetForUpdateInto is GetForUpdate with caller-owned row scratch (see
+// engine.Txn.GetInto).
+func (t *Tx) GetForUpdateInto(tbl *engine.Table, k engine.Key, dst engine.Row) (engine.Row, error) {
 	t.n.ChargeCPU(t.p, t.n.opCPU)
-	row, page, err := t.inner.GetForUpdate(tbl, k)
+	row, page, err := t.inner.GetForUpdateInto(tbl, k, dst)
 	if err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		return nil, err
 	}
@@ -563,6 +604,12 @@ func (n *Node) Epoch() uint64 { return n.epoch }
 // the RW lease to a fail-over it may not even know about) aborts the
 // transaction with ErrFenced before any durability is paid.
 func (t *Tx) Commit() error {
+	err := t.commit()
+	t.finish()
+	return err
+}
+
+func (t *Tx) commit() error {
 	if t.n.crashEpoch != t.epoch {
 		// The node crashed since Begin: this transaction's engine state died
 		// with it. The abort only tidies the orphaned pre-crash instance.
@@ -607,7 +654,11 @@ func (t *Tx) Commit() error {
 }
 
 // Abort rolls the transaction back.
-func (t *Tx) Abort() error { return t.inner.Abort() }
+func (t *Tx) Abort() error {
+	err := t.inner.Abort()
+	t.finish()
+	return err
+}
 
 // ScanRead serves a lock-free range query on this node (the replica read
 // path), charging CPU scaled by touched pages plus a page read per page.
@@ -644,6 +695,13 @@ func (n *Node) ScanCharge(p *sim.Proc, pages []storage.PageID) {
 // Read serves a lock-free read on this node (the replica read path),
 // charging CPU and page access. Missing rows return (nil, false).
 func (n *Node) Read(p *sim.Proc, table string, k engine.Key) (engine.Row, bool, error) {
+	return n.ReadInto(p, table, k, nil)
+}
+
+// ReadInto is Read with caller-owned row scratch: the row is valid only
+// until the caller reuses dst (see engine.Table.GetInto), and k is not
+// retained.
+func (n *Node) ReadInto(p *sim.Proc, table string, k engine.Key, dst engine.Row) (engine.Row, bool, error) {
 	if err := n.AwaitRunning(p); err != nil {
 		return nil, false, err
 	}
@@ -651,7 +709,7 @@ func (n *Node) Read(p *sim.Proc, table string, k engine.Key) (engine.Row, bool, 
 	if n.faultReject() {
 		return nil, false, ErrIOFault
 	}
-	row, page, ok := n.DB.Read(table, k)
+	row, page, ok := n.DB.ReadInto(table, k, dst)
 	n.ReadPage(p, page)
 	return row, ok, nil
 }

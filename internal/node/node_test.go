@@ -25,7 +25,9 @@ func ordersSchema() *engine.Schema {
 	}
 }
 
-func genOrder(id int64) engine.Row { return engine.Row{engine.Int(id), engine.Str("NEW")} }
+func genOrder(dst engine.Row, id int64) engine.Row {
+	return append(dst[:0], engine.Int(id), engine.Str("NEW"))
+}
 
 func newTestNode(s *sim.Sim, vcores float64, memBytes int64, backend StorageBackend) (*Node, *engine.Table) {
 	n := New(s, Config{

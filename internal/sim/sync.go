@@ -11,7 +11,7 @@ import (
 type Mutex struct {
 	s       *Sim
 	owner   *Proc
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewMutex returns a mutex bound to the given simulation.
@@ -30,7 +30,7 @@ func (m *Mutex) Lock(p *Proc) {
 		s.mu.Unlock()
 		panic("sim: recursive Mutex.Lock by " + p.name)
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	s.blockLocked(p, "mutex")
 	s.mu.Unlock()
 	<-p.wake
@@ -44,11 +44,10 @@ func (m *Mutex) Unlock(p *Proc) {
 		s.mu.Unlock()
 		panic("sim: Mutex.Unlock by non-owner " + p.name)
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.len() == 0 {
 		m.owner = nil
 	} else {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		next := m.waiters.pop()
 		m.owner = next
 		s.wakeLocked(next)
 	}
@@ -60,7 +59,7 @@ func (m *Mutex) Unlock(p *Proc) {
 // checks its predicate, calls Wait if unsatisfied, and re-checks on wakeup.
 type Cond struct {
 	s       *Sim
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewCond returns a condition variable bound to the given simulation.
@@ -68,23 +67,25 @@ func NewCond(s *Sim) *Cond { return &Cond{s: s} }
 
 // Wait suspends the process until Signal or Broadcast wakes it. Callers must
 // re-check their predicate in a loop, as with sync.Cond.
+//
+//detlint:hotpath
 func (c *Cond) Wait(p *Proc) {
 	s := c.s
 	s.mu.Lock()
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
 	s.blockLocked(p, "cond")
 	s.mu.Unlock()
 	<-p.wake
 }
 
 // Signal wakes the oldest waiting process, if any.
+//
+//detlint:hotpath
 func (c *Cond) Signal() {
 	s := c.s
 	s.mu.Lock()
-	if len(c.waiters) > 0 {
-		next := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		s.wakeLocked(next)
+	if c.waiters.len() > 0 {
+		s.wakeLocked(c.waiters.pop())
 	}
 	s.mu.Unlock()
 }
@@ -93,10 +94,9 @@ func (c *Cond) Signal() {
 func (c *Cond) Broadcast() {
 	s := c.s
 	s.mu.Lock()
-	for _, w := range c.waiters {
-		s.wakeLocked(w)
+	for c.waiters.len() > 0 {
+		s.wakeLocked(c.waiters.pop())
 	}
-	c.waiters = nil
 	s.mu.Unlock()
 }
 
@@ -166,7 +166,7 @@ type Resource struct {
 	s       *Sim
 	cap     int64
 	used    int64
-	waiters []resWaiter
+	waiters fifo[resWaiter]
 	peak    int64 // high-water mark of used since last ResetPeak
 
 	lastAccrue time.Duration
@@ -189,13 +189,15 @@ func NewResource(s *Sim, capacity int64) *Resource {
 }
 
 // Acquire blocks the process until n units are available, then claims them.
+//
+//detlint:hotpath
 func (r *Resource) Acquire(p *Proc, n int64) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: Resource.Acquire of %d units", n))
 	}
 	s := r.s
 	s.mu.Lock()
-	if len(r.waiters) == 0 && r.used+n <= r.cap {
+	if r.waiters.len() == 0 && r.used+n <= r.cap {
 		r.accrueLocked()
 		r.used += n
 		if r.used > r.peak {
@@ -204,7 +206,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		s.mu.Unlock()
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waiters.push(resWaiter{p: p, n: n}) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
 	s.blockLocked(p, "resource")
 	s.mu.Unlock()
 	<-p.wake
@@ -215,7 +217,7 @@ func (r *Resource) TryAcquire(n int64) bool {
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(r.waiters) == 0 && r.used+n <= r.cap {
+	if r.waiters.len() == 0 && r.used+n <= r.cap {
 		r.accrueLocked()
 		r.used += n
 		if r.used > r.peak {
@@ -227,6 +229,8 @@ func (r *Resource) TryAcquire(n int64) bool {
 }
 
 // Release returns n units to the pool and admits eligible waiters.
+//
+//detlint:hotpath
 func (r *Resource) Release(n int64) {
 	s := r.s
 	s.mu.Lock()
@@ -279,9 +283,8 @@ func (r *Resource) Integrals() (usedUnitSeconds, capUnitSeconds float64) {
 
 func (r *Resource) admitLocked() {
 	r.accrueLocked()
-	for len(r.waiters) > 0 && r.used+r.waiters[0].n <= r.cap {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.waiters.len() > 0 && r.used+r.waiters.peek().n <= r.cap {
+		w := r.waiters.pop()
 		r.used += w.n
 		if r.used > r.peak {
 			r.peak = r.used
@@ -322,7 +325,7 @@ func (r *Resource) ResetPeak() {
 func (r *Resource) Waiting() int {
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
-	return len(r.waiters)
+	return r.waiters.len()
 }
 
 // Use acquires n units, holds them for d of virtual time, and releases them.
