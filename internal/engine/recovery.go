@@ -94,50 +94,57 @@ func (db *DB) Recover(snap storage.LogSnapshot, tornTail []byte, opts RecoveryOp
 		}
 	}
 
-	recs := db.log.Read(0, 0)
-	st.Records = len(recs)
+	st.Records = db.log.Len()
 
 	// 2. Analysis: classify txns, find the last checkpoint, size the redo
-	// structures so the hot redo loop never grows them.
+	// structures so the hot redo loop never grows them. Every pass walks the
+	// log in place, chunk by chunk.
 	committed := make(map[uint64]bool)
 	aborted := make(map[uint64]bool)
 	var maxTxn uint64
-	for i := range recs {
-		r := &recs[i]
-		if r.Txn > maxTxn {
-			maxTxn = r.Txn
-		}
-		switch r.Type {
-		case storage.RecCommit:
-			committed[r.Txn] = true
-		case storage.RecAbort:
-			aborted[r.Txn] = true
-		case storage.RecCheckpoint:
-			ck, err := storage.DecodeCheckpointData(r.Image)
-			if err != nil {
-				return st, fmt.Errorf("engine: recovery: bad checkpoint at LSN %d: %w", r.LSN, err)
+	for recs := range db.log.Chunks() {
+		for i := range recs {
+			r := &recs[i]
+			if r.Txn > maxTxn {
+				maxTxn = r.Txn
 			}
-			st.CheckpointLSN = r.LSN
-			st.RedoStart = ck.StartLSN
+			switch r.Type {
+			case storage.RecCommit:
+				committed[r.Txn] = true
+			case storage.RecAbort:
+				aborted[r.Txn] = true
+			case storage.RecCheckpoint:
+				ck, err := storage.DecodeCheckpointData(r.Image)
+				if err != nil {
+					return st, fmt.Errorf("engine: recovery: bad checkpoint at LSN %d: %w", r.LSN, err)
+				}
+				st.CheckpointLSN = r.LSN
+				st.RedoStart = ck.StartLSN
+			}
 		}
 	}
 	if st.RedoStart == 0 {
 		st.RedoStart = 1
 	}
 	loserCap := 0
-	for i := range recs {
-		r := &recs[i]
-		if isDataRec(r.Type) && !committed[r.Txn] && !aborted[r.Txn] {
-			loserCap++
+	for recs := range db.log.Chunks() {
+		for i := range recs {
+			r := &recs[i]
+			if isDataRec(r.Type) && !committed[r.Txn] && !aborted[r.Txn] {
+				loserCap++
+			}
 		}
 	}
 
 	// 3. Redo: repeat history.
 	loserRecs := make([]storage.Record, 0, loserCap)
 	pageSeen := make(map[storage.PageID]struct{})
-	loserRecs, err := db.redoPass(recs, committed, aborted, loserRecs, pageSeen, &st)
-	if err != nil {
-		return st, err
+	var err error
+	for recs := range db.log.Chunks() {
+		loserRecs, err = db.redoPass(recs, committed, aborted, loserRecs, pageSeen, &st)
+		if err != nil {
+			return st, err
+		}
 	}
 
 	// 4. Undo: roll losers back in reverse LSN order with the logged prior

@@ -134,12 +134,14 @@ func RunSuite(cfg SuiteConfig) SuiteResult {
 			res.IndexScans += ix
 			res.FullScans += full
 		}
-		for _, rec := range n.DB.Log().Read(0, 0) {
-			switch rec.Type {
-			case storage.RecIndexPut:
-				res.IndexWALPuts++
-			case storage.RecIndexDelete:
-				res.IndexWALDels++
+		for recs := range n.DB.Log().Chunks() {
+			for i := range recs {
+				switch recs[i].Type {
+				case storage.RecIndexPut:
+					res.IndexWALPuts++
+				case storage.RecIndexDelete:
+					res.IndexWALDels++
+				}
 			}
 		}
 	}

@@ -15,7 +15,8 @@
 package replication
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"cloudybench/internal/meter"
@@ -61,6 +62,31 @@ type envelope struct {
 	committedAt time.Duration
 }
 
+// envChunkLen is the number of envelopes a queue grows by.
+const envChunkLen = 128
+
+// envChunk is one fixed-size link of an envQueue; the envelopes at [lo, hi)
+// are live. Records and commit instants sit in separate arrays so that replay
+// can hand the engine a chunk's records as one []storage.Record in place.
+type envChunk struct {
+	next        *envChunk
+	lo, hi      int
+	recs        [envChunkLen]storage.Record
+	committedAt [envChunkLen]time.Duration
+}
+
+// envQueue is a FIFO of envelopes held as a list of chunks: it grows by
+// linking a chunk, never by reallocating, and changes hands (inbox →
+// in-flight batch, lane queue → replay batch) by value, as one struct copy.
+// The chunks belong to the Stream whose push linked them and go back to its
+// free list through release or pop, so a stream's queues cost the high-water
+// mark of its backlog once. A queue that was copied must be used through one
+// copy only.
+type envQueue struct {
+	head, tail *envChunk
+	n          int
+}
+
 // Stream replicates one RW node's committed records into one replica.
 type Stream struct {
 	s       *sim.Sim
@@ -71,16 +97,19 @@ type Stream struct {
 	// invalidation in the memory-disaggregated architecture).
 	OnApply func(rec storage.Record)
 
-	inbox     []envelope
+	inbox     envQueue
 	inboxCond *sim.Cond
 	lanes     []*laneState
 	stopped   bool
+	// free is the LIFO of drained queue chunks every queue of this stream
+	// draws from.
+	free *envChunk
 
 	// inflight is the batch the shipper popped from the inbox and is
 	// currently transferring; on a cut link the shipper blocks mid-Send with
 	// the batch parked here so DrainPending can recover it (the records are
 	// committed and durable — only the network path is gone).
-	inflight []envelope
+	inflight envQueue
 	// replaying counts lane records popped but not yet applied, so
 	// DrainPending can wait out in-flight replays before taking over.
 	replaying int
@@ -94,9 +123,6 @@ type Stream struct {
 	// Test-only: the replay-batch equivalence test proves both paths yield
 	// identical AppliedLSN and lag reservoirs on a quiet stream.
 	serialApply bool
-	// recScratch collects a batch's surviving records for the engine's
-	// batched apply; reused across batches.
-	recScratch []storage.Record
 
 	lagInsert *meter.Reservoir
 	lagUpdate *meter.Reservoir
@@ -104,11 +130,7 @@ type Stream struct {
 }
 
 type laneState struct {
-	queue []envelope
-	// spare is the double-buffer for the batched replay loop: the replayer
-	// takes the whole queue, swaps in the (empty) spare so the shipper can
-	// keep appending, and retires the applied batch as the next spare.
-	spare []envelope
+	queue envQueue
 	cond  *sim.Cond
 }
 
@@ -145,10 +167,87 @@ func (st *Stream) Publish(p *sim.Proc, recs []storage.Record) {
 		return
 	}
 	now := st.s.Elapsed()
-	for _, rec := range recs {
-		st.inbox = append(st.inbox, envelope{rec: rec, committedAt: now})
+	for i := range recs {
+		st.push(&st.inbox, &recs[i], now)
 	}
 	st.inboxCond.Signal()
+}
+
+// push adds one envelope at the back of q, linking a chunk from the free
+// list when the last one is full.
+//
+//detlint:hotpath
+func (st *Stream) push(q *envQueue, rec *storage.Record, committedAt time.Duration) {
+	c := q.tail
+	if c == nil || c.hi == envChunkLen {
+		c = st.free
+		if c != nil {
+			st.free = c.next
+			c.next, c.lo, c.hi = nil, 0, 0
+		} else {
+			c = newEnvChunk()
+		}
+		if q.tail == nil {
+			q.head = c
+		} else {
+			q.tail.next = c
+		}
+		q.tail = c
+	}
+	c.recs[c.hi] = *rec
+	c.committedAt[c.hi] = committedAt
+	c.hi++
+	q.n++
+}
+
+// newEnvChunk is the free-list miss: the backlog is deeper than this stream
+// has seen before. Kept out of line so the allocation stays out of push.
+//
+//detlint:coldpath
+//go:noinline
+func newEnvChunk() *envChunk { return new(envChunk) }
+
+// take empties q and returns what it held.
+//
+//detlint:hotpath
+func (q *envQueue) take() envQueue {
+	b := *q
+	*q = envQueue{}
+	return b
+}
+
+// pop removes and returns the front envelope of a non-empty q.
+func (st *Stream) pop(q *envQueue) envelope {
+	c := q.head
+	env := envelope{rec: c.recs[c.lo], committedAt: c.committedAt[c.lo]}
+	c.lo++
+	q.n--
+	if c.lo == c.hi {
+		q.head = c.next
+		if q.head == nil {
+			q.tail = nil
+		}
+		st.recycle(c)
+	}
+	return env
+}
+
+// release splices every chunk of a taken queue onto the free list. The
+// stale records stay in place until push overwrites them: what they point at
+// is WAL memory the primary's log holds anyway.
+//
+//detlint:hotpath
+func (st *Stream) release(q envQueue) {
+	if q.head != nil {
+		q.tail.next = st.free
+		st.free = q.head
+	}
+}
+
+// recycle puts one drained chunk on the free list.
+func (st *Stream) recycle(c *envChunk) {
+	c.next = st.free
+	st.free = c
 }
 
 // Stop shuts the stream down after draining; background processes exit.
@@ -162,7 +261,7 @@ func (st *Stream) Stop() {
 
 func (st *Stream) shipLoop(p *sim.Proc) {
 	for {
-		for len(st.inbox) == 0 {
+		for st.inbox.n == 0 {
 			if st.stopped {
 				return
 			}
@@ -171,12 +270,12 @@ func (st *Stream) shipLoop(p *sim.Proc) {
 		if st.cfg.BatchInterval > 0 {
 			p.Sleep(st.cfg.BatchInterval)
 		}
-		batch := st.inbox
-		st.inbox = nil
-		st.inflight = batch
+		st.inflight = st.inbox.take()
 		bytes := 0
-		for i := range batch {
-			bytes += batch[i].rec.Size()
+		for c := st.inflight.head; c != nil; c = c.next {
+			for i := c.lo; i < c.hi; i++ {
+				bytes += c.recs[i].Size()
+			}
 		}
 		tr := st.cfg.Tracer
 		var t0 time.Duration
@@ -194,13 +293,20 @@ func (st *Stream) shipLoop(p *sim.Proc) {
 		}
 		// DrainPending may have taken the batch while Send was blocked on a
 		// cut link; if so there is nothing left to distribute.
-		batch = st.inflight
-		st.inflight = nil
-		st.shipped += int64(len(batch))
-		for _, env := range batch {
-			lane := st.lanes[int(env.rec.Page.Num)%len(st.lanes)]
-			lane.queue = append(lane.queue, env)
-			lane.cond.Signal()
+		batch := st.inflight.take()
+		st.shipped += int64(batch.n)
+		// Each drained chunk is recycled before the next is distributed, so
+		// the lanes' pushes can take it straight back.
+		for c := batch.head; c != nil; {
+			for i := c.lo; i < c.hi; i++ {
+				rec := &c.recs[i]
+				lane := st.lanes[int(rec.Page.Num)%len(st.lanes)]
+				st.push(&lane.queue, rec, c.committedAt[i])
+				lane.cond.Signal()
+			}
+			next := c.next
+			st.recycle(c)
+			c = next
 		}
 	}
 }
@@ -208,26 +314,24 @@ func (st *Stream) shipLoop(p *sim.Proc) {
 func (st *Stream) replayLoop(p *sim.Proc, laneID int) {
 	lane := st.lanes[laneID]
 	for {
-		for len(lane.queue) == 0 {
+		for lane.queue.n == 0 {
 			if st.stopped {
 				return
 			}
 			lane.cond.Wait(p)
 		}
 		if st.serialApply {
-			env := lane.queue[0]
-			lane.queue = lane.queue[1:]
+			env := st.pop(&lane.queue)
 			st.replaying++
-			st.applyOne(p, env)
+			st.applyOne(p, &env)
 			st.replaying--
 			continue
 		}
-		batch := lane.queue
-		lane.queue = lane.spare[:0]
-		st.replaying += len(batch)
+		batch := lane.queue.take()
+		st.replaying += batch.n
 		st.replayBatch(p, batch)
-		st.replaying -= len(batch)
-		lane.spare = batch[:0]
+		st.replaying -= batch.n
+		st.release(batch)
 	}
 }
 
@@ -255,17 +359,19 @@ func (st *Stream) dropRecord(typ storage.RecType) bool {
 
 // replayBatch replays a whole lane batch: one Down check, one coalesced
 // sleep for the summed per-record service times, then every surviving record
-// applied through the engine's batched path. Each record's nominal apply
-// instant is the batch start plus its prefix cost — exactly where the
-// record-at-a-time loop would have applied it — so lag samples and tracer
-// spans are byte-identical to serial replay on a quiet stream (the one
+// applied through the engine's batched path, one queue chunk at a time (the
+// batch boundary, and with it everything virtual time can see, is the whole
+// queue; a chunk is only how many records sit side by side). Each record's
+// nominal apply instant is the batch start plus its prefix cost — exactly
+// where the record-at-a-time loop would have applied it — so lag samples and
+// tracer spans are byte-identical to serial replay on a quiet stream (the one
 // observable divergence: a replica going Down mid-batch pauses serial replay
 // between records, while a batch in flight completes first). The post-sleep
 // section never yields, so no other process can observe the intermediate
 // ordering of applies and OnApply hooks.
 //
 //detlint:hotpath
-func (st *Stream) replayBatch(p *sim.Proc, batch []envelope) {
+func (st *Stream) replayBatch(p *sim.Proc, batch envQueue) {
 	// A down or recovering replica buffers the backlog; replay resumes
 	// (and catches up) once the node is serving again, extending recovery
 	// realistically.
@@ -274,57 +380,70 @@ func (st *Stream) replayBatch(p *sim.Proc, batch []envelope) {
 	}
 	start := p.Elapsed()
 	total := time.Duration(0)
-	for i := range batch {
-		total += st.recordCost(batch[i].rec.Type)
+	for c := batch.head; c != nil; c = c.next {
+		for i := c.lo; i < c.hi; i++ {
+			total += st.recordCost(c.recs[i].Type)
+		}
 	}
 	if total > 0 {
 		p.Sleep(total)
 	}
 	tr := st.cfg.Tracer
-	recs := st.recScratch[:0]
 	at := start
-	for i := range batch {
-		env := &batch[i]
-		cost := st.recordCost(env.rec.Type)
-		at += cost
-		if cost > 0 && tr != nil {
-			tr.RecordBG("replication", obs.KindStorageReplay, st.cfg.Name, at-cost, at)
-		}
-		if st.dropRecord(env.rec.Type) {
+	for c := batch.head; c != nil; c = c.next {
+		// The survivors are the chunk's own records, compacted in place past
+		// any the DropEveryNth fault discards (the batch owns the chunk, and
+		// slot kept <= i is already read).
+		kept := c.lo
+		for i := c.lo; i < c.hi; i++ {
+			rec := &c.recs[i]
+			cost := st.recordCost(rec.Type)
+			at += cost
+			if cost > 0 && tr != nil {
+				tr.RecordBG("replication", obs.KindStorageReplay, st.cfg.Name, at-cost, at)
+			}
 			st.applied++
-			continue
+			if st.dropRecord(rec.Type) {
+				continue
+			}
+			if rec.LSN > st.appliedLSN {
+				st.appliedLSN = rec.LSN
+			}
+			st.sampleLag(rec.Type, at-c.committedAt[i])
+			if kept != i {
+				c.recs[kept] = *rec
+			}
+			kept++
 		}
-		recs = append(recs, env.rec)
-		st.applied++
-		if env.rec.LSN > st.appliedLSN {
-			st.appliedLSN = env.rec.LSN
+		recs := c.recs[c.lo:kept]
+		if err := st.replica.DB.ApplyBatch(recs); err != nil {
+			panic("replication: " + err.Error())
 		}
-		lag := at - env.committedAt
-		switch env.rec.Type {
-		case storage.RecInsert:
-			st.lagInsert.Add(lag)
-		case storage.RecUpdate:
-			st.lagUpdate.Add(lag)
-		case storage.RecDelete:
-			st.lagDelete.Add(lag)
-		}
-	}
-	st.recScratch = recs
-	if err := st.replica.DB.ApplyBatch(recs); err != nil {
-		panic("replication: " + err.Error())
-	}
-	if st.OnApply != nil {
-		for i := range recs {
-			if recs[i].Type != storage.RecCommit {
-				st.OnApply(recs[i])
+		if st.OnApply != nil {
+			for i := range recs {
+				if recs[i].Type != storage.RecCommit {
+					st.OnApply(recs[i])
+				}
 			}
 		}
 	}
 }
 
+// sampleLag records one record's replication lag under its DML type.
+func (st *Stream) sampleLag(typ storage.RecType, lag time.Duration) {
+	switch typ {
+	case storage.RecInsert:
+		st.lagInsert.Add(lag)
+	case storage.RecUpdate:
+		st.lagUpdate.Add(lag)
+	case storage.RecDelete:
+		st.lagDelete.Add(lag)
+	}
+}
+
 // applyOne pays the replay cost for one record and applies it to the
 // replica. Shared by the serial replay path and DrainPending.
-func (st *Stream) applyOne(p *sim.Proc, env envelope) {
+func (st *Stream) applyOne(p *sim.Proc, env *envelope) {
 	for st.replica.State() == node.Down || st.replica.State() == node.Recovering {
 		p.Sleep(100 * time.Millisecond)
 	}
@@ -350,15 +469,7 @@ func (st *Stream) applyOne(p *sim.Proc, env envelope) {
 	if env.rec.LSN > st.appliedLSN {
 		st.appliedLSN = env.rec.LSN
 	}
-	lag := st.s.Elapsed() - env.committedAt
-	switch env.rec.Type {
-	case storage.RecInsert:
-		st.lagInsert.Add(lag)
-	case storage.RecUpdate:
-		st.lagUpdate.Add(lag)
-	case storage.RecDelete:
-		st.lagDelete.Add(lag)
-	}
+	st.sampleLag(env.rec.Type, st.s.Elapsed()-env.committedAt)
 	if st.OnApply != nil && env.rec.Type != storage.RecCommit {
 		st.OnApply(env.rec)
 	}
@@ -378,21 +489,32 @@ func (st *Stream) DrainPending(p *sim.Proc) int {
 	for st.replaying > 0 {
 		p.Sleep(time.Millisecond)
 	}
-	pend := append([]envelope(nil), st.inflight...)
-	st.inflight = nil
-	pend = append(pend, st.inbox...)
-	st.inbox = nil
-	newlyShipped := int64(len(pend))
+	pend := make([]envelope, 0, st.Backlog())
+	newlyShipped := int64(st.inflight.n + st.inbox.n)
+	pend = st.drain(pend, &st.inflight)
+	pend = st.drain(pend, &st.inbox)
 	for _, l := range st.lanes {
-		pend = append(pend, l.queue...)
-		l.queue = nil
+		pend = st.drain(pend, &l.queue)
 	}
-	sort.Slice(pend, func(i, j int) bool { return pend[i].rec.LSN < pend[j].rec.LSN })
+	slices.SortFunc(pend, func(a, b envelope) int { return cmp.Compare(a.rec.LSN, b.rec.LSN) })
 	for i := range pend {
-		st.applyOne(p, pend[i])
+		st.applyOne(p, &pend[i])
 	}
 	st.shipped += newlyShipped
 	return len(pend)
+}
+
+// drain moves every envelope of q onto dst (sized by the caller) and
+// recycles q's chunks.
+func (st *Stream) drain(dst []envelope, q *envQueue) []envelope {
+	b := q.take()
+	for c := b.head; c != nil; c = c.next {
+		for i := c.lo; i < c.hi; i++ {
+			dst = append(dst, envelope{rec: c.recs[i], committedAt: c.committedAt[i]})
+		}
+	}
+	st.release(b)
+	return dst
 }
 
 // AppliedLSN returns the highest LSN applied so far (approximate across
@@ -409,9 +531,9 @@ func (st *Stream) Counts() (shipped, applied int64) { return st.shipped, st.appl
 // shipped==applied would otherwise declare convergence while a batch is
 // still crossing the (possibly multi-hop) ship path.
 func (st *Stream) Backlog() int {
-	n := len(st.inbox) + len(st.inflight)
+	n := st.inbox.n + st.inflight.n
 	for _, l := range st.lanes {
-		n += len(l.queue)
+		n += l.queue.n
 	}
 	return n
 }

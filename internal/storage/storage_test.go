@@ -449,42 +449,3 @@ func TestLogAppendReadHead(t *testing.T) {
 		t.Fatal("Read far past head should be nil")
 	}
 }
-
-func TestLogTruncate(t *testing.T) {
-	l := NewLog()
-	for i := 0; i < 10; i++ {
-		l.Append(Record{Type: RecInsert})
-	}
-	before := l.Bytes()
-	l.TruncateBefore(6)
-	if l.Len() != 5 {
-		t.Fatalf("len after truncate = %d, want 5", l.Len())
-	}
-	if l.Bytes() >= before {
-		t.Fatal("truncate did not reclaim bytes accounting")
-	}
-	recs := l.Read(5, 0)
-	if len(recs) != 5 || recs[0].LSN != 6 {
-		t.Fatalf("post-truncate read wrong: %d recs first %d", len(recs), recs[0].LSN)
-	}
-	// Reading below retention is a programming error.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("read below retention did not panic")
-		}
-	}()
-	l.Read(2, 0)
-}
-
-func TestLogTruncateBeyondHeadClamped(t *testing.T) {
-	l := NewLog()
-	l.Append(Record{Type: RecInsert})
-	l.TruncateBefore(100)
-	if l.Len() != 0 {
-		t.Fatalf("len = %d, want 0", l.Len())
-	}
-	lsn := l.Append(Record{Type: RecInsert})
-	if lsn != 2 {
-		t.Fatalf("append after full truncate got LSN %d, want 2", lsn)
-	}
-}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
+	"slices"
 )
 
 // LSN is a log sequence number. LSNs are dense and strictly increasing per
@@ -309,10 +311,29 @@ func (m TornMode) String() string {
 	}
 }
 
-// Log is an in-memory write-ahead log stream. The RW node appends; shippers
-// read ranges to feed replicas and page services. Appends assign dense LSNs.
-// A retention window keeps memory bounded: records older than the minimum
-// LSN any consumer still needs may be truncated.
+// Log chunk geometry: records live in fixed-length chunks, so a record's
+// position is (index >> logChunkShift, index & logChunkMask) and growing the
+// log never moves a record.
+const (
+	logChunkShift = 8
+	logChunkLen   = 1 << logChunkShift
+	logChunkMask  = logChunkLen - 1
+)
+
+type logChunk [logChunkLen]Record
+
+// prefix returns a fresh chunk holding copies of c's first n records.
+func (c *logChunk) prefix(n int) *logChunk {
+	p := new(logChunk)
+	copy(p[:n], c[:n])
+	return p
+}
+
+// Log is an in-memory write-ahead log stream. The RW node appends; recovery,
+// replica resync and promotion seeding read it back. Appends assign dense
+// LSNs starting at 1, and the log is retained for the node's life: recovery
+// and replica resync read it from LSN 1 and only price the part since the
+// last checkpoint.
 //
 // The log models an fsync barrier: Append leaves records volatile (buffered
 // in the OS or device cache) until Sync marks everything appended so far
@@ -320,25 +341,67 @@ func (m TornMode) String() string {
 // drags every earlier append, including other transactions' in-flight
 // operation records, across the barrier. Crash discards the suffix past the
 // barrier (see Crash).
+//
+// Chunk ownership. A Log and the LogSnapshots taken from it share chunks, so
+// a slot that holds a record is never written again by anyone:
+//   - a sealed (full) chunk is shared by the log, its snapshots and every log
+//     restored from them, and is never written;
+//   - the open (partly filled) last chunk is appended to by exactly one log —
+//     Restore gives the restoring log a private copy — and that log writes
+//     only slots past its own length, which no snapshot of it can see;
+//   - truncation inside a chunk (Crash) copies the surviving prefix into a
+//     fresh chunk first, so the records it drops stay intact for whoever
+//     else holds the old one.
 type Log struct {
-	firstLSN LSN // LSN of records[0]
-	records  []Record
-	bytes    int64
-	durable  LSN // highest LSN covered by an fsync barrier (0 = none)
+	chunks  []*logChunk // len(chunks) == ceil(n / logChunkLen)
+	n       int         // records held; the last has LSN n
+	bytes   int64
+	durable LSN // highest LSN covered by an fsync barrier (0 = none); never past n
 }
 
 // NewLog returns an empty log whose first record will get LSN 1.
 func NewLog() *Log {
-	return &Log{firstLSN: 1}
+	return &Log{}
 }
 
 // Append assigns the next LSN to r, stores it, and returns the LSN. The
 // record is volatile until the next Sync.
+//
+//detlint:hotpath
 func (l *Log) Append(r Record) LSN {
-	r.LSN = l.firstLSN + LSN(len(l.records))
-	l.records = append(l.records, r)
+	off := l.n & logChunkMask
+	if off == 0 {
+		l.addChunk()
+	}
+	l.n++
+	r.LSN = LSN(l.n)
+	l.chunks[len(l.chunks)-1][off] = r
 	l.bytes += int64(r.Size())
 	return r.LSN
+}
+
+// addChunk opens a fresh chunk: the log's one allocation per logChunkLen
+// appends. Kept out of line so that Append stays small enough to inline into
+// the commit path without carrying the allocation there.
+//
+//detlint:coldpath
+//go:noinline
+func (l *Log) addChunk() {
+	l.chunks = append(l.chunks, new(logChunk))
+}
+
+// at returns the record at zero-based index i (LSN i+1).
+func (l *Log) at(i int) *Record {
+	return &l.chunks[i>>logChunkShift][i&logChunkMask]
+}
+
+// bytesFrom returns the encoded size of the records from index i on.
+func (l *Log) bytesFrom(i int) int64 {
+	var b int64
+	for ; i < l.n; i++ {
+		b += int64(l.at(i).Size())
+	}
+	return b
 }
 
 // Sync marks everything appended so far durable (the fsync barrier). The
@@ -352,12 +415,7 @@ func (l *Log) Sync() {
 func (l *Log) DurableLSN() LSN { return l.durable }
 
 // Head returns the LSN of the most recent record (0 if empty).
-func (l *Log) Head() LSN {
-	if len(l.records) == 0 {
-		return l.firstLSN - 1
-	}
-	return l.firstLSN + LSN(len(l.records)) - 1
-}
+func (l *Log) Head() LSN { return LSN(l.n) }
 
 // Crash models power loss at this instant: every record past the fsync
 // barrier is dropped from the log, and — when torn is not TornNone and an
@@ -366,131 +424,127 @@ func (l *Log) Head() LSN {
 // and cut. It returns the torn-tail bytes (nil if none) and the number of
 // records lost.
 func (l *Log) Crash(torn TornMode) (tail []byte, dropped int) {
-	head := l.Head()
-	if l.durable >= head {
+	keep := int(l.durable)
+	if keep >= l.n {
 		return nil, 0
 	}
-	keep := int(l.durable - l.firstLSN + 1)
-	if l.durable < l.firstLSN {
-		keep = 0
+	dropped = l.n - keep
+	tail = tornTail(l.at(keep), torn)
+	l.bytes -= l.bytesFrom(keep)
+	// Cut without writing to any existing chunk (see Chunk ownership): whole
+	// chunks past the barrier are unlinked, and a chunk the barrier falls
+	// inside is replaced by a private copy of its surviving prefix.
+	whole, off := keep>>logChunkShift, keep&logChunkMask
+	if off > 0 {
+		l.chunks[whole] = l.chunks[whole].prefix(off)
+		whole++
 	}
-	lost := l.records[keep:]
-	dropped = len(lost)
-	if torn != TornNone && len(lost) > 0 {
-		enc := lost[0].Encode(nil)
-		switch torn {
-		case TornShort:
-			// Keep just over half the record: enough for the fixed header so
-			// the decoder gets into the variable-length section before the
-			// bytes run out.
-			cut := recFixed + (len(enc)-recFixed)/2
-			tail = enc[:cut]
-		case TornFlip:
-			// Mangle a payload byte — the last prior-image byte when the
-			// record carries one (a reader that trusts the tail would then
-			// undo with a value that never existed), else a fixed-header
-			// byte inside Page.Num. Never a length prefix: the record still
-			// parses structurally, only the checksum knows.
-			if len(lost[0].Prior) > 0 {
-				enc[len(enc)-recSum-1] ^= 0xff
-			} else {
-				enc[recFixed-2] ^= 0xff
-			}
-			tail = enc
-		}
-	}
-	for i := range lost {
-		l.bytes -= int64(lost[i].Size())
-		lost[i] = Record{}
-	}
-	l.records = l.records[:keep]
+	clear(l.chunks[whole:])
+	l.chunks = l.chunks[:whole]
+	l.n = keep
 	return tail, dropped
 }
 
-// Read returns records with LSN in (after, after+max]; max <= 0 means all
-// available. The returned slice aliases internal storage and must not be
-// mutated.
-func (l *Log) Read(after LSN, max int) []Record {
-	head := l.Head()
-	if after >= head {
+// tornTail returns what a crash in the given mode leaves of the record that
+// was being written: nil for TornNone, else rec's encoding mangled.
+func tornTail(rec *Record, torn TornMode) []byte {
+	if torn == TornNone {
 		return nil
 	}
-	start := after + 1
-	if start < l.firstLSN {
-		panic(fmt.Sprintf("storage: log read below retention: want LSN %d, first retained %d", start, l.firstLSN))
+	enc := rec.Encode(nil)
+	if torn == TornShort {
+		// Keep just over half the record: enough for the fixed header so
+		// the decoder gets into the variable-length section before the
+		// bytes run out.
+		return enc[:recFixed+(len(enc)-recFixed)/2]
 	}
-	idx := int(start - l.firstLSN)
-	end := len(l.records)
-	if max > 0 && idx+max < end {
-		end = idx + max
+	// TornFlip: mangle a payload byte — the last prior-image byte when the
+	// record carries one (a reader that trusts the tail would then undo
+	// with a value that never existed), else a fixed-header byte inside
+	// Page.Num. Never a length prefix: the record still parses
+	// structurally, only the checksum knows.
+	if len(rec.Prior) > 0 {
+		enc[len(enc)-recSum-1] ^= 0xff
+	} else {
+		enc[recFixed-2] ^= 0xff
 	}
-	return l.records[idx:end]
+	return enc
 }
 
-// TruncateBefore drops records with LSN < lsn, reclaiming memory. It is a
-// no-op if lsn is below the current first retained LSN.
-func (l *Log) TruncateBefore(lsn LSN) {
-	if lsn <= l.firstLSN {
-		return
+// Chunks yields the log's records in LSN order, one slice per chunk. The
+// slices alias the log's storage and must not be written; the log must not
+// be appended to or crashed while the iteration runs.
+func (l *Log) Chunks() iter.Seq[[]Record] {
+	return func(yield func([]Record) bool) {
+		for i, c := range l.chunks {
+			if !yield(c[:min(logChunkLen, l.n-(i<<logChunkShift))]) {
+				return
+			}
+		}
 	}
-	head := l.Head()
-	if lsn > head+1 {
-		lsn = head + 1
+}
+
+// Read returns a copy of the records with LSN in (after, after+max]; max <= 0
+// means all available. It is a flat-slice convenience for tests — the
+// simulator itself walks the log with Chunks and never copies it.
+func (l *Log) Read(after LSN, max int) []Record {
+	if after >= l.Head() {
+		return nil
 	}
-	drop := int(lsn - l.firstLSN)
-	for _, r := range l.records[:drop] {
-		l.bytes -= int64(r.Size())
+	start, end := int(after), l.n
+	if max > 0 && start+max < end {
+		end = start + max
 	}
-	l.records = append([]Record(nil), l.records[drop:]...)
-	l.firstLSN = lsn
+	out := make([]Record, 0, end-start)
+	for i := start; i < end; i++ {
+		out = append(out, *l.at(i))
+	}
+	return out
 }
 
 // LogSnapshot is a point-in-time capture of a Log (warm-up memoization and
-// crash recovery). The record entries are shared with the source log —
-// records are immutable once appended, so aliasing is safe.
+// crash recovery). It owns its chunk-pointer slice and shares the chunks
+// themselves with the source log under the Chunk ownership rule on Log: the
+// first n slots are never written again, by the source or by any log
+// restored from the snapshot.
 type LogSnapshot struct {
-	firstLSN LSN
-	records  []Record
-	bytes    int64
-	durable  LSN
+	chunks  []*logChunk
+	n       int
+	bytes   int64
+	durable LSN
 }
 
 // Snapshot captures the log's current state.
-func (l *Log) Snapshot() LogSnapshot {
-	return LogSnapshot{firstLSN: l.firstLSN, records: l.records[:len(l.records):len(l.records)], bytes: l.bytes, durable: l.durable}
-}
+func (l *Log) Snapshot() LogSnapshot { return l.snapshotAt(l.n) }
 
 // DurableSnapshot is Snapshot restricted to the durable prefix — what
 // shared storage serves to a resyncing replica. Records past the fsync
 // barrier exist only in the primary's volatile memory and must not leak
 // into another node's recovery source.
-func (l *Log) DurableSnapshot() LogSnapshot {
-	snap := l.Snapshot()
-	n := 0
-	var bytes int64
-	for i := range snap.records {
-		if snap.records[i].LSN > snap.durable {
-			break
-		}
-		bytes += int64(snap.records[i].Size())
-		n++
-	}
-	snap.records = snap.records[:n:n]
-	snap.bytes = bytes
-	return snap
+func (l *Log) DurableSnapshot() LogSnapshot { return l.snapshotAt(int(l.durable)) }
+
+// snapshotAt captures the log's first n records.
+func (l *Log) snapshotAt(n int) LogSnapshot {
+	chunks := (n + logChunkMask) >> logChunkShift
+	return LogSnapshot{chunks: slices.Clone(l.chunks[:chunks]), n: n, bytes: l.bytes - l.bytesFrom(n), durable: l.durable}
 }
 
-// Restore resets the log to a snapshot. The record slice is copied so that
-// multiple logs restored from one snapshot append independently.
+// Restore resets the log to a snapshot. Sealed chunks are shared; the open
+// chunk, if any, is copied so that several logs restored from one snapshot
+// append independently.
 func (l *Log) Restore(snap LogSnapshot) {
-	l.firstLSN = snap.firstLSN
-	l.records = append([]Record(nil), snap.records...)
+	l.chunks = slices.Clone(snap.chunks)
+	if off := snap.n & logChunkMask; off > 0 {
+		last := len(l.chunks) - 1
+		l.chunks[last] = l.chunks[last].prefix(off)
+	}
+	l.n = snap.n
 	l.bytes = snap.bytes
 	l.durable = snap.durable
 }
 
-// Len returns the number of retained records.
-func (l *Log) Len() int { return len(l.records) }
+// Len returns the number of records held.
+func (l *Log) Len() int { return l.n }
 
-// Bytes returns the total encoded size of retained records.
+// Bytes returns the total encoded size of the records held.
 func (l *Log) Bytes() int64 { return l.bytes }
