@@ -1,6 +1,7 @@
 // Package storage provides the physical substrate shared by every simulated
 // cloud database: page identity and sizing, an LRU buffer pool with dirty
-// tracking, and write-ahead-log records with a real binary codec.
+// tracking (a flat frame slab and an open-addressed page index, no list and
+// no map), and write-ahead-log records with a real binary codec.
 //
 // Row *data* lives in the engine's logical layer (delta trees over a
 // deterministic generator); this package models where that data physically
