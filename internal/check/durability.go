@@ -17,57 +17,11 @@ import (
 //   - NoResurrection: no key's final value is an image only an unacked
 //     transaction ever wrote — the signature of recovery skipping undo or
 //     trusting a torn log tail.
-
-// keyRef locates one touched key for final-state lookup.
-type keyRef struct {
-	table string
-	key   engine.Key
-}
-
-// durabilityExpectations walks the history once, returning every touched
-// key in first-touch order, the value the committed history says it must
-// end at (baseline until a committed write lands), and the after-images
-// non-committed transactions wrote to it.
-func durabilityExpectations(h *Recorder) (order []string, refs map[string]keyRef, expected map[string]string, zombie map[string]map[string][]uint64) {
-	committed := h.committedTxns()
-	refs = make(map[string]keyRef)
-	expected = make(map[string]string)
-	zombie = make(map[string]map[string][]uint64)
-	for i := range h.events {
-		ev := &h.events[i]
-		if ev.Kind != EvWrite {
-			continue
-		}
-		k := ev.Table + "\x00" + string(ev.Key)
-		if _, ok := refs[k]; !ok {
-			refs[k] = keyRef{table: ev.Table, key: append(engine.Key(nil), ev.Key...)}
-			order = append(order, k)
-			// Until a committed write lands, the key must end at the value
-			// it held when first touched: the before-image of the first
-			// write is that baseline (write order per key is lock order).
-			expected[k] = encRow(ev.Before)
-		}
-		if committed[ev.Txn] {
-			expected[k] = encRow(ev.After)
-		} else {
-			img := encRow(ev.After)
-			if zombie[k] == nil {
-				zombie[k] = make(map[string][]uint64)
-			}
-			zombie[k][img] = append(zombie[k][img], ev.Txn)
-		}
-	}
-	return order, refs, expected, zombie
-}
-
-// finalValue reads a key's committed value from the post-recovery database.
-func finalValue(db *engine.DB, ref keyRef) string {
-	row, _, ok := db.Read(ref.table, ref.key)
-	if !ok {
-		return encRow(nil)
-	}
-	return encRow(row)
-}
+//
+// Both read the expectations the recorder's index folded in one pass (the
+// first write's before-image, overwritten by every committed after-image;
+// the non-committed writers linked per key) and the final values through
+// DB.ReadInto into the index's row scratch.
 
 // Durability verifies that after every crash and recovery in the run, each
 // touched key's final value is exactly what the acknowledged-commit history
@@ -77,13 +31,13 @@ func finalValue(db *engine.DB, ref keyRef) string {
 // run NoResurrection alongside to classify which.
 func Durability(name string, h *Recorder, db *engine.DB) Verdict {
 	v := Verdict{Name: "durability/" + name, Passed: true}
-	order, refs, expected, _ := durabilityExpectations(h)
-	for _, k := range order {
+	ix := h.index()
+	for _, k := range ix.wkeys {
 		v.Checked++
-		ref := refs[k]
-		if got := finalValue(db, ref); got != expected[k] {
+		ki := &ix.keys[k]
+		if !sameImage(ix.final(h, db, k), h.row(ki.expected)) {
 			v.fail("table %s key %x: final value diverges from the last acknowledged commit",
-				ref.table, ref.key)
+				h.tables[ki.table], h.key(ki.key))
 		}
 	}
 	return v
@@ -96,21 +50,23 @@ func Durability(name string, h *Recorder, db *engine.DB) Verdict {
 // committed" yet the write is visible.
 func NoResurrection(name string, h *Recorder, db *engine.DB) Verdict {
 	v := Verdict{Name: "no-resurrection/" + name, Passed: true}
-	order, refs, expected, zombie := durabilityExpectations(h)
-	for _, k := range order {
-		images := zombie[k]
-		if len(images) == 0 {
+	ix := h.index()
+	for _, k := range ix.wkeys {
+		ki := &ix.keys[k]
+		if ki.zFirst < 0 {
 			continue
 		}
 		v.Checked++
-		ref := refs[k]
-		got := finalValue(db, ref)
-		if got == expected[k] {
+		got := ix.final(h, db, k)
+		if sameImage(got, h.row(ki.expected)) {
 			continue // committed value wins, even if some zombie wrote the same bytes
 		}
-		if txns, ok := images[got]; ok {
-			v.fail("table %s key %x: holds a value only non-committed txn %d wrote (resurrected write)",
-				ref.table, ref.key, txns[0])
+		for z := ki.zFirst; z >= 0; z = ix.zombie[z].next {
+			if sameImage(got, h.row(ix.zombie[z].img)) {
+				v.fail("table %s key %x: holds a value only non-committed txn %d wrote (resurrected write)",
+					h.tables[ki.table], h.key(ki.key), ix.zombie[z].txn)
+				break
+			}
 		}
 	}
 	return v

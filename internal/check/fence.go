@@ -1,8 +1,6 @@
 package check
 
 import (
-	"time"
-
 	"cloudybench/internal/storage"
 )
 
@@ -87,27 +85,4 @@ func FenceVerdicts(f *storage.Fence) []Verdict {
 		MonotonicEpoch(events),
 		FencedWrites(events),
 	}
-}
-
-// Before returns a recorder holding only the history strictly before the
-// given instant, with commit/abort totals recomputed over that prefix. After
-// a partition fail-over the old primary's post-rejoin replay mutates its DB
-// without observer callbacks, so state-bound invariants (conservation,
-// read-committed) are judged on the pre-fail-over prefix of its history.
-func (r *Recorder) Before(at time.Duration) *Recorder {
-	out := &Recorder{}
-	for i := range r.events {
-		ev := r.events[i]
-		if ev.At >= at {
-			break
-		}
-		out.events = append(out.events, ev)
-		switch ev.Kind {
-		case EvCommit:
-			out.commits++
-		case EvAbort:
-			out.aborts++
-		}
-	}
-	return out
 }

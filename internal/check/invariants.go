@@ -2,8 +2,10 @@ package check
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cloudybench/internal/core"
@@ -46,68 +48,58 @@ func (v Verdict) String() string {
 // versa with a mismatched amount) is a violation.
 func Conservation(h *Recorder) Verdict {
 	v := Verdict{Name: "conservation", Passed: true}
-	committed := h.committedTxns()
+	ix := h.index()
 
 	custCredit := core.CustomerSchema().ColIndex("C_CREDIT")
 	ordAmount := core.OrdersSchema().ColIndex("O_TOTALAMOUNT")
 	ordStatus := core.OrdersSchema().ColIndex("O_STATUS")
+	cust, ord := h.tableID(core.TableCustomer), h.tableID(core.TableOrders)
 
-	type txnSums struct {
-		creditDelta float64
-		paidAmount  float64
-		touchedCust bool
-		touchedOrd  bool
-	}
-	sums := make(map[uint64]*txnSums)
-	get := func(txn uint64) *txnSums {
-		s := sums[txn]
-		if s == nil {
-			s = &txnSums{}
-			sums[txn] = s
-		}
-		return s
-	}
-
-	for i := range h.events {
-		ev := &h.events[i]
-		if ev.Kind != EvWrite || !committed[ev.Txn] {
+	ix.sums = append(ix.sums[:0], make([]txnSums, len(ix.txns))...)
+	ix.touched = ix.touched[:0]
+	for i := range ix.writes {
+		w := &ix.writes[i]
+		tx := &ix.txns[w.txn]
+		if !tx.committed {
 			continue
 		}
-		switch ev.Table {
-		case core.TableCustomer:
-			s := get(ev.Txn)
-			s.touchedCust = true
-			if ev.Before == nil || ev.After == nil {
-				v.fail("txn %d: customer rows must only be updated, saw insert/delete of key %x", ev.Txn, ev.Key)
-				continue
-			}
-			s.creditDelta += ev.After[custCredit].F - ev.Before[custCredit].F
-		case core.TableOrders:
-			s := get(ev.Txn)
-			s.touchedOrd = true
-			if ev.Before == nil || ev.After == nil {
-				v.fail("txn %d: order rows must only be updated, saw insert/delete of key %x", ev.Txn, ev.Key)
-				continue
-			}
-			if ev.After[ordStatus].S != core.StatusPaid {
-				v.fail("txn %d: order update left status %q, want %q", ev.Txn, ev.After[ordStatus].S, core.StatusPaid)
-			}
-			if ev.After[ordAmount].F != ev.Before[ordAmount].F {
-				v.fail("txn %d: order amount changed %.2f -> %.2f", ev.Txn, ev.Before[ordAmount].F, ev.After[ordAmount].F)
-			}
-			s.paidAmount += ev.Before[ordAmount].F
+		table := int(ix.keys[w.key].table)
+		if table != cust && table != ord {
+			continue
 		}
+		s := &ix.sums[w.txn]
+		if !s.touchedCust && !s.touchedOrd {
+			ix.touched = append(ix.touched, w.txn)
+		}
+		before, after := h.row(w.before), h.row(w.after)
+		if table == cust {
+			s.touchedCust = true
+			if before == nil || after == nil {
+				v.fail("txn %d: customer rows must only be updated, saw insert/delete of key %x", tx.id, h.key(ix.keys[w.key].key))
+				continue
+			}
+			s.creditDelta += after[custCredit].F - before[custCredit].F
+			continue
+		}
+		s.touchedOrd = true
+		if before == nil || after == nil {
+			v.fail("txn %d: order rows must only be updated, saw insert/delete of key %x", tx.id, h.key(ix.keys[w.key].key))
+			continue
+		}
+		if after[ordStatus].S != core.StatusPaid {
+			v.fail("txn %d: order update left status %q, want %q", tx.id, after[ordStatus].S, core.StatusPaid)
+		}
+		if after[ordAmount].F != before[ordAmount].F {
+			v.fail("txn %d: order amount changed %.2f -> %.2f", tx.id, before[ordAmount].F, after[ordAmount].F)
+		}
+		s.paidAmount += before[ordAmount].F
 	}
 	// Verdict.Details keeps only the first maxDetails violations, so the
-	// iteration order here is visible in the chaos report: walk txns in
-	// numeric order, not map order.
-	txns := make([]uint64, 0, len(sums))
-	for txn := range sums {
-		txns = append(txns, txn)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i] < txns[j] })
-	for _, txn := range txns {
-		s := sums[txn]
+	// order here is visible in the chaos report: walk txns in numeric order.
+	slices.SortFunc(ix.touched, func(a, b int32) int { return cmp.Compare(ix.txns[a].id, ix.txns[b].id) })
+	for _, t := range ix.touched {
+		s := &ix.sums[t]
+		txn := ix.txns[t].id
 		v.Checked++
 		if s.touchedCust != s.touchedOrd {
 			v.fail("txn %d: touched customer=%v orders=%v — payment must touch both", txn, s.touchedCust, s.touchedOrd)
@@ -120,6 +112,14 @@ func Conservation(h *Recorder) Verdict {
 	return v
 }
 
+// txnSums is one committed transaction's money movement.
+type txnSums struct {
+	creditDelta float64
+	paidAmount  float64
+	touchedCust bool
+	touchedOrd  bool
+}
+
 // RowBalance verifies the row-count conservation invariant: for every table,
 // the live row count must equal the base rows plus committed inserts minus
 // committed deletes observed in the history (T1 grows ORDERLINE, T4 shrinks
@@ -127,29 +127,19 @@ func Conservation(h *Recorder) Verdict {
 // writes on the primary.
 func RowBalance(h *Recorder, db *engine.DB) Verdict {
 	v := Verdict{Name: "row-balance", Passed: true}
-	committed := h.committedTxns()
-
-	net := make(map[string]int64)
-	for i := range h.events {
-		ev := &h.events[i]
-		if ev.Kind != EvWrite || !committed[ev.Txn] {
-			continue
-		}
-		switch {
-		case ev.Before == nil && ev.After != nil:
-			net[ev.Table]++
-		case ev.Before != nil && ev.After == nil:
-			net[ev.Table]--
-		}
-	}
+	ix := h.index()
 	tables := db.Tables()
 	for _, name := range sortedTableNames(tables) {
 		t := tables[name]
 		v.Checked++
-		want := t.BaseRows() + net[name]
+		var net int64
+		if id := h.tableID(name); id >= 0 {
+			net = ix.net[id]
+		}
+		want := t.BaseRows() + net
 		if got := t.LiveRows(); got != want {
 			v.fail("table %s: live rows %d, want base %d %+d committed net inserts = %d",
-				name, got, t.BaseRows(), net[name], want)
+				name, got, t.BaseRows(), net, want)
 		}
 	}
 	return v
@@ -183,69 +173,74 @@ func sortedTableNames(m map[string]*engine.Table) []string {
 // fixes its baseline, and every later observation must agree.
 func ReadCommitted(h *Recorder) Verdict {
 	v := Verdict{Name: "read-committed", Passed: true}
+	ix := h.index()
 
-	type keyState struct {
-		known bool
-		val   string
+	state := append(ix.state[:0], make([]keyState, len(ix.keys))...)
+	ix.state = state
+	cursor := ix.cursor[:0]
+	for i := range ix.txns {
+		cursor = append(cursor, ix.txns[i].first)
 	}
-	state := make(map[string]*keyState)
-	pending := make(map[uint64]map[string]string)
+	ix.cursor = cursor
+	pending := ix.pending // (txn, key) → the txn's latest uncommitted image
+	clear(pending)
 
-	tk := func(table string, key engine.Key) string { return table + "\x00" + string(key) }
-	expect := func(txn uint64, k string) (string, bool) {
-		if p, ok := pending[txn][k]; ok {
-			return p, true
+	expect := func(t, k int32) (span, bool) {
+		if len(pending) > 0 {
+			if img, ok := pending[pendingKey(t, k)]; ok {
+				return img, true
+			}
 		}
-		if st, ok := state[k]; ok && st.known {
+		if st := state[k]; st.known {
 			return st.val, true
 		}
-		return "", false
+		return span{}, false
 	}
-	learn := func(k, val string) {
-		state[k] = &keyState{known: true, val: val}
-	}
-
-	for i := range h.events {
-		ev := &h.events[i]
-		k := tk(ev.Table, ev.Key)
-		switch ev.Kind {
+	h.each(func(seq int, ev *event) {
+		ids := ix.ev[seq]
+		switch ev.kind {
 		case EvRead:
 			v.Checked++
-			got := encRow(ev.After)
-			if want, ok := expect(ev.Txn, k); ok {
-				if got != want {
-					v.fail("seq %d txn %d: read of %s key %x saw a value that is neither the latest committed one nor its own write",
-						ev.Seq, ev.Txn, ev.Table, ev.Key)
-				}
-			} else {
-				learn(k, got)
+			if want, ok := expect(ids.txn, ids.key); !ok {
+				state[ids.key] = keyState{known: true, val: ev.after}
+			} else if !sameImage(h.row(ev.after), h.row(want)) {
+				v.fail("seq %d txn %d: read of %s key %x saw a value that is neither the latest committed one nor its own write",
+					seq, ev.txn, h.tables[ev.table], h.key(ev.key))
 			}
 		case EvWrite:
 			v.Checked++
-			before := encRow(ev.Before)
-			if want, ok := expect(ev.Txn, k); ok {
-				if before != want {
-					v.fail("seq %d txn %d: write to %s key %x has a stale before-image (lost update or lock violation)",
-						ev.Seq, ev.Txn, ev.Table, ev.Key)
+			if want, ok := expect(ids.txn, ids.key); !ok {
+				state[ids.key] = keyState{known: true, val: ev.before}
+			} else if !sameImage(h.row(ev.before), h.row(want)) {
+				v.fail("seq %d txn %d: write to %s key %x has a stale before-image (lost update or lock violation)",
+					seq, ev.txn, h.tables[ev.table], h.key(ev.key))
+			}
+			pending[pendingKey(ids.txn, ids.key)] = ev.after
+		case EvCommit, EvAbort:
+			// The txn's writes since it last finished (an id recurs when
+			// several engines share the recorder) stop being pending; on
+			// commit, each key's last one becomes its committed value.
+			w := cursor[ids.txn]
+			for ; w >= 0 && int(ix.writes[w].seq) < seq; w = ix.writes[w].next {
+				wr := &ix.writes[w]
+				if ev.kind == EvCommit {
+					state[wr.key] = keyState{known: true, val: wr.after}
 				}
-			} else {
-				learn(k, before)
+				delete(pending, pendingKey(ids.txn, wr.key))
 			}
-			if pending[ev.Txn] == nil {
-				pending[ev.Txn] = make(map[string]string)
-			}
-			pending[ev.Txn][k] = encRow(ev.After)
-		case EvCommit:
-			for pk, val := range pending[ev.Txn] {
-				learn(pk, val)
-			}
-			delete(pending, ev.Txn)
-		case EvAbort:
-			delete(pending, ev.Txn)
+			cursor[ids.txn] = w
 		}
-	}
+	})
 	return v
 }
+
+// keyState is what ReadCommitted's replay knows of one key.
+type keyState struct {
+	known bool
+	val   span
+}
+
+func pendingKey(txn, key int32) uint64 { return uint64(txn)<<32 | uint64(uint32(key)) }
 
 // Convergence verifies that a replica's replayed state matches the primary
 // byte for byte after quiesce: identical live row counts and identical
@@ -253,6 +248,7 @@ func ReadCommitted(h *Recorder) Verdict {
 // delete). The caller must quiesce replication first (backlog drained).
 func Convergence(name string, primary, replica *engine.DB) Verdict {
 	v := Verdict{Name: "convergence/" + name, Passed: true}
+	var pd, rd []deltaEntry
 	primaryTables := primary.Tables()
 	for _, tname := range sortedTableNames(primaryTables) {
 		pt := primaryTables[tname]
@@ -264,40 +260,46 @@ func Convergence(name string, primary, replica *engine.DB) Verdict {
 		if pt.LiveRows() != rt.LiveRows() {
 			v.fail("table %s: primary has %d live rows, replica %d", tname, pt.LiveRows(), rt.LiveRows())
 		}
-		type entry struct {
-			key string
-			val string
-		}
-		collect := func(t *engine.Table) []entry {
-			var out []entry
-			t.ScanDelta(func(k engine.Key, row engine.Row, tombstone bool) bool {
-				val := "<tombstone>"
-				if !tombstone {
-					val = encRow(row)
-				}
-				out = append(out, entry{key: string(k), val: val})
-				return true
-			})
-			return out
-		}
-		pd, rd := collect(pt), collect(rt)
+		pd, rd = collectDelta(pd, pt), collectDelta(rd, rt)
 		v.Checked += len(pd)
 		if len(pd) != len(rd) {
 			v.fail("table %s: primary delta has %d entries, replica %d", tname, len(pd), len(rd))
 			continue
 		}
 		for i := range pd {
-			if pd[i].key != rd[i].key {
+			p, r := &pd[i], &rd[i]
+			if !bytes.Equal(p.key, r.key) {
 				v.fail("table %s: delta key mismatch at entry %d", tname, i)
 				break
 			}
-			if pd[i].val != rd[i].val {
-				v.fail("table %s: row divergence at key %x", tname, []byte(pd[i].key))
+			if !sameImage(p.row, r.row) {
+				v.fail("table %s: row divergence at key %x", tname, []byte(p.key))
 				break
 			}
 		}
 	}
 	return v
+}
+
+// deltaEntry references one overlay entry in place (row nil = tombstone).
+type deltaEntry struct {
+	key engine.Key
+	row engine.Row
+}
+
+// collectDelta refills dst with references to t's overlay entries in key
+// order. The overlay is not mutated while a verdict runs, so the keys and
+// rows it hands out stay put.
+func collectDelta(dst []deltaEntry, t *engine.Table) []deltaEntry {
+	dst = dst[:0]
+	t.ScanDelta(func(k engine.Key, row engine.Row, tombstone bool) bool {
+		if tombstone {
+			row = nil
+		}
+		dst = append(dst, deltaEntry{key: k, row: row})
+		return true
+	})
+	return dst
 }
 
 // IndexCoherent verifies that every secondary index on every table of the

@@ -288,8 +288,8 @@ type Txn struct {
 	locks []*lockState
 	// keyBuf is the composite lock-key scratch (table name, NUL, row key),
 	// pkBuf the primary-key scratch Insert encodes into, and priorBuf the
-	// row a base-only before-image is materialized in (it is only encoded
-	// into the WAL record's Prior, never retained).
+	// row a base-only before-image is materialized in (it is encoded into
+	// the WAL record's Prior and shown to an observer, never retained).
 	keyBuf   []byte
 	pkBuf    []byte
 	priorBuf Row
@@ -431,12 +431,8 @@ func (t *Txn) read(table *Table, k Key, dst Row, mode LockMode) (Row, storage.Pa
 	if err := t.acquire(table, k, mode); err != nil {
 		return nil, storage.PageID{}, err
 	}
-	o := t.db.observer
-	if o != nil {
-		dst = nil // an observer may retain the row it is shown
-	}
 	row, page, ok := table.GetInto(k, dst)
-	if o != nil {
+	if o := t.db.observer; o != nil {
 		o.OnRead(t.db.sim.Elapsed(), t.id, table.Schema.Name, k, row)
 	}
 	if !ok {
@@ -446,12 +442,8 @@ func (t *Txn) read(table *Table, k Key, dst Row, mode LockMode) (Row, storage.Pa
 }
 
 // priorScratch returns the buffer a write's base-only before-image may be
-// materialized in: the txn's own, sized so the generator never grows it —
-// or nil, for a fresh row, when an observer is attached to retain it.
+// materialized in: the txn's own, sized so the generator never grows it.
 func (t *Txn) priorScratch(table *Table) Row {
-	if t.db.observer != nil {
-		return nil
-	}
 	if n := len(table.Schema.Cols); cap(t.priorBuf) < n {
 		t.priorBuf = make(Row, 0, n)
 	}

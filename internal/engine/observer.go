@@ -13,6 +13,11 @@ import "time"
 // implementations need no locking. A nil-row before-image means the key did
 // not exist; a nil after-image means the write was a delete.
 //
+// Keys and rows shown to an observer are valid only for the call: they may
+// be the caller's key scratch, the caller's row scratch a base row was
+// materialized in, or the transaction's before-image buffer, all reused
+// after the call returns. An observer that keeps a key or a row copies it.
+//
 // The same pattern extends to resource waits: LockTable.OnWait reports
 // lock-wait intervals to whoever attached it (the node layer adapts it to
 // the observability tracer), keeping the engine free of any dependency on
