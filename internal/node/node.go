@@ -372,14 +372,14 @@ func (n *Node) pagedIn(p *sim.Proc, pg storage.PageID, kind obs.Kind) {
 		}
 		n.faultGate(p)
 		n.Backend.FetchPage(p, pg)
-		_, dirty, ok := n.Buf.Admit(pg)
+		victim, dirty, ok := n.Buf.Admit(pg)
 		delete(n.ioLatch, pg)
 		latch.Broadcast()
 		// Woken waiters re-probe the buffer and never touch the latch
 		// again, so it can serve the next miss at once.
 		n.latchFree = append(n.latchFree, latch)
 		if ok && dirty {
-			n.Backend.FlushPage(p, pg)
+			n.Backend.FlushPage(p, victim)
 		}
 		if tr != nil {
 			tr.Record(p, kind, t0, p.Elapsed())

@@ -335,6 +335,32 @@ func TestRemoteBufferTwoTier(t *testing.T) {
 	}
 }
 
+// An evicted dirty page is written back to the remote pool, not the page
+// whose admission evicted it: a two-page local buffer and a two-page remote
+// pool, where the fetch of c pushes a out of both tiers, must end with the
+// writeback re-admitting a.
+func TestRemoteBufferReceivesEvictedDirtyPage(t *testing.T) {
+	s := sim.New(epoch)
+	remote := storage.NewBufferPool(2)
+	rb := &RemoteBuffer{Remote: remote, RDMA: netsim.NewLink(s, netsim.RDMA, 10), Fallback: NullBackend{}}
+	n := New(s, Config{Name: "n1", VCores: 1, MemoryBytes: 2 * storage.PageSize}, rb)
+	a, b, c := storage.PageID{Table: 1, Num: 1}, storage.PageID{Table: 1, Num: 2}, storage.PageID{Table: 1, Num: 3}
+	s.Go("w", func(p *sim.Proc) {
+		n.WritePage(p, a)
+		n.ReadPage(p, b)
+		n.ReadPage(p, c)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Buf.Contains(a) {
+		t.Fatal("local buffer still holds a; the test did not evict it")
+	}
+	if !remote.Contains(a) {
+		t.Fatal("evicted dirty page a never reached the remote pool")
+	}
+}
+
 func TestLocalDiskIOPSQueueing(t *testing.T) {
 	s := sim.New(epoch)
 	disk := NewLocalDisk(s, 10) // 10 IOPS: each op takes 100ms of channel
