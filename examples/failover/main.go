@@ -1,5 +1,5 @@
-// Fail-over example: inject a restart-model RW failure into CDB4 and into
-// AWS RDS under steady traffic, print CDB4's promote-an-RO timeline
+// Fail-over example: kill the RW node of CDB4 and of AWS RDS under steady
+// traffic, print CDB4's promote-an-RO timeline
 // (paper Figure 7), and compare the two recovery phases (F and R scores).
 package main
 

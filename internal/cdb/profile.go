@@ -176,12 +176,10 @@ func rdsProfile() Profile {
 		},
 		Failover: cluster.FailoverConfig{
 			// Table VIII: F 24s RW / 6s RO; R 18s/30s. ARIES redo+undo at
-			// restart is the paper's explanation for the slowest recovery.
-			DetectDelay:          2 * time.Second,
-			RestartServiceTime:   22 * time.Second,
-			RORestartServiceTime: 4 * time.Second,
-			ClearBufferOnRestart: true,
-			RecoveryRamp:         18 * time.Second,
+			// restart is the paper's explanation for the slowest recovery;
+			// here F is the detect delay plus the Recovery pass above.
+			DetectDelay:  2 * time.Second,
+			RecoveryRamp: 18 * time.Second,
 		},
 		// RDS has no promotable shared-storage replica: a partitioned primary
 		// can only be waited out and restarted in place — the blunt recovery
@@ -244,11 +242,8 @@ func cdb1Profile() Profile {
 		Failover: cluster.FailoverConfig{
 			// Table VIII: F 6s / R 18s RW, 0s RO (materialized pages in
 			// the page server; asynchronous log replay).
-			DetectDelay:          time.Second,
-			RestartServiceTime:   5 * time.Second,
-			RORestartServiceTime: 5 * time.Second,
-			ClearBufferOnRestart: true,
-			RecoveryRamp:         8 * time.Second,
+			DetectDelay:  time.Second,
+			RecoveryRamp: 8 * time.Second,
 			// Partition fail-over phases: the storage tier already holds
 			// materialized pages, so switch-over is quick once the lease
 			// advances.
@@ -325,10 +320,7 @@ func cdb2Profile() Profile {
 		Failover: cluster.FailoverConfig{
 			// Table VIII: F 6s/6s, R 36s/18s — recovery route crosses the
 			// separated log and page stores.
-			DetectDelay:          time.Second,
-			RestartServiceTime:   5 * time.Second,
-			RORestartServiceTime: 5 * time.Second,
-			ClearBufferOnRestart: true,
+			DetectDelay: time.Second,
 			// Recovery crosses the separated log and page stores, the
 			// longest catch-up route (Table VIII: highest R).
 			RecoveryRamp: 24 * time.Second,
@@ -403,11 +395,8 @@ func cdb3Profile() Profile {
 		Failover: cluster.FailoverConfig{
 			// Table VIII: F 12s/6s, R 30s/6s — Kubernetes reschedules the
 			// compute pod, then pages come from the page server.
-			DetectDelay:          time.Second,
-			RestartServiceTime:   11 * time.Second,
-			RORestartServiceTime: 5 * time.Second,
-			ClearBufferOnRestart: true,
-			RecoveryRamp:         14 * time.Second,
+			DetectDelay:  time.Second,
+			RecoveryRamp: 14 * time.Second,
 			// Partition fail-over reschedules compute against the safekeeper
 			// quorum; parallel replay keeps the recover phase short.
 			PreparePhase: time.Second,
@@ -485,16 +474,11 @@ func cdb4Profile() Profile {
 		Failover: cluster.FailoverConfig{
 			// Fig. 7: prepare 1s, switch-over 2s, recovering 3s; detect via
 			// heartbeat ~0.5s. Table VIII: F 3s/2s, R 3s/4s.
-			DetectDelay:          500 * time.Millisecond,
-			PromoteOnRWFailure:   true,
-			PreparePhase:         time.Second,
-			SwitchPhase:          2 * time.Second,
-			RecoverPhase:         3 * time.Second,
-			RestartServiceTime:   2 * time.Second,
-			RORestartServiceTime: 1500 * time.Millisecond,
-			// The remote buffer pool survives node restarts, so caches
-			// stay warm — the paper credits it for the fast recovery.
-			ClearBufferOnRestart: true,
+			DetectDelay:        500 * time.Millisecond,
+			PromoteOnRWFailure: true,
+			PreparePhase:       time.Second,
+			SwitchPhase:        2 * time.Second,
+			RecoverPhase:       3 * time.Second,
 		},
 		// Heartbeats ride the RDMA fabric: the tightest detector and the
 		// fastest lease-fenced promotion of the five SUTs.

@@ -6,11 +6,11 @@
 //
 // Every fault perturbs performance or availability, never correctness —
 // stalled disks delay IO, error bursts reject requests (clients retry),
-// crashed replicas buffer their replication backlog and catch up. The
-// invariant checkers in internal/check must therefore PASS under any
-// schedule; a FAIL means an engine bug, not an expected casualty of the
-// fault. Faults model §II-E's restart philosophy extended to the messier
-// failure modes real cloud databases are differentiated by.
+// killed nodes lose only what fsync had not made durable and recover from
+// the log. The invariant checkers in internal/check must therefore PASS
+// under any schedule; a FAIL means an engine bug, not an expected casualty
+// of the fault. Faults model §II-E's self-healing failures extended to the
+// messier failure modes real cloud databases are differentiated by.
 package chaos
 
 import (
@@ -39,10 +39,6 @@ const (
 	// fail with node.ErrIOFault for the duration; clients back off and
 	// retry.
 	IOErrorBurst Kind = "io-error-burst"
-	// ReplicaCrash crashes the target replica mid-replay: the node goes
-	// down, the stream buffers its backlog, and on restart the replica
-	// drains the backlog (convergence is checked after quiesce).
-	ReplicaCrash Kind = "replica-crash"
 	// LinkDegrade adds ExtraLatency to every deployment link and scales
 	// bandwidth by BWFactor for the duration (congested or flapping
 	// fabric).
@@ -72,8 +68,8 @@ const (
 	// fsync made durable (the in-flight record torn per Torn), every
 	// volatile structure dies, and the cluster drives real crash recovery —
 	// ARIES redo/undo for an RW, promote-and-seed for switch-over
-	// architectures, durable-log resync for an RO. Unlike ReplicaCrash
-	// (a scripted restart), recovery time here is emergent from the log.
+	// architectures, durable-log resync for an RO. Recovery time is
+	// emergent from the log.
 	NodeCrash Kind = "node-crash"
 )
 
@@ -82,7 +78,7 @@ type Event struct {
 	// At is the virtual-time offset of injection (from schedule start).
 	At time.Duration
 	// Kind selects the fault; Duration its active window (ignored by
-	// ReplicaCrash and CacheDrop, which are instantaneous injections whose
+	// NodeCrash and CacheDrop, which are instantaneous injections whose
 	// recovery the cluster controls).
 	Kind     Kind
 	Duration time.Duration
@@ -107,7 +103,8 @@ type Schedule struct {
 }
 
 // Standard returns the canonical chaos schedule scaled onto a run window:
-// one of each fault kind, placed at fixed fractions of the span so any
+// the faults that degrade a node without killing it (node kills belong to
+// the durability gauntlet), placed at fixed fractions of the span so any
 // measurement duration exercises the full gauntlet.
 func Standard(span time.Duration) Schedule {
 	frac := func(f float64) time.Duration { return time.Duration(float64(span) * f) }
@@ -116,7 +113,6 @@ func Standard(span time.Duration) Schedule {
 		{At: frac(0.20), Kind: CacheDrop, Target: "rw"},
 		{At: frac(0.30), Kind: LinkDegrade, Duration: frac(0.10), ExtraLatency: 200 * time.Microsecond, BWFactor: 0.25},
 		{At: frac(0.45), Kind: IOErrorBurst, Duration: frac(0.08), Target: "rw", Rate: 0.3},
-		{At: frac(0.60), Kind: ReplicaCrash, Target: "ro0"},
 		{At: frac(0.75), Kind: NodePause, Duration: frac(0.04), Target: "rw"},
 		{At: frac(0.85), Kind: DiskStall, Duration: frac(0.05), Target: "ro0"},
 	}}
@@ -199,7 +195,7 @@ func Validate(sched Schedule, t Targets) error {
 			return fail("Rate %v outside [0,1]", ev.Rate)
 		}
 		switch ev.Kind {
-		case DiskStall, IOErrorBurst, ReplicaCrash, NodePause, CacheDrop, NodeCrash:
+		case DiskStall, IOErrorBurst, NodePause, CacheDrop, NodeCrash:
 			if lookup(ev.Target) == nil {
 				return fail("unknown node target %q", ev.Target)
 			}
@@ -295,10 +291,6 @@ func (inj *Injector) fire(p *sim.Proc, ev Event) {
 			m.Node.SetIOErrorRate(ev.Rate, inj.targets.Seed)
 			p.Sleep(ev.Duration)
 			m.Node.SetIOErrorRate(0, 0)
-		}
-	case ReplicaCrash:
-		if m := inj.member(ev.Target); m != nil {
-			inj.targets.Cluster.InjectCrashMidReplay(p, m)
 		}
 	case NodeCrash:
 		if m := inj.member(ev.Target); m != nil {

@@ -32,7 +32,7 @@ func TestValidateRejectsMalformedSchedules(t *testing.T) {
 		{"negative duration", chaos.Event{Kind: chaos.DiskStall, Duration: -time.Second, Target: "rw"}, "negative Duration"},
 		{"rate above one", chaos.Event{Kind: chaos.IOErrorBurst, Target: "rw", Rate: 1.5}, "outside [0,1]"},
 		{"rate below zero", chaos.Event{Kind: chaos.IOErrorBurst, Target: "rw", Rate: -0.1}, "outside [0,1]"},
-		{"unknown node", chaos.Event{Kind: chaos.ReplicaCrash, Target: "ro9"}, "unknown node target"},
+		{"unknown node", chaos.Event{Kind: chaos.NodeCrash, Target: "ro9"}, "unknown node target"},
 		{"unknown kind", chaos.Event{Kind: chaos.Kind("meteor-strike"), Target: "rw"}, "unknown fault kind"},
 		{"empty partition group", chaos.Event{Kind: chaos.Partition, GroupA: []string{"rw"}}, "non-empty"},
 		{"unknown endpoint", chaos.Event{Kind: chaos.Partition, GroupA: []string{"rw"}, GroupB: []string{"mars"}}, "unknown endpoint"},

@@ -1,16 +1,19 @@
 // Package cluster manages a database cluster: one read-write node, its
 // read-only replicas, the replication streams between them, and fail-over.
 //
-// Failure injection follows the paper's restart model (§II-E): the testbed
-// invokes a restart rather than a kill so the service comes back without
-// operator action, and the evaluator measures two phases — time until the
-// service accepts requests again (F-Score) and time until throughput
-// recovers to its pre-failure level (R-Score).
+// Every failure takes one path, InjectNodeCrash: the node is killed (its WAL
+// keeps only what fsync made durable, every volatile structure dies), the
+// failure is detected after the heartbeat delay, and the node comes back
+// through real crash recovery whose duration is emergent from the log. The
+// service then returns without operator action, as in the paper's §II-E, and
+// the evaluator reads the two phases off the run: until the service accepts
+// requests again (F-Score) and until throughput regains its pre-failure level
+// (R-Score).
 //
-// Two fail-over styles are supported: restart-in-place (RDS and most CDBs)
-// and the memory-disaggregated switch-over of Figure 7 (CDB4): prepare
-// (refuse requests, collect LSNs), promote an RO to the new RW, then
-// recover by scanning undo — with the old RW rejoining as an RO.
+// A killed RW recovers in place (RDS and most CDBs) or, on the
+// memory-disaggregated architecture of Figure 7 (CDB4), fails over: prepare
+// (refuse requests, collect LSNs), promote an RO to the new RW, recover by
+// scanning undo, and recover the old RW into a replica.
 package cluster
 
 import (
@@ -52,22 +55,13 @@ type Member struct {
 type FailoverConfig struct {
 	// DetectDelay is the heartbeat interval before a failure is noticed.
 	DetectDelay time.Duration
-	// RestartServiceTime is how long a restarted node stays down before
-	// accepting requests again (ARIES redo/undo or log-replay recovery).
-	RestartServiceTime time.Duration
-	// RORestartServiceTime overrides RestartServiceTime for RO restarts
-	// (zero = same).
-	RORestartServiceTime time.Duration
-	// ClearBufferOnRestart cold-starts the cache, making TPS recovery
-	// gradual (the R phase).
-	ClearBufferOnRestart bool
 	// RecoveryRamp, if positive, throttles the restarted node's vCores,
 	// ramping linearly from 25% back to full over this duration —
 	// modeling background redo/undo replay and catch-up work competing
 	// with foreground queries. It is what separates R-Score from zero:
 	// the service is up (F done) but throughput lags (R phase).
 	RecoveryRamp time.Duration
-	// PromoteOnRWFailure switches over to an RO instead of restarting in
+	// PromoteOnRWFailure switches over to an RO instead of recovering in
 	// place (CDB4, Figure 7), using the three phase durations below.
 	PromoteOnRWFailure bool
 	PreparePhase       time.Duration
@@ -229,51 +223,6 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
-// InjectRestart restarts the given member per the restart model, blocking
-// the calling process for the failure-detection delay plus the recovery
-// flow. It returns when the service is accepting requests again.
-func (c *Cluster) InjectRestart(p *sim.Proc, m *Member) {
-	p.Sleep(c.cfg.DetectDelay)
-	if m.Role == RW && c.cfg.PromoteOnRWFailure {
-		c.promoteFailover(p, m, engine.RecoveryOpts{})
-		return
-	}
-	c.restartInPlace(p, m)
-}
-
-func (c *Cluster) restartInPlace(p *sim.Proc, m *Member) {
-	c.mark(fmt.Sprintf("%s failure injected", m.Role))
-	m.Node.SetState(node.Down)
-	if c.cfg.ClearBufferOnRestart {
-		m.Node.Buf.Clear()
-	}
-	wait := c.cfg.RestartServiceTime
-	if m.Role == RO && c.cfg.RORestartServiceTime > 0 {
-		wait = c.cfg.RORestartServiceTime
-	}
-	t0 := c.S.Elapsed()
-	p.Sleep(wait)
-	c.tracePhase(fmt.Sprintf("%s restart recovery", m.Role), t0, c.S.Elapsed())
-	m.Node.SetState(node.Running)
-	c.mark(fmt.Sprintf("%s service restored", m.Role))
-	c.rampUp(m.Node)
-}
-
-// InjectCrashMidReplay crashes the given RO member while its replication
-// stream is mid-replay: the node goes Down for the RO restart service time
-// (cache lost if the architecture cold-starts), while the stream keeps
-// buffering shipped records. On restart the replica must drain the
-// accumulated backlog — the replica-convergence checker verifies no record
-// was lost or skipped across the crash. It blocks the calling process until
-// the service is restored (backlog drain continues in the background).
-func (c *Cluster) InjectCrashMidReplay(p *sim.Proc, m *Member) {
-	if m == nil || m.Role != RO {
-		return
-	}
-	p.Sleep(c.cfg.DetectDelay)
-	c.restartInPlace(p, m)
-}
-
 // CrashOpts selects the fault shape for InjectNodeCrash.
 type CrashOpts struct {
 	// Torn selects how the record mid-write at the crash instant is mangled.
@@ -299,8 +248,9 @@ func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, opts CrashOpts) (engin
 	}
 	if m.Node.State() != node.Running {
 		// The node is already down, recovering, or paused: crashing a
-		// mid-recovery node would corrupt the restart model, so the fault is
-		// recorded as a no-op (the schedule stays deterministic either way).
+		// mid-recovery node would corrupt the recovery in progress, so the
+		// fault is recorded as a no-op (the schedule stays deterministic
+		// either way).
 		c.mark(fmt.Sprintf("%s crash skipped (not running)", m.Role))
 		return engine.RecoveryStats{}, nil
 	}
@@ -329,8 +279,7 @@ func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, opts CrashOpts) (engin
 }
 
 // recoverNode drives real node recovery for a crashed member and restores
-// it to service, recording the same timeline marks as a scripted restart so
-// evaluator phase detection is agnostic to which path ran.
+// it to service, marking "<role> service restored" on the timeline.
 func (c *Cluster) recoverNode(p *sim.Proc, m *Member, opts engine.RecoveryOpts) (engine.RecoveryStats, error) {
 	t0 := c.S.Elapsed()
 	st, err := m.Node.Recover(p, opts)
@@ -364,18 +313,13 @@ func (c *Cluster) rampUp(n *node.Node) {
 	})
 }
 
-// promoteFailover runs the Figure 7 switch-over: prepare, promote an RO to
-// the new RW, recover, and rejoin the old RW as an RO. When the old RW is
-// down from a real crash its rejoin runs actual ARIES recovery over its
+// promoteFailover runs the Figure 7 switch-over away from a crashed RW:
+// prepare, promote the first RO to the new RW, recover, and rejoin the old
+// RW as an RO. The rejoin runs actual ARIES recovery over the old RW's
 // durable log; those stats are returned so crash gauntlets can report the
 // recovery work a promotion architecture still performs.
 func (c *Cluster) promoteFailover(p *sim.Proc, old *Member, opts engine.RecoveryOpts) (engine.RecoveryStats, error) {
 	target := c.Replica(0)
-	if target == nil {
-		// No replica to promote: fall back to restart-in-place.
-		c.restartInPlace(p, old)
-		return engine.RecoveryStats{}, nil
-	}
 	c.mark("RW failure detected")
 
 	// Lease: advance the epoch first. From this instant the old RW — even
@@ -414,14 +358,11 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member, opts engine.Recovery
 	old.Role = RO
 	target.Role = RW
 	c.rw = target
-	if old.Node.Crashed() {
-		// The old RW actually crashed (not a scripted restart): seed the new
-		// RW's WAL from the durable log in shared storage so its LSNs and
-		// txn ids continue the acknowledged history the replica applied.
-		snap, _ := old.Node.CrashArtifacts()
-		target.Node.DB.Log().Restore(snap)
-		target.Node.DB.BumpTxnFloor(old.Node.DB.TxnCounter())
-	}
+	// Seed the new RW's WAL from the durable log in shared storage so its
+	// LSNs and txn ids continue the acknowledged history the replica applied.
+	snap, _ := old.Node.CrashArtifacts()
+	target.Node.DB.Log().Restore(snap)
+	target.Node.DB.BumpTxnFloor(old.Node.DB.TxnCounter())
 
 	// Recovering: the new RW rebuilds active transactions and rolls back
 	// uncommitted work by scanning undo.
@@ -457,22 +398,15 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member, opts engine.Recovery
 			m.Node.SetState(node.Running)
 		}
 	}
-	// The old RW restarts (cleanup + restart) slightly behind the
-	// switch-over, then serves reads.
+	// The old RW restarts cold slightly behind the switch-over and rejoins
+	// through actual recovery over its durable log — honest, since its
+	// rebuilt state only ever serves reads behind the new RW's replication
+	// stream.
 	old.Node.Buf.Clear()
-	var st engine.RecoveryStats
-	if old.Node.Crashed() {
-		// Real crash: the old primary rejoins through actual recovery over
-		// its durable log — honest, since its rebuilt state only ever serves
-		// reads behind the new RW's replication stream.
-		var err error
-		if st, err = old.Node.Recover(p, opts); err != nil {
-			c.mark("old RW recovery failed")
-			return st, err
-		}
-	} else {
-		p.Sleep(c.cfg.RestartServiceTime)
-		old.Node.SetState(node.Running)
+	st, err := old.Node.Recover(p, opts)
+	if err != nil {
+		c.mark("old RW recovery failed")
+		return st, err
 	}
 	c.mark("old RW rejoined as RO'")
 	return st, nil

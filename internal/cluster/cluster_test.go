@@ -28,12 +28,17 @@ func genOrder(dst engine.Row, id int64) engine.Row {
 	return append(dst[:0], engine.Int(id), engine.Str("NEW"))
 }
 
+// recoveryBase is the fixed cost of every test node's crash recovery.
+const recoveryBase = 500 * time.Millisecond
+
 func makeNode(s *sim.Sim, name string) *node.Node {
 	n := node.New(s, node.Config{
 		Name: name, VCores: 4, MemoryBytes: 64 << 20,
 		OpCPU: 10 * time.Microsecond, TxnCPU: 10 * time.Microsecond,
+		Recovery: node.RecoveryConfig{Base: recoveryBase},
 	}, node.NullBackend{})
 	n.DB.MustCreateTable(ordersSchema(), 1000, genOrder)
+	n.RebuildSchema = func(db *engine.DB) { db.MustCreateTable(ordersSchema(), 1000, genOrder) }
 	return n
 }
 
@@ -99,29 +104,39 @@ func TestClusterReadNodeRoundRobinAndFallback(t *testing.T) {
 	}
 }
 
+// TestRestartInPlaceTimings: a killed node recovers in place after the
+// detection delay plus its priced recovery pass (only the fixed Base here:
+// the test nodes price no per-record work), and keeps what it committed.
 func TestRestartInPlaceTimings(t *testing.T) {
 	s := sim.New(epoch)
-	cfg := FailoverConfig{
-		DetectDelay:          time.Second,
-		RestartServiceTime:   10 * time.Second,
-		RORestartServiceTime: 3 * time.Second,
-		ClearBufferOnRestart: true,
-	}
-	c := makeCluster(s, cfg, 1)
+	c := makeCluster(s, FailoverConfig{DetectDelay: time.Second}, 1)
 	s.Go("injector", func(p *sim.Proc) {
 		rw := c.RWMember()
-		c.InjectRestart(p, rw)
-		if got := p.Elapsed(); got != 11*time.Second {
-			t.Errorf("RW restart completed at %v, want 11s (1s detect + 10s restart)", got)
+		tx, _ := rw.Node.Begin(p)
+		tx.Update(rw.Node.DB.Table("orders"), engine.IntKey(3), engine.Row{engine.Int(3), engine.Str("PAID")})
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+		start := p.Elapsed()
+		if _, err := c.InjectNodeCrash(p, rw, CrashOpts{}); err != nil {
+			t.Error(err)
+		}
+		if got := p.Elapsed() - start; got != time.Second+recoveryBase {
+			t.Errorf("RW recovery took %v, want %v (1s detect + recovery base)", got, time.Second+recoveryBase)
 		}
 		if rw.Node.State() != node.Running {
-			t.Error("RW not running after restart")
+			t.Error("RW not running after recovery")
+		}
+		if row, _, ok := rw.Node.DB.Table("orders").Get(engine.IntKey(3)); !ok || row[1].S != "PAID" {
+			t.Error("committed update lost across the crash")
 		}
 		ro := c.Replica(0)
-		start := p.Elapsed()
-		c.InjectRestart(p, ro)
-		if got := p.Elapsed() - start; got != 4*time.Second {
-			t.Errorf("RO restart took %v, want 4s (1s detect + 3s RO restart)", got)
+		start = p.Elapsed()
+		if _, err := c.InjectNodeCrash(p, ro, CrashOpts{}); err != nil {
+			t.Error(err)
+		}
+		if got := p.Elapsed() - start; got != time.Second+recoveryBase {
+			t.Errorf("RO recovery took %v, want %v (1s detect + recovery base)", got, time.Second+recoveryBase)
 		}
 		c.Shutdown()
 	})
@@ -130,20 +145,21 @@ func TestRestartInPlaceTimings(t *testing.T) {
 	}
 }
 
+// TestRestartClearsBuffer: a kill loses the cache; recovery brings the node
+// back cold.
 func TestRestartClearsBuffer(t *testing.T) {
 	s := sim.New(epoch)
-	cfg := FailoverConfig{RestartServiceTime: time.Second, ClearBufferOnRestart: true}
-	c := makeCluster(s, cfg, 0)
+	c := makeCluster(s, FailoverConfig{}, 0)
 	s.Go("w", func(p *sim.Proc) {
 		rw := c.RW()
 		tbl := rw.DB.Table("orders")
 		rw.ReadPage(p, tbl.PageOfBase(1))
 		if rw.Buf.Len() == 0 {
-			t.Error("buffer empty before restart")
+			t.Error("buffer empty before the crash")
 		}
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 		if rw.Buf.Len() != 0 {
-			t.Error("buffer survived restart")
+			t.Error("buffer survived the crash")
 		}
 		c.Shutdown()
 	})
@@ -160,13 +176,12 @@ func TestPromoteFailoverSwitchesRoles(t *testing.T) {
 		PreparePhase:       time.Second,
 		SwitchPhase:        2 * time.Second,
 		RecoverPhase:       3 * time.Second,
-		RestartServiceTime: 2 * time.Second,
 	}
 	c := makeCluster(s, cfg, 1)
 	oldRW := c.RW()
 	oldRO := c.Replica(0).Node
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
@@ -193,7 +208,7 @@ func TestPromoteFailoverSwitchesRoles(t *testing.T) {
 	}
 	// Timeline must contain the Figure 7 phases in order.
 	tl := c.Timeline()
-	wantPhases := []string{"RW failure detected", "prepare", "switch-over", "recovering", "RW' serving", "old RW rejoined"}
+	wantPhases := []string{"RW crash injected", "RW failure detected", "prepare", "switch-over", "recovering", "RW' serving", "old RW rejoined"}
 	if len(tl) < len(wantPhases) {
 		t.Fatalf("timeline has %d events: %v", len(tl), tl)
 	}
@@ -210,33 +225,37 @@ func TestPromoteFailoverSwitchesRoles(t *testing.T) {
 	}
 }
 
+// TestPromoteWithoutReplicaFallsBack: a promote-on-failure architecture with
+// no replica to promote recovers the killed RW in place.
 func TestPromoteWithoutReplicaFallsBack(t *testing.T) {
 	s := sim.New(epoch)
-	cfg := FailoverConfig{
-		PromoteOnRWFailure: true,
-		RestartServiceTime: 2 * time.Second,
-	}
-	c := makeCluster(s, cfg, 0)
+	c := makeCluster(s, FailoverConfig{PromoteOnRWFailure: true}, 0)
+	rw := c.RW()
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectRestart(p, c.RWMember())
-		if p.Elapsed() != 2*time.Second {
-			t.Errorf("fallback restart at %v", p.Elapsed())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		if p.Elapsed() != recoveryBase {
+			t.Errorf("in-place recovery done at %v, want %v", p.Elapsed(), recoveryBase)
 		}
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if c.RW() != rw || rw.State() != node.Running {
+		t.Fatal("RW not recovered in place")
+	}
+	if timelineContains(c, "prepare") {
+		t.Fatalf("promotion phases without a replica; timeline: %v", c.Timeline())
+	}
 }
 
 func TestWritesFailDuringOutageAndResumeAfter(t *testing.T) {
 	s := sim.New(epoch)
-	cfg := FailoverConfig{RestartServiceTime: 5 * time.Second}
-	c := makeCluster(s, cfg, 0)
+	c := makeCluster(s, FailoverConfig{DetectDelay: 5 * time.Second}, 0)
 	var failedDuring, okAfter bool
 	s.Go("injector", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 		c.Shutdown()
 	})
 	s.Go("client", func(p *sim.Proc) {
@@ -257,6 +276,6 @@ func TestWritesFailDuringOutageAndResumeAfter(t *testing.T) {
 		t.Fatal("writes did not fail during outage")
 	}
 	if !okAfter {
-		t.Fatal("writes did not resume after restart")
+		t.Fatal("writes did not resume after recovery")
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"cloudybench/internal/engine"
 	"cloudybench/internal/node"
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 // DetectorConfig calibrates the deterministic failure detector: the control
@@ -109,8 +111,21 @@ func (c *Cluster) onSuspect(p *sim.Proc, m *Member) {
 	// plane can only wait for the partition to heal and then bounce the
 	// primary — the blunt recovery that shows up as a large MTTR.
 	c.mark("partition: awaiting heal (restart-in-place)")
+	c.bounceAfterHeal(p, m)
+}
+
+// bounceAfterHeal waits until the control plane reaches the primary again,
+// then kills it and restarts it through real crash recovery — the same path
+// InjectNodeCrash takes, minus the detection delay the partition already
+// paid. A primary that is no longer running is left to whoever stopped it.
+func (c *Cluster) bounceAfterHeal(p *sim.Proc, m *Member) {
 	c.awaitReachable(p, m)
-	c.restartInPlace(p, m)
+	if m.Node.State() != node.Running {
+		return
+	}
+	m.Node.Crash(storage.TornNone)
+	c.mark(fmt.Sprintf("%s crash injected", m.Role))
+	c.recoverNode(p, m, engine.RecoveryOpts{})
 }
 
 // onRejoin handles a suspected member becoming reachable again. The healed
@@ -150,7 +165,7 @@ func (c *Cluster) firstReachableRO() *Member {
 // RW: advance the lease epoch (fencing the old RW at storage), drain the
 // promotion target's replication backlog, run the prepare/switch/recover
 // phases on the majority side, and grant the new RW the new epoch. Unlike
-// the restart-model promoteFailover, the old RW is NOT shut down — it is
+// the crash-driven promoteFailover, the old RW is NOT shut down — it is
 // unreachable, still Running, and possibly still accepting client traffic;
 // the fence is what makes that harmless.
 func (c *Cluster) partitionPromote(p *sim.Proc, old *Member) {
@@ -159,8 +174,7 @@ func (c *Cluster) partitionPromote(p *sim.Proc, old *Member) {
 		// Nothing to promote onto: behave like a restart-in-place
 		// architecture — wait out the partition, then bounce the primary.
 		c.mark("partition: no reachable RO, awaiting heal")
-		c.awaitReachable(p, old)
-		c.restartInPlace(p, old)
+		c.bounceAfterHeal(p, old)
 		return
 	}
 

@@ -25,11 +25,10 @@ func timelineContains(c *Cluster, prefix string) bool {
 
 // TestDetectorNoReachableROFallsBackToAwaitHeal: a partitioned RW with no
 // reachable promotion target (every replica on the minority side) must wait
-// the partition out and restart in place — the restart-model fallback.
+// the partition out, then kill the primary and recover it in place.
 func TestDetectorNoReachableROFallsBackToAwaitHeal(t *testing.T) {
 	s := sim.New(epoch)
-	cfg := FailoverConfig{RestartServiceTime: 2 * time.Second}
-	c := makeCluster(s, cfg, 1)
+	c := makeCluster(s, FailoverConfig{}, 1)
 	rw := c.RW()
 
 	// The whole data plane is on the minority side: neither the RW nor the
@@ -87,7 +86,6 @@ func TestPromoteDrainsReplicaBacklogBeforeTakeover(t *testing.T) {
 		PreparePhase:       time.Second,
 		SwitchPhase:        time.Second,
 		RecoverPhase:       time.Second,
-		RestartServiceTime: time.Second,
 	}
 	c := New(s, "test", cfg, rw, []*node.Node{ro}, factory)
 
@@ -109,7 +107,7 @@ func TestPromoteDrainsReplicaBacklogBeforeTakeover(t *testing.T) {
 		if shipped, applied := c.Replica(0).Stream.Counts(); shipped != 0 || applied != 0 {
 			t.Errorf("pre-promotion stream counts shipped=%d applied=%d, want 0/0", shipped, applied)
 		}
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
@@ -137,7 +135,6 @@ func TestPartitionPromoteFencesOldPrimary(t *testing.T) {
 		PreparePhase:       500 * time.Millisecond,
 		SwitchPhase:        500 * time.Millisecond,
 		RecoverPhase:       500 * time.Millisecond,
-		RestartServiceTime: time.Second,
 	}, 1)
 	oldRW := c.RW()
 	newRW := c.Replica(0).Node

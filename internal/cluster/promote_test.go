@@ -16,12 +16,11 @@ func TestPromoteWithTwoReplicasKeepsSecondServing(t *testing.T) {
 		PreparePhase:       time.Second,
 		SwitchPhase:        time.Second,
 		RecoverPhase:       time.Second,
-		RestartServiceTime: time.Second,
 	}
 	c := makeCluster(s, cfg, 2)
 	secondRO := c.Replica(1).Node
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
@@ -49,7 +48,6 @@ func TestWritesContinueOnPromotedRW(t *testing.T) {
 		PreparePhase:       time.Second,
 		SwitchPhase:        time.Second,
 		RecoverPhase:       time.Second,
-		RestartServiceTime: time.Second,
 	}
 	c := makeCluster(s, cfg, 1)
 	s.Go("flow", func(p *sim.Proc) {
@@ -61,7 +59,7 @@ func TestWritesContinueOnPromotedRW(t *testing.T) {
 		tx.Commit()
 		p.Sleep(500 * time.Millisecond) // replicate
 
-		c.InjectRestart(p, c.RWMember())
+		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
 
 		// Write after promotion goes to the new RW; the pre-failure write
 		// must be visible there (it was replicated before the switch).

@@ -187,6 +187,3 @@ func (c *Collector) Restore(snap CollectorSnapshot) {
 
 // Latency returns the latency reservoir.
 func (c *Collector) Latency() *meter.Reservoir { return c.latency }
-
-// CommitCounter exposes the raw commit counter (fail-over recovery search).
-func (c *Collector) CommitCounter() *meter.Counter { return c.commits }

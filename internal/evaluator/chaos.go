@@ -16,8 +16,7 @@ type ChaosConfig struct {
 	// Concurrency is the client count (default 16).
 	Concurrency int
 	// Span is the traffic window the fault schedule is compiled onto
-	// (default 20s; must leave room for the replica restart, which takes up
-	// to ~5s of virtual time depending on the SUT).
+	// (default 20s; see chaos.Standard for the fault instants).
 	Span time.Duration
 	Seed int64
 	// Tracer, if non-nil, records per-transaction stage traces through the

@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -180,26 +181,45 @@ func TestRunTenancyPoolWinsStaggered(t *testing.T) {
 	}
 }
 
+// TestRunFailoverShapes pins Table VIII's emergent shape: RDS, recovering in
+// place through full ARIES redo, has the largest F(RW) of the five; the
+// promotion architecture's timeline keeps every Figure 7 phase in order; and
+// an RO kill is measured too.
 func TestRunFailoverShapes(t *testing.T) {
 	short := func(kind cdb.Kind, role cluster.Role) FailoverResult {
 		return RunFailover(FailoverConfig{
-			Kind: kind, Role: role, Concurrency: 60,
-			Baseline: 6 * time.Second, Timeout: 90 * time.Second,
+			Kind: kind, Role: role, Concurrency: 12,
+			Baseline: 8 * time.Second, Timeout: 10 * time.Second,
 		})
 	}
-	rds := short(cdb.RDS, cluster.RW)
-	c4 := short(cdb.CDB4, cluster.RW)
-	if rds.F == 0 || c4.F == 0 {
-		t.Fatalf("no outage measured: rds=%v cdb4=%v", rds.F, c4.F)
+	f := map[cdb.Kind]time.Duration{}
+	var c4 FailoverResult
+	for _, kind := range cdb.Kinds {
+		r := short(kind, cluster.RW)
+		if r.F == 0 {
+			t.Fatalf("%s: no outage measured", kind)
+		}
+		f[kind] = r.F
+		if kind == cdb.CDB4 {
+			c4 = r
+		}
 	}
-	// Paper Table VIII: RDS slowest, CDB4 fastest.
-	if c4.F >= rds.F {
-		t.Fatalf("CDB4 F %v >= RDS F %v", c4.F, rds.F)
+	for _, kind := range cdb.Kinds[1:] {
+		if f[kind] >= f[cdb.RDS] {
+			t.Errorf("%s F(RW) %v >= RDS F(RW) %v; F by SUT: %v", kind, f[kind], f[cdb.RDS], f)
+		}
 	}
-	if len(c4.Timeline) < 5 {
-		t.Fatalf("CDB4 timeline too short: %v", c4.Timeline)
+	phases := []string{"RW crash injected", "RW failure detected", "prepare", "switch-over",
+		"recovering", "RW' serving requests", "old RW rejoined"}
+	next := 0
+	for _, ev := range c4.Timeline {
+		if next < len(phases) && strings.HasPrefix(ev.Phase, phases[next]) {
+			next++
+		}
 	}
-	// RO failure also measurable.
+	if next < len(phases) {
+		t.Fatalf("CDB4 timeline lacks Figure 7 phase %q: %v", phases[next], c4.Timeline)
+	}
 	ro := short(cdb.CDB1, cluster.RO)
 	if ro.F == 0 {
 		t.Fatal("RO failure not observed")
@@ -209,20 +229,55 @@ func TestRunFailoverShapes(t *testing.T) {
 	}
 }
 
+// TestRunFailoverFGrowsWithLogSinceCheckpoint: RDS's F(RW) is detection plus
+// an ARIES pass whose redo window is the log written since the last
+// checkpoint (every 30s), so a longer baseline before the kill means a
+// longer outage.
+func TestRunFailoverFGrowsWithLogSinceCheckpoint(t *testing.T) {
+	var prev time.Duration
+	for _, baseline := range []time.Duration{4 * time.Second, 10 * time.Second, 16 * time.Second, 22 * time.Second} {
+		r := RunFailover(FailoverConfig{
+			Kind: cdb.RDS, Role: cluster.RW, Concurrency: 3,
+			Baseline: baseline, Timeout: 16 * time.Second,
+		})
+		if r.F <= prev {
+			t.Fatalf("baseline %v: F = %v, not above %v at the shorter baseline", baseline, r.F, prev)
+		}
+		prev = r.F
+	}
+}
+
+// TestRunFailoverREndsWhereObservationStops: the observation stops once
+// throughput is back, and R must end inside it rather than fall back to the
+// whole window. Two criteria would disagree here: a 3-s mean over a window
+// not aligned to the 1-s buckets stops CDB3's run about 17s after the kill,
+// while no single bucket reaches 90 % of baseline, so a per-bucket R would
+// report F+R as the whole window.
+func TestRunFailoverREndsWhereObservationStops(t *testing.T) {
+	cfg := FailoverConfig{
+		Kind: cdb.CDB3, Role: cluster.RW, Concurrency: 60,
+		Baseline: 6 * time.Second, Timeout: 60 * time.Second,
+	}
+	r := RunFailover(cfg)
+	if r.F == 0 || r.F+r.R >= cfg.Timeout {
+		t.Fatalf("F = %v, R = %v: throughput recovery not found inside the %v window", r.F, r.R, cfg.Timeout)
+	}
+}
+
 // TestRunFailoverReportsTotalOutage: when the service never comes back
-// inside the observation window (RDS's 22s restart against a 10s window),
-// the result must report the full window as phase one, not the F=0/R=0 of a
-// perfect run.
+// inside the observation window (a 3s window against RDS's 2s detection plus
+// a recovery pass of at least 1.5s), the result must report the full window
+// as phase one, not the F=0/R=0 of a perfect run.
 func TestRunFailoverReportsTotalOutage(t *testing.T) {
 	r := RunFailover(FailoverConfig{
-		Kind: cdb.RDS, Role: cluster.RW, Concurrency: 60,
-		Baseline: 5 * time.Second, Timeout: 10 * time.Second,
+		Kind: cdb.RDS, Role: cluster.RW, Concurrency: 30,
+		Baseline: 5 * time.Second, Timeout: 3 * time.Second,
 	})
 	if r.BaselineTPS <= 0 {
 		t.Fatal("no baseline TPS")
 	}
-	if r.F != 10*time.Second {
-		t.Fatalf("F = %v, want the full 10s observation window", r.F)
+	if r.F != 3*time.Second {
+		t.Fatalf("F = %v, want the full 3s observation window", r.F)
 	}
 	if r.R != 0 {
 		t.Fatalf("R = %v, want 0 (service never returned, R unmeasurable)", r.R)

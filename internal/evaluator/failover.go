@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"cloudybench/internal/cdb"
+	"cloudybench/internal/chaos"
 	"cloudybench/internal/cluster"
 	"cloudybench/internal/core"
 	"cloudybench/internal/node"
@@ -11,8 +12,9 @@ import (
 )
 
 // FailoverConfig parameterizes one fail-over run (paper §II-E, Table VIII,
-// Figure 7): steady read-write traffic, a restart-model failure injection
-// on the RW or an RO node, and two-phase recovery measurement.
+// Figure 7): steady read-write traffic, a kill of the RW or an RO node that
+// the cluster brings back through real crash recovery, and two-phase
+// recovery measurement.
 type FailoverConfig struct {
 	Kind cdb.Kind
 	// Role selects the failed node (cluster.RW or cluster.RO).
@@ -54,132 +56,114 @@ type FailoverResult struct {
 	Role cluster.Role
 
 	BaselineTPS float64
-	// F is phase one: failure injection until the service accepts
-	// requests again (first TPS bucket above a small fraction of the
-	// baseline — raw non-zero would be fooled by in-flight transactions
-	// draining lock queues during the outage).
+	// F is phase one: the kill until the cluster's timeline marks the
+	// service restored — the whole observation window if it never is.
 	F time.Duration
-	// R is phase two: service recovery until TPS regains the pre-failure
-	// level (first bucket at >= 90% of baseline).
+	// R is phase two: service restored until throughput regains the
+	// pre-failure level (see throughputBack).
 	R time.Duration
 	// Timeline is the cluster's phase trace (Figure 7 for CDB4).
 	Timeline []cluster.PhaseEvent
 }
 
-// RunFailover injects one failure and measures recovery.
+// recoveryWindow is the span throughput is averaged over when deciding that
+// it has regained the pre-failure level.
+const recoveryWindow = 3 * time.Second
+
+// throughputBack returns the start of the first whole-second window of
+// recoveryWindow that begins at or after from, ends by until, and averages
+// at least 90% of the baseline TPS. Observation stops on it and phase R ends
+// at it, so the two can never disagree.
+func throughputBack(col *core.Collector, from, until time.Duration, baseline float64) (time.Duration, bool) {
+	for w := (from + time.Second - 1).Truncate(time.Second); w+recoveryWindow <= until; w += time.Second {
+		if col.TPS(w, w+recoveryWindow) >= baseline*0.9 {
+			return w, true
+		}
+	}
+	return 0, false
+}
+
+// RunFailover kills one node at the end of the baseline and measures
+// recovery: a gauntlet spec whose schedule is a single NodeCrash. F is read
+// off the cluster's timeline; R off the killed role's traffic.
 func RunFailover(cfg FailoverConfig) FailoverResult {
 	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+	killAt, end := cfg.Baseline, cfg.Baseline+cfg.Timeout
+	target, await := "rw", awaitWriteService
+	if cfg.Role == cluster.RO {
+		target, await = "ro0", awaitAllRunning
+	}
+	serviceBack := func(tl []cluster.PhaseEvent) time.Duration {
+		if cfg.Role == cluster.RO {
+			return firstMarkAfter(tl, killAt, "RO service restored")
+		}
+		return restoredAfter(tl, killAt)
+	}
 
 	// Write stream to the current RW (follows promotion); read stream
 	// pinned to the first replica member (whichever node fills that role).
 	writeCol, readCol := core.NewCollector(), core.NewCollector()
-	writeRunner := core.NewRunner(s, core.Config{
-		Name: "writes", Seed: cfg.Seed, Mix: core.MixReadWrite,
-		Write: d.RW, Read: d.RW,
-		Collector: writeCol, RetryBackoff: 200 * time.Millisecond,
-	})
-	replicaNode := func() *node.Node { return d.Cluster.Replica(0).Node }
-	readRunner := core.NewRunner(s, core.Config{
-		Name: "reads", Seed: cfg.Seed + 1, Mix: core.MixReadOnly,
-		Write: replicaNode, Read: replicaNode,
-		Collector: readCol, RetryBackoff: 200 * time.Millisecond,
-	})
-
-	writeCon := cfg.Concurrency / 3
-	readCon := cfg.Concurrency - writeCon
-	injectAt := cfg.Baseline
-	end := injectAt + cfg.Timeout
-
-	s.Go("ctl", func(p *sim.Proc) {
-		writeRunner.SetConcurrency(writeCon)
-		readRunner.SetConcurrency(readCon)
-		p.Sleep(injectAt)
-		var target *cluster.Member
-		if cfg.Role == cluster.RW {
-			target = d.Cluster.RWMember()
-		} else {
-			target = d.Cluster.Replica(0)
-		}
-		d.Cluster.InjectRestart(p, target)
-		// Observe recovery, terminating early once throughput holds at
-		// the baseline for a few consecutive buckets.
-		col := writeCol
-		if cfg.Role == cluster.RO {
-			col = readCol
-		}
-		baseline := col.TPS(0, injectAt)
-		for p.Elapsed() < end {
-			p.Sleep(5 * time.Second)
-			now := p.Elapsed()
-			if now < injectAt+15*time.Second {
-				continue
-			}
-			if col.TPS(now-3*time.Second, now) >= baseline*0.9 {
-				break
-			}
-		}
-		writeRunner.Stop()
-		readRunner.Stop()
-		writeRunner.Wait(p)
-		readRunner.Wait(p)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: failover run: " + err.Error())
-	}
-
 	col := writeCol
 	if cfg.Role == cluster.RO {
 		col = readCol
 	}
+	var stop time.Duration
+	rc := runGauntlet(spec{
+		name: "failover", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		schedule: chaos.Schedule{Events: []chaos.Event{{At: killAt, Kind: chaos.NodeCrash, Target: target}}},
+		await:    await,
+		body: func(p *sim.Proc, rc *run) {
+			d := rc.d
+			writes := core.NewRunner(d.S, core.Config{
+				Name: "writes", Seed: cfg.Seed, Mix: core.MixReadWrite,
+				Write: d.RW, Read: d.RW,
+				Collector: writeCol, RetryBackoff: 200 * time.Millisecond,
+			})
+			replica := func() *node.Node { return d.Cluster.Replica(0).Node }
+			reads := core.NewRunner(d.S, core.Config{
+				Name: "reads", Seed: cfg.Seed + 1, Mix: core.MixReadOnly,
+				Write: replica, Read: replica,
+				Collector: readCol, RetryBackoff: 200 * time.Millisecond,
+			})
+			writes.SetConcurrency(cfg.Concurrency / 3)
+			reads.SetConcurrency(cfg.Concurrency - cfg.Concurrency/3)
+			p.Sleep(killAt)
+			baseline := col.TPS(0, killAt)
+			for p.Elapsed() < end {
+				p.Sleep(time.Second)
+				if back := serviceBack(d.Cluster.Timeline()); back > 0 {
+					if _, ok := throughputBack(col, back, p.Elapsed(), baseline); ok {
+						break
+					}
+				}
+			}
+			stop = p.Elapsed()
+			writes.Stop()
+			reads.Stop()
+			writes.Wait(p)
+			reads.Wait(p)
+		},
+	})
+
 	res := FailoverResult{
 		Kind:        cfg.Kind,
 		Role:        cfg.Role,
-		BaselineTPS: col.TPS(0, injectAt),
-		Timeline:    d.Cluster.Timeline(),
+		BaselineTPS: col.TPS(0, killAt),
+		Timeline:    rc.d.Cluster.Timeline(),
 	}
-	counter := col.CommitCounter()
-	// Stragglers draining lock queues commit a handful of transactions
-	// mid-outage, so both phase boundaries use a small baseline fraction
-	// rather than raw zero/non-zero.
-	serviceThreshold := res.BaselineTPS * 0.05
-	if serviceThreshold < 2 {
-		serviceThreshold = 2
-	}
-	buckets := counter.Buckets(injectAt, end)
-	outage, serviceBack := -1, -1
-	for i, b := range buckets {
-		if outage < 0 {
-			if b < serviceThreshold {
-				outage = i
-			}
-			continue
-		}
-		if b >= serviceThreshold {
-			serviceBack = i
-			break
-		}
-	}
-	if outage >= 0 && serviceBack > 0 {
-		backAt := injectAt + time.Duration(serviceBack)*time.Second
-		res.F = backAt - injectAt
-		// Phase two: TPS back to >= 90% of baseline.
-		if recovered, ok := counter.FirstBucketReaching(backAt, res.BaselineTPS*0.9); ok {
-			res.R = recovered - backAt
-		} else {
-			res.R = end - backAt // never fully recovered in window
-		}
-	} else if outage >= 0 {
+	back := serviceBack(res.Timeline)
+	if back == 0 || back > end {
 		// Service never came back inside the observation window: the whole
 		// window is phase one. Without this, a total outage would report
 		// F=0/R=0 — indistinguishable from a perfect run.
-		res.F = end - injectAt
-		res.R = 0
+		res.F = end - killAt
+		return res
+	}
+	res.F = back - killAt
+	if at, ok := throughputBack(col, back, stop, res.BaselineTPS); ok {
+		res.R = at - back
+	} else {
+		res.R = end - back // never fully recovered in window
 	}
 	return res
 }

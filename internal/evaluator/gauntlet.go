@@ -18,9 +18,10 @@ import (
 	"cloudybench/internal/storage"
 )
 
-// The gauntlet harness (DESIGN.md §18). Every fault gauntlet — chaos,
-// partition, crash, suite, soak — is a spec executed by runGauntlet; its own
-// file holds only its config, its spec, and the numbers it reads off the run.
+// The gauntlet harness (DESIGN.md §18). Every fault run — the chaos,
+// partition, crash, suite and soak gauntlets and the fail-over cell — is a
+// spec executed by runGauntlet; its own file holds only its config, its spec,
+// and the numbers it reads off the run.
 
 // observe says which engines the history recorder watches.
 type observe int
@@ -93,7 +94,8 @@ type spec struct {
 	suite        *core.Suite
 	scanOverride core.ScanFunc
 	schema       func(*engine.DB) error
-	// body, if set, replaces the single span (soak: a burst per window).
+	// body, if set, replaces the single span (soak: a burst per window;
+	// fail-over: a write and a replica-pinned read stream).
 	body func(p *sim.Proc, rc *run)
 
 	schedule  chaos.Schedule // empty = no faults
@@ -322,7 +324,8 @@ func (rc *run) judge(sheet []invariant) []check.Verdict {
 }
 
 // restoredAfter returns when the timeline first shows write service restored
-// after `at` — a promotion completing, else a restart finishing (0 = never).
+// after `at` — a promotion completing, else an in-place recovery finishing
+// (0 = never).
 func restoredAfter(tl []cluster.PhaseEvent, at time.Duration) time.Duration {
 	if t := firstMarkAfter(tl, at, "RW' serving requests"); t > 0 {
 		return t

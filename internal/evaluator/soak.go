@@ -53,7 +53,7 @@ func (c SoakConfig) Tenants(w int) int { return tenantPattern[w%len(tenantPatter
 
 // SoakSchedule compiles the rolling chaos schedule for a soak run: every
 // virtual day repeats a disk stall clipping one burst (a p99 spike), a
-// degraded fabric window, a replica crash mid-burst (replication catch-up),
+// degraded fabric window, a replica kill mid-burst (durable-log resync),
 // a primary kill mid-burst with a torn WAL tail (real ARIES recovery, with
 // the following sweep judging durability across it), and a full client
 // blackout window (the seeded unavailability anomaly); from day two onward
@@ -78,11 +78,11 @@ func SoakSchedule(days int, window, burst time.Duration) chaos.Schedule {
 			// without collapsing its throughput.
 			chaos.Event{At: at(1), Kind: chaos.DiskStall, Target: "rw", Duration: burst / 4},
 			// Mid-day: congested fabric for a full burst, plus a replica
-			// crash a third of the way in — replication buffers its backlog
-			// over the degraded links and catches up.
+			// kill a third of the way in — the replica resyncs from the
+			// primary's durable log while the fabric is degraded.
 			chaos.Event{At: at(wpd / 2), Kind: chaos.LinkDegrade, Duration: burst,
 				ExtraLatency: 2 * time.Millisecond, BWFactor: 0.5},
-			chaos.Event{At: at(wpd/2) + burst/3, Kind: chaos.ReplicaCrash, Target: "ro0"},
+			chaos.Event{At: at(wpd/2) + burst/3, Kind: chaos.NodeCrash, Target: "ro0"},
 			// The primary is killed mid-burst with a torn WAL tail —
 			// in-flight transactions die, recovery must cut the tear, redo
 			// from the last checkpoint, and undo the losers. The next

@@ -9,8 +9,8 @@ import (
 )
 
 // Chaos runs every SUT through the standard fault gauntlet (disk stall,
-// cache drop, link degrade, IO-error burst, replica crash mid-replay, node
-// pause) while the invariant recorder watches the transaction history, then
+// cache drop, link degrade, IO-error burst, node pause) while the invariant
+// recorder watches the transaction history, then
 // reports a verdict sheet per system plus the recovery metrics the faults
 // left behind. Deterministic: the same scale and seed reproduce the report
 // byte for byte.
@@ -43,6 +43,6 @@ func Chaos(sc Scale) (string, []evaluator.ChaosResult) {
 	var b strings.Builder
 	b.WriteString(tbl.String())
 	b.WriteString(detail.String())
-	b.WriteString("\nFault schedule (per run): disk-stall(rw), cache-drop(rw), link-degrade(all), io-error-burst(rw), replica-crash(ro0), node-pause(rw), disk-stall(ro0)\n")
+	b.WriteString("\nFault schedule (per run): disk-stall(rw), cache-drop(rw), link-degrade(all), io-error-burst(rw), node-pause(rw), disk-stall(ro0)\n")
 	return b.String(), results
 }

@@ -93,12 +93,10 @@ func Figure7(sc Scale) (string, evaluator.FailoverResult) {
 	tbl := report.NewTable("", "t (since injection)", "Phase")
 	var injected time.Duration
 	for _, ev := range r.Timeline {
-		if strings.Contains(ev.Phase, "failure detected") {
+		if strings.HasSuffix(ev.Phase, "crash injected") {
 			injected = ev.At
+			break
 		}
-	}
-	if injected == 0 {
-		injected = sc.FailBaseline
 	}
 	for _, ev := range r.Timeline {
 		tbl.AddRow(report.Dur(ev.At-injected), ev.Phase)

@@ -283,39 +283,6 @@ func (c *Counter) Buckets(from, to time.Duration) []float64 {
 	return out
 }
 
-// FirstNonZeroBucketAfter returns the start time of the first bucket at or
-// after t with a non-zero count, and whether one exists. The fail-over
-// evaluator uses it to find the instant throughput resumes.
-func (c *Counter) FirstNonZeroBucketAfter(t time.Duration) (time.Duration, bool) {
-	start := int(t / c.bucket)
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < len(c.counts); i++ {
-		if c.counts[i] > 0 {
-			return time.Duration(i) * c.bucket, true
-		}
-	}
-	return 0, false
-}
-
-// FirstBucketReaching returns the start time of the first bucket at or after
-// t whose rate reaches target events/second, and whether one exists. The
-// fail-over evaluator uses it to find TPS recovery.
-func (c *Counter) FirstBucketReaching(t time.Duration, target float64) (time.Duration, bool) {
-	start := int(t / c.bucket)
-	if start < 0 {
-		start = 0
-	}
-	perSec := c.bucket.Seconds()
-	for i := start; i < len(c.counts); i++ {
-		if float64(c.counts[i])/perSec >= target {
-			return time.Duration(i) * c.bucket, true
-		}
-	}
-	return 0, false
-}
-
 // Reservoir collects latency samples for percentile reporting. It keeps all
 // samples (simulation scale keeps counts modest); Quantile sorts lazily.
 type Reservoir struct {

@@ -220,28 +220,6 @@ func TestCounterEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestCounterRecoverySearches(t *testing.T) {
-	c := NewCounter(time.Second)
-	c.Add(sec(0.1), 100) // steady before failure
-	c.Add(sec(1.1), 100)
-	// gap: seconds 2..5 are zero (failure)
-	c.Add(sec(6.1), 10) // trickle resumes
-	c.Add(sec(7.1), 50)
-	c.Add(sec(8.1), 100) // full recovery
-
-	at, ok := c.FirstNonZeroBucketAfter(sec(2))
-	if !ok || at != sec(6) {
-		t.Fatalf("FirstNonZeroBucketAfter = %v/%v, want 6s", at, ok)
-	}
-	at, ok = c.FirstBucketReaching(sec(2), 100)
-	if !ok || at != sec(8) {
-		t.Fatalf("FirstBucketReaching(100) = %v/%v, want 8s", at, ok)
-	}
-	if _, ok := c.FirstBucketReaching(sec(2), 1000); ok {
-		t.Fatal("unreachable target should report not found")
-	}
-}
-
 func TestReservoirQuantiles(t *testing.T) {
 	r := NewReservoir()
 	if r.Mean() != 0 || r.Quantile(0.5) != 0 {

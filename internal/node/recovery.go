@@ -84,9 +84,6 @@ func (n *Node) Crash(torn storage.TornMode) int {
 	return dropped
 }
 
-// Crashed reports whether the node is down from an un-recovered crash.
-func (n *Node) Crashed() bool { return n.crashed }
-
 // CrashArtifacts exposes the durable log snapshot and torn tail a crash
 // left behind (for fail-over: a promoted standby seeds from them).
 func (n *Node) CrashArtifacts() (storage.LogSnapshot, []byte) {
