@@ -91,9 +91,10 @@ func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
 
 // benchOLTPCell runs one small OLTP cell with the given tracer — the
 // substrate for the tracer-overhead pair below. The two benchmarks run the
-// identical simulation; comparing their ns/op (baseline in BENCH_trace.json)
-// bounds the tracing tax, and the nil-sink variant's allocs/op guards the
-// zero-cost-by-default promise at the whole-run level.
+// identical simulation; comparing their ns/op bounds the tracing tax (the
+// committed measurement is `go run ./benchmark`'s bench.trace_overhead_frac),
+// and the nil-sink variant's allocs/op guards the zero-cost-by-default
+// promise at the whole-run level.
 func benchOLTPCell(b *testing.B, tr *obs.Tracer) {
 	b.Helper()
 	b.ReportAllocs()
@@ -123,7 +124,7 @@ func BenchmarkTraceOn(b *testing.B) {
 // BenchmarkTraceTimeline measures the same cell with the tracer feeding a
 // Timeline sink (1s windows) — the soak runner's recording path. The delta
 // over BenchmarkTraceOn is the pure cost of windowed histogram
-// aggregation; baseline in BENCH_trace.json.
+// aggregation.
 func BenchmarkTraceTimeline(b *testing.B) {
 	benchOLTPCell(b, obs.NewTracer("cdb1", obs.NewTimeline("cdb1", time.Second)))
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"cloudybench/internal/netsim"
@@ -37,8 +38,8 @@ func main() {
 	case "local":
 		f = netsim.Local
 	default:
-		fmt.Printf("unknown fabric %q (tcp, rdma, local)\n", *fabric)
-		return
+		fmt.Fprintf(os.Stderr, "cbcost: unknown fabric %q (tcp, rdma, local)\n", *fabric)
+		os.Exit(2)
 	}
 	node := pricing.Package{
 		VCores: *vcores, MemoryGB: *mem, StorageGB: *storage,

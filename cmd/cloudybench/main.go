@@ -4,8 +4,10 @@
 // Usage:
 //
 //	cloudybench list
-//	cloudybench run <experiment-id>... [-scale quick|paper] [-o results.txt]
-//	cloudybench run all [-scale quick|paper]
+//	cloudybench run <experiment-id>... [-scale quick|paper|bench] [-o results.txt]
+//	cloudybench run all [-scale quick|paper|bench]
+//	cloudybench soak [-scale quick|paper|bench] [-o DIR]
+//	cloudybench custom -props FILE
 //
 // Experiment ids map to the paper's artifacts: f5 t5 f6 t6 t7 t8 f7 lag t9
 // f8 f9, plus the testbed extensions: ablations chaos oltp partition suites
@@ -90,6 +92,18 @@ func startProfiles(cpuFile, memFile string) (func(), error) {
 	}, nil
 }
 
+// parseFlags parses args into fs and rejects what is left over: parsing
+// stops at the first non-flag argument, which would otherwise be dropped.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected arguments after flags: %q", fs.Name(), fs.Args())
+	}
+	return nil
+}
+
 func usage() {
 	fmt.Println(`cloudybench — a testbed for comprehensive evaluation of cloud-native databases
 
@@ -125,7 +139,7 @@ Experiment ids correspond to the paper's tables and figures.`)
 func runCustom(args []string) error {
 	fs := flag.NewFlagSet("custom", flag.ContinueOnError)
 	propsFile := fs.String("props", "", "props file with elastic_testTime and *_con keys")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *propsFile == "" {
@@ -153,7 +167,7 @@ func runSoak(args []string) error {
 	parallel := fs.Int("parallel", 0, "SUT cells run on this many cores (0 = all cores, 1 = sequential); the artifact is byte-identical either way")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a post-GC heap profile at exit to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
@@ -206,7 +220,7 @@ func runExperiments(args []string) error {
 		ids = append(ids, rest[0])
 		rest = rest[1:]
 	}
-	if err := fs.Parse(rest); err != nil {
+	if err := parseFlags(fs, rest); err != nil {
 		return err
 	}
 	if len(ids) == 0 {
@@ -214,6 +228,11 @@ func runExperiments(args []string) error {
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
+	}
+	for _, id := range ids {
+		if _, ok := experiments.Describe(id); !ok {
+			return fmt.Errorf("unknown experiment %q (try `cloudybench list`)", id)
+		}
 	}
 	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
@@ -230,10 +249,7 @@ func runExperiments(args []string) error {
 
 	var out strings.Builder
 	for _, id := range ids {
-		desc, ok := experiments.Describe(id)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try `cloudybench list`)", id)
-		}
+		desc, _ := experiments.Describe(id)
 		fmt.Fprintf(os.Stderr, "== running %s (%s) at scale %s...\n", id, desc, sc.Name)
 		start := time.Now()
 		text, err := experiments.Run(id, sc)

@@ -28,7 +28,7 @@ func capture(t *testing.T, argv ...string) (code int, stdout, stderr string) {
 // bug: a pattern that matches no packages must exit 2 with a clear
 // message, never report CLEAN.
 func TestEmptyPatternFailsLoudly(t *testing.T) {
-	code, stdout, stderr := capture(t, "./internal/engine/testdata/...")
+	code, stdout, stderr := capture(t, "./internal/experiments/testdata/...") // goldens only, no Go files
 	if code != 2 {
 		t.Fatalf("exit %d for empty match; want 2\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}

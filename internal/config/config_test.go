@@ -105,55 +105,3 @@ func TestOrdinalFallback(t *testing.T) {
 		t.Fatalf("fallback = %q", ordinal(12))
 	}
 }
-
-func TestParseStmtTOMLDefaultCatalog(t *testing.T) {
-	cat, err := ParseStmtTOML(DefaultStmtDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs := cat.Sections()
-	if len(secs) != 4 || secs[0] != "t1_new_orderline" {
-		t.Fatalf("sections: %v", secs)
-	}
-	sel, ok := cat.Stmt("t2_order_payment", "select_order")
-	if !ok || !strings.Contains(sel, "O_TOTALAMOUNT") {
-		t.Fatalf("t2 select: %q %v", sel, ok)
-	}
-	if got := cat.MustStmt("t4_orderline_deletion", "delete"); !strings.Contains(got, "DELETE FROM orderline") {
-		t.Fatalf("t4: %q", got)
-	}
-	if len(cat.SectionStmts("t2_order_payment")) != 3 {
-		t.Fatal("t2 statement count")
-	}
-}
-
-func TestParseStmtTOMLEscapesAndErrors(t *testing.T) {
-	cat, err := ParseStmtTOML("[s]\nq = \"say \\\"hi\\\" \\\\ there\"")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cat.MustStmt("s", "q"); got != `say "hi" \ there` {
-		t.Fatalf("escapes: %q", got)
-	}
-	bad := []string{
-		"[unterminated\nk = \"v\"",
-		"[]",
-		"k = \"v\"",         // key outside section
-		"[s]\nk = unquoted", // not a string
-		"[s]\nnovalue",
-	}
-	for _, src := range bad {
-		if _, err := ParseStmtTOML(src); err == nil {
-			t.Errorf("ParseStmtTOML(%q) succeeded", src)
-		}
-	}
-	if _, ok := cat.Stmt("nope", "q"); ok {
-		t.Fatal("missing section lookup")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustStmt on missing did not panic")
-		}
-	}()
-	cat.MustStmt("s", "missing")
-}

@@ -1,8 +1,6 @@
-// Package config parses CloudyBench's configuration artifacts: the props
-// file (key=value pairs such as elastic_testTime and per-slot concurrency,
-// paper §II) and the stmt_db.toml statement catalog that decouples SQL
-// text from the workload classes (the paper's SqlReader/Sqlstmts
-// extensibility mechanism).
+// Package config parses CloudyBench's props file: key=value pairs such as
+// elastic_testTime and per-slot concurrency (paper §II), the input of
+// `cloudybench custom`.
 package config
 
 import (

@@ -10,19 +10,18 @@ import (
 )
 
 // Fast-path microbenchmarks for the txn commit loop and the replica apply
-// path (BENCH_engine.json). The schema mirrors the CloudyBench customer
-// table's shape — int key, two low-cardinality strings, a float — so the
-// row-image encode/decode cost is representative.
+// path. The schema mirrors the CloudyBench customer table's shape — int
+// key, two low-cardinality strings, a float — so the row-image
+// encode/decode cost is representative. The committed measurement is
+// `go run ./benchmark` (its probe.engine.* rows time the same paths).
 //
-// Refreshing the committed baseline after an intentional engine change
-// (fixed iteration counts so runs stay comparable across machines; the txn
-// benchmarks use a smaller count because each committed iteration grows the
-// WAL, and the replica benchmark a larger one so steady-state GC behaviour
-// is what gets measured):
+// Comparing two commits (fixed iteration counts so runs stay comparable;
+// the txn benchmarks use a smaller count because each committed iteration
+// grows the WAL, and the replica benchmark a larger one so steady-state GC
+// behaviour is what gets measured):
 //
-//	{ go test -run '^$' -bench 'BenchmarkTxn' -benchtime 100000x -count 5 ./internal/engine/
-//	  go test -run '^$' -bench 'BenchmarkReplicaApply' -benchtime 1000000x -count 5 ./internal/engine/
-//	} > internal/engine/testdata/bench_engine_baseline.txt
+//	go test -run '^$' -bench 'BenchmarkTxn' -benchtime 100000x -count 5 ./internal/engine/
+//	go test -run '^$' -bench 'BenchmarkReplicaApply' -benchtime 1000000x -count 5 ./internal/engine/
 
 func benchSchema() *Schema {
 	return &Schema{

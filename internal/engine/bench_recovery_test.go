@@ -8,17 +8,15 @@ import (
 	"cloudybench/internal/storage"
 )
 
-// Recovery microbenchmark (BENCH_engine.json). The redo loop is the hot
-// path of crash recovery — every durable record of every crashed node flows
-// through it — so its per-record cost is baselined alongside the txn fast
-// path. The log is built once; each iteration replays it into a fresh
-// catalog via the full Recover pass (analysis + redo + undo), so ns/op is
-// per-recovery over a fixed-size log.
+// Recovery microbenchmark. The redo loop is the hot path of crash
+// recovery — every durable record of every crashed node flows through it —
+// so its per-record cost is benchmarked alongside the txn fast path; the
+// end-to-end measurement is `go run ./benchmark`'s gauntlet workload. The
+// log is built once; each iteration replays it into a fresh catalog via
+// the full Recover pass (analysis + redo + undo), so ns/op is
+// per-recovery over a fixed-size log. To compare two commits, run:
 //
-// Refreshing the committed baseline:
-//
-//	go test -run '^$' -bench 'BenchmarkRecoveryRedo' -benchmem -benchtime 200x -count 5 ./internal/engine/ \
-//	  >> internal/engine/testdata/bench_engine_baseline.txt
+//	go test -run '^$' -bench 'BenchmarkRecoveryRedo' -benchmem -benchtime 200x -count 5 ./internal/engine/
 
 // crashedBenchLog builds a durable log of committed update/insert traffic
 // plus a handful of in-flight losers, then crashes it.

@@ -152,8 +152,8 @@ var Paper = Scale{
 
 // Bench compresses the experiment windows further than Quick so the whole
 // suite of artifacts completes in seconds — the scale used by the
-// regeneration benchmarks (bench_test.go) and by kernel wall-clock
-// measurements (BENCH_sim.json).
+// regeneration benchmarks (bench_test.go) and by the CI artifact jobs.
+// Host-cost measurements come from `go run ./benchmark`.
 var Bench = Scale{
 	Name:           "bench",
 	Warmup:         500 * time.Millisecond,

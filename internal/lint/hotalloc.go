@@ -13,8 +13,8 @@ import (
 )
 
 // hotalloc.go turns the repo's 0 allocs/op invariants (BenchmarkTxnCommit,
-// replica batch apply, the DES dispatch loop — DESIGN.md §15) from a
-// warn-only benchstat comparison into a deterministic compile-time check.
+// replica batch apply, the DES dispatch loop — DESIGN.md §15) from noisy
+// benchmark readings into a deterministic compile-time check.
 // A function annotated
 //
 //	//detlint:hotpath

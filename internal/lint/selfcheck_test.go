@@ -1,6 +1,10 @@
 package lint_test
 
 import (
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -27,6 +31,53 @@ func TestDetlintSelfCheck(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestDefaultConfigClassifiesEveryPackage keeps the contract's package list
+// in step with the tree: a package under internal/ that no entry matches
+// (a new subpackage, say) escapes every rule, and an entry naming a deleted
+// package is dead weight. The linter itself is the one exemption.
+func TestDefaultConfigClassifiesEveryPackage(t *testing.T) {
+	cfg := lint.DefaultConfig()
+	root := filepath.Join("..", "..") // module root, from internal/lint
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.Name() == "testdata" || rel == "internal/lint" {
+			return filepath.SkipDir
+		}
+		srcs, err := filepath.Glob(filepath.Join(p, "*.go"))
+		if err != nil {
+			return err
+		}
+		for _, src := range srcs {
+			if !strings.HasSuffix(src, "_test.go") {
+				if pkg := path.Join("cloudybench", rel); !cfg.IsDeterministic(pkg) {
+					t.Errorf("%s is not in DefaultConfig().Deterministic", pkg)
+				}
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range cfg.Deterministic {
+		if strings.HasSuffix(entry, "/...") {
+			continue
+		}
+		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(entry, "cloudybench/")))
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Errorf("DefaultConfig().Deterministic entry %s names no directory", entry)
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // Kernel microbenchmarks. Every virtual-time event in a CloudyBench cell —
 // a sleep, a queue reservation, a mutex handoff — pays one scheduler
 // dispatch, so these three benchmarks bound the kernel overhead of every
-// experiment. Baselines live in BENCH_sim.json; regenerate with:
+// experiment. The committed measurement is `go run ./benchmark` (its
+// probe.sim.* rows time the same paths); to compare two commits, run:
 //
 //	go test -run '^$' -bench 'BenchmarkDispatch|BenchmarkSleepWake|BenchmarkQueueContention' -benchtime 1000000x -count 5 ./internal/sim/
 
