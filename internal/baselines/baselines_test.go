@@ -23,25 +23,10 @@ func makeNode(s *sim.Sim) *node.Node {
 func TestSysBenchSetupAndRun(t *testing.T) {
 	s := sim.New(epoch)
 	n := makeNode(s)
-	sb := NewSysBench()
-	if err := sb.CreateTables(n.DB, 42); err != nil {
+	if err := SysBench.Tables(n.DB, 1, 42); err != nil {
 		t.Fatal(err)
 	}
-	// Paper cites ~226 MB for 3 tables of 300k rows.
-	if gb := float64(sb.RawBytes()) / (1 << 20); gb < 150 || gb > 300 {
-		t.Fatalf("raw size = %.0f MB, want ~226", gb)
-	}
-	col := core.NewCollector()
-	d := NewDriver(s, "sysbench", 7, func() *node.Node { return n }, sb.Txn, col)
-	s.Go("ctl", func(p *sim.Proc) {
-		d.SetConcurrency(11) // the paper's thread count
-		p.Sleep(2 * time.Second)
-		d.Stop()
-		d.Wait(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	col := runSuite(t, s, n, SysBench, 7, 11) // the paper's thread count
 	if col.Commits() < 100 {
 		t.Fatalf("commits = %d", col.Commits())
 	}
@@ -50,27 +35,70 @@ func TestSysBenchSetupAndRun(t *testing.T) {
 	}
 	// Writes actually happened: some sbtest table has delta entries.
 	touched := 0
-	for i := 1; i <= 3; i++ {
-		touched += n.DB.Table("sbtest" + string(rune('0'+i))).DeltaLen()
+	for _, name := range sbTableNames {
+		touched += n.DB.Table(name).DeltaLen()
 	}
 	if touched == 0 {
 		t.Fatal("no writes recorded")
 	}
 }
 
-func newTPCCNode(t *testing.T, s *sim.Sim) (*node.Node, *TPCC) {
+// runSuite drives a suite on one node through core.Runner for two virtual
+// seconds at the given concurrency.
+func runSuite(t *testing.T, s *sim.Sim, n *node.Node, st *core.Suite, seed int64, conc int) *core.Collector {
 	t.Helper()
-	n := makeNode(s)
-	tp := NewTPCC(1)
-	if err := tp.CreateTables(n.DB, 42); err != nil {
+	col := core.NewCollector()
+	r := core.NewRunner(s, core.Config{
+		Name: st.Name, Seed: seed,
+		Write:     func() *node.Node { return n },
+		Read:      func() *node.Node { return n },
+		Collector: col,
+		Ops:       st.Ops(1),
+	})
+	s.Go("ctl", func(p *sim.Proc) {
+		r.SetConcurrency(conc)
+		p.Sleep(2 * time.Second)
+		r.Stop()
+		r.Wait(p)
+	})
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return n, tp
+	return col
+}
+
+func newTPCCNode(t *testing.T, s *sim.Sim) *node.Node {
+	t.Helper()
+	n := makeNode(s)
+	if err := TPCC.Tables(n.DB, 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// runTPCCOp runs one TPC-C transaction by op name on a fresh terminal state.
+func runTPCCOp(t *testing.T, s *sim.Sim, n *node.Node, name string, seed int64) {
+	t.Helper()
+	for _, op := range TPCC.Ops(1) {
+		if op.Name != name {
+			continue
+		}
+		s.Go("t", func(p *sim.Proc) {
+			if err := op.Run(&core.OpCtx{P: p, Node: n, Src: rng.New(seed)}); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no TPC-C op %q", name)
 }
 
 func TestTPCCLoadInvariants(t *testing.T) {
 	s := sim.New(epoch)
-	n, _ := newTPCCNode(t, s)
+	n := newTPCCNode(t, s)
 	db := n.DB
 	if got := db.Table("warehouse").LiveRows(); got != 1 {
 		t.Fatalf("warehouses = %d", got)
@@ -102,15 +130,8 @@ func TestTPCCLoadInvariants(t *testing.T) {
 
 func TestTPCCNewOrderAdvancesDistrictAndStock(t *testing.T) {
 	s := sim.New(epoch)
-	n, tp := newTPCCNode(t, s)
-	s.Go("t", func(p *sim.Proc) {
-		if err := tp.NewOrder(p, n, newSrc(7)); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n := newTPCCNode(t, s)
+	runTPCCOp(t, s, n, "new-order", 7)
 	// Exactly one district advanced its order counter.
 	advanced := 0
 	var district int64
@@ -146,16 +167,9 @@ func TestTPCCNewOrderAdvancesDistrictAndStock(t *testing.T) {
 
 func TestTPCCPaymentMovesMoney(t *testing.T) {
 	s := sim.New(epoch)
-	n, tp := newTPCCNode(t, s)
+	n := newTPCCNode(t, s)
 	wBefore, _, _ := n.DB.Table("warehouse").Get(engine.IntKey(1))
-	s.Go("t", func(p *sim.Proc) {
-		if err := tp.Payment(p, n, newSrc(9)); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTPCCOp(t, s, n, "payment", 9)
 	wAfter, _, _ := n.DB.Table("warehouse").Get(engine.IntKey(1))
 	if wAfter[3].F <= wBefore[3].F {
 		t.Fatal("warehouse YTD did not grow")
@@ -167,16 +181,9 @@ func TestTPCCPaymentMovesMoney(t *testing.T) {
 
 func TestTPCCDeliveryConsumesNewOrders(t *testing.T) {
 	s := sim.New(epoch)
-	n, tp := newTPCCNode(t, s)
+	n := newTPCCNode(t, s)
 	before := n.DB.Table("new_order").LiveRows()
-	s.Go("t", func(p *sim.Proc) {
-		if err := tp.Delivery(p, n, newSrc(11)); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runTPCCOp(t, s, n, "delivery", 11)
 	after := n.DB.Table("new_order").LiveRows()
 	if after != before-10 {
 		t.Fatalf("new_order rows %d -> %d, want -10 (one per district)", before, after)
@@ -185,20 +192,15 @@ func TestTPCCDeliveryConsumesNewOrders(t *testing.T) {
 
 func TestTPCCFullMixRuns(t *testing.T) {
 	s := sim.New(epoch)
-	n, tp := newTPCCNode(t, s)
-	col := core.NewCollector()
-	d := NewDriver(s, "tpcc", 13, func() *node.Node { return n }, tp.Txn, col)
-	s.Go("ctl", func(p *sim.Proc) {
-		d.SetConcurrency(8)
-		p.Sleep(2 * time.Second)
-		d.Stop()
-		d.Wait(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n := newTPCCNode(t, s)
+	col := runSuite(t, s, n, TPCC, 13, 8)
 	if col.Commits() < 100 {
 		t.Fatalf("commits = %d", col.Commits())
+	}
+	for _, op := range TPCC.Ops(1) {
+		if col.CountByOp(op.Name) == 0 {
+			t.Fatalf("no %s committed", op.Name)
+		}
 	}
 	if col.Errors() != 0 {
 		t.Fatalf("errors = %d", col.Errors())
@@ -209,6 +211,3 @@ func TestTPCCFullMixRuns(t *testing.T) {
 		t.Fatalf("warehouse YTD shrank: %v", wrow[3].F)
 	}
 }
-
-// newSrc builds a deterministic source for direct transaction tests.
-func newSrc(seed int64) *rng.Source { return rng.New(seed) }

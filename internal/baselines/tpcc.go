@@ -5,23 +5,40 @@ import (
 	"fmt"
 	"sort"
 
+	"cloudybench/internal/core"
 	"cloudybench/internal/engine"
-	"cloudybench/internal/node"
 	"cloudybench/internal/rng"
-	"cloudybench/internal/sim"
 )
 
 // TPCC is a TPC-C implementation over the engine: the nine-table schema
 // and all five transactions (New-Order, Payment, Order-Status, Delivery,
 // Stock-Level) at the standard 45/43/4/4/4 mix, without keying/think
-// times. The paper runs it at scale factor 1 (one warehouse) through
-// OLTP-Bench as the constant-load macrobenchmark of Figure 9.
+// times. The scale factor is the warehouse count; the paper runs one
+// warehouse through OLTP-Bench as the constant-load macrobenchmark of
+// Figure 9. Every transaction runs on the RW node.
 //
 // Composite TPC-C keys map onto dense int64 key spaces so dimension tables
 // ride the generator-backed loader; order tables are populated with real
 // inserts (3000 initial orders per district, the last 900 undelivered).
-type TPCC struct {
-	Warehouses int
+var TPCC = &core.Suite{
+	Name:   "tpcc",
+	Desc:   "TPC-C: nine tables, five transactions at the 45/43/4/4/4 mix",
+	Tables: tpccCreateTables,
+	Ops: func(sf int) []core.SuiteOp {
+		t := newTPCC(sf)
+		return []core.SuiteOp{
+			{Name: "new-order", Weight: 45, Run: t.newOrder},
+			{Name: "payment", Weight: 43, Run: t.payment},
+			{Name: "order-status", Weight: 4, Run: t.orderStatus},
+			{Name: "delivery", Weight: 4, Run: t.delivery},
+			{Name: "stock-level", Weight: 4, Run: t.stockLevel},
+		}
+	},
+}
+
+// tpcc is the client-side state one runner's TPC-C terminals share.
+type tpcc struct {
+	warehouses int
 
 	// Per-district order counters (workload-owned, like a terminal's
 	// cached D_NEXT_O_ID; the authoritative copy lives in the district
@@ -41,14 +58,11 @@ const (
 	tpccOrderKeySpan  = 10_000_000
 )
 
-// NewTPCC returns a TPC-C instance with the given warehouse count.
-func NewTPCC(warehouses int) *TPCC {
-	if warehouses < 1 {
-		warehouses = 1
-	}
+func newTPCC(sf int) *tpcc {
+	warehouses := max(sf, 1)
 	nd := warehouses * tpccDistrictsPerW
-	t := &TPCC{
-		Warehouses: warehouses,
+	t := &tpcc{
+		warehouses: warehouses,
 		nextOID:    make([]int64, nd),
 		oldestNew:  make([]int64, nd),
 	}
@@ -91,9 +105,9 @@ func schema(name string, keyCol int, cols ...engine.Column) *engine.Schema {
 
 func col(name string, k engine.Kind) engine.Column { return engine.Column{Name: name, Kind: k} }
 
-// CreateTables registers the nine tables and performs the initial load.
-func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
-	W := t.Warehouses
+// tpccCreateTables registers the nine tables and performs the initial load.
+func tpccCreateTables(db *engine.DB, sf int, seed int64) error {
+	W := max(sf, 1)
 	mk := func(s *engine.Schema, rows int64, gen engine.RowGen) error {
 		_, err := db.CreateTable(s, rows, gen)
 		return err
@@ -190,16 +204,16 @@ func (t *TPCC) CreateTables(db *engine.DB, seed int64) error {
 		col("H_AMOUNT", engine.KindFloat)), 0, nil); err != nil {
 		return err
 	}
-	return t.loadOrders(db, seed)
+	return tpccLoadOrders(db, W, seed)
 }
 
-// loadOrders populates the initial 3000 orders per district, ten lines
+// tpccLoadOrders populates the initial 3000 orders per district, ten lines
 // each, with the last 900 undelivered.
-func (t *TPCC) loadOrders(db *engine.DB, seed int64) error {
+func tpccLoadOrders(db *engine.DB, warehouses int, seed int64) error {
 	orders := db.Table("orders")
 	newOrder := db.Table("new_order")
 	orderLine := db.Table("order_line")
-	for w := 1; w <= t.Warehouses; w++ {
+	for w := 1; w <= warehouses; w++ {
 		for d := 1; d <= tpccDistrictsPerW; d++ {
 			r := rng.QuickOf(seed, 0x04d, districtIdx(w, d))
 			for o := int64(1); o <= tpccInitialOrders; o++ {
@@ -240,39 +254,22 @@ func (t *TPCC) loadOrders(db *engine.DB, seed int64) error {
 	return nil
 }
 
-// Txn executes one TPC-C transaction at the standard mix.
-func (t *TPCC) Txn(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	x := src.Intn(100)
-	switch {
-	case x < 45:
-		return t.NewOrder(p, n, src)
-	case x < 88:
-		return t.Payment(p, n, src)
-	case x < 92:
-		return t.OrderStatus(p, n, src)
-	case x < 96:
-		return t.Delivery(p, n, src)
-	default:
-		return t.StockLevel(p, n, src)
-	}
+func (t *tpcc) randWD(src *rng.Source) (int, int) {
+	return src.Intn(t.warehouses) + 1, src.Intn(tpccDistrictsPerW) + 1
 }
 
-func (t *TPCC) randWD(src *rng.Source) (int, int) {
-	return src.Intn(t.Warehouses) + 1, src.Intn(tpccDistrictsPerW) + 1
-}
-
-// NewOrder places an order: read warehouse/district/customer, advance
+// newOrder places an order: read warehouse/district/customer, advance
 // D_NEXT_O_ID, insert the order and its lines, and update stock for each
 // (sorted) item.
-func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	w, d := t.randWD(src)
+func (t *tpcc) newOrder(c *core.OpCtx) error {
+	w, d := t.randWD(c.Src)
 	didx := districtIdx(w, d)
-	c := src.Intn(tpccCustomersPerD) + 1
-	nItems := 5 + src.Intn(11)
+	cid := c.Src.Intn(tpccCustomersPerD) + 1
+	nItems := 5 + c.Src.Intn(11)
 	items := make([]int64, 0, nItems)
 	seen := map[int64]bool{}
 	for len(items) < nItems {
-		i := src.Int63n(tpccItems) + 1
+		i := c.Src.Int63n(tpccItems) + 1
 		if !seen[i] {
 			seen[i] = true
 			items = append(items, i)
@@ -282,18 +279,18 @@ func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	// concurrent New-Orders.
 	sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
 
-	tx, err := n.Begin(p)
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	warehouse := n.DB.Table("warehouse")
-	district := n.DB.Table("district")
-	customer := n.DB.Table("customer")
-	item := n.DB.Table("item")
-	stock := n.DB.Table("stock")
-	orders := n.DB.Table("orders")
-	newOrder := n.DB.Table("new_order")
-	orderLine := n.DB.Table("order_line")
+	warehouse := c.Node.DB.Table("warehouse")
+	district := c.Node.DB.Table("district")
+	customer := c.Node.DB.Table("customer")
+	item := c.Node.DB.Table("item")
+	stock := c.Node.DB.Table("stock")
+	orders := c.Node.DB.Table("orders")
+	newOrder := c.Node.DB.Table("new_order")
+	orderLine := c.Node.DB.Table("order_line")
 
 	if _, err := tx.Get(warehouse, engine.IntKey(int64(w))); err != nil {
 		tx.Abort()
@@ -311,7 +308,7 @@ func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
 		tx.Abort()
 		return err
 	}
-	if _, err := tx.Get(customer, engine.IntKey(customerKeyID(w, d, c))); err != nil {
+	if _, err := tx.Get(customer, engine.IntKey(customerKeyID(w, d, cid))); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -319,8 +316,8 @@ func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	okey := orderKeyID(w, d, oid)
 	orow := engine.Row{
 		engine.Int(okey), engine.Int(districtKeyID(w, d)),
-		engine.Int(customerKeyID(w, d, c)), engine.Int(0),
-		engine.Int(int64(nItems)), engine.Int(p.Now().UnixMicro()),
+		engine.Int(customerKeyID(w, d, cid)), engine.Int(0),
+		engine.Int(int64(nItems)), engine.Int(c.P.Now().UnixMicro()),
 	}
 	if err := tx.Insert(orders, orow); err != nil {
 		tx.Abort()
@@ -342,7 +339,7 @@ func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
 			tx.Abort()
 			return err
 		}
-		qty := int64(1 + src.Intn(9))
+		qty := int64(1 + c.Src.Intn(9))
 		supd := srow.Clone()
 		newQty := srow[1].I - qty
 		if newQty < 10 {
@@ -374,21 +371,21 @@ func (t *TPCC) NewOrder(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	return nil
 }
 
-// Payment records a customer payment against warehouse/district/customer
+// payment records a customer payment against warehouse/district/customer
 // YTD totals and appends a history row.
-func (t *TPCC) Payment(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	w, d := t.randWD(src)
-	c := src.Intn(tpccCustomersPerD) + 1
-	amount := 1 + src.Float64()*4999
+func (t *tpcc) payment(c *core.OpCtx) error {
+	w, d := t.randWD(c.Src)
+	cid := c.Src.Intn(tpccCustomersPerD) + 1
+	amount := 1 + c.Src.Float64()*4999
 
-	tx, err := n.Begin(p)
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	warehouse := n.DB.Table("warehouse")
-	district := n.DB.Table("district")
-	customer := n.DB.Table("customer")
-	history := n.DB.Table("history")
+	warehouse := c.Node.DB.Table("warehouse")
+	district := c.Node.DB.Table("district")
+	customer := c.Node.DB.Table("customer")
+	history := c.Node.DB.Table("history")
 
 	wrow, err := tx.GetForUpdate(warehouse, engine.IntKey(int64(w)))
 	if err != nil {
@@ -413,7 +410,7 @@ func (t *TPCC) Payment(p *sim.Proc, n *node.Node, src *rng.Source) error {
 		tx.Abort()
 		return err
 	}
-	ckey := engine.IntKey(customerKeyID(w, d, c))
+	ckey := engine.IntKey(customerKeyID(w, d, cid))
 	crow, err := tx.GetForUpdate(customer, ckey)
 	if err != nil {
 		tx.Abort()
@@ -429,7 +426,7 @@ func (t *TPCC) Payment(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	}
 	hrow := engine.Row{
 		engine.Int(history.NextAutoID()),
-		engine.Int(customerKeyID(w, d, c)),
+		engine.Int(customerKeyID(w, d, cid)),
 		engine.Float(amount),
 	}
 	if err := tx.Insert(history, hrow); err != nil {
@@ -439,21 +436,21 @@ func (t *TPCC) Payment(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	return tx.Commit()
 }
 
-// OrderStatus reads a customer's most recent known order and its lines.
-func (t *TPCC) OrderStatus(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	w, d := t.randWD(src)
+// orderStatus reads a customer's most recent known order and its lines.
+func (t *tpcc) orderStatus(c *core.OpCtx) error {
+	w, d := t.randWD(c.Src)
 	didx := districtIdx(w, d)
 	maxO := t.nextOID[didx] - 1
-	o := 1 + src.Int63n(maxO)
+	o := 1 + c.Src.Int63n(maxO)
 	okey := orderKeyID(w, d, o)
 
-	tx, err := n.Begin(p)
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	orders := n.DB.Table("orders")
-	customer := n.DB.Table("customer")
-	orderLine := n.DB.Table("order_line")
+	orders := c.Node.DB.Table("orders")
+	customer := c.Node.DB.Table("customer")
+	orderLine := c.Node.DB.Table("order_line")
 
 	orow, err := tx.Get(orders, engine.IntKey(okey))
 	if errors.Is(err, engine.ErrRowNotFound) {
@@ -478,21 +475,21 @@ func (t *TPCC) OrderStatus(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	return tx.Commit()
 }
 
-// Delivery delivers the oldest undelivered order in each district of one
+// delivery delivers the oldest undelivered order in each district of one
 // warehouse: consume new_order, stamp the carrier, mark lines delivered,
 // and credit the customer.
-func (t *TPCC) Delivery(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	w := src.Intn(t.Warehouses) + 1
-	carrier := int64(1 + src.Intn(10))
+func (t *tpcc) delivery(c *core.OpCtx) error {
+	w := c.Src.Intn(t.warehouses) + 1
+	carrier := int64(1 + c.Src.Intn(10))
 
-	tx, err := n.Begin(p)
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	orders := n.DB.Table("orders")
-	newOrder := n.DB.Table("new_order")
-	orderLine := n.DB.Table("order_line")
-	customer := n.DB.Table("customer")
+	orders := c.Node.DB.Table("orders")
+	newOrder := c.Node.DB.Table("new_order")
+	orderLine := c.Node.DB.Table("order_line")
+	customer := c.Node.DB.Table("customer")
 
 	for d := 1; d <= tpccDistrictsPerW; d++ {
 		didx := districtIdx(w, d)
@@ -522,7 +519,7 @@ func (t *TPCC) Delivery(p *sim.Proc, n *node.Node, src *rng.Source) error {
 		}
 		var total float64
 		cnt := int(orow[4].I)
-		now := p.Now().UnixMicro()
+		now := c.P.Now().UnixMicro()
 		for ol := 1; ol <= cnt; ol++ {
 			olk := engine.IntKey(orderLineKeyID(okey, ol))
 			lrow, err := tx.Get(orderLine, olk)
@@ -559,19 +556,19 @@ func (t *TPCC) Delivery(p *sim.Proc, n *node.Node, src *rng.Source) error {
 	return tx.Commit()
 }
 
-// StockLevel counts recently-sold items below a stock threshold in one
+// stockLevel counts recently-sold items below a stock threshold in one
 // district — the classic read-heavy TPC-C transaction.
-func (t *TPCC) StockLevel(p *sim.Proc, n *node.Node, src *rng.Source) error {
-	w, d := t.randWD(src)
+func (t *tpcc) stockLevel(c *core.OpCtx) error {
+	w, d := t.randWD(c.Src)
 	didx := districtIdx(w, d)
-	threshold := int64(10 + src.Intn(11))
+	threshold := int64(10 + c.Src.Intn(11))
 
-	tx, err := n.Begin(p)
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	orderLine := n.DB.Table("order_line")
-	stock := n.DB.Table("stock")
+	orderLine := c.Node.DB.Table("order_line")
+	stock := c.Node.DB.Table("stock")
 
 	hi := t.nextOID[didx] - 1
 	lo := hi - 19

@@ -204,7 +204,7 @@ func TestRunnerLatestDistributionSkewsAccess(t *testing.T) {
 	n := makeSUT(s)
 	col := NewCollector()
 	r := NewRunner(s, Config{
-		Name: "w", Seed: 7, Mix: Mix{T2: 100}, Distribution: "latest", LatestK: 10,
+		Name: "w", Seed: 7, Mix: Mix{T2: 100}, Distribution: "latest",
 		Write:     func() *node.Node { return n },
 		Read:      func() *node.Node { return n },
 		Collector: col,
@@ -232,37 +232,54 @@ func TestRunnerLatestDistributionSkewsAccess(t *testing.T) {
 }
 
 func TestRunnerConcurrencyReshaping(t *testing.T) {
-	s := sim.New(epoch)
-	n := makeSUT(s)
-	col := NewCollector()
-	r := NewRunner(s, Config{
-		Name: "w", Seed: 7, Mix: MixReadOnly,
-		Write:     func() *node.Node { return n },
-		Read:      func() *node.Node { return n },
-		Collector: col,
-	})
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(2)
-		p.Sleep(time.Second)
-		r.SetConcurrency(16)
-		p.Sleep(time.Second)
-		r.SetConcurrency(0) // quiesce
-		p.Sleep(2 * time.Second)
-		r.Stop()
-		r.Wait(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	// Each schedule sets one concurrency per one-second slot; check reads
+	// the per-slot TPS.
+	cases := []struct {
+		sched []int
+		check func(t *testing.T, tps func(slot int) float64)
+	}{
+		{[]int{2, 16, 0, 0}, func(t *testing.T, tps func(int) float64) {
+			if low, high := tps(0), tps(1); high < low*2 {
+				t.Fatalf("TPS did not grow with concurrency: %v -> %v", low, high)
+			}
+			// Measure idle on a whole slot strictly after the quiesce settles.
+			if idle := tps(3); idle != 0 {
+				t.Fatalf("TPS during zero-concurrency slot = %v", idle)
+			}
+		}},
+		// Lower concurrency, then raise it again: workers that parked on
+		// the way down must come back.
+		{[]int{16, 2, 16}, func(t *testing.T, tps func(int) float64) {
+			if first, last := tps(0), tps(2); last < first*0.9 {
+				t.Fatalf("TPS did not recover after concurrency rose again: %v -> %v", first, last)
+			}
+		}},
 	}
-	low := col.TPS(0, time.Second)
-	high := col.TPS(time.Second, 2*time.Second)
-	// Measure idle on a whole bucket strictly after the quiesce settles.
-	idle := col.TPS(3*time.Second, 4*time.Second)
-	if high < low*2 {
-		t.Fatalf("TPS did not grow with concurrency: %v -> %v", low, high)
-	}
-	if idle != 0 {
-		t.Fatalf("TPS during zero-concurrency slot = %v", idle)
+	for _, tc := range cases {
+		sched := tc.sched
+		s := sim.New(epoch)
+		n := makeSUT(s)
+		col := NewCollector()
+		r := NewRunner(s, Config{
+			Name: "w", Seed: 7, Mix: MixReadOnly,
+			Write:     func() *node.Node { return n },
+			Read:      func() *node.Node { return n },
+			Collector: col,
+		})
+		s.Go("ctl", func(p *sim.Proc) {
+			for _, c := range sched {
+				r.SetConcurrency(c)
+				p.Sleep(time.Second)
+			}
+			r.Stop()
+			r.Wait(p)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tc.check(t, func(i int) float64 {
+			return col.TPS(time.Duration(i)*time.Second, time.Duration(i+1)*time.Second)
+		})
 	}
 }
 
@@ -274,7 +291,7 @@ func TestRunnerRoutesFailuresToErrors(t *testing.T) {
 		Name: "w", Seed: 7, Mix: MixReadWrite,
 		Write:     func() *node.Node { return n },
 		Read:      func() *node.Node { return n },
-		Collector: col, RetryBackoff: 50 * time.Millisecond,
+		Collector: col, Retry: RetryPolicy{BackoffBase: 50 * time.Millisecond},
 	})
 	s.Go("ctl", func(p *sim.Proc) {
 		r.SetConcurrency(4)

@@ -28,11 +28,10 @@ var ErrBreakerOpen = errors.New("core: circuit breaker open")
 var ErrRetriesExhausted = errors.New("core: retry budget exhausted")
 
 // RetryPolicy configures the resilient client. The zero value takes the
-// defaults below (and Config.RetryBackoff, when set, becomes BackoffBase,
-// preserving the pre-existing knob).
+// defaults below.
 type RetryPolicy struct {
 	// BackoffBase is the first retry's backoff; each subsequent retry
-	// doubles it up to BackoffCap. Default 100 ms (Config.RetryBackoff).
+	// doubles it up to BackoffCap. Default 100 ms.
 	BackoffBase time.Duration
 	// BackoffCap bounds the exponential growth. Default 2 s.
 	BackoffCap time.Duration
@@ -48,10 +47,7 @@ type RetryPolicy struct {
 	BreakerCooldown time.Duration
 }
 
-func (p RetryPolicy) withDefaults(legacyBackoff time.Duration) RetryPolicy {
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = legacyBackoff
-	}
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BackoffBase <= 0 {
 		p.BackoffBase = 100 * time.Millisecond
 	}

@@ -64,11 +64,12 @@ type SuiteOp struct {
 	Run      func(c *OpCtx) error
 }
 
-// Suite is a registered workload family: a schema installer applied to
-// every node of a deployment, and a weighted operation set. Suites compose
-// with the same scale, chaos, and partition machinery as the Table II mix —
-// the registry exists so a workload family is defined once and every
-// evaluator, gauntlet, and the differential harness can pick it up by name.
+// Suite is a workload family: a schema installer applied to every node of
+// a deployment, and a weighted operation set the Runner drives exactly like
+// the Table II mix. Registered suites (RegisterSuite) compose with the same
+// scale, chaos, and partition machinery: every evaluator, gauntlet, and the
+// differential harness picks them up by name. A suite only one experiment
+// runs (the Figure 9 baselines) stays unregistered and is passed directly.
 type Suite struct {
 	Name string
 	Desc string

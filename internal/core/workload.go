@@ -71,10 +71,9 @@ type Config struct {
 	Name string
 	Seed int64
 	Mix  Mix
-	// Distribution is "uniform" or "latest" (paper §II-B); LatestK bounds
-	// the access range for the latest distribution (default 10).
+	// Distribution is "uniform" (the default) or "latest", which accesses
+	// the 10 freshest keys (paper §II-B).
 	Distribution string
-	LatestK      int64
 	// Write returns the node for read-write transactions (the current RW —
 	// a function so fail-over promotion redirects traffic).
 	Write func() *node.Node
@@ -89,9 +88,6 @@ type Config struct {
 	Reachable func(*node.Node) bool
 	// Collector receives commits/errors; required.
 	Collector *Collector
-	// RetryBackoff is the base client backoff after a failed request; kept
-	// for compatibility, it seeds Retry.BackoffBase. Default 100 ms.
-	RetryBackoff time.Duration
 	// Retry tunes the resilient client (backoff, attempt budget, breaker);
 	// zero fields take defaults (see RetryPolicy).
 	Retry RetryPolicy
@@ -99,7 +95,7 @@ type Config struct {
 	// backoffs, breaker-open windows, and reroutes. Nil disables tracing.
 	Tracer *obs.Tracer
 	// Ops, if non-empty, replaces the Table II mix with a suite's weighted
-	// operation set (see RegisterSuite); commits are then recorded per op
+	// operation set (see Suite); commits are then recorded per op
 	// name. Routing, retries, breakers, and rerouting behave exactly as for
 	// the mix, with op.ReadOnly playing T3's role.
 	Ops []SuiteOp
@@ -117,9 +113,11 @@ type Runner struct {
 	pol   RetryPolicy
 	group *sim.Group
 
-	target     int
-	spawned    int
-	stopped    bool
+	target  int
+	spawned int
+	stopped bool
+	// activeCond parks workers whose index is at or above target; it is
+	// broadcast whenever target changes or the runner stops.
 	activeCond *sim.Cond
 
 	// breakers holds the shared per-node circuit breakers (lookup-only map,
@@ -137,16 +135,10 @@ func NewRunner(s *sim.Sim, cfg Config) *Runner {
 	if cfg.Collector == nil {
 		panic("core: Runner requires a Collector")
 	}
-	if cfg.Distribution == "" {
-		cfg.Distribution = "uniform"
-	}
-	if cfg.LatestK <= 0 {
-		cfg.LatestK = 10
-	}
 	r := &Runner{
 		s:          s,
 		cfg:        cfg,
-		pol:        cfg.Retry.withDefaults(cfg.RetryBackoff),
+		pol:        cfg.Retry.withDefaults(),
 		group:      sim.NewGroup(s),
 		activeCond: sim.NewCond(s),
 		breakers:   make(map[*node.Node]*Breaker),
@@ -157,14 +149,19 @@ func NewRunner(s *sim.Sim, cfg Config) *Runner {
 	return r
 }
 
-// SetConcurrency reshapes the worker pool to n. Increases spawn fresh
-// workers immediately; decreases take effect as surplus workers finish
-// their current transaction.
+// latestK is how many of the freshest keys the "latest" distribution
+// accesses (the paper's latest-10, §II-B).
+const latestK = 10
+
+// SetConcurrency reshapes the worker pool to n. Increases wake parked
+// workers and spawn fresh ones immediately; decreases take effect as surplus
+// workers finish their current transaction and park.
 func (r *Runner) SetConcurrency(n int) {
 	if n < 0 {
 		n = 0
 	}
 	r.target = n
+	r.activeCond.Broadcast()
 	for r.spawned < n {
 		idx := r.spawned
 		r.spawned++
@@ -183,21 +180,17 @@ func (r *Runner) SetConcurrency(n int) {
 func (r *Runner) makeDist(src *rng.Source) rng.Dist {
 	switch r.cfg.Distribution {
 	case "latest":
-		return &rng.Latest{Src: src, K: r.cfg.LatestK}
-	case "zipf":
-		return &rng.Zipf{Src: src, Theta: 1.1}
+		return &rng.Latest{Src: src, K: latestK}
 	default:
 		return &rng.Uniform{Src: src}
 	}
 }
 
-// Concurrency returns the current target concurrency.
-func (r *Runner) Concurrency() int { return r.target }
-
 // Stop terminates all workers (after their current transaction).
 func (r *Runner) Stop() {
 	r.stopped = true
 	r.target = 0
+	r.activeCond.Broadcast()
 }
 
 // Wait blocks until every spawned worker has exited.
@@ -221,7 +214,12 @@ func (w *worker) run(p *sim.Proc) {
 	tr := cfg.Tracer
 	pol := w.r.pol
 	for {
-		if w.r.stopped || w.idx >= w.r.target {
+		// A surplus worker parks until concurrency rises past its index
+		// again, and then resumes its own random streams.
+		for !w.r.stopped && w.idx >= w.r.target {
+			w.r.activeCond.Wait(p)
+		}
+		if w.r.stopped {
 			return
 		}
 		// Suite mode swaps the Table II mix for the suite's weighted op set;

@@ -117,13 +117,13 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 			writes := core.NewRunner(d.S, core.Config{
 				Name: "writes", Seed: cfg.Seed, Mix: core.MixReadWrite,
 				Write: d.RW, Read: d.RW,
-				Collector: writeCol, RetryBackoff: 200 * time.Millisecond,
+				Collector: writeCol, Retry: core.RetryPolicy{BackoffBase: 200 * time.Millisecond},
 			})
 			replica := func() *node.Node { return d.Cluster.Replica(0).Node }
 			reads := core.NewRunner(d.S, core.Config{
 				Name: "reads", Seed: cfg.Seed + 1, Mix: core.MixReadOnly,
 				Write: replica, Read: replica,
-				Collector: readCol, RetryBackoff: 200 * time.Millisecond,
+				Collector: readCol, Retry: core.RetryPolicy{BackoffBase: 200 * time.Millisecond},
 			})
 			writes.SetConcurrency(cfg.Concurrency / 3)
 			reads.SetConcurrency(cfg.Concurrency - cfg.Concurrency/3)

@@ -218,6 +218,17 @@ func TestFigure9ScalingRangeShape(t *testing.T) {
 			t.Fatalf("%s: no commits", r.Workload)
 		}
 	}
+	// Load that falls and rises again must bring the allocation back: a
+	// serverless CDB3 pauses to zero cores only while its clients are idle.
+	busy := 0
+	for _, c := range cb.Cores {
+		if c > 0 {
+			busy++
+		}
+	}
+	if busy < len(cb.Cores)/2 {
+		t.Fatalf("cloudybench allocation is non-zero in %d of %d slots\n%s", busy, len(cb.Cores), out)
+	}
 }
 
 func TestRunCustomElasticityFromProps(t *testing.T) {

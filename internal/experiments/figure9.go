@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"cloudybench/internal/baselines"
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/core"
+	"cloudybench/internal/engine"
 	"cloudybench/internal/node"
 	"cloudybench/internal/patterns"
 	"cloudybench/internal/report"
@@ -27,25 +29,38 @@ type Figure9Result struct {
 	Commits int64
 }
 
-// Figure9 regenerates the benchmark comparison of §III-I: a 12-slot run on
-// CDB3 for (a) CloudyBench's four elasticity patterns back to back,
-// (b) SysBench at a constant 11 threads, and (c) TPC-C at a constant 44
-// threads — those two thread counts being CloudyBench's valley and peak
-// levels. The output is each run's allocated-vCPU timeline.
 // fig9Prelude is the settling period before sampling begins, letting each
 // workload reach its steady allocation (the paper measures services that
 // were already running, not cold starts).
 const fig9Prelude = 3
 
+// Figure9 regenerates the benchmark comparison of §III-I: a 12-slot run on
+// CDB3 for (a) CloudyBench's four elasticity patterns back to back,
+// (b) SysBench at a constant 11 threads, and (c) TPC-C at a constant 44
+// threads — those two thread counts being CloudyBench's valley and peak
+// levels. The output is each run's allocated-vCPU timeline.
 func Figure9(sc Scale) (string, []Figure9Result) {
 	const slots = 12
-	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	runs := []func() Figure9Result{
-		func() Figure9Result { return runFig9CloudyBench(sc, epoch, slots) },
-		func() Figure9Result { return runFig9Baseline(sc, epoch, slots, "sysbench", 11) },
-		func() Figure9Result { return runFig9Baseline(sc, epoch, slots, "tpcc", 44) },
+	var cb []int
+	for _, pat := range patterns.ElasticPatterns() {
+		cb = append(cb, pat.Concurrency(sc.Tau)...)
 	}
-	results := runCells(len(runs), func(i int) Figure9Result { return runs[i]() })
+	if len(cb) != slots {
+		panic("experiments: pattern slots mismatch")
+	}
+	constant := func(threads int) []int { return slices.Repeat([]int{threads}, slots) }
+	runs := []struct {
+		name  string
+		suite *core.Suite
+		cons  []int
+	}{
+		{"cloudybench", nil, cb},
+		{"sysbench", baselines.SysBench, constant(11)},
+		{"tpcc", baselines.TPCC, constant(44)},
+	}
+	results := runCells(len(runs), func(i int) Figure9Result {
+		return runFig9(sc, runs[i].name, runs[i].suite, runs[i].cons)
+	})
 	var b strings.Builder
 	b.WriteString("Figure 9 — CPU allocation on CDB3: CloudyBench vs SysBench vs TPC-C\n")
 	fmt.Fprintf(&b, "(%d slots of %s; one sample per slot)\n\n", slots, sc.SlotLength)
@@ -65,28 +80,26 @@ func Figure9(sc Scale) (string, []Figure9Result) {
 	return b.String(), results
 }
 
-// runFig9CloudyBench drives the four elasticity patterns sequentially on a
-// serverless CDB3 deployment.
-func runFig9CloudyBench(sc Scale, epoch time.Time, slots int) Figure9Result {
-	s := sim.New(epoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cdb.CDB3), cdb.Options{
-		Replicas: -1, Seed: sc.Seed, PreWarm: true,
+// runFig9 drives one workload on a serverless CDB3 deployment at one
+// concurrency per slot, settling at the first slot's level first. A nil
+// suite runs CloudyBench's mix on its prewarmed dataset; a baseline suite
+// runs on its own tables instead.
+func runFig9(sc Scale, name string, suite *core.Suite, cons []int) Figure9Result {
+	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	opts := cdb.Options{
+		Replicas: -1, Seed: sc.Seed, PreWarm: suite == nil,
 		CadenceScale: float64(time.Minute) / float64(sc.SlotLength),
-	})
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "cb", Seed: sc.Seed, Mix: core.MixReadWrite,
-		Write: d.RW, Read: d.ReadNode, Collector: col,
-	})
-	var cons []int
-	for _, pat := range patterns.ElasticPatterns() {
-		cons = append(cons, pat.Concurrency(sc.Tau)...)
 	}
-	if len(cons) != slots {
-		panic("experiments: pattern slots mismatch")
+	cfg := core.Config{Name: "cb", Seed: sc.Seed, Mix: core.MixReadWrite, Collector: core.NewCollector()}
+	if suite != nil {
+		opts.NoDataset = true
+		opts.ExtraSchema = func(db *engine.DB) error { return suite.Tables(db, 1, sc.Seed) }
+		cfg.Name, cfg.Ops = suite.Name, suite.Ops(1)
 	}
+	d := cdb.MustDeploy(s, cdb.ProfileFor(cdb.CDB3), opts)
+	cfg.Write, cfg.Read = d.RW, d.ReadNode
+	r := core.NewRunner(s, cfg)
 	s.Go("ctl", func(p *sim.Proc) {
-		// Settle at the pattern's entry level before sampling begins.
 		r.SetConcurrency(cons[0])
 		p.Sleep(time.Duration(fig9Prelude) * sc.SlotLength)
 		for _, c := range cons {
@@ -98,50 +111,9 @@ func runFig9CloudyBench(sc Scale, epoch time.Time, slots int) Figure9Result {
 		d.Shutdown()
 	})
 	if err := s.Run(); err != nil {
-		panic("experiments: figure 9 cloudybench: " + err.Error())
+		panic("experiments: figure 9 " + name + ": " + err.Error())
 	}
-	return fig9Result("cloudybench", d.RW(), col.Commits(), sc, slots)
-}
-
-// runFig9Baseline drives a constant-concurrency baseline workload on the
-// same CDB3 profile.
-func runFig9Baseline(sc Scale, epoch time.Time, slots int, workload string, threads int) Figure9Result {
-	s := sim.New(epoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cdb.CDB3), cdb.Options{
-		Replicas: -1, Seed: sc.Seed, NoDataset: true,
-		CadenceScale: float64(time.Minute) / float64(sc.SlotLength),
-	})
-	n := d.RW()
-	var txn baselines.TxnFunc
-	switch workload {
-	case "sysbench":
-		sb := baselines.NewSysBench()
-		if err := sb.CreateTables(n.DB, sc.Seed); err != nil {
-			panic(err)
-		}
-		txn = sb.Txn
-	case "tpcc":
-		tp := baselines.NewTPCC(1)
-		if err := tp.CreateTables(n.DB, sc.Seed); err != nil {
-			panic(err)
-		}
-		txn = tp.Txn
-	default:
-		panic("experiments: unknown baseline " + workload)
-	}
-	col := core.NewCollector()
-	drv := baselines.NewDriver(s, workload, sc.Seed, func() *node.Node { return n }, txn, col)
-	s.Go("ctl", func(p *sim.Proc) {
-		drv.SetConcurrency(threads)
-		p.Sleep(time.Duration(fig9Prelude+slots) * sc.SlotLength)
-		drv.Stop()
-		drv.Wait(p)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("experiments: figure 9 " + workload + ": " + err.Error())
-	}
-	return fig9Result(workload, n, col.Commits(), sc, slots)
+	return fig9Result(name, d.RW(), cfg.Collector.Commits(), sc, len(cons))
 }
 
 func fig9Result(name string, n *node.Node, commits int64, sc Scale, slots int) Figure9Result {

@@ -1,7 +1,7 @@
 // Package rng provides deterministic random sources and the access
 // distributions used by CloudyBench workloads: uniform and latest-k
-// substitution-parameter choice (paper §II-B), Zipf-skewed access, and the
-// Pareto proportions that seed default elasticity patterns (paper §II-C).
+// substitution-parameter choice (paper §II-B), and the Pareto proportions
+// that seed default elasticity patterns (paper §II-C).
 //
 // Every source derives from an explicit seed so that simulation runs replay
 // identically. Child sources are split off by name, letting each worker,
@@ -155,38 +155,6 @@ func (l *Latest) Next(max int64) int64 {
 
 // Name implements Dist.
 func (l *Latest) Name() string { return "latest" }
-
-// Zipf chooses keys with a Zipfian frequency skew, the textbook model for
-// hot-key access in OLTP (paper §II-B cites skewed realistic access).
-type Zipf struct {
-	Src   *Source
-	Theta float64 // skew, typically 0.99; must be > 1 for rand.Zipf, remapped below
-	zipf  *rand.Zipf
-	max   int64
-}
-
-// Next implements Dist.
-func (z *Zipf) Next(max int64) int64 {
-	if max <= 0 {
-		return 1
-	}
-	if z.zipf == nil || z.max != max {
-		sExp := z.Theta
-		if sExp <= 1 {
-			sExp = 1.01 // rand.Zipf requires s > 1
-		}
-		z.zipf = newZipf(z.Src, sExp, uint64(max))
-		z.max = max
-	}
-	return 1 + int64(z.zipf.Uint64())
-}
-
-func newZipf(src *Source, s float64, imax uint64) *rand.Zipf {
-	return rand.NewZipf(src.r, s, 1, imax-1)
-}
-
-// Name implements Dist.
-func (z *Zipf) Name() string { return "zipf" }
 
 // ParetoProportions returns n proportions that follow a Pareto (80/20-style)
 // decay and sum to 1. CloudyBench uses these as the default slot proportions

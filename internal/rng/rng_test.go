@@ -92,23 +92,6 @@ func TestLatestSmallKeySpace(t *testing.T) {
 	}
 }
 
-func TestZipfIsSkewed(t *testing.T) {
-	d := &Zipf{Src: New(6), Theta: 1.2}
-	const max, draws = 1000, 50000
-	counts := make([]int, max+1)
-	for i := 0; i < draws; i++ {
-		k := d.Next(max)
-		if k < 1 || k > max {
-			t.Fatalf("zipf key %d out of range", k)
-		}
-		counts[k]++
-	}
-	topShare := float64(counts[1]+counts[2]+counts[3]) / draws
-	if topShare < 0.2 {
-		t.Fatalf("zipf top-3 share = %.3f, want skew >= 0.2", topShare)
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	s := New(7)
 	counts := [3]int{}
@@ -174,7 +157,6 @@ func TestPropertyDistKeysAlwaysInRange(t *testing.T) {
 		dists := []Dist{
 			&Uniform{Src: New(seed)},
 			&Latest{Src: New(seed), K: 10},
-			&Zipf{Src: New(seed), Theta: 1.1},
 		}
 		for _, d := range dists {
 			for i := 0; i < 50; i++ {
