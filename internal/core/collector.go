@@ -34,13 +34,13 @@ func (t TxnType) String() string {
 }
 
 // Collector is CloudyBench's performance collector: committed-transaction
-// counts in per-second buckets (every TPS figure), latency reservoirs, and
-// error counts (requests rejected during fail-over outages).
+// counts in per-second buckets (every TPS figure), a commit-latency
+// histogram, and error counts (requests rejected during fail-over outages).
 type Collector struct {
 	commits   *meter.Counter
 	errors    *meter.Counter
 	terminals *meter.Counter
-	latency   *meter.Reservoir
+	latency   meter.Histogram
 	byType    [5]int64
 	byOp      map[string]int64
 }
@@ -51,7 +51,6 @@ func NewCollector() *Collector {
 		commits:   meter.NewCounter(time.Second),
 		errors:    meter.NewCounter(time.Second),
 		terminals: meter.NewCounter(time.Second),
-		latency:   meter.NewReservoir(),
 	}
 }
 
@@ -145,7 +144,7 @@ type CollectorSnapshot struct {
 	commits   meter.CounterSnapshot
 	errors    meter.CounterSnapshot
 	terminals meter.CounterSnapshot
-	latency   meter.ReservoirSnapshot
+	latency   meter.Histogram
 	byType    [5]int64
 	byOp      map[string]int64
 }
@@ -156,7 +155,7 @@ func (c *Collector) Snapshot() CollectorSnapshot {
 		commits:   c.commits.Snapshot(),
 		errors:    c.errors.Snapshot(),
 		terminals: c.terminals.Snapshot(),
-		latency:   c.latency.Snapshot(),
+		latency:   c.latency,
 		byType:    c.byType,
 	}
 	if c.byOp != nil {
@@ -174,7 +173,7 @@ func (c *Collector) Restore(snap CollectorSnapshot) {
 	c.commits.Restore(snap.commits)
 	c.errors.Restore(snap.errors)
 	c.terminals.Restore(snap.terminals)
-	c.latency.Restore(snap.latency)
+	c.latency = snap.latency
 	c.byType = snap.byType
 	c.byOp = nil
 	if snap.byOp != nil {
@@ -185,5 +184,5 @@ func (c *Collector) Restore(snap CollectorSnapshot) {
 	}
 }
 
-// Latency returns the latency reservoir.
-func (c *Collector) Latency() *meter.Reservoir { return c.latency }
+// Latency returns the commit-latency histogram.
+func (c *Collector) Latency() *meter.Histogram { return &c.latency }

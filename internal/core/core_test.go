@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -120,6 +121,30 @@ func TestCollector(t *testing.T) {
 	}
 	if c.Latency().Count() != 2 {
 		t.Fatal("latency samples")
+	}
+}
+
+// TestCollectorMemoryDoesNotGrowWithCommits gates the collector's footprint
+// per commit: the latency histogram is a fixed array and every commit lands
+// in one TPS bucket, so a million commits allocate next to nothing. A store
+// that kept each sample would allocate megabytes here.
+func TestCollectorMemoryDoesNotGrowWithCommits(t *testing.T) {
+	const (
+		commits = 1_000_000
+		limit   = 64 << 10 // bytes, in total
+	)
+	c := NewCollector()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < commits; i++ {
+		c.RecordCommit(T1NewOrderline, time.Second, time.Duration(i%5000)*time.Microsecond)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= limit {
+		t.Fatalf("%d commits allocated %d bytes, want < %d", commits, got, limit)
+	}
+	if c.Latency().Count() != commits {
+		t.Fatalf("latency count = %d, want %d", c.Latency().Count(), commits)
 	}
 }
 

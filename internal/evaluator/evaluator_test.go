@@ -96,9 +96,9 @@ func TestRunLagProbeAgreesWithReservoir(t *testing.T) {
 		t.Fatal("no probe lag measured")
 	}
 	// Client-observed lag should be the same order of magnitude as the
-	// internal reservoir measurement.
+	// stream's internal mean lag.
 	if r.ProbeLag > r.UpdateLag*20 || r.UpdateLag > r.ProbeLag*20 {
-		t.Fatalf("probe %v vs reservoir %v diverge wildly", r.ProbeLag, r.UpdateLag)
+		t.Fatalf("probe %v vs stream mean lag %v diverge wildly", r.ProbeLag, r.UpdateLag)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"cloudybench/internal/metrics"
 	"cloudybench/internal/node"
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 // LagConfig parameterizes a replication lag-time evaluation (paper §II-B.2
@@ -93,7 +94,7 @@ func RunLag(cfg LagConfig) LagResult {
 			}
 			p.Sleep(50 * time.Millisecond)
 		}
-		// Let replication drain before shutdown so reservoirs are full.
+		// Let replication drain before shutdown so the lag histograms are full.
 		p.Sleep(3 * time.Second)
 		d.Shutdown()
 	})
@@ -102,13 +103,12 @@ func RunLag(cfg LagConfig) LagResult {
 	}
 
 	st := d.Streams()[0]
-	ins, upd, del := st.LagReservoirs()
 	res := LagResult{
 		Kind:      cfg.Kind,
 		IUD:       cfg.IUD,
-		InsertLag: ins.Mean(),
-		UpdateLag: upd.Mean(),
-		DeleteLag: del.Mean(),
+		InsertLag: st.MeanLag(storage.RecInsert),
+		UpdateLag: st.MeanLag(storage.RecUpdate),
+		DeleteLag: st.MeanLag(storage.RecDelete),
 	}
 	res.CScore = metrics.CScore(res.InsertLag, res.UpdateLag, res.DeleteLag, 1)
 	if probeCount > 0 {

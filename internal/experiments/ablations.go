@@ -10,6 +10,7 @@ import (
 	"cloudybench/internal/node"
 	"cloudybench/internal/report"
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 // Ablations isolate the architectural mechanisms the paper credits for
@@ -63,8 +64,7 @@ func runLagWithProfile(sc Scale, prof cdb.Profile) time.Duration {
 	if err := s.Run(); err != nil {
 		panic("experiments: ablation lag: " + err.Error())
 	}
-	_, upd, _ := d.Streams()[0].LagReservoirs()
-	return upd.Mean()
+	return d.Streams()[0].MeanLag(storage.RecUpdate)
 }
 
 // AblationRemoteBuffer compares CDB4's transaction latency with and

@@ -1,6 +1,7 @@
-package obs
+package meter
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
@@ -19,10 +20,19 @@ const (
 )
 
 // Histogram is a fixed-bucket log-linear histogram of virtual-time
-// durations. The zero value is ready to use. It records every span length
-// the tracer sees: bounded memory regardless of sample count, deterministic
-// across runs, and mergeable across tracers (unlike a sorted reservoir, two
-// histograms combine without re-ordering samples).
+// durations, the testbed's one latency distribution: the collector's
+// commit latencies, the replication streams' per-DML lags and the tracer's
+// span lengths. The zero value is ready to use. Memory is bounded
+// regardless of sample count, the state is deterministic across runs, and
+// two histograms merge without re-ordering samples.
+//
+// Quantile convention: nearest-rank. The q-quantile of n samples is the
+// sample at rank ceil(q*n) (1-based), reported as the lower bound of the
+// bucket that holds it, clamped to the exact observed min and max; q <= 0
+// returns the min and q >= 1 the max. For a true sample of 16 ns or more
+// the error is 0 <= true - reported < true/16; samples below 16 ns are
+// exact. Count, Sum, Min, Max and Mean are exact: Mean is the integer
+// sum/n.
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
@@ -53,6 +63,8 @@ func bucketLow(i int) time.Duration {
 }
 
 // Add records one duration. Negative durations clamp to zero.
+//
+//detlint:hotpath
 func (h *Histogram) Add(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -105,9 +117,8 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.n)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) as the lower bound of the
-// bucket holding the nearest-rank sample, clamped to the exact observed
-// min/max so p0 and p100 are precise. With no samples it returns zero.
+// Quantile returns the q-quantile (0 <= q <= 1) by the nearest-rank
+// convention stated on Histogram. With no samples it returns zero.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.n == 0 {
 		return 0
@@ -118,9 +129,9 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if q >= 1 {
 		return h.max
 	}
-	rank := int64(q * float64(h.n))
-	if rank >= h.n {
-		rank = h.n - 1
+	rank := int64(math.Ceil(q*float64(h.n))) - 1
+	if rank < 0 {
+		rank = 0
 	}
 	var seen int64
 	for i := 0; i < histBuckets; i++ {

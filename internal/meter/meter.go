@@ -1,18 +1,11 @@
 // Package meter provides virtual-time measurement primitives used by the
 // CloudyBench performance collector: step-function series (for allocated
 // resources such as vCores over time), bucketed counters (for TPS series),
-// and latency reservoirs (for percentile reporting).
+// and a bounded log-linear latency histogram (for percentile reporting; its
+// quantile convention and error bound are stated on Histogram).
 //
 // All timestamps are time.Duration offsets from the simulation epoch, which
 // keeps the package independent of any particular clock implementation.
-//
-// Percentile convention: Reservoir.Quantile uses the nearest-rank method —
-// the q-quantile of n sorted samples is the sample at rank ceil(q*n)
-// (1-based), with no interpolation between samples. q <= 0 returns the
-// minimum and q >= 1 the maximum, so reported percentiles are always values
-// that actually occurred. The observability layer's histogram quantiles
-// (internal/obs) follow the same convention at bucket granularity, so the
-// two substrates agree on p0/p100 and rank semantics.
 package meter
 
 import (
@@ -105,14 +98,6 @@ func (s *Series) Integral(from, to time.Duration) float64 {
 		}
 	}
 	return total
-}
-
-// Avg returns the time-weighted average over [from, to).
-func (s *Series) Avg(from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	return s.Integral(from, to) / (to - from).Seconds()
 }
 
 // Max returns the maximum value attained in [from, to].
@@ -283,80 +268,11 @@ func (c *Counter) Buckets(from, to time.Duration) []float64 {
 	return out
 }
 
-// Reservoir collects latency samples for percentile reporting. It keeps all
-// samples (simulation scale keeps counts modest); Quantile sorts lazily.
-type Reservoir struct {
-	samples []time.Duration
-	sorted  bool
-	sum     time.Duration
-}
+// Reservoir and NewReservoir exist only for the benchmark's compile
+// contract (benchmark/README.md, "What the benchmark compiles against"): its
+// meter probe still names them. Nothing else in the module may use them, and
+// the benchmark's next revision (ROADMAP item 7(c)) deletes both.
+type Reservoir = Histogram
 
-// NewReservoir returns an empty latency reservoir.
+// NewReservoir returns an empty Histogram under its old name.
 func NewReservoir() *Reservoir { return &Reservoir{} }
-
-// Add records one latency sample.
-func (r *Reservoir) Add(d time.Duration) {
-	r.samples = append(r.samples, d)
-	r.sorted = false
-	r.sum += d
-}
-
-// Count returns the number of samples.
-func (r *Reservoir) Count() int { return len(r.samples) }
-
-// ReservoirSnapshot is a point-in-time capture of a Reservoir (warm-up
-// memoization). The sample order is preserved, not just the distribution, so
-// a restored reservoir's lazy sort produces byte-identical quantiles.
-type ReservoirSnapshot struct {
-	samples []time.Duration
-	sorted  bool
-	sum     time.Duration
-}
-
-// Snapshot captures the reservoir's current state.
-func (r *Reservoir) Snapshot() ReservoirSnapshot {
-	return ReservoirSnapshot{
-		samples: append([]time.Duration(nil), r.samples...),
-		sorted:  r.sorted,
-		sum:     r.sum,
-	}
-}
-
-// Restore resets the reservoir to a snapshot. Samples are copied so
-// reservoirs restored from one snapshot grow (and sort) independently.
-func (r *Reservoir) Restore(snap ReservoirSnapshot) {
-	r.samples = append(r.samples[:0:0], snap.samples...)
-	r.sorted = snap.sorted
-	r.sum = snap.sum
-}
-
-// Mean returns the average latency, or zero with no samples.
-func (r *Reservoir) Mean() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	return r.sum / time.Duration(len(r.samples))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank, or zero
-// with no samples.
-func (r *Reservoir) Quantile(q float64) time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-	if q <= 0 {
-		return r.samples[0]
-	}
-	if q >= 1 {
-		return r.samples[len(r.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(r.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return r.samples[idx]
-}

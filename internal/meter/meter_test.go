@@ -123,9 +123,6 @@ func TestSeriesIntegralAndAvg(t *testing.T) {
 	if got := s.Integral(sec(5), sec(15)); !almost(got, 4*5+8*5) {
 		t.Fatalf("Integral(5,15s) = %v, want 60", got)
 	}
-	if got := s.Avg(0, sec(20)); !almost(got, 6) {
-		t.Fatalf("Avg(0,20s) = %v, want 6", got)
-	}
 	if got := s.Integral(sec(10), sec(10)); got != 0 {
 		t.Fatalf("empty-window integral = %v, want 0", got)
 	}
@@ -217,90 +214,5 @@ func TestCounterEmptyWindow(t *testing.T) {
 	}
 	if c.Buckets(sec(1), sec(1)) != nil {
 		t.Fatal("empty window buckets should be nil")
-	}
-}
-
-func TestReservoirQuantiles(t *testing.T) {
-	r := NewReservoir()
-	if r.Mean() != 0 || r.Quantile(0.5) != 0 {
-		t.Fatal("empty reservoir should report zeros")
-	}
-	for i := 1; i <= 100; i++ {
-		r.Add(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 100 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	if got := r.Mean(); got != 50500*time.Microsecond {
-		t.Fatalf("mean = %v, want 50.5ms", got)
-	}
-	if got := r.Quantile(0.5); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
-	}
-	if got := r.Quantile(0.99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
-	}
-	if got := r.Quantile(0); got != time.Millisecond {
-		t.Fatalf("p0 = %v, want 1ms", got)
-	}
-	if got := r.Quantile(1); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v, want 100ms", got)
-	}
-}
-
-func TestReservoirEmptyAndSingleSample(t *testing.T) {
-	r := NewReservoir()
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := r.Quantile(q); got != 0 {
-			t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	r.Add(7 * time.Millisecond)
-	// Nearest-rank with one sample: every quantile is that sample.
-	for _, q := range []float64{-1, 0, 0.01, 0.5, 0.99, 1, 2} {
-		if got := r.Quantile(q); got != 7*time.Millisecond {
-			t.Fatalf("single-sample Quantile(%v) = %v, want 7ms", q, got)
-		}
-	}
-	if got := r.Mean(); got != 7*time.Millisecond {
-		t.Fatalf("single-sample Mean = %v, want 7ms", got)
-	}
-}
-
-func TestReservoirNearestRankBoundaries(t *testing.T) {
-	// Nearest-rank: rank ceil(q*n), 1-based. With n=4 samples the exact
-	// boundary q=0.25 must return the 1st sample (ceil(1)=1), q=0.5 the
-	// 2nd, and the open edges clamp to min/max without interpolation.
-	r := NewReservoir()
-	for _, d := range []time.Duration{40, 10, 30, 20} {
-		r.Add(d * time.Millisecond)
-	}
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0, 10 * time.Millisecond},    // p0 = exact min
-		{0.25, 10 * time.Millisecond}, // ceil(0.25*4) = rank 1
-		{0.26, 20 * time.Millisecond}, // ceil(1.04) = rank 2
-		{0.5, 20 * time.Millisecond},  // ceil(2) = rank 2
-		{0.75, 30 * time.Millisecond}, // ceil(3) = rank 3
-		{0.99, 40 * time.Millisecond}, // ceil(3.96) = rank 4
-		{1, 40 * time.Millisecond},    // p100 = exact max
-	}
-	for _, c := range cases {
-		if got := r.Quantile(c.q); got != c.want {
-			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestReservoirInterleavedAddQuantile(t *testing.T) {
-	r := NewReservoir()
-	r.Add(3 * time.Millisecond)
-	r.Add(1 * time.Millisecond)
-	_ = r.Quantile(0.5)
-	r.Add(2 * time.Millisecond) // must re-sort after add
-	if got := r.Quantile(0.5); got != 2*time.Millisecond {
-		t.Fatalf("p50 after interleaved add = %v, want 2ms", got)
 	}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"sort"
 	"time"
+
+	"cloudybench/internal/meter"
 )
 
 // stageKey indexes one stage accumulator: a transaction type (or background
@@ -15,7 +17,7 @@ type stageKey struct {
 // txnAgg accumulates one transaction type's end-to-end latencies and
 // outcomes.
 type txnAgg struct {
-	hist     Histogram
+	hist     meter.Histogram
 	outcomes map[string]int64
 }
 
@@ -27,7 +29,7 @@ type txnAgg struct {
 // GOMAXPROCS.
 type StageAgg struct {
 	sut   string
-	spans map[stageKey]*Histogram
+	spans map[stageKey]*meter.Histogram
 	txns  map[string]*txnAgg
 }
 
@@ -35,7 +37,7 @@ type StageAgg struct {
 func NewStageAgg(sut string) *StageAgg {
 	return &StageAgg{
 		sut:   sut,
-		spans: make(map[stageKey]*Histogram),
+		spans: make(map[stageKey]*meter.Histogram),
 		txns:  make(map[string]*txnAgg),
 	}
 }
@@ -47,7 +49,7 @@ func (a *StageAgg) addSpan(txn string, kind Kind, d time.Duration) {
 	k := stageKey{txn: txn, kind: kind}
 	h := a.spans[k]
 	if h == nil {
-		h = &Histogram{}
+		h = &meter.Histogram{}
 		a.spans[k] = h
 	}
 	h.Add(d)
@@ -76,7 +78,7 @@ func (a *StageAgg) Merge(o *StageAgg) {
 	for k, h := range o.spans {
 		dst := a.spans[k]
 		if dst == nil {
-			dst = &Histogram{}
+			dst = &meter.Histogram{}
 			a.spans[k] = dst
 		}
 		dst.Merge(h)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"cloudybench/internal/meter"
 )
 
 // Timeline is the longitudinal companion to StageAgg: the same mergeable
@@ -38,7 +40,7 @@ type Timeline struct {
 // time: per-(txn, kind) span histograms plus per-txn end-to-end histograms
 // and outcome counters.
 type timelineWindow struct {
-	spans map[stageKey]*Histogram
+	spans map[stageKey]*meter.Histogram
 	txns  map[string]*txnAgg
 }
 
@@ -89,7 +91,7 @@ func (tl *Timeline) window(i int) *timelineWindow {
 	w := tl.windows[i]
 	if w == nil {
 		w = &timelineWindow{
-			spans: make(map[stageKey]*Histogram),
+			spans: make(map[stageKey]*meter.Histogram),
 			txns:  make(map[string]*txnAgg),
 		}
 		tl.windows[i] = w
@@ -117,7 +119,7 @@ func (tl *Timeline) Emit(tr *Trace) {
 		k := stageKey{txn: tr.Txn, kind: sp.Kind}
 		h := w.spans[k]
 		if h == nil {
-			h = &Histogram{}
+			h = &meter.Histogram{}
 			w.spans[k] = h
 		}
 		h.Add(sp.End - sp.Start)
@@ -180,7 +182,7 @@ func (tl *Timeline) Row(i int) WindowRow {
 	if w == nil {
 		return row
 	}
-	var all Histogram
+	var all meter.Histogram
 	for _, txn := range sortedTxnKeys(w.txns) {
 		t := w.txns[txn]
 		all.Merge(&t.hist)
@@ -232,7 +234,7 @@ func (tl *Timeline) Merge(o *Timeline) {
 		for _, k := range sortedStageKeys(src.spans) {
 			h := dst.spans[k]
 			if h == nil {
-				h = &Histogram{}
+				h = &meter.Histogram{}
 				dst.spans[k] = h
 			}
 			h.Merge(src.spans[k])
@@ -265,7 +267,7 @@ func (tl *Timeline) Aggregate() *StageAgg {
 		for _, k := range sortedStageKeys(w.spans) {
 			h := agg.spans[k]
 			if h == nil {
-				h = &Histogram{}
+				h = &meter.Histogram{}
 				agg.spans[k] = h
 			}
 			h.Merge(w.spans[k])
@@ -286,7 +288,7 @@ func (tl *Timeline) Aggregate() *StageAgg {
 	return agg
 }
 
-func sortedStageKeys(m map[stageKey]*Histogram) []stageKey {
+func sortedStageKeys(m map[stageKey]*meter.Histogram) []stageKey {
 	keys := make([]stageKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -15,13 +15,14 @@ import (
 // allocates per record. The records are committed and captured up front, so
 // the measured stretch is Publish → ship → replay alone; after one warm-up
 // pass has filled the stream's chunk free list, what is still allocated per
-// record is the replica's decoded row, a lag sample and the overlay's key
-// copy — no inbox, lane queue or apply scratch regrown and copied over.
+// record is the replica's decoded row and the overlay's key copy — no inbox,
+// lane queue or apply scratch regrown and copied over, and no lag sample kept
+// (the lag histograms are fixed arrays).
 func TestShipReplayDoesNotRegrowQueues(t *testing.T) {
 	const (
 		records  = 10_000
 		perBatch = 500 // records published per ship interval
-		limit    = 100 // bytes per record
+		limit    = 50  // bytes per record
 	)
 	s := sim.New(epoch)
 	rw, _, st, tbl, _ := setup(s, Config{

@@ -16,7 +16,8 @@ import (
 // contract: replaying a ship batch in one pass (coalesced CPU sleep,
 // analytic per-record apply instants, DB.ApplyBatch) must be observationally
 // identical to the old record-at-a-time path — same applied LSN and counts,
-// same per-DML lag reservoirs sample for sample, same replica contents.
+// equal per-DML lag histograms (buckets, count, sum, min and max: all the
+// stream keeps), same replica contents.
 // serialApply is the retained test knob that forces the old path.
 //
 // Two shapes of traffic: paced commits, where a ship batch is a few records,
@@ -29,7 +30,7 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 		appliedLSN storage.LSN
 		shipped    int64
 		applied    int64
-		lags       [3][]time.Duration // insert, update, delete samples in order
+		lags       [3]meter.Histogram // insert, update, delete
 		rows       string
 		onApply    map[int][]storage.LSN // per lane, in call order
 		chunks     int                   // queue chunks the stream came to own
@@ -88,14 +89,7 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 		for c := st.free; c != nil; c = c.next {
 			out.chunks++
 		}
-		ins, upd, del := st.LagReservoirs()
-		for i, res := range []*meter.Reservoir{ins, upd, del} {
-			n := res.Count()
-			for q := 0; q <= n; q++ {
-				out.lags[i] = append(out.lags[i], res.Quantile(float64(q)/float64(n+1)))
-			}
-			out.lags[i] = append(out.lags[i], res.Mean())
-		}
+		out.lags = [3]meter.Histogram{st.lagInsert, st.lagUpdate, st.lagDelete}
 		for id := int64(1); id < 1100; id++ {
 			row, _, ok := rtbl.Get(engine.IntKey(id))
 			out.rows += fmt.Sprintf("%d:%v:%v;", id, ok, row)
@@ -136,17 +130,9 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 				serial.shipped, serial.applied, batched.shipped, batched.applied)
 		}
 		for i, name := range []string{"insert", "update", "delete"} {
-			if len(serial.lags[i]) != len(batched.lags[i]) {
-				t.Errorf("%s %s: %d lag samples (serial) != %d (batched)",
-					sh.name, name, len(serial.lags[i]), len(batched.lags[i]))
-				continue
-			}
-			for j := range serial.lags[i] {
-				if serial.lags[i][j] != batched.lags[i][j] {
-					t.Errorf("%s %s lag stat %d: %v (serial) != %v (batched)",
-						sh.name, name, j, serial.lags[i][j], batched.lags[i][j])
-					break
-				}
+			if a, b := &serial.lags[i], &batched.lags[i]; !a.Equal(b) {
+				t.Errorf("%s %s: lag histograms differ: n=%d sum=%v (serial) vs n=%d sum=%v (batched)",
+					sh.name, name, a.Count(), a.Sum(), b.Count(), b.Sum())
 			}
 		}
 		if serial.rows != batched.rows {

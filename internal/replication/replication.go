@@ -121,12 +121,12 @@ type Stream struct {
 
 	// serialApply forces the pre-batching record-at-a-time replay path.
 	// Test-only: the replay-batch equivalence test proves both paths yield
-	// identical AppliedLSN and lag reservoirs on a quiet stream.
+	// identical AppliedLSN and lag histograms on a quiet stream.
 	serialApply bool
 
-	lagInsert *meter.Reservoir
-	lagUpdate *meter.Reservoir
-	lagDelete *meter.Reservoir
+	lagInsert meter.Histogram
+	lagUpdate meter.Histogram
+	lagDelete meter.Histogram
 }
 
 type laneState struct {
@@ -147,9 +147,6 @@ func NewStream(s *sim.Sim, cfg Config, replica *node.Node) *Stream {
 		cfg:       cfg,
 		replica:   replica,
 		inboxCond: sim.NewCond(s),
-		lagInsert: meter.NewReservoir(),
-		lagUpdate: meter.NewReservoir(),
-		lagDelete: meter.NewReservoir(),
 	}
 	for i := 0; i < cfg.Lanes; i++ {
 		lane := &laneState{cond: sim.NewCond(s)}
@@ -538,11 +535,6 @@ func (st *Stream) Backlog() int {
 	return n
 }
 
-// LagReservoirs returns the per-DML lag reservoirs (insert, update, delete).
-func (st *Stream) LagReservoirs() (ins, upd, del *meter.Reservoir) {
-	return st.lagInsert, st.lagUpdate, st.lagDelete
-}
-
 // MeanLag returns the mean replication lag for the given record type, or
 // the overall mean across DML types when typ is zero.
 func (st *Stream) MeanLag(typ storage.RecType) time.Duration {
@@ -556,9 +548,9 @@ func (st *Stream) MeanLag(typ storage.RecType) time.Duration {
 	}
 	total := time.Duration(0)
 	n := 0
-	for _, r := range []*meter.Reservoir{st.lagInsert, st.lagUpdate, st.lagDelete} {
-		if r.Count() > 0 {
-			total += r.Mean()
+	for _, h := range []*meter.Histogram{&st.lagInsert, &st.lagUpdate, &st.lagDelete} {
+		if h.Count() > 0 {
+			total += h.Mean()
 			n++
 		}
 	}
