@@ -127,10 +127,6 @@ type Targets struct {
 	Net *netsim.Net
 	// Seed drives the IO-error-burst coin flips (deterministic per node).
 	Seed int64
-	// CrashRecovery carries the recovery teeth knobs applied to every
-	// NodeCrash in the schedule (deliberately-broken recovery variants for
-	// the durability gauntlet); zero value = honest ARIES recovery.
-	CrashRecovery engine.RecoveryOpts
 }
 
 // Applied is the log entry of one injected fault.
@@ -299,10 +295,7 @@ func (inj *Injector) fire(p *sim.Proc, ev Event) {
 			// otherwise reorder behind later skipped kills).
 			idx := len(inj.crashes)
 			inj.crashes = append(inj.crashes, CrashOutcome{At: p.Elapsed(), Target: ev.Target})
-			st, err := inj.targets.Cluster.InjectNodeCrash(p, m, cluster.CrashOpts{
-				Torn:     ev.Torn,
-				Recovery: inj.targets.CrashRecovery,
-			})
+			st, err := inj.targets.Cluster.InjectNodeCrash(p, m, ev.Torn)
 			inj.crashes[idx].Stats = st
 			if err != nil {
 				inj.crashes[idx].Err = err.Error()

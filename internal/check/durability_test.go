@@ -12,17 +12,47 @@ import (
 )
 
 // crashRecover crashes db's log with the given torn mode and recovers a
-// fresh salesDB from it with the given teeth options, carrying the
-// recorder onto the rebuilt instance (as node recovery does).
-func crashRecover(t *testing.T, s *sim.Sim, db *engine.DB, torn storage.TornMode, opts engine.RecoveryOpts) *engine.DB {
+// fresh salesDB from it, carrying the recorder onto the rebuilt instance (as
+// node recovery does).
+func crashRecover(t *testing.T, s *sim.Sim, db *engine.DB, torn storage.TornMode) *engine.DB {
 	t.Helper()
 	tail, _ := db.Log().Crash(torn)
 	fresh := salesDB(s)
-	if _, err := fresh.Recover(db.Log().Snapshot(), tail, opts); err != nil {
+	if _, err := fresh.Recover(db.Log().Snapshot(), tail); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	fresh.SetObserver(db.Observer())
 	return fresh
+}
+
+// resurrectLosers re-applies, through the replica path (which fires no
+// observer hook), the logged after-images of every data record whose txn
+// the log neither commits nor aborts at the crash: the state a recovery that
+// skipped its undo pass would leave. It returns how many it applied.
+func resurrectLosers(t *testing.T, snap storage.LogSnapshot, db *engine.DB) int {
+	t.Helper()
+	lg := storage.NewLog()
+	lg.Restore(snap)
+	recs := lg.Read(0, 0)
+	ended := make(map[uint64]bool)
+	for i := range recs {
+		if recs[i].Type == storage.RecCommit || recs[i].Type == storage.RecAbort {
+			ended[recs[i].Txn] = true
+		}
+	}
+	var losers []storage.Record
+	for i := range recs {
+		switch recs[i].Type {
+		case storage.RecInsert, storage.RecUpdate, storage.RecDelete:
+			if !ended[recs[i].Txn] {
+				losers = append(losers, recs[i])
+			}
+		}
+	}
+	if err := db.ApplyBatch(losers); err != nil {
+		t.Fatalf("resurrect: %v", err)
+	}
+	return len(losers)
 }
 
 // crashHistory drives committed payments plus one in-flight transaction
@@ -63,7 +93,7 @@ func crashHistory(t *testing.T, s *sim.Sim) (*Recorder, *engine.DB) {
 func TestDurabilityPassesAfterHonestRecovery(t *testing.T) {
 	s := sim.New(time.Unix(0, 0))
 	rec, db := crashHistory(t, s)
-	recovered := crashRecover(t, s, db, storage.TornNone, engine.RecoveryOpts{})
+	recovered := crashRecover(t, s, db, storage.TornNone)
 
 	if v := Durability("rw", rec, recovered); !v.Passed {
 		t.Fatalf("durability failed on honest recovery: %v", v)
@@ -77,13 +107,17 @@ func TestDurabilityPassesAfterHonestRecovery(t *testing.T) {
 	}
 }
 
-// TestNoResurrectionCatchesSkippedUndo is a teeth test: recovery that skips
-// the undo pass leaves the in-flight transaction's PAID marker in place,
-// and NoResurrection must name it a resurrected write.
+// TestNoResurrectionCatchesSkippedUndo is a teeth test: after honest
+// recovery it re-applies the in-flight transaction's logged PAID image (the
+// state a recovery that skipped its undo pass would leave), and
+// NoResurrection must name it a resurrected write.
 func TestNoResurrectionCatchesSkippedUndo(t *testing.T) {
 	s := sim.New(time.Unix(0, 0))
 	rec, db := crashHistory(t, s)
-	broken := crashRecover(t, s, db, storage.TornNone, engine.RecoveryOpts{SkipUndo: true})
+	broken := crashRecover(t, s, db, storage.TornNone)
+	if resurrectLosers(t, db.Log().Snapshot(), broken) == 0 {
+		t.Fatal("the crash left no loser records; teeth test is vacuous")
+	}
 
 	v := NoResurrection("rw", rec, broken)
 	if v.Passed {
@@ -127,7 +161,7 @@ func TestDurabilityCatchesLostCommit(t *testing.T) {
 	}
 	liar.Sync()
 	fresh := salesDB(s)
-	if _, err := fresh.Recover(liar.Snapshot(), nil, engine.RecoveryOpts{}); err != nil {
+	if _, err := fresh.Recover(liar.Snapshot(), nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	v := Durability("rw", rec, fresh)

@@ -523,6 +523,9 @@ type diffRun struct {
 	other   *engine.DB   // a second engine sharing the recorder (its txn ids collide with the primary's)
 	dbs     []*engine.DB // every engine the recorder watched
 	fake    uint64       // next fabricated txn id
+	// resurrections counts crashes after which the primary, its losers
+	// applied back, failed no-resurrection at once.
+	resurrections int
 	// Which invariant this seed deliberately violates (several may be set).
 	injectConservation, injectRowBalance, injectReadCommitted, injectDurability, injectResurrection bool
 }
@@ -701,8 +704,10 @@ func (d *diffRun) inject(p *sim.Proc, db *engine.DB) {
 
 // crash leaves a writing txn in flight, sometimes drags its records into
 // the durable log with a committed successor, crashes the primary's log and
-// recovers a fresh primary from it. Recovery skips undo when the seed
-// violates no-resurrection.
+// recovers a fresh primary from it. When the seed violates no-resurrection,
+// the losers' logged images are then applied back to the recovered primary,
+// as if recovery had skipped its undo pass, and both implementations judge
+// the primary at once.
 func (d *diffRun) crash(p *sim.Proc) {
 	loser := d.primary.Begin(p)
 	d.ops(p, d.primary, loser, 1+d.r.Intn(3))
@@ -716,8 +721,17 @@ func (d *diffRun) crash(p *sim.Proc) {
 	tail, _ := d.primary.Log().Crash(storage.TornMode(d.r.Intn(3)))
 	prev := d.primary
 	d.primary = d.attach()
-	if _, err := d.primary.Recover(prev.Log().Snapshot(), tail, engine.RecoveryOpts{SkipUndo: d.injectResurrection}); err != nil {
+	if _, err := d.primary.Recover(prev.Log().Snapshot(), tail); err != nil {
 		d.t.Fatalf("recover: %v", err)
+	}
+	if d.injectResurrection && resurrectLosers(d.t, prev.Log().Snapshot(), d.primary) > 0 {
+		got, want := NoResurrection("rw", d.obs.rec, d.primary), refNoResurrection("rw", d.obs.ref, d.primary)
+		if !reflect.DeepEqual(got, want) {
+			d.t.Fatalf("after resurrection: verdict differs from the reference:\n got  %#v\n want %#v", got, want)
+		}
+		if !got.Passed {
+			d.resurrections++
+		}
 	}
 }
 
@@ -849,23 +863,25 @@ func btoi(b bool) int {
 
 // TestRecorderMatchesReference is the differential oracle for the chunked
 // recorder and its shared judge index: seeded histories through real
-// engines — several sharing one recorder across crashes, recoveries that
-// may skip undo, and a second engine whose txn ids collide with the
-// primary's — with inserts, updates, deletes, reads of absent rows, aborts,
-// txns that never finish, repeated writes to one key, NaN and −0 images and
-// fabricated violations of every invariant, judged by both implementations.
+// engines — several sharing one recorder across crashes, recoveries whose
+// losers may be applied back afterwards, and a second engine whose txn ids
+// collide with the primary's — with inserts, updates, deletes, reads of
+// absent rows, aborts, txns that never finish, repeated writes to one key,
+// NaN and −0 images and fabricated violations of every invariant, judged by
+// both implementations.
 // Every verdict must match field for field, Details in order, and so must
 // Events(), Counts() and the same for Before(at) views at random instants,
 // for views and parents that go on recording, and for Convergence between
 // every pair of the run's engines.
 func TestRecorderMatchesReference(t *testing.T) {
 	cov := verdictCoverage{}
-	events := 0
+	events, resurrections := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		d := newDiffRun(t, seed)
 		d.run()
 		rec, ref := d.obs.rec, d.obs.ref
 		events += rec.n
+		resurrections += d.resurrections
 		label := fmt.Sprintf("seed %d", seed)
 		d.compare(label, rec, ref, cov)
 		d.compare(label+" (index reused)", rec, ref, cov)
@@ -912,7 +928,10 @@ func TestRecorderMatchesReference(t *testing.T) {
 			t.Errorf("%s: seen failing %d and passing %d times — the histories must exercise both", name, c[0], c[1])
 		}
 	}
-	t.Logf("coverage %v, %d events", cov, events)
+	if resurrections == 0 {
+		t.Error("no crash's losers, applied back, failed no-resurrection: the injection is vacuous")
+	}
+	t.Logf("coverage %v, %d events, %d resurrections caught", cov, events, resurrections)
 	if len(cov) != 6 || events < 5000 {
 		t.Errorf("oracle too small to mean anything: %d verdicts covered, %d events", len(cov), events)
 	}

@@ -223,17 +223,8 @@ func (c *Cluster) Shutdown() {
 	}
 }
 
-// CrashOpts selects the fault shape for InjectNodeCrash.
-type CrashOpts struct {
-	// Torn selects how the record mid-write at the crash instant is mangled.
-	Torn storage.TornMode
-	// Recovery carries the teeth knobs for the durability gauntlet
-	// (deliberately-broken recovery variants); zero value = honest recovery.
-	Recovery engine.RecoveryOpts
-}
-
 // InjectNodeCrash kills the member's node at this instant — its WAL keeps
-// only what fsync made durable (the in-flight record torn per opts), every
+// only what fsync made durable (the record mid-write torn as torn says), every
 // volatile structure dies — then, after the failure-detection delay, drives
 // real crash recovery: an RW either recovers in place via the ARIES pass
 // (recovery time emergent from log-since-checkpoint) or, for
@@ -242,7 +233,7 @@ type CrashOpts struct {
 // recovery); a crashed RO resyncs from the primary's durable log (its own
 // apply state was volatile). Blocks until the member serves again; returns
 // the recovery stats of the pass that restored it.
-func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, opts CrashOpts) (engine.RecoveryStats, error) {
+func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, torn storage.TornMode) (engine.RecoveryStats, error) {
 	if m == nil {
 		return engine.RecoveryStats{}, nil
 	}
@@ -254,7 +245,7 @@ func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, opts CrashOpts) (engin
 		c.mark(fmt.Sprintf("%s crash skipped (not running)", m.Role))
 		return engine.RecoveryStats{}, nil
 	}
-	if opts.Torn != storage.TornNone {
+	if torn != storage.TornNone {
 		// An adversarial kill: wait (briefly) for an instant when the WAL
 		// actually holds unsynced records, so the tear lands mid-write on a
 		// real in-flight record instead of falling in a clean gap between
@@ -265,24 +256,24 @@ func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, opts CrashOpts) (engin
 			p.Sleep(20 * time.Microsecond)
 		}
 	}
-	m.Node.Crash(opts.Torn)
+	m.Node.Crash(torn)
 	c.mark(fmt.Sprintf("%s crash injected", m.Role))
 	p.Sleep(c.cfg.DetectDelay)
 	if m.Role == RW && c.cfg.PromoteOnRWFailure && c.Replica(0) != nil {
-		return c.promoteFailover(p, m, opts.Recovery)
+		return c.promoteFailover(p, m)
 	}
 	if m.Role == RO {
 		// Replica resync: rebuild from the primary's durable log.
 		m.Node.SeedRecovery(c.rw.Node.DB.Log().DurableSnapshot(), nil)
 	}
-	return c.recoverNode(p, m, opts.Recovery)
+	return c.recoverNode(p, m)
 }
 
 // recoverNode drives real node recovery for a crashed member and restores
 // it to service, marking "<role> service restored" on the timeline.
-func (c *Cluster) recoverNode(p *sim.Proc, m *Member, opts engine.RecoveryOpts) (engine.RecoveryStats, error) {
+func (c *Cluster) recoverNode(p *sim.Proc, m *Member) (engine.RecoveryStats, error) {
 	t0 := c.S.Elapsed()
-	st, err := m.Node.Recover(p, opts)
+	st, err := m.Node.Recover(p)
 	if err != nil {
 		c.mark(fmt.Sprintf("%s recovery failed", m.Role))
 		return st, err
@@ -318,7 +309,7 @@ func (c *Cluster) rampUp(n *node.Node) {
 // RW as an RO. The rejoin runs actual ARIES recovery over the old RW's
 // durable log; those stats are returned so crash gauntlets can report the
 // recovery work a promotion architecture still performs.
-func (c *Cluster) promoteFailover(p *sim.Proc, old *Member, opts engine.RecoveryOpts) (engine.RecoveryStats, error) {
+func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStats, error) {
 	target := c.Replica(0)
 	c.mark("RW failure detected")
 
@@ -403,7 +394,7 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member, opts engine.Recovery
 	// rebuilt state only ever serves reads behind the new RW's replication
 	// stream.
 	old.Node.Buf.Clear()
-	st, err := old.Node.Recover(p, opts)
+	st, err := old.Node.Recover(p)
 	if err != nil {
 		c.mark("old RW recovery failed")
 		return st, err

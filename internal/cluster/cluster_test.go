@@ -8,6 +8,7 @@ import (
 	"cloudybench/internal/node"
 	"cloudybench/internal/replication"
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -118,7 +119,7 @@ func TestRestartInPlaceTimings(t *testing.T) {
 			t.Error(err)
 		}
 		start := p.Elapsed()
-		if _, err := c.InjectNodeCrash(p, rw, CrashOpts{}); err != nil {
+		if _, err := c.InjectNodeCrash(p, rw, storage.TornNone); err != nil {
 			t.Error(err)
 		}
 		if got := p.Elapsed() - start; got != time.Second+recoveryBase {
@@ -132,7 +133,7 @@ func TestRestartInPlaceTimings(t *testing.T) {
 		}
 		ro := c.Replica(0)
 		start = p.Elapsed()
-		if _, err := c.InjectNodeCrash(p, ro, CrashOpts{}); err != nil {
+		if _, err := c.InjectNodeCrash(p, ro, storage.TornNone); err != nil {
 			t.Error(err)
 		}
 		if got := p.Elapsed() - start; got != time.Second+recoveryBase {
@@ -157,7 +158,7 @@ func TestRestartClearsBuffer(t *testing.T) {
 		if rw.Buf.Len() == 0 {
 			t.Error("buffer empty before the crash")
 		}
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		if rw.Buf.Len() != 0 {
 			t.Error("buffer survived the crash")
 		}
@@ -181,7 +182,7 @@ func TestPromoteFailoverSwitchesRoles(t *testing.T) {
 	oldRW := c.RW()
 	oldRO := c.Replica(0).Node
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
@@ -232,7 +233,7 @@ func TestPromoteWithoutReplicaFallsBack(t *testing.T) {
 	c := makeCluster(s, FailoverConfig{PromoteOnRWFailure: true}, 0)
 	rw := c.RW()
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		if p.Elapsed() != recoveryBase {
 			t.Errorf("in-place recovery done at %v, want %v", p.Elapsed(), recoveryBase)
 		}
@@ -255,7 +256,7 @@ func TestWritesFailDuringOutageAndResumeAfter(t *testing.T) {
 	var failedDuring, okAfter bool
 	s.Go("injector", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		c.Shutdown()
 	})
 	s.Go("client", func(p *sim.Proc) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudybench/internal/engine"
 	"cloudybench/internal/node"
 	"cloudybench/internal/sim"
 	"cloudybench/internal/storage"
@@ -125,7 +124,7 @@ func (c *Cluster) bounceAfterHeal(p *sim.Proc, m *Member) {
 	}
 	m.Node.Crash(storage.TornNone)
 	c.mark(fmt.Sprintf("%s crash injected", m.Role))
-	c.recoverNode(p, m, engine.RecoveryOpts{})
+	c.recoverNode(p, m)
 }
 
 // onRejoin handles a suspected member becoming reachable again. The healed

@@ -107,7 +107,7 @@ func TestPromoteDrainsReplicaBacklogBeforeTakeover(t *testing.T) {
 		if shipped, applied := c.Replica(0).Stream.Counts(); shipped != 0 || applied != 0 {
 			t.Errorf("pre-promotion stream counts shipped=%d applied=%d, want 0/0", shipped, applied)
 		}
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"cloudybench/internal/engine"
 	"cloudybench/internal/node"
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 func TestPromoteWithTwoReplicasKeepsSecondServing(t *testing.T) {
@@ -20,7 +21,7 @@ func TestPromoteWithTwoReplicasKeepsSecondServing(t *testing.T) {
 	c := makeCluster(s, cfg, 2)
 	secondRO := c.Replica(1).Node
 	s.Go("injector", func(p *sim.Proc) {
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 		c.Shutdown()
 	})
 	if err := s.Run(); err != nil {
@@ -59,7 +60,7 @@ func TestWritesContinueOnPromotedRW(t *testing.T) {
 		tx.Commit()
 		p.Sleep(500 * time.Millisecond) // replicate
 
-		c.InjectNodeCrash(p, c.RWMember(), CrashOpts{})
+		c.InjectNodeCrash(p, c.RWMember(), storage.TornNone)
 
 		// Write after promotion goes to the new RW; the pre-failure write
 		// must be visible there (it was replicated before the switch).

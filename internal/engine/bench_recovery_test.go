@@ -83,7 +83,7 @@ func BenchmarkRecoveryRedo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db := NewDB(sim.New(epoch))
 		db.MustCreateTable(benchSchema(), 0, nil)
-		st, err := db.Recover(snap, nil, RecoveryOpts{})
+		st, err := db.Recover(snap, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

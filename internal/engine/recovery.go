@@ -15,8 +15,7 @@ import (
 // committed history from that prefix, ARIES-style:
 //
 //  1. Torn-tail check: byte-decode the tail; a checksum or truncation error
-//     proves it is garbage and it is cut. (The teeth option SkipTornCheck
-//     models a broken reader that trusts a structurally-decodable tail.)
+//     proves it is garbage and it is cut.
 //  2. Analysis: one scan classifies every logged txn as committed (commit
 //     record present), aborted (abort record present — its writes were
 //     rolled back in place before the crash, so redo must skip them; the
@@ -35,17 +34,6 @@ import (
 // time emergent (∝ log-since-checkpoint) without snapshotting engine state
 // at every checkpoint.
 
-// RecoveryOpts selects deliberately-broken recovery variants for "teeth"
-// tests — proofs that the durability invariants actually catch a recovery
-// bug. Production recovery uses the zero value.
-type RecoveryOpts struct {
-	// SkipUndo leaves losers' effects in place (no rollback, no markers).
-	SkipUndo bool
-	// SkipTornCheck trusts the torn tail: if it is structurally decodable
-	// (checksum ignored), its record is applied as if durable.
-	SkipTornCheck bool
-}
-
 // RecoveryStats reports what a recovery pass did, and carries the inputs the
 // node layer prices into virtual recovery time.
 type RecoveryStats struct {
@@ -59,7 +47,6 @@ type RecoveryStats struct {
 	Committed     int         // distinct committed txns
 	Aborted       int         // distinct runtime-aborted txns (skipped in redo)
 	TornDetected  bool        // torn tail present and cut by the checksum scan
-	TornApplied   bool        // teeth only: torn tail applied as if durable
 	// RedoPages lists the distinct pages touched inside the redo cost
 	// window, in first-touch LSN order (deterministic) — the pages a
 	// page-oriented architecture faults in during redo.
@@ -71,7 +58,7 @@ type RecoveryStats struct {
 // setup runs deterministically on every node) and no writes applied. snap is
 // the crashed log's post-crash snapshot (durable prefix only); tornTail is
 // the mangled trailing bytes Crash returned, if any.
-func (db *DB) Recover(snap storage.LogSnapshot, tornTail []byte, opts RecoveryOpts) (RecoveryStats, error) {
+func (db *DB) Recover(snap storage.LogSnapshot, tornTail []byte) (RecoveryStats, error) {
 	var st RecoveryStats
 	db.log.Restore(snap)
 
@@ -79,18 +66,10 @@ func (db *DB) Recover(snap storage.LogSnapshot, tornTail []byte, opts RecoveryOp
 	// it is cut (the log already ends at the durable prefix). A clean
 	// decode means the record actually hit the platter in full — keep it.
 	if len(tornTail) > 0 {
-		dec := storage.DecodeRecord
-		if opts.SkipTornCheck {
-			dec = storage.DecodeRecordNoVerify
-		}
-		rec, _, err := dec(tornTail)
-		if err != nil {
+		if rec, _, err := storage.DecodeRecord(tornTail); err != nil {
 			st.TornDetected = true
 		} else {
 			db.log.Append(rec)
-			if opts.SkipTornCheck {
-				st.TornApplied = true
-			}
 		}
 	}
 
@@ -154,36 +133,34 @@ func (db *DB) Recover(snap storage.LogSnapshot, tornTail []byte, opts RecoveryOp
 		loserIDs[loserRecs[i].Txn] = true
 	}
 	st.Losers = len(loserIDs)
-	if !opts.SkipUndo {
-		for i := len(loserRecs) - 1; i >= 0; i-- {
-			r := &loserRecs[i]
-			t := db.byID[r.Table]
-			if t == nil {
-				return st, fmt.Errorf("engine: recovery undo for unknown table id %d", r.Table)
+	for i := len(loserRecs) - 1; i >= 0; i-- {
+		r := &loserRecs[i]
+		t := db.byID[r.Table]
+		if t == nil {
+			return st, fmt.Errorf("engine: recovery undo for unknown table id %d", r.Table)
+		}
+		existed := r.Flags&storage.FlagPriorExisted != 0
+		inDelta := r.Flags&storage.FlagPriorInDelta != 0
+		var prior Row
+		if existed {
+			prior, err = db.decodeRow(r.Prior)
+			if err != nil {
+				return st, fmt.Errorf("engine: recovery undo at LSN %d: %w", r.LSN, err)
 			}
-			existed := r.Flags&storage.FlagPriorExisted != 0
-			inDelta := r.Flags&storage.FlagPriorInDelta != 0
-			var prior Row
-			if existed {
-				prior, err = db.decodeRow(r.Prior)
-				if err != nil {
-					return st, fmt.Errorf("engine: recovery undo at LSN %d: %w", r.LSN, err)
-				}
-			}
-			t.undoSet(Key(r.Key), prior, r.Page, existed, inDelta)
-			st.UndoRecords++
 		}
-		// Durable abort markers close the losers out: a later crash must
-		// see them as already-rolled-back, or its undo would clobber any
-		// newer committed writes to the same keys.
-		ids := make([]uint64, 0, len(loserIDs))
-		for id := range loserIDs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			db.log.Append(storage.Record{Type: storage.RecAbort, Txn: id})
-		}
+		t.undoSet(Key(r.Key), prior, r.Page, existed, inDelta)
+		st.UndoRecords++
+	}
+	// Durable abort markers close the losers out: a later crash must see them
+	// as already-rolled-back, or its undo would clobber any newer committed
+	// writes to the same keys.
+	ids := make([]uint64, 0, len(loserIDs))
+	for id := range loserIDs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		db.log.Append(storage.Record{Type: storage.RecAbort, Txn: id})
 	}
 	db.log.Sync()
 

@@ -97,7 +97,7 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 
 	// Recover a fresh instance.
 	_, rdb, rtbl := newRecoveryDB(t)
-	st, err := rdb.Recover(snap, tail, engine.RecoveryOpts{})
+	st, err := rdb.Recover(snap, tail)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

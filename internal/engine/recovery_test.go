@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"time"
@@ -104,6 +106,14 @@ func runCrashWorkload(t *testing.T, seed int64, txns, inflight, ckEvery int, tor
 // from the durable log, in order, through the replica Apply path — an
 // independent reconstruction of "exactly the acknowledged history".
 func oracleFromDurableLog(t *testing.T, cs crashState) (*DB, *Table) {
+	return replayDurableLog(t, cs, false)
+}
+
+// replayDurableLog applies the durable log's data records, in order, through
+// the replica Apply path: those of committed transactions, and with losers
+// set those of in-flight ones too — every record but a runtime abort's, the
+// state a recovery that skipped its undo pass would leave.
+func replayDurableLog(t *testing.T, cs crashState, losers bool) (*DB, *Table) {
 	t.Helper()
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	db, tbl := newRecoverySchema(s)
@@ -111,27 +121,41 @@ func oracleFromDurableLog(t *testing.T, cs crashState) (*DB, *Table) {
 	lg.Restore(cs.snap)
 	recs := lg.Read(0, 0)
 	committed := make(map[uint64]bool)
+	aborted := make(map[uint64]bool)
 	for i := range recs {
-		if recs[i].Type == storage.RecCommit {
+		switch recs[i].Type {
+		case storage.RecCommit:
 			committed[recs[i].Txn] = true
+		case storage.RecAbort:
+			aborted[recs[i].Txn] = true
 		}
 	}
 	for i := range recs {
-		if committed[recs[i].Txn] {
+		if committed[recs[i].Txn] || losers && !aborted[recs[i].Txn] {
 			if err := db.Apply(recs[i]); err != nil {
-				t.Fatalf("oracle apply: %v", err)
+				t.Fatalf("replay apply: %v", err)
 			}
 		}
 	}
 	return db, tbl
 }
 
+// resealed returns a copy of a torn tail with its CRC trailer recomputed
+// over the mangled bytes: the record a reader that trusts the tail would
+// apply.
+func resealed(tail []byte) []byte {
+	out := append([]byte(nil), tail...)
+	n := len(out) - 4
+	binary.BigEndian.PutUint32(out[n:], crc32.Checksum(out[:n], crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
 // recoverFresh builds a fresh catalog and runs recovery on it.
-func recoverFresh(t *testing.T, cs crashState, opts RecoveryOpts) (*DB, *Table, RecoveryStats) {
+func recoverFresh(t *testing.T, cs crashState) (*DB, *Table, RecoveryStats) {
 	t.Helper()
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	db, tbl := newRecoverySchema(s)
-	st, err := db.Recover(cs.snap, cs.tail, opts)
+	st, err := db.Recover(cs.snap, cs.tail)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -219,7 +243,7 @@ func TestRecoverEquivalenceDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_%v_ck%d", seed, mode, ckEvery), func(t *testing.T) {
 			_, cs := runCrashWorkload(t, seed, 150, 3, ckEvery, mode)
 			_, otbl := oracleFromDurableLog(t, cs)
-			rec, rtbl, st := recoverFresh(t, cs, RecoveryOpts{})
+			rec, rtbl, st := recoverFresh(t, cs)
 			if d := diffTables(rtbl, otbl); d != "" {
 				t.Fatalf("recovered state diverges from committed-prefix oracle: %s", d)
 			}
@@ -245,7 +269,7 @@ func TestRecoverEquivalenceDifferential(t *testing.T) {
 // keep the new values instead of re-undoing the old loser under them.
 func TestRecoverSecondCrashDoesNotResurrect(t *testing.T) {
 	_, cs := runCrashWorkload(t, 11, 80, 2, 0, storage.TornNone)
-	db1, tbl1, st1 := recoverFresh(t, cs, RecoveryOpts{})
+	db1, tbl1, st1 := recoverFresh(t, cs)
 	if st1.Losers != 2 {
 		t.Fatalf("first recovery losers = %d, want 2", st1.Losers)
 	}
@@ -269,7 +293,7 @@ func TestRecoverSecondCrashDoesNotResurrect(t *testing.T) {
 	}
 	tail2, _ := db1.Log().Crash(storage.TornNone)
 	cs2 := crashState{snap: db1.Log().Snapshot(), tail: tail2}
-	_, tbl2, _ := recoverFresh(t, cs2, RecoveryOpts{})
+	_, tbl2, _ := recoverFresh(t, cs2)
 	for w := int64(0); w < 2; w++ {
 		row, _, ok := tbl2.Get(IntKey(500 + 10*w))
 		if !ok || row[3].S != "post-crash" {
@@ -278,19 +302,17 @@ func TestRecoverSecondCrashDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// TestRecoverTeethSkipUndo proves the durability gauntlet has teeth: a
-// recovery that skips the undo pass leaves in-flight transactions' effects
-// in place, and the committed-prefix differential catches it.
+// TestRecoverTeethSkipUndo proves the durability gauntlet has teeth: it
+// builds the state a recovery without its undo pass would leave (every
+// non-aborted data record of the durable log applied with DB.Apply, the
+// losers' included), and the committed-prefix differential catches it.
 func TestRecoverTeethSkipUndo(t *testing.T) {
 	_, cs := runCrashWorkload(t, 5, 100, 2, 0, storage.TornNone)
 	_, otbl := oracleFromDurableLog(t, cs)
-	_, rtbl, st := recoverFresh(t, cs, RecoveryOpts{SkipUndo: true})
-	if st.UndoRecords != 0 {
-		t.Fatalf("SkipUndo rolled back %d records", st.UndoRecords)
-	}
-	if st.Losers == 0 {
+	if _, _, st := recoverFresh(t, cs); st.Losers == 0 {
 		t.Fatal("workload left no losers; teeth test is vacuous")
 	}
+	_, rtbl := replayDurableLog(t, cs, true)
 	if d := diffTables(rtbl, otbl); d == "" {
 		t.Fatal("skipped undo went undetected: recovered state equals oracle")
 	}
@@ -303,9 +325,10 @@ func TestRecoverTeethSkipUndo(t *testing.T) {
 }
 
 // TestRecoverTeethSkipTornCheck proves the torn-tail checksum pass has
-// teeth: a reader that trusts a structurally-decodable but corrupt tail
-// record applies it — and its mangled prior image poisons the undo, leaving
-// a value that never existed (or failing outright mid-undo).
+// teeth: it hands honest recovery the TornFlip tail with its CRC trailer
+// recomputed, which is what a reader that trusts the tail would apply. The
+// corrupt record is then kept, and its mangled prior image poisons the undo,
+// leaving a value that never existed (or failing outright mid-undo).
 func TestRecoverTeethSkipTornCheck(t *testing.T) {
 	// Construct the sharp case directly: a committed value, then an
 	// in-flight update of the same key sitting unsynced at the crash.
@@ -331,7 +354,7 @@ func TestRecoverTeethSkipTornCheck(t *testing.T) {
 	}
 	cs := crashState{snap: db.Log().Snapshot(), tail: tail}
 
-	_, honest, hst := recoverFresh(t, cs, RecoveryOpts{})
+	_, honest, hst := recoverFresh(t, cs)
 	if !hst.TornDetected {
 		t.Fatal("honest recovery did not detect the torn tail")
 	}
@@ -342,14 +365,14 @@ func TestRecoverTeethSkipTornCheck(t *testing.T) {
 
 	sb := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	bdb, btbl := newRecoverySchema(sb)
-	bst, berr := bdb.Recover(cs.snap, cs.tail, RecoveryOpts{SkipUndo: false, SkipTornCheck: true})
+	bst, berr := bdb.Recover(cs.snap, resealed(cs.tail))
 	if berr != nil {
 		// The mangled prior image failed to decode mid-undo: caught as a
 		// hard recovery error. Equally detected.
 		return
 	}
-	if !bst.TornApplied {
-		t.Fatal("teeth recovery did not apply the torn tail")
+	if bst.TornDetected {
+		t.Fatal("resealed tail was still cut: the teeth recovery applied nothing")
 	}
 	brow, _, bok := btbl.Get(IntKey(9))
 	if bok && brow.Equal(row) {
@@ -366,9 +389,9 @@ func TestRecoverCostScalesWithLogSinceCheckpoint(t *testing.T) {
 	_, csSparse := runCrashWorkload(t, 21, 200, 0, 100, storage.TornNone)
 	_, csDense := runCrashWorkload(t, 21, 200, 0, 10, storage.TornNone)
 
-	_, tNone, stNone := recoverFresh(t, csNone, RecoveryOpts{})
-	_, tSparse, stSparse := recoverFresh(t, csSparse, RecoveryOpts{})
-	_, tDense, stDense := recoverFresh(t, csDense, RecoveryOpts{})
+	_, tNone, stNone := recoverFresh(t, csNone)
+	_, tSparse, stSparse := recoverFresh(t, csSparse)
+	_, tDense, stDense := recoverFresh(t, csDense)
 
 	if stNone.CheckpointLSN != 0 || stSparse.CheckpointLSN == 0 || stDense.CheckpointLSN == 0 {
 		t.Fatalf("checkpoint LSNs: none=%d sparse=%d dense=%d", stNone.CheckpointLSN, stSparse.CheckpointLSN, stDense.CheckpointLSN)
@@ -396,7 +419,7 @@ func TestRecoverCostScalesWithLogSinceCheckpoint(t *testing.T) {
 func TestRecoverEmptyAndTrivialLogs(t *testing.T) {
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	db, _ := newRecoverySchema(s)
-	st, err := db.Recover(storage.NewLog().Snapshot(), nil, RecoveryOpts{})
+	st, err := db.Recover(storage.NewLog().Snapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +428,7 @@ func TestRecoverEmptyAndTrivialLogs(t *testing.T) {
 	}
 
 	_, cs := runCrashWorkload(t, 3, 50, 0, 0, storage.TornNone)
-	_, rtbl, st2 := recoverFresh(t, cs, RecoveryOpts{})
+	_, rtbl, st2 := recoverFresh(t, cs)
 	_, otbl := oracleFromDurableLog(t, cs)
 	if st2.Losers != 0 || st2.UndoRecords != 0 {
 		t.Fatalf("clean history produced losers: %+v", st2)

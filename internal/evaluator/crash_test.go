@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"cloudybench/internal/cdb"
-	"cloudybench/internal/engine"
 )
 
-// quickCrash runs a short gauntlet; non-zero recovery opts sabotage every
-// crash recovery in the run (skip undo, trust torn tails).
-func quickCrash(kind cdb.Kind, recovery engine.RecoveryOpts) CrashResult {
+// quickCrash runs a short gauntlet; loseAck sabotages the finished run by
+// rolling the RW's last acknowledged write back on the RW before judging.
+func quickCrash(kind cdb.Kind, loseAck bool) CrashResult {
 	sp := crashSpec(CrashConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
-	sp.sabotage.recovery = recovery
+	if loseAck {
+		sp.sabotage.lostWrite = "rw"
+	}
 	return crashResult(runGauntlet(sp))
 }
 
@@ -47,7 +48,7 @@ func TestCrashGauntletAllArchitecturesSurvive(t *testing.T) {
 	for _, kind := range cdb.Kinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			r := quickCrash(kind, engine.RecoveryOpts{})
+			r := quickCrash(kind, false)
 			if !r.Passed() {
 				for _, v := range r.Verdicts {
 					if !v.Passed {
@@ -75,7 +76,7 @@ func TestCrashGauntletAllArchitecturesSurvive(t *testing.T) {
 // outcome prove the redo/undo passes ran over real records, and a torn tail
 // must have been detected and cut for the TornFlip kills.
 func TestCrashRecoveryIsRealWork(t *testing.T) {
-	r := quickCrash(cdb.RDS, engine.RecoveryOpts{})
+	r := quickCrash(cdb.RDS, false)
 	var redo, torn bool
 	for _, c := range r.Crashes {
 		if c.Target == "rw" && c.Stats.RedoSince > 0 {
@@ -129,21 +130,21 @@ func TestCrashRecoveryTimeScalesWithLog(t *testing.T) {
 // stats, verdicts, timeline, fault log — be identical across two same-seed
 // runs.
 func TestCrashRunIsDeterministic(t *testing.T) {
-	a := crashFingerprint(quickCrash(cdb.CDB1, engine.RecoveryOpts{}))
-	b := crashFingerprint(quickCrash(cdb.CDB1, engine.RecoveryOpts{}))
+	a := crashFingerprint(quickCrash(cdb.CDB1, false))
+	b := crashFingerprint(quickCrash(cdb.CDB1, false))
 	if a != b {
 		t.Fatalf("crash run diverged:\n%s\nvs\n%s", a, b)
 	}
 }
 
-// TestCrashGauntletHasTeeth runs the same gauntlet with recovery
-// deliberately broken — undo skipped, torn tails trusted — and demands the
-// durability verdicts FAIL: in-flight losers' writes survive recovery, which
-// NoResurrection must name.
+// TestCrashGauntletHasTeeth runs the same gauntlet, every crash recovered
+// honestly, then rolls the RW's last acknowledged write back on the RW before
+// judging, and demands a durability verdict FAIL: the RW no longer holds what
+// the acknowledged history dictates.
 func TestCrashGauntletHasTeeth(t *testing.T) {
-	r := quickCrash(cdb.RDS, engine.RecoveryOpts{SkipUndo: true, SkipTornCheck: true})
+	r := quickCrash(cdb.RDS, true)
 	if r.Passed() {
-		t.Fatal("verdict sheet passed with undo skipped and torn tails trusted")
+		t.Fatal("verdict sheet passed although the RW lost an acknowledged write")
 	}
 	var durability bool
 	for _, v := range r.Verdicts {

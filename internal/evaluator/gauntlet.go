@@ -62,12 +62,16 @@ const (
 	convergence                     // every member but the RW, against the RW
 )
 
-// sabotage breaks one mechanism so the checker guarding it must FAIL; only
-// the in-package teeth tests set it.
+// sabotage doctors what a checker reads so that checker must FAIL; only the
+// in-package teeth tests set it.
 type sabotage struct {
-	dropEveryNth int                 // replica replay drops every n-th record
-	unfenced     bool                // stale-epoch commits are acknowledged
-	recovery     engine.RecoveryOpts // crash recovery skips undo / trusts torn tails
+	// unfenced disables the write lease, so stale-epoch commits are
+	// acknowledged (only the fence can acknowledge them: storage.Fence.Disable).
+	unfenced bool
+	// lostWrite names a member ("rw", "ro0") that loses the RW's last
+	// committed write between quiesce and judge: the write is rolled back on
+	// it through DB.ApplyBatch, the replica path, which fires no observer hook.
+	lostWrite string
 }
 
 // gauntletMix blends all four transactions so every invariant has work to
@@ -144,7 +148,6 @@ func runGauntlet(sp spec) *run {
 	sp = sp.withDefaults()
 	s := sim.New(simEpoch)
 	prof := cdb.ProfileFor(sp.kind)
-	prof.Replication.DropEveryNth = sp.sabotage.dropEveryNth
 	schema := sp.schema
 	if sp.suite != nil {
 		schema = func(db *engine.DB) error { return sp.suite.Tables(db, sp.sf, sp.seed) }
@@ -156,11 +159,10 @@ func runGauntlet(sp spec) *run {
 		Tracer:      sp.tracer,
 	})
 	inj, err := chaos.NewInjector(s, sp.schedule, chaos.Targets{
-		Cluster:       d.Cluster,
-		Links:         d.Links(),
-		Net:           d.Net,
-		Seed:          sp.seed,
-		CrashRecovery: sp.sabotage.recovery,
+		Cluster: d.Cluster,
+		Links:   d.Links(),
+		Net:     d.Net,
+		Seed:    sp.seed,
 	})
 	if err != nil {
 		panic("evaluator: " + sp.name + " schedule: " + err.Error())
@@ -199,8 +201,56 @@ func runGauntlet(sp spec) *run {
 	if err := s.Run(); err != nil {
 		panic("evaluator: " + sp.name + " run: " + err.Error())
 	}
+	if sp.sabotage.lostWrite != "" {
+		rc.loseWrite(sp.sabotage.lostWrite)
+	}
 	rc.verdicts = rc.judge(sp.invariants)
 	return rc
+}
+
+// loseWrite rolls the RW's last committed write back on the named member:
+// the key returns to the prior image the RW logged, or disappears if it had
+// none.
+func (rc *run) loseWrite(member string) {
+	lg := rc.d.RW().DB.Log()
+	committed := make(map[uint64]bool)
+	for recs := range lg.Chunks() {
+		for i := range recs {
+			if recs[i].Type == storage.RecCommit {
+				committed[recs[i].Txn] = true
+			}
+		}
+	}
+	var last *storage.Record
+	for recs := range lg.Chunks() {
+		for i := range recs {
+			switch r := &recs[i]; r.Type {
+			case storage.RecInsert, storage.RecUpdate, storage.RecDelete:
+				if committed[r.Txn] {
+					last = r
+				}
+			}
+		}
+	}
+	if last == nil {
+		return
+	}
+	undo := storage.Record{Type: storage.RecDelete, Table: last.Table, Page: last.Page, Key: last.Key}
+	if last.Flags&storage.FlagPriorExisted != 0 {
+		undo.Type, undo.Image = storage.RecUpdate, last.Prior
+	}
+	for _, m := range rc.d.Cluster.Members() {
+		if memberName(m) == member {
+			if err := m.Node.DB.ApplyBatch([]storage.Record{undo}); err != nil {
+				panic("evaluator: sabotage: " + err.Error())
+			}
+		}
+	}
+}
+
+// memberName is a member's node name without its deployment prefix.
+func memberName(m *cluster.Member) string {
+	return m.Node.Name[strings.LastIndexByte(m.Node.Name, '/')+1:]
 }
 
 // attachRecorder starts a fresh history on the observed engines (soak calls
@@ -311,7 +361,7 @@ func (rc *run) judge(sheet []invariant) []check.Verdict {
 		}
 	}
 	for _, m := range d.Cluster.Members() {
-		name := m.Node.Name[strings.LastIndexByte(m.Node.Name, '/')+1:]
+		name := memberName(m)
 		for _, inv := range perMember {
 			if inv == indexCoherent {
 				vs = append(vs, check.IndexCoherent(name, m.Node.DB))

@@ -96,6 +96,8 @@ func TestPartitionRunIsDeterministic(t *testing.T) {
 // TestPartitionCheckerHasTeeth disables the write lease and demands the
 // no-split-brain checker FAIL: with fencing off, the partitioned old primary
 // keeps acknowledging commits under its stale epoch — two unfenced primaries.
+// It breaks the fence itself (Fence.Disable), the only place a stale-epoch
+// acknowledgement can come from.
 func TestPartitionCheckerHasTeeth(t *testing.T) {
 	r := quickPartition(cdb.CDB4, true)
 	if r.Passed() {

@@ -66,7 +66,6 @@ func DefaultConfig() *Config {
 			"cloudybench/internal/replication",
 			"cloudybench/internal/rng",
 			"cloudybench/internal/sim",
-			"cloudybench/internal/sqlmini",
 			"cloudybench/internal/storage",
 			// The linter's own fixture packages: ./... skips testdata, but
 			// pointing detlint at a fixture directly must fail — the

@@ -108,7 +108,7 @@ func (n *Node) SeedRecovery(snap storage.LogSnapshot, tail []byte) {
 // node's RecoveryConfig; the node is Recovering — rejecting requests — for
 // exactly that long, so recovery duration in experiment timelines is
 // emergent from log volume, not scripted.
-func (n *Node) Recover(p *sim.Proc, opts engine.RecoveryOpts) (engine.RecoveryStats, error) {
+func (n *Node) Recover(p *sim.Proc) (engine.RecoveryStats, error) {
 	if !n.crashed {
 		return engine.RecoveryStats{}, errors.New("node: Recover on a node that has not crashed")
 	}
@@ -118,7 +118,7 @@ func (n *Node) Recover(p *sim.Proc, opts engine.RecoveryOpts) (engine.RecoverySt
 	if n.RebuildSchema != nil {
 		n.RebuildSchema(fresh)
 	}
-	st, err := fresh.Recover(n.crashSnap, n.crashTail, opts)
+	st, err := fresh.Recover(n.crashSnap, n.crashTail)
 	if err != nil {
 		n.SetState(Down)
 		return st, err

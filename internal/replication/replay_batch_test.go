@@ -22,9 +22,7 @@ import (
 //
 // Two shapes of traffic: paced commits, where a ship batch is a few records,
 // and one burst shipped as a single batch many queue chunks long, so that
-// chunk-wise apply is held to the same contract — with DropEveryNth set on
-// one lane (the drop counter is per stream, so only a single lane drops the
-// same records in both modes), where survivors are compacted inside a chunk.
+// chunk-wise apply is held to the same contract, on one lane and on three.
 func TestReplayBatchMatchesSerialApply(t *testing.T) {
 	type outcome struct {
 		appliedLSN storage.LSN
@@ -41,14 +39,13 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 		txns     int
 		burst    bool
 		interval time.Duration
-		dropNth  int
 	}
 	run := func(serial bool, sh shape) outcome {
 		lanes := sh.lanes
 		s := sim.New(epoch)
 		rw, _, st, tbl, rtbl := setup(s, Config{
 			Name: "r", BatchInterval: sh.interval, Lanes: lanes,
-			PerRecord: 20 * time.Microsecond, DropEveryNth: sh.dropNth,
+			PerRecord: 20 * time.Microsecond,
 		})
 		st.serialApply = serial
 		out := outcome{onApply: make(map[int][]storage.LSN)}
@@ -100,7 +97,7 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 	for _, sh := range []shape{
 		{name: "paced/1", lanes: 1, txns: 60, interval: 10 * time.Millisecond},
 		{name: "paced/3", lanes: 3, txns: 60, interval: 10 * time.Millisecond},
-		{name: "burst/1/drop", lanes: 1, txns: 1200, burst: true, interval: 200 * time.Millisecond, dropNth: 7},
+		{name: "burst/1", lanes: 1, txns: 1200, burst: true, interval: 200 * time.Millisecond},
 		{name: "burst/3", lanes: 3, txns: 1200, burst: true, interval: 200 * time.Millisecond},
 	} {
 		serial := run(true, sh)

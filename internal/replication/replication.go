@@ -47,11 +47,6 @@ type Config struct {
 	// logically, making deletes cheaper — §III-F's "less lag time with
 	// higher delete ratio").
 	DeleteFactor float64
-	// DropEveryNth, when positive, silently discards every n-th data record
-	// instead of applying it. It exists ONLY to prove the convergence
-	// checker has teeth (a deliberately-broken replica must FAIL); no SUT
-	// profile sets it.
-	DropEveryNth int
 	// Tracer, if non-nil, records replication-ship spans per shipped batch
 	// and storage-replay spans per replayed record as background activity.
 	Tracer *obs.Tracer
@@ -114,10 +109,9 @@ type Stream struct {
 	// DrainPending can wait out in-flight replays before taking over.
 	replaying int
 
-	appliedLSN  storage.LSN
-	shipped     int64
-	applied     int64
-	dropCounter int64 // DropEveryNth bookkeeping (test-only fault)
+	appliedLSN storage.LSN
+	shipped    int64
+	applied    int64
 
 	// serialApply forces the pre-batching record-at-a-time replay path.
 	// Test-only: the replay-batch equivalence test proves both paths yield
@@ -344,19 +338,9 @@ func (st *Stream) recordCost(typ storage.RecType) time.Duration {
 	}
 }
 
-// dropRecord implements the DropEveryNth test-only fault.
-func (st *Stream) dropRecord(typ storage.RecType) bool {
-	n := st.cfg.DropEveryNth
-	if n <= 0 || typ == storage.RecCommit {
-		return false
-	}
-	st.dropCounter++
-	return st.dropCounter%int64(n) == 0
-}
-
 // replayBatch replays a whole lane batch: one Down check, one coalesced
-// sleep for the summed per-record service times, then every surviving record
-// applied through the engine's batched path, one queue chunk at a time (the
+// sleep for the summed per-record service times, then every record applied
+// through the engine's batched path, one queue chunk at a time, in place (the
 // batch boundary, and with it everything virtual time can see, is the whole
 // queue; a chunk is only how many records sit side by side). Each record's
 // nominal apply instant is the batch start plus its prefix cost — exactly
@@ -388,31 +372,20 @@ func (st *Stream) replayBatch(p *sim.Proc, batch envQueue) {
 	tr := st.cfg.Tracer
 	at := start
 	for c := batch.head; c != nil; c = c.next {
-		// The survivors are the chunk's own records, compacted in place past
-		// any the DropEveryNth fault discards (the batch owns the chunk, and
-		// slot kept <= i is already read).
-		kept := c.lo
-		for i := c.lo; i < c.hi; i++ {
-			rec := &c.recs[i]
+		recs := c.recs[c.lo:c.hi]
+		for i := range recs {
+			rec := &recs[i]
 			cost := st.recordCost(rec.Type)
 			at += cost
 			if cost > 0 && tr != nil {
 				tr.RecordBG("replication", obs.KindStorageReplay, st.cfg.Name, at-cost, at)
 			}
 			st.applied++
-			if st.dropRecord(rec.Type) {
-				continue
-			}
 			if rec.LSN > st.appliedLSN {
 				st.appliedLSN = rec.LSN
 			}
-			st.sampleLag(rec.Type, at-c.committedAt[i])
-			if kept != i {
-				c.recs[kept] = *rec
-			}
-			kept++
+			st.sampleLag(rec.Type, at-c.committedAt[c.lo+i])
 		}
-		recs := c.recs[c.lo:kept]
 		if err := st.replica.DB.ApplyBatch(recs); err != nil {
 			panic("replication: " + err.Error())
 		}
@@ -454,10 +427,6 @@ func (st *Stream) applyOne(p *sim.Proc, env *envelope) {
 			p.Sleep(cost)
 			tr.RecordBG("replication", obs.KindStorageReplay, st.cfg.Name, t0, p.Elapsed())
 		}
-	}
-	if st.dropRecord(env.rec.Type) {
-		st.applied++
-		return
 	}
 	if err := st.replica.DB.Apply(env.rec); err != nil {
 		panic("replication: " + err.Error())

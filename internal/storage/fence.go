@@ -108,13 +108,12 @@ func (f *Fence) CheckCommit(at time.Duration, nodeName string, epoch uint64) err
 // it off to keep memory flat.
 func (f *Fence) SetRecording(on bool) { f.recording = on }
 
-// Disable turns fencing off: stale epochs are acknowledged. This exists
-// purely as a test fixture to demonstrate that without fencing a partitioned
-// old primary produces a real split-brain the checker catches.
+// Disable turns fencing off: stale epochs are acknowledged. It exists only
+// so a teeth test can show that, without fencing, a partitioned old primary
+// produces a real split brain the checker catches. It is the one switch left
+// inside the mechanism it breaks: only the fence can acknowledge a commit
+// under a stale epoch, so a split brain cannot be produced from outside it.
 func (f *Fence) Disable() { f.disabled = true }
-
-// Disabled reports whether fencing is disabled.
-func (f *Fence) Disabled() bool { return f.disabled }
 
 // Rejects returns how many commits the fence refused.
 func (f *Fence) Rejects() int64 {

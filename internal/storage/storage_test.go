@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -237,12 +239,21 @@ func TestRecordDecodeCorrupt(t *testing.T) {
 	if _, _, err := DecodeRecord(enc); err != nil {
 		t.Fatalf("pristine record failed to decode: %v", err)
 	}
-	// NoVerify must accept a payload flip (that is its whole, dangerous
-	// point). recFixed+4 is the first key byte — payload, not a length.
+	// The CRC is the only guard: a payload flip (recFixed+4 is the first key
+	// byte — payload, not a length) under a recomputed trailer decodes.
 	enc[recFixed+4] ^= 0xff
-	if _, _, err := DecodeRecordNoVerify(enc); err != nil {
-		t.Fatalf("NoVerify rejected structurally-sound record: %v", err)
+	if _, _, err := DecodeRecord(resealed(enc)); err != nil {
+		t.Fatalf("resealed record with a flipped payload byte rejected: %v", err)
 	}
+}
+
+// resealed returns a copy of an encoded record with its CRC trailer
+// recomputed over whatever bytes precede it.
+func resealed(enc []byte) []byte {
+	out := append([]byte(nil), enc...)
+	n := len(out) - recSum
+	binary.BigEndian.PutUint32(out[n:], crc32.Checksum(out[:n], recCRC))
+	return out
 }
 
 func TestCheckpointDataRoundTrip(t *testing.T) {
@@ -331,14 +342,14 @@ func TestLogCrashTornFlip(t *testing.T) {
 	if _, _, err := DecodeRecord(tail); err != ErrCorruptRecord {
 		t.Fatalf("torn-flip tail decode err = %v, want ErrCorruptRecord", err)
 	}
-	// The unverified decode "succeeds" — that is the hazard recovery's
-	// checksum pass exists to close.
-	rec, _, err := DecodeRecordNoVerify(tail)
+	// Under a recomputed trailer the flipped tail decodes — that is the
+	// hazard recovery's checksum pass exists to close.
+	rec, _, err := DecodeRecord(resealed(tail))
 	if err != nil {
-		t.Fatalf("NoVerify decode of flipped tail failed: %v", err)
+		t.Fatalf("resealed flipped tail failed to decode: %v", err)
 	}
 	if rec.Txn != 9 {
-		t.Fatalf("NoVerify decoded txn %d, want 9", rec.Txn)
+		t.Fatalf("resealed tail decoded txn %d, want 9", rec.Txn)
 	}
 }
 

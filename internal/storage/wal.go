@@ -141,17 +141,6 @@ var ErrCorruptRecord = errors.New("storage: corrupt WAL record (checksum mismatc
 // ErrShortRecord, a checksum mismatch ErrCorruptRecord; either way the tail
 // of a crashed log must be cut at the failing record.
 func DecodeRecord(buf []byte) (Record, int, error) {
-	return decodeRecord(buf, true)
-}
-
-// DecodeRecordNoVerify decodes one record without checking its CRC trailer.
-// It exists only so recovery "teeth" tests can model a broken reader that
-// trusts a torn tail; real recovery always verifies.
-func DecodeRecordNoVerify(buf []byte) (Record, int, error) {
-	return decodeRecord(buf, false)
-}
-
-func decodeRecord(buf []byte, verify bool) (Record, int, error) {
 	var r Record
 	if len(buf) < recFixed+4 {
 		return r, 0, ErrShortRecord
@@ -200,7 +189,7 @@ func decodeRecord(buf []byte, verify bool) (Record, int, error) {
 	off += plen
 	want := binary.BigEndian.Uint32(buf[off:])
 	off += recSum
-	if verify && crc32.Checksum(buf[:off-recSum], recCRC) != want {
+	if crc32.Checksum(buf[:off-recSum], recCRC) != want {
 		return Record{}, 0, ErrCorruptRecord
 	}
 	return r, off, nil
