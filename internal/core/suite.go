@@ -31,6 +31,8 @@ type OpCtx struct {
 	// what the database keeps.
 	key engine.Key
 	row engine.Row
+	// slab is the tail of the worker's row slab (see keepRow).
+	slab []engine.Value
 }
 
 // rowScratchCols sizes the row scratch so no shipped schema's generator has
@@ -42,6 +44,23 @@ const rowScratchCols = 8
 func (c *OpCtx) IntKey(id int64) engine.Key {
 	c.key = engine.AppendIntKey(c.key[:0], id)
 	return c.key
+}
+
+// rowSlabChunk sizes one block of the worker row slab (about 40 rows of
+// the shipped schemas).
+const rowSlabChunk = 256
+
+// keepRow returns a copy of r carved from the worker's row slab, for a write
+// to hand to the table, which keeps it by reference. Rows are immutable once
+// handed to the table, so rows may share a slab chunk; a chunk is collected
+// once every row carved from it has been displaced.
+func (c *OpCtx) keepRow(r engine.Row) engine.Row {
+	if cap(c.slab)-len(c.slab) < len(r) {
+		c.slab = make([]engine.Value, 0, max(len(r), rowSlabChunk))
+	}
+	off := len(c.slab)
+	c.slab = append(c.slab, r...)
+	return c.slab[off:len(c.slab):len(c.slab)]
 }
 
 // ScanRead runs a read-only range scan on the op's node through the

@@ -443,9 +443,9 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 		return err
 	}
 	// row may live in the scratch: take what the customer half needs before the
-	// next read reuses the scratch. The clones are what the table keeps.
+	// next read reuses the scratch. The slab copies are what the table keeps.
 	cid, amount := row[1].I, row[2].F
-	upd := row.Clone()
+	upd := w.ctx.keepRow(row)
 	upd[4] = engine.Str(StatusPaid)
 	upd[5] = now
 	if err := tx.Update(orders, key, upd); err != nil {
@@ -458,7 +458,7 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 		tx.Abort()
 		return err
 	}
-	cupd := crow.Clone()
+	cupd := w.ctx.keepRow(crow)
 	cupd[2] = engine.Float(crow[2].F + amount)
 	cupd[3] = now
 	if err := tx.Update(customers, key, cupd); err != nil {

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"cloudybench/internal/sim"
+	"cloudybench/internal/storage"
 )
 
 // The point-access path's allocation floors (DESIGN.md §15). A transaction
@@ -86,4 +88,90 @@ func TestPointAccessAllocationFloors(t *testing.T) {
 // allocates nothing into a row with capacity.
 func benchGen(dst Row, id int64) Row {
 	return append(dst[:0], Int(id), Str("name"), Str("pending"), Float(float64(id)*0.25))
+}
+
+// The delta store's allocation floors (DESIGN.md §15). A warm tree grows its
+// node slab and key arena a chunk at a time, so a stream of fresh inserts
+// allocates well under once per hundred and a lookup never does. Replica
+// replay carves rows from the DB value slab and leaves string columns as
+// views of the record image, so string-bearing inserts allocate only slab
+// chunks. An update that moves an indexed column allocates the row the
+// table keeps and the two entry keys, and no copy of the primary key.
+func TestDeltaStoreAllocationFloors(t *testing.T) {
+	const n = 20_000
+	bt := NewBTree[int]()
+	key := make(Key, 0, 16)
+	next := int64(0)
+	insert := func() {
+		for range n {
+			next++
+			bt.Set(AppendIntKey(key[:0], (next*7919)%(4*n)), int(next))
+		}
+	}
+	insert()
+	// AllocsPerRun runs insert once more to warm up before the measured run.
+	if got := testing.AllocsPerRun(1, insert) / n; got > 0.01 {
+		t.Errorf("BTree.Set into a warm tree: %v allocs per insert, want <= 0.01", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { bt.Get(AppendIntKey(key[:0], next%(4*n))) }); got != 0 {
+		t.Errorf("BTree.Get: %v allocs per run, want 0", got)
+	}
+
+	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	replica := NewDB(s)
+	tbl := replica.MustCreateTable(benchSchema(), 0, nil)
+	const perPass, batch = 8192, 64
+	recs := make([]storage.Record, 2*perPass)
+	for i := range recs {
+		id := int64(i + 1)
+		row := Row{Int(id), Str(fmt.Sprintf("customer-%08d", id)), Str(fmt.Sprintf("s%d", id)), Float(float64(id))}
+		recs[i] = storage.Record{Type: storage.RecInsert, Table: tbl.ID, Key: IntKey(id), Image: EncodeRow(nil, row)}
+	}
+	pass := 0
+	apply := func() {
+		part := recs[pass*perPass : (pass+1)*perPass]
+		pass++
+		for lo := 0; lo < len(part); lo += batch {
+			if err := replica.ApplyBatch(part[lo : lo+batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(1, apply) / perPass; got > 0.05 {
+		t.Errorf("ApplyBatch of string-bearing inserts: %v allocs per record, want <= 0.05", got)
+	}
+	if r, _, ok := tbl.Get(IntKey(2 * perPass)); !ok || r[1].S != fmt.Sprintf("customer-%08d", 2*perPass) {
+		t.Fatalf("replayed row = %v, %v", r, ok)
+	}
+
+	db := NewDB(s)
+	items := db.MustCreateTable(indexedSchema(), 10_000, genItem)
+	db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
+	s.Go("gate", func(p *sim.Proc) {
+		row := make(Row, 0, len(items.Schema.Cols))
+		id := int64(0)
+		got := testing.AllocsPerRun(2000, func() {
+			id++
+			txn := db.Begin(p)
+			key = AppendIntKey(key[:0], id)
+			old, _, err := txn.GetForUpdateInto(items, key, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			upd := old.Clone()
+			upd[1] = Int(old[1].I + 1)
+			if _, err := txn.Update(items, key, upd); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 3 {
+			t.Errorf("update moving an indexed column: %v allocs per run, want 3", got)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -38,13 +38,11 @@ type DB struct {
 	// the next committing transaction on this DB, which every caller
 	// respects by consuming the records synchronously. slab holds the
 	// stable copies of record Key/Image bytes referenced by the WAL, and
-	// internStr canonicalizes the low-cardinality strings replica replay
-	// decodes over and over.
-	txnFree   []*Txn
-	appended  []storage.Record
-	slab      []byte
-	valSlab   []Value
-	internStr map[string]string
+	// valSlab the rows replay decodes (see newRow).
+	txnFree  []*Txn
+	appended []storage.Record
+	slab     []byte
+	valSlab  []Value
 
 	observer Observer
 
@@ -55,13 +53,12 @@ type DB struct {
 // NewDB returns an empty database bound to the simulation.
 func NewDB(s *sim.Sim) *DB {
 	return &DB{
-		sim:       s,
-		byName:    make(map[string]*Table),
-		byID:      make(map[storage.TableID]*Table),
-		locks:     NewLockTable(s),
-		log:       storage.NewLog(),
-		active:    make(map[uint64]storage.LSN),
-		internStr: make(map[string]string),
+		sim:    s,
+		byName: make(map[string]*Table),
+		byID:   make(map[storage.TableID]*Table),
+		locks:  NewLockTable(s),
+		log:    storage.NewLog(),
+		active: make(map[uint64]storage.LSN),
 	}
 }
 
@@ -163,17 +160,25 @@ func (db *DB) ReadInto(table string, k Key, dst Row) (Row, storage.PageID, bool)
 
 // Apply replays one shipped WAL record into this (replica) instance.
 // Commit, begin, abort, and checkpoint records are no-ops at the data layer.
+//
+// Record images are immutable once shipped, and the replica keeps them by
+// reference: a decoded row goes into the delta overlay uncloned, and its
+// string columns are views of the image bytes. Every image source honours
+// this — the primary's append-only DB slab, the durable log chunks, and the
+// fresh bytes Log.Crash returns for a torn tail — so a caller must never
+// hand Apply or ApplyBatch an image it will write to later. Key bytes are
+// copied by the overlay B-tree.
 func (db *DB) Apply(rec storage.Record) error {
 	var cache *Table
 	return db.applyRecord(&rec, &cache)
 }
 
-// ApplyBatch replays a whole shipped batch in one pass: the table pointer is
-// cached across runs of records touching the same table and row images
-// decode through the DB string interner, so steady-state replay allocates
-// only the row slices that the delta overlay retains. Records apply in
-// exactly slice order — the visible result is byte-identical to calling
-// Apply once per record.
+// ApplyBatch replays a whole shipped batch in one pass, under Apply's
+// ownership rule: the table pointer is cached across runs of records
+// touching the same table, and rows decode into the DB value slab with
+// strings aliasing the images, so steady-state replay allocates nothing but
+// slab chunks. Records apply in exactly slice order — the visible result is
+// byte-identical to calling Apply once per record.
 //
 //detlint:hotpath
 func (db *DB) ApplyBatch(recs []storage.Record) error {
@@ -187,9 +192,7 @@ func (db *DB) ApplyBatch(recs []storage.Record) error {
 }
 
 // applyRecord replays one record, reusing *cache when the record names the
-// same table as its predecessor. The decoded row goes into the delta overlay
-// uncloned: record images are immutable once shipped, so the overlay may
-// alias them. Key bytes are copied by the overlay B-tree.
+// same table as its predecessor.
 func (db *DB) applyRecord(rec *storage.Record, cache **Table) error {
 	switch rec.Type {
 	case storage.RecInsert, storage.RecUpdate, storage.RecDelete:
@@ -222,34 +225,6 @@ func (db *DB) applyRecord(rec *storage.Record, cache **Table) error {
 		t.DeleteAt(key, rec.Page)
 	}
 	return nil
-}
-
-// Interner bounds: strings longer than internMaxLen are not worth
-// canonicalizing (row payloads, not enums), and the map stops admitting new
-// entries at internMaxEntries so a high-cardinality column cannot turn the
-// interner into a second copy of the table.
-const (
-	internMaxLen     = 32
-	internMaxEntries = 4096
-)
-
-// intern returns a canonical string for b. The suite schemas churn through
-// a handful of status/name values per table, so replica replay hits the
-// canonical entry and allocates nothing; misses past the entry cap simply
-// copy.
-func (db *DB) intern(b []byte) string {
-	if len(b) > internMaxLen {
-		return string(b)
-	}
-	if s, ok := db.internStr[string(b)]; ok {
-		return s
-	}
-	if len(db.internStr) >= internMaxEntries {
-		return string(b)
-	}
-	s := string(b)
-	db.internStr[s] = s
-	return s
 }
 
 // ErrTxnDone is returned when using a committed or aborted transaction.
@@ -611,7 +586,7 @@ func (t *Txn) ScanRange(table *Table, col int, lo, hi Value, limit int, mode Pla
 // reserve returns an append-only byte arena with room for need more bytes at
 // its tail, starting a new chunk when the current one is full. Slices carved
 // from earlier chunks keep those alive; the arena itself only ever names the
-// newest. It backs the WAL payload slab here and the B-tree key arenas.
+// newest. It backs the WAL payload slab.
 func reserve(arena []byte, need, chunk int) []byte {
 	if cap(arena)-len(arena) >= need {
 		return arena

@@ -35,9 +35,12 @@ type Index struct {
 	pageFan uint64
 }
 
+// indexEntry is what an index tree stores under an entry key. The primary
+// key is the suffix of the entry key from pkAt on: the tree already owns
+// those bytes, so an entry is pointer-free and never copies its pk.
 type indexEntry struct {
-	pk   Key
 	page storage.PageID
+	pkAt uint32
 }
 
 // indexEntryBytes is the modeled physical size of one index entry (key
@@ -62,8 +65,7 @@ func newIndex(name string, id storage.TableID, t *Table, col int) *Index {
 		ix.pageFan = 1
 	}
 	t.VisibleScan(func(pk Key, r Row) bool {
-		ek := ix.EntryKey(r[col], pk)
-		ix.tree.Set(ek, indexEntry{pk: append(Key(nil), pk...), page: ix.pageOf(ek)})
+		ix.put(ix.EntryKey(r[col], pk), len(pk))
 		return true
 	})
 	return ix
@@ -130,9 +132,16 @@ func (ix *Index) apply(pk Key, old, new Row) {
 	}
 	if hasNew {
 		ek := ix.EntryKey(newV, pk)
-		ix.tree.Set(ek, indexEntry{pk: append(Key(nil), pk...), page: ix.pageOf(ek)})
-		ix.table.ixOps = append(ix.table.ixOps, IndexOp{Index: ix, EntryKey: ek, Page: ix.pageOf(ek)})
+		ix.table.ixOps = append(ix.table.ixOps, IndexOp{Index: ix, EntryKey: ek, Page: ix.put(ek, len(pk))})
 	}
+}
+
+// put stores the entry for ek, whose last pkLen bytes are the primary key,
+// and returns its page.
+func (ix *Index) put(ek Key, pkLen int) storage.PageID {
+	page := ix.pageOf(ek)
+	ix.tree.Set(ek, indexEntry{page: page, pkAt: uint32(len(ek) - pkLen)})
+	return page
 }
 
 // Scan visits entries with column values in [lo, hi] in (column, pk) order,
@@ -141,14 +150,14 @@ func (ix *Index) Scan(lo, hi Value, fn func(pk Key, page storage.PageID) bool) {
 	loK := EncodeKey(lo)
 	hiK := append(EncodeKey(hi), 0xFF) // entry keys continue with a pk tag < 0xFF
 	ix.tree.AscendRange(loK, hiK, func(k Key, e indexEntry) bool {
-		return fn(e.pk, e.page)
+		return fn(k[e.pkAt:], e.page)
 	})
 }
 
 // Walk visits every entry in key order (coherence checking).
 func (ix *Index) Walk(fn func(entryKey Key, pk Key) bool) {
 	ix.tree.AscendRange(nil, nil, func(k Key, e indexEntry) bool {
-		return fn(k, e.pk)
+		return fn(k, k[e.pkAt:])
 	})
 }
 
@@ -172,9 +181,10 @@ func (ix *Index) Bounds() (min, max Value, ok bool) {
 }
 
 // CorruptEntryForTest force-inserts a bogus entry, used by coherence-check
-// tests to prove IndexCoherent has teeth. Never called outside tests.
+// tests to prove IndexCoherent has teeth. pk must be the suffix of entryKey,
+// as EntryKey builds it. Never called outside tests.
 func (ix *Index) CorruptEntryForTest(entryKey Key, pk Key) {
-	ix.tree.Set(entryKey, indexEntry{pk: pk, page: ix.pageOf(entryKey)})
+	ix.put(entryKey, len(pk))
 }
 
 // IndexOp is one physical index-entry change produced by a table mutation,

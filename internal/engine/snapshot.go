@@ -13,41 +13,30 @@ import (
 // quiescent point — no transactions in flight, no locks held — which the
 // evaluator guarantees by draining clients and replication streams first.
 //
-// What a snapshot carries: per-table delta overlays (rows and tombstones, in
-// key order), table counters, secondary-index entries, the WAL, and the DB's
+// What a snapshot carries: per-table delta overlays (rows and tombstones),
+// table counters, secondary-index trees, the WAL, and the DB's
 // txn/commit/abort counters. What it deliberately omits: the lock table
-// (empty at quiescence), and all fast-path scratch (txn free-list, arena
-// slabs, interner) — a restored DB rebuilds those lazily, which changes no
+// (empty at quiescence), and all fast-path scratch (txn free-list, WAL and
+// row slabs) — a restored DB rebuilds those lazily, which changes no
 // observable behaviour because scratch never escapes the engine.
 //
-// Rows and key bytes in the snapshot alias the source DB's memory. That is
-// safe because both are immutable once written: restore builds fresh B-trees
-// (which copy keys on insert) but shares row objects, so any number of cells
-// may fork from one snapshot and evolve independently.
-
-type deltaSnap struct {
-	key  Key
-	row  Row // nil marks a tombstone
-	page storage.PageID
-}
-
-type indexEntrySnap struct {
-	entryKey Key
-	pk       Key
-	page     storage.PageID
-}
+// Snapshot and Restore each clone every tree (BTree.clone): a few slice
+// copies of its node and value slabs, with the key arena shared and clipped.
+// Stored rows and key bytes are immutable, so the clones share them with the
+// source; a snapshot's own trees are only ever read, so any number of cells
+// may restore from one snapshot, concurrently, and evolve independently.
 
 type tableSnap struct {
 	name      string
-	delta     []deltaSnap
+	delta     *BTree[deltaVal]
 	nextAuto  int64
 	appendSeq int64
 	liveRows  int64
 	ixScans   int64
 	fullScans int64
-	// indexes holds per-index entry lists in the table's index creation
-	// order (deterministic: schema setup runs identically on every node).
-	indexes [][]indexEntrySnap
+	// indexes holds the index trees in the table's index creation order
+	// (deterministic: schema setup runs identically on every node).
+	indexes []*BTree[indexEntry]
 }
 
 // DBSnapshot is a point-in-time capture of a DB's logical state.
@@ -80,24 +69,16 @@ func (db *DB) Snapshot() DBSnapshot {
 		t := db.byName[name]
 		ts := tableSnap{
 			name:      name,
-			delta:     make([]deltaSnap, 0, t.delta.Len()),
+			delta:     t.delta.clone(),
 			nextAuto:  t.nextAuto,
 			appendSeq: t.appendSeq,
 			liveRows:  t.liveRows,
 			ixScans:   t.ixScans,
 			fullScans: t.fullScans,
+			indexes:   make([]*BTree[indexEntry], len(t.indexes)),
 		}
-		t.delta.AscendRange(nil, nil, func(k Key, dv deltaVal) bool {
-			ts.delta = append(ts.delta, deltaSnap{key: k, row: dv.row, page: dv.page})
-			return true
-		})
-		for _, ix := range t.indexes {
-			entries := make([]indexEntrySnap, 0, ix.tree.Len())
-			ix.tree.AscendRange(nil, nil, func(ek Key, e indexEntry) bool {
-				entries = append(entries, indexEntrySnap{entryKey: ek, pk: e.pk, page: e.page})
-				return true
-			})
-			ts.indexes = append(ts.indexes, entries)
+		for j, ix := range t.indexes {
+			ts.indexes[j] = ix.tree.clone()
 		}
 		snap.tables = append(snap.tables, ts)
 	}
@@ -107,8 +88,8 @@ func (db *DB) Snapshot() DBSnapshot {
 // Restore resets the DB's logical state to a snapshot. The DB must carry the
 // same catalog (tables and indexes, created in the same order) as the
 // snapshot's source — the evaluator deploys a fresh cluster with the identical
-// schema setup, then restores into it. Restore builds fresh B-trees, so DBs
-// restored from one snapshot evolve independently.
+// schema setup, then restores into it. Restore clones the snapshot's trees,
+// so DBs restored from one snapshot evolve independently.
 func (db *DB) Restore(snap DBSnapshot) error {
 	if len(db.byName) != len(snap.tables) {
 		return fmt.Errorf("engine: restore: catalog mismatch: %d tables, snapshot has %d", len(db.byName), len(snap.tables))
@@ -122,11 +103,7 @@ func (db *DB) Restore(snap DBSnapshot) error {
 		if len(t.indexes) != len(ts.indexes) {
 			return fmt.Errorf("engine: restore: table %q has %d indexes, snapshot has %d", ts.name, len(t.indexes), len(ts.indexes))
 		}
-		t.delta = NewBTree[deltaVal]()
-		for j := range ts.delta {
-			d := &ts.delta[j]
-			t.delta.Set(d.key, deltaVal{row: d.row, page: d.page})
-		}
+		t.delta = ts.delta.clone()
 		t.nextAuto = ts.nextAuto
 		t.appendSeq = ts.appendSeq
 		t.liveRows = ts.liveRows
@@ -134,10 +111,7 @@ func (db *DB) Restore(snap DBSnapshot) error {
 		t.fullScans = ts.fullScans
 		t.ixOps = t.ixOps[:0]
 		for j, ix := range t.indexes {
-			ix.tree = NewBTree[indexEntry]()
-			for _, e := range ts.indexes[j] {
-				ix.tree.Set(e.entryKey, indexEntry{pk: e.pk, page: e.page})
-			}
+			ix.tree = ts.indexes[j].clone()
 		}
 	}
 	db.log.Restore(snap.log)

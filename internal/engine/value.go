@@ -16,6 +16,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates value types. The set covers what the CloudyBench and
@@ -207,13 +208,15 @@ func DecodeRow(buf []byte) (Row, error) {
 	return row, nil
 }
 
-// decodeRow is DecodeRow with string payloads routed through the DB
-// interner: replica replay decodes the same low-cardinality status/name
-// values millions of times, and interning makes every repeat allocation-free.
-// The returned row still owns a fresh slice — the delta overlay retains it.
+// decodeRow is DecodeRow for replay: the row is carved from the DB value
+// slab, and its strings are views of buf, not copies. buf must therefore
+// never change while the row lives, which is the rule DB.Apply states for
+// record images.
+//
+//detlint:hotpath
 func (db *DB) decodeRow(buf []byte) (Row, error) {
 	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(buf)) { // every value takes at least its tag byte
 		return nil, ErrBadRow
 	}
 	buf = buf[sz:]
@@ -246,7 +249,7 @@ func (db *DB) decodeRow(buf []byte) (Row, error) {
 				return nil, ErrBadRow
 			}
 			buf = buf[sz:]
-			row = append(row, Str(db.intern(buf[:l])))
+			row = append(row, Str(unsafe.String(unsafe.SliceData(buf), int(l))))
 			buf = buf[l:]
 		default:
 			return nil, ErrBadRow
@@ -262,18 +265,23 @@ func (db *DB) decodeRow(buf []byte) (Row, error) {
 // once every row carved from it has been displaced.
 const valSlabChunk = 1024
 
-// newRow returns an empty row with capacity n carved from the DB value slab
-// (oversized rows fall back to a plain allocation).
+// newRow returns an empty row with capacity n carved from the DB value slab.
 func (db *DB) newRow(n int) Row {
-	if n > valSlabChunk {
-		return make(Row, 0, n)
-	}
 	if cap(db.valSlab)-len(db.valSlab) < n {
-		db.valSlab = make([]Value, 0, valSlabChunk)
+		db.growValSlab(n)
 	}
 	off := len(db.valSlab)
 	db.valSlab = db.valSlab[:off+n]
 	return Row(db.valSlab[off : off : off+n])
+}
+
+// growValSlab starts a fresh value slab with room for n values (an
+// oversized row gets a slab of its own).
+//
+//detlint:coldpath
+//go:noinline
+func (db *DB) growValSlab(n int) {
+	db.valSlab = make([]Value, 0, max(n, valSlabChunk))
 }
 
 // uvarintLen returns the encoded size of v as a uvarint.
