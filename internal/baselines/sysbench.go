@@ -64,14 +64,14 @@ func sbSchema(i int) *engine.Schema {
 func sbCreateTables(db *engine.DB, _ int, seed int64) error {
 	for i := 0; i < sbTables; i++ {
 		tag := uint64(0x5B7E57 + i)
+		var strs engine.StrSlab // one string slab per table generator
 		gen := func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, tag, id)
-			return append(dst[:0],
-				engine.Int(id),
-				engine.Int(r.Int63n(sbRowsPerTable)+1),
-				engine.Str(r.Letters(32)),
-				engine.Str(r.Letters(16)),
-			)
+			k := r.Int63n(sbRowsPerTable) + 1
+			r.FillLetters(strs.Carve("", 32))
+			c := strs.Str()
+			r.FillLetters(strs.Carve("", 16))
+			return append(dst[:0], engine.Int(id), engine.Int(k), c, strs.Str())
 		}
 		if _, err := db.CreateTable(sbSchema(i), sbRowsPerTable, gen); err != nil {
 			return err
@@ -111,11 +111,11 @@ func sbReadWrite(c *core.OpCtx) error {
 			tx.Abort()
 			return err
 		}
-		upd := row.Clone()
+		upd := c.KeepRow(row)
 		if i < sbIndexUpdates {
 			upd[1] = engine.Int(c.Src.Int63n(sbRowsPerTable) + 1)
 		} else {
-			upd[2] = engine.Str(c.Src.Letters(32))
+			upd[2] = c.Filler("", 32)
 		}
 		if err := tx.Update(tbl, k, upd); err != nil {
 			tx.Abort()
@@ -136,7 +136,7 @@ func sbReadWrite(c *core.OpCtx) error {
 			tx.Abort()
 			return err
 		}
-		if err := tx.Insert(tbl, row.Clone()); err != nil {
+		if err := tx.Insert(tbl, c.KeepRow(row)); err != nil {
 			tx.Abort()
 			return err
 		}

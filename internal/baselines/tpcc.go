@@ -113,12 +113,15 @@ func tpccCreateTables(db *engine.DB, sf int, seed int64) error {
 		return err
 	}
 
+	// Each generator with a string column carves it from a slab of its own.
+	var whNames, custNames, itemNames engine.StrSlab
 	err := mk(schema("warehouse", 0,
 		col("W_ID", engine.KindInt), col("W_NAME", engine.KindString),
 		col("W_TAX", engine.KindFloat), col("W_YTD", engine.KindFloat)),
 		int64(W), func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0x7a1, id)
-			return append(dst[:0], engine.Int(id), engine.Str("wh-"+r.Letters(6)),
+			r.FillLetters(whNames.Carve("wh-", 6))
+			return append(dst[:0], engine.Int(id), whNames.Str(),
 				engine.Float(r.Float64()*0.2), engine.Float(300_000))
 		})
 	if err != nil {
@@ -148,8 +151,9 @@ func tpccCreateTables(db *engine.DB, sf int, seed int64) error {
 		int64(W*tpccDistrictsPerW*tpccCustomersPerD), func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0xc57, id)
 			dkey := (id-1)/tpccCustomersPerD + 1
+			r.FillLetters(custNames.Carve("cust-", 10))
 			return append(dst[:0], engine.Int(id), engine.Int(dkey),
-				engine.Str("cust-"+r.Letters(10)), engine.Float(-10),
+				custNames.Str(), engine.Float(-10),
 				engine.Float(10), engine.Int(1), engine.Int(0))
 		})
 	if err != nil {
@@ -161,7 +165,8 @@ func tpccCreateTables(db *engine.DB, sf int, seed int64) error {
 		col("I_PRICE", engine.KindFloat)),
 		tpccItems, func(dst engine.Row, id int64) engine.Row {
 			r := rng.QuickOf(seed, 0x17e, id)
-			return append(dst[:0], engine.Int(id), engine.Str("item-"+r.Letters(8)),
+			r.FillLetters(itemNames.Carve("item-", 8))
+			return append(dst[:0], engine.Int(id), itemNames.Str(),
 				engine.Float(1+r.Float64()*99))
 		})
 	if err != nil {
@@ -302,7 +307,7 @@ func (t *tpcc) newOrder(c *core.OpCtx) error {
 		return err
 	}
 	oid := drow[4].I
-	dupd := drow.Clone()
+	dupd := c.KeepRow(drow)
 	dupd[4] = engine.Int(oid + 1)
 	if err := tx.Update(district, engine.IntKey(districtKeyID(w, d)), dupd); err != nil {
 		tx.Abort()
@@ -340,7 +345,7 @@ func (t *tpcc) newOrder(c *core.OpCtx) error {
 			return err
 		}
 		qty := int64(1 + c.Src.Intn(9))
-		supd := srow.Clone()
+		supd := c.KeepRow(srow)
 		newQty := srow[1].I - qty
 		if newQty < 10 {
 			newQty += 91
@@ -392,7 +397,7 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		tx.Abort()
 		return err
 	}
-	wupd := wrow.Clone()
+	wupd := c.KeepRow(wrow)
 	wupd[3] = engine.Float(wrow[3].F + amount)
 	if err := tx.Update(warehouse, engine.IntKey(int64(w)), wupd); err != nil {
 		tx.Abort()
@@ -404,7 +409,7 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		tx.Abort()
 		return err
 	}
-	dupd := drow.Clone()
+	dupd := c.KeepRow(drow)
 	dupd[3] = engine.Float(drow[3].F + amount)
 	if err := tx.Update(district, dkey, dupd); err != nil {
 		tx.Abort()
@@ -416,7 +421,7 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		tx.Abort()
 		return err
 	}
-	cupd := crow.Clone()
+	cupd := c.KeepRow(crow)
 	cupd[3] = engine.Float(crow[3].F - amount)
 	cupd[4] = engine.Float(crow[4].F + amount)
 	cupd[5] = engine.Int(crow[5].I + 1)
@@ -511,7 +516,7 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 			tx.Abort()
 			return err
 		}
-		oupd := orow.Clone()
+		oupd := c.KeepRow(orow)
 		oupd[3] = engine.Int(carrier)
 		if err := tx.Update(orders, engine.IntKey(okey), oupd); err != nil {
 			tx.Abort()
@@ -531,7 +536,7 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 				return err
 			}
 			total += lrow[4].F
-			lupd := lrow.Clone()
+			lupd := c.KeepRow(lrow)
 			lupd[5] = engine.Int(now)
 			if err := tx.Update(orderLine, olk, lupd); err != nil {
 				tx.Abort()
@@ -544,7 +549,7 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 			tx.Abort()
 			return err
 		}
-		cupd := crow.Clone()
+		cupd := c.KeepRow(crow)
 		cupd[3] = engine.Float(crow[3].F + total)
 		cupd[6] = engine.Int(crow[6].I + 1)
 		if err := tx.Update(customer, ckey, cupd); err != nil {

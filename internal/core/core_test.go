@@ -35,7 +35,7 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 	d := NewDataset(1, 42)
 	cg, og, olg := d.CustomerGen(), d.OrdersGen(), d.OrderlineGen()
 	for _, id := range []int64{1, 1000, 299_999} {
-		a, b := cg(nil, id), cg(nil, id)
+		a, b := cg.Row(nil, id), cg.Row(nil, id)
 		if !a.Equal(b) {
 			t.Fatalf("customer gen not deterministic for %d", id)
 		}
@@ -51,13 +51,13 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 		t.Fatalf("order status %q", s)
 	}
 	// Orderline 47 belongs to order (47-1)/10+1 = 5.
-	ol := olg(nil, 47)
+	ol := olg.Row(nil, 47)
 	if ol[1].I != 5 {
 		t.Fatalf("orderline 47 order ref = %d, want 5", ol[1].I)
 	}
 	// Different seeds produce different content.
 	d2 := NewDataset(1, 43)
-	if d2.CustomerGen()(nil, 7).Equal(cg(nil, 7)) {
+	if d2.CustomerGen().Row(nil, 7).Equal(cg.Row(nil, 7)) {
 		t.Fatal("different seeds produced identical rows")
 	}
 }

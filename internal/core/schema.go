@@ -133,18 +133,29 @@ const (
 	tagOrderline = 0x01AE
 )
 
-// CustomerGen returns the deterministic CUSTOMER row generator.
-func (d Dataset) CustomerGen() engine.RowGen {
-	seed := d.Seed
-	return func(dst engine.Row, id int64) engine.Row {
-		r := rng.QuickOf(seed, tagCustomer, id)
-		return append(dst[:0],
-			engine.Int(id),
-			engine.Str("cust-"+r.Letters(8)),
-			engine.Float(float64(r.IntRange(0, 50_000))),
-			engine.Int(baseDate),
-		)
-	}
+// CustomerGen materializes CUSTOMER base rows by id. Its C_NAME strings are
+// carved from a slab the generator owns.
+type CustomerGen struct {
+	seed  int64
+	names engine.StrSlab
+}
+
+// CustomerGen returns a fresh CUSTOMER row generator. CreateTables builds
+// one per DB, so only that DB's simulation touches its slab.
+func (d Dataset) CustomerGen() *CustomerGen { return &CustomerGen{seed: d.Seed} }
+
+// Row materializes customer id into dst; it is the table's engine.RowGen.
+//
+//detlint:hotpath
+func (g *CustomerGen) Row(dst engine.Row, id int64) engine.Row {
+	r := rng.QuickOf(g.seed, tagCustomer, id)
+	r.FillLetters(g.names.Carve("cust-", 8))
+	return append(dst[:0],
+		engine.Int(id),
+		g.names.Str(),
+		engine.Float(float64(r.IntRange(0, 50_000))),
+		engine.Int(baseDate),
+	)
 }
 
 // OrdersGen returns the deterministic ORDERS row generator. Customer
@@ -169,36 +180,50 @@ func (d Dataset) OrdersGen() engine.RowGen {
 	}
 }
 
-// OrderlineGen returns the deterministic ORDERLINE row generator. Each base
-// order owns ten consecutive orderlines.
-func (d Dataset) OrderlineGen() engine.RowGen {
-	seed := d.Seed
-	orders := d.Orders
-	return func(dst engine.Row, id int64) engine.Row {
-		r := rng.QuickOf(seed, tagOrderline, id)
-		orderID := (id-1)/10 + 1
-		if orderID > orders {
-			orderID = orders
-		}
-		return append(dst[:0],
-			engine.Int(id),
-			engine.Int(orderID),
-			engine.Str("sku-"+r.Letters(6)),
-			engine.Int(r.IntRange(1, 9)),
-			engine.Float(float64(r.IntRange(100, 99_99))/100),
-		)
-	}
+// OrderlineGen materializes ORDERLINE base rows by id; each base order owns
+// ten consecutive orderlines. Its OL_PRODUCT strings are carved from a slab
+// the generator owns.
+type OrderlineGen struct {
+	seed   int64
+	orders int64
+	skus   engine.StrSlab
 }
 
-// CreateTables registers the three sales-service tables on a database.
+// OrderlineGen returns a fresh ORDERLINE row generator, one per DB like
+// CustomerGen.
+func (d Dataset) OrderlineGen() *OrderlineGen {
+	return &OrderlineGen{seed: d.Seed, orders: d.Orders}
+}
+
+// Row materializes orderline id into dst; it is the table's engine.RowGen.
+//
+//detlint:hotpath
+func (g *OrderlineGen) Row(dst engine.Row, id int64) engine.Row {
+	r := rng.QuickOf(g.seed, tagOrderline, id)
+	orderID := (id-1)/10 + 1
+	if orderID > g.orders {
+		orderID = g.orders
+	}
+	r.FillLetters(g.skus.Carve("sku-", 6))
+	return append(dst[:0],
+		engine.Int(id),
+		engine.Int(orderID),
+		g.skus.Str(),
+		engine.Int(r.IntRange(1, 9)),
+		engine.Float(float64(r.IntRange(100, 99_99))/100),
+	)
+}
+
+// CreateTables registers the three sales-service tables on a database, each
+// with a generator of its own.
 func (d Dataset) CreateTables(db *engine.DB) error {
-	if _, err := db.CreateTable(CustomerSchema(), d.Customers, d.CustomerGen()); err != nil {
+	if _, err := db.CreateTable(CustomerSchema(), d.Customers, d.CustomerGen().Row); err != nil {
 		return err
 	}
 	if _, err := db.CreateTable(OrdersSchema(), d.Orders, d.OrdersGen()); err != nil {
 		return err
 	}
-	if _, err := db.CreateTable(OrderlineSchema(), d.Orderlines, d.OrderlineGen()); err != nil {
+	if _, err := db.CreateTable(OrderlineSchema(), d.Orderlines, d.OrderlineGen().Row); err != nil {
 		return err
 	}
 	return nil

@@ -31,8 +31,10 @@ type OpCtx struct {
 	// what the database keeps.
 	key engine.Key
 	row engine.Row
-	// slab is the tail of the worker's row slab (see keepRow).
-	slab []engine.Value
+	// rows points at the runner's row slab (see carveRow), and strs is the
+	// worker's string slab (see Filler).
+	rows *[]engine.Value
+	strs engine.StrSlab
 }
 
 // rowScratchCols sizes the row scratch so no shipped schema's generator has
@@ -46,21 +48,51 @@ func (c *OpCtx) IntKey(id int64) engine.Key {
 	return c.key
 }
 
-// rowSlabChunk sizes one block of the worker row slab (about 40 rows of
-// the shipped schemas).
-const rowSlabChunk = 256
+// rowSlabChunk sizes one block of a runner's row slab (about 700 rows of
+// the shipped schemas), so a write transaction starts a new block well
+// under once per hundred.
+const rowSlabChunk = 4096
 
-// keepRow returns a copy of r carved from the worker's row slab, for a write
-// to hand to the table, which keeps it by reference. Rows are immutable once
-// handed to the table, so rows may share a slab chunk; a chunk is collected
-// once every row carved from it has been displaced.
-func (c *OpCtx) keepRow(r engine.Row) engine.Row {
-	if cap(c.slab)-len(c.slab) < len(r) {
-		c.slab = make([]engine.Value, 0, max(len(r), rowSlabChunk))
+// carveRow returns an empty row with room for n values, carved from the
+// runner's row slab: appending up to n values fills the slab in place. It
+// is for a write to hand the table, which keeps the row by reference. Rows
+// are immutable once handed to the table, so rows may share a slab chunk; a
+// chunk is collected once every row carved from it has been displaced. The
+// workers of a runner take turns in one simulation, so they share the slab,
+// and a runner leaves one partly used chunk behind, not one per worker.
+func (c *OpCtx) carveRow(n int) engine.Row {
+	if c.rows == nil || cap(*c.rows)-len(*c.rows) < n {
+		c.growRows(n)
 	}
-	off := len(c.slab)
-	c.slab = append(c.slab, r...)
-	return c.slab[off:len(c.slab):len(c.slab)]
+	s := *c.rows
+	off := len(s)
+	*c.rows = s[:off+n]
+	return s[off : off : off+n]
+}
+
+// growRows starts the next row slab chunk, with room for n values at least.
+// A context built outside a runner gets a slab of its own here.
+//
+//detlint:coldpath
+//go:noinline
+func (c *OpCtx) growRows(n int) {
+	if c.rows == nil {
+		c.rows = new([]engine.Value)
+	}
+	*c.rows = make([]engine.Value, 0, max(n, rowSlabChunk))
+}
+
+// KeepRow returns a copy of r carved from the runner's row slab (see
+// carveRow), for a write that starts from a row it read.
+func (c *OpCtx) KeepRow(r engine.Row) engine.Row {
+	return append(c.carveRow(len(r)), r...)
+}
+
+// Filler returns prefix followed by n letters drawn from c.Src, as a string
+// carved from the worker's string slab. It draws exactly n values.
+func (c *OpCtx) Filler(prefix string, n int) engine.Value {
+	c.Src.FillLetters(c.strs.Carve(prefix, n))
+	return c.strs.Str()
 }
 
 // ScanRead runs a read-only range scan on the op's node through the

@@ -167,12 +167,12 @@ func opIdxInsert(c *OpCtx) error {
 	}
 	tbl := c.Node.DB.Table(TableIdxItems)
 	id := tbl.NextAutoID()
-	row := engine.Row{
+	row := append(c.carveRow(4),
 		engine.Int(id),
 		engine.Int(c.Src.IntRange(0, idxGroups-1)),
-		engine.Float(float64(c.Src.IntRange(0, 999)) / 4),
-		engine.Str("tag-" + c.Src.Letters(4)),
-	}
+		engine.Float(float64(c.Src.IntRange(0, 999))/4),
+		c.Filler("tag-", 4),
+	)
 	if err := tx.Insert(tbl, row); err != nil {
 		tx.Abort()
 		return err
@@ -189,12 +189,12 @@ func opIdxUpdate(c *OpCtx) error {
 	}
 	tbl := c.Node.DB.Table(TableIdxItems)
 	id := c.Dist.Next(tbl.MaxID())
-	row := engine.Row{
+	row := append(c.carveRow(4),
 		engine.Int(id),
 		engine.Int(c.Src.IntRange(0, idxGroups-1)),
-		engine.Float(float64(c.Src.IntRange(0, 999)) / 4),
+		engine.Float(float64(c.Src.IntRange(0, 999))/4),
 		engine.Str("tag-upd"),
-	}
+	)
 	if err := tx.Update(tbl, c.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
@@ -223,12 +223,12 @@ func opTsAppend(c *OpCtx) error {
 	}
 	tbl := c.Node.DB.Table(TableTsEvents)
 	id := tbl.NextAutoID()
-	row := engine.Row{
+	row := append(c.carveRow(4),
 		engine.Int(id),
-		engine.Int(id / tsPerBkt),
-		engine.Float(float64(c.Src.IntRange(0, 200)) / 2),
-		engine.Str("src-" + c.Src.Letters(3)),
-	}
+		engine.Int(id/tsPerBkt),
+		engine.Float(float64(c.Src.IntRange(0, 200))/2),
+		c.Filler("src-", 3),
+	)
 	if err := tx.Insert(tbl, row); err != nil {
 		tx.Abort()
 		return err
@@ -294,10 +294,10 @@ func opLobPut(c *OpCtx) error {
 		return err
 	}
 	tbl := c.Node.DB.Table(TableLobObject)
-	payload := engine.Str("blob-" + c.Src.Letters(24))
+	payload := c.Filler("blob-", 24)
 	if c.Src.IntRange(0, 1) == 0 {
 		id := tbl.NextAutoID()
-		row := engine.Row{engine.Int(id), engine.Int(c.Src.IntRange(0, lobBkts-1)), payload}
+		row := append(c.carveRow(3), engine.Int(id), engine.Int(c.Src.IntRange(0, lobBkts-1)), payload)
 		if err := tx.Insert(tbl, row); err != nil {
 			tx.Abort()
 			return err
@@ -305,7 +305,7 @@ func opLobPut(c *OpCtx) error {
 		return tx.Commit()
 	}
 	id := c.Dist.Next(tbl.MaxID())
-	row := engine.Row{engine.Int(id), engine.Int(c.Src.IntRange(0, lobBkts-1)), payload}
+	row := append(c.carveRow(3), engine.Int(id), engine.Int(c.Src.IntRange(0, lobBkts-1)), payload)
 	if err := tx.Update(tbl, c.IntKey(id), row); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err

@@ -128,6 +128,8 @@ type Runner struct {
 
 	// opWeights caches the suite ops' weight vector (suite mode only).
 	opWeights []float64
+	// rows is the row slab every worker's writes carve from (OpCtx.carveRow).
+	rows []engine.Value
 }
 
 // NewRunner creates a stopped runner; call SetConcurrency to start traffic.
@@ -165,16 +167,21 @@ func (r *Runner) SetConcurrency(n int) {
 	for r.spawned < n {
 		idx := r.spawned
 		r.spawned++
-		w := &worker{
-			r:    r,
-			idx:  idx,
-			src:  rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d", r.cfg.Name, idx)),
-			boff: rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d/backoff", r.cfg.Name, idx)),
-		}
-		w.dist = r.makeDist(w.src)
-		w.ctx = OpCtx{Src: w.src, Dist: w.dist, scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols)}
-		r.group.Go(fmt.Sprintf("%s/w%d", r.cfg.Name, idx), w.run)
+		r.group.Go(fmt.Sprintf("%s/w%d", r.cfg.Name, idx), r.newWorker(idx).run)
 	}
+}
+
+// newWorker builds worker idx with its own random streams and scratch.
+func (r *Runner) newWorker(idx int) *worker {
+	w := &worker{
+		r:    r,
+		idx:  idx,
+		src:  rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d", r.cfg.Name, idx)),
+		boff: rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d/backoff", r.cfg.Name, idx)),
+	}
+	w.dist = r.makeDist(w.src)
+	w.ctx = OpCtx{Src: w.src, Dist: w.dist, scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols), rows: &r.rows}
+	return w
 }
 
 func (r *Runner) makeDist(src *rng.Source) rng.Dist {
@@ -399,7 +406,10 @@ func (w *worker) execute(p *sim.Proc, typ TxnType, n *node.Node) error {
 	return fmt.Errorf("core: unknown transaction %d", typ)
 }
 
-// t1NewOrderline: INSERT INTO orderline VALUES (DEFAULT, ?,?,?,?).
+// t1NewOrderline: INSERT INTO orderline VALUES (DEFAULT, ?,?,?,?). The row
+// and its product string are carved from the worker's slabs.
+//
+//detlint:hotpath
 func (w *worker) t1NewOrderline(p *sim.Proc, n *node.Node) error {
 	tx, err := n.Begin(p)
 	if err != nil {
@@ -408,13 +418,13 @@ func (w *worker) t1NewOrderline(p *sim.Proc, n *node.Node) error {
 	orders := n.DB.Table(TableOrders)
 	ol := n.DB.Table(TableOrderline)
 	oid := w.dist.Next(orders.MaxID())
-	row := engine.Row{
+	row := append(w.ctx.carveRow(5),
 		engine.Int(ol.NextAutoID()),
 		engine.Int(oid),
-		engine.Str("sku-" + w.src.Letters(6)),
+		w.ctx.Filler("sku-", 6),
 		engine.Int(w.src.IntRange(1, 9)),
-		engine.Float(float64(w.src.IntRange(100, 99_99)) / 100),
-	}
+		engine.Float(float64(w.src.IntRange(100, 99_99))/100),
+	)
 	if err := tx.Insert(ol, row); err != nil {
 		tx.Abort()
 		return err
@@ -423,6 +433,8 @@ func (w *worker) t1NewOrderline(p *sim.Proc, n *node.Node) error {
 }
 
 // t2OrderPayment: select the order, mark it paid, credit the customer.
+//
+//detlint:hotpath
 func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 	tx, err := n.Begin(p)
 	if err != nil {
@@ -445,7 +457,7 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 	// row may live in the scratch: take what the customer half needs before the
 	// next read reuses the scratch. The slab copies are what the table keeps.
 	cid, amount := row[1].I, row[2].F
-	upd := w.ctx.keepRow(row)
+	upd := w.ctx.KeepRow(row)
 	upd[4] = engine.Str(StatusPaid)
 	upd[5] = now
 	if err := tx.Update(orders, key, upd); err != nil {
@@ -458,7 +470,7 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 		tx.Abort()
 		return err
 	}
-	cupd := w.ctx.keepRow(crow)
+	cupd := w.ctx.KeepRow(crow)
 	cupd[2] = engine.Float(crow[2].F + amount)
 	cupd[3] = now
 	if err := tx.Update(customers, key, cupd); err != nil {
@@ -478,6 +490,8 @@ func (w *worker) t3OrderStatus(p *sim.Proc, n *node.Node) error {
 }
 
 // t4OrderlineDeletion: DELETE FROM orderline WHERE OL_ID = ?.
+//
+//detlint:hotpath
 func (w *worker) t4OrderlineDeletion(p *sim.Proc, n *node.Node) error {
 	tx, err := n.Begin(p)
 	if err != nil {

@@ -586,11 +586,20 @@ func (t *Txn) ScanRange(table *Table, col int, lo, hi Value, limit int, mode Pla
 // reserve returns an append-only byte arena with room for need more bytes at
 // its tail, starting a new chunk when the current one is full. Slices carved
 // from earlier chunks keep those alive; the arena itself only ever names the
-// newest. It backs the WAL payload slab.
+// newest. It backs the WAL payload slab and every StrSlab.
 func reserve(arena []byte, need, chunk int) []byte {
 	if cap(arena)-len(arena) >= need {
 		return arena
 	}
+	return newChunk(need, chunk)
+}
+
+// newChunk starts a fresh arena chunk of chunk bytes, or of need bytes when
+// one carve outgrows a chunk.
+//
+//detlint:coldpath
+//go:noinline
+func newChunk(need, chunk int) []byte {
 	return make([]byte, 0, max(chunk, need))
 }
 

@@ -64,17 +64,33 @@ func newIndex(name string, id storage.TableID, t *Table, col int) *Index {
 	if ix.pageFan == 0 {
 		ix.pageFan = 1
 	}
+	var ek Key
 	t.VisibleScan(func(pk Key, r Row) bool {
-		ix.put(ix.EntryKey(r[col], pk), len(pk))
+		ek = appendEntryKey(ek[:0], r[col], pk)
+		ix.put(ek, len(pk))
 		return true
 	})
 	return ix
 }
 
 // EntryKey builds the index entry key for a column value and primary key.
-func (ix *Index) EntryKey(v Value, pk Key) Key {
-	ek := growKey(nil, keyValueSize(v)+len(pk))
-	return append(appendKeyValue(ek, v), pk...)
+func (ix *Index) EntryKey(v Value, pk Key) Key { return appendEntryKey(nil, v, pk) }
+
+// appendEntryKey appends the entry key for v and pk to dst.
+func appendEntryKey(dst []byte, v Value, pk Key) []byte {
+	dst = growKey(dst, keyValueSize(v)+len(pk))
+	return append(appendKeyValue(dst, v), pk...)
+}
+
+// scratchEntryKey builds the entry key for v and pk into the table's
+// entry-key scratch, which lives as long as ixOps: until the next mutation.
+// A grown scratch leaves earlier keys of this mutation in the old array,
+// intact, since nothing writes there again.
+func (ix *Index) scratchEntryKey(v Value, pk Key) Key {
+	t := ix.table
+	n := len(t.ixKeys)
+	t.ixKeys = appendEntryKey(t.ixKeys, v, pk)
+	return t.ixKeys[n:len(t.ixKeys):len(t.ixKeys)]
 }
 
 // pageOf assigns an entry to an index page. Pages are content-addressed
@@ -126,12 +142,12 @@ func (ix *Index) apply(pk Key, old, new Row) {
 		return // indexed column unchanged; entry key is identical
 	}
 	if hasOld {
-		ek := ix.EntryKey(oldV, pk)
+		ek := ix.scratchEntryKey(oldV, pk)
 		ix.tree.Delete(ek)
 		ix.table.ixOps = append(ix.table.ixOps, IndexOp{Index: ix, Del: true, EntryKey: ek, Page: ix.pageOf(ek)})
 	}
 	if hasNew {
-		ek := ix.EntryKey(newV, pk)
+		ek := ix.scratchEntryKey(newV, pk)
 		ix.table.ixOps = append(ix.table.ixOps, IndexOp{Index: ix, EntryKey: ek, Page: ix.put(ek, len(pk))})
 	}
 }
@@ -193,7 +209,10 @@ func (ix *Index) CorruptEntryForTest(entryKey Key, pk Key) {
 type IndexOp struct {
 	Index *Index
 	Del   bool
-	// EntryKey is the full entry key (column value ++ primary key).
+	// EntryKey is the full entry key (column value ++ primary key). It
+	// lives in the table's entry-key scratch and is valid until the table's
+	// next mutation: the writing transaction copies it into the DB slab
+	// (recordIndexOps), and the index tree copies it into its own arena.
 	EntryKey Key
 	Page     storage.PageID
 }

@@ -109,7 +109,7 @@ func (db *DB) Restore(snap DBSnapshot) error {
 		t.liveRows = ts.liveRows
 		t.ixScans = ts.ixScans
 		t.fullScans = ts.fullScans
-		t.ixOps = t.ixOps[:0]
+		t.ixOps, t.ixKeys = t.ixOps[:0], t.ixKeys[:0]
 		for j, ix := range t.indexes {
 			ix.tree = ts.indexes[j].clone()
 		}

@@ -75,8 +75,10 @@ func (s *Schema) Validate() error {
 // RowGen deterministically materializes the base row with the given dense
 // primary key id in [1, baseRows] into dst's storage — append(dst[:0], ...) —
 // and returns it; a nil dst yields a fresh row. The returned row must have
-// that id as its primary key and must share no slice storage with anything
-// but dst.
+// that id as its primary key, and its values slice shares storage with
+// nothing but dst. Its string columns may be views of immutable bytes the
+// generator owns (a StrSlab), which a caller may keep for as long as it
+// likes.
 type RowGen func(dst Row, id int64) Row
 
 type deltaVal struct {
@@ -108,9 +110,11 @@ type Table struct {
 	// scratch list of physical index-entry changes, reset at the start of
 	// each mutation — writing transactions read it to emit index WAL
 	// records; rollback and replica replay let the next write overwrite it.
+	// ixKeys holds the bytes of its entry keys and is reset with it.
 	indexes []*Index
 	ixByCol map[int]*Index
 	ixOps   []IndexOp
+	ixKeys  []byte
 
 	// scan counters: how many range queries each plan served (reports).
 	ixScans, fullScans int64
@@ -521,7 +525,7 @@ func (t *Table) refreshIndexes(k Key, old Row) {
 	if len(t.indexes) == 0 {
 		return
 	}
-	t.ixOps = t.ixOps[:0]
+	t.ixOps, t.ixKeys = t.ixOps[:0], t.ixKeys[:0]
 	var cur Row
 	if r, _, ok := t.Get(k); ok {
 		cur = r

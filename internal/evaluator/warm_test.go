@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +54,52 @@ func TestWarmCacheHitMatchesMissMatchesUncached(t *testing.T) {
 	RunOLTP(other)
 	if req, comp := cache.Stats(); req != 4 || comp != 2 {
 		t.Errorf("cache stats after distinct key = %d/%d, want 4/2", req, comp)
+	}
+}
+
+// TestForkedIUDCellsMatchSequential runs insert/update/delete cells forked
+// from one warm-up on several goroutines at once and requires the results
+// of a sequential, uncached run. The forks share the snapshot's rows, whose
+// strings view the warm-up's generator slabs; every fork deploys its own
+// DBs with generators, and so string slabs, of their own. A slab shared
+// across cells would be a data race under -race, and would make the
+// concurrent cells diverge without it.
+func TestForkedIUDCellsMatchSequential(t *testing.T) {
+	base := OLTPConfig{
+		Kind: cdb.CDB1, SF: 1, Mix: core.IUDMix(60, 30, 10), Concurrency: 8,
+		Replicas: 2, Warmup: 400 * time.Millisecond, Seed: 7,
+	}
+	measures := []time.Duration{300, 400, 500, 600}
+	cell := func(i int, warm *WarmCache) OLTPResult {
+		c := base
+		c.Measure = measures[i] * time.Millisecond
+		c.Warm = warm
+		return RunOLTP(c)
+	}
+	want := make([]OLTPResult, len(measures))
+	for i := range measures {
+		if want[i] = cell(i, nil); want[i].TPS <= 0 {
+			t.Fatalf("cell %d measured no throughput: %+v", i, want[i])
+		}
+	}
+	cache := NewWarmCache()
+	got := make([]OLTPResult, len(measures))
+	var wg sync.WaitGroup
+	for i := range measures {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = cell(i, cache)
+		}()
+	}
+	wg.Wait()
+	for i := range measures {
+		if got[i] != want[i] {
+			t.Errorf("cell %d: concurrent fork differs from sequential run:\ngot:  %+v\nwant: %+v", i, got[i], want[i])
+		}
+	}
+	if req, comp := cache.Stats(); req != int64(len(measures)) || comp != 1 {
+		t.Errorf("cache stats = %d requests / %d computed, want %d/1", req, comp, len(measures))
 	}
 }
 

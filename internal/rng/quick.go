@@ -1,5 +1,16 @@
 package rng
 
+import "errors"
+
+// The range checks of the draws that inline into row generators and
+// workload ops panic with prebuilt errors, so the inlined check puts no
+// panic-argument conversion on its callers' hot paths.
+var (
+	errQuickN     = errors.New("rng: Quick.Int63n with non-positive n")
+	errQuickRange = errors.New("rng: Quick.IntRange with hi < lo")
+	errRange      = errors.New("rng: IntRange with hi < lo")
+)
+
 // Quick is a tiny splitmix64 PRNG for deterministic per-row value
 // derivation. Data generators materialize millions of synthetic rows on
 // demand; seeding a math/rand source per row costs hundreds of
@@ -31,7 +42,7 @@ func (q *Quick) Next() uint64 {
 // Int63n returns a value in [0, n).
 func (q *Quick) Int63n(n int64) int64 {
 	if n <= 0 {
-		panic("rng: Quick.Int63n with non-positive n")
+		panic(errQuickN)
 	}
 	return int64(q.Next() % uint64(n))
 }
@@ -39,7 +50,7 @@ func (q *Quick) Int63n(n int64) int64 {
 // IntRange returns a value in [lo, hi] inclusive.
 func (q *Quick) IntRange(lo, hi int64) int64 {
 	if hi < lo {
-		panic("rng: Quick.IntRange with hi < lo")
+		panic(errQuickRange)
 	}
 	return lo + q.Int63n(hi-lo+1)
 }
@@ -49,11 +60,10 @@ func (q *Quick) Float64() float64 {
 	return float64(q.Next()>>11) / float64(1<<53)
 }
 
-// Letters returns a fixed-length lowercase string.
-func (q *Quick) Letters(n int) string {
-	b := make([]byte, n)
+// FillLetters fills b with lowercase letters, one Next()%26 per byte. The
+// caller owns b, so filler columns cost no allocation of their own.
+func (q *Quick) FillLetters(b []byte) {
 	for i := range b {
 		b[i] = byte('a' + q.Next()%26)
 	}
-	return string(b)
 }

@@ -50,7 +50,7 @@ func (s *Source) Int63n(n int64) int64 { return s.r.Int63n(n) }
 // IntRange returns a uniform integer in [lo, hi] inclusive.
 func (s *Source) IntRange(lo, hi int64) int64 {
 	if hi < lo {
-		panic("rng: IntRange with hi < lo")
+		panic(errRange)
 	}
 	return lo + s.r.Int63n(hi-lo+1)
 }
@@ -67,14 +67,12 @@ func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
-// Letters returns a random fixed-length string over [a-z], used by the data
-// generator for filler columns.
-func (s *Source) Letters(n int) string {
-	b := make([]byte, n)
+// FillLetters fills b with random letters over [a-z], one Intn(26) per
+// byte, for the workloads' filler columns.
+func (s *Source) FillLetters(b []byte) {
 	for i := range b {
 		b[i] = byte('a' + s.r.Intn(26))
 	}
-	return string(b)
 }
 
 // PickWeighted returns an index in [0, len(weights)) chosen with probability

@@ -138,16 +138,41 @@ func TestParetoProportionsSumToOneAndDecay(t *testing.T) {
 	}
 }
 
+// TestLettersFormat checks both fill forms: every byte is a lowercase
+// letter, and a fill of n bytes consumes exactly n draws of the stream
+// (one Intn(26), or one Next()%26, per byte), so the draws after it are
+// the ones the byte-at-a-time spelling would leave.
 func TestLettersFormat(t *testing.T) {
-	s := New(9)
-	str := s.Letters(32)
-	if len(str) != 32 {
-		t.Fatalf("len = %d, want 32", len(str))
-	}
-	for _, c := range str {
-		if c < 'a' || c > 'z' {
-			t.Fatalf("unexpected character %q", c)
+	lower := func(b []byte) {
+		t.Helper()
+		for _, c := range b {
+			if c < 'a' || c > 'z' {
+				t.Fatalf("unexpected character %q", c)
+			}
 		}
+	}
+	s, ref := New(9), New(9)
+	b := make([]byte, 32)
+	s.FillLetters(b)
+	lower(b)
+	for i := range b {
+		if want := byte('a' + ref.Intn(26)); b[i] != want {
+			t.Fatalf("Source byte %d = %q, want %q", i, b[i], want)
+		}
+	}
+	if s.Int63n(1<<40) != ref.Int63n(1<<40) {
+		t.Fatal("Source.FillLetters consumed a different number of draws")
+	}
+	q, qref := QuickOf(9, 1, 2), QuickOf(9, 1, 2)
+	q.FillLetters(b)
+	lower(b)
+	for i := range b {
+		if want := byte('a' + qref.Next()%26); b[i] != want {
+			t.Fatalf("Quick byte %d = %q, want %q", i, b[i], want)
+		}
+	}
+	if q.Next() != qref.Next() {
+		t.Fatal("Quick.FillLetters consumed a different number of draws")
 	}
 }
 
