@@ -17,9 +17,9 @@ import (
 // BenchmarkDispatch measures the self-handoff path: a single process
 // yielding b.N times. Each yield schedules a wake at the current virtual
 // time and immediately dispatches it — the pattern of Yield, zero-delay
-// queue reservations, and uncontended mutex handoff. No goroutine switch
-// occurs (the process wakes itself through its buffered channel), so this
-// isolates pure scheduler cost: event push, dispatch, bookkeeping.
+// queue reservations, and uncontended mutex handoff. No coroutine switch
+// occurs (the process pops its own wake and runs on), so this isolates
+// pure scheduler cost: event push, dispatch, bookkeeping.
 func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	s := New(epoch)
@@ -34,9 +34,9 @@ func BenchmarkDispatch(b *testing.B) {
 }
 
 // BenchmarkSleepWake measures the cross-process handoff path: two
-// processes alternating non-zero sleeps, so every dispatch parks one
-// goroutine and unparks another — the cost of a contended lock handoff or
-// any interleaved pair of simulated clients.
+// processes alternating non-zero sleeps, so every dispatch suspends one
+// coroutine and resumes another through Run — the cost of a contended lock
+// handoff or any interleaved pair of simulated clients.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
 	s := New(epoch)
@@ -55,7 +55,8 @@ func BenchmarkSleepWake(b *testing.B) {
 // BenchmarkQueueContention measures the saturated-service-channel path: 8
 // processes hammering one rate-limited Queue, so every Wait pays a
 // reservation, a future-time event push into a populated heap, and a
-// park/unpark — the storage-IOPS hot loop of every OLTP cell.
+// coroutine switch out and back — the storage-IOPS hot loop of every OLTP
+// cell.
 func BenchmarkQueueContention(b *testing.B) {
 	b.ReportAllocs()
 	const workers = 8

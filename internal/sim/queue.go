@@ -19,24 +19,18 @@ type Queue struct {
 // operations per second. A rate of zero means unlimited (Wait is free).
 func NewQueue(s *Sim, opsPerSecond float64) *Queue {
 	q := &Queue{s: s}
-	q.setRate(opsPerSecond)
+	q.SetRate(opsPerSecond)
 	return q
-}
-
-func (q *Queue) setRate(opsPerSecond float64) {
-	if opsPerSecond <= 0 {
-		q.perOp = 0
-		return
-	}
-	q.perOp = time.Duration(float64(time.Second) / opsPerSecond)
 }
 
 // SetRate changes the service rate. In-flight waits keep their old service
 // completion; subsequent waits use the new rate.
 func (q *Queue) SetRate(opsPerSecond float64) {
-	q.s.mu.Lock()
-	q.setRate(opsPerSecond)
-	q.s.mu.Unlock()
+	if opsPerSecond <= 0 {
+		q.perOp = 0
+		return
+	}
+	q.perOp = time.Duration(float64(time.Second) / opsPerSecond)
 }
 
 // Wait enqueues ops operations and blocks the process until they are
@@ -57,18 +51,16 @@ func (q *Queue) Reserve(ops int) time.Duration {
 	if ops <= 0 {
 		return 0
 	}
-	s := q.s
-	s.mu.Lock()
 	q.served += int64(ops)
 	if q.perOp == 0 {
-		s.mu.Unlock()
 		return 0
 	}
 	service := time.Duration(ops) * q.perOp
 	if service/q.perOp != time.Duration(ops) { // multiplication overflowed
 		service = maxDuration
 	}
-	start := s.now
+	now := q.s.now
+	start := now
 	if q.nextFree > start {
 		start = q.nextFree
 	}
@@ -80,30 +72,18 @@ func (q *Queue) Reserve(ops int) time.Duration {
 	if q.busy += service; q.busy < 0 {
 		q.busy = maxDuration
 	}
-	delay := done - s.now
-	s.mu.Unlock()
-	return delay
+	return done - now
 }
 
 // Served returns the total operations serviced so far.
-func (q *Queue) Served() int64 {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	return q.served
-}
+func (q *Queue) Served() int64 { return q.served }
 
 // BusyTime returns the cumulative virtual time the channel has been busy.
-func (q *Queue) BusyTime() time.Duration {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	return q.busy
-}
+func (q *Queue) BusyTime() time.Duration { return q.busy }
 
 // Backlog returns how far in the future the channel is booked, i.e. the
 // delay a zero-length arrival would currently experience.
 func (q *Queue) Backlog() time.Duration {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
 	if q.nextFree <= q.s.now {
 		return 0
 	}

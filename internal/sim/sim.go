@@ -1,12 +1,19 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// A simulation consists of processes (goroutines spawned with Sim.Go) that
+// A simulation consists of processes (procs, spawned with Sim.Go) that
 // advance a shared virtual clock by sleeping (Proc.Sleep) and by blocking on
-// sim-aware synchronization primitives (Mutex, Cond, Resource, Queue). The
-// kernel enforces a single-runnable invariant: at most one process executes
-// between scheduler dispatches. Consequently process code needs no locking of
+// sim-aware synchronization primitives (Mutex, Cond, Resource, Queue). Each
+// proc runs on a coroutine, and exactly one proc executes at a time: a proc
+// runs until it blocks, then the kernel pops the next (time, seq) event and
+// resumes that event's proc. Consequently process code needs no locking of
 // its own — processes can never observe each other mid-step — and a given
 // simulation program produces an identical event order on every run.
+//
+// A Sim belongs to the goroutine that builds and runs it, and no other
+// goroutine may call into it. Run resumes the procs' coroutines one at a
+// time on that goroutine's behalf, so the Sim, and everything its procs
+// touch, needs no lock; concurrent simulations (one experiment cell per
+// core) each use their own Sim.
 //
 // Virtual time bears no relation to wall-clock time: a simulated hour costs
 // only the CPU time of the events inside it. All CloudyBench evaluators run
@@ -14,15 +21,19 @@
 // milliseconds and remain reproducible.
 //
 // Because kernel overhead is 100% of an experiment's wall-clock cost, the
-// scheduler is built around two fast paths: a hand-rolled binary heap over
-// []event (no container/heap interface boxing, no per-push allocation), and
-// a "runnext" direct-handoff slot that lets a wake scheduled at the current
+// scheduler is built around three fast paths: a hand-rolled binary heap over
+// []event (no container/heap interface boxing, no per-push allocation); a
+// "runnext" direct-handoff slot that lets a wake scheduled at the current
 // virtual time bypass the heap entirely — the dominant case for Yield,
-// mutex handoff, and zero-delay queue reservations.
+// mutex handoff, and zero-delay queue reservations; and inline dispatch: a
+// blocking proc pops the next event itself, and when that event is its own
+// wake it runs on without any coroutine switch.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -30,12 +41,8 @@ import (
 )
 
 // Sim is a discrete-event simulation instance. Create one with New, spawn
-// processes with Go, then call Run from the host goroutine to execute the
-// simulation to completion.
+// processes with Go, then call Run to execute the simulation to completion.
 type Sim struct {
-	mu       sync.Mutex
-	termCond *sync.Cond // signaled when procs hits zero or a deadlock is found
-
 	start  time.Time     // virtual epoch
 	now    time.Duration // virtual time since start
 	events []event       // hand-rolled binary min-heap ordered by (at, seq)
@@ -50,10 +57,9 @@ type Sim struct {
 	runnext    event
 	runnextSet bool
 
-	seq     uint64             // dispatch tiebreaker for determinism
-	running int                // processes currently executing (0 or 1 in steady state)
-	procs   map[*Proc]struct{} // live (not yet exited) processes
-	err     error
+	seq   uint64  // dispatch tiebreaker for determinism
+	procs []*Proc // live (not yet exited) processes; Proc.idx is each one's slot
+	err   error
 }
 
 // Proc is a simulation process handle. Every blocking kernel operation takes
@@ -61,7 +67,9 @@ type Sim struct {
 type Proc struct {
 	sim  *Sim
 	name string
-	wake chan struct{}
+	fn   func(*Proc) // the body, until its coroutine starts it
+	co   *coro       // the coroutine running the body, from first dispatch to exit
+	idx  int         // slot in sim.procs
 
 	// why records the reason for the most recent block ("sleep", "mutex",
 	// ...). It is written on the block path and read only by deadlock
@@ -76,6 +84,97 @@ func (p *Proc) Name() string { return p.name }
 
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
+
+// coro is a reusable coroutine: an iter.Pull pair that runs one proc's body
+// after another. Run resumes it; it yields back to Run when its proc blocks
+// on another proc's wake, exits or panics.
+type coro struct {
+	resume func() (step, bool)
+	stop   func()
+	yield  func(step) bool
+	p      *Proc // the proc whose body the coroutine runs next
+}
+
+// step is what a coroutine yields to Run: the proc to resume next (nil when
+// no event is pending), and whether the coroutine's proc exited, which
+// frees the coroutine.
+type step struct {
+	next     *Proc
+	exited   bool
+	panicked error // set when the proc exited by panicking
+}
+
+// loop is the coroutine body: run the assigned proc, hand Run the next
+// proc, and wait to be assigned another.
+func (c *coro) loop(yield func(step) bool) {
+	c.yield = yield
+	for {
+		p := c.p
+		st := step{exited: true}
+		if st.panicked = p.run(); st.panicked == nil {
+			st.next = p.sim.exit(p)
+		}
+		if !yield(st) {
+			return
+		}
+	}
+}
+
+// run executes p's body. A panic comes back as an error naming the proc and
+// carrying its stack at the panic, which Run's own stack would not show.
+func (p *Proc) run() (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			cause, ok := v.(error)
+			if !ok {
+				cause = fmt.Errorf("%v", v)
+			}
+			err = fmt.Errorf("sim: proc %s panicked: %w\n\n%s", p.name, cause, debug.Stack())
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return nil
+}
+
+// idle holds finished coroutines for reuse by every Sim in the process: an
+// experiment cell is a fresh Sim with tens of procs, and a new iter.Pull
+// costs about a dozen allocations. The bound stops a burst of procs from
+// pinning its goroutines for the life of the process.
+var idle struct {
+	sync.Mutex
+	free []*coro
+}
+
+const maxIdle = 256
+
+func getCoro() *coro {
+	idle.Lock()
+	if n := len(idle.free); n > 0 {
+		c := idle.free[n-1]
+		idle.free[n-1] = nil
+		idle.free = idle.free[:n-1]
+		idle.Unlock()
+		return c
+	}
+	idle.Unlock()
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+func putCoro(c *coro) {
+	c.p = nil
+	idle.Lock()
+	if len(idle.free) < maxIdle {
+		idle.free = append(idle.free, c)
+		idle.Unlock()
+		return
+	}
+	idle.Unlock()
+	c.stop()
+}
 
 // maxDuration is the saturation ceiling for virtual-time arithmetic:
 // overflowing computations clamp here instead of wrapping negative.
@@ -151,45 +250,27 @@ func New(start time.Time) *Sim {
 // values — and therefore stamps the same windows and timestamps — as the
 // continuous run it replaces.
 func NewAt(start time.Time, elapsed time.Duration) *Sim {
-	s := &Sim{start: start, now: elapsed, procs: make(map[*Proc]struct{})}
-	s.termCond = sync.NewCond(&s.mu)
-	return s
+	return &Sim{start: start, now: elapsed}
 }
 
-// Now returns the current virtual time. It may be called from inside or
-// outside the simulation.
-func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.start.Add(s.now)
-}
+// Now returns the current virtual time.
+func (s *Sim) Now() time.Time { return s.start.Add(s.now) }
 
 // Elapsed returns the virtual time elapsed since the simulation epoch.
-func (s *Sim) Elapsed() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
+func (s *Sim) Elapsed() time.Duration { return s.now }
 
 // Go spawns a new simulation process. The process begins executing at the
 // current virtual time, after the spawning process next blocks (or, for
-// processes spawned before Run, when Run starts). It is safe to call Go from
-// inside another process or from the host goroutine before Run.
+// processes spawned before Run, when Run starts). It may be called from
+// inside another process or, before Run, by the Sim's owner.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, wake: make(chan struct{}, 1), why: "start"}
-	s.mu.Lock()
-	s.procs[p] = struct{}{}
-	s.pushLocked(s.now, p)
-	s.mu.Unlock()
-	go func() {
-		<-p.wake
-		defer s.exit(p)
-		fn(p)
-	}()
+	p := &Proc{sim: s, name: name, fn: fn, idx: len(s.procs), why: "start"}
+	s.procs = append(s.procs, p)
+	s.push(s.now, p)
 	return p
 }
 
-func (s *Sim) pushLocked(at time.Duration, p *Proc) {
+func (s *Sim) push(at time.Duration, p *Proc) {
 	s.seq++
 	ev := event{at: at, seq: s.seq, p: p}
 	if at == s.now && !s.runnextSet {
@@ -200,28 +281,29 @@ func (s *Sim) pushLocked(at time.Duration, p *Proc) {
 	s.heapPush(ev)
 }
 
-// blockLocked records the caller as blocked and hands the baton to the next
-// event if no process remains runnable. The caller must hold s.mu, release it
-// after this returns, and then receive on p.wake.
-func (s *Sim) blockLocked(p *Proc, why string) {
-	s.running--
+// wake schedules p to resume at the current virtual time. The woken process
+// runs once the current process blocks.
+func (s *Sim) wake(p *Proc) { s.push(s.now, p) }
+
+// park blocks p until an event pushed for it is dispatched. p dispatches the
+// next event itself: when that is its own wake it runs on with no switch;
+// otherwise it yields the next proc to Run and sleeps until Run resumes it.
+//
+//detlint:hotpath
+func (s *Sim) park(p *Proc, why string) {
 	p.why = why
-	if s.running == 0 {
-		s.dispatchLocked()
+	if next := s.dispatch(); next != p {
+		p.co.yield(step{next: next})
 	}
 }
 
-// wakeLocked schedules p to resume at the current virtual time. The caller
-// must hold s.mu. The woken process runs once the current process blocks.
-func (s *Sim) wakeLocked(p *Proc) {
-	s.pushLocked(s.now, p)
-}
-
-// dispatchLocked advances virtual time to the next event and hands the CPU
-// to its process — the DES inner loop, entered once per block/wake edge.
+// dispatch advances virtual time to the next event and returns its process
+// — the DES inner loop, entered once per block/wake edge. It returns nil
+// when no event is pending: the run is over, or, with live processes left,
+// deadlocked (s.err says so).
 //
 //detlint:hotpath
-func (s *Sim) dispatchLocked() {
+func (s *Sim) dispatch() *Proc {
 	var ev event
 	switch {
 	// The runnext slot wins unless the heap holds a same-time event pushed
@@ -235,28 +317,26 @@ func (s *Sim) dispatchLocked() {
 		ev = s.heapPop()
 	default:
 		if len(s.procs) > 0 {
-			s.err = s.deadlockErrorLocked()
-			s.termCond.Broadcast()
+			s.err = s.deadlockError()
 		}
-		return
+		return nil
 	}
 	if ev.at < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", s.now, ev.at))
 	}
 	s.now = ev.at
-	s.running++
-	ev.p.wake <- struct{}{}
+	return ev.p
 }
 
-// deadlockErrorLocked reconstructs the blocked-process diagnostic. It runs
-// only when every live process is blocked with no pending events, so each
+// deadlockError reconstructs the blocked-process diagnostic. It runs only
+// when every live process is blocked with no pending events, so each
 // process's last-recorded block reason is its current one — a terminal
-// path, excluded from dispatchLocked's allocation budget.
+// path, excluded from dispatch's allocation budget.
 //
 //detlint:coldpath
-func (s *Sim) deadlockErrorLocked() error {
+func (s *Sim) deadlockError() error {
 	names := make([]string, 0, len(s.procs))
-	for p := range s.procs {
+	for _, p := range s.procs {
 		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.why))
 	}
 	sort.Strings(names)
@@ -264,34 +344,39 @@ func (s *Sim) deadlockErrorLocked() error {
 		s.now, len(names), strings.Join(names, ", "))
 }
 
-func (s *Sim) exit(p *Proc) {
-	s.mu.Lock()
-	delete(s.procs, p)
-	s.running--
-	if s.running == 0 {
-		s.dispatchLocked()
-	}
-	if len(s.procs) == 0 {
-		s.termCond.Broadcast()
-	}
-	s.mu.Unlock()
+// exit retires p and dispatches the next event, returning its process.
+func (s *Sim) exit(p *Proc) *Proc {
+	last := len(s.procs) - 1
+	s.procs[p.idx] = s.procs[last]
+	s.procs[p.idx].idx = p.idx
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
+	return s.dispatch()
 }
 
-// Run executes the simulation until every process has exited. It must be
-// called from the host goroutine (not from inside a process). It returns a
-// deadlock error if all remaining processes are blocked with no pending
-// events; otherwise nil.
+// Run executes the simulation until every process has exited, resuming
+// each dispatched process on its coroutine in turn. It returns a deadlock
+// error if all remaining processes are blocked with no pending events;
+// otherwise nil. A process that panics makes Run panic with an error that
+// names the process and carries its stack.
 func (s *Sim) Run() error {
-	s.mu.Lock()
-	if s.running == 0 && len(s.procs) > 0 {
-		s.dispatchLocked()
+	for p := s.dispatch(); p != nil; {
+		c := p.co
+		if c == nil {
+			c = getCoro()
+			c.p, p.co = p, c
+		}
+		st, _ := c.resume()
+		if st.exited {
+			p.co = nil
+			putCoro(c)
+			if st.panicked != nil {
+				panic(st.panicked)
+			}
+		}
+		p = st.next
 	}
-	for len(s.procs) > 0 && s.err == nil {
-		s.termCond.Wait()
-	}
-	err := s.err
-	s.mu.Unlock()
-	return err
+	return s.err
 }
 
 // Sleep suspends the calling process for d of virtual time. Negative
@@ -301,15 +386,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.mu.Lock()
 	at := s.now + d
 	if at < s.now { // overflow from a pathologically large (clamped) delay
 		at = maxDuration
 	}
-	s.pushLocked(at, p)
-	s.blockLocked(p, "sleep")
-	s.mu.Unlock()
-	<-p.wake
+	s.push(at, p)
+	s.park(p, "sleep")
 }
 
 // Yield lets any other runnable process scheduled at the current virtual
@@ -320,4 +402,4 @@ func (p *Proc) Yield() { p.Sleep(0) }
 func (p *Proc) Now() time.Time { return p.sim.Now() }
 
 // Elapsed returns virtual time since the simulation epoch.
-func (p *Proc) Elapsed() time.Duration { return p.sim.Elapsed() }
+func (p *Proc) Elapsed() time.Duration { return p.sim.now }

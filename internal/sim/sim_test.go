@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -590,4 +591,135 @@ func TestManyProcessesStress(t *testing.T) {
 	if total != 4000 {
 		t.Fatalf("completed = %d, want 4000", total)
 	}
+}
+
+func TestResourceRejectsNonPositiveUnits(t *testing.T) {
+	r := NewResource(New(epoch), 4)
+	for _, c := range []struct {
+		name string
+		call func(n int64)
+	}{
+		{"Release", func(n int64) { r.Release(n) }},
+		{"TryAcquire", func(n int64) { r.TryAcquire(n) }},
+	} {
+		for _, n := range []int64{0, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", c.name, n)
+					}
+				}()
+				c.call(n)
+			}()
+			if r.Used() != 0 {
+				t.Fatalf("%s(%d) moved used to %d", c.name, n, r.Used())
+			}
+		}
+	}
+}
+
+var errProcBoom = errors.New("boom")
+
+// TestProcPanicSurfacesFromRun checks that a proc's panic re-panics from Run
+// on its caller, naming the proc and keeping the value, and that the kernel
+// runs the next simulation normally afterwards.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	func() {
+		s := New(epoch)
+		s.Go("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+		s.Go("bomb", func(p *Proc) {
+			p.Sleep(time.Second)
+			panic(errProcBoom)
+		})
+		defer func() {
+			err, ok := recover().(error)
+			if !ok {
+				t.Fatalf("Run panicked with a %T, want an error", err)
+			}
+			if !errors.Is(err, errProcBoom) || !strings.Contains(err.Error(), "proc bomb panicked") {
+				t.Fatalf("Run panicked with %q, want the proc's name and its error", err)
+			}
+		}()
+		_ = s.Run()
+		t.Fatal("Run returned after a proc panicked")
+	}()
+	s := New(epoch)
+	s.Go("after", func(p *Proc) { p.Sleep(time.Second) })
+	if err := s.Run(); err != nil || s.Elapsed() != time.Second {
+		t.Fatalf("next Run: err %v at %v, want nil at 1s", err, s.Elapsed())
+	}
+}
+
+// TestKernelAllocationFloors pins the kernel's steady state: a proc costs
+// one allocation (its Proc) to spawn and run to exit, and every handoff —
+// Sleep, Yield, Mutex, Cond, Resource — costs none. Each run spawns procs
+// that hand off hundreds of times on one warmed Sim, so a per-handoff
+// allocation would show as hundreds.
+func TestKernelAllocationFloors(t *testing.T) {
+	const rounds = 200
+	floor := func(name string, procs int, body func(s *Sim) func(p *Proc)) {
+		t.Helper()
+		s := New(epoch)
+		fn := body(s)
+		got := testing.AllocsPerRun(20, func() {
+			for i := 0; i < procs; i++ {
+				s.Go("w", fn)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(procs) {
+			t.Errorf("%s: %.1f allocations per run of %d procs, want <= %d", name, got, procs, procs)
+		}
+	}
+	floor("spawn+exit", 1, func(*Sim) func(*Proc) { return func(*Proc) {} })
+	floor("Sleep", 2, func(*Sim) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		}
+	})
+	floor("Yield", 2, func(*Sim) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Yield()
+			}
+		}
+	})
+	floor("Mutex", 2, func(s *Sim) func(*Proc) {
+		m := NewMutex(s)
+		return func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				m.Lock(p)
+				p.Sleep(time.Microsecond)
+				m.Unlock(p)
+			}
+		}
+	})
+	floor("Cond", 2, func(s *Sim) func(*Proc) {
+		c := NewCond(s)
+		waiting := false // the first proc of a run waits, the second signals
+		return func(p *Proc) {
+			if waiting = !waiting; waiting {
+				for i := 0; i < rounds; i++ {
+					c.Wait(p)
+				}
+				return
+			}
+			for i := 0; i < rounds; i++ {
+				p.Sleep(time.Microsecond)
+				c.Signal()
+			}
+		}
+	})
+	floor("Resource", 2, func(s *Sim) func(*Proc) {
+		r := NewResource(s, 1)
+		return func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				r.Use(p, 1, time.Microsecond)
+			}
+		}
+	})
 }

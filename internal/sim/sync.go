@@ -19,29 +19,20 @@ func NewMutex(s *Sim) *Mutex { return &Mutex{s: s} }
 
 // Lock acquires the mutex, blocking the process in virtual time if needed.
 func (m *Mutex) Lock(p *Proc) {
-	s := m.s
-	s.mu.Lock()
 	if m.owner == nil {
 		m.owner = p
-		s.mu.Unlock()
 		return
 	}
 	if m.owner == p {
-		s.mu.Unlock()
 		panic("sim: recursive Mutex.Lock by " + p.name)
 	}
 	m.waiters.push(p)
-	s.blockLocked(p, "mutex")
-	s.mu.Unlock()
-	<-p.wake
+	m.s.park(p, "mutex")
 }
 
 // Unlock releases the mutex, transferring ownership to the oldest waiter.
 func (m *Mutex) Unlock(p *Proc) {
-	s := m.s
-	s.mu.Lock()
 	if m.owner != p {
-		s.mu.Unlock()
 		panic("sim: Mutex.Unlock by non-owner " + p.name)
 	}
 	if m.waiters.len() == 0 {
@@ -49,9 +40,8 @@ func (m *Mutex) Unlock(p *Proc) {
 	} else {
 		next := m.waiters.pop()
 		m.owner = next
-		s.wakeLocked(next)
+		m.s.wake(next)
 	}
-	s.mu.Unlock()
 }
 
 // Cond is a simulation-aware condition variable. Because the kernel enforces
@@ -70,34 +60,24 @@ func NewCond(s *Sim) *Cond { return &Cond{s: s} }
 //
 //detlint:hotpath
 func (c *Cond) Wait(p *Proc) {
-	s := c.s
-	s.mu.Lock()
 	c.waiters.push(p) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
-	s.blockLocked(p, "cond")
-	s.mu.Unlock()
-	<-p.wake
+	c.s.park(p, "cond")
 }
 
 // Signal wakes the oldest waiting process, if any.
 //
 //detlint:hotpath
 func (c *Cond) Signal() {
-	s := c.s
-	s.mu.Lock()
 	if c.waiters.len() > 0 {
-		s.wakeLocked(c.waiters.pop())
+		c.s.wake(c.waiters.pop())
 	}
-	s.mu.Unlock()
 }
 
 // Broadcast wakes every waiting process.
 func (c *Cond) Broadcast() {
-	s := c.s
-	s.mu.Lock()
 	for c.waiters.len() > 0 {
-		s.wakeLocked(c.waiters.pop())
+		c.s.wake(c.waiters.pop())
 	}
-	s.mu.Unlock()
 }
 
 // Group waits for a collection of processes to finish, mirroring
@@ -112,36 +92,22 @@ type Group struct {
 func NewGroup(s *Sim) *Group { return &Group{s: s, cond: NewCond(s)} }
 
 // Add increments the group counter by n.
-func (g *Group) Add(n int) {
-	g.s.mu.Lock()
-	g.count += n
-	g.s.mu.Unlock()
-}
+func (g *Group) Add(n int) { g.count += n }
 
 // Done decrements the group counter, waking waiters when it reaches zero.
 func (g *Group) Done() {
-	g.s.mu.Lock()
 	g.count--
-	neg := g.count < 0
-	zero := g.count == 0
-	g.s.mu.Unlock()
-	if neg {
+	if g.count < 0 {
 		panic("sim: Group counter went negative")
 	}
-	if zero {
+	if g.count == 0 {
 		g.cond.Broadcast()
 	}
 }
 
 // Wait blocks the process until the group counter reaches zero.
 func (g *Group) Wait(p *Proc) {
-	for {
-		g.s.mu.Lock()
-		done := g.count == 0
-		g.s.mu.Unlock()
-		if done {
-			return
-		}
+	for g.count != 0 {
 		g.cond.Wait(p)
 	}
 }
@@ -195,30 +161,25 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: Resource.Acquire of %d units", n))
 	}
-	s := r.s
-	s.mu.Lock()
 	if r.waiters.len() == 0 && r.used+n <= r.cap {
-		r.accrueLocked()
+		r.accrue()
 		r.used += n
 		if r.used > r.peak {
 			r.peak = r.used
 		}
-		s.mu.Unlock()
 		return
 	}
 	r.waiters.push(resWaiter{p: p, n: n}) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
-	s.blockLocked(p, "resource")
-	s.mu.Unlock()
-	<-p.wake
+	r.s.park(p, "resource")
 }
 
 // TryAcquire claims n units without blocking, reporting whether it succeeded.
 func (r *Resource) TryAcquire(n int64) bool {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if n <= 0 {
+		panic(fmt.Sprintf("sim: Resource.TryAcquire of %d units", n))
+	}
 	if r.waiters.len() == 0 && r.used+n <= r.cap {
-		r.accrueLocked()
+		r.accrue()
 		r.used += n
 		if r.used > r.peak {
 			r.peak = r.used
@@ -232,16 +193,15 @@ func (r *Resource) TryAcquire(n int64) bool {
 //
 //detlint:hotpath
 func (r *Resource) Release(n int64) {
-	s := r.s
-	s.mu.Lock()
-	r.accrueLocked()
+	if n <= 0 {
+		panic(fmt.Sprintf("sim: Resource.Release of %d units", n))
+	}
+	r.accrue()
 	r.used -= n
 	if r.used < 0 {
-		s.mu.Unlock()
 		panic("sim: Resource over-released")
 	}
-	r.admitLocked()
-	s.mu.Unlock()
+	r.admit()
 }
 
 // SetCapacity resizes the pool. Increases admit queued waiters immediately;
@@ -251,17 +211,14 @@ func (r *Resource) SetCapacity(capacity int64) {
 	if capacity < 0 {
 		panic("sim: negative Resource capacity")
 	}
-	s := r.s
-	s.mu.Lock()
-	r.accrueLocked()
+	r.accrue()
 	r.cap = capacity
-	r.admitLocked()
-	s.mu.Unlock()
+	r.admit()
 }
 
-// accrueLocked folds elapsed time into the usage and capacity integrals.
-// It must be called, with s.mu held, before any change to used or cap.
-func (r *Resource) accrueLocked() {
+// accrue folds elapsed time into the usage and capacity integrals. It must
+// be called before any change to used or cap.
+func (r *Resource) accrue() {
 	dt := r.s.now - r.lastAccrue
 	if dt > 0 {
 		sec := dt.Seconds()
@@ -275,58 +232,36 @@ func (r *Resource) accrueLocked() {
 // unit-seconds up to the current virtual time. Callers snapshot these at
 // window boundaries and diff to obtain per-window resource consumption.
 func (r *Resource) Integrals() (usedUnitSeconds, capUnitSeconds float64) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.accrueLocked()
+	r.accrue()
 	return r.usedInt, r.capInt
 }
 
-func (r *Resource) admitLocked() {
-	r.accrueLocked()
+func (r *Resource) admit() {
+	r.accrue()
 	for r.waiters.len() > 0 && r.used+r.waiters.peek().n <= r.cap {
 		w := r.waiters.pop()
 		r.used += w.n
 		if r.used > r.peak {
 			r.peak = r.used
 		}
-		r.s.wakeLocked(w.p)
+		r.s.wake(w.p)
 	}
 }
 
 // Capacity returns the current capacity.
-func (r *Resource) Capacity() int64 {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return r.cap
-}
+func (r *Resource) Capacity() int64 { return r.cap }
 
 // Used returns the units currently held.
-func (r *Resource) Used() int64 {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return r.used
-}
+func (r *Resource) Used() int64 { return r.used }
 
 // Peak returns the high-water mark of held units since the last ResetPeak.
-func (r *Resource) Peak() int64 {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return r.peak
-}
+func (r *Resource) Peak() int64 { return r.peak }
 
 // ResetPeak clears the high-water mark down to current usage.
-func (r *Resource) ResetPeak() {
-	r.s.mu.Lock()
-	r.peak = r.used
-	r.s.mu.Unlock()
-}
+func (r *Resource) ResetPeak() { r.peak = r.used }
 
 // Waiting returns the number of queued acquirers.
-func (r *Resource) Waiting() int {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return r.waiters.len()
-}
+func (r *Resource) Waiting() int { return r.waiters.len() }
 
 // Use acquires n units, holds them for d of virtual time, and releases them.
 // It is the standard way to model a CPU slice or similar occupancy.
