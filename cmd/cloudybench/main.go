@@ -8,10 +8,14 @@
 //	cloudybench run all [-scale quick|paper|bench]
 //	cloudybench soak [-scale quick|paper|bench] [-o DIR]
 //	cloudybench custom -props FILE
+//	cloudybench dataset [-sf 10] [-seed 42] [-sample 5]
+//	cloudybench cost [-vcores 4] [-mem 16] [-net 10] [-fabric tcp|rdma|local] ...
 //
 // Experiment ids map to the paper's artifacts: f5 t5 f6 t6 t7 t8 f7 lag t9
 // f8 f9, plus the testbed extensions: ablations chaos oltp partition suites
-// (see `cloudybench list`).
+// (see `cloudybench list`). Two small commands ride along: dataset prints
+// the scaling model and sample rows of a scale factor, and cost prices a
+// resource package at the paper's Table III unit costs.
 package main
 
 import (
@@ -47,6 +51,10 @@ func run(args []string) error {
 		return runSoak(args[1:])
 	case "custom":
 		return runCustom(args[1:])
+	case "dataset":
+		return runDataset(args[1:])
+	case "cost":
+		return runCost(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -113,6 +121,11 @@ Commands:
   soak [flags]             multi-day longitudinal soak on every SUT; writes
                            the soak.csv + soak.md comparison artifact
   custom -props FILE       run a user-defined elasticity pattern from a props file
+  dataset [flags]          dataset scaling model and sample rows
+                           (-sf N, -seed N, -sample N rows per table)
+  cost [flags]             resource-unit-cost calculator (Table III prices):
+                           -vcores -mem -storage per node, -iops -net per
+                           cluster, -fabric tcp|rdma|local, -hours, -nodes
 
 Flags for run:
   -scale quick|paper|bench experiment scale (default quick)

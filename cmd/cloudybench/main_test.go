@@ -45,6 +45,8 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 		{[]string{"run", "f9", "nosuch", "-scale", "bench"}, "nosuch"},
 		{[]string{"soak", "-scale", "bench", "-o", dir, "extra"}, "extra"},
 		{[]string{"custom", "-props", props, "extra"}, "extra"},
+		{[]string{"dataset", "-sf", "1", "extra"}, "extra"},
+		{[]string{"cost", "-fabric", "infiniband"}, "infiniband"},
 	}
 	for _, c := range cases {
 		var err error
@@ -55,5 +57,40 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 		if out != "" {
 			t.Errorf("run(%q) printed before failing:\n%s", c.args, out)
 		}
+	}
+}
+
+// The small commands print their model and exit: dataset its scaling table
+// and sample rows, cost a price itemized per resource.
+func TestDatasetAndCostCommands(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"dataset", "-sf", "2", "-sample", "2"}, []string{
+			"SF2 (seed 42)", "orderline       6000000",
+			"customer (C_ID,", "orders (O_ID,", "orderline (OL_ID,", "  2,",
+		}},
+		{[]string{"dataset", "-sample", "0"}, []string{"SF1 (seed 42)", "raw size"}},
+		{[]string{"cost", "-fabric", "rdma", "-nodes", "2", "-hours", "2"}, []string{
+			"(2 node(s)): 8 vCores", "Gbps rdma", "$ per 2h", "total",
+		}},
+	}
+	for _, c := range cases {
+		var err error
+		out := captureOutput(t, func() { err = run(c.args) })
+		if err != nil {
+			t.Fatalf("run(%q): %v", c.args, err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("run(%q) output lacks %q:\n%s", c.args, want, out)
+			}
+		}
+	}
+	// -sample 0 stops after the scaling model.
+	out := captureOutput(t, func() { run([]string{"dataset", "-sample", "0"}) })
+	if strings.Contains(out, "C_ID") {
+		t.Errorf("dataset -sample 0 printed sample rows:\n%s", out)
 	}
 }

@@ -260,7 +260,7 @@ func (c *Cluster) InjectNodeCrash(p *sim.Proc, m *Member, torn storage.TornMode)
 	c.mark(fmt.Sprintf("%s crash injected", m.Role))
 	p.Sleep(c.cfg.DetectDelay)
 	if m.Role == RW && c.cfg.PromoteOnRWFailure && c.Replica(0) != nil {
-		return c.promoteFailover(p, m)
+		return c.promoteCrashed(p, m)
 	}
 	if m.Role == RO {
 		// Replica resync: rebuild from the primary's durable log.
@@ -304,22 +304,51 @@ func (c *Cluster) rampUp(n *node.Node) {
 	})
 }
 
-// promoteFailover runs the Figure 7 switch-over away from a crashed RW:
-// prepare, promote the first RO to the new RW, recover, and rejoin the old
-// RW as an RO. The rejoin runs actual ARIES recovery over the old RW's
-// durable log; those stats are returned so crash gauntlets can report the
-// recovery work a promotion architecture still performs.
-func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStats, error) {
+// promoteCrashed fails over away from a crashed RW: it promotes the first
+// RO, seeding its WAL from the durable log the crash left in shared storage,
+// and then rejoins the old RW as an RO. The rejoin runs actual ARIES
+// recovery over the old RW's durable log; those stats are returned so crash
+// gauntlets can report the recovery work a promotion architecture still
+// performs.
+func (c *Cluster) promoteCrashed(p *sim.Proc, old *Member) (engine.RecoveryStats, error) {
 	target := c.Replica(0)
 	c.mark("RW failure detected")
-
-	// Lease: advance the epoch first. From this instant the old RW — even
-	// if it is actually alive behind a partition — has its commits refused
-	// by shared storage, so nothing below races a still-writing primary.
 	var epoch uint64
 	if c.fence != nil {
 		epoch = c.fence.Advance(c.S.Elapsed())
 	}
+	snap, _ := old.Node.CrashArtifacts()
+	c.promote(p, old, target, epoch, &walSeed{log: snap, txnFloor: old.Node.DB.TxnCounter()})
+	// The old RW restarts cold slightly behind the switch-over and rejoins
+	// through actual recovery over its durable log — honest, since its
+	// rebuilt state only ever serves reads behind the new RW's replication
+	// stream.
+	old.Node.Buf.Clear()
+	st, err := old.Node.Recover(p)
+	if err != nil {
+		c.mark("old RW recovery failed")
+		return st, err
+	}
+	c.mark("old RW rejoined as RO'")
+	return st, nil
+}
+
+// walSeed is where a promoted RW's WAL continues from: the durable log in
+// shared storage and the txn-id floor of the primary it replaces.
+type walSeed struct {
+	log      storage.LogSnapshot
+	txnFloor uint64
+}
+
+// promote is the Figure 7 switch-over, one sequence for every fail-over:
+// prepare (refuse requests, collect LSNs), switch over (promote target to
+// the new RW), recover (scan undo), then serve under epoch and rejoin old as
+// an RO through a fresh stream. The caller has already advanced the fence to
+// epoch: from that instant every commit the old RW — even one alive behind a
+// partition — acknowledges locally is refused by shared storage, so nothing
+// below races a still-writing primary. A non-nil seed continues the target's
+// WAL and txn ids from the acknowledged history the replica applied.
+func (c *Cluster) promote(p *sim.Proc, old, target *Member, epoch uint64, seed *walSeed) {
 	// Catch-up: apply every committed-but-unapplied record to the promotion
 	// target before it takes over. The committed log lives in shared/quorum
 	// storage, so the target can drain it even when the network path to the
@@ -329,12 +358,16 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStat
 		target.Stream.DrainPending(p)
 	}
 
-	// Prepare: cluster manager notifies all nodes to refuse requests and
-	// collects the latest page/checkpoint LSNs.
+	// Prepare: the cluster manager tells every member it reaches to refuse
+	// requests and collects the latest page/checkpoint LSNs. The old RW is
+	// left alone: a crashed one is already down, and a partitioned one
+	// cannot be told anything.
 	c.mark("prepare: refuse requests, collect LSN")
 	t0 := c.S.Elapsed()
 	for _, m := range c.members {
-		m.Node.SetState(node.Down)
+		if m != old {
+			m.Node.SetState(node.Down)
+		}
 	}
 	p.Sleep(c.cfg.PreparePhase)
 	c.tracePhase("prepare", t0, c.S.Elapsed())
@@ -349,11 +382,10 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStat
 	old.Role = RO
 	target.Role = RW
 	c.rw = target
-	// Seed the new RW's WAL from the durable log in shared storage so its
-	// LSNs and txn ids continue the acknowledged history the replica applied.
-	snap, _ := old.Node.CrashArtifacts()
-	target.Node.DB.Log().Restore(snap)
-	target.Node.DB.BumpTxnFloor(old.Node.DB.TxnCounter())
+	if seed != nil {
+		target.Node.DB.Log().Restore(seed.log)
+		target.Node.DB.BumpTxnFloor(seed.txnFloor)
+	}
 
 	// Recovering: the new RW rebuilds active transactions and rolls back
 	// uncommitted work by scanning undo.
@@ -380,6 +412,9 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStat
 	}
 	c.mark("RW' serving requests")
 	c.rampUp(target.Node)
+	// A partitioned old RW's new stream is registered under the active
+	// partition, so its backlog ships only once the cut heals (and the
+	// detector's rejoin grants the epoch).
 	if c.factory != nil {
 		old.Stream = c.factory(old.Node)
 		c.wireCommit()
@@ -389,16 +424,4 @@ func (c *Cluster) promoteFailover(p *sim.Proc, old *Member) (engine.RecoveryStat
 			m.Node.SetState(node.Running)
 		}
 	}
-	// The old RW restarts cold slightly behind the switch-over and rejoins
-	// through actual recovery over its durable log — honest, since its
-	// rebuilt state only ever serves reads behind the new RW's replication
-	// stream.
-	old.Node.Buf.Clear()
-	st, err := old.Node.Recover(p)
-	if err != nil {
-		c.mark("old RW recovery failed")
-		return st, err
-	}
-	c.mark("old RW rejoined as RO'")
-	return st, nil
 }

@@ -102,15 +102,36 @@ func (c *Cluster) onSuspect(p *sim.Proc, m *Member) {
 	if m.Role != RW {
 		return
 	}
-	if c.detCfg.PromoteOnPartition {
-		c.partitionPromote(p, m)
+	if !c.detCfg.PromoteOnPartition {
+		// No promotable replica (restart-in-place architectures): the
+		// control plane can only wait for the partition to heal and then
+		// bounce the primary — the blunt recovery that shows up as a large
+		// MTTR.
+		c.mark("partition: awaiting heal (restart-in-place)")
+		c.bounceAfterHeal(p, m)
 		return
 	}
-	// No promotable replica (restart-in-place architectures): the control
-	// plane can only wait for the partition to heal and then bounce the
-	// primary — the blunt recovery that shows up as a large MTTR.
-	c.mark("partition: awaiting heal (restart-in-place)")
-	c.bounceAfterHeal(p, m)
+	target := c.firstReachableRO()
+	if target == nil {
+		// Nothing to promote onto: behave like a restart-in-place
+		// architecture — wait out the partition, then bounce the primary.
+		c.mark("partition: no reachable RO, awaiting heal")
+		c.bounceAfterHeal(p, m)
+		return
+	}
+	// Fail over away from a partitioned-but-possibly-alive RW. It is not
+	// shut down: it is unreachable, still Running, and possibly still
+	// accepting client traffic; the fence advanced here is what makes that
+	// harmless.
+	var epoch uint64
+	if c.fence != nil {
+		epoch = c.fence.Advance(c.S.Elapsed())
+		c.mark(fmt.Sprintf("fence: epoch advanced to %d", epoch))
+	}
+	// No WAL seed: a seed is the durable-log image a crash leaves behind,
+	// and this primary has not crashed. It is still running, fenced, with
+	// a live log that no crash has cut to a durable point.
+	c.promote(p, m, target, epoch, nil)
 }
 
 // bounceAfterHeal waits until the control plane reaches the primary again,
@@ -158,91 +179,4 @@ func (c *Cluster) firstReachableRO() *Member {
 		}
 	}
 	return nil
-}
-
-// partitionPromote fails over away from a partitioned-but-possibly-alive
-// RW: advance the lease epoch (fencing the old RW at storage), drain the
-// promotion target's replication backlog, run the prepare/switch/recover
-// phases on the majority side, and grant the new RW the new epoch. Unlike
-// the crash-driven promoteFailover, the old RW is NOT shut down — it is
-// unreachable, still Running, and possibly still accepting client traffic;
-// the fence is what makes that harmless.
-func (c *Cluster) partitionPromote(p *sim.Proc, old *Member) {
-	target := c.firstReachableRO()
-	if target == nil {
-		// Nothing to promote onto: behave like a restart-in-place
-		// architecture — wait out the partition, then bounce the primary.
-		c.mark("partition: no reachable RO, awaiting heal")
-		c.bounceAfterHeal(p, old)
-		return
-	}
-
-	// Lease first: from this instant every commit the old RW acknowledges
-	// locally is refused by shared storage (ErrFenced) — no split-brain.
-	var epoch uint64
-	if c.fence != nil {
-		epoch = c.fence.Advance(c.S.Elapsed())
-		c.mark(fmt.Sprintf("fence: epoch advanced to %d", epoch))
-	}
-	// Catch-up: the committed log lives in shared/quorum storage, which the
-	// target reads across the partition; acknowledged commits still in the
-	// replication pipeline are applied before the target takes over.
-	if target.Stream != nil {
-		target.Stream.DrainPending(p)
-	}
-
-	// Prepare/switch/recover on the majority side only (Figure 7): the old
-	// RW is unreachable and cannot be told anything.
-	c.mark("prepare: refuse requests, collect LSN")
-	t0 := c.S.Elapsed()
-	for _, m := range c.members {
-		if m != old {
-			m.Node.SetState(node.Down)
-		}
-	}
-	p.Sleep(c.cfg.PreparePhase)
-	c.tracePhase("prepare", t0, c.S.Elapsed())
-
-	c.mark("switch-over: promote RO to RW'")
-	t0 = c.S.Elapsed()
-	p.Sleep(c.cfg.SwitchPhase)
-	c.tracePhase("switch-over", t0, c.S.Elapsed())
-	old.Node.OnCommit = nil
-	old.Role = RO
-	target.Role = RW
-	c.rw = target
-
-	c.mark("recovering: scan undo, rollback uncommitted")
-	t0 = c.S.Elapsed()
-	p.Sleep(c.cfg.RecoverPhase)
-	c.tracePhase("recover", t0, c.S.Elapsed())
-
-	target.Node.SetState(node.Running)
-	if target.Stream != nil {
-		// Final drain, now that the target accepts applies again: commits
-		// that fence-checked just before the epoch advanced were still buying
-		// WAL durability during the first drain and published afterwards;
-		// they must land before the old stream dies, or they exist only on
-		// the fenced-off primary.
-		target.Stream.DrainPending(p)
-		target.Stream.Stop()
-		target.Stream = nil
-	}
-	if c.fence != nil {
-		target.Node.GrantEpoch(epoch)
-	}
-	c.mark("RW' serving requests")
-	c.rampUp(target.Node)
-	// The old RW rejoins as a replica: a fresh stream from the new RW. Its
-	// link is registered under the active partition, so the backlog ships
-	// only once the cut heals (and the detector's rejoin grants the epoch).
-	if c.factory != nil {
-		old.Stream = c.factory(old.Node)
-		c.wireCommit()
-	}
-	for _, m := range c.members {
-		if m != target && m != old {
-			m.Node.SetState(node.Running)
-		}
-	}
 }

@@ -201,4 +201,26 @@ func TestPartitionPromoteFencesOldPrimary(t *testing.T) {
 	if oldRW.Epoch() != 2 {
 		t.Fatalf("old RW epoch = %d after rejoin, want 2", oldRW.Epoch())
 	}
+	// The Figure 7 phases run in order after the fence mark, the same
+	// sequence the crash path runs (TestPromoteFailoverSwitchesRoles).
+	tl := c.Timeline()
+	wantPhases := []string{"partition: RW suspected", "fence: epoch advanced to 2", "prepare", "switch-over", "recovering", "RW' serving", "partition healed"}
+	if len(tl) < len(wantPhases) {
+		t.Fatalf("timeline has %d events: %v", len(tl), tl)
+	}
+	for i, want := range wantPhases {
+		if !strings.HasPrefix(tl[i].Phase, want) {
+			t.Fatalf("timeline[%d] = %q, want prefix %q", i, tl[i].Phase, want)
+		}
+	}
+	// Suspected at 2 missed 250ms heartbeats = 500ms; service restored after
+	// prepare + switch + recover (3 × 500ms) = 2s.
+	if tl[0].At != 500*time.Millisecond {
+		t.Fatalf("RW suspected at %v, want 500ms", tl[0].At)
+	}
+	for _, ev := range tl {
+		if ev.Phase == "RW' serving requests" && ev.At != 2*time.Second {
+			t.Fatalf("RW' serving at %v, want 2s", ev.At)
+		}
+	}
 }

@@ -1,37 +1,12 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"cloudybench/internal/meter"
 )
-
-// TxnType identifies one of the CloudyBench transactions of paper Table II.
-type TxnType int
-
-// Transactions.
-const (
-	T1NewOrderline TxnType = iota + 1
-	T2OrderPayment
-	T3OrderStatus
-	T4OrderlineDeletion
-)
-
-func (t TxnType) String() string {
-	switch t {
-	case T1NewOrderline:
-		return "T1-NewOrderline"
-	case T2OrderPayment:
-		return "T2-OrderPayment"
-	case T3OrderStatus:
-		return "T3-OrderStatus"
-	case T4OrderlineDeletion:
-		return "T4-OrderlineDeletion"
-	default:
-		return "T?"
-	}
-}
 
 // Collector is CloudyBench's performance collector: committed-transaction
 // counts in per-second buckets (every TPS figure), a commit-latency
@@ -41,8 +16,9 @@ type Collector struct {
 	errors    *meter.Counter
 	terminals *meter.Counter
 	latency   meter.Histogram
-	byType    [5]int64
-	byOp      map[string]int64
+	// byOp holds commits per op in first-commit order. A workload has a
+	// handful of ops, so a scan beats hashing the name on every commit.
+	byOp []OpCount
 }
 
 // NewCollector returns an empty collector with 1-second TPS buckets.
@@ -54,31 +30,30 @@ func NewCollector() *Collector {
 	}
 }
 
-// RecordCommit records one committed transaction.
-func (c *Collector) RecordCommit(typ TxnType, at time.Duration, latency time.Duration) {
+// RecordCommit records one committed transaction under its op name.
+func (c *Collector) RecordCommit(op string, at time.Duration, latency time.Duration) {
 	c.commits.Add(at, 1)
 	c.latency.Add(latency)
-	if typ >= 1 && int(typ) < len(c.byType) {
-		c.byType[typ]++
+	for i := range c.byOp {
+		if c.byOp[i].Op == op {
+			c.byOp[i].N++
+			return
+		}
 	}
+	c.byOp = append(c.byOp, OpCount{Op: op, N: 1})
 }
 
-// RecordCommitOp records one committed suite operation by name (the suite
-// runner's analogue of RecordCommit; suites have op names, not Table II
-// transaction types).
-func (c *Collector) RecordCommitOp(op string, at time.Duration, latency time.Duration) {
-	c.commits.Add(at, 1)
-	c.latency.Add(latency)
-	if c.byOp == nil {
-		c.byOp = make(map[string]int64)
+// CountByOp returns commits of one op.
+func (c *Collector) CountByOp(op string) int64 {
+	for _, oc := range c.byOp {
+		if oc.Op == op {
+			return oc.N
+		}
 	}
-	c.byOp[op]++
+	return 0
 }
 
-// CountByOp returns commits of one suite operation.
-func (c *Collector) CountByOp(op string) int64 { return c.byOp[op] }
-
-// OpCount is one suite operation's commit total.
+// OpCount is one op's commit total.
 type OpCount struct {
 	Op string
 	N  int64
@@ -86,15 +61,8 @@ type OpCount struct {
 
 // OpCounts returns per-operation commit totals sorted by op name.
 func (c *Collector) OpCounts() []OpCount {
-	names := make([]string, 0, len(c.byOp))
-	for op := range c.byOp {
-		names = append(names, op)
-	}
-	sort.Strings(names)
-	out := make([]OpCount, len(names))
-	for i, op := range names {
-		out[i] = OpCount{Op: op, N: c.byOp[op]}
-	}
+	out := slices.Clone(c.byOp)
+	slices.SortFunc(out, func(a, b OpCount) int { return strings.Compare(a.Op, b.Op) })
 	return out
 }
 
@@ -120,14 +88,6 @@ func (c *Collector) Errors() int64 { return c.errors.Total() }
 // budget was exhausted.
 func (c *Collector) Terminals() int64 { return c.terminals.Total() }
 
-// CountByType returns commits of one transaction type.
-func (c *Collector) CountByType(t TxnType) int64 {
-	if t >= 1 && int(t) < len(c.byType) {
-		return c.byType[t]
-	}
-	return 0
-}
-
 // TPS returns average committed transactions per second over [from, to).
 func (c *Collector) TPS(from, to time.Duration) float64 {
 	return c.commits.Rate(from, to)
@@ -145,26 +105,18 @@ type CollectorSnapshot struct {
 	errors    meter.CounterSnapshot
 	terminals meter.CounterSnapshot
 	latency   meter.Histogram
-	byType    [5]int64
-	byOp      map[string]int64
+	byOp      []OpCount
 }
 
 // Snapshot captures the collector's current state.
 func (c *Collector) Snapshot() CollectorSnapshot {
-	s := CollectorSnapshot{
+	return CollectorSnapshot{
 		commits:   c.commits.Snapshot(),
 		errors:    c.errors.Snapshot(),
 		terminals: c.terminals.Snapshot(),
 		latency:   c.latency,
-		byType:    c.byType,
+		byOp:      slices.Clone(c.byOp),
 	}
-	if c.byOp != nil {
-		s.byOp = make(map[string]int64, len(c.byOp))
-		for op, n := range c.byOp {
-			s.byOp[op] = n
-		}
-	}
-	return s
 }
 
 // Restore resets the collector to a snapshot. All state is copied so
@@ -174,14 +126,7 @@ func (c *Collector) Restore(snap CollectorSnapshot) {
 	c.errors.Restore(snap.errors)
 	c.terminals.Restore(snap.terminals)
 	c.latency = snap.latency
-	c.byType = snap.byType
-	c.byOp = nil
-	if snap.byOp != nil {
-		c.byOp = make(map[string]int64, len(snap.byOp))
-		for op, n := range snap.byOp {
-			c.byOp[op] = n
-		}
-	}
+	c.byOp = slices.Clone(snap.byOp)
 }
 
 // Latency returns the commit-latency histogram.

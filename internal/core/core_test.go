@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -88,7 +89,7 @@ func TestParseMix(t *testing.T) {
 	if err != nil || m.T1 != 15 || m.T2 != 5 || m.T3 != 80 || m.T4 != 0 {
 		t.Fatalf("%+v %v", m, err)
 	}
-	for _, bad := range []string{"", "1:2", "1:2:3:4", "a:b:c", "-1:0:1", "0:0:0"} {
+	for _, bad := range []string{"", "1:2", "1:2:3:4", "a:b:c", "-1:0:1", "0:0:0", "NaN:0:0", "Inf:1:1", "1:nan:1"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) succeeded", bad)
 		}
@@ -113,8 +114,8 @@ func TestCollector(t *testing.T) {
 	if c.Commits() != 2 || c.Errors() != 1 {
 		t.Fatalf("commits/errors = %d/%d", c.Commits(), c.Errors())
 	}
-	if c.CountByType(T1NewOrderline) != 1 || c.CountByType(T2OrderPayment) != 0 {
-		t.Fatal("per-type counts")
+	if c.CountByOp(T1NewOrderline) != 1 || c.CountByOp(T2OrderPayment) != 0 {
+		t.Fatal("per-op counts")
 	}
 	if got := c.TPS(time.Second, 2*time.Second); got != 2 {
 		t.Fatalf("TPS = %v", got)
@@ -194,7 +195,7 @@ func TestRunnerExecutesMixedWorkload(t *testing.T) {
 		t.Fatalf("errors = %d", col.Errors())
 	}
 	// Mix ratios approximately honored: T3 ~80%.
-	frac := float64(col.CountByType(T3OrderStatus)) / float64(col.Commits())
+	frac := float64(col.CountByOp(T3OrderStatus)) / float64(col.Commits())
 	if frac < 0.7 || frac > 0.9 {
 		t.Fatalf("T3 fraction = %.2f, want ~0.8", frac)
 	}
@@ -203,14 +204,28 @@ func TestRunnerExecutesMixedWorkload(t *testing.T) {
 		t.Fatal("no orderlines inserted")
 	}
 	// T2 marked orders paid: commits recorded.
-	if col.CountByType(T2OrderPayment) == 0 {
+	if col.CountByOp(T2OrderPayment) == 0 {
 		t.Fatal("no payments executed")
+	}
+	// A Mix run records every commit under its Table II op name.
+	var names []string
+	var sum int64
+	for _, oc := range col.OpCounts() {
+		names = append(names, oc.Op)
+		sum += oc.N
+	}
+	want := []string{T1NewOrderline, T2OrderPayment, T3OrderStatus}
+	if !slices.Equal(names, want) {
+		t.Fatalf("op counts name %v, want %v", names, want)
+	}
+	if sum != col.Commits() {
+		t.Fatalf("op counts sum to %d, want Commits() = %d", sum, col.Commits())
 	}
 }
 
 func TestRunnerWriteOnlyAndDeletes(t *testing.T) {
 	col, n := runWorkload(t, Mix{T1: 50, T4: 50}, "uniform", time.Second, 4)
-	if col.CountByType(T1NewOrderline) == 0 || col.CountByType(T4OrderlineDeletion) == 0 {
+	if col.CountByOp(T1NewOrderline) == 0 || col.CountByOp(T4OrderlineDeletion) == 0 {
 		t.Fatal("inserts or deletes missing")
 	}
 	ol := n.DB.Table(TableOrderline)

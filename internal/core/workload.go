@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -30,7 +31,7 @@ func ParseMix(s string) (Mix, error) {
 	var vals [3]float64
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 			return Mix{}, fmt.Errorf("core: bad mix component %q", p)
 		}
 		vals[i] = v
@@ -53,7 +54,25 @@ var (
 // percentages (paper §III-F), mapping I->T1, U->T2, D->T4.
 func IUDMix(i, u, d float64) Mix { return Mix{T1: i, T2: u, T4: d} }
 
-func (m Mix) weights() []float64 { return []float64{m.T1, m.T2, m.T3, m.T4} }
+// The Table II transactions' op names, which are also their trace labels.
+const (
+	T1NewOrderline      = "T1-NewOrderline"
+	T2OrderPayment      = "T2-OrderPayment"
+	T3OrderStatus       = "T3-OrderStatus"
+	T4OrderlineDeletion = "T4-OrderlineDeletion"
+)
+
+// ops returns the Table II transactions as suite ops weighted by the mix.
+// They stay in T1..T4 order, zero weights included: PickWeighted maps a
+// draw to an index, so the order is part of the transaction stream.
+func (m Mix) ops() []SuiteOp {
+	return []SuiteOp{
+		{Name: T1NewOrderline, Weight: m.T1, Run: t1NewOrderline},
+		{Name: T2OrderPayment, Weight: m.T2, Run: t2OrderPayment},
+		{Name: T3OrderStatus, Weight: m.T3, ReadOnly: true, Run: t3OrderStatus},
+		{Name: T4OrderlineDeletion, Weight: m.T4, Run: t4OrderlineDeletion},
+	}
+}
 
 // IsReadOnly reports whether the mix performs no writes.
 func (m Mix) IsReadOnly() bool { return m.T1 == 0 && m.T2 == 0 && m.T4 == 0 }
@@ -95,9 +114,8 @@ type Config struct {
 	// backoffs, breaker-open windows, and reroutes. Nil disables tracing.
 	Tracer *obs.Tracer
 	// Ops, if non-empty, replaces the Table II mix with a suite's weighted
-	// operation set (see Suite); commits are then recorded per op
-	// name. Routing, retries, breakers, and rerouting behave exactly as for
-	// the mix, with op.ReadOnly playing T3's role.
+	// operation set (see Suite). Empty means the mix's Table II ops: the
+	// runner only ever drives ops, and records every commit by op name.
 	Ops []SuiteOp
 	// ScanOverride, if set, intercepts OpCtx.ScanRead for every suite op —
 	// the differential harness's dual-plan hook. Nil scans normally.
@@ -126,7 +144,7 @@ type Runner struct {
 	reroutes     int64
 	breakerOpens int64
 
-	// opWeights caches the suite ops' weight vector (suite mode only).
+	// opWeights caches the ops' weight vector.
 	opWeights []float64
 	// rows is the row slab every worker's writes carve from (OpCtx.carveRow).
 	rows []engine.Value
@@ -145,8 +163,12 @@ func NewRunner(s *sim.Sim, cfg Config) *Runner {
 		activeCond: sim.NewCond(s),
 		breakers:   make(map[*node.Node]*Breaker),
 	}
-	for _, op := range cfg.Ops {
-		r.opWeights = append(r.opWeights, op.Weight)
+	if len(cfg.Ops) == 0 {
+		r.cfg.Ops = cfg.Mix.ops()
+	}
+	r.opWeights = make([]float64, len(r.cfg.Ops))
+	for i, op := range r.cfg.Ops {
+		r.opWeights[i] = op.Weight
 	}
 	return r
 }
@@ -179,8 +201,7 @@ func (r *Runner) newWorker(idx int) *worker {
 		src:  rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d", r.cfg.Name, idx)),
 		boff: rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d/backoff", r.cfg.Name, idx)),
 	}
-	w.dist = r.makeDist(w.src)
-	w.ctx = OpCtx{Src: w.src, Dist: w.dist, scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols), rows: &r.rows}
+	w.ctx = OpCtx{Src: w.src, Dist: r.makeDist(w.src), scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols), rows: &r.rows}
 	return w
 }
 
@@ -208,16 +229,14 @@ type worker struct {
 	idx  int
 	src  *rng.Source
 	boff *rng.Source // dedicated jitter stream: retries don't perturb the txn stream
-	dist rng.Dist
-	// ctx is the context every suite op of this worker runs with, and the
-	// owner of the worker's key/row scratch, which T2–T4 use too: a worker is
-	// one process running one transaction at a time.
+	// ctx is the context every op of this worker runs with, and the owner
+	// of the worker's key/row scratch: a worker is one process running one
+	// transaction at a time.
 	ctx OpCtx
 }
 
 func (w *worker) run(p *sim.Proc) {
 	cfg := &w.r.cfg
-	weights := cfg.Mix.weights()
 	tr := cfg.Tracer
 	pol := w.r.pol
 	for {
@@ -229,21 +248,10 @@ func (w *worker) run(p *sim.Proc) {
 		if w.r.stopped {
 			return
 		}
-		// Suite mode swaps the Table II mix for the suite's weighted op set;
-		// everything downstream (routing, retries, breakers) is shared.
-		var typ TxnType
-		var op *SuiteOp
-		label := ""
-		if len(cfg.Ops) > 0 {
-			op = &cfg.Ops[w.src.PickWeighted(w.r.opWeights)]
-			label = op.Name
-		} else {
-			typ = TxnType(w.src.PickWeighted(weights) + 1)
-			label = typ.String()
-		}
+		op := &cfg.Ops[w.src.PickWeighted(w.r.opWeights)]
 		start := p.Elapsed()
 		if tr != nil {
-			tr.StartTxn(p, label, start)
+			tr.StartTxn(p, op.Name, start)
 		}
 		// Bounded retry loop: transient failures back off (capped
 		// exponential + deterministic jitter) and retry until the per-txn
@@ -252,7 +260,7 @@ func (w *worker) run(p *sim.Proc) {
 		// instead of spinning.
 		var err error
 		for attempt := 0; ; attempt++ {
-			err = w.executeOnce(p, typ, op)
+			err = w.executeOnce(p, op)
 			if err == nil || !isTransient(err) {
 				break
 			}
@@ -270,11 +278,7 @@ func (w *worker) run(p *sim.Proc) {
 		case err == nil:
 			end := p.Elapsed()
 			tr.FinishTxn(p, "commit", end)
-			if op != nil {
-				cfg.Collector.RecordCommitOp(op.Name, end, end-start)
-			} else {
-				cfg.Collector.RecordCommit(typ, end, end-start)
-			}
+			cfg.Collector.RecordCommit(op.Name, end, end-start)
 		case errors.Is(err, ErrRetriesExhausted):
 			cfg.Collector.RecordTerminal(p.Elapsed())
 			tr.FinishTxn(p, "error", p.Elapsed())
@@ -325,27 +329,19 @@ func (w *worker) pickNode(p *sim.Proc, n *node.Node) (*Breaker, error) {
 	return b, nil
 }
 
-// executeOnce runs a single attempt of one transaction or suite op,
-// reporting the outcome to the node's breaker. Reads reroute to a healthy
-// candidate when the primary pick is unusable; writes cannot reroute (only
-// the RW holds the lease) and fail fast instead.
-func (w *worker) executeOnce(p *sim.Proc, typ TxnType, op *SuiteOp) error {
-	readOnly := typ == T3OrderStatus
-	if op != nil {
-		readOnly = op.ReadOnly
-	}
-	n, rerouted, err := w.routeNode(p, readOnly)
+// executeOnce runs a single attempt of one op, reporting the outcome to
+// the node's breaker. Reads reroute to a healthy candidate when the primary
+// pick is unusable; writes cannot reroute (only the RW holds the lease) and
+// fail fast instead.
+func (w *worker) executeOnce(p *sim.Proc, op *SuiteOp) error {
+	n, rerouted, err := w.routeNode(p, op.ReadOnly)
 	if err != nil {
 		return err
 	}
 	b := w.r.breaker(n)
 	t0 := p.Elapsed()
-	if op != nil {
-		w.ctx.P, w.ctx.Node = p, n
-		err = op.Run(&w.ctx)
-	} else {
-		err = w.execute(p, typ, n)
-	}
+	w.ctx.P, w.ctx.Node = p, n
+	err = op.Run(&w.ctx)
 	if err != nil && isTransient(err) {
 		if b.OnFailure(p.Elapsed()) {
 			w.r.breakerOpens++
@@ -390,40 +386,24 @@ func (w *worker) routeNode(p *sim.Proc, readOnly bool) (*node.Node, bool, error)
 	return nil, false, err
 }
 
-// execute runs one transaction of the given type on the given node. A nil
-// error means the transaction committed.
-func (w *worker) execute(p *sim.Proc, typ TxnType, n *node.Node) error {
-	switch typ {
-	case T1NewOrderline:
-		return w.t1NewOrderline(p, n)
-	case T2OrderPayment:
-		return w.t2OrderPayment(p, n)
-	case T3OrderStatus:
-		return w.t3OrderStatus(p, n)
-	case T4OrderlineDeletion:
-		return w.t4OrderlineDeletion(p, n)
-	}
-	return fmt.Errorf("core: unknown transaction %d", typ)
-}
-
 // t1NewOrderline: INSERT INTO orderline VALUES (DEFAULT, ?,?,?,?). The row
-// and its product string are carved from the worker's slabs.
+// and its product string are carved from the slabs.
 //
 //detlint:hotpath
-func (w *worker) t1NewOrderline(p *sim.Proc, n *node.Node) error {
-	tx, err := n.Begin(p)
+func t1NewOrderline(c *OpCtx) error {
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	orders := n.DB.Table(TableOrders)
-	ol := n.DB.Table(TableOrderline)
-	oid := w.dist.Next(orders.MaxID())
-	row := append(w.ctx.carveRow(5),
+	orders := c.Node.DB.Table(TableOrders)
+	ol := c.Node.DB.Table(TableOrderline)
+	oid := c.Dist.Next(orders.MaxID())
+	row := append(c.carveRow(5),
 		engine.Int(ol.NextAutoID()),
 		engine.Int(oid),
-		w.ctx.Filler("sku-", 6),
-		engine.Int(w.src.IntRange(1, 9)),
-		engine.Float(float64(w.src.IntRange(100, 99_99))/100),
+		c.Filler("sku-", 6),
+		engine.Int(c.Src.IntRange(1, 9)),
+		engine.Float(float64(c.Src.IntRange(100, 99_99))/100),
 	)
 	if err := tx.Insert(ol, row); err != nil {
 		tx.Abort()
@@ -435,18 +415,18 @@ func (w *worker) t1NewOrderline(p *sim.Proc, n *node.Node) error {
 // t2OrderPayment: select the order, mark it paid, credit the customer.
 //
 //detlint:hotpath
-func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
-	tx, err := n.Begin(p)
+func t2OrderPayment(c *OpCtx) error {
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	orders := n.DB.Table(TableOrders)
-	customers := n.DB.Table(TableCustomer)
-	oid := w.dist.Next(orders.MaxID())
-	now := engine.Int(p.Now().UnixMicro())
+	orders := c.Node.DB.Table(TableOrders)
+	customers := c.Node.DB.Table(TableCustomer)
+	oid := c.Dist.Next(orders.MaxID())
+	now := engine.Int(c.P.Now().UnixMicro())
 
-	key := w.ctx.IntKey(oid)
-	row, err := tx.GetForUpdateInto(orders, key, w.ctx.row)
+	key := c.IntKey(oid)
+	row, err := tx.GetForUpdateInto(orders, key, c.row)
 	if errors.Is(err, engine.ErrRowNotFound) {
 		return tx.Commit() // order vanished: empty but successful payment check
 	}
@@ -457,20 +437,20 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 	// row may live in the scratch: take what the customer half needs before the
 	// next read reuses the scratch. The slab copies are what the table keeps.
 	cid, amount := row[1].I, row[2].F
-	upd := w.ctx.KeepRow(row)
+	upd := c.KeepRow(row)
 	upd[4] = engine.Str(StatusPaid)
 	upd[5] = now
 	if err := tx.Update(orders, key, upd); err != nil {
 		tx.Abort()
 		return err
 	}
-	key = w.ctx.IntKey(cid)
-	crow, err := tx.GetForUpdateInto(customers, key, w.ctx.row)
+	key = c.IntKey(cid)
+	crow, err := tx.GetForUpdateInto(customers, key, c.row)
 	if err != nil {
 		tx.Abort()
 		return err
 	}
-	cupd := w.ctx.KeepRow(crow)
+	cupd := c.KeepRow(crow)
 	cupd[2] = engine.Float(crow[2].F + amount)
 	cupd[3] = now
 	if err := tx.Update(customers, key, cupd); err != nil {
@@ -482,24 +462,24 @@ func (w *worker) t2OrderPayment(p *sim.Proc, n *node.Node) error {
 
 // t3OrderStatus: SELECT O_ID, O_DATE, O_STATUS FROM orders WHERE O_ID = ?,
 // served by a read-only node.
-func (w *worker) t3OrderStatus(p *sim.Proc, n *node.Node) error {
-	orders := n.DB.Table(TableOrders)
-	oid := w.dist.Next(orders.MaxID())
-	_, _, err := n.ReadInto(p, TableOrders, w.ctx.IntKey(oid), w.ctx.row)
+func t3OrderStatus(c *OpCtx) error {
+	orders := c.Node.DB.Table(TableOrders)
+	oid := c.Dist.Next(orders.MaxID())
+	_, _, err := c.Node.ReadInto(c.P, TableOrders, c.IntKey(oid), c.row)
 	return err
 }
 
 // t4OrderlineDeletion: DELETE FROM orderline WHERE OL_ID = ?.
 //
 //detlint:hotpath
-func (w *worker) t4OrderlineDeletion(p *sim.Proc, n *node.Node) error {
-	tx, err := n.Begin(p)
+func t4OrderlineDeletion(c *OpCtx) error {
+	tx, err := c.Node.Begin(c.P)
 	if err != nil {
 		return err
 	}
-	ol := n.DB.Table(TableOrderline)
-	olid := w.dist.Next(ol.MaxID())
-	if err := tx.Delete(ol, w.ctx.IntKey(olid)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+	ol := c.Node.DB.Table(TableOrderline)
+	olid := c.Dist.Next(ol.MaxID())
+	if err := tx.Delete(ol, c.IntKey(olid)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 		tx.Abort()
 		return err
 	}

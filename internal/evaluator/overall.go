@@ -11,19 +11,19 @@ import (
 	"cloudybench/internal/sim"
 )
 
-// OverallConfig sizes the composite PERFECT evaluation (Table IX). The
-// zero value gives a fast configuration; Paper=true stretches windows
-// toward the paper's one-minute slots.
+// OverallConfig sizes the composite PERFECT evaluation (Table IX). Zero
+// fields take the defaults noted beside them, which give a fast
+// configuration; Table IX passes its scale's windows, which reach the
+// paper's one-minute slots at the paper scale.
 type OverallConfig struct {
 	Kind cdb.Kind
-	SF   int
-	Seed int64
-	// Quick shrinks every sub-experiment's windows (default true-ish
-	// behaviour: slot/measure windows of a few seconds).
+	SF   int   // default 1
+	Seed int64 // default 42
+	// SlotLength is the elasticity and multi-tenancy slot length.
 	SlotLength  time.Duration // default 5s
 	Measure     time.Duration // default 5s OLTP measure window
-	Concurrency int           // default 110
-	Tau         int           // default 110
+	Concurrency int           // default 110, the OLTP and E2 sub-runs
+	Tau         int           // default 110, elasticity saturation concurrency
 	// Fail-over sub-run windows (defaults: 6s baseline, 60s timeout,
 	// concurrency 60).
 	FailBaseline time.Duration

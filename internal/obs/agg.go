@@ -21,7 +21,7 @@ type txnAgg struct {
 	outcomes map[string]int64
 }
 
-// StageAgg is the per-(SUT, TxnType, span-kind) stage-breakdown
+// StageAgg is the per-(SUT, op name, span-kind) stage-breakdown
 // accumulator: a duration histogram per stage plus end-to-end transaction
 // histograms, the data behind the "virtual flame" table and the Prometheus
 // snapshot. All state is integer-bucketed and keyed deterministically, so
