@@ -43,11 +43,9 @@ func realMain(argv []string, stdout, stderr *os.File) int {
 		fix      = fs.Bool("fix", false, "apply machine-applicable fixes, then re-report what remains")
 		jsonOut  = fs.Bool("json", false, "emit diagnostics as JSON lines on stdout")
 		hotalloc = fs.Bool("hotalloc", false, "enforce //detlint:hotpath via the compiler's escape analysis (runs go build)")
-		noCache  = fs.Bool("nocache", false, "disable the interprocedural summary cache")
-		verbose  = fs.Bool("v", false, "print summary-cache statistics")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: detlint [-rules] [-fix] [-json] [-hotalloc] [-nocache] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: detlint [-rules] [-fix] [-json] [-hotalloc] [packages]\n\n")
 		fmt.Fprintf(stderr, "Enforces the determinism contract over module packages (default ./...).\n")
 		fs.PrintDefaults()
 	}
@@ -84,15 +82,12 @@ func realMain(argv []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	var sums *lint.Summaries
 	opts := lint.Options{
-		Universe:     loader.Loaded(),
-		NoCache:      *noCache,
-		HotAlloc:     *hotalloc,
-		ModuleRoot:   root,
-		SummariesOut: &sums,
+		Universe:   loader.Loaded(),
+		HotAlloc:   *hotalloc,
+		ModuleRoot: root,
 	}
-	diags, err := lint.RunOpts(lint.DefaultConfig(), analyzers, pkgs, opts)
+	diags, err := lint.Run(lint.DefaultConfig(), analyzers, pkgs, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "detlint:", err)
 		return 2
@@ -124,16 +119,12 @@ func realMain(argv []string, stdout, stderr *os.File) int {
 				return 2
 			}
 			opts.Universe = fresh.Loaded()
-			diags, err = lint.RunOpts(lint.DefaultConfig(), analyzers, pkgs, opts)
+			diags, err = lint.Run(lint.DefaultConfig(), analyzers, pkgs, opts)
 			if err != nil {
 				fmt.Fprintln(stderr, "detlint:", err)
 				return 2
 			}
 		}
-	}
-
-	if *verbose && sums != nil {
-		fmt.Fprintf(stderr, "detlint: summary cache: %d hit(s), %d miss(es)\n", sums.CacheHits, sums.CacheMisses)
 	}
 
 	enc := json.NewEncoder(stdout)

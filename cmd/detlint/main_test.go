@@ -69,7 +69,7 @@ func TestCleanPackageJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the stdlib from source")
 	}
-	code, stdout, stderr := capture(t, "-json", "-nocache", "./internal/rng")
+	code, stdout, stderr := capture(t, "-json", "./internal/rng")
 	if code != 0 {
 		t.Fatalf("exit %d for clean package\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}

@@ -23,6 +23,9 @@ import (
 	"cloudybench/internal/sim"
 )
 
+// upThreshold is the utilization that triggers scale-up on every policy.
+const upThreshold = 0.8
+
 // UpMode selects the scale-up behaviour.
 type UpMode int
 
@@ -47,8 +50,6 @@ type Config struct {
 	MemBytesPerCore int64
 	// Tick is the evaluation cadence.
 	Tick time.Duration
-	// UpThreshold is the utilization that triggers scale-up.
-	UpThreshold float64
 	// DownThreshold is the utilization below which down-scaling begins.
 	DownThreshold float64
 	Up            UpMode
@@ -91,9 +92,6 @@ type Autoscaler struct {
 func New(s *sim.Sim, n *node.Node, cfg Config) *Autoscaler {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 15 * time.Second
-	}
-	if cfg.UpThreshold <= 0 {
-		cfg.UpThreshold = 0.8
 	}
 	if cfg.DownThreshold <= 0 {
 		cfg.DownThreshold = 0.5
@@ -171,7 +169,7 @@ func (a *Autoscaler) loop(p *sim.Proc) {
 		util, waiting := a.utilization()
 		cores := a.n.VCores()
 
-		pressured := util >= a.cfg.UpThreshold || waiting > 0
+		pressured := util >= upThreshold || waiting > 0
 		switch {
 		case pressured:
 			a.lowSince = -1

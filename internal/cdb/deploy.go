@@ -24,8 +24,8 @@ type Options struct {
 	SF int
 	// Seed drives data generation (default 42).
 	Seed int64
-	// Replicas is the number of RO nodes (default 1, matching the paper's
-	// "one RW node and one RO node" throughput setup).
+	// Replicas is the number of RO nodes; zero (or less) deploys none. The
+	// paper's "one RW node and one RO node" throughput setup passes 1.
 	Replicas int
 	// BufferBytes overrides the profile's buffer size (Figure 8 sweep).
 	BufferBytes int64

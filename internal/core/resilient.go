@@ -27,6 +27,16 @@ var ErrBreakerOpen = errors.New("core: circuit breaker open")
 // for the rest of the run.
 var ErrRetriesExhausted = errors.New("core: retry budget exhausted")
 
+// The per-node circuit breaker's shape, shared by every Runner.
+const (
+	// breakerThreshold is how many consecutive transient failures open a
+	// node's breaker.
+	breakerThreshold = 5
+	// breakerCooldown is how long an open breaker waits before admitting a
+	// single half-open probe.
+	breakerCooldown = time.Second
+)
+
 // RetryPolicy configures the resilient client. The zero value takes the
 // defaults below.
 type RetryPolicy struct {
@@ -39,12 +49,6 @@ type RetryPolicy struct {
 	// included); once exhausted the transaction is abandoned with a
 	// terminal error. Default 8.
 	MaxAttempts int
-	// BreakerThreshold is how many consecutive transient failures open a
-	// node's breaker. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting a
-	// single half-open probe. Default 1 s.
-	BreakerCooldown time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -56,12 +60,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 8
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = 5
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = time.Second
 	}
 	return p
 }
@@ -104,11 +102,10 @@ func (s breakerState) String() string {
 
 // Breaker is a per-node circuit breaker running on virtual time. All
 // workers of a Runner share one breaker per node, so the whole client
-// learns a node is dead from BreakerThreshold failures total — not per
+// learns a node is dead from breakerThreshold failures total — not per
 // worker. Single-runnable DES discipline makes the unsynchronized state
 // safe and deterministic.
 type Breaker struct {
-	pol      RetryPolicy
 	state    breakerState
 	fails    int
 	openedAt time.Duration
@@ -125,7 +122,7 @@ func (b *Breaker) Allow(now time.Duration) (ok, openEnded bool) {
 	case breakerClosed:
 		return true, false
 	case breakerOpen:
-		if now-b.openedAt < b.pol.BreakerCooldown {
+		if now-b.openedAt < breakerCooldown {
 			return false, false
 		}
 		b.state = breakerHalfOpen
@@ -159,7 +156,7 @@ func (b *Breaker) OnFailure(now time.Duration) bool {
 		return true
 	case breakerClosed:
 		b.fails++
-		if b.fails >= b.pol.BreakerThreshold {
+		if b.fails >= breakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = now
 			return true
@@ -179,7 +176,7 @@ func (b *Breaker) OpenedAt() time.Duration { return b.openedAt }
 func (r *Runner) breaker(n *node.Node) *Breaker {
 	b := r.breakers[n]
 	if b == nil {
-		b = &Breaker{pol: r.pol}
+		b = &Breaker{}
 		r.breakers[n] = b
 	}
 	return b

@@ -26,45 +26,52 @@ func TestBackoffForCapsExponent(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	pol := RetryPolicy{BreakerThreshold: 2, BreakerCooldown: time.Second}.withDefaults()
-	b := &Breaker{pol: pol}
+	b := &Breaker{}
 
 	if ok, _ := b.Allow(0); !ok || b.State() != "closed" {
 		t.Fatal("fresh breaker must admit")
 	}
-	if b.OnFailure(10 * time.Millisecond) {
-		t.Fatal("first failure must not open a threshold-2 breaker")
+	for i := 1; i < breakerThreshold; i++ {
+		if b.OnFailure(time.Duration(i) * 10 * time.Millisecond) {
+			t.Fatalf("failure %d must not open a threshold-%d breaker", i, breakerThreshold)
+		}
 	}
-	if !b.OnFailure(20 * time.Millisecond) {
-		t.Fatal("second failure must open the breaker")
+	opened := breakerThreshold * 10 * time.Millisecond
+	if !b.OnFailure(opened) {
+		t.Fatalf("failure %d must open the breaker", breakerThreshold)
 	}
-	if ok, _ := b.Allow(100 * time.Millisecond); ok {
+	if ok, _ := b.Allow(opened + 80*time.Millisecond); ok {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
-	ok, openEnded := b.Allow(1100 * time.Millisecond)
+	if ok, _ := b.Allow(opened + breakerCooldown - 1); ok {
+		t.Fatal("open breaker admitted a request before the cooldown elapsed")
+	}
+	probe := opened + breakerCooldown + 80*time.Millisecond
+	ok, openEnded := b.Allow(probe)
 	if !ok || !openEnded || b.State() != "half-open" {
 		t.Fatalf("cooldown elapsed: Allow = (%v, %v), state %s", ok, openEnded, b.State())
 	}
 	// Only one probe at a time while half-open.
-	if ok, _ := b.Allow(1100 * time.Millisecond); ok {
+	if ok, _ := b.Allow(probe); ok {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	// Failed probe snaps back open.
-	if !b.OnFailure(1200 * time.Millisecond) {
+	reopened := probe + 100*time.Millisecond
+	if !b.OnFailure(reopened) {
 		t.Fatal("failed probe must re-open the breaker")
 	}
-	if ok, _ := b.Allow(1300 * time.Millisecond); ok {
+	if ok, _ := b.Allow(reopened + 100*time.Millisecond); ok {
 		t.Fatal("re-opened breaker admitted a request")
 	}
 	// Successful probe after the next cooldown closes it.
-	if ok, _ := b.Allow(2300 * time.Millisecond); !ok {
+	if ok, _ := b.Allow(reopened + breakerCooldown + 100*time.Millisecond); !ok {
 		t.Fatal("second probe refused")
 	}
 	b.OnSuccess()
 	if b.State() != "closed" {
 		t.Fatalf("state after successful probe = %s", b.State())
 	}
-	if ok, _ := b.Allow(2400 * time.Millisecond); !ok {
+	if ok, _ := b.Allow(reopened + breakerCooldown + 200*time.Millisecond); !ok {
 		t.Fatal("closed breaker must admit")
 	}
 }
@@ -163,16 +170,20 @@ func TestBreakerOpensUnderSustainedFailure(t *testing.T) {
 		Collector: col,
 		Retry: RetryPolicy{
 			BackoffBase: 5 * time.Millisecond, BackoffCap: 40 * time.Millisecond,
-			MaxAttempts: 4, BreakerThreshold: 3, BreakerCooldown: 200 * time.Millisecond,
+			MaxAttempts: 4,
 		},
 	})
+	// The outage spans two cooldowns, so the breaker opens and a probe
+	// fails; after recovery the next probe comes within one cooldown.
+	recovered := 500*time.Millisecond + 2*breakerCooldown
+	stop := recovered + 2*breakerCooldown
 	s.Go("ctl", func(p *sim.Proc) {
 		r.SetConcurrency(4)
 		p.Sleep(500 * time.Millisecond)
 		n.SetState(node.Down)
-		p.Sleep(2 * time.Second)
+		p.Sleep(2 * breakerCooldown)
 		n.SetState(node.Running)
-		p.Sleep(time.Second)
+		p.Sleep(2 * breakerCooldown)
 		r.Stop()
 		r.Wait(p)
 	})
@@ -184,7 +195,7 @@ func TestBreakerOpensUnderSustainedFailure(t *testing.T) {
 	}
 	// Traffic resumed after the node recovered: a half-open probe succeeded
 	// and closed the breaker.
-	if col.TPS(3*time.Second, 3500*time.Millisecond) == 0 {
+	if col.TPS(recovered+breakerCooldown+breakerCooldown/2, stop) == 0 {
 		t.Fatal("no TPS after recovery: breaker stuck open")
 	}
 }

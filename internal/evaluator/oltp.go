@@ -230,6 +230,10 @@ func RunOLTP(cfg OLTPConfig) OLTPResult {
 	return res
 }
 
+// Equation 5's λ (the largest RO node count RunE2 measures) and δ
+// (calibrated so RDS's 17k->36k jump scores ~20), for Table IX's E2-Score.
+const e2MaxReplicas, e2Delta = 1, 1000
+
 // E2Config parameterizes the scale-out elasticity measurement: throughput
 // as RO nodes are added (equation 5, Table IX's E2-Score).
 type E2Config struct {
@@ -237,8 +241,6 @@ type E2Config struct {
 	SF          int
 	Mix         core.Mix
 	Concurrency int
-	MaxReplicas int // λ; default 1
-	Delta       float64
 	Warmup      time.Duration
 	Measure     time.Duration
 	Seed        int64
@@ -256,14 +258,8 @@ type E2Result struct {
 
 // RunE2 measures the scale-out elasticity score.
 func RunE2(cfg E2Config) E2Result {
-	if cfg.MaxReplicas < 1 {
-		cfg.MaxReplicas = 1
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 1000 // δ calibrated so RDS's 17k->36k jump scores ~20
-	}
 	res := E2Result{Kind: cfg.Kind}
-	for replicas := 0; replicas <= cfg.MaxReplicas; replicas++ {
+	for replicas := 0; replicas <= e2MaxReplicas; replicas++ {
 		n := replicas
 		if n == 0 {
 			n = NoReplicas
@@ -276,6 +272,6 @@ func RunE2(cfg E2Config) E2Result {
 		})
 		res.TPS = append(res.TPS, r.TPS)
 	}
-	res.E2Score = metrics.E2Score(res.TPS, cfg.Delta)
+	res.E2Score = metrics.E2Score(res.TPS, e2Delta)
 	return res
 }

@@ -261,7 +261,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 		}
 		tl.Mark(a.At, "chaos", detail, true)
 	}
-	res.Anomalies = tl.Anomalies(obs.AnomalyConfig{})
+	res.Anomalies = tl.Anomalies()
 	for _, a := range res.Anomalies {
 		tl.Mark(a.At, "anomaly", a.Kind+": "+a.Detail, false)
 	}

@@ -53,7 +53,7 @@ func TestRawGoKernelBlessing(t *testing.T) {
 	}
 	cfg := fixtureCfg("rawgokernel")
 	cfg.Kernel = []string{"rawgokernel"}
-	diags, err := lint.Run(cfg, []*lint.Analyzer{lint.RawGo}, []*lint.Package{pkg})
+	diags, err := lint.Run(cfg, []*lint.Analyzer{lint.RawGo}, []*lint.Package{pkg}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@ import (
 // callers are visited; only mutual recursion inside one package needs the
 // fixpoint in summary.go.
 
-// declIndex maps each function object declared in pkg to its declaration,
-// keyed by the stable full name (types.Func.FullName) so the index survives
-// the summary cache round-trip.
+// declIndex lists each function object declared in pkg with its
+// declaration; summaries key them by types.Func.FullName (summary.go).
 type declIndex struct {
 	pkg   *Package
 	decls []funcDecl

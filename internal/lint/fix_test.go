@@ -27,8 +27,8 @@ func runFixable(t *testing.T, dir, pkgPath string) []lint.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunOpts(fixtureCfg(pkgPath), []*lint.Analyzer{lint.MapOrder},
-		[]*lint.Package{pkg}, lint.Options{NoCache: true})
+	diags, err := lint.Run(fixtureCfg(pkgPath), []*lint.Analyzer{lint.MapOrder},
+		[]*lint.Package{pkg}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

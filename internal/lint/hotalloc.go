@@ -40,7 +40,7 @@ import (
 // annotation (engine.ApplyBatch does, for replication's replayBatch).
 
 // HotAlloc is the rule's registry entry. It has no per-package Run: the
-// check shells out to the compiler and is driven by RunOpts when
+// check shells out to the compiler and is driven by Run when
 // Options.HotAlloc is set (detlint -hotalloc).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",

@@ -75,8 +75,7 @@ type Pass struct {
 	// deterministic, which package is the blessed randomness home, which
 	// package is the concurrency kernel.
 	Cfg *Config
-	// Summaries is the whole-program hazard table (summary.go); nil when
-	// an analyzer is run standalone without the interprocedural layer.
+	// Summaries is the whole-program hazard table (summary.go).
 	Summaries *Summaries
 
 	report func(Diagnostic)

@@ -75,7 +75,7 @@ func RunWith(t *testing.T, dir string, cfg *lint.Config, opts lint.Options, deps
 	if opts.HotAlloc && opts.ModuleRoot == "" {
 		opts.ModuleRoot = moduleRoot
 	}
-	diags, err := lint.RunOpts(cfg, analyzers, []*lint.Package{pkg}, opts)
+	diags, err := lint.Run(cfg, analyzers, []*lint.Package{pkg}, opts)
 	if err != nil {
 		t.Fatalf("running analyzers over %s: %v", dir, err)
 	}

@@ -6,20 +6,12 @@ type Options struct {
 	// packages plus their in-module dependencies) the interprocedural
 	// summaries fold over. Nil means the analyzed packages themselves.
 	Universe []*Package
-	// NoCache disables the on-disk summary cache.
-	NoCache bool
-	// CacheDir overrides the summary cache location ("" = user cache dir;
-	// the DETLINT_CACHE environment variable overrides both).
-	CacheDir string
 	// HotAlloc enables the escape-analysis check over //detlint:hotpath
 	// functions. It shells out to `go build -gcflags=-m` and therefore
 	// needs ModuleRoot.
 	HotAlloc bool
 	// ModuleRoot is the module directory hotalloc builds from.
 	ModuleRoot string
-	// Summaries receives the computed summary table when non-nil is
-	// returned — exposed for tests and -v cache statistics.
-	SummariesOut **Summaries
 }
 
 // Run executes every analyzer over every package and returns the surviving
@@ -29,24 +21,12 @@ type Options struct {
 // "detlint", and suppressions that no longer suppress anything surface as
 // "allowstale" — either way an exception can never silently mask or
 // outlive a violation.
-func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return RunOpts(cfg, analyzers, pkgs, Options{})
-}
-
-// RunOpts is Run with explicit interprocedural and hotalloc options.
-func RunOpts(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]Diagnostic, error) {
+func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]Diagnostic, error) {
 	universe := opts.Universe
 	if universe == nil {
 		universe = pkgs
 	}
-	var cache *summaryCache
-	if !opts.NoCache {
-		cache = openSummaryCache(opts.CacheDir)
-	}
-	sums := BuildSummaries(cfg, universe, cache)
-	if opts.SummariesOut != nil {
-		*opts.SummariesOut = sums
-	}
+	sums := BuildSummaries(cfg, universe)
 
 	// active is the set of rules whose diagnostics this run can produce;
 	// a suppression for an inactive rule (e.g. hotalloc when -hotalloc is

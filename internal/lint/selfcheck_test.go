@@ -25,7 +25,7 @@ func TestDetlintSelfCheck(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the module walk looks broken", len(pkgs))
 	}
-	diags, err := lint.Run(lint.DefaultConfig(), lint.Analyzers(), pkgs)
+	diags, err := lint.Run(lint.DefaultConfig(), lint.Analyzers(), pkgs, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDetlintFlagsFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.rule, err)
 		}
-		diags, err := lint.Run(tc.cfg, lint.Analyzers(), pkgs)
+		diags, err := lint.Run(tc.cfg, lint.Analyzers(), pkgs, lint.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.rule, err)
 		}
@@ -133,7 +133,7 @@ func TestDiagnosticFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.Run(lint.DefaultConfig(), lint.Analyzers(), pkgs)
+	diags, err := lint.Run(lint.DefaultConfig(), lint.Analyzers(), pkgs, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,9 @@ import (
 //
 // Propagation is cycle-safe: Go's import graph is acyclic, so packages
 // fold in topological order and only in-package recursion needs a
-// fixpoint, which iterates until the hazard sets stop growing. Summaries
-// are cached per package, keyed by a Merkle hash of the package's file
-// contents and its in-module dependencies' keys (cache.go), so repeat runs
-// and CI skip the whole walk for unchanged subtrees.
+// fixpoint, which iterates until the hazard sets stop growing. Every run
+// computes the summaries afresh: loading and type-checking dominate a run,
+// and the walk over already-typed bodies is a small part of it.
 
 // Hazard enumerates the facts a function summary can carry. The first
 // three mirror their analyzers one-to-one; HazardEmit and HazardFloatAccum
@@ -48,22 +47,6 @@ const (
 	numHazards
 )
 
-var hazardNames = [numHazards]string{
-	"wallclock", "globalrand", "rawgo", "emit", "floataccum", "osblock",
-}
-
-// Name returns the stable identifier used in cache entries.
-func (h Hazard) Name() string { return hazardNames[h] }
-
-func hazardByName(s string) (Hazard, bool) {
-	for i, n := range hazardNames {
-		if n == s {
-			return Hazard(i), true
-		}
-	}
-	return 0, false
-}
-
 // FuncSummary records, per hazard, the call chain from the summarized
 // function down to the primitive that grounds the hazard. A nil chain
 // means the hazard is absent. Chains are representative (one witness per
@@ -85,50 +68,27 @@ func (s *FuncSummary) Chain(h Hazard) string {
 }
 
 // Summaries is the whole-program summary table, keyed by
-// types.Func.FullName so entries survive the cache round-trip and resolve
-// across packages.
+// types.Func.FullName: a plain string that names a function the same way
+// from its declaring package and from every caller's.
 type Summaries struct {
 	funcs map[string]*FuncSummary
-
-	// CacheHits and CacheMisses count package-level cache outcomes for
-	// the run, surfaced by detlint -v and asserted by the cache tests.
-	CacheHits   int
-	CacheMisses int
 }
 
 // Lookup returns the summary for a resolved function, or nil.
 func (s *Summaries) Lookup(f *types.Func) *FuncSummary {
-	if s == nil || f == nil {
+	if f == nil {
 		return nil
 	}
 	return s.funcs[f.FullName()]
 }
 
 // BuildSummaries folds hazard facts bottom-up over the universe of
-// module-local packages. cache may be nil to disable caching.
-func BuildSummaries(cfg *Config, universe []*Package, cache *summaryCache) *Summaries {
+// module-local packages.
+func BuildSummaries(cfg *Config, universe []*Package) *Summaries {
 	sums := &Summaries{funcs: make(map[string]*FuncSummary)}
-	keys := make(map[string]string) // pkg path -> merkle key
 	for _, pkg := range topoPackages(universe) {
-		var key string
-		if cache != nil {
-			key = cache.packageKey(cfg, pkg, keys)
-			keys[pkg.PkgPath] = key
-			if entry, ok := cache.load(key); ok {
-				sums.CacheHits++
-				for name, fs := range entry {
-					sums.funcs[name] = fs
-				}
-				continue
-			}
-			sums.CacheMisses++
-		}
-		entry := summarizePackage(cfg, pkg, sums)
-		for name, fs := range entry {
+		for name, fs := range summarizePackage(cfg, pkg, sums) {
 			sums.funcs[name] = fs
-		}
-		if cache != nil {
-			cache.store(key, entry)
 		}
 	}
 	return sums
@@ -401,7 +361,7 @@ func (s *Summaries) reachable(f *types.Func, h Hazard) (string, bool) {
 // declaration site, and re-reporting every caller would turn one reviewed
 // exception into a diagnostic storm.
 func checkPropagated(pass *Pass, h Hazard, what string) {
-	if pass.Summaries == nil || !pass.Cfg.IsDeterministic(pass.PkgPath) {
+	if !pass.Cfg.IsDeterministic(pass.PkgPath) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 // time.Now), and through an in-package mutual-recursion cycle whose
 // deeper half emits.
 func TestChainPropagation(t *testing.T) {
-	linttest.RunWith(t, "chain", fixtureCfg("chain"), lint.Options{NoCache: true},
+	linttest.RunWith(t, "chain", fixtureCfg("chain"), lint.Options{},
 		[]string{"chainhelper"}, lint.WallClock, lint.MapOrder)
 }
 
@@ -86,8 +88,8 @@ func TestChainMessageShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunOpts(fixtureCfg("chain"), []*lint.Analyzer{lint.WallClock},
-		[]*lint.Package{pkg}, lint.Options{NoCache: true, Universe: []*lint.Package{helper, pkg}})
+	diags, err := lint.Run(fixtureCfg("chain"), []*lint.Analyzer{lint.WallClock},
+		[]*lint.Package{pkg}, lint.Options{Universe: []*lint.Package{helper, pkg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +101,48 @@ func TestChainMessageShape(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no diagnostic carried the full 3-level witness chain; got %v", diags)
+	}
+}
+
+// TestRunWritesNothingToDisk pins that a lint run depends on the source
+// tree alone: with the user cache and home directories pointed at empty
+// temp dirs, a run over the cross-package chain fixture leaves both empty.
+func TestRunWritesNothingToDisk(t *testing.T) {
+	cacheHome, home := t.TempDir(), t.TempDir()
+	t.Setenv("XDG_CACHE_HOME", cacheHome)
+	t.Setenv("HOME", home)
+
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helper, err := loader.LoadDir(filepath.Join("testdata", "src", "chainhelper"), "chainhelper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "chain"), "chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.Run(fixtureCfg("chain"), []*lint.Analyzer{lint.WallClock},
+		[]*lint.Package{pkg}, lint.Options{Universe: []*lint.Package{helper, pkg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) == 0 {
+		t.Fatal("chain fixture produced no diagnostics")
+	}
+	for _, dir := range []string{cacheHome, home} {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			t.Errorf("lint run wrote %s", filepath.Join(dir, e.Name()))
+		}
 	}
 }

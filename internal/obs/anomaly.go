@@ -16,65 +16,47 @@ type Anomaly struct {
 	Detail string
 }
 
-// AnomalyConfig tunes the window-over-window detectors. The zero value
-// takes defaults.
-type AnomalyConfig struct {
-	// MinTxns is the per-window sample floor below which p99 comparisons
-	// are skipped (quantiles over a handful of samples are noise, not
-	// regressions). Default 20.
-	MinTxns int64
-	// P99Factor flags window w when p99(w) > P99Factor × p99(w-1), both
-	// windows above the sample floor. Default 3 (histogram buckets are
-	// ~6% wide, so a 3× jump is far outside quantization error).
-	P99Factor int64
-	// CollapseFactor flags window w when commits(w) × CollapseFactor <
-	// commits(w-1) while w still has traffic. Default 4.
-	CollapseFactor int64
-	// MinCommits is the prior-window commit floor for collapse and
+// The window-over-window detectors' thresholds.
+const (
+	// anomalyMinTxns is the per-window sample floor below which p99
+	// comparisons are skipped (quantiles over a handful of samples are
+	// noise, not regressions).
+	anomalyMinTxns = 20
+	// anomalyP99Factor flags window w when p99(w) > anomalyP99Factor ×
+	// p99(w-1), both windows above the sample floor. Histogram buckets are
+	// ~6% wide, so a 3× jump is far outside quantization error.
+	anomalyP99Factor = 3
+	// anomalyCollapseFactor flags window w when commits(w) ×
+	// anomalyCollapseFactor < commits(w-1) while w still has traffic.
+	anomalyCollapseFactor = 4
+	// anomalyMinCommits is the prior-window commit floor for collapse and
 	// unavailability detection: a window can only collapse or black out
-	// relative to a predecessor that had real traffic. Default 20.
-	MinCommits int64
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.MinTxns <= 0 {
-		c.MinTxns = 20
-	}
-	if c.P99Factor <= 0 {
-		c.P99Factor = 3
-	}
-	if c.CollapseFactor <= 0 {
-		c.CollapseFactor = 4
-	}
-	if c.MinCommits <= 0 {
-		c.MinCommits = 20
-	}
-	return c
-}
+	// relative to a predecessor that had real traffic.
+	anomalyMinCommits = 20
+)
 
 // Anomalies runs the window-over-window detectors across the timeline:
 //
 //   - unavailability: a window with zero commits after any window that had
-//     at least MinCommits (the service was demonstrably up, then served
-//     nothing for a full window);
-//   - throughput-collapse: commits fell by more than CollapseFactor× from
-//     the previous window but did not reach zero;
-//   - p99-regression: the window's p99 rose by more than P99Factor× over
-//     the previous window, with both windows above the sample floor.
+//     at least anomalyMinCommits (the service was demonstrably up, then
+//     served nothing for a full window);
+//   - throughput-collapse: commits fell by more than anomalyCollapseFactor×
+//     from the previous window but did not reach zero;
+//   - p99-regression: the window's p99 rose by more than anomalyP99Factor×
+//     over the previous window, with both windows above the sample floor.
 //
 // A window reports at most one anomaly, checked in the order above
 // (blackout subsumes collapse subsumes a meaningless p99). Comparisons are
 // against the immediately preceding window, so a slow drift never alerts —
 // only step changes, which is what injected faults and real incidents look
 // like.
-func (tl *Timeline) Anomalies(cfg AnomalyConfig) []Anomaly {
-	cfg = cfg.withDefaults()
+func (tl *Timeline) Anomalies() []Anomaly {
 	rows := tl.Rows()
 	var out []Anomaly
 	var seenTraffic bool
 	for i := 1; i < len(rows); i++ {
 		prev, cur := rows[i-1], rows[i]
-		if prev.Commits >= cfg.MinCommits {
+		if prev.Commits >= anomalyMinCommits {
 			seenTraffic = true
 		}
 		switch {
@@ -83,17 +65,17 @@ func (tl *Timeline) Anomalies(cfg AnomalyConfig) []Anomaly {
 				At: cur.Start, Window: cur.Index, Kind: "unavailability",
 				Detail: fmt.Sprintf("%d attempts, 0 commits (prev window %d)", cur.Txns, prev.Commits),
 			})
-		case prev.Commits >= cfg.MinCommits && cur.Commits > 0 &&
-			cur.Commits*cfg.CollapseFactor < prev.Commits:
+		case prev.Commits >= anomalyMinCommits && cur.Commits > 0 &&
+			cur.Commits*anomalyCollapseFactor < prev.Commits:
 			out = append(out, Anomaly{
 				At: cur.Start, Window: cur.Index, Kind: "throughput-collapse",
-				Detail: fmt.Sprintf("commits %d -> %d (>%dx drop)", prev.Commits, cur.Commits, cfg.CollapseFactor),
+				Detail: fmt.Sprintf("commits %d -> %d (>%dx drop)", prev.Commits, cur.Commits, anomalyCollapseFactor),
 			})
-		case prev.Txns >= cfg.MinTxns && cur.Txns >= cfg.MinTxns &&
-			prev.P99 > 0 && cur.P99 > time.Duration(cfg.P99Factor)*prev.P99:
+		case prev.Txns >= anomalyMinTxns && cur.Txns >= anomalyMinTxns &&
+			prev.P99 > 0 && cur.P99 > anomalyP99Factor*prev.P99:
 			out = append(out, Anomaly{
 				At: cur.Start, Window: cur.Index, Kind: "p99-regression",
-				Detail: fmt.Sprintf("p99 %v -> %v (>%dx)", prev.P99, cur.P99, cfg.P99Factor),
+				Detail: fmt.Sprintf("p99 %v -> %v (>%dx)", prev.P99, cur.P99, anomalyP99Factor),
 			})
 		}
 	}

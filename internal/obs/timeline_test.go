@@ -205,7 +205,7 @@ func TestTimelineAnomalies(t *testing.T) {
 	fill(5, 11, ms(5), "commit")
 	fill(7, 30, ms(5), "error")
 
-	got := tl.Anomalies(AnomalyConfig{})
+	got := tl.Anomalies()
 	type short struct {
 		Window int
 		Kind   string
@@ -239,7 +239,7 @@ func TestTimelineAnomalies(t *testing.T) {
 			emitTxn(quiet, "T1", base+ms(i), base+ms(i+5), "commit")
 		}
 	}
-	if as := quiet.Anomalies(AnomalyConfig{}); len(as) != 0 {
+	if as := quiet.Anomalies(); len(as) != 0 {
 		t.Fatalf("healthy timeline reported anomalies: %+v", as)
 	}
 }

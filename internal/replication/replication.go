@@ -27,6 +27,11 @@ import (
 	"cloudybench/internal/storage"
 )
 
+// deleteFactor scales replay cost for deletes (most CDBs tombstone
+// logically, making deletes cheaper — §III-F's "less lag time with higher
+// delete ratio").
+const deleteFactor = 0.5
+
 // Config describes one replication stream's architecture.
 type Config struct {
 	Name string
@@ -43,10 +48,6 @@ type Config struct {
 	Lanes int
 	// PerRecord is the replay service time of one record in a lane.
 	PerRecord time.Duration
-	// DeleteFactor scales replay cost for deletes (most CDBs tombstone
-	// logically, making deletes cheaper — §III-F's "less lag time with
-	// higher delete ratio").
-	DeleteFactor float64
 	// Tracer, if non-nil, records replication-ship spans per shipped batch
 	// and storage-replay spans per replayed record as background activity.
 	Tracer *obs.Tracer
@@ -132,9 +133,6 @@ type laneState struct {
 func NewStream(s *sim.Sim, cfg Config, replica *node.Node) *Stream {
 	if cfg.Lanes < 1 {
 		cfg.Lanes = 1
-	}
-	if cfg.DeleteFactor <= 0 {
-		cfg.DeleteFactor = 0.5
 	}
 	st := &Stream{
 		s:         s,
@@ -330,7 +328,7 @@ func (st *Stream) replayLoop(p *sim.Proc, laneID int) {
 func (st *Stream) recordCost(typ storage.RecType) time.Duration {
 	switch typ {
 	case storage.RecDelete:
-		return time.Duration(float64(st.cfg.PerRecord) * st.cfg.DeleteFactor)
+		return time.Duration(float64(st.cfg.PerRecord) * deleteFactor)
 	case storage.RecInsert, storage.RecUpdate:
 		return st.cfg.PerRecord
 	default:

@@ -173,8 +173,14 @@ func TestStreamDeleteCheaperThanUpdate(t *testing.T) {
 	s := sim.New(epoch)
 	rw, _, st, tbl, _ := setup(s, Config{
 		Name: "r", BatchInterval: time.Millisecond, Lanes: 1,
-		PerRecord: time.Millisecond, DeleteFactor: 0.3,
+		PerRecord: time.Millisecond,
 	})
+	if got, want := st.recordCost(storage.RecDelete), time.Duration(float64(time.Millisecond)*deleteFactor); got != want {
+		t.Fatalf("delete replay cost %v, want %v (deleteFactor × PerRecord)", got, want)
+	}
+	if got := st.recordCost(storage.RecUpdate); got != time.Millisecond {
+		t.Fatalf("update replay cost %v, want PerRecord", got)
+	}
 	s.Go("writer", func(p *sim.Proc) {
 		for i := int64(1); i <= 20; i++ {
 			tx, _ := rw.Begin(p)
