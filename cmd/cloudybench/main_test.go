@@ -37,6 +37,10 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 	if err := os.WriteFile(props, []byte("elastic_testTime = 1\nfirst_con = 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	badSlot := filepath.Join(dir, "bad-slot.props")
+	if err := os.WriteFile(badSlot, []byte("elastic_testTime = 1\nfirst_con = 5\nslot = 20sec\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args []string
 		want string
@@ -45,6 +49,7 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 		{[]string{"run", "f9", "nosuch", "-scale", "bench"}, "nosuch"},
 		{[]string{"soak", "-scale", "bench", "-o", dir, "extra"}, "extra"},
 		{[]string{"custom", "-props", props, "extra"}, "extra"},
+		{[]string{"custom", "-props", badSlot}, `slot = "20sec"`},
 		{[]string{"dataset", "-sf", "1", "extra"}, "extra"},
 		{[]string{"cost", "-fabric", "infiniband"}, "infiniband"},
 	}

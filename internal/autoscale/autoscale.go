@@ -84,8 +84,6 @@ type Autoscaler struct {
 	lastDown    time.Duration
 	resuming    bool
 	demandCores float64 // average used cores over the last tick window
-
-	scaleEvents int
 }
 
 // New starts an autoscaler for the node and registers the resume hook.
@@ -104,9 +102,6 @@ func New(s *sim.Sim, n *node.Node, cfg Config) *Autoscaler {
 
 // Stop terminates the background loop at its next tick.
 func (a *Autoscaler) Stop() { a.stop = true }
-
-// ScaleEvents returns how many allocation changes the policy made.
-func (a *Autoscaler) ScaleEvents() int { return a.scaleEvents }
 
 func (a *Autoscaler) round(v float64) float64 {
 	if a.cfg.Granularity > 0 {
@@ -131,7 +126,6 @@ func (a *Autoscaler) apply(p *sim.Proc, cores float64) {
 	if a.cfg.MemBytesPerCore > 0 {
 		a.n.SetMemoryBytes(p, at, int64(cores*float64(a.cfg.MemBytesPerCore)))
 	}
-	a.scaleEvents++
 }
 
 // utilization returns (avg utilization over the window, current waiters).
@@ -239,7 +233,6 @@ func (a *Autoscaler) pause(p *sim.Proc) {
 		a.n.SetMemoryBytes(p, a.s.Elapsed(), 0)
 	}
 	a.n.SetState(node.Paused)
-	a.scaleEvents++
 	a.lowSince = -1
 	a.idleSince = -1
 }
@@ -266,7 +259,6 @@ func (a *Autoscaler) RequestResume() {
 			a.n.SetMemoryBytes(p, at, int64(min*float64(a.cfg.MemBytesPerCore)))
 		}
 		a.n.SetState(node.Running)
-		a.scaleEvents++
 		a.resuming = false
 	})
 }

@@ -48,9 +48,6 @@ func TestScaleUpUnderPressure(t *testing.T) {
 	if n.VCores() != 4 {
 		t.Fatalf("vcores after sustained pressure = %v, want 4 (max)", n.VCores())
 	}
-	if a.ScaleEvents() == 0 {
-		t.Fatal("no scale events recorded")
-	}
 }
 
 func TestGradualDownIsSlow(t *testing.T) {

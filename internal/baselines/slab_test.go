@@ -65,7 +65,7 @@ func TestGeneratorsMatchAllocatingSpelling(t *testing.T) {
 	check := func(db *engine.DB, table string, ids int64, ref func(id int64) engine.Row) {
 		t.Helper()
 		for id := int64(1); id <= ids; id++ {
-			got, _, ok := db.Read(table, engine.IntKey(id))
+			got, _, ok := db.ReadInto(table, engine.IntKey(id), nil)
 			if want := ref(id); !ok || !got.Equal(want) {
 				t.Fatalf("%s %d: %v (found %v), want %v", table, id, got, ok, want)
 			}

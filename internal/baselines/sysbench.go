@@ -35,11 +35,10 @@ var sbTableNames = [sbTables]string{"sbtest1", "sbtest2", "sbtest3"}
 
 // SysBench models the sysbench oltp_read_write workload the paper compares
 // against (§III-I): independent point reads and writes over the sbtest
-// tables with no cross-operation transaction logic. The paper runs one
-// fixed size, so the scale factor is ignored.
+// tables with no cross-operation transaction logic: three 300k-row sbtest
+// tables. The paper runs one fixed size, so the scale factor is ignored.
 var SysBench = &core.Suite{
 	Name:   "sysbench",
-	Desc:   "sysbench oltp_read_write over three 300k-row sbtest tables",
 	Tables: sbCreateTables,
 	Ops: func(int) []core.SuiteOp {
 		return []core.SuiteOp{{Name: "oltp_read_write", Weight: 1, Run: sbReadWrite}}

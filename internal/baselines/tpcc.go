@@ -22,7 +22,6 @@ import (
 // inserts (3000 initial orders per district, the last 900 undelivered).
 var TPCC = &core.Suite{
 	Name:   "tpcc",
-	Desc:   "TPC-C: nine tables, five transactions at the 45/43/4/4/4 mix",
 	Tables: tpccCreateTables,
 	Ops: func(sf int) []core.SuiteOp {
 		t := newTPCC(sf)

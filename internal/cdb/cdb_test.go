@@ -16,11 +16,11 @@ import (
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestProfilesAreComplete(t *testing.T) {
-	profs := Profiles()
-	if len(profs) != 5 {
-		t.Fatalf("%d profiles", len(profs))
+	if len(Kinds) != 5 {
+		t.Fatalf("%d profiles", len(Kinds))
 	}
-	for _, p := range profs {
+	for _, k := range Kinds {
+		p := ProfileFor(k)
 		if p.DisplayName == "" || p.Engine == "" || p.VCores == 0 ||
 			p.MemoryBytes == 0 || p.OpCPU == 0 || p.PackageNode.VCores == 0 {
 			t.Errorf("%s: incomplete profile %+v", p.Kind, p)

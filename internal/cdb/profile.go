@@ -65,11 +65,10 @@ type Profile struct {
 	// Storage path.
 	Fabric  netsim.Fabric
 	NetGbps float64
-	// IOPS is the *provisioned* package value used for pricing (Table V);
 	// DeviceIOPS is the simulated device/service capability, which bounds
 	// throughput (a small buffer plus a slow page service is what caps
-	// CDB2 in Fig. 5).
-	IOPS            float64
+	// CDB2 in Fig. 5). The provisioned IOPS that Table V prices are
+	// PackageNode.IOPS.
 	DeviceIOPS      float64
 	StorageLatency  time.Duration // page-service time on miss
 	LogAckLatency   time.Duration // commit durability beyond the wire
@@ -100,8 +99,10 @@ type Profile struct {
 	// Tenancy is the multi-tenant deployment model.
 	Tenancy TenancyModel
 
-	// PackageNode is the per-node resource package of Table V (IOPS and
-	// network are cluster-wide; see pricing.ClusterPackage).
+	// PackageNode is the per-node resource package of Table V. Its IOPS is
+	// the provisioned value used for pricing, not the simulated device
+	// capability (DeviceIOPS); IOPS and network are cluster-wide (see
+	// pricing.ClusterPackage).
 	PackageNode pricing.Package
 
 	// Actual is the vendor's real pricing model (§III-G starred scores).
@@ -126,15 +127,6 @@ func ProfileFor(kind Kind) Profile {
 	}
 }
 
-// Profiles returns all five canonical profiles in reporting order.
-func Profiles() []Profile {
-	out := make([]Profile, 0, len(Kinds))
-	for _, k := range Kinds {
-		out = append(out, ProfileFor(k))
-	}
-	return out
-}
-
 // rdsProfile: PostgreSQL 15, 4 vCores / 16 GB / 150 GB NVMe, 10 Gbps
 // TCP/IP, no serverless, 128 MB buffer (Table IV). Coupled storage with
 // ARIES checkpointing; replica fed by sequential WAL streaming with small
@@ -150,7 +142,6 @@ func rdsProfile() Profile {
 		TxnCPU:      40 * time.Microsecond,
 		Fabric:      netsim.Local,
 		NetGbps:     10,
-		IOPS:        1000,
 		DeviceIOPS:  15_000,
 		// Local NVMe: low latency but IOPS-limited; dirty flushing and
 		// checkpoints share the channel.
@@ -193,7 +184,6 @@ func rdsProfile() Profile {
 			Fabric: netsim.TCP,
 		},
 		Actual: pricing.Actual{
-			Vendor:       "aws-rds",
 			PerVCoreHour: 0.40, PerGBMemHour: 0.02, PerGBStorageHour: 0.0012,
 			PerIOPS100Hour: 0.0002, PerGbpsHour: 0.09,
 			// "its pricing model charges for at least 10 minutes" (§III-G).
@@ -218,7 +208,6 @@ func cdb1Profile() Profile {
 		TxnCPU:         40 * time.Microsecond,
 		Fabric:         netsim.TCP,
 		NetGbps:        10,
-		IOPS:           1000,
 		DeviceIOPS:     10_000,
 		StorageLatency: 500 * time.Microsecond,
 		// Six-way quorum (4/6) across zones.
@@ -273,7 +262,6 @@ func cdb1Profile() Profile {
 			Fabric: netsim.TCP,
 		},
 		Actual: pricing.Actual{
-			Vendor:       "cdb1",
 			PerVCoreHour: 0.24, PerGBMemHour: 0.012, PerGBStorageHour: 0.0009,
 			PerIOPS100Hour: 0.00015, PerGbpsHour: 0.08,
 			MinBilling: time.Minute,
@@ -296,7 +284,6 @@ func cdb2Profile() Profile {
 		TxnCPU:         45 * time.Microsecond,
 		Fabric:         netsim.TCP,
 		NetGbps:        10,
-		IOPS:           327_680, // Table V: provisioned IOPS dwarf everyone (327x RDS cost)
 		DeviceIOPS:     9_000,
 		StorageLatency: 550 * time.Microsecond,
 		LogAckLatency:  250 * time.Microsecond,
@@ -343,12 +330,12 @@ func cdb2Profile() Profile {
 			Up:              autoscale.UpToDemand,
 		},
 		Tenancy: TenancyPool,
+		// Table V: provisioned IOPS dwarf everyone (327x RDS cost).
 		PackageNode: pricing.Package{
 			VCores: 4, MemoryGB: 20, StorageGB: 63, IOPS: 327_680, NetGbps: 10,
 			Fabric: netsim.TCP,
 		},
 		Actual: pricing.Actual{
-			Vendor:       "cdb2",
 			PerVCoreHour: 0.42, PerGBMemHour: 0.02, PerGBStorageHour: 0.001,
 			PerIOPS100Hour: 0.00012, PerGbpsHour: 0.08,
 			// "the elastic pool is charged at least one hour" (§III-G).
@@ -372,7 +359,6 @@ func cdb3Profile() Profile {
 		TxnCPU:      40 * time.Microsecond,
 		Fabric:      netsim.TCP,
 		NetGbps:     10,
-		IOPS:        1000,
 		DeviceIOPS:  12_000,
 		// Local file cache + page servers: cheaper miss path than CDB1.
 		StorageLatency: 300 * time.Microsecond,
@@ -426,7 +412,6 @@ func cdb3Profile() Profile {
 			Fabric: netsim.TCP,
 		},
 		Actual: pricing.Actual{
-			Vendor: "cdb3",
 			// "$0.16 per vCore compared with $0.42 per vCore by CDB2".
 			PerVCoreHour: 0.16, PerGBMemHour: 0.008, PerGBStorageHour: 0.0005,
 			PerIOPS100Hour: 0.0001, PerGbpsHour: 0.05,
@@ -450,7 +435,6 @@ func cdb4Profile() Profile {
 		TxnCPU:         35 * time.Microsecond,
 		Fabric:         netsim.RDMA,
 		NetGbps:        10,
-		IOPS:           84_000,
 		DeviceIOPS:     40_000,
 		StorageLatency: 450 * time.Microsecond,
 		LogAckLatency:  60 * time.Microsecond, // RDMA log shipping
@@ -492,7 +476,6 @@ func cdb4Profile() Profile {
 			Fabric: netsim.RDMA,
 		},
 		Actual: pricing.Actual{
-			Vendor:       "cdb4",
 			PerVCoreHour: 0.30, PerGBMemHour: 0.015, PerGBStorageHour: 0.0009,
 			PerIOPS100Hour: 0.00013, PerGbpsHour: 0.20,
 			MinBilling: time.Minute,

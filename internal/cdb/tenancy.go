@@ -172,11 +172,6 @@ func (ts *TenantSet) CostPerMinute() float64 {
 	return pricing.PerMinuteBreakdown(ts.Package()).Total()
 }
 
-// Cost returns the RUC cost of holding the tenant set for d.
-func (ts *TenantSet) Cost(d time.Duration) float64 {
-	return pricing.Cost(ts.Package(), d)
-}
-
 // ActualCost returns the vendor-priced cost for d with minimum billing.
 func (ts *TenantSet) ActualCost(d time.Duration) float64 {
 	return ts.Profile.Actual.Cost(ts.Package(), d)

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func resurrectLosers(t *testing.T, snap storage.LogSnapshot, db *engine.DB) int 
 	t.Helper()
 	lg := storage.NewLog()
 	lg.Restore(snap)
-	recs := lg.Read(0, 0)
+	recs := slices.Concat(slices.Collect(lg.Chunks())...)
 	ended := make(map[uint64]bool)
 	for i := range recs {
 		if recs[i].Type == storage.RecCommit || recs[i].Type == storage.RecAbort {
@@ -147,7 +148,7 @@ func TestDurabilityCatchesLostCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild from a log that never saw the second payment.
-	full := db.Log().Read(0, 0)
+	full := slices.Concat(slices.Collect(db.Log().Chunks())...)
 	liar := storage.NewLog()
 	seen := 0
 	for i := range full {

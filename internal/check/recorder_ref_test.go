@@ -402,7 +402,7 @@ func refDurabilityExpectations(h *refRecorder) (order []string, refs map[string]
 
 // refFinalValue reads a key's committed value from the post-recovery database.
 func refFinalValue(db *engine.DB, ref refKeyRef) string {
-	row, _, ok := db.Read(ref.table, ref.key)
+	row, _, ok := db.ReadInto(ref.table, ref.key, nil)
 	if !ok {
 		return refEncRow(nil)
 	}
@@ -648,7 +648,7 @@ func (d *diffRun) txn(p *sim.Proc, db *engine.DB) {
 
 // current returns db's committed image of table/id (no txn is open on db).
 func current(db *engine.DB, table string, id int64) engine.Row {
-	row, _, ok := db.Read(table, engine.IntKey(id))
+	row, _, ok := db.ReadInto(table, engine.IntKey(id), nil)
 	if !ok {
 		return nil
 	}

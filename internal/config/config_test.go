@@ -15,10 +15,7 @@ second_con = 88
 third_con  = 11
 fourth_con = 0
 ! legacy comment style
-tenant_ratio = 0.6
-serverless = true
 slot = 30s
-cons = 10, 20, 30
 name = single peak
 name = overridden
 `
@@ -26,26 +23,16 @@ name = overridden
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Int("elastic_testTime", 0) != 4 {
-		t.Fatal("int")
+	if n, err := p.Int("elastic_testTime", 0); n != 4 || err != nil {
+		t.Fatalf("int = %d, %v", n, err)
 	}
-	if p.Float("tenant_ratio", 0) != 0.6 {
-		t.Fatal("float")
-	}
-	if !p.Bool("serverless", false) {
-		t.Fatal("bool")
-	}
-	if p.Duration("slot", 0) != 30*time.Second {
-		t.Fatal("duration")
-	}
-	got := p.Ints("cons", nil)
-	if len(got) != 3 || got[1] != 20 {
-		t.Fatalf("ints: %v", got)
+	if d, err := p.Duration("slot", 0); d != 30*time.Second || err != nil {
+		t.Fatalf("duration = %v, %v", d, err)
 	}
 	if p.Str("name", "") != "overridden" {
 		t.Fatal("later key should override")
 	}
-	if p.Str("missing", "def") != "def" || p.Int("missing", 7) != 7 {
+	if n, err := p.Int("missing", 7); p.Str("missing", "def") != "def" || n != 7 || err != nil {
 		t.Fatal("defaults")
 	}
 	if p.Has("missing") || !p.Has("slot") {
@@ -55,8 +42,27 @@ name = overridden
 
 func TestParsePropsBareSecondsDuration(t *testing.T) {
 	p, _ := ParseProps("warmup = 2.5")
-	if p.Duration("warmup", 0) != 2500*time.Millisecond {
-		t.Fatal("bare seconds")
+	if d, err := p.Duration("warmup", 0); d != 2500*time.Millisecond || err != nil {
+		t.Fatalf("bare seconds = %v, %v", d, err)
+	}
+}
+
+// A malformed value is an error naming the key and the value, never the
+// default: `first_con = 1l` must not run that slot at 0 clients.
+func TestMalformedValuesAreErrors(t *testing.T) {
+	p, _ := ParseProps("seed = x\nslot = 20sec\nelastic_testTime = 1\nfirst_con = 1l")
+	if _, err := p.Int("seed", 42); err == nil || !strings.Contains(err.Error(), `seed = "x"`) {
+		t.Errorf("Int: err = %v", err)
+	}
+	if _, err := p.Duration("slot", time.Second); err == nil || !strings.Contains(err.Error(), `slot = "20sec"`) {
+		t.Errorf("Duration: err = %v", err)
+	}
+	if _, err := p.SlotConcurrency(); err == nil || !strings.Contains(err.Error(), `first_con = "1l"`) {
+		t.Errorf("SlotConcurrency: err = %v", err)
+	}
+	p2, _ := ParseProps("elastic_testTime = four")
+	if _, err := p2.SlotConcurrency(); err == nil || !strings.Contains(err.Error(), "elastic_testTime") {
+		t.Errorf("SlotConcurrency: err = %v", err)
 	}
 }
 

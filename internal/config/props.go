@@ -5,7 +5,6 @@ package config
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -14,7 +13,6 @@ import (
 // Props is a flat key=value configuration with typed accessors.
 type Props struct {
 	values map[string]string
-	keys   []string
 }
 
 // ParseProps parses a props document: one key=value per line, '#' or '!'
@@ -32,16 +30,10 @@ func ParseProps(src string) (*Props, error) {
 		}
 		key := strings.TrimSpace(line[:eq])
 		val := strings.TrimSpace(line[eq+1:])
-		if _, seen := p.values[key]; !seen {
-			p.keys = append(p.keys, key)
-		}
 		p.values[key] = val
 	}
 	return p, nil
 }
-
-// Keys returns the keys in first-seen order.
-func (p *Props) Keys() []string { return append([]string(nil), p.keys...) }
 
 // Has reports whether key is present.
 func (p *Props) Has(key string) bool {
@@ -57,77 +49,35 @@ func (p *Props) Str(key, def string) string {
 	return def
 }
 
-// Int returns the integer value of key, or def when absent or malformed.
-func (p *Props) Int(key string, def int) int {
+// Int returns the integer value of key, or def when absent. A value that
+// is not an integer is an error naming the key and the value.
+func (p *Props) Int(key string, def int) (int, error) {
 	v, ok := p.values[key]
 	if !ok {
-		return def
+		return def, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return def
+		return 0, fmt.Errorf("config: %s = %q is not an integer", key, v)
 	}
-	return n
+	return n, nil
 }
 
-// Float returns the float value of key, or def.
-func (p *Props) Float(key string, def float64) float64 {
+// Duration returns the duration value of key (Go syntax, e.g. "30s", or a
+// bare number of seconds), or def when absent. Any other value is an error
+// naming the key and the value.
+func (p *Props) Duration(key string, def time.Duration) (time.Duration, error) {
 	v, ok := p.values[key]
 	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return def
-	}
-	return f
-}
-
-// Bool returns the boolean value of key, or def.
-func (p *Props) Bool(key string, def bool) bool {
-	v, ok := p.values[key]
-	if !ok {
-		return def
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return def
-	}
-	return b
-}
-
-// Duration returns the duration value of key (Go syntax, e.g. "30s"), or
-// a bare number interpreted as seconds, or def.
-func (p *Props) Duration(key string, def time.Duration) time.Duration {
-	v, ok := p.values[key]
-	if !ok {
-		return def
+		return def, nil
 	}
 	if d, err := time.ParseDuration(v); err == nil {
-		return d
+		return d, nil
 	}
 	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		return time.Duration(secs * float64(time.Second))
+		return time.Duration(secs * float64(time.Second)), nil
 	}
-	return def
-}
-
-// Ints returns a comma-separated integer list, or def.
-func (p *Props) Ints(key string, def []int) []int {
-	v, ok := p.values[key]
-	if !ok {
-		return def
-	}
-	parts := strings.Split(v, ",")
-	out := make([]int, 0, len(parts))
-	for _, part := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return def
-		}
-		out = append(out, n)
-	}
-	return out
+	return 0, fmt.Errorf("config: %s = %q is not a duration", key, v)
 }
 
 // SlotConcurrency extracts the paper's elasticity configuration style: an
@@ -135,7 +85,10 @@ func (p *Props) Ints(key string, def []int) []int {
 // can simply modify the length of elastic_testTime (e.g. 4) and add
 // corresponding concurrency in the props file (e.g. fourth_con)").
 func (p *Props) SlotConcurrency() ([]int, error) {
-	n := p.Int("elastic_testTime", 0)
+	n, err := p.Int("elastic_testTime", 0)
+	if err != nil {
+		return nil, err
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("config: elastic_testTime missing or non-positive")
 	}
@@ -145,7 +98,11 @@ func (p *Props) SlotConcurrency() ([]int, error) {
 		if !p.Has(key) {
 			return nil, fmt.Errorf("config: missing %s for slot %d of %d", key, i+1, n)
 		}
-		out = append(out, p.Int(key, 0))
+		c, err := p.Int(key, 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
 	}
 	return out, nil
 }
@@ -160,11 +117,4 @@ func ordinal(i int) string {
 		return ordinals[i]
 	}
 	return fmt.Sprintf("slot%d", i+1)
-}
-
-// SortedKeys returns all keys sorted, for deterministic dumps.
-func (p *Props) SortedKeys() []string {
-	out := append([]string(nil), p.keys...)
-	sort.Strings(out)
-	return out
 }

@@ -94,8 +94,8 @@ func TestParseMix(t *testing.T) {
 			t.Errorf("ParseMix(%q) succeeded", bad)
 		}
 	}
-	if !MixReadOnly.IsReadOnly() || MixReadWrite.IsReadOnly() {
-		t.Fatal("IsReadOnly")
+	if ro := MixReadOnly; ro.T1 != 0 || ro.T2 != 0 || ro.T4 != 0 || ro.T3 <= 0 {
+		t.Fatalf("read-only mix: %+v", ro)
 	}
 	if MixReadWrite.String() != "15:5:80" {
 		t.Fatalf("mix string = %q", MixReadWrite.String())

@@ -165,9 +165,6 @@ func (b *Breaker) OnFailure(now time.Duration) bool {
 	return false
 }
 
-// State returns the breaker state name ("closed", "open", "half-open").
-func (b *Breaker) State() string { return b.state.String() }
-
 // OpenedAt returns when the breaker last opened (valid while open).
 func (b *Breaker) OpenedAt() time.Duration { return b.openedAt }
 
@@ -196,6 +193,3 @@ func isTransient(err error) bool {
 // Reroutes returns how many reads the client served from a fallback node
 // after its primary read pick was unusable.
 func (r *Runner) Reroutes() int64 { return r.reroutes }
-
-// BreakerOpens returns how many times any node breaker opened.
-func (r *Runner) BreakerOpens() int64 { return r.breakerOpens }

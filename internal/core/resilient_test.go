@@ -28,7 +28,7 @@ func TestBackoffForCapsExponent(t *testing.T) {
 func TestBreakerStateMachine(t *testing.T) {
 	b := &Breaker{}
 
-	if ok, _ := b.Allow(0); !ok || b.State() != "closed" {
+	if ok, _ := b.Allow(0); !ok || b.state.String() != "closed" {
 		t.Fatal("fresh breaker must admit")
 	}
 	for i := 1; i < breakerThreshold; i++ {
@@ -48,8 +48,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	probe := opened + breakerCooldown + 80*time.Millisecond
 	ok, openEnded := b.Allow(probe)
-	if !ok || !openEnded || b.State() != "half-open" {
-		t.Fatalf("cooldown elapsed: Allow = (%v, %v), state %s", ok, openEnded, b.State())
+	if !ok || !openEnded || b.state.String() != "half-open" {
+		t.Fatalf("cooldown elapsed: Allow = (%v, %v), state %s", ok, openEnded, b.state.String())
 	}
 	// Only one probe at a time while half-open.
 	if ok, _ := b.Allow(probe); ok {
@@ -68,8 +68,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second probe refused")
 	}
 	b.OnSuccess()
-	if b.State() != "closed" {
-		t.Fatalf("state after successful probe = %s", b.State())
+	if b.state.String() != "closed" {
+		t.Fatalf("state after successful probe = %s", b.state.String())
 	}
 	if ok, _ := b.Allow(reopened + breakerCooldown + 200*time.Millisecond); !ok {
 		t.Fatal("closed breaker must admit")
@@ -190,7 +190,7 @@ func TestBreakerOpensUnderSustainedFailure(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.BreakerOpens() == 0 {
+	if r.breakerOpens == 0 {
 		t.Fatal("breaker never opened during a sustained outage")
 	}
 	// Traffic resumed after the node recovered: a half-open probe succeeded

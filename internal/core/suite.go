@@ -123,7 +123,6 @@ type SuiteOp struct {
 // runs (the Figure 9 baselines) stays unregistered and is passed directly.
 type Suite struct {
 	Name string
-	Desc string
 	// Tables installs the suite's tables and secondary indexes on one
 	// node's engine; it runs identically on the RW and every replica so
 	// derived index state lines up across the cluster.

@@ -35,9 +35,9 @@ const (
 var rangeWidths = []int64{1, 2, 5, 10, 25, 50}
 
 func init() {
+	// Indexed range scans with a selectivity sweep over a grouped table.
 	RegisterSuite(&Suite{
 		Name: SuiteIdxRange,
-		Desc: "indexed range scans with a selectivity sweep over a grouped table",
 		Tables: func(db *engine.DB, sf int, seed int64) error {
 			schema := &engine.Schema{
 				Name: TableIdxItems,
@@ -74,9 +74,10 @@ func init() {
 		},
 	})
 
+	// Append-heavy time-series with retention deletes through the bucket
+	// index.
 	RegisterSuite(&Suite{
 		Name: SuiteTimeseries,
-		Desc: "append-heavy time-series with retention deletes through the bucket index",
 		Tables: func(db *engine.DB, sf int, seed int64) error {
 			schema := &engine.Schema{
 				Name: TableTsEvents,
@@ -112,9 +113,9 @@ func init() {
 		},
 	})
 
+	// Large-object read/write with an indexed bucket listing.
 	RegisterSuite(&Suite{
 		Name: SuiteLob,
-		Desc: "large-object read/write with an indexed bucket listing",
 		Tables: func(db *engine.DB, sf int, seed int64) error {
 			schema := &engine.Schema{
 				Name: TableLobObject,

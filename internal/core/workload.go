@@ -74,9 +74,6 @@ func (m Mix) ops() []SuiteOp {
 	}
 }
 
-// IsReadOnly reports whether the mix performs no writes.
-func (m Mix) IsReadOnly() bool { return m.T1 == 0 && m.T2 == 0 && m.T4 == 0 }
-
 // String renders the mix as "t1:t2:t3(:t4)".
 func (m Mix) String() string {
 	if m.T4 == 0 {
@@ -126,7 +123,6 @@ type Config struct {
 // elasticity and multi-tenancy evaluators reshape traffic by calling
 // SetConcurrency at slot boundaries.
 type Runner struct {
-	s     *sim.Sim
 	cfg   Config
 	pol   RetryPolicy
 	group *sim.Group
@@ -156,7 +152,6 @@ func NewRunner(s *sim.Sim, cfg Config) *Runner {
 		panic("core: Runner requires a Collector")
 	}
 	r := &Runner{
-		s:          s,
 		cfg:        cfg,
 		pol:        cfg.Retry.withDefaults(),
 		group:      sim.NewGroup(s),

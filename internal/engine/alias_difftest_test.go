@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cloudybench/internal/check"
@@ -181,7 +182,7 @@ func runAliasScript(t *testing.T, shared, record bool) aliasOutcome {
 		tbl *engine.Table
 	}{{db, tbl}, {replica, rtbl}} {
 		for id := int64(1); id <= maxID; id++ {
-			row, page, ok := side.db.Read(side.tbl.Schema.Name, engine.IntKey(id))
+			row, page, ok := side.db.ReadInto(side.tbl.Schema.Name, engine.IntKey(id), nil)
 			out.contents = append(out.contents, fmt.Sprintf("%d: %s %v %v", id, fmtRow(row), page, ok))
 		}
 		side.tbl.ScanDelta(func(k engine.Key, row engine.Row, tomb bool) bool {
@@ -195,7 +196,7 @@ func runAliasScript(t *testing.T, shared, record bool) aliasOutcome {
 			})
 		}
 	}
-	recs := db.Log().Read(0, 0)
+	recs := slices.Concat(slices.Collect(db.Log().Chunks())...)
 	for i := range recs {
 		out.wal = append(out.wal, recs[i].Encode(nil))
 	}

@@ -47,10 +47,10 @@ func benchRow(dst Row, id int64) Row {
 }
 
 // benchInSim runs fn on a simulation process and drains the sim.
-func benchInSim(b *testing.B, fn func(p *sim.Proc)) {
+func benchInSim(b *testing.B, fn func(s *sim.Sim, p *sim.Proc)) {
 	b.Helper()
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	s.Go("bench", func(p *sim.Proc) { fn(p) })
+	s.Go("bench", func(p *sim.Proc) { fn(s, p) })
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -62,8 +62,7 @@ func benchInSim(b *testing.B, fn func(p *sim.Proc)) {
 // fresh row per iteration (the row replaced in the delta two commits ago is
 // unreferenced and safe to reuse).
 func BenchmarkTxnCommit(b *testing.B) {
-	benchInSim(b, func(p *sim.Proc) {
-		s := p.Sim()
+	benchInSim(b, func(s *sim.Sim, p *sim.Proc) {
 		db := NewDB(s)
 		tbl := db.MustCreateTable(benchSchema(), 0, nil)
 		seedTxn := db.Begin(p)
@@ -74,7 +73,7 @@ func BenchmarkTxnCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		rowA, rowB := benchRow(nil, 1), benchRow(nil, 1)
-		k := tbl.Schema.KeyOf(rowA)
+		k := tbl.Schema.appendKeyOf(nil, rowA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -97,8 +96,7 @@ func BenchmarkTxnCommit(b *testing.B) {
 // BenchmarkTxnAbort measures the rollback path: aborted transactions must
 // leave no trace and, on the fast path, allocate nothing.
 func BenchmarkTxnAbort(b *testing.B) {
-	benchInSim(b, func(p *sim.Proc) {
-		s := p.Sim()
+	benchInSim(b, func(s *sim.Sim, p *sim.Proc) {
 		db := NewDB(s)
 		tbl := db.MustCreateTable(benchSchema(), 0, nil)
 		seedTxn := db.Begin(p)
@@ -109,7 +107,7 @@ func BenchmarkTxnAbort(b *testing.B) {
 			b.Fatal(err)
 		}
 		rowA, rowB := benchRow(nil, 1), benchRow(nil, 1)
-		k := tbl.Schema.KeyOf(rowA)
+		k := tbl.Schema.appendKeyOf(nil, rowA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

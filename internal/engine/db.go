@@ -121,9 +121,6 @@ func (db *DB) MustCreateIndex(tableName, ixName, colName string) *Index {
 	return ix
 }
 
-// Index returns the named secondary index, or nil.
-func (db *DB) Index(name string) *Index { return db.ixByName[name] }
-
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table { return db.byName[name] }
 
@@ -141,13 +138,9 @@ func (db *DB) Locks() *LockTable { return db.locks }
 // Stats returns commit and abort counts.
 func (db *DB) Stats() (commits, aborts int64) { return db.commits, db.aborts }
 
-// Read performs a lock-free snapshot read, the path replicas use to serve
-// read-only queries at their current replay position.
-func (db *DB) Read(table string, k Key) (Row, storage.PageID, bool) {
-	return db.ReadInto(table, k, nil)
-}
-
-// ReadInto is Read with caller-owned row scratch (see Table.GetInto).
+// ReadInto performs a lock-free snapshot read, the path replicas use to
+// serve read-only queries at their current replay position. A non-nil dst
+// is caller-owned row scratch (see Table.GetInto).
 //
 //detlint:hotpath
 func (db *DB) ReadInto(table string, k Key, dst Row) (Row, storage.PageID, bool) {
@@ -312,9 +305,6 @@ func (db *DB) release(t *Txn) {
 	t.p = nil
 	db.txnFree = append(db.txnFree, t)
 }
-
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
 
 func (t *Txn) acquire(table *Table, k Key, mode LockMode) error {
 	kb := append(t.keyBuf[:0], table.Schema.Name...)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestTxnCommitAppendsWAL(t *testing.T) {
 		// records with their undo images, not the Prior-stripped published
 		// copies.
 		gotBytes := 0
-		for _, rec := range db.Log().Read(0, 0) {
+		for _, rec := range slices.Concat(slices.Collect(db.Log().Chunks())...) {
 			gotBytes += rec.Size()
 		}
 		if gotBytes != wantBytes {
@@ -132,7 +133,7 @@ func TestTxnAbortUndoesEverything(t *testing.T) {
 	}
 	// Write-ahead logging puts the op records in the log before the txn
 	// decides its fate; the abort appends a marker so recovery skips them.
-	recs := db.Log().Read(0, 0)
+	recs := slices.Concat(slices.Collect(db.Log().Chunks())...)
 	if len(recs) != 4 || recs[3].Type != storage.RecAbort {
 		t.Fatalf("log after abort: %d records, last %v; want 4 ending in ABORT", len(recs), recs[len(recs)-1].Type)
 	}
@@ -221,7 +222,7 @@ func TestReplicaApplyFollowsPrimary(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range primary.Log().Read(0, 0) {
+	for _, rec := range slices.Concat(slices.Collect(primary.Log().Chunks())...) {
 		if err := replica.Apply(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestReplicaApplyFollowsPrimary(t *testing.T) {
 		t.Fatalf("live rows diverge: %d vs %d", rtbl.LiveRows(), ptbl.LiveRows())
 	}
 	// Replica lock-free read API.
-	row, _, ok := replica.Read("orders", IntKey(5))
+	row, _, ok := replica.ReadInto("orders", IntKey(5), nil)
 	if !ok || row[1].S != "PAID" {
 		t.Fatalf("replica read: %v %v", row, ok)
 	}
@@ -349,7 +350,7 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total float64
-	tbl.Scan(1, 10, func(id int64, r Row) bool {
+	tbl.VisibleScan(func(_ Key, r Row) bool {
 		total += r[1].F
 		return true
 	})

@@ -177,12 +177,6 @@ func (ix *Index) Walk(fn func(entryKey Key, pk Key) bool) {
 	})
 }
 
-// Len returns the number of index entries.
-func (ix *Index) Len() int { return ix.tree.Len() }
-
-// Pages returns the modeled physical page count of the index.
-func (ix *Index) Pages() uint64 { return ix.pageFan }
-
 // Bounds returns the smallest and largest indexed column values currently
 // present. ok is false for an empty index.
 func (ix *Index) Bounds() (min, max Value, ok bool) {

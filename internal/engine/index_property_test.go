@@ -91,8 +91,8 @@ func runIndexSchedule(seed int64, workers, opsPerWorker int) (string, error) {
 			want++
 			return true
 		})
-		if want != ix.Len() {
-			return "", fmt.Errorf("index %s incoherent: %d entries vs %d visible rows", ix.Name, ix.Len(), want)
+		if want != ix.tree.Len() {
+			return "", fmt.Errorf("index %s incoherent: %d entries vs %d visible rows", ix.Name, ix.tree.Len(), want)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,8 +74,8 @@ func sortKeys(ks []Key) {
 
 func TestCreateIndexMaterializesBaseRows(t *testing.T) {
 	_, _, tbl, ix := newIndexedDB(t, 40)
-	if ix.Len() != 40 {
-		t.Fatalf("index has %d entries, want 40", ix.Len())
+	if ix.tree.Len() != 40 {
+		t.Fatalf("index has %d entries, want 40", ix.tree.Len())
 	}
 	indexIsProjection(t, tbl)
 	// Group 3 holds ids 3, 13, 23, 33.
@@ -117,7 +118,7 @@ func TestIndexMaintainedAcrossMutationsAndRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexIsProjection(t, tbl)
-	ix := tbl.IndexOn(1)
+	ix := tbl.ixByCol[1]
 	var group77 []int64
 	ix.Scan(Int(77), Int(77), func(pk Key, _ storage.PageID) bool {
 		id, _ := DecodeIntKey(pk)
@@ -127,7 +128,7 @@ func TestIndexMaintainedAcrossMutationsAndRollback(t *testing.T) {
 	if len(group77) != 2 || group77[0] != 5 || group77[1] != 100 {
 		t.Fatalf("group 77 = %v, want [5 100]", group77)
 	}
-	if n := ix.Len(); n != 20 { // 20 base - 1 delete + 1 insert
+	if n := ix.tree.Len(); n != 20 { // 20 base - 1 delete + 1 insert
 		t.Fatalf("index has %d entries, want 20", n)
 	}
 }
@@ -152,7 +153,7 @@ func TestIndexWALRecordsEmittedAndReplicaDerives(t *testing.T) {
 	}
 
 	var puts, dels int
-	for _, rec := range db.Log().Read(0, 0) {
+	for _, rec := range slices.Concat(slices.Collect(db.Log().Chunks())...) {
 		switch rec.Type {
 		case 8: // storage.RecIndexPut
 			puts++
@@ -168,9 +169,9 @@ func TestIndexWALRecordsEmittedAndReplicaDerives(t *testing.T) {
 		t.Fatalf("index WAL records: %d puts %d dels, want 2/2", puts, dels)
 	}
 	indexIsProjection(t, rtbl)
-	rix := rtbl.IndexOn(1)
-	if rix.Len() != tbl.IndexOn(1).Len() {
-		t.Fatalf("replica index %d entries, primary %d", rix.Len(), tbl.IndexOn(1).Len())
+	rix := rtbl.ixByCol[1]
+	if rix.tree.Len() != tbl.ixByCol[1].tree.Len() {
+		t.Fatalf("replica index %d entries, primary %d", rix.tree.Len(), tbl.ixByCol[1].tree.Len())
 	}
 }
 

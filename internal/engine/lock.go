@@ -37,7 +37,6 @@ const DefaultLockTimeout = 5 * time.Second
 type lockRequest struct {
 	txn     uint64
 	mode    LockMode
-	upgrade bool
 	granted bool
 	timeout bool
 	cond    *sim.Cond
@@ -145,9 +144,6 @@ type LockTable struct {
 func NewLockTable(s *sim.Sim) *LockTable {
 	return &LockTable{s: s, timeout: DefaultLockTimeout}
 }
-
-// SetTimeout overrides the lock-wait timeout.
-func (lt *LockTable) SetTimeout(d time.Duration) { lt.timeout = d }
 
 // hashKey is FNV-1a over the key bytes.
 func hashKey(k []byte) uint64 {
@@ -272,7 +268,7 @@ func (lt *LockTable) AcquireKey(p *sim.Proc, txn uint64, key []byte, mode LockMo
 //
 //detlint:coldpath
 func (lt *LockTable) wait(p *sim.Proc, txn uint64, st *lockState, mode LockMode, upgrade bool) error {
-	req := &lockRequest{txn: txn, mode: mode, upgrade: upgrade, cond: sim.NewCond(lt.s)}
+	req := &lockRequest{txn: txn, mode: mode, cond: sim.NewCond(lt.s)}
 	st.enqueue(req, upgrade)
 	lt.waits++
 	var waitStart time.Duration

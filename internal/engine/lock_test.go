@@ -154,7 +154,7 @@ func TestLockUpgrade(t *testing.T) {
 func TestLockTimeoutOnDeadlock(t *testing.T) {
 	s := sim.New(epoch)
 	lt := NewLockTable(s)
-	lt.SetTimeout(50 * time.Millisecond)
+	lt.timeout = 50 * time.Millisecond
 	timeouts := 0
 	done := 0
 	// Classic AB-BA deadlock; the timeout must break it.

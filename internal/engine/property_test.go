@@ -102,8 +102,9 @@ func TestPropertyTxnSequencesMatchReference(t *testing.T) {
 		}
 		// And nothing beyond the reference is visible.
 		visible := 0
-		tbl.Scan(1, nextID, func(id int64, r Row) bool {
+		tbl.VisibleScan(func(k Key, r Row) bool {
 			visible++
+			id, _ := DecodeIntKey(k)
 			_, ok := ref[id]
 			if !ok {
 				visible = -1 << 30

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,7 +110,7 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 	_, odb, otbl := newRecoveryDB(t)
 	lg := storage.NewLog()
 	lg.Restore(snap)
-	recs := lg.Read(0, 0)
+	recs := slices.Concat(slices.Collect(lg.Chunks())...)
 	committed := make(map[uint64]bool)
 	for i := range recs {
 		if recs[i].Type == storage.RecCommit {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,7 +120,7 @@ func replayDurableLog(t *testing.T, cs crashState, losers bool) (*DB, *Table) {
 	db, tbl := newRecoverySchema(s)
 	lg := storage.NewLog()
 	lg.Restore(cs.snap)
-	recs := lg.Read(0, 0)
+	recs := slices.Concat(slices.Collect(lg.Chunks())...)
 	committed := make(map[uint64]bool)
 	aborted := make(map[uint64]bool)
 	for i := range recs {
@@ -206,8 +207,8 @@ func diffTables(a, b *Table) string {
 		return fmt.Sprintf("%d vs %d indexes", len(ixa), len(ixb))
 	}
 	for i := range ixa {
-		if ixa[i].Len() != ixb[i].Len() {
-			return fmt.Sprintf("index %s: %d vs %d entries", ixa[i].Name, ixa[i].Len(), ixb[i].Len())
+		if ixa[i].tree.Len() != ixb[i].tree.Len() {
+			return fmt.Sprintf("index %s: %d vs %d entries", ixa[i].Name, ixa[i].tree.Len(), ixb[i].tree.Len())
 		}
 		var keys []string
 		ixb[i].Walk(func(ek Key, pk Key) bool {

@@ -125,8 +125,8 @@ func TestRollbackAfterScratchReuseLeavesNoTrace(t *testing.T) {
 	// Visible state must agree everywhere: with the reference map and
 	// between the two databases, for every id ever allocated.
 	for id := int64(1); id < nextID; id++ {
-		rowA, _, okA := dbA.Read("orders", IntKey(id))
-		rowB, _, okB := dbB.Read("orders", IntKey(id))
+		rowA, _, okA := dbA.ReadInto("orders", IntKey(id), nil)
+		rowB, _, okB := dbB.ReadInto("orders", IntKey(id), nil)
 		want, live := expect[id]
 		if okA != live || okB != live {
 			t.Fatalf("id %d: visibility A=%v B=%v want %v", id, okA, okB, live)

@@ -33,9 +33,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// KeyOf builds the primary key of a row under this schema.
-func (s *Schema) KeyOf(r Row) Key { return s.appendKeyOf(nil, r) }
-
 // appendKeyOf appends the primary key of r to dst, encoding the key columns
 // straight from the row.
 func (s *Schema) appendKeyOf(dst []byte, r Row) Key {
@@ -374,42 +371,6 @@ func (t *Table) undoSet(k Key, prior Row, page storage.PageID, existedBefore, wa
 	t.refreshIndexes(k, old)
 }
 
-// Scan visits visible rows with primary-key ids in [loID, hiID] in key
-// order, merging generator-backed rows with the delta overlay. It supports
-// only integer single-column keys for the base portion; delta-only tables
-// (baseRows == 0) may use Range instead for arbitrary keys.
-func (t *Table) Scan(loID, hiID int64, fn func(id int64, r Row) bool) {
-	var k Key
-	for id := loID; id <= hiID; id++ {
-		k = AppendIntKey(k[:0], id)
-		if dv, ok := t.delta.Get(k); ok {
-			if dv.row == nil {
-				continue
-			}
-			if !fn(id, dv.row) {
-				return
-			}
-			continue
-		}
-		if id >= 1 && id <= t.baseRows {
-			if !fn(id, t.gen(nil, id)) {
-				return
-			}
-		}
-	}
-}
-
-// Range visits delta-held visible rows with keys in [lo, hi) in order.
-// For fully delta-backed tables this is a complete index range scan.
-func (t *Table) Range(lo, hi Key, fn func(k Key, r Row) bool) {
-	t.delta.AscendRange(lo, hi, func(k Key, dv deltaVal) bool {
-		if dv.row == nil {
-			return true
-		}
-		return fn(k, dv.row)
-	})
-}
-
 // DeltaLen returns the number of delta entries (rows + tombstones), a
 // memory-pressure signal for tests.
 func (t *Table) DeltaLen() int { return t.delta.Len() }
@@ -417,8 +378,8 @@ func (t *Table) DeltaLen() int { return t.delta.Len() }
 // ScanDelta visits every delta entry — live rows AND tombstones — in key
 // order. The replica-convergence checker uses it to compare a replica's
 // overlay against the primary's byte for byte: tombstones matter there
-// (a missing tombstone is a lost delete), so unlike Range it does not skip
-// them. row is nil for tombstones.
+// (a missing tombstone is a lost delete), so unlike VisibleScan it does
+// not skip them. row is nil for tombstones.
 func (t *Table) ScanDelta(fn func(k Key, row Row, tombstone bool) bool) {
 	t.delta.AscendRange(nil, nil, func(k Key, dv deltaVal) bool {
 		return fn(k, dv.row, dv.row == nil)
@@ -494,9 +455,6 @@ func (t *Table) CreateIndex(name string, id storage.TableID, colName string) (*I
 
 // Indexes returns the table's secondary indexes in creation order.
 func (t *Table) Indexes() []*Index { return t.indexes }
-
-// IndexOn returns the index over the given column offset, or nil.
-func (t *Table) IndexOn(col int) *Index { return t.ixByCol[col] }
 
 // IndexOps returns the physical index-entry changes recorded by the most
 // recent mutation of this table (valid until the next mutation). Writing

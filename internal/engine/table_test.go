@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -53,9 +54,9 @@ func TestSchemaColIndexAndKeyOf(t *testing.T) {
 	if s.ColIndex("O_STATUS") != 1 || s.ColIndex("missing") != -1 {
 		t.Fatal("ColIndex")
 	}
-	k := s.KeyOf(Row{Int(42), Str("PAID")})
+	k := s.appendKeyOf(nil, Row{Int(42), Str("PAID")})
 	if id, ok := DecodeIntKey(k); !ok || id != 42 {
-		t.Fatalf("KeyOf = %v", k)
+		t.Fatalf("appendKeyOf = %v", k)
 	}
 }
 
@@ -191,7 +192,8 @@ func TestTableScanMergesBaseAndDelta(t *testing.T) {
 	tbl.Insert(IntKey(id), genOrder(nil, id))
 	var ids []int64
 	var status5 string
-	tbl.Scan(1, 20, func(id int64, r Row) bool {
+	tbl.VisibleScan(func(k Key, r Row) bool {
+		id, _ := DecodeIntKey(k)
 		ids = append(ids, id)
 		if id == 5 {
 			status5 = r[1].S
@@ -212,7 +214,7 @@ func TestTableScanMergesBaseAndDelta(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tbl.Scan(1, 20, func(id int64, r Row) bool { count++; return count < 3 })
+	tbl.VisibleScan(func(Key, Row) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop count = %d", count)
 	}
@@ -238,8 +240,11 @@ func TestTableRangeDeltaOnly(t *testing.T) {
 	}
 	tbl.Delete(EncodeKey(Int(2), Int(2)), nil)
 	var got []int64
-	tbl.Range(EncodeKey(Int(2)), EncodeKey(Int(3)), func(k Key, r Row) bool {
-		got = append(got, r[1].I)
+	lo, hi := EncodeKey(Int(2)), EncodeKey(Int(3))
+	tbl.VisibleScan(func(k Key, r Row) bool {
+		if bytes.Compare(k, lo) >= 0 && bytes.Compare(k, hi) < 0 {
+			got = append(got, r[1].I)
+		}
 		return true
 	})
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {

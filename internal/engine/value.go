@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"time"
 	"unsafe"
 )
 
@@ -66,12 +65,6 @@ func Str(s string) Value { return Value{Kind: KindString, S: s} }
 
 // Null returns the null value.
 func Null() Value { return Value{Kind: KindNull} }
-
-// Time returns an integer value holding the unix-microsecond timestamp.
-func Time(t time.Time) Value { return Int(t.UnixMicro()) }
-
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
 
 // String renders the value for reports and debugging.
 func (v Value) String() string {
@@ -163,53 +156,9 @@ func EncodeRow(dst []byte, r Row) []byte {
 // ErrBadRow reports a malformed row encoding.
 var ErrBadRow = errors.New("engine: malformed row encoding")
 
-// DecodeRow decodes a row produced by EncodeRow.
-func DecodeRow(buf []byte) (Row, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, ErrBadRow
-	}
-	buf = buf[sz:]
-	row := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(buf) < 1 {
-			return nil, ErrBadRow
-		}
-		kind := Kind(buf[0])
-		buf = buf[1:]
-		switch kind {
-		case KindNull:
-			row = append(row, Null())
-		case KindInt:
-			v, sz := binary.Varint(buf)
-			if sz <= 0 {
-				return nil, ErrBadRow
-			}
-			buf = buf[sz:]
-			row = append(row, Int(v))
-		case KindFloat:
-			if len(buf) < 8 {
-				return nil, ErrBadRow
-			}
-			row = append(row, Float(math.Float64frombits(binary.BigEndian.Uint64(buf))))
-			buf = buf[8:]
-		case KindString:
-			l, sz := binary.Uvarint(buf)
-			if sz <= 0 || uint64(len(buf)-sz) < l {
-				return nil, ErrBadRow
-			}
-			buf = buf[sz:]
-			row = append(row, Str(string(buf[:l])))
-			buf = buf[l:]
-		default:
-			return nil, ErrBadRow
-		}
-	}
-	return row, nil
-}
-
-// decodeRow is DecodeRow for replay: the row is carved from the DB value
-// slab, and its strings are views of buf, not copies. buf must therefore
+// decodeRow decodes a row produced by EncodeRow, for replay: the row is
+// carved from the DB value slab, and its strings are views of buf, not
+// copies. buf must therefore
 // never change while the row lives, which is the rule DB.Apply states for
 // record images.
 //

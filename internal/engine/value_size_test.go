@@ -31,7 +31,7 @@ func TestEncodedRowSizeMatchesEncodeRow(t *testing.T) {
 		if got, want := EncodedRowSize(r), len(enc); got != want {
 			t.Errorf("row %d: EncodedRowSize=%d but EncodeRow emitted %d bytes", i, got, want)
 		}
-		dec, err := DecodeRow(enc)
+		dec, err := decodeRow(enc)
 		if err != nil {
 			t.Fatalf("row %d: decode: %v", i, err)
 		}

@@ -51,10 +51,6 @@ type WarmSnapshot struct {
 	col    core.CollectorSnapshot
 }
 
-// Offset returns the virtual time at which the warm-up quiesced — the start
-// of the measured window for any cell forked from this snapshot.
-func (w *WarmSnapshot) Offset() time.Duration { return w.offset }
-
 // WarmCache memoizes warm-up snapshots across sweep cells sharing a WarmKey.
 // It is safe under the experiment layer's parallel cell pool: the mutex
 // guards the map, and a per-entry sync.Once makes the first cell to want a

@@ -126,7 +126,6 @@ func AblationRedoPushdown(sc Scale) string {
 
 type ablationOLTP struct {
 	tps      float64
-	hitRatio float64
 	p50, p99 time.Duration
 }
 
@@ -157,10 +156,9 @@ func runOLTPWithProfile(sc Scale, prof cdb.Profile, buffer int64, preWarm bool) 
 		panic("experiments: ablation oltp: " + err.Error())
 	}
 	return ablationOLTP{
-		tps:      col.TPS(sc.Warmup, sc.Warmup+sc.Measure),
-		hitRatio: d.RW().Buf.HitRatio(),
-		p50:      col.Latency().Quantile(0.5),
-		p99:      col.Latency().Quantile(0.99),
+		tps: col.TPS(sc.Warmup, sc.Warmup+sc.Measure),
+		p50: col.Latency().Quantile(0.5),
+		p99: col.Latency().Quantile(0.99),
 	}
 }
 

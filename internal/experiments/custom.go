@@ -69,14 +69,27 @@ func RunCustomElasticity(propsText string) (string, error) {
 		}
 	}
 
+	slot, err := props.Duration("slot", 20*time.Second)
+	if err != nil {
+		return "", err
+	}
+	costSlots, err := props.Int("cost_slots", 10)
+	if err != nil {
+		return "", err
+	}
+	seed, err := props.Int("seed", 42)
+	if err != nil {
+		return "", err
+	}
+
 	res := evaluator.RunElasticity(evaluator.ElasticityConfig{
 		Kind:       kind,
 		Pattern:    pat,
 		Mix:        mix,
 		Tau:        tau,
-		SlotLength: props.Duration("slot", 20*time.Second),
-		CostSlots:  props.Int("cost_slots", 10),
-		Seed:       int64(props.Int("seed", 42)),
+		SlotLength: slot,
+		CostSlots:  costSlots,
+		Seed:       int64(seed),
 	})
 
 	tbl := report.NewTable(

@@ -83,12 +83,6 @@ func (h *Histogram) Add(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Min returns the smallest recorded duration (zero with no samples).
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest recorded duration (zero with no samples).
-func (h *Histogram) Max() time.Duration { return h.max }
-
 // Equal reports whether two histograms hold identical state
 // bucket-for-bucket, including count, sum, min, and max — the equality the
 // merge-vs-whole-run property tests assert. A nil histogram equals an empty

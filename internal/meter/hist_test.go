@@ -96,12 +96,12 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	a.Add(ms(20))
 	var empty Histogram
 	a.Merge(&empty)
-	if a.Min() != ms(10) || a.Max() != ms(20) || a.Count() != 2 {
-		t.Fatalf("merge(empty) clobbered state: min=%v max=%v n=%d", a.Min(), a.Max(), a.Count())
+	if a.min != ms(10) || a.max != ms(20) || a.Count() != 2 {
+		t.Fatalf("merge(empty) clobbered state: min=%v max=%v n=%d", a.min, a.max, a.Count())
 	}
 	a.Merge(nil)
-	if a.Min() != ms(10) || a.Count() != 2 {
-		t.Fatalf("merge(nil) clobbered state: min=%v n=%d", a.Min(), a.Count())
+	if a.min != ms(10) || a.Count() != 2 {
+		t.Fatalf("merge(nil) clobbered state: min=%v n=%d", a.min, a.Count())
 	}
 
 	// Merging INTO a zero-value histogram must adopt the source's min/max
@@ -111,8 +111,8 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	src.Add(0)
 	src.Add(ms(5))
 	b.Merge(&src)
-	if b.Min() != 0 || b.Max() != ms(5) || b.Count() != 2 {
-		t.Fatalf("merge into empty: min=%v max=%v n=%d", b.Min(), b.Max(), b.Count())
+	if b.min != 0 || b.max != ms(5) || b.Count() != 2 {
+		t.Fatalf("merge into empty: min=%v max=%v n=%d", b.min, b.max, b.Count())
 	}
 	// And a source whose min is above the destination's must not lower it...
 	var c Histogram
@@ -120,13 +120,13 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	var hi Histogram
 	hi.Add(ms(100))
 	c.Merge(&hi)
-	if c.Min() != ms(1) || c.Max() != ms(100) {
-		t.Fatalf("asymmetric merge: min=%v max=%v", c.Min(), c.Max())
+	if c.min != ms(1) || c.max != ms(100) {
+		t.Fatalf("asymmetric merge: min=%v max=%v", c.min, c.max)
 	}
 	// ...while a lower source min must win.
 	hi.Merge(&c)
-	if hi.Min() != ms(1) || hi.Max() != ms(100) {
-		t.Fatalf("reverse merge: min=%v max=%v", hi.Min(), hi.Max())
+	if hi.min != ms(1) || hi.max != ms(100) {
+		t.Fatalf("reverse merge: min=%v max=%v", hi.min, hi.max)
 	}
 	// Equality is bucket-for-bucket: c and hi now differ (hi absorbed all
 	// of c), but a histogram always equals a fresh replay of its samples.
@@ -152,7 +152,7 @@ func TestHistogramQuantileOnEmptyContract(t *testing.T) {
 			t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Sum() != 0 {
+	if h.min != 0 || h.max != 0 || h.Mean() != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram accessors must all be zero")
 	}
 	var nilH *Histogram

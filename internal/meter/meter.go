@@ -100,34 +100,6 @@ func (s *Series) Integral(from, to time.Duration) float64 {
 	return total
 }
 
-// Max returns the maximum value attained in [from, to].
-func (s *Series) Max(from, to time.Duration) float64 {
-	max := s.At(from)
-	for _, st := range s.steps {
-		if st.At > to {
-			break
-		}
-		if st.At >= from && st.V > max {
-			max = st.V
-		}
-	}
-	return max
-}
-
-// Min returns the minimum value attained in [from, to].
-func (s *Series) Min(from, to time.Duration) float64 {
-	min := s.At(from)
-	for _, st := range s.steps {
-		if st.At > to {
-			break
-		}
-		if st.At >= from && st.V < min {
-			min = st.V
-		}
-	}
-	return min
-}
-
 // Steps returns a copy of the raw step list.
 func (s *Series) Steps() []Step {
 	out := make([]Step, len(s.steps))

@@ -128,21 +128,6 @@ func TestSeriesIntegralAndAvg(t *testing.T) {
 	}
 }
 
-func TestSeriesMaxMin(t *testing.T) {
-	s := NewSeries(4)
-	s.Set(sec(10), 8)
-	s.Set(sec(20), 2)
-	if got := s.Max(0, sec(30)); got != 8 {
-		t.Fatalf("Max = %v, want 8", got)
-	}
-	if got := s.Min(0, sec(30)); got != 2 {
-		t.Fatalf("Min = %v, want 2", got)
-	}
-	if got := s.Max(0, sec(5)); got != 4 {
-		t.Fatalf("Max over flat prefix = %v, want 4", got)
-	}
-}
-
 func TestSeriesSample(t *testing.T) {
 	s := NewSeries(1)
 	s.Set(sec(2), 3)

@@ -45,7 +45,6 @@ func DefaultLatency(f Fabric) time.Duration {
 // shared bandwidth channel. Concurrent transfers queue for bandwidth, so a
 // saturated link produces honest transfer delays.
 type Link struct {
-	fabric  Fabric
 	latency time.Duration
 	gbps    float64
 	channel *sim.Queue // one "op" = one byte
@@ -74,18 +73,11 @@ func NewLink(s *sim.Sim, fabric Fabric, gbps float64) *Link {
 		bytesPerSec = gbps * 1e9 / 8
 	}
 	return &Link{
-		fabric:  fabric,
 		latency: DefaultLatency(fabric),
 		gbps:    gbps,
 		channel: sim.NewQueue(s, bytesPerSec),
 		cutCond: sim.NewCond(s),
 	}
-}
-
-// WithLatency overrides the link's one-way latency and returns the link.
-func (l *Link) WithLatency(d time.Duration) *Link {
-	l.latency = d
-	return l
 }
 
 // SetTracer attaches (or, with nil, detaches) the observability tracer.
@@ -130,10 +122,6 @@ func (l *Link) Restore() {
 	l.degraded = false
 }
 
-// Degraded reports whether the link is currently operating under an
-// injected degradation.
-func (l *Link) Degraded() bool { return l.degraded }
-
 // Cut severs the link: subsequent Send calls block until Heal. Transfers
 // already past the cut check (mid-flight packets) complete normally, which
 // matches a real partition — the wire drops new packets, it does not recall
@@ -150,18 +138,6 @@ func (l *Link) Heal() {
 	l.cut = false
 	l.cutCond.Broadcast()
 }
-
-// IsCut reports whether the link is currently severed.
-func (l *Link) IsCut() bool { return l.cut }
-
-// Fabric returns the link's fabric type.
-func (l *Link) Fabric() Fabric { return l.fabric }
-
-// Gbps returns the provisioned bandwidth (0 = unconstrained).
-func (l *Link) Gbps() float64 { return l.gbps }
-
-// Latency returns the one-way propagation latency.
-func (l *Link) Latency() time.Duration { return l.latency }
 
 // Send transfers bytes over the link, blocking the process for propagation
 // latency plus bandwidth (and any queueing behind concurrent transfers).
@@ -200,14 +176,6 @@ func (l *Link) Reserve(bytes int) time.Duration {
 	}
 	l.bytes += int64(bytes)
 	return l.channel.Reserve(bytes) + l.latency
-}
-
-// RoundTrip performs a request/response exchange: request bytes out,
-// response bytes back, each paying propagation latency.
-func (l *Link) RoundTrip(p *sim.Proc, reqBytes, respBytes int) time.Duration {
-	d := l.Send(p, reqBytes)
-	d += l.Send(p, respBytes)
-	return d
 }
 
 // BytesSent returns the cumulative payload bytes pushed through the link.

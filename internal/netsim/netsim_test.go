@@ -18,7 +18,8 @@ func TestFabricLatencyOrdering(t *testing.T) {
 func TestSendPaysLatencyAndBandwidth(t *testing.T) {
 	s := sim.New(epoch)
 	// 0.008 Gbps = 1e6 bytes/sec, so 1e6 bytes takes 1 second of bandwidth.
-	l := NewLink(s, TCP, 0.008).WithLatency(50 * time.Millisecond)
+	l := NewLink(s, TCP, 0.008)
+	l.latency = 50 * time.Millisecond
 	var d time.Duration
 	s.Go("sender", func(p *sim.Proc) {
 		d = l.Send(p, 1_000_000)
@@ -37,7 +38,8 @@ func TestSendPaysLatencyAndBandwidth(t *testing.T) {
 
 func TestConcurrentSendersShareBandwidth(t *testing.T) {
 	s := sim.New(epoch)
-	l := NewLink(s, TCP, 0.008).WithLatency(0) // 1e6 B/s
+	l := NewLink(s, TCP, 0.008) // 1e6 B/s
+	l.latency = 0
 	var d1, d2 time.Duration
 	s.Go("a", func(p *sim.Proc) { d1 = l.Send(p, 1_000_000) })
 	s.Go("b", func(p *sim.Proc) { d2 = l.Send(p, 1_000_000) })
@@ -64,21 +66,6 @@ func TestUnconstrainedBandwidthPaysLatencyOnly(t *testing.T) {
 	}
 	if d != DefaultLatency(RDMA) {
 		t.Fatalf("delay = %v, want latency-only %v", d, DefaultLatency(RDMA))
-	}
-}
-
-func TestRoundTripIsTwoLegs(t *testing.T) {
-	s := sim.New(epoch)
-	l := NewLink(s, TCP, 0).WithLatency(100 * time.Microsecond)
-	var d time.Duration
-	s.Go("p", func(p *sim.Proc) {
-		d = l.RoundTrip(p, 100, 8192)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d != 200*time.Microsecond {
-		t.Fatalf("round trip = %v, want 200µs", d)
 	}
 }
 

@@ -53,9 +53,6 @@ func (n *Net) HasEndpoint(name string) bool {
 	return false
 }
 
-// Endpoints returns the declared endpoint names in declaration order.
-func (n *Net) Endpoints() []string { return n.endpoints }
-
 // Register records a directed link between two endpoints. If the pair is
 // inside an active cut, the new link is severed immediately.
 func (n *Net) Register(from, to string, l *Link) {
@@ -122,9 +119,6 @@ func (n *Net) Reachable(from, to string) bool {
 	}
 	return !n.cut[cutKey(from, to)]
 }
-
-// Partitioned reports whether any cut is active.
-func (n *Net) Partitioned() bool { return len(n.cut) > 0 }
 
 // Spike degrades every registered link between groups a and b (both
 // directions) with extra latency and a bandwidth factor — a packet-delay

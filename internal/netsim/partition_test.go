@@ -9,7 +9,8 @@ import (
 
 func TestCutBlocksSendUntilHeal(t *testing.T) {
 	s := sim.New(epoch)
-	l := NewLink(s, TCP, 0).WithLatency(time.Millisecond)
+	l := NewLink(s, TCP, 0)
+	l.latency = time.Millisecond
 	l.Cut()
 	var done time.Duration
 	s.Go("sender", func(p *sim.Proc) {
@@ -46,7 +47,7 @@ func TestNetSymmetricPartitionAndHeal(t *testing.T) {
 	n.Register("a", "b", ab)
 	n.Register("b", "a", ba)
 	n.Partition([]string{"a"}, []string{"b"}, true)
-	if !ab.IsCut() || !ba.IsCut() {
+	if !ab.cut || !ba.cut {
 		t.Fatal("symmetric partition should cut both directions")
 	}
 	if n.Reachable("a", "b") || n.Reachable("b", "a") {
@@ -56,7 +57,7 @@ func TestNetSymmetricPartitionAndHeal(t *testing.T) {
 		t.Fatal("endpoints always reach themselves")
 	}
 	n.Heal([]string{"a"}, []string{"b"})
-	if ab.IsCut() || ba.IsCut() || n.Partitioned() {
+	if ab.cut || ba.cut || len(n.cut) > 0 {
 		t.Fatal("heal should clear both directions")
 	}
 }
@@ -69,10 +70,10 @@ func TestNetAsymmetricPartitionCutsOneDirection(t *testing.T) {
 	n.Register("a", "b", ab)
 	n.Register("b", "a", ba)
 	n.Partition([]string{"a"}, []string{"b"}, false)
-	if !ab.IsCut() {
+	if !ab.cut {
 		t.Fatal("a->b should be cut")
 	}
-	if ba.IsCut() {
+	if ba.cut {
 		t.Fatal("b->a must stay up in an asymmetric partition")
 	}
 	if n.Reachable("a", "b") || !n.Reachable("b", "a") {
@@ -88,11 +89,11 @@ func TestNetRegisterDuringActiveCutSeversNewLink(t *testing.T) {
 	n.Partition([]string{"a"}, []string{"b"}, true)
 	l := NewLink(s, TCP, 0)
 	n.Register("a", "b", l)
-	if !l.IsCut() {
+	if !l.cut {
 		t.Fatal("a link registered inside an active partition must arrive severed")
 	}
 	n.HealAll()
-	if l.IsCut() || n.Partitioned() {
+	if l.cut || len(n.cut) > 0 {
 		t.Fatal("HealAll should clear everything")
 	}
 }
@@ -100,19 +101,19 @@ func TestNetRegisterDuringActiveCutSeversNewLink(t *testing.T) {
 func TestNetSpikeDegradesLinksBetweenGroups(t *testing.T) {
 	s := sim.New(epoch)
 	n := NewNet()
-	ab := NewLink(s, TCP, 0).WithLatency(100 * time.Microsecond)
-	cd := NewLink(s, TCP, 0).WithLatency(100 * time.Microsecond)
+	ab := NewLink(s, TCP, 0)
+	cd := NewLink(s, TCP, 0)
 	n.Register("a", "b", ab)
 	n.Register("c", "d", cd)
 	n.Spike([]string{"a"}, []string{"b"}, 10*time.Millisecond, 1)
-	if !ab.Degraded() {
+	if !ab.degraded {
 		t.Fatal("spiked link should be degraded")
 	}
-	if cd.Degraded() {
+	if cd.degraded {
 		t.Fatal("spike must only touch links between the named groups")
 	}
 	n.Unspike([]string{"a"}, []string{"b"})
-	if ab.Degraded() {
+	if ab.degraded {
 		t.Fatal("unspike should restore the link")
 	}
 }
@@ -124,7 +125,7 @@ func TestNetEndpointBookkeeping(t *testing.T) {
 	if !n.HasEndpoint("client") || n.HasEndpoint("ctrl") {
 		t.Fatal("endpoint lookup wrong")
 	}
-	if got := len(n.Endpoints()); got != 1 {
+	if got := len(n.endpoints); got != 1 {
 		t.Fatalf("endpoint count = %d, want 1", got)
 	}
 }

@@ -100,19 +100,15 @@ type RemoteBuffer struct {
 	Remote   *storage.BufferPool // shared across the cluster's nodes
 	RDMA     *netsim.Link
 	Fallback StorageBackend // storage tier beneath the remote pool
-
-	remoteHits, remoteMisses int64
 }
 
 // FetchPage implements StorageBackend.
 func (r *RemoteBuffer) FetchPage(p *sim.Proc, pg storage.PageID) {
 	// One-sided RDMA read: small request, page-sized response.
 	if r.Remote.Pin(pg) {
-		r.remoteHits++
 		p.Sleep(r.RDMA.Reserve(64) + r.RDMA.Reserve(storage.PageSize))
 		return
 	}
-	r.remoteMisses++
 	p.Sleep(r.RDMA.Reserve(64))
 	r.Fallback.FetchPage(p, pg)
 	r.Remote.Admit(pg)
@@ -130,11 +126,6 @@ func (r *RemoteBuffer) FlushPage(p *sim.Proc, pg storage.PageID) {
 func (r *RemoteBuffer) WriteLog(p *sim.Proc, bytes int) {
 	r.RDMA.Send(p, bytes)
 	r.Fallback.WriteLog(p, bytes)
-}
-
-// RemoteStats returns remote-pool hit/miss counts.
-func (r *RemoteBuffer) RemoteStats() (hits, misses int64) {
-	return r.remoteHits, r.remoteMisses
 }
 
 // NullBackend is a zero-cost backend for pure-logic tests.

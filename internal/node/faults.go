@@ -24,9 +24,6 @@ type faultState struct {
 	// storage-service brownout). Buffer hits are unaffected — a stalled
 	// device does not slow down cache hits.
 	stallUntil time.Duration
-	// extraIOLatency is added to every backend page fetch/flush while
-	// non-zero (degraded device latency).
-	extraIOLatency time.Duration
 	// errRate is the probability that a Begin or replica Read fails with
 	// ErrIOFault while the burst is active; errSrc supplies deterministic
 	// coin flips.
@@ -41,15 +38,6 @@ type faultState struct {
 // stall.
 func (n *Node) InjectIOStall(until time.Duration) {
 	n.faults.stallUntil = until
-}
-
-// SetExtraIOLatency adds d to every backend page fetch and flush (zero
-// restores nominal latency).
-func (n *Node) SetExtraIOLatency(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	n.faults.extraIOLatency = d
 }
 
 // SetIOErrorRate makes the given fraction of Begin/Read requests fail with
@@ -73,16 +61,13 @@ func (n *Node) SetIOErrorRate(rate float64, seed int64) {
 // InjectedFaults returns how many requests ErrIOFault has rejected.
 func (n *Node) InjectedFaults() int64 { return n.faults.injected }
 
-// faultGate applies the stall and extra-latency faults in front of one
-// backend IO operation. It must be called from the issuing process.
+// faultGate applies the stall fault in front of one backend IO operation.
+// It must be called from the issuing process.
 func (n *Node) faultGate(p *sim.Proc) {
 	if until := n.faults.stallUntil; until > 0 {
 		if now := p.Elapsed(); now < until {
 			p.Sleep(until - now)
 		}
-	}
-	if d := n.faults.extraIOLatency; d > 0 {
-		p.Sleep(d)
 	}
 }
 

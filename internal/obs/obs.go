@@ -64,15 +64,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind-%d", uint8(k))
 }
 
-// Kinds lists every span kind in reporting order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Span is one closed interval of virtual time attributed to a kind. Detail
 // is optional context (a fail-over phase name, a fault label); hot-path
 // spans leave it empty to stay allocation-light.
@@ -133,14 +124,6 @@ func NewTracer(sut string, sink Sink) *Tracer {
 		agg:    NewStageAgg(sut),
 		active: make(map[any]*Trace),
 	}
-}
-
-// SUT returns the tracer's system-under-test label.
-func (t *Tracer) SUT() string {
-	if t == nil {
-		return ""
-	}
-	return t.sut
 }
 
 // Agg returns the tracer's stage aggregation (nil for a nil tracer).

@@ -19,8 +19,7 @@ import (
 // observable without retaining days of samples. Window boundaries are pure
 // integer division on the virtual clock (window i covers
 // [i·width, (i+1)·width)), so two runs of the same seed fill identical
-// windows regardless of GOMAXPROCS, and timelines from different runs (or
-// different replicas' tracers) merge window-for-window, bucket-for-bucket.
+// windows regardless of GOMAXPROCS.
 //
 // A trace lands in the window of its End time: a transaction straddling a
 // boundary is attributed — spans included — to the window that observed it
@@ -67,12 +66,6 @@ func NewTimeline(sut string, width time.Duration) *Timeline {
 		windows: make(map[int]*timelineWindow),
 	}
 }
-
-// SUT returns the timeline's system-under-test label.
-func (tl *Timeline) SUT() string { return tl.sut }
-
-// Width returns the window width.
-func (tl *Timeline) Width() time.Duration { return tl.width }
 
 // WindowIndex maps a virtual timestamp to its window index.
 func (tl *Timeline) WindowIndex(at time.Duration) int {
@@ -216,43 +209,6 @@ func (tl *Timeline) Rows() []WindowRow {
 		out = append(out, tl.Row(i))
 	}
 	return out
-}
-
-// Merge folds o into tl window-for-window, bucket-for-bucket, and appends
-// its marks. Widths and SUT labels must match — merging timelines with
-// different window widths would silently misalign every boundary.
-func (tl *Timeline) Merge(o *Timeline) {
-	if o == nil {
-		return
-	}
-	if o.width != tl.width {
-		panic(fmt.Sprintf("obs: merging timelines with different widths (%v vs %v)", tl.width, o.width))
-	}
-	for _, i := range o.WindowIndexes() {
-		src := o.windows[i]
-		dst := tl.window(i)
-		for _, k := range sortedStageKeys(src.spans) {
-			h := dst.spans[k]
-			if h == nil {
-				h = &meter.Histogram{}
-				dst.spans[k] = h
-			}
-			h.Merge(src.spans[k])
-		}
-		for _, txn := range sortedTxnKeys(src.txns) {
-			st := src.txns[txn]
-			dt := dst.txns[txn]
-			if dt == nil {
-				dt = &txnAgg{outcomes: make(map[string]int64)}
-				dst.txns[txn] = dt
-			}
-			dt.hist.Merge(&st.hist)
-			for _, o := range sortedOutcomeKeys(st.outcomes) {
-				dt.outcomes[o] += st.outcomes[o]
-			}
-		}
-	}
-	tl.marks = append(tl.marks, o.marks...)
 }
 
 // Aggregate collapses the whole timeline into a StageAgg — the whole-run

@@ -75,11 +75,9 @@ func TestTimelineBackgroundTraces(t *testing.T) {
 	}
 }
 
-// TestTimelineMergeEqualsWholeRunAggregation is the satellite property
-// test: (a) a Timeline attached as the tracer's sink aggregates to exactly
-// the tracer's own StageAgg, bucket-for-bucket; (b) splitting the same
-// trace stream across two timelines and merging them equals the unsplit
-// timeline, window-for-window and in aggregate.
+// TestTimelineMergeEqualsWholeRunAggregation is the property test that a
+// Timeline attached as the tracer's sink, its windows merged by Aggregate,
+// equals the tracer's own StageAgg bucket-for-bucket.
 func TestTimelineMergeEqualsWholeRunAggregation(t *testing.T) {
 	width := 500 * time.Millisecond
 	whole := NewTimeline("cdb2", width)
@@ -102,69 +100,9 @@ func TestTimelineMergeEqualsWholeRunAggregation(t *testing.T) {
 		at += ms(9)
 	}
 
-	// (a) Timeline-as-sink aggregates to the tracer's whole-run StageAgg.
 	if !whole.Aggregate().Equal(tr.Agg()) {
 		t.Fatal("timeline Aggregate() != tracer Agg() for the same trace stream")
 	}
-
-	// (b) Split the same stream across two timelines (alternating traces),
-	// merge, and demand equality with the unsplit timeline.
-	a := NewTimeline("cdb2", width)
-	b := NewTimeline("cdb2", width)
-	split := 0
-	replay := NewTracer("cdb2", MultiSink{sinkSwitch{&split, a, b}})
-	at = 0
-	for i := 0; i < 400; i++ {
-		lat := ms(1 + i%40)
-		replay.StartTxn(key, []string{"T1", "T2", "T3"}[i%3], at)
-		replay.Record(key, kinds[i%len(kinds)], at, at+lat/2)
-		replay.FinishTxn(key, outcomes[i%len(outcomes)], at+lat)
-		if i%7 == 0 {
-			replay.RecordBG("replication", KindReplicationShip, "", at, at+ms(2))
-		}
-		at += ms(9)
-	}
-	a.Merge(b)
-	if !a.Aggregate().Equal(whole.Aggregate()) {
-		t.Fatal("merged split timelines != whole timeline in aggregate")
-	}
-	wi, ai := whole.WindowIndexes(), a.WindowIndexes()
-	if len(wi) != len(ai) {
-		t.Fatalf("window sets differ: %v vs %v", wi, ai)
-	}
-	for n := range wi {
-		if wi[n] != ai[n] {
-			t.Fatalf("window sets differ: %v vs %v", wi, ai)
-		}
-		wr, ar := whole.Row(wi[n]), a.Row(ai[n])
-		if wr != ar {
-			t.Fatalf("window %d rows differ:\nwhole:  %+v\nmerged: %+v", wi[n], wr, ar)
-		}
-	}
-}
-
-// sinkSwitch alternates traces between two sinks.
-type sinkSwitch struct {
-	n    *int
-	a, b Sink
-}
-
-func (s sinkSwitch) Emit(tr *Trace) {
-	if *s.n%2 == 0 {
-		s.a.Emit(tr)
-	} else {
-		s.b.Emit(tr)
-	}
-	*s.n++
-}
-
-func TestTimelineMergeWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched widths must panic")
-		}
-	}()
-	NewTimeline("a", time.Second).Merge(NewTimeline("a", 2*time.Second))
 }
 
 func TestTimelineMarksSorted(t *testing.T) {

@@ -18,9 +18,6 @@ package patterns
 import (
 	"fmt"
 	"math"
-	"time"
-
-	"cloudybench/internal/rng"
 )
 
 // Elastic is one elasticity pattern: per-slot proportions of τ.
@@ -53,15 +50,6 @@ func (e Elastic) Concurrency(tau int) []int {
 		out[i] = int(math.Round(p * float64(tau)))
 	}
 	return out
-}
-
-// Slots returns the number of time slots.
-func (e Elastic) Slots() int { return len(e.Proportions) }
-
-// WithPareto returns an n-slot pattern whose proportions follow the Pareto
-// decay — the paper's default when the user does not specify proportions.
-func WithPareto(name string, n int, alpha float64) Elastic {
-	return Elastic{Name: name, Proportions: rng.ParetoProportions(n, alpha)}
 }
 
 // Custom builds a pattern from explicit proportions, validating range.
@@ -142,52 +130,6 @@ func PaperTenancy(kind TenancyKind) Tenancy {
 	}
 }
 
-// GenerateTenancy builds a pattern for arbitrary tenant ratios following
-// §II-D's generation method: tenant t's base concurrency is ratio[t]*τ per
-// slot; contention patterns add δ to every slot; staggered patterns place
-// each tenant in its own slot (adding 100%*τ for the high variant).
-func GenerateTenancy(kind TenancyKind, tau int, ratios []float64, delta int) (Tenancy, error) {
-	n := len(ratios)
-	if n == 0 {
-		return Tenancy{}, fmt.Errorf("patterns: no tenant ratios")
-	}
-	per := make([][]int, n)
-	switch kind {
-	case HighContention, LowContention:
-		for t, r := range ratios {
-			row := make([]int, n)
-			for s := range row {
-				c := int(math.Round(r * float64(tau)))
-				if kind == HighContention {
-					c += delta
-				} else if c > delta && delta > 0 {
-					c -= delta
-				}
-				row[s] = c
-			}
-			per[t] = row
-		}
-	case StaggeredHigh, StaggeredLow:
-		for t, r := range ratios {
-			row := make([]int, n)
-			c := int(math.Round(r * float64(tau)))
-			if kind == StaggeredHigh {
-				c += tau // "by adding 100%*τ to the tenants"
-			}
-			row[t] = c
-			per[t] = row
-		}
-	default:
-		return Tenancy{}, fmt.Errorf("patterns: unknown kind %q", kind)
-	}
-	return Tenancy{
-		Name:          string(kind),
-		PerTenant:     per,
-		Sequential:    kind == StaggeredHigh || kind == StaggeredLow,
-		OverThreshold: kind == HighContention || kind == StaggeredHigh,
-	}, nil
-}
-
 // Tenants returns the tenant count.
 func (t Tenancy) Tenants() int { return len(t.PerTenant) }
 
@@ -197,31 +139,4 @@ func (t Tenancy) Slots() int {
 		return 0
 	}
 	return len(t.PerTenant[0])
-}
-
-// TotalPerSlot returns the summed concurrency per slot (the black "actual
-// total workload" line of Figure 4).
-func (t Tenancy) TotalPerSlot() []int {
-	out := make([]int, t.Slots())
-	for _, row := range t.PerTenant {
-		for s, c := range row {
-			out[s] += c
-		}
-	}
-	return out
-}
-
-// Schedule pairs a pattern with its slot duration.
-type Schedule struct {
-	SlotLength time.Duration
-}
-
-// SlotStart returns when slot s begins.
-func (sc Schedule) SlotStart(s int) time.Duration {
-	return time.Duration(s) * sc.SlotLength
-}
-
-// Total returns the schedule length for n slots.
-func (sc Schedule) Total(n int) time.Duration {
-	return time.Duration(n) * sc.SlotLength
 }

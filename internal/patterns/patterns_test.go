@@ -1,9 +1,7 @@
 package patterns
 
 import (
-	"math"
 	"testing"
-	"time"
 )
 
 func TestElasticCanonicalConcurrency(t *testing.T) {
@@ -24,29 +22,12 @@ func TestElasticCanonicalConcurrency(t *testing.T) {
 				t.Errorf("%s: concurrency = %v, want %v", c.p.Name, got, c.want)
 			}
 		}
-		if c.p.Slots() != 3 {
-			t.Errorf("%s slots = %d", c.p.Name, c.p.Slots())
+		if len(got) != 3 {
+			t.Errorf("%s slots = %d", c.p.Name, len(got))
 		}
 	}
 	if len(ElasticPatterns()) != 4 {
 		t.Fatal("four basic patterns expected")
-	}
-}
-
-func TestWithParetoDefaults(t *testing.T) {
-	e := WithPareto("default", 4, 0)
-	if len(e.Proportions) != 4 {
-		t.Fatal("slot count")
-	}
-	var sum float64
-	for i, p := range e.Proportions {
-		sum += p
-		if i > 0 && p >= e.Proportions[i-1] {
-			t.Fatal("pareto proportions must decay")
-		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("sum = %v", sum)
 	}
 }
 
@@ -68,7 +49,7 @@ func TestPaperTenancyShapes(t *testing.T) {
 	if a.Tenants() != 3 || a.Slots() != 3 || !a.OverThreshold || a.Sequential {
 		t.Fatalf("pattern a: %+v", a)
 	}
-	if got := a.TotalPerSlot(); got[0] != 264+99+33 {
+	if got := slotTotals(a); got[0] != 264+99+33 {
 		t.Fatalf("pattern a total = %v", got)
 	}
 	d := PaperTenancy(StaggeredLow)
@@ -87,7 +68,7 @@ func TestPaperTenancyShapes(t *testing.T) {
 			t.Fatalf("staggered slot %d has %d active tenants", s, active)
 		}
 	}
-	if got := d.TotalPerSlot(); got[0] != 10 || got[1] != 20 || got[2] != 30 {
+	if got := slotTotals(d); got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("pattern d totals = %v", got)
 	}
 	defer func() {
@@ -98,50 +79,13 @@ func TestPaperTenancyShapes(t *testing.T) {
 	PaperTenancy("nope")
 }
 
-func TestGenerateTenancyFollowsPaperMethod(t *testing.T) {
-	// §II-D example ratios 10%/30%/60% with τ=100.
-	ratios := []float64{0.1, 0.3, 0.6}
-	b, err := GenerateTenancy(LowContention, 100, ratios, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.PerTenant[0][0] != 10 || b.PerTenant[1][1] != 30 || b.PerTenant[2][2] != 60 {
-		t.Fatalf("low contention: %v", b.PerTenant)
-	}
-	a, _ := GenerateTenancy(HighContention, 100, ratios, 50)
-	if a.PerTenant[0][0] != 60 {
-		t.Fatalf("high contention += delta: %v", a.PerTenant)
-	}
-	if !a.OverThreshold {
-		t.Fatal("high contention must be over threshold")
-	}
-	// Staggered low: §II-D tenants (10%τ,0,0),(0,20%? ...) — our ratios
-	// place tenant t in slot t.
-	d, _ := GenerateTenancy(StaggeredLow, 100, []float64{0.1, 0.2, 0.3}, 0)
-	want := [][]int{{10, 0, 0}, {0, 20, 0}, {0, 0, 30}}
-	for i := range want {
-		for j := range want[i] {
-			if d.PerTenant[i][j] != want[i][j] {
-				t.Fatalf("staggered low = %v", d.PerTenant)
-			}
+// slotTotals sums the clients of all tenants in each slot.
+func slotTotals(t Tenancy) []int {
+	out := make([]int, t.Slots())
+	for _, row := range t.PerTenant {
+		for s, c := range row {
+			out[s] += c
 		}
 	}
-	// Staggered high adds 100%τ.
-	c, _ := GenerateTenancy(StaggeredHigh, 100, []float64{0.1, 0.2, 0.3}, 0)
-	if c.PerTenant[0][0] != 110 || c.PerTenant[1][1] != 120 {
-		t.Fatalf("staggered high = %v", c.PerTenant)
-	}
-	if _, err := GenerateTenancy(HighContention, 100, nil, 0); err == nil {
-		t.Fatal("empty ratios accepted")
-	}
-	if _, err := GenerateTenancy("nope", 100, ratios, 0); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestSchedule(t *testing.T) {
-	sc := Schedule{SlotLength: time.Minute}
-	if sc.SlotStart(2) != 2*time.Minute || sc.Total(3) != 3*time.Minute {
-		t.Fatal("schedule math")
-	}
+	return out
 }

@@ -11,9 +11,9 @@ import (
 // rate. Each case sits on or immediately beside a billing-slot edge, where
 // rounding bugs live.
 func TestBillingQuirkSlotEdges(t *testing.T) {
-	rds := Actual{Vendor: "aws-rds", PerVCoreHour: 0.40, MinBilling: 10 * time.Minute}
-	pool := Actual{Vendor: "cdb2", PerVCoreHour: 0.42, MinBilling: time.Hour}
-	cheap := Actual{Vendor: "cdb3", PerVCoreHour: 0.16, MinBilling: 0}
+	rds := Actual{PerVCoreHour: 0.40, MinBilling: 10 * time.Minute}
+	pool := Actual{PerVCoreHour: 0.42, MinBilling: time.Hour}
+	cheap := Actual{PerVCoreHour: 0.16, MinBilling: 0}
 
 	cases := []struct {
 		name   string

@@ -37,17 +37,6 @@ type Package struct {
 	Fabric    netsim.Fabric
 }
 
-// Add returns the component-wise sum of two packages (used to total the
-// isolated per-tenant instances of Table VII). The fabric of p is kept.
-func (p Package) Add(q Package) Package {
-	p.VCores += q.VCores
-	p.MemoryGB += q.MemoryGB
-	p.StorageGB += q.StorageGB
-	p.IOPS += q.IOPS
-	p.NetGbps += q.NetGbps
-	return p
-}
-
 // Scale returns the package with every component multiplied by f.
 func (p Package) Scale(f float64) Package {
 	p.VCores *= f
@@ -94,16 +83,6 @@ func (b Breakdown) Total() float64 {
 	return b.CPU + b.Memory + b.Storage + b.IOPS + b.Network
 }
 
-// Add returns the component-wise sum.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	b.CPU += o.CPU
-	b.Memory += o.Memory
-	b.Storage += o.Storage
-	b.IOPS += o.IOPS
-	b.Network += o.Network
-	return b
-}
-
 func netRate(f netsim.Fabric) float64 {
 	switch f {
 	case netsim.RDMA:
@@ -139,11 +118,6 @@ func PerMinuteBreakdown(p Package) Breakdown {
 	}
 }
 
-// Cost returns the RUC cost of holding the package for d.
-func Cost(p Package, d time.Duration) float64 {
-	return HourlyBreakdown(p).Total() * d.Hours()
-}
-
 // CostBreakdown itemizes the RUC cost of holding the package for d.
 func CostBreakdown(p Package, d time.Duration) Breakdown {
 	h := HourlyBreakdown(p)
@@ -163,7 +137,6 @@ func CostBreakdown(p Package, d time.Duration) Breakdown {
 // CDB2 elastic pool "is charged at least one hour", and CDB3's startup
 // pricing is ~3x cheaper per vCore than CDB2's).
 type Actual struct {
-	Vendor           string
 	PerVCoreHour     float64
 	PerGBMemHour     float64
 	PerGBStorageHour float64

@@ -78,7 +78,7 @@ func TestReplayBatchMatchesSerialApply(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		out.appliedLSN = st.AppliedLSN()
+		out.appliedLSN = st.appliedLSN
 		out.shipped, out.applied = st.Counts()
 		if st.Backlog() != 0 {
 			t.Fatalf("%s serial=%v: backlog not drained", sh.name, serial)

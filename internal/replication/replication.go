@@ -116,7 +116,7 @@ type Stream struct {
 
 	// serialApply forces the pre-batching record-at-a-time replay path.
 	// Test-only: the replay-batch equivalence test proves both paths yield
-	// identical AppliedLSN and lag histograms on a quiet stream.
+	// identical applied LSNs and lag histograms on a quiet stream.
 	serialApply bool
 
 	lagInsert meter.Histogram
@@ -480,10 +480,6 @@ func (st *Stream) drain(dst []envelope, q *envQueue) []envelope {
 	st.release(b)
 	return dst
 }
-
-// AppliedLSN returns the highest LSN applied so far (approximate across
-// parallel lanes).
-func (st *Stream) AppliedLSN() storage.LSN { return st.appliedLSN }
 
 // Counts returns shipped and applied record counts.
 func (st *Stream) Counts() (shipped, applied int64) { return st.shipped, st.applied }

@@ -72,8 +72,8 @@ func TestStreamReplicatesCommittedChanges(t *testing.T) {
 	if st.Backlog() != 0 {
 		t.Fatal("backlog not drained")
 	}
-	if st.AppliedLSN() != 2 {
-		t.Fatalf("applied LSN = %d", st.AppliedLSN())
+	if st.appliedLSN != 2 {
+		t.Fatalf("applied LSN = %d", st.appliedLSN)
 	}
 }
 

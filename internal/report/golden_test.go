@@ -49,13 +49,6 @@ func TestGoldenSeries(t *testing.T) {
 	golden(t, "series", out)
 }
 
-func TestGoldenBars(t *testing.T) {
-	out := BarGroup("Figure 5 (SF=10, RW, 128 conn)",
-		[]string{"rds", "cdb1", "cdb2", "cdb3", "cdb4"},
-		[]float64{22092, 30567, 19242, 28941, 36995}, 30)
-	golden(t, "bars", out)
-}
-
 func TestGoldenFormatters(t *testing.T) {
 	// One file pinning every formatter branch, so a precision tweak shows
 	// up as a reviewable diff rather than silent churn across all tables.

@@ -1,6 +1,6 @@
 // Package report renders experiment results as the paper's tables and
-// figures: aligned text tables for Tables V–IX and ASCII series/bars for
-// the figures. All renderers write plain text suitable for terminals and
+// figures: aligned text tables for Tables V–IX and ASCII series for the
+// figures. All renderers write plain text suitable for terminals and
 // for EXPERIMENTS.md code blocks.
 package report
 
@@ -150,38 +150,5 @@ func Series(label string, values []float64, max float64) string {
 		b.WriteRune(glyphs[idx])
 	}
 	fmt.Fprintf(&b, "| max=%s", F(max))
-	return b.String()
-}
-
-// BarGroup renders labeled horizontal bars scaled to the group maximum —
-// used for Figure 5/6/8 style grouped comparisons.
-func BarGroup(title string, labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%s  %s %s\n", pad(labels[i], labelW), pad(strings.Repeat("#", n), width), F(v))
-	}
 	return b.String()
 }

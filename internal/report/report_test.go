@@ -68,11 +68,4 @@ func TestSeriesAndBars(t *testing.T) {
 	if !strings.Contains(s2, "max=4") {
 		t.Fatalf("auto max: %q", s2)
 	}
-	bars := BarGroup("Fig", []string{"rds", "cdb4"}, []float64{10, 20}, 10)
-	if !strings.Contains(bars, "##########") {
-		t.Fatalf("bars: %q", bars)
-	}
-	if strings.Count(bars, "\n") != 3 {
-		t.Fatalf("bar line count: %q", bars)
-	}
 }

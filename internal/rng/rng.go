@@ -1,7 +1,6 @@
 // Package rng provides deterministic random sources and the access
 // distributions used by CloudyBench workloads: uniform and latest-k
-// substitution-parameter choice (paper §II-B), and the Pareto proportions
-// that seed default elasticity patterns (paper §II-C).
+// substitution-parameter choice (paper §II-B).
 //
 // Every source derives from an explicit seed so that simulation runs replay
 // identically. Child sources are split off by name, letting each worker,
@@ -10,7 +9,6 @@ package rng
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -22,15 +20,6 @@ type Source struct {
 // New returns a source seeded with the given seed.
 func New(seed int64) *Source {
 	return &Source{r: rand.New(rand.NewSource(seed))}
-}
-
-// Child derives an independent source from this source's seed and a name.
-// The derivation is a pure function of (seed, name), so the same split
-// always yields the same stream.
-func (s *Source) Child(name string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return New(int64(h.Sum64()) ^ s.r.Int63())
 }
 
 // ChildOf derives a source from a seed and a name without consuming any
@@ -57,15 +46,6 @@ func (s *Source) IntRange(lo, hi int64) int64 {
 
 // Float64 returns a uniform float in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
-
-// Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // FillLetters fills b with random letters over [a-z], one Intn(26) per
 // byte, for the workloads' filler columns.
@@ -98,10 +78,6 @@ func (s *Source) PickWeighted(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Exp returns an exponentially distributed duration-like value with the
-// given mean (used for arrival jitter).
-func (s *Source) Exp(mean float64) float64 { return s.r.ExpFloat64() * mean }
 
 // Dist chooses substitution parameters over a key space [1, n]. It is the
 // interface behind the paper's uniform and latest-k access distributions.
@@ -153,25 +129,3 @@ func (l *Latest) Next(max int64) int64 {
 
 // Name implements Dist.
 func (l *Latest) Name() string { return "latest" }
-
-// ParetoProportions returns n proportions that follow a Pareto (80/20-style)
-// decay and sum to 1. CloudyBench uses these as the default slot proportions
-// for elasticity patterns when the user does not specify them (§II-C).
-func ParetoProportions(n int, alpha float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if alpha <= 0 {
-		alpha = 1.16 // classic 80/20 shape
-	}
-	out := make([]float64, n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		out[i] = 1 / math.Pow(float64(i+1), alpha)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}

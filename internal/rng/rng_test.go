@@ -121,23 +121,6 @@ func TestPickWeightedPanicsOnBadWeights(t *testing.T) {
 	}
 }
 
-func TestParetoProportionsSumToOneAndDecay(t *testing.T) {
-	p := ParetoProportions(5, 0)
-	var sum float64
-	for i, v := range p {
-		sum += v
-		if i > 0 && v >= p[i-1] {
-			t.Fatalf("proportions not strictly decaying: %v", p)
-		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("proportions sum = %v, want 1", sum)
-	}
-	if ParetoProportions(0, 1) != nil {
-		t.Fatal("n=0 should return nil")
-	}
-}
-
 // TestLettersFormat checks both fill forms: every byte is a lowercase
 // letter, and a fill of n bytes consumes exactly n draws of the stream
 // (one Intn(26), or one Next()%26, per byte), so the draws after it are

@@ -67,7 +67,7 @@ const oracleMaxCap = 4
 
 // mark appends one dispatch to the trace.
 func (w *oracleWorld) mark(p *Proc) {
-	w.trace = append(w.trace, p.Name()...)
+	w.trace = append(w.trace, p.name...)
 	w.trace = append(w.trace, 0)
 	w.trace = binary.LittleEndian.AppendUint64(w.trace, uint64(p.Elapsed()))
 }
@@ -159,7 +159,7 @@ func (w *oracleWorld) program(p *Proc, r *oracleRand, depth int) {
 				g = NewGroup(w.s)
 			}
 			for k, kids := 0, 1+r.intn(2); k < kids; k++ {
-				w.spawn(g, fmt.Sprintf("%s.%d.%d", p.Name(), i, k), r.next(), depth+1)
+				w.spawn(g, fmt.Sprintf("%s.%d.%d", p.name, i, k), r.next(), depth+1)
 			}
 			if g != nil {
 				g.Wait(p)

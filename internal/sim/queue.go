@@ -11,8 +11,6 @@ type Queue struct {
 	s        *Sim
 	perOp    time.Duration // service time of one operation
 	nextFree time.Duration // virtual time the channel next becomes idle
-	served   int64
-	busy     time.Duration // total busy time, for utilization metering
 }
 
 // NewQueue returns a FIFO service channel with the given rate in
@@ -51,7 +49,6 @@ func (q *Queue) Reserve(ops int) time.Duration {
 	if ops <= 0 {
 		return 0
 	}
-	q.served += int64(ops)
 	if q.perOp == 0 {
 		return 0
 	}
@@ -69,23 +66,5 @@ func (q *Queue) Reserve(ops int) time.Duration {
 		done = maxDuration
 	}
 	q.nextFree = done
-	if q.busy += service; q.busy < 0 {
-		q.busy = maxDuration
-	}
 	return done - now
-}
-
-// Served returns the total operations serviced so far.
-func (q *Queue) Served() int64 { return q.served }
-
-// BusyTime returns the cumulative virtual time the channel has been busy.
-func (q *Queue) BusyTime() time.Duration { return q.busy }
-
-// Backlog returns how far in the future the channel is booked, i.e. the
-// delay a zero-length arrival would currently experience.
-func (q *Queue) Backlog() time.Duration {
-	if q.nextFree <= q.s.now {
-		return 0
-	}
-	return q.nextFree - q.s.now
 }

@@ -79,12 +79,6 @@ type Proc struct {
 	why string
 }
 
-// Name returns the process name given to Sim.Go.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // coro is a reusable coroutine: an iter.Pull pair that runs one proc's body
 // after another. Run resumes it; it yields back to Run when its proc blocks
 // on another proc's wake, exits or panics.
@@ -398,7 +392,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // time execute before the caller continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Now returns the current virtual time (convenience for p.Sim().Now()).
+// Now returns the simulation's current virtual time.
 func (p *Proc) Now() time.Time { return p.sim.Now() }
 
 // Elapsed returns virtual time since the simulation epoch.

@@ -60,7 +60,7 @@ func TestSameTimestampFIFOBySpawnOrder(t *testing.T) {
 		i := i
 		s.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
 			p.Sleep(time.Second)
-			order = append(order, p.Name())
+			order = append(order, p.name)
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -151,7 +151,7 @@ func TestMutexProvidesExclusionAndFIFO(t *testing.T) {
 			inside = true
 			p.Sleep(10 * time.Millisecond) // hold across virtual time
 			inside = false
-			order = append(order, p.Name())
+			order = append(order, p.name)
 			m.Unlock(p)
 		})
 	}
@@ -211,7 +211,7 @@ func TestCondSignalWakesOldestWaiter(t *testing.T) {
 		s.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
 			p.Sleep(time.Duration(i) * time.Millisecond)
 			c.Wait(p)
-			woken = append(woken, p.Name())
+			woken = append(woken, p.name)
 		})
 	}
 	s.Go("signaller", func(p *Proc) {
@@ -326,8 +326,8 @@ func TestResourceCapacityDecreaseDrains(t *testing.T) {
 	s.Go("holder", func(p *Proc) {
 		r.Acquire(p, 4)
 		r.SetCapacity(1) // shrink below usage while held
-		if r.Used() != 4 {
-			t.Errorf("used = %d, want 4 while still held", r.Used())
+		if r.used != 4 {
+			t.Errorf("used = %d, want 4 while still held", r.used)
 		}
 		p.Sleep(time.Second)
 		r.Release(4)
@@ -360,27 +360,6 @@ func TestResourcePeakTracking(t *testing.T) {
 	if r.Peak() != 7 {
 		t.Fatalf("peak = %d, want 7", r.Peak())
 	}
-	r.ResetPeak()
-	if r.Peak() != 0 {
-		t.Fatalf("peak after reset = %d, want 0", r.Peak())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	s := New(epoch)
-	r := NewResource(s, 2)
-	s.Go("p", func(p *Proc) {
-		if !r.TryAcquire(2) {
-			t.Error("TryAcquire(2) on empty pool failed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire(1) on full pool succeeded")
-		}
-		r.Release(2)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestQueueServiceAndBacklog(t *testing.T) {
@@ -401,9 +380,6 @@ func TestQueueServiceAndBacklog(t *testing.T) {
 	}
 	if d2 != 200*time.Millisecond {
 		t.Fatalf("queued delay = %v, want 200ms", d2)
-	}
-	if q.Served() != 2 {
-		t.Fatalf("served = %d, want 2", q.Served())
 	}
 }
 
@@ -426,8 +402,8 @@ func TestQueueIdleGapDoesNotAccumulateCredit(t *testing.T) {
 	s.Go("p", func(p *Proc) {
 		q.Wait(p, 1)
 		p.Sleep(5 * time.Second) // long idle gap
-		if b := q.Backlog(); b != 0 {
-			t.Errorf("backlog after idle = %v, want 0", b)
+		if q.nextFree > s.now {
+			t.Errorf("channel booked until %v after idle, now %v", q.nextFree, s.now)
 		}
 		d := q.Wait(p, 1)
 		if d != 100*time.Millisecond {
@@ -454,7 +430,7 @@ func TestRunnextRespectsSeqTiebreak(t *testing.T) {
 		s.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
 			p.Sleep(time.Duration(i) * time.Millisecond) // stagger into the cond
 			c.Wait(p)
-			order = append(order, p.Name())
+			order = append(order, p.name)
 		})
 	}
 	s.Go("sleeper", func(p *Proc) {
@@ -553,11 +529,8 @@ func TestQueueReserveHugeOpsSaturates(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("Reserve(%d) = %v, want a large positive delay", hugeOps, d)
 	}
-	if b := q.Backlog(); b <= 0 {
-		t.Fatalf("Backlog after huge reserve = %v, want positive", b)
-	}
-	if q.BusyTime() <= 0 {
-		t.Fatalf("BusyTime after huge reserve = %v, want positive", q.BusyTime())
+	if q.nextFree <= s.now {
+		t.Fatalf("channel booked until %v after huge reserve, want the far future", q.nextFree)
 	}
 	// A follow-up reservation on the saturated channel must stay sane too.
 	if d2 := q.Reserve(1); d2 <= 0 {
@@ -600,7 +573,7 @@ func TestResourceRejectsNonPositiveUnits(t *testing.T) {
 		call func(n int64)
 	}{
 		{"Release", func(n int64) { r.Release(n) }},
-		{"TryAcquire", func(n int64) { r.TryAcquire(n) }},
+		{"Acquire", func(n int64) { r.Acquire(nil, n) }},
 	} {
 		for _, n := range []int64{0, -1} {
 			func() {
@@ -611,8 +584,8 @@ func TestResourceRejectsNonPositiveUnits(t *testing.T) {
 				}()
 				c.call(n)
 			}()
-			if r.Used() != 0 {
-				t.Fatalf("%s(%d) moved used to %d", c.name, n, r.Used())
+			if r.used != 0 {
+				t.Fatalf("%s(%d) moved used to %d", c.name, n, r.used)
 			}
 		}
 	}

@@ -133,7 +133,7 @@ type Resource struct {
 	cap     int64
 	used    int64
 	waiters fifo[resWaiter]
-	peak    int64 // high-water mark of used since last ResetPeak
+	peak    int64 // high-water mark of used
 
 	lastAccrue time.Duration
 	usedInt    float64 // integral of used over time, in unit-seconds
@@ -171,22 +171,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	}
 	r.waiters.push(resWaiter{p: p, n: n}) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
 	r.s.park(p, "resource")
-}
-
-// TryAcquire claims n units without blocking, reporting whether it succeeded.
-func (r *Resource) TryAcquire(n int64) bool {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: Resource.TryAcquire of %d units", n))
-	}
-	if r.waiters.len() == 0 && r.used+n <= r.cap {
-		r.accrue()
-		r.used += n
-		if r.used > r.peak {
-			r.peak = r.used
-		}
-		return true
-	}
-	return false
 }
 
 // Release returns n units to the pool and admits eligible waiters.
@@ -251,14 +235,8 @@ func (r *Resource) admit() {
 // Capacity returns the current capacity.
 func (r *Resource) Capacity() int64 { return r.cap }
 
-// Used returns the units currently held.
-func (r *Resource) Used() int64 { return r.used }
-
-// Peak returns the high-water mark of held units since the last ResetPeak.
+// Peak returns the high-water mark of held units.
 func (r *Resource) Peak() int64 { return r.peak }
-
-// ResetPeak clears the high-water mark down to current usage.
-func (r *Resource) ResetPeak() { r.peak = r.used }
 
 // Waiting returns the number of queued acquirers.
 func (r *Resource) Waiting() int { return r.waiters.len() }

@@ -473,24 +473,6 @@ func (l *Log) Chunks() iter.Seq[[]Record] {
 	}
 }
 
-// Read returns a copy of the records with LSN in (after, after+max]; max <= 0
-// means all available. It is a flat-slice convenience for tests — the
-// simulator itself walks the log with Chunks and never copies it.
-func (l *Log) Read(after LSN, max int) []Record {
-	if after >= l.Head() {
-		return nil
-	}
-	start, end := int(after), l.n
-	if max > 0 && start+max < end {
-		end = start + max
-	}
-	out := make([]Record, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, *l.at(i))
-	}
-	return out
-}
-
 // LogSnapshot is a point-in-time capture of a Log (warm-up memoization and
 // crash recovery). It owns its chunk-pointer slice and shares the chunks
 // themselves with the source log under the Chunk ownership rule on Log: the

@@ -158,23 +158,6 @@ func TestChunkedLogMatchesFlatReference(t *testing.T) {
 				sameLog(t, "log", pr.l, pr.f)
 			}
 		}
-		// Read, the flat copy the engine's tests use, across chunk boundaries.
-		for _, pr := range logs {
-			after, max := rng.Intn(pr.l.Len()+1), rng.Intn(3*logChunkLen)
-			want := pr.f.recs[after:]
-			if max > 0 && max < len(want) {
-				want = want[:max]
-			}
-			got := pr.l.Read(LSN(after), max)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: Read(%d, %d) returned %d records, reference %d", seed, after, max, len(got), len(want))
-			}
-			for i := range got {
-				if !bytes.Equal(got[i].Encode(nil), want[i].Encode(nil)) {
-					t.Fatalf("seed %d: Read(%d, %d) record %d differs from the reference", seed, after, max, i)
-				}
-			}
-		}
 		for _, sp := range snaps {
 			l := NewLog()
 			l.Restore(sp.s)
