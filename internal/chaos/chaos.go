@@ -252,8 +252,14 @@ func (inj *Injector) Start() {
 	}
 }
 
-// Applied returns the log of injected faults in firing order.
-func (inj *Injector) Applied() []Applied { return inj.applied }
+// Applied returns the log of injected faults in firing order; a nil
+// injector (a run without a schedule) applied none.
+func (inj *Injector) Applied() []Applied {
+	if inj == nil {
+		return nil
+	}
+	return inj.applied
+}
 
 // Crashes returns the recovery outcomes of fired NodeCrash events, in
 // firing order.

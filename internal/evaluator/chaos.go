@@ -52,13 +52,14 @@ func (r ChaosResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 // every standard fault heals itself inside the window.
 func chaosSpec(cfg ChaosConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
+	opts := fixed(cfg.SF, cfg.Seed)
+	opts.Tracer = cfg.Tracer
 	return spec{
-		name: "chaos", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		name: "chaos", prof: cdb.ProfileFor(cfg.Kind), opts: opts,
 		clients: orDefault(cfg.Concurrency, 16), span: span, mix: gauntletMix,
 		schedule:   chaos.Standard(span),
 		observe:    observePrimary,
 		invariants: []invariant{conservation, rowBalance, readCommitted, convergence},
-		tracer:     cfg.Tracer,
 	}
 }
 
@@ -66,11 +67,11 @@ func chaosSpec(cfg ChaosConfig) spec {
 // invariant recorder watches every transaction, then quiesces replication
 // and passes judgement. Deterministic: the same config yields the same
 // verdicts, metrics, and fault log.
-func RunChaos(cfg ChaosConfig) ChaosResult { return chaosResult(runGauntlet(chaosSpec(cfg))) }
+func RunChaos(cfg ChaosConfig) ChaosResult { return chaosResult(runCell(chaosSpec(cfg))) }
 
 func chaosResult(rc *run) ChaosResult {
 	res := ChaosResult{
-		Kind:        rc.spec.kind,
+		Kind:        rc.d.Profile.Kind,
 		Verdicts:    rc.verdicts,
 		Applied:     rc.inj.Applied(),
 		Errors:      rc.col.Errors(),

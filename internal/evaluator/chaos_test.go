@@ -28,7 +28,7 @@ func quickChaos(kind cdb.Kind, diverge bool) ChaosResult {
 	if diverge {
 		sp.sabotage.lostWrite = "ro0"
 	}
-	return chaosResult(runGauntlet(sp))
+	return chaosResult(runCell(sp))
 }
 
 // TestChaosInvariantsHoldUnderFaults runs one representative of each

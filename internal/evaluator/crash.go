@@ -81,7 +81,7 @@ func (r CrashResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 func crashSpec(cfg CrashConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
 	return spec{
-		name: "crash", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		name: "crash", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
 		schedule:  CrashSchedule(span),
 		observe:   observeAll,
@@ -95,12 +95,12 @@ func crashSpec(cfg CrashConfig) spec {
 
 // RunCrash drives one SUT through the durability gauntlet. Deterministic:
 // the same config yields the same verdicts, recovery stats, and timeline.
-func RunCrash(cfg CrashConfig) CrashResult { return crashResult(runGauntlet(crashSpec(cfg))) }
+func RunCrash(cfg CrashConfig) CrashResult { return crashResult(runCell(crashSpec(cfg))) }
 
 func crashResult(rc *run) CrashResult {
 	d, col := rc.d, rc.col
 	return CrashResult{
-		Kind:        rc.spec.kind,
+		Kind:        rc.d.Profile.Kind,
 		BaselineTPS: col.TPS(0, rc.outageAt),
 		Commits:     col.Commits(),
 		Errors:      col.Errors(),

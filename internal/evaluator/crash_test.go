@@ -15,7 +15,7 @@ func quickCrash(kind cdb.Kind, loseAck bool) CrashResult {
 	if loseAck {
 		sp.sabotage.lostWrite = "rw"
 	}
-	return crashResult(runGauntlet(sp))
+	return crashResult(runCell(sp))
 }
 
 // crashFingerprint flattens a result into a comparable string: every metric,

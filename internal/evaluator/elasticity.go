@@ -35,21 +35,9 @@ type ElasticityConfig struct {
 }
 
 func (c ElasticityConfig) withDefaults() ElasticityConfig {
-	if c.Tau <= 0 {
-		c.Tau = 110
-	}
-	if c.SlotLength <= 0 {
-		c.SlotLength = time.Minute
-	}
-	if c.CostSlots <= 0 {
-		c.CostSlots = 10
-	}
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	c.Tau = orDefault(c.Tau, 110)
+	c.SlotLength = orDefault(c.SlotLength, time.Minute)
+	c.CostSlots = orDefault(c.CostSlots, 10)
 	return c
 }
 
@@ -69,10 +57,13 @@ type ElasticityResult struct {
 	Pattern string
 	Mix     core.Mix
 
-	AvgTPS      float64
-	TotalCost   float64 // RUC over the costing window (execution + scaling)
-	ActualCost  float64 // vendor-priced cost over the same window
-	E1Score     float64
+	AvgTPS     float64
+	TotalCost  float64 // RUC over the costing window (execution + scaling)
+	ActualCost float64 // vendor-priced cost over the same window
+	E1Score    float64
+	// E1StarScore is E1Score against the vendor-priced cost of the costing
+	// window (Table IX's E1*); zero when the window cost nothing.
+	E1StarScore float64
 	Transitions []Transition
 	// Cores samples the allocated vCores once per slot-length/2 over the
 	// costing window (Figure 9-style series).
@@ -83,45 +74,37 @@ type ElasticityResult struct {
 // single serving node (the elastic unit the autoscaler acts on).
 func RunElasticity(cfg ElasticityConfig) ElasticityResult {
 	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: -1, PreWarm: true,
-		Serverless:   cfg.Serverless,
-		CadenceScale: float64(time.Minute) / float64(cfg.SlotLength),
-	})
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "elastic", Seed: cfg.Seed, Mix: cfg.Mix,
-		Write: d.RW, Read: d.ReadNode,
-		Collector: col,
-	})
 	cons := cfg.Pattern.Concurrency(cfg.Tau)
 	slot := cfg.SlotLength
 	patternEnd := time.Duration(len(cons)) * slot
-	costEnd := time.Duration(cfg.CostSlots) * slot
-	if costEnd < patternEnd {
-		costEnd = patternEnd
-	}
-	s.Go("ctl", func(p *sim.Proc) {
-		for _, c := range cons {
-			r.SetConcurrency(c)
-			p.Sleep(slot)
-		}
-		r.SetConcurrency(0)
-		r.Stop()
-		r.Wait(p)
-		// Idle out the rest of the costing window so trailing scale-down
-		// (or the lack of it) is charged, as in the paper's 10-minute
-		// costing range.
-		if rest := costEnd - p.Elapsed(); rest > 0 {
-			p.Sleep(rest)
-		}
-		d.Shutdown()
+	costEnd := max(time.Duration(cfg.CostSlots)*slot, patternEnd)
+	rc := runCell(spec{
+		name: "elastic", prof: cdb.ProfileFor(cfg.Kind),
+		opts: cdb.Options{
+			SF: cfg.SF, Seed: cfg.Seed, PreWarm: true,
+			Serverless:   cfg.Serverless,
+			CadenceScale: float64(time.Minute) / float64(slot),
+		},
+		mix: cfg.Mix,
+		body: func(p *sim.Proc, rc *run) {
+			r := rc.runner("elastic", rc.col)
+			for _, c := range cons {
+				r.SetConcurrency(c)
+				p.Sleep(slot)
+			}
+			r.SetConcurrency(0)
+			r.Stop()
+			r.Wait(p)
+			// Idle out the rest of the costing window so trailing scale-down
+			// (or the lack of it) is charged, as in the paper's 10-minute
+			// costing range.
+			if rest := costEnd - p.Elapsed(); rest > 0 {
+				p.Sleep(rest)
+			}
+		},
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: elasticity run: " + err.Error())
-	}
 
+	d, col := rc.d, rc.col
 	breakdown := d.RUCBreakdown(0, costEnd)
 	elasticPerMin := (breakdown.CPU + breakdown.Memory + breakdown.IOPS) / costEnd.Minutes()
 	res := ElasticityResult{
@@ -133,6 +116,9 @@ func RunElasticity(cfg ElasticityConfig) ElasticityResult {
 		ActualCost: d.ActualCost(0, costEnd),
 		E1Score:    metrics.E1Score(col.TPS(0, patternEnd), elasticPerMin),
 		Cores:      d.RW().Cores.Sample(0, costEnd, slot/2),
+	}
+	if res.ActualCost > 0 {
+		res.E1StarScore = metrics.E1Score(res.AvgTPS, res.ActualCost/costEnd.Minutes())
 	}
 	res.Transitions = transitions(cons, slot, costEnd, d.RW().Cores, d)
 	return res

@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"cmp"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -32,21 +33,10 @@ type FailoverConfig struct {
 }
 
 func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.Concurrency <= 0 {
-		c.Concurrency = 150
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = 10 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 120 * time.Second
-	}
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	c.Concurrency = orDefault(c.Concurrency, 150)
+	c.Baseline = orDefault(c.Baseline, 10*time.Second)
+	c.Timeout = orDefault(c.Timeout, 120*time.Second)
+	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
 	return c
 }
 
@@ -100,24 +90,26 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		return restoredAfter(tl, killAt)
 	}
 
-	// Write stream to the current RW (follows promotion); read stream
-	// pinned to the first replica member (whichever node fills that role).
-	writeCol, readCol := core.NewCollector(), core.NewCollector()
-	col := writeCol
-	if cfg.Role == cluster.RO {
-		col = readCol
-	}
+	// Write stream to the current RW (follows promotion), recorded in the
+	// cell's collector; read stream pinned to the first replica member
+	// (whichever node fills that role). col is the killed role's.
+	readCol := core.NewCollector()
+	var col *core.Collector
 	var stop time.Duration
-	rc := runGauntlet(spec{
-		name: "failover", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+	rc := runCell(spec{
+		name: "failover", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
 		schedule: chaos.Schedule{Events: []chaos.Event{{At: killAt, Kind: chaos.NodeCrash, Target: target}}},
 		await:    await,
 		body: func(p *sim.Proc, rc *run) {
 			d := rc.d
+			col = rc.col
+			if cfg.Role == cluster.RO {
+				col = readCol
+			}
 			writes := core.NewRunner(d.S, core.Config{
 				Name: "writes", Seed: cfg.Seed, Mix: core.MixReadWrite,
 				Write: d.RW, Read: d.RW,
-				Collector: writeCol, Retry: core.RetryPolicy{BackoffBase: 200 * time.Millisecond},
+				Collector: rc.col, Retry: core.RetryPolicy{BackoffBase: 200 * time.Millisecond},
 			})
 			replica := func() *node.Node { return d.Cluster.Replica(0).Node }
 			reads := core.NewRunner(d.S, core.Config{

@@ -13,15 +13,21 @@ import (
 	"cloudybench/internal/core"
 	"cloudybench/internal/engine"
 	"cloudybench/internal/node"
-	"cloudybench/internal/obs"
+	"cloudybench/internal/replication"
 	"cloudybench/internal/sim"
 	"cloudybench/internal/storage"
 )
 
-// The gauntlet harness (DESIGN.md §18). Every fault run — the chaos,
-// partition, crash, suite and soak gauntlets and the fail-over cell — is a
-// spec executed by runGauntlet; its own file holds only its config, its spec,
-// and the numbers it reads off the run.
+// The cell harness (DESIGN.md §18). Every simulated cell — the paper's OLTP,
+// elasticity, lag, Figure 9 and ablation cells, the fail-over cell, and the
+// chaos, partition, crash, suite and soak gauntlets — is a spec executed by
+// runCell: deploy, drive, drain, finish, judge. Its own file holds only its
+// config, its spec, and the numbers it reads off the run. The tenancy cells
+// deploy a TenantSet, not a cluster, so they share only the finish step.
+
+// simEpoch anchors every simulation at a fixed virtual date so runs are
+// reproducible.
+var simEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // observe says which engines the history recorder watches.
 type observe int
@@ -82,24 +88,31 @@ var gauntletMix = core.Mix{T1: 30, T2: 20, T3: 40, T4: 10}
 // recovery or an undrainable backlog fails its verdicts, not the host.
 const recoveryDeadline = 2 * time.Minute
 
-// spec declares one gauntlet run.
+// noDrain as a spec's drainEvery shuts the cell down the moment traffic ends.
+const noDrain = -1
+
+// spec declares one cell.
 type spec struct {
-	// name names the traffic runner (and so its RNG streams).
+	// name names the traffic runner (and so its RNG streams) and the cell.
 	name string
-	kind cdb.Kind
-	sf   int
-	seed int64
+	prof cdb.Profile
+	// opts is the deployment; its SF and Seed also key the traffic.
+	opts cdb.Options
+	// warm, if set, forks the cell from a warm-up snapshot: the clock starts
+	// at its offset and every node, the remote pool and the collector resume
+	// its state.
+	warm *WarmSnapshot
 
 	// Traffic: closed-loop clients for span over the Table II mix — or,
-	// with suite set, its ops over its tables. schema adds tables/indexes.
+	// with suite set, its ops over its tables.
 	clients      int
 	span         time.Duration
 	mix          core.Mix
+	distribution string
 	suite        *core.Suite
 	scanOverride core.ScanFunc
-	schema       func(*engine.DB) error
-	// body, if set, replaces the single span (soak: a burst per window;
-	// fail-over: a write and a replica-pinned read stream).
+	// body, if set, replaces the single span (a concurrency schedule, a
+	// burst per soak window, the fail-over's two streams, the lag probes).
 	body func(p *sim.Proc, rc *run)
 
 	schedule  chaos.Schedule // empty = no faults
@@ -108,16 +121,26 @@ type spec struct {
 	retry     core.RetryPolicy // zero = runner defaults
 	detector  bool             // run the profile's failure detector
 	await     await
+	// drainEvery is the quiesce poll interval: 10 ms by default, which the
+	// goldens' Quiesce column shows; the warm-up's 1 ms shows in its
+	// snapshot offset.
+	drainEvery time.Duration
 	// invariants is the verdict sheet; fenceTrio on it turns ack logging on.
 	invariants []invariant
 
-	tracer   *obs.Tracer
 	sabotage sabotage
 }
 
 func (sp spec) withDefaults() spec {
-	sp.sf, sp.seed = max(sp.sf, 1), cmp.Or(sp.seed, 42)
+	sp.opts.SF, sp.opts.Seed = max(sp.opts.SF, 1), cmp.Or(sp.opts.Seed, 42)
+	sp.drainEvery = cmp.Or(sp.drainEvery, 10*time.Millisecond)
 	return sp
+}
+
+// fixed is the deployment the fault runs and the lag cells share: one RW and
+// one RO, pre-warmed, at the provisioned size.
+func fixed(sf int, seed int64) cdb.Options {
+	return cdb.Options{SF: sf, Seed: seed, Replicas: 1, PreWarm: true, Serverless: cdb.Bool(false)}
 }
 
 // orDefault returns v, or def when v is unset.
@@ -132,42 +155,49 @@ func orDefault[T int | time.Duration](v, def T) T {
 type run struct {
 	spec spec
 	d    *cdb.Deployment
-	rec  *check.Recorder
-	col  *core.Collector // the traffic span's collector (nil under a body)
-	inj  *chaos.Injector
+	rec  *check.Recorder // nil unless the spec observes
+	col  *core.Collector // the cell's collector; a body may keep its own
+	inj  *chaos.Injector // nil without a schedule
 
 	reroutes int64 // reads served by a fallback node, over every burst
 	// outageAt is the schedule's first partition or node kill (span if none).
 	outageAt    time.Duration
 	quiesceTime time.Duration // how long the replication backlog took to drain
+	drained     bool          // every stream drained before the deadline
+	end         time.Duration // when the cell shut down
 	verdicts    []check.Verdict
 }
 
-// runGauntlet executes one spec; the same spec yields the same run.
-func runGauntlet(sp spec) *run {
+// runCell executes one spec; the same spec yields the same run.
+func runCell(sp spec) *run {
 	sp = sp.withDefaults()
-	s := sim.New(simEpoch)
-	prof := cdb.ProfileFor(sp.kind)
-	schema := sp.schema
+	var at time.Duration
+	if sp.warm != nil {
+		at = sp.warm.offset
+	}
+	s := sim.NewAt(simEpoch, at)
+	opts := sp.opts
 	if sp.suite != nil {
-		schema = func(db *engine.DB) error { return sp.suite.Tables(db, sp.sf, sp.seed) }
+		opts.ExtraSchema = func(db *engine.DB) error { return sp.suite.Tables(db, opts.SF, opts.Seed) }
 	}
-	d := cdb.MustDeploy(s, prof, cdb.Options{
-		SF: sp.sf, Seed: sp.seed, Replicas: 1, PreWarm: true,
-		Serverless:  cdb.Bool(false),
-		ExtraSchema: schema,
-		Tracer:      sp.tracer,
-	})
-	inj, err := chaos.NewInjector(s, sp.schedule, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    sp.seed,
-	})
-	if err != nil {
-		panic("evaluator: " + sp.name + " schedule: " + err.Error())
+	d := cdb.MustDeploy(s, sp.prof, opts)
+	rc := &run{spec: sp, d: d, col: core.NewCollector(), outageAt: sp.span}
+	if sp.warm != nil {
+		rc.restore(sp.warm)
 	}
-	rc := &run{spec: sp, d: d, inj: inj, outageAt: sp.span}
+	if len(sp.schedule.Events) > 0 {
+		inj, err := chaos.NewInjector(s, sp.schedule, chaos.Targets{
+			Cluster: d.Cluster,
+			Links:   d.Links(),
+			Net:     d.Net,
+			Seed:    opts.Seed,
+		})
+		if err != nil {
+			panic("evaluator: " + sp.name + " schedule: " + err.Error())
+		}
+		rc.inj = inj
+		inj.Start()
+	}
 	for _, ev := range sp.schedule.Events {
 		if ev.Kind == chaos.Partition || ev.Kind == chaos.AsymPartition || ev.Kind == chaos.NodeCrash {
 			rc.outageAt = ev.At
@@ -179,33 +209,54 @@ func runGauntlet(sp spec) *run {
 	if sp.sabotage.unfenced {
 		d.Fence.Disable()
 	}
-	inj.Start()
 	if sp.detector {
 		d.StartDetector()
 	}
 
-	s.Go("ctl", func(p *sim.Proc) {
+	finish(s, sp.name, func(p *sim.Proc) {
 		if sp.body != nil {
 			sp.body(p, rc)
 		} else {
-			rc.col = rc.burst(p, sp.name, sp.clients, sp.span)
+			rc.burst(p, sp.name, sp.clients, sp.span, rc.col)
 		}
 		// The last fault may land late in the window, and an RDS-style restart
 		// waits out the heal and then replays for tens of seconds: hold, drain.
 		for deadline := p.Elapsed() + recoveryDeadline; p.Elapsed() < deadline && !rc.recovered(); {
 			p.Sleep(500 * time.Millisecond)
 		}
-		rc.quiesce(p)
+		if sp.drainEvery > 0 {
+			rc.quiesce(p)
+		}
+		rc.end = p.Elapsed()
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: " + sp.name + " run: " + err.Error())
-	}
 	if sp.sabotage.lostWrite != "" {
 		rc.loseWrite(sp.sabotage.lostWrite)
 	}
 	rc.verdicts = rc.judge(sp.invariants)
 	return rc
+}
+
+// runTenants deploys n tenants of prof and hands them to ctl. A TenantSet
+// has no streams to drain and no sheet to judge, so the tenancy cells share
+// only the skeleton's finish step.
+func runTenants(name string, prof cdb.Profile, n int, opts cdb.Options, ctl func(*sim.Proc, *cdb.TenantSet)) *cdb.TenantSet {
+	s := sim.New(simEpoch)
+	ts := cdb.MustDeployTenants(s, prof, n, opts)
+	finish(s, name, func(p *sim.Proc) {
+		ctl(p, ts)
+		ts.Shutdown()
+	})
+	return ts
+}
+
+// finish drives the cell's control process to the end of the simulation; a
+// failed process panics, naming the cell.
+func finish(s *sim.Sim, name string, ctl func(*sim.Proc)) {
+	s.Go("ctl", ctl)
+	if err := s.Run(); err != nil {
+		panic("evaluator: " + name + " run: " + err.Error())
+	}
 }
 
 // loseWrite rolls the RW's last committed write back on the named member:
@@ -256,43 +307,51 @@ func memberName(m *cluster.Member) string {
 // attachRecorder starts a fresh history on the observed engines (soak calls
 // it again between sweeps, traffic drained: segments hold whole transactions).
 func (rc *run) attachRecorder() {
+	if rc.spec.observe == observeNone {
+		return
+	}
 	rc.rec = check.NewRecorder()
-	switch rc.spec.observe {
-	case observePrimary:
+	if rc.spec.observe == observePrimary {
 		rc.d.RW().DB.SetObserver(rc.rec)
-	case observeAll:
-		for _, m := range rc.d.Cluster.Members() {
-			m.Node.DB.SetObserver(rc.rec)
-		}
+		return
+	}
+	for _, m := range rc.d.Cluster.Members() {
+		m.Node.DB.SetObserver(rc.rec)
 	}
 }
 
-// burst runs one traffic window on a fresh runner (RNG streams keyed by
-// name) and returns its collector once every client has drained.
-func (rc *run) burst(p *sim.Proc, name string, clients int, span time.Duration) *core.Collector {
+// runner builds a traffic runner over the deployment, named name (its RNG
+// streams), recording into col.
+func (rc *run) runner(name string, col *core.Collector) *core.Runner {
 	sp, d := rc.spec, rc.d
 	cfg := core.Config{
-		Name: name, Seed: sp.seed, Mix: sp.mix,
-		Write: d.RW, Read: d.ReadNode,
-		Collector:    core.NewCollector(),
+		Name: name, Seed: sp.opts.Seed, Mix: sp.mix,
+		Distribution: sp.distribution,
+		Write:        d.RW, Read: d.ReadNode,
+		Collector:    col,
 		Retry:        sp.retry,
-		Tracer:       sp.tracer,
+		Tracer:       sp.opts.Tracer,
 		ScanOverride: sp.scanOverride,
 	}
 	if sp.suite != nil {
-		cfg.Ops = sp.suite.Ops(sp.sf)
+		cfg.Ops = sp.suite.Ops(sp.opts.SF)
 	}
 	if sp.resilient {
 		cfg.ReadCandidates = d.ReadCandidates
 		cfg.Reachable = d.ClientReachable
 	}
-	r := core.NewRunner(d.S, cfg)
+	return core.NewRunner(d.S, cfg)
+}
+
+// burst runs one traffic window on a fresh runner and returns once every
+// client has drained.
+func (rc *run) burst(p *sim.Proc, name string, clients int, span time.Duration, col *core.Collector) {
+	r := rc.runner(name, col)
 	r.SetConcurrency(clients)
 	p.Sleep(span)
 	r.Stop()
 	r.Wait(p)
 	rc.reroutes += r.Reroutes()
-	return cfg.Collector
 }
 
 // recovered reports whether the spec's post-traffic condition holds.
@@ -310,22 +369,25 @@ func (rc *run) recovered() bool {
 	return true
 }
 
-// quiesce drains replication (the healed or resynced side catches up; a
-// stopped pre-promotion stream is already balanced). A stream that cannot
-// drain by the deadline is left for Convergence to fail.
+// quiesce drains replication, the one drain every cell shares: the healed or
+// resynced side catches up, a stopped pre-promotion stream is already
+// balanced, a lag cell's replica applies the last records it was shipped
+// while the cluster still runs. A stream that cannot drain by the deadline
+// leaves drained false, for Convergence to fail and a warm-up to refuse.
 func (rc *run) quiesce(p *sim.Proc) {
+	settled := func(st *replication.Stream) bool {
+		shipped, applied := st.Counts()
+		return st.Backlog() == 0 && shipped == applied
+	}
 	start := p.Elapsed()
 	deadline := start + recoveryDeadline
 	for _, st := range rc.d.Streams() {
-		for p.Elapsed() < deadline {
-			shipped, applied := st.Counts()
-			if st.Backlog() == 0 && shipped == applied {
-				break
-			}
-			p.Sleep(10 * time.Millisecond)
+		for p.Elapsed() < deadline && !settled(st) {
+			p.Sleep(rc.spec.drainEvery)
 		}
 	}
 	rc.quiesceTime = p.Elapsed() - start
+	rc.drained = !slices.ContainsFunc(rc.d.Streams(), func(st *replication.Stream) bool { return !settled(st) })
 }
 
 // judge renders a verdict sheet against the current state.

@@ -51,60 +51,38 @@ var PaperIUDMixes = [][3]float64{
 }
 
 // RunLag measures replication lag for one SUT and IUD mix.
-func RunLag(cfg LagConfig) LagResult {
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 10 * time.Second
-	}
-	if cfg.SF < 1 {
-		cfg.SF = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "lag", Seed: cfg.Seed,
-		Mix:   core.IUDMix(cfg.IUD[0], cfg.IUD[1], cfg.IUD[2]),
-		Write: d.RW, Read: d.ReadNode,
-		Collector: col,
-	})
+func RunLag(cfg LagConfig) LagResult { return runLag("lag", cdb.ProfileFor(cfg.Kind), cfg) }
+
+// runLag drives cfg's IUD traffic on prof with one replica, then the
+// client-observed probes; the drain keeps the cluster running until the
+// replica has applied every record it was shipped.
+func runLag(name string, prof cdb.Profile, cfg LagConfig) LagResult {
+	cfg.Concurrency = orDefault(cfg.Concurrency, 8)
+	cfg.Duration = orDefault(cfg.Duration, 10*time.Second)
 	var probeTotal time.Duration
 	var probeCount int
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Duration)
-		r.Stop()
-		r.Wait(p)
-		// Client-observed probes: write a marker on the primary, poll the
-		// replica until the change is visible.
-		replica := d.Cluster.Replica(0).Node
-		for i := 0; i < cfg.Probes; i++ {
-			lag, ok := probeOnce(p, d, replica, int64(1000+i*7))
-			if ok {
-				probeTotal += lag
-				probeCount++
+	rc := runCell(spec{
+		name: name, prof: prof, opts: fixed(cfg.SF, cfg.Seed),
+		mix: core.IUDMix(cfg.IUD[0], cfg.IUD[1], cfg.IUD[2]),
+		body: func(p *sim.Proc, rc *run) {
+			rc.burst(p, name, cfg.Concurrency, cfg.Duration, rc.col)
+			// Client-observed probes: write a marker on the primary, poll the
+			// replica until the change is visible.
+			replica := rc.d.Cluster.Replica(0).Node
+			for i := 0; i < cfg.Probes; i++ {
+				lag, ok := probeOnce(p, rc.d, replica, int64(1000+i*7))
+				if ok {
+					probeTotal += lag
+					probeCount++
+				}
+				p.Sleep(50 * time.Millisecond)
 			}
-			p.Sleep(50 * time.Millisecond)
-		}
-		// Let replication drain before shutdown so the lag histograms are full.
-		p.Sleep(3 * time.Second)
-		d.Shutdown()
+		},
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: lag run: " + err.Error())
-	}
 
-	st := d.Streams()[0]
+	st := rc.d.Streams()[0]
 	res := LagResult{
-		Kind:      cfg.Kind,
+		Kind:      prof.Kind,
 		IUD:       cfg.IUD,
 		InsertLag: st.MeanLag(storage.RecInsert),
 		UpdateLag: st.MeanLag(storage.RecUpdate),

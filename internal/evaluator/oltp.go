@@ -1,12 +1,13 @@
 // Package evaluator contains CloudyBench's experiment drivers: the OLTP,
 // elasticity, multi-tenancy, fail-over, and lag-time evaluators of paper
-// Figure 1, plus the overall PERFECT aggregation. Each Run function builds
-// a self-contained simulation, executes the experiment, and returns a
-// result struct that the report layer renders into the paper's tables and
-// figures.
+// Figure 1, plus the overall PERFECT aggregation. Each Run function declares
+// its cells as specs over one harness (harness.go), which builds and runs
+// every simulation, and returns a result struct that the report layer
+// renders into the paper's tables and figures.
 package evaluator
 
 import (
+	"cmp"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -14,12 +15,7 @@ import (
 	"cloudybench/internal/metrics"
 	"cloudybench/internal/obs"
 	"cloudybench/internal/pricing"
-	"cloudybench/internal/sim"
 )
-
-// simEpoch anchors every evaluator simulation at a fixed virtual date so
-// runs are reproducible.
-var simEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // OLTPConfig parameterizes one throughput cell of Figure 5 / Table V.
 type OLTPConfig struct {
@@ -54,23 +50,10 @@ type OLTPConfig struct {
 const NoReplicas = -1
 
 func (c OLTPConfig) withDefaults() OLTPConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	} else if c.Replicas < 0 {
-		c.Replicas = 0
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 2 * time.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
+	c.Replicas = max(cmp.Or(c.Replicas, 1), 0) // unset: one; NoReplicas: none
+	c.Warmup = orDefault(c.Warmup, 2*time.Second)
+	c.Measure = orDefault(c.Measure, 8*time.Second)
 	return c
 }
 
@@ -87,6 +70,9 @@ type OLTPResult struct {
 	HitRatio   float64 // RW-node buffer hit ratio over the whole run
 	CostPerMin pricing.Breakdown
 	PScore     float64
+	// PStarScore is PScore against the vendor's actual price for the
+	// measured window, minimum billing applied (Table IX's P*).
+	PStarScore float64
 }
 
 // warmKey builds the memoization key for this configuration's warm-up.
@@ -98,71 +84,21 @@ func (c OLTPConfig) warmKey() WarmKey {
 	}
 }
 
-// oltpDeploy builds one OLTP cluster for cfg. Both phases deploy through it
-// so the catalogs line up for the snapshot restore.
-func oltpDeploy(s *sim.Sim, cfg OLTPConfig, preWarm bool) *cdb.Deployment {
-	return cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: cfg.Replicas,
-		BufferBytes: cfg.BufferBytes, PreWarm: preWarm,
-		// Throughput evaluation uses the provisioned (fixed) size.
-		Serverless: cdb.Bool(false),
-		Tracer:     cfg.Tracer,
-	})
-}
-
-// runWarmup executes the warm-up phase in its own simulation: load the
-// cluster for cfg.Warmup, drain the clients, wait for every replication
-// stream to go quiet, and snapshot the resulting state. cfg must carry its
-// defaults already.
-func runWarmup(cfg OLTPConfig) *WarmSnapshot {
-	s := sim.New(simEpoch)
-	d := oltpDeploy(s, cfg, true)
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "oltp", Seed: cfg.Seed, Mix: cfg.Mix,
-		Distribution: cfg.Distribution,
-		Write:        d.RW, Read: d.ReadNode,
-		Collector: col,
-		Tracer:    cfg.Tracer,
-	})
-	snap := &WarmSnapshot{}
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Warmup)
-		r.Stop()
-		r.Wait(p)
-		// Quiesce replication: the snapshot must capture every warm-up
-		// commit applied on every replica, or forked cells would start with
-		// records in flight that no stream remembers.
-		for {
-			settled := true
-			for _, st := range d.Streams() {
-				shipped, applied := st.Counts()
-				if st.Backlog() != 0 || shipped != applied {
-					settled = false
-					break
-				}
-			}
-			if settled {
-				break
-			}
-			p.Sleep(time.Millisecond)
-		}
-		snap.offset = p.Elapsed()
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: oltp warmup: " + err.Error())
+// oltpSpec declares one phase of an OLTP cell: span of cfg's traffic on its
+// deployment. Both phases deploy the same shape so the catalogs line up for
+// the snapshot restore; the measurement phase forks from warm.
+func oltpSpec(cfg OLTPConfig, span time.Duration, warm *WarmSnapshot) spec {
+	return spec{
+		name: "oltp", prof: cdb.ProfileFor(cfg.Kind), warm: warm,
+		opts: cdb.Options{
+			SF: cfg.SF, Seed: cfg.Seed, Replicas: cfg.Replicas,
+			BufferBytes: cfg.BufferBytes, PreWarm: warm == nil,
+			// Throughput evaluation uses the provisioned (fixed) size.
+			Serverless: cdb.Bool(false),
+			Tracer:     cfg.Tracer,
+		},
+		clients: cfg.Concurrency, span: span, mix: cfg.Mix, distribution: cfg.Distribution,
 	}
-	for _, n := range d.Nodes() {
-		snap.nodes = append(snap.nodes, nodeWarmState{db: n.DB.Snapshot(), buf: n.Buf.Snapshot()})
-	}
-	if d.Remote != nil {
-		rs := d.Remote.Snapshot()
-		snap.remote = &rs
-	}
-	snap.col = col.Snapshot()
-	return snap
 }
 
 // RunOLTP measures steady-state throughput for one configuration. It always
@@ -178,44 +114,11 @@ func RunOLTP(cfg OLTPConfig) OLTPResult {
 		snap = runWarmup(cfg)
 	}
 
-	// Measurement phase: a fresh cluster restored from the snapshot, on a
-	// virtual clock pre-advanced to the snapshot offset so every window and
-	// timestamp reads as if the warm-up had run in this simulation.
-	s := sim.NewAt(simEpoch, snap.offset)
-	d := oltpDeploy(s, cfg, false)
-	nodes := d.Nodes()
-	if len(nodes) != len(snap.nodes) {
-		panic("evaluator: oltp restore: node count mismatch")
-	}
-	for i, n := range nodes {
-		if err := n.DB.Restore(snap.nodes[i].db); err != nil {
-			panic("evaluator: oltp restore: " + err.Error())
-		}
-		n.Buf.Restore(snap.nodes[i].buf)
-	}
-	if d.Remote != nil && snap.remote != nil {
-		d.Remote.Restore(*snap.remote)
-	}
-	col := core.NewCollector()
-	col.Restore(snap.col)
-	r := core.NewRunner(s, core.Config{
-		Name: "oltp", Seed: cfg.Seed, Mix: cfg.Mix,
-		Distribution: cfg.Distribution,
-		Write:        d.RW, Read: d.ReadNode,
-		Collector: col,
-		Tracer:    cfg.Tracer,
-	})
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Measure)
-		r.Stop()
-		r.Wait(p)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: oltp run: " + err.Error())
-	}
-
+	// Measurement phase: the meters are read the moment the clients stop.
+	sp := oltpSpec(cfg, cfg.Measure, snap)
+	sp.drainEvery = noDrain
+	rc := runCell(sp)
+	d, col := rc.d, rc.col
 	from, to := snap.offset, snap.offset+cfg.Measure
 	perMin := pricing.PerMinuteBreakdown(d.ClusterPackage())
 	res := OLTPResult{
@@ -227,6 +130,7 @@ func RunOLTP(cfg OLTPConfig) OLTPResult {
 		CostPerMin: perMin,
 	}
 	res.PScore = metrics.PScore(res.TPS, perMin.Total())
+	res.PStarScore = metrics.PScore(res.TPS, d.ActualCost(from, to)/cfg.Measure.Minutes())
 	return res
 }
 
@@ -260,13 +164,9 @@ type E2Result struct {
 func RunE2(cfg E2Config) E2Result {
 	res := E2Result{Kind: cfg.Kind}
 	for replicas := 0; replicas <= e2MaxReplicas; replicas++ {
-		n := replicas
-		if n == 0 {
-			n = NoReplicas
-		}
 		r := RunOLTP(OLTPConfig{
 			Kind: cfg.Kind, SF: cfg.SF, Mix: cfg.Mix,
-			Concurrency: cfg.Concurrency, Replicas: n,
+			Concurrency: cfg.Concurrency, Replicas: cmp.Or(replicas, NoReplicas),
 			Warmup: cfg.Warmup, Measure: cfg.Measure, Seed: cfg.Seed,
 			Warm: cfg.Warm,
 		})

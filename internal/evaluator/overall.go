@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"cmp"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -8,7 +9,6 @@ import (
 	"cloudybench/internal/core"
 	"cloudybench/internal/metrics"
 	"cloudybench/internal/patterns"
-	"cloudybench/internal/sim"
 )
 
 // OverallConfig sizes the composite PERFECT evaluation (Table IX). Zero
@@ -36,36 +36,15 @@ type OverallConfig struct {
 }
 
 func (c OverallConfig) withDefaults() OverallConfig {
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.SlotLength <= 0 {
-		c.SlotLength = 5 * time.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 5 * time.Second
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 110
-	}
-	if c.Tau <= 0 {
-		c.Tau = 110
-	}
-	if c.FailBaseline <= 0 {
-		c.FailBaseline = 6 * time.Second
-	}
-	if c.FailTimeout <= 0 {
-		c.FailTimeout = 60 * time.Second
-	}
-	if c.FailConc <= 0 {
-		c.FailConc = 60
-	}
-	if c.LagDuration <= 0 {
-		c.LagDuration = 4 * time.Second
-	}
+	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
+	c.SlotLength = orDefault(c.SlotLength, 5*time.Second)
+	c.Measure = orDefault(c.Measure, 5*time.Second)
+	c.Concurrency = orDefault(c.Concurrency, 110)
+	c.Tau = orDefault(c.Tau, 110)
+	c.FailBaseline = orDefault(c.FailBaseline, 6*time.Second)
+	c.FailTimeout = orDefault(c.FailTimeout, 60*time.Second)
+	c.FailConc = orDefault(c.FailConc, 60)
+	c.LagDuration = orDefault(c.LagDuration, 4*time.Second)
 	return c
 }
 
@@ -88,16 +67,13 @@ func RunOverall(cfg OverallConfig) OverallResult {
 	cfg = cfg.withDefaults()
 	res := OverallResult{Kind: cfg.Kind}
 
-	// P-Score / P*-Score: read-write throughput against resource cost.
-	res.OLTP = RunOLTP(OLTPConfig{
-		Kind: cfg.Kind, SF: cfg.SF, Mix: core.MixReadWrite,
-		Concurrency: cfg.Concurrency, Measure: cfg.Measure, Seed: cfg.Seed,
-		Warm: cfg.Warm,
-	})
+	// P-Score / P*-Score: read-write throughput against resource cost and
+	// against the vendor's price, both off the one measured cell.
+	res.OLTP = RunOLTP(cfg.oltp())
 	res.Scores.System = string(cfg.Kind)
 	res.Scores.SF = float64(cfg.SF)
 	res.Scores.P = res.OLTP.PScore
-	res.Scores.PStar = pStarFromOLTP(cfg, res.OLTP)
+	res.Scores.PStar = res.OLTP.PStarScore
 
 	// E1 / E1*: average across the four elasticity patterns.
 	var e1Sum, e1StarSum float64
@@ -108,10 +84,7 @@ func RunOverall(cfg OverallConfig) OverallResult {
 		})
 		res.Elasticity = append(res.Elasticity, er)
 		e1Sum += er.E1Score
-		if er.ActualCost > 0 {
-			costWindow := time.Duration(10) * cfg.SlotLength
-			e1StarSum += metrics.E1Score(er.AvgTPS, er.ActualCost/costWindow.Minutes())
-		}
+		e1StarSum += er.E1StarScore
 	}
 	n := float64(len(res.Elasticity))
 	res.Scores.E1 = e1Sum / n
@@ -160,20 +133,11 @@ func RunOverall(cfg OverallConfig) OverallResult {
 	return res
 }
 
-// pStarFromOLTP recomputes productivity against the vendor's actual price
-// per minute (with minimum billing applied to the measured window).
-func pStarFromOLTP(cfg OverallConfig, r OLTPResult) float64 {
-	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, Serverless: cdb.Bool(false),
-	})
-	s.Go("idle", func(p *sim.Proc) {
-		p.Sleep(cfg.Measure)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: pstar run: " + err.Error())
+// oltp is the read-write cell the P and P* scores read.
+func (c OverallConfig) oltp() OLTPConfig {
+	return OLTPConfig{
+		Kind: c.Kind, SF: c.SF, Mix: core.MixReadWrite,
+		Concurrency: c.Concurrency, Measure: c.Measure, Seed: c.Seed,
+		Warm: c.Warm,
 	}
-	actualPerMin := d.ActualCost(0, cfg.Measure) / cfg.Measure.Minutes()
-	return metrics.PScore(r.TPS, actualPerMin)
 }

@@ -75,7 +75,7 @@ func (r PartitionResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 func partitionSpec(cfg PartitionConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
 	return spec{
-		name: "partition", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		name: "partition", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
 		schedule:   PartitionSchedule(span),
 		observe:    observePrimary,
@@ -90,13 +90,13 @@ func partitionSpec(cfg PartitionConfig) spec {
 // detection, repair, unavailability, and the lease invariants. Deterministic:
 // the same config yields the same verdicts, metrics, and timeline.
 func RunPartition(cfg PartitionConfig) PartitionResult {
-	return partitionResult(runGauntlet(partitionSpec(cfg)))
+	return partitionResult(runCell(partitionSpec(cfg)))
 }
 
 func partitionResult(rc *run) PartitionResult {
 	d, col, injectAt := rc.d, rc.col, rc.outageAt
 	res := PartitionResult{
-		Kind:        rc.spec.kind,
+		Kind:        rc.d.Profile.Kind,
 		BaselineTPS: col.TPS(0, injectAt),
 		Commits:     col.Commits(),
 		Errors:      col.Errors(),

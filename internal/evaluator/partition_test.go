@@ -13,7 +13,7 @@ import (
 func quickPartition(kind cdb.Kind, disableFencing bool) PartitionResult {
 	sp := partitionSpec(PartitionConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
 	sp.sabotage.unfenced = disableFencing
-	return partitionResult(runGauntlet(sp))
+	return partitionResult(runCell(sp))
 }
 
 // partitionFingerprint flattens a result into a comparable string: every
@@ -121,7 +121,7 @@ func TestPartitionCheckerHasTeeth(t *testing.T) {
 func TestPartitionThatNeverHealsEndsTheRun(t *testing.T) {
 	sp := partitionSpec(PartitionConfig{Kind: cdb.RDS, Span: 12 * time.Second, Concurrency: 6, Seed: 7})
 	sp.schedule.Events = sp.schedule.Events[:1] // the cut, without its heal
-	r := partitionResult(runGauntlet(sp))
+	r := partitionResult(runCell(sp))
 	if r.Passed() {
 		t.Fatal("verdict sheet passed although the replica was cut off for good")
 	}

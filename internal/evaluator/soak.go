@@ -190,15 +190,17 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	tr := obs.NewTracer(string(cfg.Kind), tl)
 	res := SoakResult{Kind: cfg.Kind, Days: cfg.Days, Window: cfg.Window, Timeline: tl, Agg: tr.Agg()}
 
-	rc := runGauntlet(spec{
-		name: "soak", kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed, mix: gauntletMix,
-		// A secondary index on the order status column: T2 payments rewrite
-		// O_STATUS, so index maintenance runs for days and the in-flight
-		// IndexCoherent sweeps judge a moving target, not an empty catalog.
-		schema: func(db *engine.DB) error {
-			_, err := db.CreateIndex(core.TableOrders, "ix_orders_status", "O_STATUS")
-			return err
-		},
+	opts := fixed(cfg.SF, cfg.Seed)
+	opts.Tracer = tr
+	// A secondary index on the order status column: T2 payments rewrite
+	// O_STATUS, so index maintenance runs for days and the in-flight
+	// IndexCoherent sweeps judge a moving target, not an empty catalog.
+	opts.ExtraSchema = func(db *engine.DB) error {
+		_, err := db.CreateIndex(core.TableOrders, "ix_orders_status", "O_STATUS")
+		return err
+	}
+	rc := runCell(spec{
+		name: "soak", prof: cdb.ProfileFor(cfg.Kind), opts: opts, mix: gauntletMix,
 		schedule:  SoakSchedule(cfg.Days, cfg.Window, cfg.Burst),
 		observe:   observeAll,
 		resilient: true,
@@ -209,7 +211,6 @@ func RunSoak(cfg SoakConfig) SoakResult {
 			BackoffCap: 400 * time.Millisecond,
 		},
 		invariants: []invariant{fenceTrio, indexCoherent, convergence},
-		tracer:     tr,
 		body: func(p *sim.Proc, rc *run) {
 			// The in-flight sweep judges the history invariants over the
 			// segment since the previous sweep; the recorder is on every member,
@@ -235,7 +236,8 @@ func RunSoak(cfg SoakConfig) SoakResult {
 				// One burst per window at the churned tenant population. Its
 				// collector is a throwaway, so live memory stays O(windows) —
 				// the timeline — no matter how long the run is.
-				col := rc.burst(p, fmt.Sprintf("soak/w%03d", w), cfg.Concurrency*cfg.Tenants(w), cfg.Burst)
+				col := core.NewCollector()
+				rc.burst(p, fmt.Sprintf("soak/w%03d", w), cfg.Concurrency*cfg.Tenants(w), cfg.Burst, col)
 				res.Commits += col.Commits()
 				res.Errors += col.Errors()
 				res.Terminals += col.Terminals()

@@ -87,7 +87,7 @@ func suiteSpec(cfg SuiteConfig) spec {
 		panic(fmt.Sprintf("evaluator: unknown suite %q (have %v)", cfg.Suite, core.SuiteNames()))
 	}
 	sp := spec{
-		name: "suite/" + cfg.Suite, kind: cfg.Kind, sf: cfg.SF, seed: cfg.Seed,
+		name: "suite/" + cfg.Suite, prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 8), span: orDefault(cfg.Span, 10*time.Second),
 		suite: suite, scanOverride: cfg.ScanOverride,
 		resilient:  true,
@@ -112,7 +112,7 @@ func suiteSpec(cfg SuiteConfig) spec {
 // the chaos or partition gauntlet. Deterministic: the same config yields
 // the same verdicts and metrics.
 func RunSuite(cfg SuiteConfig) SuiteResult {
-	rc := runGauntlet(suiteSpec(cfg))
+	rc := runCell(suiteSpec(cfg))
 	d, col := rc.d, rc.col
 	res := SuiteResult{
 		Suite:     cfg.Suite,

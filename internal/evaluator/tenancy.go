@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -28,15 +29,8 @@ type TenancyConfig struct {
 }
 
 func (c TenancyConfig) withDefaults() TenancyConfig {
-	if c.SlotLength <= 0 {
-		c.SlotLength = time.Minute
-	}
-	if c.SF < 1 {
-		c.SF = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	c.SlotLength = orDefault(c.SlotLength, time.Minute)
+	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
 	if c.Mix.T1+c.Mix.T2+c.Mix.T3+c.Mix.T4 == 0 {
 		c.Mix = core.MixReadWrite
 	}
@@ -62,28 +56,23 @@ type TenancyResult struct {
 // RunTenancy executes one multi-tenancy pattern against one SUT.
 func RunTenancy(cfg TenancyConfig) TenancyResult {
 	cfg = cfg.withDefaults()
-	s := sim.New(simEpoch)
-	prof := cdb.ProfileFor(cfg.Kind)
 	nTenants := cfg.Pattern.Tenants()
-	ts := cdb.MustDeployTenants(s, prof, nTenants, cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, PreWarm: true,
-	})
-
 	collectors := make([]*core.Collector, nTenants)
-	runners := make([]*core.Runner, nTenants)
-	for i := 0; i < nTenants; i++ {
-		collectors[i] = core.NewCollector()
-		tn := ts.Tenants[i].Node
-		runners[i] = core.NewRunner(s, core.Config{
-			Name: fmt.Sprintf("tenant%d", i), Seed: cfg.Seed + int64(i), Mix: cfg.Mix,
-			Write:     func() *node.Node { return tn },
-			Read:      func() *node.Node { return tn },
-			Collector: collectors[i],
-		})
-	}
 	slots := cfg.Pattern.Slots()
 	total := time.Duration(slots) * cfg.SlotLength
-	s.Go("ctl", func(p *sim.Proc) {
+	opts := cdb.Options{SF: cfg.SF, Seed: cfg.Seed, PreWarm: true}
+	ts := runTenants("tenancy", cdb.ProfileFor(cfg.Kind), nTenants, opts, func(p *sim.Proc, ts *cdb.TenantSet) {
+		runners := make([]*core.Runner, nTenants)
+		for i := range runners {
+			collectors[i] = core.NewCollector()
+			tn := ts.Tenants[i].Node
+			runners[i] = core.NewRunner(ts.S, core.Config{
+				Name: fmt.Sprintf("tenant%d", i), Seed: cfg.Seed + int64(i), Mix: cfg.Mix,
+				Write:     func() *node.Node { return tn },
+				Read:      func() *node.Node { return tn },
+				Collector: collectors[i],
+			})
+		}
 		for slot := 0; slot < slots; slot++ {
 			for t, r := range runners {
 				r.SetConcurrency(cfg.Pattern.PerTenant[t][slot])
@@ -96,11 +85,7 @@ func RunTenancy(cfg TenancyConfig) TenancyResult {
 		for _, r := range runners {
 			r.Wait(p)
 		}
-		ts.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: tenancy run: " + err.Error())
-	}
 
 	res := TenancyResult{
 		Kind:       cfg.Kind,

@@ -10,11 +10,12 @@ import (
 	"cloudybench/internal/storage"
 )
 
-// Warm-up memoization (DESIGN.md §15). Every RunOLTP executes in two phases:
-// a warm-up phase that loads the cluster and drains replication to a
-// quiescent point, and a measurement phase that deploys a fresh cluster,
-// restores the warm-up's snapshot into it, and runs the measured window on a
-// virtual clock pre-advanced to the snapshot offset (sim.NewAt). Because the
+// Warm-up memoization (DESIGN.md §15). Every RunOLTP executes in two phases,
+// each a cell (§18): a warm-up phase that loads the cluster and drains
+// replication to a quiescent point, and a measurement phase that deploys a
+// fresh cluster, restores the warm-up's snapshot into it, and runs the
+// measured window on a virtual clock pre-advanced to the snapshot offset
+// (spec.warm). Because the
 // measurement phase always starts from a snapshot — whether that snapshot
 // was just computed or pulled from a cache — a cache hit is byte-identical
 // to a miss, and both to a run with no cache at all.
@@ -67,6 +68,47 @@ type WarmCache struct {
 type warmEntry struct {
 	once sync.Once
 	snap *WarmSnapshot
+}
+
+// runWarmup executes the warm-up phase as its own cell: load the cluster for
+// cfg.Warmup, drain the clients, quiesce every replication stream, and
+// snapshot the resulting state. The snapshot must capture every warm-up
+// commit applied on every replica, or forked cells would start with records
+// in flight that no stream remembers. cfg must carry its defaults already.
+func runWarmup(cfg OLTPConfig) *WarmSnapshot {
+	sp := oltpSpec(cfg, cfg.Warmup, nil)
+	sp.drainEvery = time.Millisecond
+	rc := runCell(sp)
+	if !rc.drained {
+		panic("evaluator: oltp warm-up did not drain replication")
+	}
+	snap := &WarmSnapshot{offset: rc.end, col: rc.col.Snapshot()}
+	for _, n := range rc.d.Nodes() {
+		snap.nodes = append(snap.nodes, nodeWarmState{db: n.DB.Snapshot(), buf: n.Buf.Snapshot()})
+	}
+	if rc.d.Remote != nil {
+		rs := rc.d.Remote.Snapshot()
+		snap.remote = &rs
+	}
+	return snap
+}
+
+// restore resumes a forked cell's deployment and collector from snap.
+func (rc *run) restore(snap *WarmSnapshot) {
+	nodes := rc.d.Nodes()
+	if len(nodes) != len(snap.nodes) {
+		panic("evaluator: oltp restore: node count mismatch")
+	}
+	for i, n := range nodes {
+		if err := n.DB.Restore(snap.nodes[i].db); err != nil {
+			panic("evaluator: oltp restore: " + err.Error())
+		}
+		n.Buf.Restore(snap.nodes[i].buf)
+	}
+	if rc.d.Remote != nil && snap.remote != nil {
+		rc.d.Remote.Restore(*snap.remote)
+	}
+	rc.col.Restore(snap.col)
 }
 
 // NewWarmCache returns an empty warm-up cache.

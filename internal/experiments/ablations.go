@@ -7,10 +7,8 @@ import (
 
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/core"
-	"cloudybench/internal/node"
+	"cloudybench/internal/evaluator"
 	"cloudybench/internal/report"
-	"cloudybench/internal/sim"
-	"cloudybench/internal/storage"
 )
 
 // Ablations isolate the architectural mechanisms the paper credits for
@@ -27,44 +25,20 @@ import (
 // AblationReplay compares CDB3's replication lag with 1 vs N replay lanes.
 func AblationReplay(sc Scale) string {
 	lanes := []int{1, cdb.ProfileFor(cdb.CDB3).Replication.Lanes}
-	runs := runCells(len(lanes), func(i int) time.Duration {
+	runs := runCells(len(lanes), func(i int) evaluator.LagResult {
 		prof := cdb.ProfileFor(cdb.CDB3)
 		prof.Replication.Lanes = lanes[i]
-		return runLagWithProfile(sc, prof)
+		return evaluator.RunLagAblation(prof, evaluator.LagConfig{
+			IUD: [3]float64{40, 50, 10}, Concurrency: sc.LagConc, Duration: sc.LagDuration, Seed: sc.Seed,
+		})
 	})
 	seq, par := runs[0], runs[1]
 	tbl := report.NewTable("Ablation — parallel log replay (CDB3, write-heavy)",
 		"Replay", "Mean update lag")
-	tbl.AddRow("sequential (1 lane)", report.Dur(seq))
-	tbl.AddRow("parallel (profile lanes)", report.Dur(par))
+	tbl.AddRow("sequential (1 lane)", report.Dur(seq.UpdateLag))
+	tbl.AddRow("parallel (profile lanes)", report.Dur(par.UpdateLag))
 	return tbl.String() + fmt.Sprintf("\nParallel replay cuts lag %.1fx.\n",
-		float64(seq)/float64(par))
-}
-
-// runLagWithProfile measures update lag under a write-heavy load for an
-// arbitrary profile variant.
-func runLagWithProfile(sc Scale, prof cdb.Profile) time.Duration {
-	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	d := cdb.MustDeploy(s, prof, cdb.Options{
-		Replicas: 1, Seed: sc.Seed, PreWarm: true, Serverless: cdb.Bool(false),
-	})
-	col := core.NewCollector()
-	r := core.NewRunner(s, core.Config{
-		Name: "ab", Seed: sc.Seed, Mix: core.IUDMix(40, 50, 10),
-		Write: d.RW, Read: d.ReadNode, Collector: col,
-	})
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(sc.LagConc)
-		p.Sleep(sc.LagDuration)
-		r.Stop()
-		r.Wait(p)
-		p.Sleep(3 * time.Second)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("experiments: ablation lag: " + err.Error())
-	}
-	return d.Streams()[0].MeanLag(storage.RecUpdate)
+		float64(seq.UpdateLag)/float64(par.UpdateLag))
 }
 
 // AblationRemoteBuffer compares CDB4's transaction latency with and
@@ -73,23 +47,23 @@ func runLagWithProfile(sc Scale, prof cdb.Profile) time.Duration {
 // round trip (~tens of µs) instead of a storage-service fetch (~600 µs),
 // which shows up directly in p50 latency when the local buffer is small.
 func AblationRemoteBuffer(sc Scale) string {
-	runs := runCells(2, func(i int) ablationOLTP {
+	runs := runCells(2, func(i int) evaluator.OLTPResult {
 		prof := cdb.ProfileFor(cdb.CDB4)
 		// Shrink the local buffer so the second tier actually matters
 		// (at SF1 the stock 10 GB local buffer absorbs everything).
 		if i == 1 {
 			prof.RemoteBufBytes = 0
 		}
-		return runOLTPWithProfile(sc, prof, 16<<20, true)
+		return evaluator.RunOLTPAblation(prof, ablationOLTP(sc, core.MixReadWrite, 16<<20), true)
 	})
 	with, without := runs[0], runs[1]
 	tbl := report.NewTable("Ablation — remote buffer pool (CDB4, 16MB local buffer, RW)",
 		"Configuration", "TPS", "p50 latency", "p99 latency")
-	tbl.AddRow("local + remote pool (RDMA)", report.F(with.tps),
-		report.Dur(with.p50), report.Dur(with.p99))
-	tbl.AddRow("local only (misses go to storage)", report.F(without.tps),
-		report.Dur(without.p50), report.Dur(without.p99))
-	ratio := float64(without.p50) / float64(with.p50)
+	tbl.AddRow("local + remote pool (RDMA)", report.F(with.TPS),
+		report.Dur(with.P50), report.Dur(with.P99))
+	tbl.AddRow("local only (misses go to storage)", report.F(without.TPS),
+		report.Dur(without.P50), report.Dur(without.P99))
+	ratio := float64(without.P50) / float64(with.P50)
 	return tbl.String() + fmt.Sprintf("\nServing misses from the remote pool cuts p50 latency %.1fx.\n", ratio)
 }
 
@@ -98,24 +72,25 @@ func AblationRemoteBuffer(sc Scale) string {
 // delete-heavy mix dirties pages across the whole table, so writeback and
 // checkpoints fight foreground traffic for the storage channel.
 func AblationRedoPushdown(sc Scale) string {
-	runs := runCells(2, func(i int) ablationOLTP {
+	runs := runCells(2, func(i int) evaluator.OLTPResult {
 		prof := cdb.ProfileFor(cdb.CDB1)
 		prof.RedoPushdown = i == 0
 		if i == 1 {
 			// Classic engines must also checkpoint frequently.
 			prof.CheckpointEvery = 2 * time.Second
 		}
-		// Start cold so the buffer fills with freshly dirtied pages and
-		// eviction writeback engages within the measurement window.
-		return runOLTPWithProfile(sc, prof, 0, false)
+		// Insert+delete dirties pages across the whole key space; start
+		// cold so the buffer fills with freshly dirtied pages and eviction
+		// writeback engages within the measurement window.
+		return evaluator.RunOLTPAblation(prof, ablationOLTP(sc, core.Mix{T1: 50, T4: 50}, 0), false)
 	})
 	with, without := runs[0], runs[1]
 	tbl := report.NewTable("Ablation — redo pushdown (CDB1, insert+delete mix)",
 		"Configuration", "TPS", "p50 latency", "p99 latency")
-	tbl.AddRow("redo pushed to storage (no writeback)", report.F(with.tps),
-		report.Dur(with.p50), report.Dur(with.p99))
-	tbl.AddRow("dirty-page writeback + checkpoints", report.F(without.tps),
-		report.Dur(without.p50), report.Dur(without.p99))
+	tbl.AddRow("redo pushed to storage (no writeback)", report.F(with.TPS),
+		report.Dur(with.P50), report.Dur(with.P99))
+	tbl.AddRow("dirty-page writeback + checkpoints", report.F(without.TPS),
+		report.Dur(without.P50), report.Dur(without.P99))
 	note := "\nAt this scale CDB1 stays compute-bound either way: the shared storage\n" +
 		"service absorbs writeback and checkpoint traffic without throttling\n" +
 		"foreground work — redo pushdown's advantage appears once the storage\n" +
@@ -124,41 +99,12 @@ func AblationRedoPushdown(sc Scale) string {
 	return tbl.String() + note
 }
 
-type ablationOLTP struct {
-	tps      float64
-	p50, p99 time.Duration
-}
-
-func runOLTPWithProfile(sc Scale, prof cdb.Profile, buffer int64, preWarm bool) ablationOLTP {
-	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	d := cdb.MustDeploy(s, prof, cdb.Options{
-		Replicas: -1, Seed: sc.Seed, PreWarm: preWarm, Serverless: cdb.Bool(false),
-		BufferBytes: buffer,
-	})
-	col := core.NewCollector()
-	mix := core.MixReadWrite
-	if prof.Kind == cdb.CDB1 {
-		// Insert+delete dirties pages across the whole key space.
-		mix = core.Mix{T1: 50, T4: 50}
-	}
-	r := core.NewRunner(s, core.Config{
-		Name: "ab", Seed: sc.Seed, Mix: mix,
-		Write: d.RW, Read: func() *node.Node { return d.RW() }, Collector: col,
-	})
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(64)
-		p.Sleep(sc.Warmup + sc.Measure)
-		r.Stop()
-		r.Wait(p)
-		d.Shutdown()
-	})
-	if err := s.Run(); err != nil {
-		panic("experiments: ablation oltp: " + err.Error())
-	}
-	return ablationOLTP{
-		tps: col.TPS(sc.Warmup, sc.Warmup+sc.Measure),
-		p50: col.Latency().Quantile(0.5),
-		p99: col.Latency().Quantile(0.99),
+// ablationOLTP is the OLTP ablations' cell: 64 clients on one RW node for
+// the scale's warm-up plus measured window.
+func ablationOLTP(sc Scale, mix core.Mix, buffer int64) evaluator.OLTPConfig {
+	return evaluator.OLTPConfig{
+		Mix: mix, Concurrency: 64, Replicas: evaluator.NoReplicas, BufferBytes: buffer,
+		Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed,
 	}
 }
 
