@@ -46,6 +46,7 @@ func TestPointAccessAllocationFloors(t *testing.T) {
 		})
 		// T2-shaped: lock and read a base row, write back a modified copy.
 		// The copy is the table's to keep: one allocation.
+		overlaid := id + 1
 		gate("update txn", 1, func() {
 			id++
 			txn := db.Begin(p)
@@ -57,6 +58,40 @@ func TestPointAccessAllocationFloors(t *testing.T) {
 			upd := old.Clone()
 			upd[2] = Str("paid")
 			if _, err := txn.Update(orders, key, upd); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The same, on the rows the gate above left in the overlay: the write
+		// goes through the stored value's address, and the row is again the
+		// only allocation.
+		next := overlaid
+		gate("update txn, overlay row", 1, func() {
+			txn := db.Begin(p)
+			key = AppendIntKey(key[:0], next)
+			next++
+			old, _, err := txn.GetForUpdateInto(orders, key, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			upd := old.Clone()
+			upd[2] = Str("shipped")
+			if _, err := txn.Update(orders, key, upd); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Tombstoning an overlay row keeps nothing new: no allocation.
+		next = overlaid
+		gate("delete txn, overlay row", 0, func() {
+			txn := db.Begin(p)
+			key = AppendIntKey(key[:0], next)
+			next++
+			if _, err := txn.Delete(orders, key); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := txn.Commit(); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 //
 //	go test -run '^$' -bench 'BenchmarkTxn' -benchtime 100000x -count 5 ./internal/engine/
 //	go test -run '^$' -bench 'BenchmarkReplicaApply' -benchtime 1000000x -count 5 ./internal/engine/
+//	go test -run '^$' -bench 'BenchmarkDeltaWriteRandom' -benchtime 100000x -count 5 ./internal/engine/
 
 func benchSchema() *Schema {
 	return &Schema{
@@ -177,5 +179,105 @@ func BenchmarkReplicaApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		done += len(batch)
+	}
+}
+
+// BenchmarkDeltaWriteRandom measures the delta store where the two
+// benchmarks above never take it: they write one row and 224 sequential
+// keys, so no insert ever shifts a full node. Here a 100 000-row table
+// takes updates of random base rows. The first write of a key inserts it
+// into the overlay, and a later one overwrites it in place. The tree passes
+// three levels before the clock starts. "txn" times one update transaction
+// per op; "apply" replays the same records on a replica through ApplyBatch,
+// 64 at a time, and times one record per op.
+func BenchmarkDeltaWriteRandom(b *testing.B) {
+	const baseRows, warm, batch = 100_000, 1 << 15, 64
+	b.Run("txn", func(b *testing.B) {
+		benchInSim(b, func(s *sim.Sim, p *sim.Proc) {
+			db := NewDB(s)
+			tbl := db.MustCreateTable(benchSchema(), baseRows, benchGen)
+			update := randomUpdater(b, db, tbl, p)
+			for range warm {
+				update()
+			}
+			requireHeight(b, tbl.delta, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				update()
+			}
+		})
+	})
+	b.Run("apply", func(b *testing.B) {
+		s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+		primary := NewDB(s)
+		tbl := primary.MustCreateTable(benchSchema(), baseRows, benchGen)
+		var recs []storage.Record
+		s.Go("build", func(p *sim.Proc) {
+			update := randomUpdater(b, primary, tbl, p)
+			for range 2 * warm {
+				recs = append(recs, update()...)
+			}
+		})
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		replica := NewDB(s)
+		replica.MustCreateTable(benchSchema(), baseRows, benchGen)
+		apply := func(recs []storage.Record) {
+			for lo := 0; lo < len(recs); lo += batch {
+				if err := replica.ApplyBatch(recs[lo:min(lo+batch, len(recs))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		apply(recs[:len(recs)/2])
+		requireHeight(b, replica.Table(tbl.Schema.Name).delta, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, at := 0, len(recs)/2; done < b.N; at = 0 {
+			part := recs[at:min(len(recs), at+b.N-done)]
+			apply(part)
+			done += len(part)
+		}
+	})
+}
+
+// randomUpdater returns a function that commits one update of a random base
+// row of tbl and returns the transaction's WAL records. The rows it writes
+// come from a small prebuilt set: stored rows are immutable, so one row may
+// be handed to many keys, and the benchmark times the tree, not the
+// allocator.
+func randomUpdater(b *testing.B, db *DB, tbl *Table, p *sim.Proc) func() []storage.Record {
+	r := rand.New(rand.NewSource(1))
+	rows := make([]Row, 256)
+	for i := range rows {
+		rows[i] = benchGen(nil, int64(i+1))
+	}
+	key := make(Key, 0, 16)
+	i := 0
+	return func() []storage.Record {
+		i++
+		key = AppendIntKey(key[:0], 1+r.Int63n(tbl.BaseRows()))
+		txn := db.Begin(p)
+		if _, err := txn.Update(tbl, key, rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+		recs, err := txn.Commit()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return recs
+	}
+}
+
+// requireHeight fails b unless tree t has at least levels levels.
+func requireHeight[V any](b *testing.B, t *BTree[V], levels int) {
+	h := 0
+	for r := t.root; r != 0; r = t.node(r).kids[0] {
+		h++
+	}
+	if h < levels {
+		b.Fatalf("the delta tree has %d levels, want at least %d", h, levels)
 	}
 }

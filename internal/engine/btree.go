@@ -30,8 +30,14 @@ const (
 // owns no memory. A chunk is never copied when the slab grows, and freed
 // nodes go on a free list. Keys live in the tree's append-only arena, and a
 // node slot names its key by (offset, length) plus an abbreviation (see
-// abbrev). Values sit in a parallel slab, so the node slab and the arena hold
-// no pointers and the GC scans only values that do.
+// abbrev). Values live in a chunked value slab of their own, and a node slot
+// names its value by a value reference, so splits, merges, borrows and slot
+// shifts move 4-byte references and never a value; a deleted key's reference
+// goes on a value free list. The node slab and the arena hold no pointers,
+// and the GC scans only values that do.
+//
+// A value never moves once stored: the address Ref returns stays valid, and
+// keeps naming k's value, until k is deleted.
 //
 // The tree copies every key it stores, so callers keep ownership of (and may
 // reuse) the buffers they pass. A key the tree hands back (AscendRange, Min,
@@ -40,25 +46,31 @@ const (
 // until the tree is dropped, as records stay in the WAL.
 type BTree[V any] struct {
 	nodes [][]bnode
-	vals  [][][btreeMaxKeys]V // vals[c][j] holds the values of nodes[c][j]
+	vals  [][]V   // the value slab, addressed through val
+	vfree []int32 // freed value references, reused last-freed first
 	root  int32
 	used  int32 // highest node reference handed out
 	free  int32 // free-list head, linked through kids[0]
+	vused int32 // value references handed out
 	size  int
 	arena []byte
 }
 
-// keyRef names one stored key: arena[off : off+n].
-type keyRef struct{ off, n uint32 }
+// ent is one stored entry: its key, arena[off : off+n], and the reference v
+// of its value in the value slab.
+type ent struct {
+	off, n uint32
+	v      int32
+}
 
 // bnode is one node. Every key in it begins with the first plen bytes of
-// keys[0] (the node prefix), and abbr[i] is abbrev(key i, plen). A leaf has
-// every kid zero; an internal node's children are kids[:n+1], and slots past
-// them are never read.
+// ents[0]'s key (the node prefix), and abbr[i] is abbrev(key i, plen). A leaf
+// has every kid zero; an internal node's children are kids[:n+1], and slots
+// past them are never read.
 type bnode struct {
 	n    int32
 	plen int32
-	keys [btreeMaxKeys]keyRef
+	ents [btreeMaxKeys]ent
 	abbr [btreeMaxKeys]uint64
 	kids [btreeMaxKeys + 1]int32
 }
@@ -87,9 +99,47 @@ func (t *BTree[V]) node(r int32) *bnode {
 	return &t.nodes[c][j]
 }
 
-func (t *BTree[V]) valsOf(r int32) *[btreeMaxKeys]V {
-	c, j := slot(r)
-	return &t.vals[c][j]
+// Value-slab geometry: value references come in units of valUnit, and unit
+// u maps to a chunk as node reference u+1 does through slot, so chunk c holds
+// valUnit<<min(c, nodeChunkShift) values. A node holds fewer than valUnit
+// values, so the value slab never has more chunks than the node slab.
+const (
+	valUnitShift = 6
+	valUnit      = 1 << valUnitShift
+)
+
+// val returns the address of the value that value reference v names.
+func (t *BTree[V]) val(v int32) *V {
+	c, u := slot(v>>valUnitShift + 1)
+	return &t.vals[c][u<<valUnitShift|v&(valUnit-1)]
+}
+
+// valloc stores v under a value reference of its own, the most recently
+// freed one or the next slab slot, and returns it.
+func (t *BTree[V]) valloc(v V) int32 {
+	var r int32
+	if n := len(t.vfree); n > 0 {
+		r, t.vfree = t.vfree[n-1], t.vfree[:n-1]
+	} else {
+		if c, _ := slot(t.vused>>valUnitShift + 1); int(c) == len(t.vals) {
+			t.growVals()
+		}
+		r = t.vused
+		t.vused++
+	}
+	*t.val(r) = v
+	return r
+}
+
+// vrelease puts value reference v on the value free list and returns the
+// value it held, zeroing its slot so the slab keeps no deleted row alive.
+func (t *BTree[V]) vrelease(v int32) V {
+	p := t.val(v)
+	old := *p
+	var zero V
+	*p = zero
+	t.vfree = append(t.vfree, v)
+	return old
 }
 
 // alloc returns an empty leaf: the most recently freed node, or the next
@@ -108,9 +158,8 @@ func (t *BTree[V]) alloc() int32 {
 	return t.used
 }
 
-// release puts node r on the free list, dropping its values.
+// release puts node r on the free list. Its entries have moved elsewhere.
 func (t *BTree[V]) release(r int32) {
-	clear(t.valsOf(r)[:])
 	t.node(r).kids[0] = t.free
 	t.free = r
 }
@@ -118,10 +167,10 @@ func (t *BTree[V]) release(r int32) {
 // keyArenaMin is the first arena's capacity; later ones double.
 const keyArenaMin = 256
 
-// grow is the tree's one allocating path: it adds the next node chunk when
-// the free list is empty and every slab slot is in use, and moves the key
-// arena to one with room for need more bytes when it is short. Key
-// references are offsets, so moving the arena invalidates nothing.
+// grow is the node slab's and the key arena's allocating path: it adds the
+// next node chunk when the free list is empty and every slab slot is in use,
+// and moves the key arena to one with room for need more bytes when it is
+// short. Key references are offsets, so moving the arena invalidates nothing.
 //
 //detlint:coldpath
 //go:noinline
@@ -129,7 +178,6 @@ func (t *BTree[V]) grow(need int) {
 	if c, _ := slot(t.used + 1); t.free == 0 && int(c) == len(t.nodes) {
 		n := 1 << min(len(t.nodes), nodeChunkShift)
 		t.nodes = append(t.nodes, make([]bnode, n))
-		t.vals = append(t.vals, make([][btreeMaxKeys]V, n))
 	}
 	if cap(t.arena)-len(t.arena) < need {
 		if len(t.arena)+need > math.MaxUint32 {
@@ -141,21 +189,30 @@ func (t *BTree[V]) grow(need int) {
 	}
 }
 
-// ownKey copies k into the arena.
-func (t *BTree[V]) ownKey(k []byte) keyRef {
+// growVals adds the next value chunk when every value-slab slot is in use.
+// Value references are slab positions, so no value moves.
+//
+//detlint:coldpath
+//go:noinline
+func (t *BTree[V]) growVals() {
+	t.vals = append(t.vals, make([]V, valUnit<<min(len(t.vals), nodeChunkShift)))
+}
+
+// own copies k into the arena and stores v in the value slab.
+func (t *BTree[V]) own(k []byte, v V) ent {
 	if cap(t.arena)-len(t.arena) < len(k) {
 		t.grow(len(k))
 	}
 	off := len(t.arena)
 	t.arena = append(t.arena, k...)
-	return keyRef{uint32(off), uint32(len(k))}
+	return ent{uint32(off), uint32(len(k)), t.valloc(v)}
 }
 
-// key returns the stored bytes kr names, capacity-clipped so an append by
-// the holder can never write into the arena.
-func (t *BTree[V]) key(kr keyRef) []byte {
-	end := kr.off + kr.n
-	return t.arena[kr.off:end:end]
+// key returns the stored bytes e names, capacity-clipped so an append by the
+// holder can never write into the arena.
+func (t *BTree[V]) key(e ent) []byte {
+	end := e.off + e.n
+	return t.arena[e.off:end:end]
 }
 
 // abbrev returns the eight bytes of k after its first plen, big-endian and
@@ -197,7 +254,7 @@ func (t *BTree[V]) find(n *bnode, k []byte) (int, bool) {
 	plen := int(n.plen)
 	if plen > 0 {
 		// A key outside the node prefix sorts before or after all of n.
-		p := t.key(n.keys[0])[:plen]
+		p := t.key(n.ents[0])[:plen]
 		m := min(plen, len(k))
 		if c := bytes.Compare(k[:m], p[:m]); c != 0 || m < plen {
 			if c > 0 {
@@ -212,7 +269,7 @@ func (t *BTree[V]) find(n *bnode, k []byte) (int, bool) {
 		mid := int(uint(lo+hi) >> 1)
 		c := cmp.Compare(n.abbr[mid], ak)
 		if c == 0 {
-			if c = bytes.Compare(t.key(n.keys[mid])[plen:], k[plen:]); c == 0 {
+			if c = bytes.Compare(t.key(n.ents[mid])[plen:], k[plen:]); c == 0 {
 				return mid, true
 			}
 		}
@@ -234,7 +291,7 @@ func (t *BTree[V]) admit(n *bnode, k []byte) uint64 {
 		return 0
 	}
 	plen := int(n.plen)
-	if m := commonPrefix(t.key(n.keys[0])[:plen], k); m < plen {
+	if m := commonPrefix(t.key(n.ents[0])[:plen], k); m < plen {
 		n.plen = int32(m)
 		t.reabbrev(n)
 	}
@@ -245,43 +302,39 @@ func (t *BTree[V]) admit(n *bnode, k []byte) uint64 {
 // first and last key, as they are sorted — after keys moved in or out in
 // bulk, and re-abbreviates them.
 func (t *BTree[V]) reprefix(n *bnode) {
-	n.plen = int32(commonPrefix(t.key(n.keys[0]), t.key(n.keys[n.n-1])))
+	n.plen = int32(commonPrefix(t.key(n.ents[0]), t.key(n.ents[n.n-1])))
 	t.reabbrev(n)
 }
 
 func (t *BTree[V]) reabbrev(n *bnode) {
 	plen := int(n.plen)
 	for i := range n.n {
-		n.abbr[i] = abbrev(t.key(n.keys[i]), plen)
+		n.abbr[i] = abbrev(t.key(n.ents[i]), plen)
 	}
 }
 
-// insertSlot shifts the slots of n from i on right by one and stores
-// (kr, v) at i. kr's bytes must lie inside the node prefix (see admit).
-func insertSlot[V any](n *bnode, vs *[btreeMaxKeys]V, i int, kr keyRef, a uint64, v V) {
+// insertSlot shifts the slots of n from i on right by one and stores e at
+// i. e's key must lie inside the node prefix (see admit).
+func insertSlot(n *bnode, i int, e ent, a uint64) {
 	cnt := int(n.n)
-	copy(n.keys[i+1:cnt+1], n.keys[i:cnt])
+	copy(n.ents[i+1:cnt+1], n.ents[i:cnt])
 	copy(n.abbr[i+1:cnt+1], n.abbr[i:cnt])
-	copy(vs[i+1:cnt+1], vs[i:cnt])
-	n.keys[i], n.abbr[i], vs[i] = kr, a, v
+	n.ents[i], n.abbr[i] = e, a
 	n.n++
 }
 
 // removeSlot shifts the slots of n after i left by one.
-func removeSlot[V any](n *bnode, vs *[btreeMaxKeys]V, i int) {
+func removeSlot(n *bnode, i int) {
 	cnt := int(n.n)
-	copy(n.keys[i:cnt-1], n.keys[i+1:cnt])
+	copy(n.ents[i:cnt-1], n.ents[i+1:cnt])
 	copy(n.abbr[i:cnt-1], n.abbr[i+1:cnt])
-	copy(vs[i:cnt-1], vs[i+1:cnt])
-	var zero V
-	vs[cnt-1] = zero
 	n.n--
 }
 
-// setSlot overwrites slot i of n with (kr, v).
-func (t *BTree[V]) setSlot(n *bnode, vs *[btreeMaxKeys]V, i int, kr keyRef, v V) {
-	n.abbr[i] = t.admit(n, t.key(kr))
-	n.keys[i], vs[i] = kr, v
+// setSlot overwrites slot i of n with e.
+func (t *BTree[V]) setSlot(n *bnode, i int, e ent) {
+	n.abbr[i] = t.admit(n, t.key(e))
+	n.ents[i] = e
 }
 
 // NewBTree returns an empty tree.
@@ -296,16 +349,28 @@ func (t *BTree[V]) Len() int { return t.size }
 //
 //detlint:hotpath
 func (t *BTree[V]) Get(k Key) (V, bool) {
+	if p := t.Ref(k); p != nil {
+		return *p, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref returns the address of the value stored under k, or nil, in one
+// descent. A caller may read and write the value through it; the address
+// stays valid until k is deleted.
+//
+//detlint:hotpath
+func (t *BTree[V]) Ref(k Key) *V {
 	for r := t.root; r != 0; {
 		n := t.node(r)
 		i, found := t.find(n, k)
 		if found {
-			return t.valsOf(r)[i], true
+			return t.val(n.ents[i].v)
 		}
 		r = n.kids[i] // zero below a leaf
 	}
-	var zero V
-	return zero, false
+	return nil
 }
 
 // Set stores v under k, returning the previous value if one existed.
@@ -331,48 +396,44 @@ func (t *BTree[V]) Set(k Key, v V) (old V, replaced bool) {
 // splitChild splits the full child at index i of node pr.
 func (t *BTree[V]) splitChild(pr int32, i int) {
 	rr := t.alloc()
-	parent, pv := t.node(pr), t.valsOf(pr)
-	cr := parent.kids[i]
-	child, cv := t.node(cr), t.valsOf(cr)
-	right, rv := t.node(rr), t.valsOf(rr)
+	parent := t.node(pr)
+	child, right := t.node(parent.kids[i]), t.node(rr)
 	mid, cnt := btreeMinKeys, int(child.n)
-	copy(right.keys[:], child.keys[mid+1:cnt])
-	copy(rv[:], cv[mid+1:cnt])
+	copy(right.ents[:], child.ents[mid+1:cnt])
 	if !child.leaf() {
 		copy(right.kids[:], child.kids[mid+1:cnt+1])
 	}
 	right.n = int32(cnt - mid - 1)
-	upKey, upVal := child.keys[mid], cv[mid]
-	clear(cv[mid:cnt])
+	up := child.ents[mid]
 	child.n = int32(mid)
 	t.reprefix(child)
 	t.reprefix(right)
 	pcnt := int(parent.n)
-	insertSlot(parent, pv, i, upKey, t.admit(parent, t.key(upKey)), upVal)
+	insertSlot(parent, i, up, t.admit(parent, t.key(up)))
 	copy(parent.kids[i+2:pcnt+2], parent.kids[i+1:pcnt+1])
 	parent.kids[i+1] = rr
 }
 
 func (t *BTree[V]) insertNonFull(r int32, k Key, v V) (old V, replaced bool) {
 	for {
-		n, vs := t.node(r), t.valsOf(r)
+		n := t.node(r)
 		i, found := t.find(n, k)
 		if found {
-			old = vs[i]
-			vs[i] = v
+			p := t.val(n.ents[i].v)
+			old, *p = *p, v
 			return old, true
 		}
 		if n.leaf() {
 			a := t.admit(n, k)
-			insertSlot(n, vs, i, t.ownKey(k), a, v)
+			insertSlot(n, i, t.own(k, v), a)
 			return old, false
 		}
 		if t.node(n.kids[i]).n == btreeMaxKeys {
 			t.splitChild(r, i)
-			cmp := bytes.Compare(k, t.key(n.keys[i]))
+			cmp := bytes.Compare(k, t.key(n.ents[i]))
 			if cmp == 0 {
-				old = vs[i]
-				vs[i] = v
+				p := t.val(n.ents[i].v)
+				old, *p = *p, v
 				return old, true
 			}
 			if cmp > 0 {
@@ -401,31 +462,30 @@ func (t *BTree[V]) Delete(k Key) (old V, deleted bool) {
 }
 
 func (t *BTree[V]) delete(r int32, k Key) (old V, deleted bool) {
-	n, vs := t.node(r), t.valsOf(r)
+	n := t.node(r)
 	i, found := t.find(n, k)
 	if n.leaf() {
 		if !found {
 			return old, false
 		}
-		old = vs[i]
-		removeSlot(n, vs, i)
+		old = t.vrelease(n.ents[i].v)
+		removeSlot(n, i)
 		return old, true
 	}
 	if found {
 		// Replace with predecessor from the left subtree, then delete it there.
-		old = vs[i]
+		gone := n.ents[i].v
 		if left := n.kids[i]; t.node(left).n > btreeMinKeys {
-			pk, pv := t.deleteMax(left)
-			t.setSlot(n, vs, i, pk, pv)
-			return old, true
+			t.setSlot(n, i, t.deleteMax(left))
+			return t.vrelease(gone), true
 		}
 		if right := n.kids[i+1]; t.node(right).n > btreeMinKeys {
-			sk, sv := t.deleteMin(right)
-			t.setSlot(n, vs, i, sk, sv)
-			return old, true
+			t.setSlot(n, i, t.deleteMin(right))
+			return t.vrelease(gone), true
 		}
+		// The key moves down into the merged child and is deleted there.
 		t.mergeChildren(r, i)
-		if _, del := t.delete(n.kids[i], k); !del {
+		if old, deleted = t.delete(n.kids[i], k); !deleted {
 			panic("engine: btree lost key during merge delete")
 		}
 		return old, true
@@ -437,14 +497,14 @@ func (t *BTree[V]) delete(r int32, k Key) (old V, deleted bool) {
 	return t.delete(n.kids[i], k)
 }
 
-func (t *BTree[V]) deleteMax(r int32) (keyRef, V) {
+func (t *BTree[V]) deleteMax(r int32) ent {
 	for {
-		n, vs := t.node(r), t.valsOf(r)
+		n := t.node(r)
 		if n.leaf() {
 			last := int(n.n) - 1
-			kr, v := n.keys[last], vs[last]
-			removeSlot(n, vs, last)
-			return kr, v
+			e := n.ents[last]
+			removeSlot(n, last)
+			return e
 		}
 		i := int(n.n)
 		if t.node(n.kids[i]).n <= btreeMinKeys {
@@ -455,13 +515,13 @@ func (t *BTree[V]) deleteMax(r int32) (keyRef, V) {
 	}
 }
 
-func (t *BTree[V]) deleteMin(r int32) (keyRef, V) {
+func (t *BTree[V]) deleteMin(r int32) ent {
 	for {
-		n, vs := t.node(r), t.valsOf(r)
+		n := t.node(r)
 		if n.leaf() {
-			kr, v := n.keys[0], vs[0]
-			removeSlot(n, vs, 0)
-			return kr, v
+			e := n.ents[0]
+			removeSlot(n, 0)
+			return e
 		}
 		if t.node(n.kids[0]).n <= btreeMinKeys {
 			t.fill(r, 0)
@@ -494,55 +554,51 @@ func (t *BTree[V]) fill(r int32, i int) int {
 // borrowFromLeft rotates the last key of child i-1 through separator i-1
 // into the front of child i.
 func (t *BTree[V]) borrowFromLeft(r int32, i int) {
-	n, nv := t.node(r), t.valsOf(r)
-	child, cv := t.node(n.kids[i]), t.valsOf(n.kids[i])
-	left, lv := t.node(n.kids[i-1]), t.valsOf(n.kids[i-1])
+	n := t.node(r)
+	child, left := t.node(n.kids[i]), t.node(n.kids[i-1])
 	ccnt, last := int(child.n), int(left.n)-1
-	sep := n.keys[i-1]
-	insertSlot(child, cv, 0, sep, t.admit(child, t.key(sep)), nv[i-1])
-	t.setSlot(n, nv, i-1, left.keys[last], lv[last])
+	sep := n.ents[i-1]
+	insertSlot(child, 0, sep, t.admit(child, t.key(sep)))
+	t.setSlot(n, i-1, left.ents[last])
 	if !child.leaf() {
 		copy(child.kids[1:ccnt+2], child.kids[:ccnt+1])
 		child.kids[0] = left.kids[last+1]
 	}
-	removeSlot(left, lv, last)
+	removeSlot(left, last)
 }
 
 // borrowFromRight rotates the first key of child i+1 through separator i
 // onto the end of child i.
 func (t *BTree[V]) borrowFromRight(r int32, i int) {
-	n, nv := t.node(r), t.valsOf(r)
-	child, cv := t.node(n.kids[i]), t.valsOf(n.kids[i])
-	right, rv := t.node(n.kids[i+1]), t.valsOf(n.kids[i+1])
+	n := t.node(r)
+	child, right := t.node(n.kids[i]), t.node(n.kids[i+1])
 	ccnt, rcnt := int(child.n), int(right.n)
-	sep := n.keys[i]
-	insertSlot(child, cv, ccnt, sep, t.admit(child, t.key(sep)), nv[i])
-	t.setSlot(n, nv, i, right.keys[0], rv[0])
+	sep := n.ents[i]
+	insertSlot(child, ccnt, sep, t.admit(child, t.key(sep)))
+	t.setSlot(n, i, right.ents[0])
 	if !child.leaf() {
 		child.kids[ccnt+1] = right.kids[0]
 		copy(right.kids[:rcnt], right.kids[1:rcnt+1])
 	}
-	removeSlot(right, rv, 0)
+	removeSlot(right, 0)
 }
 
 // mergeChildren merges child i, separator i and child i+1 of node r into
 // child i, and frees child i+1.
 func (t *BTree[V]) mergeChildren(r int32, i int) {
-	n, nv := t.node(r), t.valsOf(r)
-	lr, rr := n.kids[i], n.kids[i+1]
-	left, lv := t.node(lr), t.valsOf(lr)
-	right, rv := t.node(rr), t.valsOf(rr)
+	n := t.node(r)
+	rr := n.kids[i+1]
+	left, right := t.node(n.kids[i]), t.node(rr)
 	lcnt, rcnt, cnt := int(left.n), int(right.n), int(n.n)
-	left.keys[lcnt], lv[lcnt] = n.keys[i], nv[i]
-	copy(left.keys[lcnt+1:], right.keys[:rcnt])
-	copy(lv[lcnt+1:], rv[:rcnt])
+	left.ents[lcnt] = n.ents[i]
+	copy(left.ents[lcnt+1:], right.ents[:rcnt])
 	if !left.leaf() {
 		copy(left.kids[lcnt+1:], right.kids[:rcnt+1])
 	}
 	left.n = int32(lcnt + 1 + rcnt)
 	t.reprefix(left)
 	copy(n.kids[i+1:cnt], n.kids[i+2:cnt+1])
-	removeSlot(n, nv, i)
+	removeSlot(n, i)
 	t.release(rr)
 }
 
@@ -556,7 +612,7 @@ func (t *BTree[V]) AscendRange(lo, hi Key, fn func(k Key, v V) bool) {
 }
 
 func (t *BTree[V]) ascend(r int32, lo, hi Key, fn func(k Key, v V) bool) bool {
-	n, vs := t.node(r), t.valsOf(r)
+	n := t.node(r)
 	start := 0
 	if lo != nil {
 		start, _ = t.find(n, lo)
@@ -570,11 +626,11 @@ func (t *BTree[V]) ascend(r int32, lo, hi Key, fn func(k Key, v V) bool) bool {
 		if i == int(n.n) {
 			break
 		}
-		k := t.key(n.keys[i])
+		k := t.key(n.ents[i])
 		if hi != nil && bytes.Compare(k, hi) >= 0 {
 			return false
 		}
-		if !fn(k, vs[i]) {
+		if !fn(k, *t.val(n.ents[i].v)) {
 			return false
 		}
 	}
@@ -587,12 +643,11 @@ func (t *BTree[V]) Min() (Key, V, bool) {
 		var zero V
 		return nil, zero, false
 	}
-	r, n := t.root, t.node(t.root)
+	n := t.node(t.root)
 	for !n.leaf() {
-		r = n.kids[0]
-		n = t.node(r)
+		n = t.node(n.kids[0])
 	}
-	return t.key(n.keys[0]), t.valsOf(r)[0], true
+	return t.key(n.ents[0]), *t.val(n.ents[0].v), true
 }
 
 // Max returns the largest key and its value.
@@ -601,32 +656,36 @@ func (t *BTree[V]) Max() (Key, V, bool) {
 		var zero V
 		return nil, zero, false
 	}
-	r, n := t.root, t.node(t.root)
+	n := t.node(t.root)
 	for !n.leaf() {
-		r = n.kids[n.n]
-		n = t.node(r)
+		n = t.node(n.kids[n.n])
 	}
-	last := n.n - 1
-	return t.key(n.keys[last]), t.valsOf(r)[last], true
+	e := n.ents[n.n-1]
+	return t.key(e), *t.val(e.v), true
 }
 
 // clone returns a tree with t's contents that evolves independently of it:
-// the node and value chunks are copied, and the arena is shared with its
-// capacity clipped on both sides, so that whichever tree inserts next moves
-// to an arena of its own instead of writing past the other's keys. Values
-// are copied shallowly, which is what DB snapshots need: stored rows are
-// immutable. A clipped t (any clone, hence any snapshot) is only read, so
-// any number of clones may be taken from it concurrently.
+// the node and value chunks and the value free list are copied, and the
+// arena is shared with its capacity clipped on both sides, so that whichever
+// tree inserts next moves to an arena of its own instead of writing past the
+// other's keys. Values are copied shallowly, which is what DB snapshots
+// need: stored rows are immutable. A value written through one tree's Ref
+// lands in that tree's own value chunk. A clipped t (any clone, hence any
+// snapshot) is only read, so any number of clones may be taken from it
+// concurrently.
 func (t *BTree[V]) clone() *BTree[V] {
 	if len(t.arena) != cap(t.arena) {
 		t.arena = t.arena[:len(t.arena):len(t.arena)]
 	}
 	c := *t
 	c.nodes = make([][]bnode, len(t.nodes))
-	c.vals = make([][][btreeMaxKeys]V, len(t.vals))
 	for i := range t.nodes {
 		c.nodes[i] = slices.Clone(t.nodes[i])
+	}
+	c.vals = make([][]V, len(t.vals))
+	for i := range t.vals {
 		c.vals[i] = slices.Clone(t.vals[i])
 	}
+	c.vfree = slices.Clone(t.vfree)
 	return &c
 }

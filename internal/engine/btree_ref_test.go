@@ -403,11 +403,13 @@ func (t *refBTree[V]) Max() (Key, V, bool) {
 }
 
 // btreePair is one slab tree and the reference it must agree with, plus
-// reusable buffers for comparing their contents.
+// reusable buffers for comparing their contents and the address the slab
+// tree's Ref last returned for each key not deleted since.
 type btreePair struct {
-	slab *BTree[int]
-	ref  *refBTree[int]
-	buf  *btreeContents
+	slab  *BTree[int]
+	ref   *refBTree[int]
+	buf   *btreeContents
+	addrs map[string]*int
 }
 
 type btreeContents struct {
@@ -421,7 +423,7 @@ func (b *btreeContents) same() bool {
 }
 
 func newBTreePair() btreePair {
-	return btreePair{slab: NewBTree[int](), ref: newRefBTree[int](), buf: &btreeContents{}}
+	return btreePair{slab: NewBTree[int](), ref: newRefBTree[int](), buf: &btreeContents{}, addrs: map[string]*int{}}
 }
 
 // fork clones a pair: the slab side through clone, the reference side by
@@ -432,7 +434,7 @@ func (p btreePair) fork() btreePair {
 		ref.Set(k, v)
 		return true
 	})
-	return btreePair{slab: p.slab.clone(), ref: ref, buf: &btreeContents{}}
+	return btreePair{slab: p.slab.clone(), ref: ref, buf: &btreeContents{}, addrs: map[string]*int{}}
 }
 
 // btreeOp is one scripted operation; lo/hi are range bounds (nil = open) and
@@ -455,6 +457,8 @@ const (
 	opMin
 	opMax
 	opFork
+	opRef    // read through Ref
+	opRefSet // write v through Ref when k is present
 	opKinds
 )
 
@@ -474,6 +478,28 @@ func (p btreePair) apply(op btreeOp) (int, error) {
 		o2, d2 := p.ref.Delete(op.k)
 		if o1 != o2 || d1 != d2 {
 			return 0, fmt.Errorf("Delete(%x) = %d,%v; reference %d,%v", op.k, o1, d1, o2, d2)
+		}
+		delete(p.addrs, string(op.k))
+	case opRef, opRefSet:
+		ptr := p.slab.Ref(op.k)
+		v2, ok2 := p.ref.Get(op.k)
+		if ptr == nil {
+			if ok2 {
+				return 0, fmt.Errorf("Ref(%x) = nil; reference holds %d", op.k, v2)
+			}
+			break
+		}
+		if !ok2 || *ptr != v2 {
+			return 0, fmt.Errorf("Ref(%x) -> %d; reference %d,%v", op.k, *ptr, v2, ok2)
+		}
+		// The value stays where it was first stored until its key is deleted.
+		if was, ok := p.addrs[string(op.k)]; ok && was != ptr {
+			return 0, fmt.Errorf("Ref(%x) = %p, an earlier Ref returned %p", op.k, ptr, was)
+		}
+		p.addrs[string(op.k)] = ptr
+		if op.kind == opRefSet {
+			*ptr = op.v
+			p.ref.Set(op.k, op.v)
 		}
 	case opGet:
 		v1, ok1 := p.slab.Get(op.k)
@@ -526,15 +552,17 @@ func collect(asc func(lo, hi Key, fn func(Key, int) bool), lo, hi Key, stop int,
 // key counts within the degree bounds, strictly ascending keys that respect
 // their separators, every leaf at one depth, every key inside its node
 // prefix with the abbreviation that prefix implies, leaves without children,
-// and every slab node either reachable or on the free list.
-func checkBTree[V any](t *BTree[V]) (int, error) {
+// every slab node either reachable or on the free list, and the value slab's
+// invariant (see checkValueRefs).
+func checkBTree(t *BTree[int]) (int, error) {
 	if t.root == 0 {
 		if t.size != 0 || t.used != 0 {
 			return 0, fmt.Errorf("no root, size %d, %d nodes used", t.size, t.used)
 		}
-		return 0, nil
+		return 0, checkValueRefs(t, nil)
 	}
 	leafDepth, keys, nodes := -1, 0, 0
+	var live []int32
 	var walk func(r int32, depth int, lo, hi []byte) error
 	walk = func(r int32, depth int, lo, hi []byte) error {
 		nodes++
@@ -544,16 +572,19 @@ func checkBTree[V any](t *BTree[V]) (int, error) {
 			return fmt.Errorf("node %d holds %d keys", r, cnt)
 		}
 		keys += cnt
+		for i := range cnt {
+			live = append(live, n.ents[i].v)
+		}
 		var prefix []byte
 		if cnt > 0 {
-			if int(n.plen) > len(t.key(n.keys[0])) {
+			if int(n.plen) > len(t.key(n.ents[0])) {
 				return fmt.Errorf("node %d: prefix %d longer than its first key", r, n.plen)
 			}
-			prefix = t.key(n.keys[0])[:n.plen]
+			prefix = t.key(n.ents[0])[:n.plen]
 		}
 		prev := lo
 		for i := range cnt {
-			k := t.key(n.keys[i])
+			k := t.key(n.ents[i])
 			if !bytes.HasPrefix(k, prefix) {
 				return fmt.Errorf("node %d key %d %x outside prefix %x", r, i, k, prefix)
 			}
@@ -584,10 +615,10 @@ func checkBTree[V any](t *BTree[V]) (int, error) {
 		for i := range cnt + 1 {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = t.key(n.keys[i-1])
+				clo = t.key(n.ents[i-1])
 			}
 			if i < cnt {
-				chi = t.key(n.keys[i])
+				chi = t.key(n.ents[i])
 			}
 			if n.kids[i] == 0 {
 				return fmt.Errorf("internal node %d lacks child %d", r, i)
@@ -611,7 +642,46 @@ func checkBTree[V any](t *BTree[V]) (int, error) {
 	if nodes+free != int(t.used) {
 		return 0, fmt.Errorf("%d nodes reachable + %d free != %d used", nodes, free, t.used)
 	}
-	return leafDepth + 1, nil
+	return leafDepth + 1, checkValueRefs(t, live)
+}
+
+// checkValueRefs checks the value slab against the value references live,
+// those of every reachable slot: as many live references as keys, none in
+// two slots, none also on the free list, every reference handed out either
+// live or free, and every free slab slot zeroed (so that the slab keeps no
+// deleted row reachable).
+func checkValueRefs(t *BTree[int], live []int32) error {
+	if len(live) != t.Len() {
+		return fmt.Errorf("%d live value references, Len %d", len(live), t.Len())
+	}
+	owner := make([]string, t.vused)
+	claim := func(v int32, by string) error {
+		if v < 0 || v >= t.vused {
+			return fmt.Errorf("value reference %d (%s) outside the %d handed out", v, by, t.vused)
+		}
+		if owner[v] != "" {
+			return fmt.Errorf("value reference %d is on %s and on %s", v, owner[v], by)
+		}
+		owner[v] = by
+		return nil
+	}
+	for _, v := range live {
+		if err := claim(v, "a slot"); err != nil {
+			return err
+		}
+	}
+	for _, v := range t.vfree {
+		if err := claim(v, "the free list"); err != nil {
+			return err
+		}
+		if *t.val(v) != 0 {
+			return fmt.Errorf("free value reference %d still holds %d", v, *t.val(v))
+		}
+	}
+	if n := len(live) + len(t.vfree); n != int(t.vused) {
+		return fmt.Errorf("%d live + %d free value references != %d handed out", len(live), len(t.vfree), t.vused)
+	}
+	return nil
 }
 
 // btreeKeyspaces generate keys for the differential scripts from an id:
@@ -662,8 +732,12 @@ func randomBTreeScript(r *rand.Rand, key func(int) Key, space, n int) []btreeOp 
 			if !grow {
 				op.kind = opSet
 			}
-		case x < 88:
+		case x < 84:
 			op.kind = opGet
+		case x < 86:
+			op.kind = opRef
+		case x < 88:
+			op.kind = opRefSet
 		case x < 95:
 			op.kind = opRange
 			if r.Intn(4) > 0 {
@@ -688,7 +762,7 @@ func randomBTreeScript(r *rand.Rand, key func(int) Key, space, n int) []btreeOp 
 			id := r.Intn(space)
 			op.k = key(id)
 			live = append(live, id)
-		case opDelete, opGet:
+		case opDelete, opGet, opRef, opRefSet:
 			if len(live) > 0 && r.Intn(10) > 0 {
 				j := r.Intn(len(live))
 				op.k = key(live[j])
@@ -732,8 +806,10 @@ func runBTreeScript(ops []btreeOp) (int, error) {
 
 // TestSlabBTreeMatchesReference runs a seeded script over every keyspace
 // against refBTree, comparing every return value, the length, the in-order
-// contents and the node invariants after each step, on the tree and on
-// clones that diverge from it.
+// contents and the node and value-slab invariants after each step, on the
+// tree and on clones that diverge from it. Reads and writes through Ref
+// must see and change what Get and Set on the reference do, at an address
+// that does not move while its key stays in the tree.
 func TestSlabBTreeMatchesReference(t *testing.T) {
 	space, n, minHeight := 20000, 10000, 3
 	if testing.Short() {

@@ -425,8 +425,7 @@ func (t *Txn) Insert(table *Table, row Row) (storage.PageID, error) {
 	if err := t.acquire(table, k, LockExclusive); err != nil {
 		return storage.PageID{}, err
 	}
-	_, wasDelta := table.delta.Get(k)
-	page, err := table.Insert(k, row)
+	page, wasDelta, err := table.insert(k, row)
 	if err != nil {
 		return storage.PageID{}, err
 	}
@@ -456,8 +455,7 @@ func (t *Txn) Update(table *Table, k Key, row Row) (storage.PageID, error) {
 	if err := t.acquire(table, k, LockExclusive); err != nil {
 		return storage.PageID{}, err
 	}
-	_, wasDelta := table.delta.Get(k)
-	page, old, err := table.Update(k, row, t.priorScratch(table))
+	page, old, wasDelta, err := table.write(k, row, t.priorScratch(table))
 	if err != nil {
 		return page, err
 	}
@@ -488,8 +486,7 @@ func (t *Txn) Delete(table *Table, k Key) (storage.PageID, error) {
 	if err := t.acquire(table, k, LockExclusive); err != nil {
 		return storage.PageID{}, err
 	}
-	_, wasDelta := table.delta.Get(k)
-	page, old, err := table.Delete(k, t.priorScratch(table))
+	page, old, wasDelta, err := table.write(k, nil, t.priorScratch(table))
 	if err != nil {
 		return page, err
 	}

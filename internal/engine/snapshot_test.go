@@ -103,3 +103,67 @@ func TestSnapshotForksEvolveIndependently(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotSurvivesInPlaceOverlayWrites updates and deletes, through
+// transactions, keys the overlay already holds when the snapshot is taken.
+// Such a write finds the key's value with BTree.Ref and overwrites it where
+// it lies, so it must land in the writing DB's own value slab: the snapshot,
+// and every DB restored from it, must still read the rows it captured.
+func TestSnapshotSurvivesInPlaceOverlayWrites(t *testing.T) {
+	src, tbl := snapshotFixture()
+	writeItems(t, tbl, 90, 200, "warm")
+	snap := src.Snapshot()
+	captured := dumpDB(tbl)
+	updated, deleted := IntKey(95), IntKey(150) // a base row and an insert, both overlaid
+	want := func(tbl *Table) string {
+		var b strings.Builder
+		for _, k := range []Key{updated, deleted} {
+			row, _, ok := tbl.Get(k)
+			fmt.Fprintf(&b, "%x %v;", EncodeRow(nil, row), ok)
+		}
+		return b.String()
+	}
+	old := want(tbl)
+	// overwrite updates and deletes the two keys in place on db.
+	overwrite := func(db *DB, tbl *Table) {
+		for _, k := range []Key{updated, deleted} {
+			if tbl.delta.Ref(k) == nil {
+				t.Fatalf("key %x is not in the overlay", k)
+			}
+		}
+		db.sim.Go("overwrite", func(p *sim.Proc) {
+			txn := db.Begin(p)
+			if _, err := txn.Update(tbl, updated, Row{Int(95), Int(6), Float(3), Str("in-place")}); err != nil {
+				t.Error(err)
+			}
+			if _, err := txn.Delete(tbl, deleted); err != nil {
+				t.Error(err)
+			}
+			if _, err := txn.Commit(); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := db.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want(tbl) == old {
+			t.Fatal("the in-place writes changed nothing")
+		}
+	}
+	// restored returns a DB restored from snap, checked against captured.
+	restored := func(when string) (*DB, *Table) {
+		db, tbl := snapshotFixture()
+		if err := db.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if dumpDB(tbl) != captured || want(tbl) != old {
+			t.Fatalf("%s: a restore no longer reads what the snapshot captured", when)
+		}
+		return db, tbl
+	}
+
+	overwrite(src, tbl)
+	fork, forkTbl := restored("after in-place writes on the source")
+	overwrite(fork, forkTbl)
+	restored("after in-place writes on a restored DB")
+}

@@ -233,27 +233,36 @@ var ErrDuplicateKey = errors.New("engine: duplicate primary key")
 // defensive clone would only feed the allocator — DESIGN.md §15). k stays
 // the caller's: the overlay B-tree copies key bytes into its own arena.
 func (t *Table) Insert(k Key, r Row) (storage.PageID, error) {
-	if dv, ok := t.delta.Get(k); ok {
+	page, _, err := t.insert(k, r)
+	return page, err
+}
+
+// insert is Insert that also reports whether k had an overlay entry (row or
+// tombstone) before the write, which a transaction's undo needs. Each of
+// the three writers finds a key the overlay holds in one descent and writes
+// through Ref; a base row or a new key takes one Set more.
+func (t *Table) insert(k Key, r Row) (page storage.PageID, inDelta bool, err error) {
+	if dv := t.delta.Ref(k); dv != nil {
 		if dv.row != nil {
-			return storage.PageID{}, ErrDuplicateKey
+			return storage.PageID{}, true, ErrDuplicateKey
 		}
 		// Re-insert over tombstone reuses the row's original page.
-		t.delta.Set(k, deltaVal{row: r, page: dv.page})
+		dv.row = r
 		t.liveRows++
 		t.refreshIndexes(k, nil)
-		return dv.page, nil
+		return dv.page, true, nil
 	}
 	if _, ok := t.isBaseKey(k); ok {
-		return storage.PageID{}, ErrDuplicateKey
+		return storage.PageID{}, false, ErrDuplicateKey
 	}
-	page := t.nextAppendPage()
+	page = t.nextAppendPage()
 	t.delta.Set(k, deltaVal{row: r, page: page})
 	t.liveRows++
 	if id, ok := DecodeIntKey(k); ok {
 		t.BumpAutoID(id)
 	}
 	t.refreshIndexes(k, nil)
-	return page, nil
+	return page, false, nil
 }
 
 // InsertAt adds a row at a specific page (replica replay of a shipped
@@ -284,13 +293,39 @@ var ErrRowNotFound = errors.New("engine: row not found")
 // materialized into scratch (nil for a fresh row), so old is valid only
 // until the caller reuses scratch.
 func (t *Table) Update(k Key, r Row, scratch Row) (storage.PageID, Row, error) {
-	old, page, ok := t.GetInto(k, scratch)
-	if !ok {
-		return storage.PageID{}, nil, ErrRowNotFound
+	page, old, _, err := t.write(k, r, scratch)
+	return page, old, err
+}
+
+// Delete tombstones the row under k, returning the page and old row (in
+// scratch when it lived only in the base table — see Update). The caller
+// must hold the X lock.
+func (t *Table) Delete(k Key, scratch Row) (storage.PageID, Row, error) {
+	page, old, _, err := t.write(k, nil, scratch)
+	return page, old, err
+}
+
+// write replaces the visible row under k with r, a nil r tombstoning it, and
+// also reports whether k had an overlay entry before the write (see insert).
+func (t *Table) write(k Key, r Row, scratch Row) (page storage.PageID, old Row, inDelta bool, err error) {
+	if dv := t.delta.Ref(k); dv != nil {
+		if dv.row == nil {
+			return storage.PageID{}, nil, true, ErrRowNotFound
+		}
+		old, page = dv.row, dv.page
+		dv.row = r
+		inDelta = true
+	} else if id, ok := t.isBaseKey(k); ok {
+		old, page = t.gen(scratch, id), t.PageOfBase(id)
+		t.delta.Set(k, deltaVal{row: r, page: page})
+	} else {
+		return storage.PageID{}, nil, false, ErrRowNotFound
 	}
-	t.delta.Set(k, deltaVal{row: r, page: page})
+	if r == nil {
+		t.liveRows--
+	}
 	t.refreshIndexes(k, old)
-	return page, old, nil
+	return page, old, inDelta, nil
 }
 
 // UpdateAt applies a replicated update image at the given page, taking
@@ -299,20 +334,6 @@ func (t *Table) UpdateAt(k Key, r Row, page storage.PageID) {
 	old := t.visibleForIndex(k)
 	t.delta.Set(k, deltaVal{row: r, page: page})
 	t.refreshIndexes(k, old)
-}
-
-// Delete tombstones the row under k, returning the page and old row (in
-// scratch when it lived only in the base table — see Update). The caller
-// must hold the X lock.
-func (t *Table) Delete(k Key, scratch Row) (storage.PageID, Row, error) {
-	old, page, ok := t.GetInto(k, scratch)
-	if !ok {
-		return storage.PageID{}, nil, ErrRowNotFound
-	}
-	t.delta.Set(k, deltaVal{row: nil, page: page})
-	t.liveRows--
-	t.refreshIndexes(k, old)
-	return page, old, nil
 }
 
 // DeleteAt applies a replicated delete at the given page.

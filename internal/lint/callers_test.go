@@ -33,6 +33,8 @@ var keepWithoutCaller = map[string]string{
 	"(*cloudybench/internal/lint.Loader).LoadDir":       "TestWallClock and the other analyzer tests (via linttest): fixture packages load outside the module",
 	"(*cloudybench/internal/engine.DB).MustCreateTable": "TestCheckpointerFlushesDirtyPages (node) and most engine tests build tables with it",
 	"(*cloudybench/internal/engine.DB).MustCreateIndex": "TestIndexCoherent (check) builds its secondary index with it",
+	"(*cloudybench/internal/engine.Table).Update":       "TestTableUpdateOverlaysBase (engine) and the snapshot tests write rows outside a transaction",
+	"(*cloudybench/internal/engine.Table).Delete":       "TestTableDeleteTombstonesBase (engine) tombstones rows outside a transaction",
 	"(*cloudybench/internal/obs.StageAgg).AddSpan":      "TestGoldenStageBreakdown (report): the flame-table fixture feeds spans directly",
 	"(*cloudybench/internal/obs.StageAgg).Merge":        "TestGoldenStageBreakdown (report): the fixture folds a tracer's transactions in",
 
