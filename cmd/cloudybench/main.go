@@ -260,12 +260,15 @@ func runExperiments(args []string) error {
 	}
 	defer stopProfiles()
 
+	// One session for the invocation: Table IX reads the Figure 6, Table VII
+	// and Table VIII cells the other ids already ran.
+	sess := experiments.NewSession(sc)
 	var out strings.Builder
 	for _, id := range ids {
 		desc, _ := experiments.Describe(id)
 		fmt.Fprintf(os.Stderr, "== running %s (%s) at scale %s...\n", id, desc, sc.Name)
 		start := time.Now()
-		text, err := experiments.Run(id, sc)
+		text, err := sess.Run(id)
 		if err != nil {
 			return err
 		}

@@ -41,6 +41,10 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 	if err := os.WriteFile(badSlot, []byte("elastic_testTime = 1\nfirst_con = 5\nslot = 20sec\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	negative := filepath.Join(dir, "negative.props")
+	if err := os.WriteFile(negative, []byte("elastic_testTime = 1\nfirst_con = 5\nslot = 2s\ncost_slots = -3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args []string
 		want string
@@ -50,6 +54,7 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 		{[]string{"soak", "-scale", "bench", "-o", dir, "extra"}, "extra"},
 		{[]string{"custom", "-props", props, "extra"}, "extra"},
 		{[]string{"custom", "-props", badSlot}, `slot = "20sec"`},
+		{[]string{"custom", "-props", negative}, `cost_slots = "-3"`},
 		{[]string{"dataset", "-sf", "1", "extra"}, "extra"},
 		{[]string{"cost", "-fabric", "infiniband"}, "infiniband"},
 	}

@@ -8,7 +8,6 @@ import (
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/cluster"
 	"cloudybench/internal/core"
-	"cloudybench/internal/metrics"
 	"cloudybench/internal/patterns"
 )
 
@@ -282,40 +281,5 @@ func TestRunFailoverReportsTotalOutage(t *testing.T) {
 	}
 	if r.R != 0 {
 		t.Fatalf("R = %v, want 0 (service never returned, R unmeasurable)", r.R)
-	}
-}
-
-func TestRunOverallComposesScores(t *testing.T) {
-	if testing.Short() {
-		t.Skip("composite run")
-	}
-	cfg := OverallConfig{
-		Kind: cdb.CDB4, SlotLength: 4 * time.Second, Measure: 3 * time.Second,
-		Concurrency: 48, Tau: 48,
-	}
-	r := RunOverall(cfg)
-	s := r.Scores
-	if want := pStarIdleReference(t, cfg, r.OLTP.TPS); s.PStar != want {
-		t.Errorf("P* = %v, idle reference %v", s.PStar, want)
-	}
-	// E1* against the costing window re-derived as ten slots.
-	var e1Star float64
-	for _, er := range r.Elasticity {
-		e1Star += metrics.E1Score(er.AvgTPS, er.ActualCost/(10*cfg.SlotLength).Minutes())
-	}
-	if want := e1Star / float64(len(r.Elasticity)); s.E1Star != want {
-		t.Errorf("E1* = %v, ten-slot reference %v", s.E1Star, want)
-	}
-	if s.P <= 0 || s.PStar <= 0 || s.E1 <= 0 || s.T <= 0 || s.E2 <= 0 {
-		t.Fatalf("missing scores: %+v", s)
-	}
-	if s.F <= 0 || s.R < 0 || s.C <= 0 {
-		t.Fatalf("missing durations: F=%v R=%v C=%v", s.F, s.R, s.C)
-	}
-	if s.O() == 0 {
-		t.Fatalf("O-Score = 0 from %+v", s)
-	}
-	if len(r.Elasticity) != 4 || len(r.Tenancy) != 4 {
-		t.Fatal("sub-experiments missing")
 	}
 }

@@ -55,7 +55,7 @@ func TestRunLagMatchesDrainedReference(t *testing.T) {
 // pStarIdleReference is how P* was computed before it was read off the
 // measured OLTP cell: a second simulation of the same SUT, idle for the
 // measured window, priced by the vendor.
-func pStarIdleReference(t *testing.T, cfg OverallConfig, tps float64) float64 {
+func pStarIdleReference(t *testing.T, cfg OLTPConfig, tps float64) float64 {
 	cfg = cfg.withDefaults()
 	s := sim.New(simEpoch)
 	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
@@ -71,12 +71,13 @@ func pStarIdleReference(t *testing.T, cfg OverallConfig, tps float64) float64 {
 	return metrics.PScore(tps, d.ActualCost(0, cfg.Measure)/cfg.Measure.Minutes())
 }
 
-// TestPStarMatchesIdleReference: RunOverall's P* cell, on every SUT, prices
-// its own measured window exactly as the idle second simulation did.
+// TestPStarMatchesIdleReference: Table IX's P* cell, a read-write OLTP cell
+// on every SUT, prices its own measured window exactly as the idle second
+// simulation did.
 func TestPStarMatchesIdleReference(t *testing.T) {
 	for _, kind := range cdb.Kinds {
-		cfg := OverallConfig{Kind: kind, Measure: 600 * time.Millisecond, Concurrency: 16}.withDefaults()
-		r := RunOLTP(cfg.oltp())
+		cfg := OLTPConfig{Kind: kind, Mix: core.MixReadWrite, Measure: 600 * time.Millisecond, Concurrency: 16}
+		r := RunOLTP(cfg)
 		if want := pStarIdleReference(t, cfg, r.TPS); r.PStarScore != want || want <= 0 {
 			t.Errorf("%s: P* = %v, idle reference %v", kind, r.PStarScore, want)
 		}

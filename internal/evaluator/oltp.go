@@ -1,6 +1,6 @@
 // Package evaluator contains CloudyBench's experiment drivers: the OLTP,
 // elasticity, multi-tenancy, fail-over, and lag-time evaluators of paper
-// Figure 1, plus the overall PERFECT aggregation. Each Run function declares
+// Figure 1, plus Table IX's scale-out E2 cell. Each Run function declares
 // its cells as specs over one harness (harness.go), which builds and runs
 // every simulation, and returns a result struct that the report layer
 // renders into the paper's tables and figures.

@@ -77,6 +77,13 @@ func RunCustomElasticity(propsText string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// The evaluator would read a non-positive window as "use the default".
+	if slot <= 0 {
+		return "", fmt.Errorf("experiments: slot = %q is not positive", props.Str("slot", ""))
+	}
+	if costSlots <= 0 {
+		return "", fmt.Errorf("experiments: cost_slots = %q is not positive", props.Str("cost_slots", ""))
+	}
 	seed, err := props.Int("seed", 42)
 	if err != nil {
 		return "", err

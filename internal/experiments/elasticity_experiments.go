@@ -11,29 +11,39 @@ import (
 	"cloudybench/internal/report"
 )
 
-// Figure6 regenerates the elasticity evaluation: average TPS, total cost
-// (execution plus scaling over the 10-slot costing window), and E1-Score
-// per SUT across the four elastic patterns.
-func Figure6(sc Scale) (string, []evaluator.ElasticityResult) {
+// figure6Cells returns Figure 6's cells, every elastic pattern on every
+// SUT (pattern-major), running them on the session's first request.
+func (s *Session) figure6Cells() []evaluator.ElasticityResult {
+	if s.elasticity != nil {
+		return s.elasticity
+	}
 	var cfgs []evaluator.ElasticityConfig
 	for _, pat := range patterns.ElasticPatterns() {
 		for _, kind := range SUTs {
 			cfgs = append(cfgs, evaluator.ElasticityConfig{
 				Kind: kind, Pattern: pat, Mix: core.MixReadWrite,
-				Tau: sc.Tau, SlotLength: sc.SlotLength, CostSlots: sc.CostSlots,
-				Seed: sc.Seed,
+				Tau: s.sc.Tau, SlotLength: s.sc.SlotLength, CostSlots: s.sc.CostSlots,
+				Seed: s.sc.Seed,
 			})
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.ElasticityResult {
+	s.elasticity = runCells(len(cfgs), func(i int) evaluator.ElasticityResult {
 		return evaluator.RunElasticity(cfgs[i])
 	})
+	return s.elasticity
+}
+
+// Figure6 regenerates the elasticity evaluation: average TPS, total cost
+// (execution plus scaling over the scale's CostSlots-slot costing window),
+// and E1-Score per SUT across the four elastic patterns.
+func Figure6(s *Session) string {
+	results := s.figure6Cells()
 	var b strings.Builder
 	b.WriteString("Figure 6 — Elasticity Evaluation (RW mix)\n\n")
 	i := 0
 	for _, pat := range patterns.ElasticPatterns() {
 		tbl := report.NewTable(
-			fmt.Sprintf("Pattern %s, concurrency %v", pat.Name, pat.Concurrency(sc.Tau)),
+			fmt.Sprintf("Pattern %s, concurrency %v", pat.Name, pat.Concurrency(s.sc.Tau)),
 			"System", "AvgTPS", "TotalCost", "ActualCost", "E1-Score")
 		for _, kind := range SUTs {
 			r := results[i]
@@ -44,7 +54,7 @@ func Figure6(sc Scale) (string, []evaluator.ElasticityResult) {
 		b.WriteString(tbl.String())
 		b.WriteString("\n")
 	}
-	return b.String(), results
+	return b.String()
 }
 
 // TableVI regenerates the autoscaling detail: per-transition scaling time

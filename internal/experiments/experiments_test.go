@@ -251,12 +251,15 @@ cost_slots = 4
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Error paths: bad props, unknown system, all-zero pattern, bad mix.
+	// Error paths: bad props, unknown system, all-zero pattern, bad mix,
+	// non-positive slot and costing window.
 	for _, bad := range []string{
 		"nonsense",
 		"elastic_testTime = 1\nfirst_con = 5\nsystem = nope",
 		"elastic_testTime = 1\nfirst_con = 0",
 		"elastic_testTime = 1\nfirst_con = 5\nmix = bad",
+		"elastic_testTime = 1\nfirst_con = 5\nslot = -5s",
+		"elastic_testTime = 1\nfirst_con = 5\ncost_slots = 0",
 	} {
 		if _, err := RunCustomElasticity(bad); err == nil {
 			t.Errorf("props %q accepted", bad)

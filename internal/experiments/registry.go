@@ -3,10 +3,13 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"cloudybench/internal/evaluator"
 )
 
-// Runner regenerates one paper artifact, returning its rendered report.
-type Runner func(sc Scale) string
+// Runner regenerates one paper artifact in a session, returning its
+// rendered report.
+type Runner func(s *Session) string
 
 // registry maps experiment ids to drivers and descriptions.
 var registry = map[string]struct {
@@ -14,41 +17,41 @@ var registry = map[string]struct {
 	Run  Runner
 }{
 	"f5": {"Figure 5 — transaction processing TPS across SF/mix/concurrency",
-		func(sc Scale) string { out, _ := Figure5(sc); return out }},
+		func(s *Session) string { out, _ := Figure5(s.sc); return out }},
 	"t5": {"Table V — P-Score with detailed resource cost",
-		func(sc Scale) string { out, _ := TableV(sc); return out }},
+		func(s *Session) string { out, _ := TableV(s.sc); return out }},
 	"f6": {"Figure 6 — elasticity: TPS, total cost, E1-Score",
-		func(sc Scale) string { out, _ := Figure6(sc); return out }},
+		Figure6},
 	"t6": {"Table VI — scaling time and cost during autoscaling",
-		func(sc Scale) string { out, _ := TableVI(sc); return out }},
+		func(s *Session) string { out, _ := TableVI(s.sc); return out }},
 	"t7": {"Table VII — multi-tenancy TPS, resources, cost, T-Score",
-		func(sc Scale) string { out, _ := TableVII(sc); return out }},
+		TableVII},
 	"t8": {"Table VIII — fail-over F-Score and R-Score",
-		func(sc Scale) string { out, _ := TableVIII(sc); return out }},
+		TableVIII},
 	"f7": {"Figure 7 — CDB4 fail-over timeline",
-		func(sc Scale) string { out, _ := Figure7(sc); return out }},
+		func(s *Session) string { out, _ := Figure7(s.sc); return out }},
 	"lag": {"§III-F — replication lag time across IUD mixes",
-		func(sc Scale) string { out, _ := LagTable(sc); return out }},
+		func(s *Session) string { out, _ := LagTable(s.sc); return out }},
 	"t9": {"Table IX — overall PERFECT scores (with actual-cost variants)",
-		func(sc Scale) string { out, _ := TableIX(sc); return out }},
+		func(s *Session) string { out, _ := TableIX(s); return out }},
 	"f8": {"Figure 8 — buffer size sweep for RDS/CDB1/CDB4",
-		func(sc Scale) string { out, _ := Figure8(sc); return out }},
+		func(s *Session) string { out, _ := Figure8(s.sc); return out }},
 	"f9": {"Figure 9 — CPU allocation vs SysBench and TPC-C on CDB3",
-		func(sc Scale) string { out, _ := Figure9(sc); return out }},
+		func(s *Session) string { out, _ := Figure9(s.sc); return out }},
 	"ablations": {"Ablations — parallel replay, remote buffer pool, redo pushdown",
-		Ablations},
+		func(s *Session) string { return Ablations(s.sc) }},
 	"chaos": {"Chaos gauntlet — ACID invariants under injected faults, all SUTs",
-		func(sc Scale) string { out, _ := Chaos(sc); return out }},
+		func(s *Session) string { out, _ := Chaos(s.sc); return out }},
 	"crash": {"Crash gauntlet — WAL redo/undo recovery, torn-tail kills, and the durability/no-resurrection verdicts, all SUTs",
-		func(sc Scale) string { out, _ := Crash(sc); return out }},
+		func(s *Session) string { out, _ := Crash(s.sc); return out }},
 	"oltp": {"Stage profile — traced OLTP run with per-SUT virtual-time stage breakdown (honours --trace)",
-		func(sc Scale) string { out, _ := OLTPTrace(sc); return out }},
+		func(s *Session) string { out, _ := OLTPTrace(s.sc); return out }},
 	"partition": {"Partition gauntlet — MTTD/MTTR, lease fencing, and resilient-client metrics under a gray partition, all SUTs",
-		func(sc Scale) string { out, _ := Partition(sc); return out }},
+		func(s *Session) string { out, _ := Partition(s.sc); return out }},
 	"suites": {"Scenario suites — registered workload families (indexed range scan, time-series, LOB) on every SUT, with selectivity sweep and chaos/partition composition",
-		func(sc Scale) string { out, _ := Suites(sc); return out }},
+		func(s *Session) string { out, _ := Suites(s.sc); return out }},
 	"soak": {"Soak — multi-day longitudinal run per SUT with windowed telemetry, rolling chaos, tenant churn, in-flight invariant sweeps, and the CSV/Markdown comparison artifact (honours --artifacts)",
-		func(sc Scale) string { out, _ := Soak(sc); return out }},
+		func(s *Session) string { out, _ := Soak(s.sc); return out }},
 }
 
 // IDs returns all experiment ids in sorted order.
@@ -70,11 +73,30 @@ func Describe(id string) (string, bool) {
 	return e.Desc, true
 }
 
-// Run executes one experiment by id at the given scale.
-func Run(id string, sc Scale) (string, error) {
+// Run executes one experiment by id at the given scale, computing every
+// cell it reports.
+func Run(id string, sc Scale) (string, error) { return NewSession(sc).Run(id) }
+
+// A Session runs experiments at one scale for one invocation. Table IX
+// composes its E1, T, F and R scores from Figure 6's, Table VII's and
+// Table VIII's cells, so the session keeps those three tables' results and
+// computes each at most once, whichever of the four runs first. A session
+// is used from one goroutine; it has no lock.
+type Session struct {
+	sc         Scale
+	elasticity []evaluator.ElasticityResult // Figure 6
+	tenancy    []evaluator.TenancyResult    // Table VII
+	failover   []evaluator.FailoverResult   // Table VIII
+}
+
+// NewSession starts a session at the given scale.
+func NewSession(sc Scale) *Session { return &Session{sc: sc} }
+
+// Run executes one experiment by id in the session.
+func (s *Session) Run(id string) (string, error) {
 	e, ok := registry[id]
 	if !ok {
 		return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return e.Run(sc), nil
+	return e.Run(s), nil
 }

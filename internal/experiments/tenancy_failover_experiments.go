@@ -5,27 +5,40 @@ import (
 	"strings"
 	"time"
 
+	"cloudybench/internal/cdb"
 	"cloudybench/internal/cluster"
+	"cloudybench/internal/core"
 	"cloudybench/internal/evaluator"
+	"cloudybench/internal/metrics"
 	"cloudybench/internal/patterns"
 	"cloudybench/internal/report"
 )
 
-// TableVII regenerates the multi-tenancy evaluation: per-pattern TPS,
-// total provisioned resources, cost, and T-Score per SUT.
-func TableVII(sc Scale) (string, []evaluator.TenancyResult) {
+// tableVIICells returns Table VII's cells, every tenancy pattern on every
+// SUT (SUT-major), running them on the session's first request.
+func (s *Session) tableVIICells() []evaluator.TenancyResult {
+	if s.tenancy != nil {
+		return s.tenancy
+	}
 	var cfgs []evaluator.TenancyConfig
 	for _, kind := range SUTs {
 		for _, pk := range patterns.TenancyKinds {
 			cfgs = append(cfgs, evaluator.TenancyConfig{
 				Kind: kind, Pattern: patterns.PaperTenancy(pk),
-				SlotLength: sc.SlotLength, Seed: sc.Seed,
+				SlotLength: s.sc.SlotLength, Seed: s.sc.Seed,
 			})
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.TenancyResult {
+	s.tenancy = runCells(len(cfgs), func(i int) evaluator.TenancyResult {
 		return evaluator.RunTenancy(cfgs[i])
 	})
+	return s.tenancy
+}
+
+// TableVII regenerates the multi-tenancy evaluation: per-pattern TPS,
+// total provisioned resources, cost, and T-Score per SUT.
+func TableVII(s *Session) string {
+	results := s.tableVIICells()
 	tbl := report.NewTable("Table VII — Multi-Tenancy Evaluation (3 tenants)",
 		"System", "TPS(a)", "TPS(b)", "TPS(c)", "TPS(d)",
 		"Resources", "Cost/min", "T(a)", "T(b)", "T(c)", "T(d)", "T(AVG)")
@@ -48,24 +61,35 @@ func TableVII(sc Scale) (string, []evaluator.TenancyResult) {
 			report.F(tscores[0]), report.F(tscores[1]), report.F(tscores[2]), report.F(tscores[3]),
 			report.F(avg))
 	}
-	return tbl.String(), results
+	return tbl.String()
 }
 
-// TableVIII regenerates the fail-over evaluation: F-Score and R-Score for
-// RW and RO node failures per SUT.
-func TableVIII(sc Scale) (string, []evaluator.FailoverResult) {
+// tableVIIICells returns Table VIII's cells, an RW and then an RO node
+// failure on every SUT (SUT-major), running them on the session's first
+// request.
+func (s *Session) tableVIIICells() []evaluator.FailoverResult {
+	if s.failover != nil {
+		return s.failover
+	}
 	var cfgs []evaluator.FailoverConfig
 	for _, kind := range SUTs {
 		for _, role := range []cluster.Role{cluster.RW, cluster.RO} {
 			cfgs = append(cfgs, evaluator.FailoverConfig{
-				Kind: kind, Role: role, Concurrency: sc.FailConc,
-				Baseline: sc.FailBaseline, Timeout: sc.FailTimeout, Seed: sc.Seed,
+				Kind: kind, Role: role, Concurrency: s.sc.FailConc,
+				Baseline: s.sc.FailBaseline, Timeout: s.sc.FailTimeout, Seed: s.sc.Seed,
 			})
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.FailoverResult {
+	s.failover = runCells(len(cfgs), func(i int) evaluator.FailoverResult {
 		return evaluator.RunFailover(cfgs[i])
 	})
+	return s.failover
+}
+
+// TableVIII regenerates the fail-over evaluation: F-Score and R-Score for
+// RW and RO node failures per SUT.
+func TableVIII(s *Session) string {
+	results := s.tableVIIICells()
 	tbl := report.NewTable("Table VIII — F-Score and R-Score",
 		"System", "F(RW)", "F(RO)", "F(AVG)", "R(RW)", "R(RO)", "R(AVG)", "Total")
 	for k, kind := range SUTs {
@@ -78,7 +102,7 @@ func TableVIII(sc Scale) (string, []evaluator.FailoverResult) {
 			report.Dur(rw.R), report.Dur(ro.R), report.Dur(rAvg),
 			report.Dur(total))
 	}
-	return tbl.String(), results
+	return tbl.String()
 }
 
 // Figure7 regenerates CDB4's fail-over timeline: the phase trace of the
@@ -142,30 +166,93 @@ func LagTable(sc Scale) (string, []evaluator.LagResult) {
 	return b.String(), results
 }
 
+// tableIXConcurrency is the client count of Table IX's OLTP cells: the
+// read-write cell P and P* read and the read-only cells E2 reads.
+const tableIXConcurrency = 110
+
+// tableIXCells are the cells Table IX measures itself for one SUT.
+type tableIXCells struct {
+	oltp evaluator.OLTPResult // read-write: P and P*
+	lag  evaluator.LagResult  // §III-F's (60,30,10) IUD mix: C
+	e2   evaluator.E2Result   // read-only scale-out: E2
+}
+
 // TableIX regenerates the overall PERFECT comparison, including the
-// actual-cost starred variants.
-func TableIX(sc Scale) (string, []evaluator.OverallResult) {
-	results := runCells(len(SUTs), func(i int) evaluator.OverallResult {
-		return evaluator.RunOverall(evaluator.OverallConfig{
-			Kind: SUTs[i], SlotLength: sc.SlotLength, Measure: sc.Measure,
-			Tau: sc.Tau, Seed: sc.Seed,
-			FailBaseline: sc.FailBaseline, FailTimeout: sc.FailTimeout, FailConc: sc.FailConc,
-			LagDuration: sc.LagDuration,
-			Warm:        warmCache,
-		})
+// actual-cost starred variants. It measures only the P, C and E2 cells;
+// E1, T, F and R compose the session's Figure 6, Table VII and Table VIII
+// cells.
+func TableIX(s *Session) (string, []metrics.Scores) {
+	sc := s.sc
+	own := runCells(len(SUTs), func(i int) tableIXCells {
+		kind := SUTs[i]
+		return tableIXCells{
+			oltp: evaluator.RunOLTP(evaluator.OLTPConfig{
+				Kind: kind, Mix: core.MixReadWrite, Concurrency: tableIXConcurrency,
+				Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
+			}),
+			lag: evaluator.RunLag(evaluator.LagConfig{
+				Kind: kind, IUD: evaluator.PaperIUDMixes[0], Concurrency: sc.LagConc,
+				Duration: sc.LagDuration, Seed: sc.Seed,
+			}),
+			e2: evaluator.RunE2(evaluator.E2Config{
+				Kind: kind, Mix: core.MixReadOnly, Concurrency: tableIXConcurrency,
+				Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
+			}),
+		}
 	})
+	elastic, tenancy, failover := s.figure6Cells(), s.tableVIICells(), s.tableVIIICells()
 	tbl := report.NewTable("Table IX — Overall performance (PERFECT framework)",
 		"System", "P", "P*", "E1", "E1*", "R", "F", "E2", "C", "T", "T*", "O", "O*")
-	for _, r := range results {
-		kind := r.Kind
-		s := r.Scores
+	scores := make([]metrics.Scores, len(SUTs))
+	for i, kind := range SUTs {
+		row := perfectScores(kind, own[i], elastic, tenancy, failover)
+		scores[i] = row
 		tbl.AddRow(string(kind),
-			report.F(s.P), report.F(s.PStar),
-			report.F(s.E1), report.F(s.E1Star),
-			report.Dur(s.R), report.Dur(s.F),
-			report.F(s.E2), report.Dur(s.C),
-			report.F(s.T), report.F(s.TStar),
-			fmt.Sprintf("%.2f", s.O()), fmt.Sprintf("%.2f", s.OStar()))
+			report.F(row.P), report.F(row.PStar),
+			report.F(row.E1), report.F(row.E1Star),
+			report.Dur(row.R), report.Dur(row.F),
+			report.F(row.E2), report.Dur(row.C),
+			report.F(row.T), report.F(row.TStar),
+			fmt.Sprintf("%.2f", row.O()), fmt.Sprintf("%.2f", row.OStar()))
 	}
-	return tbl.String(), results
+	return tbl.String(), scores
+}
+
+// perfectScores composes kind's Table IX row: P, P*, C and E2 from its own
+// cells; E1 and E1* the means over its Figure 6 cells, T and T* over its
+// Table VII cells; F and R the FScore and RScore of its Table VIII RW and
+// RO cells. Other SUTs' cells are skipped.
+func perfectScores(kind cdb.Kind, own tableIXCells, elastic []evaluator.ElasticityResult,
+	tenancy []evaluator.TenancyResult, failover []evaluator.FailoverResult) metrics.Scores {
+	s := metrics.Scores{
+		System: string(kind),
+		P:      own.oltp.PScore, PStar: own.oltp.PStarScore,
+		C: own.lag.CScore, E2: own.e2.E2Score,
+	}
+	var n float64
+	for _, r := range elastic {
+		if r.Kind == kind {
+			s.E1 += r.E1Score
+			s.E1Star += r.E1StarScore
+			n++
+		}
+	}
+	s.E1, s.E1Star = s.E1/n, s.E1Star/n
+	n = 0
+	for _, r := range tenancy {
+		if r.Kind == kind {
+			s.T += r.TScore
+			s.TStar += r.TScoreStar
+			n++
+		}
+	}
+	s.T, s.TStar = s.T/n, s.TStar/n
+	var f, rec []time.Duration
+	for _, r := range failover {
+		if r.Kind == kind {
+			f, rec = append(f, r.F), append(rec, r.R)
+		}
+	}
+	s.F, s.R = metrics.FScore(f), metrics.RScore(rec)
+	return s
 }

@@ -115,18 +115,6 @@ func FPartScore(phases []time.Duration) time.Duration {
 	return meanDuration(phases)
 }
 
-// OScorePart extends equation (8) with the partition-recovery term: the
-// denominator gains FPart seconds, so O' = SF · lg(P·T·E1·E2/(R·F·C·FPart)).
-// A zero fpart (partition tolerance not measured) reduces to the published
-// O-Score, keeping Table IX reproducible.
-func OScorePart(sf, p, t, e1, e2 float64, r, f, c, fpart time.Duration) float64 {
-	base := OScore(sf, p, t, e1, e2, r, f, c)
-	if base == 0 || fpart <= 0 {
-		return base
-	}
-	return base - sf*math.Log10(fpart.Seconds())
-}
-
 // Scores aggregates one SUT's full PERFECT row (Table IX).
 type Scores struct {
 	System string
@@ -140,27 +128,15 @@ type Scores struct {
 	C      time.Duration
 	T      float64
 	TStar  float64
-	SF     float64
-	// FPart is the partition-tolerance extension: mean time from partition
-	// injection to restored write service. Zero means not measured, and the
-	// O-Score reduces to the paper's published form.
-	FPart time.Duration
 }
 
-// O computes the unified metric from the RUC-based components.
+// O computes the unified metric from the RUC-based components at SF1, the
+// scale factor every Table IX cell runs at.
 func (s Scores) O() float64 {
-	sf := s.SF
-	if sf == 0 {
-		sf = 1
-	}
-	return OScorePart(sf, s.P, s.T, s.E1, s.E2, s.R, s.F, s.C, s.FPart)
+	return OScore(1, s.P, s.T, s.E1, s.E2, s.R, s.F, s.C)
 }
 
-// OStar computes the unified metric from the actual-cost components.
+// OStar computes the unified metric from the actual-cost components at SF1.
 func (s Scores) OStar() float64 {
-	sf := s.SF
-	if sf == 0 {
-		sf = 1
-	}
-	return OScorePart(sf, s.PStar, s.TStar, s.E1Star, s.E2, s.R, s.F, s.C, s.FPart)
+	return OScore(1, s.PStar, s.TStar, s.E1Star, s.E2, s.R, s.F, s.C)
 }

@@ -124,43 +124,16 @@ func TestScoresAggregation(t *testing.T) {
 		t.Fatalf("O* = %v", s.OStar())
 	}
 	// SF scaling multiplies the score.
-	s.SF = 2
-	if !almost(s.O(), 2*17.7, 0.5) {
-		t.Fatalf("SF-scaled O = %v", s.O())
+	if got := OScore(2, s.P, s.T, s.E1, s.E2, s.R, s.F, s.C); !almost(got, 2*s.O(), 1e-9) {
+		t.Fatalf("SF-scaled O = %v, want %v", got, 2*s.O())
 	}
 }
 
-func TestFPartExtendsOScore(t *testing.T) {
+func TestFPartScore(t *testing.T) {
 	if got := FPartScore([]time.Duration{6 * time.Second, 10 * time.Second}); got != 8*time.Second {
 		t.Fatalf("FPart = %v, want 8s", got)
 	}
 	if FPartScore(nil) != 0 {
 		t.Fatal("empty FPart should be 0")
-	}
-	base := OScore(1, 100, 100, 100, 100, time.Second, time.Second, time.Second)
-	// Zero FPart (partition tolerance not measured) reduces to the published
-	// form — Table IX stays reproducible.
-	if got := OScorePart(1, 100, 100, 100, 100, time.Second, time.Second, time.Second, 0); got != base {
-		t.Fatalf("OScorePart with zero fpart = %v, want base %v", got, base)
-	}
-	// 10s of partition recovery subtracts exactly one decade.
-	if got := OScorePart(1, 100, 100, 100, 100, time.Second, time.Second, time.Second, 10*time.Second); !almost(got, base-1, 1e-9) {
-		t.Fatalf("OScorePart = %v, want %v", got, base-1)
-	}
-	// A zeroed component still yields a NaN-free zero.
-	if got := OScorePart(1, 0, 100, 100, 100, time.Second, time.Second, time.Second, 10*time.Second); got != 0 {
-		t.Fatalf("OScorePart with zero P = %v, want 0", got)
-	}
-	// The aggregate picks FPart up through O() and O*().
-	s := Scores{P: 100, E1: 100, E2: 100, T: 100,
-		PStar: 100, E1Star: 100, TStar: 100,
-		R: time.Second, F: time.Second, C: time.Second}
-	without := s.O()
-	s.FPart = 10 * time.Second
-	if got := s.O(); !almost(got, without-1, 1e-9) {
-		t.Fatalf("Scores.O with FPart = %v, want %v", got, without-1)
-	}
-	if got := s.OStar(); !almost(got, without-1, 1e-9) {
-		t.Fatalf("Scores.OStar with FPart = %v, want %v", got, without-1)
 	}
 }
