@@ -375,8 +375,16 @@ func (d *Deployment) warmPool(buf *storage.BufferPool, n *node.Node) {
 	if capacity <= 0 {
 		return
 	}
+	tables := []string{core.TableOrderline, core.TableOrders, core.TableCustomer}
+	want := 0
+	for _, name := range tables {
+		if tbl := n.DB.Table(name); tbl != nil {
+			want += int(tbl.Pages())
+		}
+	}
+	buf.Reserve(want) // at most capacity: one allocation each for slab and index
 	admitted := 0
-	for _, name := range []string{core.TableOrderline, core.TableOrders, core.TableCustomer} {
+	for _, name := range tables {
 		tbl := n.DB.Table(name)
 		if tbl == nil {
 			continue

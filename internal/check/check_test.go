@@ -207,7 +207,7 @@ func TestConvergenceHasTeeth(t *testing.T) {
 			Name:      "test-stream",
 			PerRecord: 10 * time.Microsecond,
 		}, ro)
-		rw.OnCommit = func(p *sim.Proc, recs []storage.Record) { st.Publish(p, recs) }
+		rw.OnCommit = func(p *sim.Proc, recs []storage.Record) { st.PublishFrom(p, rw.DB.Log(), recs) }
 
 		s.Go("writer", func(p *sim.Proc) {
 			ol := rw.DB.Table(core.TableOrderline)

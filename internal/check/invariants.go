@@ -248,7 +248,7 @@ func pendingKey(txn, key int32) uint64 { return uint64(txn)<<32 | uint64(uint32(
 // delete). The caller must quiesce replication first (backlog drained).
 func Convergence(name string, primary, replica *engine.DB) Verdict {
 	v := Verdict{Name: "convergence/" + name, Passed: true}
-	var pd, rd []deltaEntry
+	var pd []deltaEntry
 	primaryTables := primary.Tables()
 	for _, tname := range sortedTableNames(primaryTables) {
 		pt := primaryTables[tname]
@@ -260,23 +260,32 @@ func Convergence(name string, primary, replica *engine.DB) Verdict {
 		if pt.LiveRows() != rt.LiveRows() {
 			v.fail("table %s: primary has %d live rows, replica %d", tname, pt.LiveRows(), rt.LiveRows())
 		}
-		pd, rd = collectDelta(pd, pt), collectDelta(rd, rt)
-		v.Checked += len(pd)
-		if len(pd) != len(rd) {
-			v.fail("table %s: primary delta has %d entries, replica %d", tname, len(pd), len(rd))
+		n := pt.DeltaLen()
+		v.Checked += n
+		if rn := rt.DeltaLen(); n != rn {
+			v.fail("table %s: primary delta has %d entries, replica %d", tname, n, rn)
 			continue
 		}
-		for i := range pd {
-			p, r := &pd[i], &rd[i]
-			if !bytes.Equal(p.key, r.key) {
+		// Only the primary's side is collected; the replica's overlay is
+		// walked against it in the same key order.
+		pd = collectDelta(pd, pt, n)
+		i := 0
+		rt.ScanDelta(func(k engine.Key, row engine.Row, tombstone bool) bool {
+			if tombstone {
+				row = nil
+			}
+			p := &pd[i]
+			if !bytes.Equal(p.key, k) {
 				v.fail("table %s: delta key mismatch at entry %d", tname, i)
-				break
+				return false
 			}
-			if !sameImage(p.row, r.row) {
+			if !sameImage(p.row, row) {
 				v.fail("table %s: row divergence at key %x", tname, []byte(p.key))
-				break
+				return false
 			}
-		}
+			i++
+			return true
+		})
 	}
 	return v
 }
@@ -287,10 +296,13 @@ type deltaEntry struct {
 	row engine.Row
 }
 
-// collectDelta refills dst with references to t's overlay entries in key
-// order. The overlay is not mutated while a verdict runs, so the keys and
-// rows it hands out stay put.
-func collectDelta(dst []deltaEntry, t *engine.Table) []deltaEntry {
+// collectDelta refills dst with references to t's n overlay entries in key
+// order, growing dst at most once. The overlay is not mutated while a
+// verdict runs, so the keys and rows it hands out stay put.
+func collectDelta(dst []deltaEntry, t *engine.Table, n int) []deltaEntry {
+	if cap(dst) < n {
+		dst = make([]deltaEntry, 0, n)
+	}
 	dst = dst[:0]
 	t.ScanDelta(func(k engine.Key, row engine.Row, tombstone bool) bool {
 		if tombstone {

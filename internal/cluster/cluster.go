@@ -135,16 +135,21 @@ func New(s *sim.Sim, name string, cfg FailoverConfig, rwNode *node.Node, replica
 	return c
 }
 
-// wireCommit points the current RW's commit hook at every RO stream.
+// wireCommit points the current RW's commit hook at every RO stream. Each
+// stream gets references to the committed records' slots in the RW's WAL,
+// not copies. The log is looked up per commit: an in-place recovery gives
+// the node a fresh DB and with it a fresh log.
 func (c *Cluster) wireCommit() {
 	streams := c.roStreams()
+	rw := c.rw.Node
 	if len(streams) == 0 {
-		c.rw.Node.OnCommit = nil
+		rw.OnCommit = nil
 		return
 	}
-	c.rw.Node.OnCommit = func(p *sim.Proc, recs []storage.Record) {
+	rw.OnCommit = func(p *sim.Proc, recs []storage.Record) {
+		log := rw.DB.Log()
 		for _, st := range streams {
-			st.Publish(p, recs)
+			st.PublishFrom(p, log, recs)
 		}
 	}
 }

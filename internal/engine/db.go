@@ -159,8 +159,8 @@ func (db *DB) ReadInto(table string, k Key, dst Row) (Row, storage.PageID, bool)
 // string columns are views of the image bytes. Every image source honours
 // this — the primary's append-only DB slab, the durable log chunks, and the
 // fresh bytes Log.Crash returns for a torn tail — so a caller must never
-// hand Apply or ApplyBatch an image it will write to later. Key bytes are
-// copied by the overlay B-tree.
+// hand Apply, ApplyBatch or ApplyRefs an image it will write to later. Key
+// bytes are copied by the overlay B-tree.
 func (db *DB) Apply(rec storage.Record) error {
 	var cache *Table
 	return db.applyRecord(&rec, &cache)
@@ -178,6 +178,21 @@ func (db *DB) ApplyBatch(recs []storage.Record) error {
 	var cache *Table
 	for i := range recs {
 		if err := db.applyRecord(&recs[i], &cache); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ApplyRefs is ApplyBatch over references: a replication stream holds its
+// backlog as pointers to the primary's WAL slots and applies them in place,
+// reading each record and writing none.
+//
+//detlint:hotpath
+func (db *DB) ApplyRefs(recs []*storage.Record) error {
+	var cache *Table
+	for _, rec := range recs {
+		if err := db.applyRecord(rec, &cache); err != nil {
 			return err
 		}
 	}
@@ -622,15 +637,15 @@ func (db *DB) stableRow(r Row) []byte {
 // logged so far (group commit: one txn's durability fsync drags every
 // earlier append, other txns' in-flight records included), releases all
 // locks, and returns the txn's records for publication to replication
-// streams. Published copies have Prior stripped — undo images are local to
-// the primary's log; replicas replay after-images only. Read-only
-// transactions publish nothing.
+// streams, each carrying its LSN. The returned copies have Prior stripped —
+// undo images are local to the primary's log; replicas replay after-images
+// only. Read-only transactions publish nothing.
 //
 // The returned slice is a shared per-DB buffer, valid until the next
 // committing transaction on this DB: callers must consume it synchronously
-// (every caller does — the node layer publishes the records to replication
-// streams before yielding). The record Key/Image bytes themselves are
-// slab-backed and immortal.
+// (every caller does — the cluster's commit hook hands the streams each
+// record's slot in this DB's log, found by LSN, before yielding). The record
+// Key/Image bytes themselves are slab-backed and immortal.
 //
 //detlint:hotpath
 func (t *Txn) Commit() ([]storage.Record, error) {

@@ -392,8 +392,8 @@ func (t *Table) undoSet(k Key, prior Row, page storage.PageID, existedBefore, wa
 	t.refreshIndexes(k, old)
 }
 
-// DeltaLen returns the number of delta entries (rows + tombstones), a
-// memory-pressure signal for tests.
+// DeltaLen returns the number of delta entries (rows + tombstones): the
+// count ScanDelta visits.
 func (t *Table) DeltaLen() int { return t.delta.Len() }
 
 // ScanDelta visits every delta entry — live rows AND tombstones — in key

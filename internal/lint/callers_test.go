@@ -43,7 +43,6 @@ var keepWithoutCaller = map[string]string{
 	"(*cloudybench/internal/node.Node).Epoch":               "TestPartitionPromoteFencesOldPrimary: the old primary's epoch after rejoin",
 	"(*cloudybench/internal/node.Node).MemoryBytes":         "TestScaleEventsTrackMemory (autoscale): memory follows the vCore allocation",
 	"(*cloudybench/internal/core.Collector).CountByOp":      "TestTPCCFullMixRuns (baselines): every TPC-C transaction committed",
-	"(*cloudybench/internal/engine.Table).DeltaLen":         "TestSysBenchSetupAndRun (baselines): the writes landed in the delta",
 	"(*cloudybench/internal/engine.LockTable).HeldLocks":    "TestSharedScratchMatchesFreshBuffers (engine_test): every lock is released",
 	"(cloudybench/internal/engine.Row).Equal":               "TestGeneratorsMatchAllocatingSpelling (core): generated rows compared column-wise",
 	"(*cloudybench/internal/storage.BufferPool).Contains":   "TestCDB4RemoteBufferInvalidation (cdb): which replica pages were invalidated",

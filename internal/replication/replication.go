@@ -53,8 +53,11 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// envelope is one record in flight: a reference to the record's slot in the
+// primary's WAL, and the instant it committed. The stream never copies a
+// record and never writes through the reference (see Publish).
 type envelope struct {
-	rec         storage.Record
+	rec         *storage.Record
 	committedAt time.Duration
 }
 
@@ -62,12 +65,13 @@ type envelope struct {
 const envChunkLen = 128
 
 // envChunk is one fixed-size link of an envQueue; the envelopes at [lo, hi)
-// are live. Records and commit instants sit in separate arrays so that replay
-// can hand the engine a chunk's records as one []storage.Record in place.
+// are live. Record references and commit instants sit in separate arrays so
+// that replay can hand the engine a chunk's references as one
+// []*storage.Record in place.
 type envChunk struct {
 	next        *envChunk
 	lo, hi      int
-	recs        [envChunkLen]storage.Record
+	recs        [envChunkLen]*storage.Record
 	committedAt [envChunkLen]time.Duration
 }
 
@@ -81,6 +85,11 @@ type envChunk struct {
 type envQueue struct {
 	head, tail *envChunk
 	n          int
+	// bytes and cost are what the queued records cost to ship (shippedSize)
+	// and to replay (recordCost), summed at push, so that the shipper and a
+	// lane price a whole batch without reading its records again.
+	bytes int
+	cost  time.Duration
 }
 
 // Stream replicates one RW node's committed records into one replica.
@@ -90,7 +99,8 @@ type Stream struct {
 	replica *node.Node
 
 	// OnApply, if set, runs after each data record applies (cache
-	// invalidation in the memory-disaggregated architecture).
+	// invalidation in the memory-disaggregated architecture). rec is a copy
+	// of the primary's log record, prior image included.
 	OnApply func(rec storage.Record)
 
 	inbox     envQueue
@@ -150,7 +160,9 @@ func NewStream(s *sim.Sim, cfg Config, replica *node.Node) *Stream {
 	return st
 }
 
-// Publish hands committed records to the stream (wired to node.OnCommit).
+// Publish hands committed records to the stream by reference: the stream
+// keeps &recs[i], not a copy, until that record is applied, so the caller
+// must leave recs unchanged until then. The stream only reads them.
 func (st *Stream) Publish(p *sim.Proc, recs []storage.Record) {
 	if st.stopped {
 		return
@@ -161,6 +173,27 @@ func (st *Stream) Publish(p *sim.Proc, recs []storage.Record) {
 	}
 	st.inboxCond.Signal()
 }
+
+// PublishFrom is Publish for a commit hook: recs are the records a commit
+// returned (the engine's reused scratch, valid only until the next commit),
+// and the stream keeps, for each, a reference to the slot log holds for its
+// LSN. That slot stays as it is for as long as the stream needs it: under the
+// Chunk ownership rule on storage.Log a slot holding a record is never
+// written again, and a committed record is synced, so no crash cuts it.
+func (st *Stream) PublishFrom(p *sim.Proc, log *storage.Log, recs []storage.Record) {
+	if st.stopped {
+		return
+	}
+	now := st.s.Elapsed()
+	for i := range recs {
+		st.push(&st.inbox, log.Slot(recs[i].LSN), now)
+	}
+	st.inboxCond.Signal()
+}
+
+// shippedSize is what rec costs on the wire. Replicas replay after-images
+// only, so the shipped record carries no prior image.
+func shippedSize(rec *storage.Record) int { return rec.Size() - len(rec.Prior) }
 
 // push adds one envelope at the back of q, linking a chunk from the free
 // list when the last one is full.
@@ -183,10 +216,12 @@ func (st *Stream) push(q *envQueue, rec *storage.Record, committedAt time.Durati
 		}
 		q.tail = c
 	}
-	c.recs[c.hi] = *rec
+	c.recs[c.hi] = rec
 	c.committedAt[c.hi] = committedAt
 	c.hi++
 	q.n++
+	q.bytes += shippedSize(rec)
+	q.cost += st.recordCost(rec.Type)
 }
 
 // newEnvChunk is the free-list miss: the backlog is deeper than this stream
@@ -211,6 +246,8 @@ func (st *Stream) pop(q *envQueue) envelope {
 	env := envelope{rec: c.recs[c.lo], committedAt: c.committedAt[c.lo]}
 	c.lo++
 	q.n--
+	q.bytes -= shippedSize(env.rec)
+	q.cost -= st.recordCost(env.rec.Type)
 	if c.lo == c.hi {
 		q.head = c.next
 		if q.head == nil {
@@ -222,8 +259,8 @@ func (st *Stream) pop(q *envQueue) envelope {
 }
 
 // release splices every chunk of a taken queue onto the free list. The
-// stale records stay in place until push overwrites them: what they point at
-// is WAL memory the primary's log holds anyway.
+// stale references stay in place until push overwrites them: what they point
+// at is WAL memory the primary's log holds anyway.
 //
 //detlint:hotpath
 func (st *Stream) release(q envQueue) {
@@ -260,12 +297,7 @@ func (st *Stream) shipLoop(p *sim.Proc) {
 			p.Sleep(st.cfg.BatchInterval)
 		}
 		st.inflight = st.inbox.take()
-		bytes := 0
-		for c := st.inflight.head; c != nil; c = c.next {
-			for i := c.lo; i < c.hi; i++ {
-				bytes += c.recs[i].Size()
-			}
-		}
+		bytes := st.inflight.bytes
 		tr := st.cfg.Tracer
 		var t0 time.Duration
 		if tr != nil {
@@ -288,7 +320,7 @@ func (st *Stream) shipLoop(p *sim.Proc) {
 		// the lanes' pushes can take it straight back.
 		for c := batch.head; c != nil; {
 			for i := c.lo; i < c.hi; i++ {
-				rec := &c.recs[i]
+				rec := c.recs[i]
 				lane := st.lanes[int(rec.Page.Num)%len(st.lanes)]
 				st.push(&lane.queue, rec, c.committedAt[i])
 				lane.cond.Signal()
@@ -358,21 +390,14 @@ func (st *Stream) replayBatch(p *sim.Proc, batch envQueue) {
 		p.Sleep(100 * time.Millisecond)
 	}
 	start := p.Elapsed()
-	total := time.Duration(0)
-	for c := batch.head; c != nil; c = c.next {
-		for i := c.lo; i < c.hi; i++ {
-			total += st.recordCost(c.recs[i].Type)
-		}
-	}
-	if total > 0 {
-		p.Sleep(total)
+	if batch.cost > 0 {
+		p.Sleep(batch.cost)
 	}
 	tr := st.cfg.Tracer
 	at := start
 	for c := batch.head; c != nil; c = c.next {
 		recs := c.recs[c.lo:c.hi]
-		for i := range recs {
-			rec := &recs[i]
+		for i, rec := range recs {
 			cost := st.recordCost(rec.Type)
 			at += cost
 			if cost > 0 && tr != nil {
@@ -384,13 +409,13 @@ func (st *Stream) replayBatch(p *sim.Proc, batch envQueue) {
 			}
 			st.sampleLag(rec.Type, at-c.committedAt[c.lo+i])
 		}
-		if err := st.replica.DB.ApplyBatch(recs); err != nil {
+		if err := st.replica.DB.ApplyRefs(recs); err != nil {
 			panic("replication: " + err.Error())
 		}
 		if st.OnApply != nil {
-			for i := range recs {
-				if recs[i].Type != storage.RecCommit {
-					st.OnApply(recs[i])
+			for _, rec := range recs {
+				if rec.Type != storage.RecCommit {
+					st.OnApply(*rec)
 				}
 			}
 		}
@@ -426,7 +451,7 @@ func (st *Stream) applyOne(p *sim.Proc, env *envelope) {
 			tr.RecordBG("replication", obs.KindStorageReplay, st.cfg.Name, t0, p.Elapsed())
 		}
 	}
-	if err := st.replica.DB.Apply(env.rec); err != nil {
+	if err := st.replica.DB.Apply(*env.rec); err != nil {
 		panic("replication: " + err.Error())
 	}
 	st.applied++
@@ -435,7 +460,7 @@ func (st *Stream) applyOne(p *sim.Proc, env *envelope) {
 	}
 	st.sampleLag(env.rec.Type, st.s.Elapsed()-env.committedAt)
 	if st.OnApply != nil && env.rec.Type != storage.RecCommit {
-		st.OnApply(env.rec)
+		st.OnApply(*env.rec)
 	}
 }
 

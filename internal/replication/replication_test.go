@@ -42,7 +42,7 @@ func setup(s *sim.Sim, cfg Config) (rw, ro *node.Node, st *Stream, tbl, rtbl *en
 	tbl = rw.DB.MustCreateTable(ordersSchema(), 1000, genOrder)
 	rtbl = ro.DB.MustCreateTable(ordersSchema(), 1000, genOrder)
 	st = NewStream(s, cfg, ro)
-	rw.OnCommit = st.Publish
+	rw.OnCommit = func(p *sim.Proc, recs []storage.Record) { st.PublishFrom(p, rw.DB.Log(), recs) }
 	return rw, ro, st, tbl, rtbl
 }
 

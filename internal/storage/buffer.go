@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -211,11 +212,35 @@ func (b *BufferPool) grow() {
 		b.frames = slices.Grow(b.frames, min(max(len(b.frames), 16), b.capacity-len(b.frames)))
 	}
 	if 2*(b.n+1) > len(b.index) {
-		b.index = make([]int32, max(2*len(b.index), 32))
-		for r := b.head; r != 0; r = b.frames[r-1].next {
-			slot, _ := b.find(b.frames[r-1].id)
-			b.index[slot] = r
-		}
+		b.reindex(max(2*len(b.index), 32))
+	}
+}
+
+// reindex replaces the index with an empty one of size slots (a power of
+// two) and re-enters every resident page, most recently used first.
+func (b *BufferPool) reindex(size int) {
+	b.index = make([]int32, size)
+	for r := b.head; r != 0; r = b.frames[r-1].next {
+		slot, _ := b.find(b.frames[r-1].id)
+		b.index[slot] = r
+	}
+}
+
+// Reserve sizes the slab and the index for pages resident pages (at most the
+// capacity) in one step, so that filling an empty pool with that many grows
+// neither again: a pre-warm pays one allocation each instead of one per
+// doubling. Residency, recency order and every counter stay as they are;
+// only the index layout, and with it the host's probe paths, can change.
+func (b *BufferPool) Reserve(pages int) {
+	pages = min(pages, b.capacity)
+	if pages <= 0 {
+		return
+	}
+	if cap(b.frames) < pages {
+		b.frames = slices.Grow(b.frames, pages-len(b.frames))
+	}
+	if size := max(32, 1<<bits.Len(uint(2*pages-1))); size > len(b.index) {
+		b.reindex(size)
 	}
 }
 

@@ -391,9 +391,14 @@ func TestFlatPoolMatchesListReference(t *testing.T) {
 					op = "Clear"
 					flat.Clear()
 					ref.Clear()
-				case k < 986:
+				case k < 982:
 					op = "Snapshot"
 					flatSnap, refSnap = flat.Snapshot(), ref.Snapshot()
+				case k < 986:
+					// Sizing is invisible: the oracle has nothing to do.
+					n := rng.Intn(2*capacity + 40)
+					op = fmt.Sprintf("Reserve(%d)", n)
+					flat.Reserve(n)
 				default:
 					switch rng.Intn(3) {
 					case 0:

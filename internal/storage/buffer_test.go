@@ -87,6 +87,36 @@ func TestBufferPoolMemoryFollowsResidency(t *testing.T) {
 	}
 }
 
+// TestReserveSizesThePoolOnce: after Reserve(n), filling an empty pool with
+// n pages grows neither the slab nor the index, and the pool ends in the
+// state a pool grown page by page reaches (residency and recency order; the
+// oracle test covers the rest).
+func TestReserveSizesThePoolOnce(t *testing.T) {
+	const n = 5000
+	fill := func(b *BufferPool) {
+		for i := 0; i < n; i++ {
+			b.Admit(PageID{Table: 1, Num: uint64(i)})
+		}
+	}
+	grown, reserved := NewBufferPool(1<<20), NewBufferPool(1<<20)
+	fill(grown)
+	reserved.Reserve(n)
+	slab, index := &reserved.frames[:1][0], &reserved.index[0]
+	fill(reserved)
+	if &reserved.frames[0] != slab || &reserved.index[0] != index {
+		t.Fatalf("filling a pool reserved for %d pages grew its slab or its index", n)
+	}
+	g, _ := grown.order(t)
+	r, _ := reserved.order(t)
+	if !slices.Equal(g, r) {
+		t.Fatal("a reserved pool's recency order differs from a grown one's")
+	}
+	tiny := NewBufferPool(10)
+	if tiny.Reserve(n); cap(tiny.frames) > 10 || len(tiny.index) > 32 {
+		t.Fatalf("Reserve past capacity 10: %d frames, %d index slots", cap(tiny.frames), len(tiny.index))
+	}
+}
+
 func TestBufferPoolCapacityLimit(t *testing.T) {
 	for name, f := range map[string]func(){
 		"NewBufferPool": func() { NewBufferPool(maxPoolPages + 1) },

@@ -76,8 +76,9 @@ const (
 // is the encoded before-image (nil for inserts), which makes recovery undo of
 // uncommitted transactions possible without consulting volatile state. Page
 // carries the physical page the change touched, which replicas use to drive
-// cache invalidation and parallel replay partitioning. Published (shipped)
-// copies strip Prior — replicas replay after-images only.
+// cache invalidation and parallel replay partitioning. Replicas replay
+// after-images only: a replication stream carries a reference to the log's
+// own slot and prices its shipping as if Prior were stripped.
 type Record struct {
 	LSN   LSN
 	Type  RecType
@@ -382,6 +383,19 @@ func (l *Log) addChunk() {
 // at returns the record at zero-based index i (LSN i+1).
 func (l *Log) at(i int) *Record {
 	return &l.chunks[i>>logChunkShift][i&logChunkMask]
+}
+
+// Slot returns the log's slot for lsn, which must be in [1, Head()]. The
+// slot is read-only: under the Chunk ownership rule nobody writes it again,
+// so a replication stream may hold the pointer instead of a copy for as long
+// as it likes, across crashes, restores and promotions of this log.
+//
+//detlint:hotpath
+func (l *Log) Slot(lsn LSN) *Record {
+	if lsn == 0 || lsn > LSN(l.n) {
+		panic("storage: Log.Slot: LSN outside the log")
+	}
+	return l.at(int(lsn) - 1)
 }
 
 // bytesFrom returns the encoded size of the records from index i on.
