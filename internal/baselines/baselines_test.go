@@ -123,8 +123,8 @@ func TestTPCCLoadInvariants(t *testing.T) {
 	}
 	// District rows carry the next order id.
 	drow, _, _ := db.Table("district").Get(engine.IntKey(3))
-	if drow[4].I != tpccInitialOrders+1 {
-		t.Fatalf("D_NEXT_O_ID = %d", drow[4].I)
+	if drow[4].Int() != tpccInitialOrders+1 {
+		t.Fatalf("D_NEXT_O_ID = %d", drow[4].Int())
 	}
 }
 
@@ -137,7 +137,7 @@ func TestTPCCNewOrderAdvancesDistrictAndStock(t *testing.T) {
 	var district int64
 	for dk := int64(1); dk <= 10; dk++ {
 		drow, _, _ := n.DB.Table("district").Get(engine.IntKey(dk))
-		if drow[4].I == tpccInitialOrders+2 {
+		if drow[4].Int() == tpccInitialOrders+2 {
 			advanced++
 			district = dk
 		}
@@ -151,7 +151,7 @@ func TestTPCCNewOrderAdvancesDistrictAndStock(t *testing.T) {
 	if !ok {
 		t.Fatal("order row missing")
 	}
-	cnt := int(orow[4].I)
+	cnt := int(orow[4].Int())
 	if cnt < 5 || cnt > 15 {
 		t.Fatalf("ol count = %d", cnt)
 	}
@@ -171,7 +171,7 @@ func TestTPCCPaymentMovesMoney(t *testing.T) {
 	wBefore, _, _ := n.DB.Table("warehouse").Get(engine.IntKey(1))
 	runTPCCOp(t, s, n, "payment", 9)
 	wAfter, _, _ := n.DB.Table("warehouse").Get(engine.IntKey(1))
-	if wAfter[3].F <= wBefore[3].F {
+	if wAfter[3].Float() <= wBefore[3].Float() {
 		t.Fatal("warehouse YTD did not grow")
 	}
 	if n.DB.Table("history").LiveRows() != 1 {
@@ -207,7 +207,7 @@ func TestTPCCFullMixRuns(t *testing.T) {
 	}
 	// Money conservation-ish sanity: warehouse YTD only grows.
 	wrow, _, _ := n.DB.Table("warehouse").Get(engine.IntKey(1))
-	if wrow[3].F < 300_000 {
-		t.Fatalf("warehouse YTD shrank: %v", wrow[3].F)
+	if wrow[3].Float() < 300_000 {
+		t.Fatalf("warehouse YTD shrank: %v", wrow[3].Float())
 	}
 }

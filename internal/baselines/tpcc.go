@@ -305,7 +305,7 @@ func (t *tpcc) newOrder(c *core.OpCtx) error {
 		tx.Abort()
 		return err
 	}
-	oid := drow[4].I
+	oid := drow[4].Int()
 	dupd := c.KeepRow(drow)
 	dupd[4] = engine.Int(oid + 1)
 	if err := tx.Update(district, engine.IntKey(districtKeyID(w, d)), dupd); err != nil {
@@ -345,13 +345,13 @@ func (t *tpcc) newOrder(c *core.OpCtx) error {
 		}
 		qty := int64(1 + c.Src.Intn(9))
 		supd := c.KeepRow(srow)
-		newQty := srow[1].I - qty
+		newQty := srow[1].Int() - qty
 		if newQty < 10 {
 			newQty += 91
 		}
 		supd[1] = engine.Int(newQty)
-		supd[2] = engine.Int(srow[2].I + qty)
-		supd[3] = engine.Int(srow[3].I + 1)
+		supd[2] = engine.Int(srow[2].Int() + qty)
+		supd[3] = engine.Int(srow[3].Int() + 1)
 		if err := tx.Update(stock, skey, supd); err != nil {
 			tx.Abort()
 			return err
@@ -359,7 +359,7 @@ func (t *tpcc) newOrder(c *core.OpCtx) error {
 		olkey := orderLineKeyID(okey, idx+1)
 		lrow := engine.Row{
 			engine.Int(olkey), engine.Int(okey), engine.Int(iid),
-			engine.Int(qty), engine.Float(float64(qty) * irow[2].F), engine.Int(0),
+			engine.Int(qty), engine.Float(float64(qty) * irow[2].Float()), engine.Int(0),
 		}
 		if err := tx.Insert(orderLine, lrow); err != nil {
 			tx.Abort()
@@ -397,7 +397,7 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		return err
 	}
 	wupd := c.KeepRow(wrow)
-	wupd[3] = engine.Float(wrow[3].F + amount)
+	wupd[3] = engine.Float(wrow[3].Float() + amount)
 	if err := tx.Update(warehouse, engine.IntKey(int64(w)), wupd); err != nil {
 		tx.Abort()
 		return err
@@ -409,7 +409,7 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		return err
 	}
 	dupd := c.KeepRow(drow)
-	dupd[3] = engine.Float(drow[3].F + amount)
+	dupd[3] = engine.Float(drow[3].Float() + amount)
 	if err := tx.Update(district, dkey, dupd); err != nil {
 		tx.Abort()
 		return err
@@ -421,9 +421,9 @@ func (t *tpcc) payment(c *core.OpCtx) error {
 		return err
 	}
 	cupd := c.KeepRow(crow)
-	cupd[3] = engine.Float(crow[3].F - amount)
-	cupd[4] = engine.Float(crow[4].F + amount)
-	cupd[5] = engine.Int(crow[5].I + 1)
+	cupd[3] = engine.Float(crow[3].Float() - amount)
+	cupd[4] = engine.Float(crow[4].Float() + amount)
+	cupd[5] = engine.Int(crow[5].Int() + 1)
 	if err := tx.Update(customer, ckey, cupd); err != nil {
 		tx.Abort()
 		return err
@@ -464,11 +464,11 @@ func (t *tpcc) orderStatus(c *core.OpCtx) error {
 		tx.Abort()
 		return err
 	}
-	if _, err := tx.Get(customer, engine.IntKey(orow[2].I)); err != nil {
+	if _, err := tx.Get(customer, engine.IntKey(orow[2].Int())); err != nil {
 		tx.Abort()
 		return err
 	}
-	cnt := int(orow[4].I)
+	cnt := int(orow[4].Int())
 	for ol := 1; ol <= cnt; ol++ {
 		if _, err := tx.Get(orderLine, engine.IntKey(orderLineKeyID(okey, ol))); err != nil &&
 			!errors.Is(err, engine.ErrRowNotFound) {
@@ -522,7 +522,7 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 			return err
 		}
 		var total float64
-		cnt := int(orow[4].I)
+		cnt := int(orow[4].Int())
 		now := c.P.Now().UnixMicro()
 		for ol := 1; ol <= cnt; ol++ {
 			olk := engine.IntKey(orderLineKeyID(okey, ol))
@@ -534,7 +534,7 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 				tx.Abort()
 				return err
 			}
-			total += lrow[4].F
+			total += lrow[4].Float()
 			lupd := c.KeepRow(lrow)
 			lupd[5] = engine.Int(now)
 			if err := tx.Update(orderLine, olk, lupd); err != nil {
@@ -542,15 +542,15 @@ func (t *tpcc) delivery(c *core.OpCtx) error {
 				return err
 			}
 		}
-		ckey := engine.IntKey(orow[2].I)
+		ckey := engine.IntKey(orow[2].Int())
 		crow, err := tx.GetForUpdate(customer, ckey)
 		if err != nil {
 			tx.Abort()
 			return err
 		}
 		cupd := c.KeepRow(crow)
-		cupd[3] = engine.Float(crow[3].F + total)
-		cupd[6] = engine.Int(crow[6].I + 1)
+		cupd[3] = engine.Float(crow[3].Float() + total)
+		cupd[6] = engine.Int(crow[6].Int() + 1)
 		if err := tx.Update(customer, ckey, cupd); err != nil {
 			tx.Abort()
 			return err
@@ -592,7 +592,7 @@ func (t *tpcc) stockLevel(c *core.OpCtx) error {
 				tx.Abort()
 				return err
 			}
-			iid := lrow[2].I
+			iid := lrow[2].Int()
 			if seen[iid] {
 				continue
 			}
@@ -602,7 +602,7 @@ func (t *tpcc) stockLevel(c *core.OpCtx) error {
 				tx.Abort()
 				return err
 			}
-			if srow[1].I < threshold {
+			if srow[1].Int() < threshold {
 				below++
 			}
 		}

@@ -108,10 +108,10 @@ func cleanHistory(t *testing.T, n int) (*engine.DB, *Recorder) {
 				paid := o.Clone()
 				paid[4] = engine.Str(core.StatusPaid)
 				tx.Update(orders, oid, paid)
-				cid := engine.IntKey(o[1].I)
+				cid := engine.IntKey(o[1].Int())
 				c, _, _ := tx.GetForUpdate(customers, cid)
 				credited := c.Clone()
-				credited[2] = engine.Float(c[2].F + o[2].F)
+				credited[2] = engine.Float(c[2].Float() + o[2].Float())
 				tx.Update(customers, cid, credited)
 			case 1: // insert a line
 				id := lines.NextAutoID()
@@ -126,7 +126,7 @@ func cleanHistory(t *testing.T, n int) (*engine.DB, *Recorder) {
 					tx.Delete(lines, k)
 				} else {
 					upd := line.Clone()
-					upd[3] = engine.Int(upd[3].I + 1)
+					upd[3] = engine.Int(upd[3].Int() + 1)
 					tx.Update(lines, k, upd)
 				}
 			}

@@ -45,13 +45,13 @@ func payOrder(t *testing.T, p *sim.Proc, db *engine.DB, oid int64, skim float64)
 	if _, err := tx.Update(orders, engine.IntKey(oid), upd); err != nil {
 		t.Fatalf("update order: %v", err)
 	}
-	crow, _, err := tx.GetForUpdate(customers, engine.IntKey(row[1].I))
+	crow, _, err := tx.GetForUpdate(customers, engine.IntKey(row[1].Int()))
 	if err != nil {
 		t.Fatalf("get customer: %v", err)
 	}
 	cupd := crow.Clone()
-	cupd[2] = engine.Float(crow[2].F + row[2].F + skim)
-	if _, err := tx.Update(customers, engine.IntKey(row[1].I), cupd); err != nil {
+	cupd[2] = engine.Float(crow[2].Float() + row[2].Float() + skim)
+	if _, err := tx.Update(customers, engine.IntKey(row[1].Int()), cupd); err != nil {
 		t.Fatalf("update customer: %v", err)
 	}
 	if _, err := tx.Commit(); err != nil {

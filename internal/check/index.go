@@ -227,14 +227,12 @@ func sameValue(a, b engine.Value) bool {
 		return false
 	}
 	switch a.Kind {
-	case engine.KindNull:
-		return true
 	case engine.KindInt:
-		return a.I == b.I
+		return a.Int() == b.Int()
 	case engine.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case engine.KindString:
-		return a.S == b.S
+		return a.Str() == b.Str()
 	}
-	return a == b
+	return true // NULL carries nothing beyond its kind
 }

@@ -78,7 +78,7 @@ func Conservation(h *Recorder) Verdict {
 				v.fail("txn %d: customer rows must only be updated, saw insert/delete of key %x", tx.id, h.key(ix.keys[w.key].key))
 				continue
 			}
-			s.creditDelta += after[custCredit].F - before[custCredit].F
+			s.creditDelta += after[custCredit].Float() - before[custCredit].Float()
 			continue
 		}
 		s.touchedOrd = true
@@ -86,13 +86,13 @@ func Conservation(h *Recorder) Verdict {
 			v.fail("txn %d: order rows must only be updated, saw insert/delete of key %x", tx.id, h.key(ix.keys[w.key].key))
 			continue
 		}
-		if after[ordStatus].S != core.StatusPaid {
-			v.fail("txn %d: order update left status %q, want %q", tx.id, after[ordStatus].S, core.StatusPaid)
+		if after[ordStatus].Str() != core.StatusPaid {
+			v.fail("txn %d: order update left status %q, want %q", tx.id, after[ordStatus].Str(), core.StatusPaid)
 		}
-		if after[ordAmount].F != before[ordAmount].F {
-			v.fail("txn %d: order amount changed %.2f -> %.2f", tx.id, before[ordAmount].F, after[ordAmount].F)
+		if after[ordAmount].Float() != before[ordAmount].Float() {
+			v.fail("txn %d: order amount changed %.2f -> %.2f", tx.id, before[ordAmount].Float(), after[ordAmount].Float())
 		}
-		s.paidAmount += before[ordAmount].F
+		s.paidAmount += before[ordAmount].Float()
 	}
 	// Verdict.Details keeps only the first maxDetails violations, so the
 	// order here is visible in the chaos report: walk txns in numeric order.

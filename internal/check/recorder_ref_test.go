@@ -151,7 +151,7 @@ func refConservation(h *refRecorder) Verdict {
 				v.fail("txn %d: customer rows must only be updated, saw insert/delete of key %x", ev.Txn, ev.Key)
 				continue
 			}
-			s.creditDelta += ev.After[custCredit].F - ev.Before[custCredit].F
+			s.creditDelta += ev.After[custCredit].Float() - ev.Before[custCredit].Float()
 		case core.TableOrders:
 			s := get(ev.Txn)
 			s.touchedOrd = true
@@ -159,13 +159,13 @@ func refConservation(h *refRecorder) Verdict {
 				v.fail("txn %d: order rows must only be updated, saw insert/delete of key %x", ev.Txn, ev.Key)
 				continue
 			}
-			if ev.After[ordStatus].S != core.StatusPaid {
-				v.fail("txn %d: order update left status %q, want %q", ev.Txn, ev.After[ordStatus].S, core.StatusPaid)
+			if ev.After[ordStatus].Str() != core.StatusPaid {
+				v.fail("txn %d: order update left status %q, want %q", ev.Txn, ev.After[ordStatus].Str(), core.StatusPaid)
 			}
-			if ev.After[ordAmount].F != ev.Before[ordAmount].F {
-				v.fail("txn %d: order amount changed %.2f -> %.2f", ev.Txn, ev.Before[ordAmount].F, ev.After[ordAmount].F)
+			if ev.After[ordAmount].Float() != ev.Before[ordAmount].Float() {
+				v.fail("txn %d: order amount changed %.2f -> %.2f", ev.Txn, ev.Before[ordAmount].Float(), ev.After[ordAmount].Float())
 			}
-			s.paidAmount += ev.Before[ordAmount].F
+			s.paidAmount += ev.Before[ordAmount].Float()
 		}
 	}
 	// Verdict.Details keeps only the first maxDetails violations, so the
@@ -585,13 +585,13 @@ func (d *diffRun) pay(p *sim.Proc, db *engine.DB, tx *engine.Txn) {
 	upd[4] = engine.Str(core.StatusPaid)
 	tx.Update(orders, oid, upd)
 	p.Sleep(time.Microsecond)
-	cid := engine.IntKey(row[1].I)
+	cid := engine.IntKey(row[1].Int())
 	crow, _, err := tx.GetForUpdate(customers, cid)
 	if err != nil {
 		return
 	}
 	cupd := crow.Clone()
-	cupd[2] = engine.Float(crow[2].F + row[2].F)
+	cupd[2] = engine.Float(crow[2].Float() + row[2].Float())
 	tx.Update(customers, cid, cupd)
 }
 
@@ -666,7 +666,7 @@ func (d *diffRun) inject(p *sim.Proc, db *engine.DB) {
 			cust = d.randRow(db.Table(core.TableCustomer), 1)
 		}
 		credited := cust.Clone()
-		credited[2] = engine.Float(cust[2].F + 7)
+		credited[2] = engine.Float(cust[2].Float() + 7)
 		txn := next()
 		d.obs.OnWrite(at, txn, core.TableCustomer, engine.IntKey(1), cust, credited)
 		d.obs.OnCommit(at, txn)
@@ -682,10 +682,10 @@ func (d *diffRun) inject(p *sim.Proc, db *engine.DB) {
 		if row != nil {
 			// Flip the sign of a zero if there is one: only the
 			// encoding's semantics see that as a different value.
-			if row[4].F == 0 {
-				row[4].F = -row[4].F
+			if row[4].Float() == 0 {
+				row[4] = engine.Float(-row[4].Float())
 			} else {
-				row[4] = engine.Float(row[4].F + 1)
+				row[4] = engine.Float(row[4].Float() + 1)
 			}
 		}
 		d.obs.OnRead(at, next(), core.TableOrderline, engine.IntKey(id), row)
@@ -694,7 +694,7 @@ func (d *diffRun) inject(p *sim.Proc, db *engine.DB) {
 		id := 1 + d.r.Int63n(8)
 		if before := current(db, core.TableOrderline, id); before != nil {
 			after := before.Clone()
-			after[3] = engine.Int(after[3].I + 1)
+			after[3] = engine.Int(after[3].Int() + 1)
 			txn := next()
 			d.obs.OnWrite(at, txn, core.TableOrderline, engine.IntKey(id), before, after)
 			d.obs.OnCommit(at, txn)
@@ -799,7 +799,7 @@ func sameRows(a, b engine.Row) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Kind != y.Kind || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+		if x.Kind != y.Kind || x.Int() != y.Int() || x.Str() != y.Str() || math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
 			return false
 		}
 	}

@@ -75,7 +75,7 @@ func TestClusterReplicationWiring(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			rm := c.Replica(i)
 			row, _, _ := rm.Node.DB.Table("orders").Get(engine.IntKey(3))
-			if row[1].S != "PAID" {
+			if row[1].Str() != "PAID" {
 				t.Errorf("replica %d did not receive update", i)
 			}
 		}
@@ -128,7 +128,7 @@ func TestRestartInPlaceTimings(t *testing.T) {
 		if rw.Node.State() != node.Running {
 			t.Error("RW not running after recovery")
 		}
-		if row, _, ok := rw.Node.DB.Table("orders").Get(engine.IntKey(3)); !ok || row[1].S != "PAID" {
+		if row, _, ok := rw.Node.DB.Table("orders").Get(engine.IntKey(3)); !ok || row[1].Str() != "PAID" {
 			t.Error("committed update lost across the crash")
 		}
 		ro := c.Replica(0)

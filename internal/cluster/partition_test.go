@@ -118,7 +118,7 @@ func TestPromoteDrainsReplicaBacklogBeforeTakeover(t *testing.T) {
 	}
 	for i := int64(1); i <= 5; i++ {
 		row, _, ok := ro.DB.Table("orders").Get(engine.IntKey(i))
-		if !ok || row[1].S != "PAID" {
+		if !ok || row[1].Str() != "PAID" {
 			t.Fatalf("order %d missing on promoted RW: backlog lost across promotion", i)
 		}
 	}

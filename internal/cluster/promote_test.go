@@ -67,7 +67,7 @@ func TestWritesContinueOnPromotedRW(t *testing.T) {
 		newRW := c.RW()
 		ntbl := newRW.DB.Table("orders")
 		row, _, ok := ntbl.Get(engine.IntKey(1))
-		if !ok || row[1].S != "PAID" {
+		if !ok || row[1].Str() != "PAID" {
 			t.Errorf("pre-failure write lost on promoted RW: %v %v", row, ok)
 		}
 		tx2, err := newRW.Begin(p)
@@ -98,7 +98,7 @@ func TestWritesContinueOnPromotedRW(t *testing.T) {
 		t.Fatal("no RO member after promotion")
 	}
 	row, _, ok := oldRWMember.Node.DB.Table("orders").Get(engine.IntKey(2))
-	if !ok || row[1].S != "PAID" {
+	if !ok || row[1].Str() != "PAID" {
 		t.Fatalf("post-promotion write not replicated back: %v %v", row, ok)
 	}
 }

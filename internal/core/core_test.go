@@ -40,21 +40,21 @@ func TestGeneratorsDeterministicAndKeyed(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("customer gen not deterministic for %d", id)
 		}
-		if a[0].I != id {
+		if a[0].Int() != id {
 			t.Fatalf("customer PK mismatch: %v", a[0])
 		}
 	}
 	o := og(nil, 5000)
-	if o[0].I != 5000 || o[1].I < 1 || o[1].I > d.Customers {
+	if o[0].Int() != 5000 || o[1].Int() < 1 || o[1].Int() > d.Customers {
 		t.Fatalf("order row: %v", o)
 	}
-	if s := o[4].S; s != StatusNew && s != StatusPaid {
+	if s := o[4].Str(); s != StatusNew && s != StatusPaid {
 		t.Fatalf("order status %q", s)
 	}
 	// Orderline 47 belongs to order (47-1)/10+1 = 5.
 	ol := olg.Row(nil, 47)
-	if ol[1].I != 5 {
-		t.Fatalf("orderline 47 order ref = %d, want 5", ol[1].I)
+	if ol[1].Int() != 5 {
+		t.Fatalf("orderline 47 order ref = %d, want 5", ol[1].Int())
 	}
 	// Different seeds produce different content.
 	d2 := NewDataset(1, 43)

@@ -269,7 +269,7 @@ func opTsRetention(c *OpCtx) error {
 		return err
 	}
 	for _, row := range rows {
-		if err := tx.Delete(tbl, c.IntKey(row[0].I)); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
+		if err := tx.Delete(tbl, c.IntKey(row[0].Int())); err != nil && !errors.Is(err, engine.ErrRowNotFound) {
 			tx.Abort()
 			return err
 		}

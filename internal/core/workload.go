@@ -431,7 +431,7 @@ func t2OrderPayment(c *OpCtx) error {
 	}
 	// row may live in the scratch: take what the customer half needs before the
 	// next read reuses the scratch. The slab copies are what the table keeps.
-	cid, amount := row[1].I, row[2].F
+	cid, amount := row[1].Int(), row[2].Float()
 	upd := c.KeepRow(row)
 	upd[4] = engine.Str(StatusPaid)
 	upd[5] = now
@@ -446,7 +446,7 @@ func t2OrderPayment(c *OpCtx) error {
 		return err
 	}
 	cupd := c.KeepRow(crow)
-	cupd[2] = engine.Float(crow[2].F + amount)
+	cupd[2] = engine.Float(crow[2].Float() + amount)
 	cupd[3] = now
 	if err := tx.Update(customers, key, cupd); err != nil {
 		tx.Abort()

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -63,7 +62,7 @@ func (b *aliasBufs) smash() {
 		b.key[:cap(b.key)][i] = 0xFF
 	}
 	for i := range b.row[:cap(b.row)] {
-		b.row[:cap(b.row)][i] = engine.Value{Kind: 0xFF, I: -1, F: math.Inf(-1), S: "\xff\xff smashed"}
+		b.row[:cap(b.row)][i] = engine.Str("\xff\xff smashed")
 	}
 }
 

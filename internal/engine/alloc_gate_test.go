@@ -176,7 +176,7 @@ func TestDeltaStoreAllocationFloors(t *testing.T) {
 	if got := testing.AllocsPerRun(1, apply) / perPass; got > 0.05 {
 		t.Errorf("ApplyBatch of string-bearing inserts: %v allocs per record, want <= 0.05", got)
 	}
-	if r, _, ok := tbl.Get(IntKey(2 * perPass)); !ok || r[1].S != fmt.Sprintf("customer-%08d", 2*perPass) {
+	if r, _, ok := tbl.Get(IntKey(2 * perPass)); !ok || r[1].Str() != fmt.Sprintf("customer-%08d", 2*perPass) {
 		t.Fatalf("replayed row = %v, %v", r, ok)
 	}
 
@@ -195,7 +195,7 @@ func TestDeltaStoreAllocationFloors(t *testing.T) {
 				t.Fatal(err)
 			}
 			upd := old.Clone()
-			upd[1] = Int(old[1].I + 1)
+			upd[1] = Int(old[1].Int() + 1)
 			if _, err := txn.Update(items, key, upd); err != nil {
 				t.Fatal(err)
 			}

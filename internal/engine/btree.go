@@ -269,7 +269,16 @@ func (t *BTree[V]) find(n *bnode, k []byte) (int, bool) {
 		mid := int(uint(lo+hi) >> 1)
 		c := cmp.Compare(n.abbr[mid], ak)
 		if c == 0 {
-			if c = bytes.Compare(t.key(n.ents[mid])[plen:], k[plen:]); c == 0 {
+			// A tie means the suffixes agree on their first eight bytes,
+			// and the shorter one, if at most eight, is zero-padded there:
+			// then it is a prefix of the other, so the lengths decide.
+			mk := t.key(n.ents[mid])
+			if min(len(mk), len(k)) <= plen+8 {
+				c = cmp.Compare(len(mk), len(k))
+			} else {
+				c = bytes.Compare(mk[plen+8:], k[plen+8:])
+			}
+			if c == 0 {
 				return mid, true
 			}
 		}

@@ -34,15 +34,12 @@ type DB struct {
 	// Fast-path scratch (DESIGN.md §15). txnFree recycles finished Txn
 	// objects — a deterministic free-list, not sync.Pool, so reuse order is
 	// a pure function of the commit/abort order and the rawgo rule stays
-	// clean. appended is the shared buffer Commit returns: it is valid until
-	// the next committing transaction on this DB, which every caller
-	// respects by consuming the records synchronously. slab holds the
-	// stable copies of record Key/Image bytes referenced by the WAL, and
-	// valSlab the rows replay decodes (see newRow).
-	txnFree  []*Txn
-	appended []storage.Record
-	slab     []byte
-	valSlab  []Value
+	// clean. slab holds the stable copies of record Key/Image bytes
+	// referenced by the WAL, and valSlab the rows replay decodes (see
+	// newRow).
+	txnFree []*Txn
+	slab    []byte
+	valSlab []Value
 
 	observer Observer
 
@@ -278,9 +275,9 @@ type Txn struct {
 	priorBuf Row
 	// pending holds this txn's WAL records as already appended to the log
 	// (write-ahead discipline: redo + undo images reach the log at write
-	// time, before commit). Commit republishes Prior-stripped copies to the
-	// shipping layer; the payload bytes are slab-backed and immortal — the
-	// log retains them whether the txn commits or aborts.
+	// time, before commit). Commit appends its commit record and returns
+	// them to the shipping layer; the payload bytes are slab-backed and
+	// immortal — the log retains them whether the txn commits or aborts.
 	undo    []undoEntry
 	pending []storage.Record
 	// lastIxPages holds the index pages touched by the most recent write
@@ -300,21 +297,20 @@ func (db *DB) Begin(p *sim.Proc) *Txn {
 	} else {
 		t = &Txn{}
 	}
+	clear(t.pending) // what the txn's last Commit returned expires here
+	t.pending = t.pending[:0]
 	t.db, t.p, t.id, t.done = db, p, db.nextTxn, false
 	return t
 }
 
-// release recycles a finished transaction onto the DB free-list. Undo and
-// pending entries are zeroed so the free-list does not pin rows or images.
+// release recycles a finished transaction onto the DB free-list. Undo
+// entries are zeroed so the free-list does not pin rows; pending keeps the
+// records Commit returned until Begin reissues the txn.
 func (db *DB) release(t *Txn) {
 	for i := range t.undo {
 		t.undo[i] = undoEntry{}
 	}
-	for i := range t.pending {
-		t.pending[i] = storage.Record{}
-	}
 	t.undo = t.undo[:0]
-	t.pending = t.pending[:0]
 	t.locks = t.locks[:0]
 	t.lastIxPages = t.lastIxPages[:0]
 	t.p = nil
@@ -336,6 +332,11 @@ func (t *Txn) acquire(table *Table, k Key, mode LockMode) error {
 	return nil
 }
 
+// pendingCap is the capacity a txn's first logged record gives pending: room
+// for a short txn's records and the commit record Commit appends, so that
+// neither grows the slice.
+const pendingCap = 4
+
 // logOp appends one of this txn's WAL records at write time (the
 // write-ahead discipline: the log holds redo and undo for every in-flight
 // change before the txn decides its fate) and buffers the assigned record
@@ -345,6 +346,9 @@ func (t *Txn) logOp(rec storage.Record) {
 	db := t.db
 	if len(t.pending) == 0 {
 		db.active[t.id] = db.log.Head() + 1
+		if cap(t.pending) == 0 {
+			t.pending = make([]storage.Record, 0, pendingCap)
+		}
 	}
 	rec.LSN = db.log.Append(rec)
 	t.pending = append(t.pending, rec)
@@ -637,15 +641,14 @@ func (db *DB) stableRow(r Row) []byte {
 // logged so far (group commit: one txn's durability fsync drags every
 // earlier append, other txns' in-flight records included), releases all
 // locks, and returns the txn's records for publication to replication
-// streams, each carrying its LSN. The returned copies have Prior stripped —
-// undo images are local to the primary's log; replicas replay after-images
-// only. Read-only transactions publish nothing.
+// streams, each carrying its LSN. Read-only transactions publish nothing.
 //
-// The returned slice is a shared per-DB buffer, valid until the next
-// committing transaction on this DB: callers must consume it synchronously
-// (every caller does — the cluster's commit hook hands the streams each
-// record's slot in this DB's log, found by LSN, before yielding). The record
-// Key/Image bytes themselves are slab-backed and immortal.
+// The returned records are the records as the log holds them, Prior and
+// Flags included: a replica replays only after-images, so a reader that
+// ships them ignores both (the cluster's commit hook hands the streams each
+// record's slot in this DB's log, found by LSN). The slice is the txn's
+// own buffer and stays valid until the DB's next Begin, which reissues this
+// txn; the record Key/Image bytes themselves are slab-backed and immortal.
 //
 //detlint:hotpath
 func (t *Txn) Commit() ([]storage.Record, error) {
@@ -654,23 +657,11 @@ func (t *Txn) Commit() ([]storage.Record, error) {
 	}
 	t.done = true
 	db := t.db
-	var appended []storage.Record
 	if len(t.pending) > 0 {
 		commit := storage.Record{Type: storage.RecCommit, Txn: t.id}
 		commit.LSN = db.log.Append(commit)
 		db.log.Sync()
-		appended = db.appended[:0]
-		if cap(appended) < len(t.pending)+1 {
-			appended = make([]storage.Record, 0, len(t.pending)+1) //detlint:allow hotalloc(capacity growth for the widest txn seen, then reused via db.appended)
-		}
-		for i := range t.pending {
-			rec := t.pending[i]
-			rec.Prior = nil
-			rec.Flags = 0
-			appended = append(appended, rec)
-		}
-		appended = append(appended, commit)
-		db.appended = appended
+		t.pending = append(t.pending, commit)
 		delete(db.active, t.id)
 	}
 	db.locks.releaseAll(t.id, t.locks)
@@ -679,7 +670,7 @@ func (t *Txn) Commit() ([]storage.Record, error) {
 		o.OnCommit(db.sim.Elapsed(), t.id)
 	}
 	db.release(t)
-	return appended, nil
+	return t.pending, nil
 }
 
 // Abort rolls back every change in reverse order, appends an abort record

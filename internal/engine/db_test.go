@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -44,8 +45,7 @@ func TestTxnCommitAppendsWAL(t *testing.T) {
 			t.Errorf("committed %d records, want 3", len(recs))
 		}
 		// WALBytes prices what the commit fsync makes durable: the logged
-		// records with their undo images, not the Prior-stripped published
-		// copies.
+		// records with their undo images.
 		gotBytes := 0
 		for _, rec := range slices.Concat(slices.Collect(db.Log().Chunks())...) {
 			gotBytes += rec.Size()
@@ -53,10 +53,15 @@ func TestTxnCommitAppendsWAL(t *testing.T) {
 		if gotBytes != wantBytes {
 			t.Errorf("WALBytes = %d, log holds %d", wantBytes, gotBytes)
 		}
+		// Commit returns the log's own records, undo images included.
 		for i := range recs {
-			if recs[i].Prior != nil {
-				t.Errorf("published record %d carries a prior image", i)
+			got, want := recs[i].Encode(nil), db.Log().Slot(recs[i].LSN).Encode(nil)
+			if !bytes.Equal(got, want) {
+				t.Errorf("published record %d differs from the log's record at LSN %d", i, recs[i].LSN)
 			}
+		}
+		if recs[1].Prior == nil {
+			t.Error("the update's published record lost its prior image")
 		}
 		if recs[2].Type != storage.RecCommit {
 			t.Error("last record not commit")
@@ -86,7 +91,7 @@ func TestTxnReadOnlyCommitWritesNothing(t *testing.T) {
 	s.Go("t", func(p *sim.Proc) {
 		txn := db.Begin(p)
 		row, _, err := txn.Get(tbl, IntKey(42))
-		if err != nil || row[0].I != 42 {
+		if err != nil || row[0].Int() != 42 {
 			t.Errorf("get: %v %v", row, err)
 		}
 		recs, err := txn.Commit()
@@ -125,7 +130,7 @@ func TestTxnAbortUndoesEverything(t *testing.T) {
 		t.Fatal("aborted insert visible")
 	}
 	row, _, _ := tbl.Get(IntKey(5))
-	if row[1].S != "NEW" {
+	if row[1].Str() != "NEW" {
 		t.Fatal("aborted update visible")
 	}
 	if _, _, ok := tbl.Get(IntKey(6)); !ok {
@@ -189,7 +194,7 @@ func TestTxnIsolationWriterBlocksReader(t *testing.T) {
 			return
 		}
 		readAt = p.Elapsed()
-		readStatus = row[1].S
+		readStatus = row[1].Str()
 		txn.Commit()
 	})
 	if err := s.Run(); err != nil {
@@ -243,7 +248,7 @@ func TestReplicaApplyFollowsPrimary(t *testing.T) {
 	}
 	// Replica lock-free read API.
 	row, _, ok := replica.ReadInto("orders", IntKey(5), nil)
-	if !ok || row[1].S != "PAID" {
+	if !ok || row[1].Str() != "PAID" {
 		t.Fatalf("replica read: %v %v", row, ok)
 	}
 }
@@ -335,8 +340,8 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 					txn.Abort()
 					continue
 				}
-				txn.Update(tbl, IntKey(a), Row{Int(a), Float(ra[1].F - 1)})
-				txn.Update(tbl, IntKey(b), Row{Int(b), Float(rb[1].F + 1)})
+				txn.Update(tbl, IntKey(a), Row{Int(a), Float(ra[1].Float() - 1)})
+				txn.Update(tbl, IntKey(b), Row{Int(b), Float(rb[1].Float() + 1)})
 				if i%7 == 0 {
 					txn.Abort() // aborts must not break the invariant
 				} else {
@@ -351,7 +356,7 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 	}
 	var total float64
 	tbl.VisibleScan(func(_ Key, r Row) bool {
-		total += r[1].F
+		total += r[1].Float()
 		return true
 	})
 	if total != 1000 {

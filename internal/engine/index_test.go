@@ -204,7 +204,7 @@ func TestFloatKeyOrdering(t *testing.T) {
 	}
 	for _, f := range vals {
 		v, n, ok := DecodeKeyValue(EncodeKey(Float(f)))
-		if !ok || n != 9 || v.F != f {
+		if !ok || n != 9 || v.Float() != f {
 			t.Fatalf("float key round trip failed for %v: got %v", f, v)
 		}
 	}

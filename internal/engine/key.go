@@ -96,9 +96,10 @@ func keyValueSize(v Value) int {
 		return 9
 	case KindString:
 		n := 3 // tag + two-byte terminator
-		for i := 0; i < len(v.S); i++ {
+		s := v.Str()
+		for i := 0; i < len(s); i++ {
 			n++
-			if v.S[i] == 0x00 {
+			if s[i] == 0x00 {
 				n++
 			}
 		}
@@ -116,13 +117,14 @@ func appendKeyValue(k []byte, v Value) []byte {
 	case KindInt:
 		k = append(k, tagInt)
 		// Flip the sign bit so negative < positive in unsigned order.
-		k = binary.BigEndian.AppendUint64(k, uint64(v.I)^(1<<63))
+		k = binary.BigEndian.AppendUint64(k, v.n^(1<<63))
 	case KindString:
 		k = append(k, tagString)
 		// Escape 0x00 as 0x00 0xFF and terminate with 0x00 0x00 so
 		// prefixes order correctly.
-		for i := 0; i < len(v.S); i++ {
-			c := v.S[i]
+		s := v.Str()
+		for i := 0; i < len(s); i++ {
+			c := s[i]
 			k = append(k, c)
 			if c == 0x00 {
 				k = append(k, 0xFF)
@@ -131,7 +133,7 @@ func appendKeyValue(k []byte, v Value) []byte {
 		k = append(k, 0x00, 0x00)
 	case KindFloat:
 		k = append(k, tagFloat)
-		k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.F))
+		k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.Float()))
 	default:
 		panic(fmt.Sprintf("engine: cannot encode kind %v in key", v.Kind))
 	}

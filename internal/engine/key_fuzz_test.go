@@ -17,11 +17,11 @@ func refEncodeKey(vals ...Value) Key {
 			k = append(k, tagNull)
 		case KindInt:
 			k = append(k, tagInt)
-			k = binary.BigEndian.AppendUint64(k, uint64(v.I)^(1<<63))
+			k = binary.BigEndian.AppendUint64(k, uint64(v.Int())^(1<<63))
 		case KindString:
 			k = append(k, tagString)
-			for i := 0; i < len(v.S); i++ {
-				c := v.S[i]
+			for i := 0; i < len(v.Str()); i++ {
+				c := v.Str()[i]
 				k = append(k, c)
 				if c == 0x00 {
 					k = append(k, 0xFF)
@@ -30,7 +30,7 @@ func refEncodeKey(vals ...Value) Key {
 			k = append(k, 0x00, 0x00)
 		case KindFloat:
 			k = append(k, tagFloat)
-			k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.F))
+			k = binary.BigEndian.AppendUint64(k, floatKeyBits(v.Float()))
 		}
 	}
 	return k

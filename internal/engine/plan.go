@@ -105,21 +105,21 @@ func (t *Table) estimateFraction(ix *Index, lo, hi Value) float64 {
 	}
 	switch {
 	case lo.Kind == KindInt && hi.Kind == KindInt && min.Kind == KindInt && max.Kind == KindInt:
-		domain := max.I - min.I + 1
+		domain := max.Int() - min.Int() + 1
 		if domain <= 0 {
 			return 0
 		}
-		width := hi.I - lo.I + 1
+		width := hi.Int() - lo.Int() + 1
 		if width <= 0 {
 			return 0
 		}
 		return float64(width) / float64(domain)
 	case lo.Kind == KindFloat && hi.Kind == KindFloat && min.Kind == KindFloat && max.Kind == KindFloat:
-		domain := max.F - min.F
+		domain := max.Float() - min.Float()
 		if domain <= 0 {
 			return 0
 		}
-		width := hi.F - lo.F
+		width := hi.Float() - lo.Float()
 		if width <= 0 {
 			return 0
 		}

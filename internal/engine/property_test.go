@@ -96,7 +96,7 @@ func TestPropertyTxnSequencesMatchReference(t *testing.T) {
 		}
 		for id, status := range ref {
 			row, _, ok := tbl.Get(IntKey(id))
-			if !ok || row[1].S != status {
+			if !ok || row[1].Str() != status {
 				return false
 			}
 		}
@@ -148,9 +148,9 @@ func TestPropertyWALReplayReconstructsState(t *testing.T) {
 				if r.Intn(5) == 0 {
 					txn.Abort()
 				} else {
-					// Ship what Commit publishes — the committed after-image
-					// stream replicas see — immediately, while the shared
-					// record buffer is valid.
+					// Ship what Commit publishes — the committed records
+					// whose after-images replicas replay — immediately, while
+					// the txn's record buffer is valid.
 					recs, _ := txn.Commit()
 					for _, rec := range recs {
 						if err := replica.Apply(rec); err != nil {

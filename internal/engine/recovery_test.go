@@ -297,7 +297,7 @@ func TestRecoverSecondCrashDoesNotResurrect(t *testing.T) {
 	_, tbl2, _ := recoverFresh(t, cs2)
 	for w := int64(0); w < 2; w++ {
 		row, _, ok := tbl2.Get(IntKey(500 + 10*w))
-		if !ok || row[3].S != "post-crash" {
+		if !ok || row[3].Str() != "post-crash" {
 			t.Fatalf("key %d after second recovery = %v (ok=%v), want post-crash row", 500+10*w, row, ok)
 		}
 	}
@@ -320,7 +320,7 @@ func TestRecoverTeethSkipUndo(t *testing.T) {
 	// The uncommitted marker value must be visible — the resurrection the
 	// NoResurrection invariant exists to catch.
 	row, _, ok := rtbl.Get(IntKey(500))
-	if !ok || row[3].S != "inflight" {
+	if !ok || row[3].Str() != "inflight" {
 		t.Fatalf("expected in-flight insert to survive broken recovery, got %v ok=%v", row, ok)
 	}
 }
@@ -360,7 +360,7 @@ func TestRecoverTeethSkipTornCheck(t *testing.T) {
 		t.Fatal("honest recovery did not detect the torn tail")
 	}
 	row, _, ok := honest.Get(IntKey(9))
-	if !ok || row[3].S != "COMMITTED" {
+	if !ok || row[3].Str() != "COMMITTED" {
 		t.Fatalf("honest recovery: key 9 = %v ok=%v, want COMMITTED", row, ok)
 	}
 

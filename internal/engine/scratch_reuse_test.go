@@ -93,10 +93,10 @@ func TestRollbackAfterScratchReuseLeavesNoTrace(t *testing.T) {
 				switch o.kind {
 				case 0:
 					_, err = oracle.Insert(tB, o.row)
-					expect[o.id] = o.row[1].S
+					expect[o.id] = o.row[1].Str()
 				case 1:
 					_, err = oracle.Update(tB, IntKey(o.id), o.row)
-					expect[o.id] = o.row[1].S
+					expect[o.id] = o.row[1].Str()
 				case 2:
 					_, err = oracle.Delete(tB, IntKey(o.id))
 					delete(expect, o.id)
@@ -134,8 +134,8 @@ func TestRollbackAfterScratchReuseLeavesNoTrace(t *testing.T) {
 		if !live {
 			continue
 		}
-		if rowA[1].S != want || rowB[1].S != want {
-			t.Fatalf("id %d: status A=%q B=%q want %q", id, rowA[1].S, rowB[1].S, want)
+		if rowA[1].Str() != want || rowB[1].Str() != want {
+			t.Fatalf("id %d: status A=%q B=%q want %q", id, rowA[1].Str(), rowB[1].Str(), want)
 		}
 	}
 	if a, b := tA.LiveRows(), tB.LiveRows(); a != b {

@@ -35,5 +35,5 @@ func (s *StrSlab) Carve(prefix string, n int) []byte {
 // filled — as a string Value viewing the slab.
 func (s *StrSlab) Str() Value {
 	b := s.buf[s.at:]
-	return Str(unsafe.String(unsafe.SliceData(b), len(b)))
+	return strView(unsafe.SliceData(b), len(b))
 }

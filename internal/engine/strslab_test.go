@@ -35,8 +35,8 @@ func TestStrSlabCarvesImmutableViews(t *testing.T) {
 	}
 	runtime.GC()
 	for i, v := range kept {
-		if v.Kind != KindString || v.S != want[i] {
-			t.Fatalf("carve %d became %q, want %q", i, v.S, want[i])
+		if v.Kind != KindString || v.Str() != want[i] {
+			t.Fatalf("carve %d became %q, want %q", i, v.Str(), want[i])
 		}
 	}
 	if c := cap(s.buf); c != strSlabChunk {
@@ -46,7 +46,7 @@ func TestStrSlabCarvesImmutableViews(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 1000; i++ {
 			copy(s.Carve("cust-", 8), "abcdefgh")
-			name = s.Str().S
+			name = s.Str().Str()
 		}
 	})
 	if allocs > 4 { // 13 KB of names: four 4 KiB chunks

@@ -66,7 +66,7 @@ func TestTableBaseRowsVirtual(t *testing.T) {
 		t.Fatalf("live=%d max=%d", tbl.LiveRows(), tbl.MaxID())
 	}
 	row, page, ok := tbl.Get(IntKey(500))
-	if !ok || row[0].I != 500 {
+	if !ok || row[0].Int() != 500 {
 		t.Fatalf("base get: %v %v", row, ok)
 	}
 	// 8192/64 = 128 rows/page; id 500 -> page (500-1)/128 = 3.
@@ -138,14 +138,14 @@ func TestTableUpdateOverlaysBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old[1].S != "NEW" {
+	if old[1].Str() != "NEW" {
 		t.Fatalf("old row = %v", old)
 	}
 	if page != tbl.PageOfBase(7) {
 		t.Fatal("update moved the row off its base page")
 	}
 	got, _, ok := tbl.Get(IntKey(7))
-	if !ok || got[1].S != "PAID" {
+	if !ok || got[1].Str() != "PAID" {
 		t.Fatalf("updated row = %v", got)
 	}
 	if tbl.LiveRows() != 100 {
@@ -159,7 +159,7 @@ func TestTableUpdateOverlaysBase(t *testing.T) {
 func TestTableDeleteTombstonesBase(t *testing.T) {
 	tbl := newTestTable(t, 100)
 	_, old, err := tbl.Delete(IntKey(10), nil)
-	if err != nil || old[0].I != 10 {
+	if err != nil || old[0].Int() != 10 {
 		t.Fatalf("delete: %v %v", old, err)
 	}
 	if _, _, ok := tbl.Get(IntKey(10)); ok {
@@ -196,7 +196,7 @@ func TestTableScanMergesBaseAndDelta(t *testing.T) {
 		id, _ := DecodeIntKey(k)
 		ids = append(ids, id)
 		if id == 5 {
-			status5 = r[1].S
+			status5 = r[1].Str()
 		}
 		return true
 	})
@@ -243,7 +243,7 @@ func TestTableRangeDeltaOnly(t *testing.T) {
 	lo, hi := EncodeKey(Int(2)), EncodeKey(Int(3))
 	tbl.VisibleScan(func(k Key, r Row) bool {
 		if bytes.Compare(k, lo) >= 0 && bytes.Compare(k, hi) < 0 {
-			got = append(got, r[1].I)
+			got = append(got, r[1].Int())
 		}
 		return true
 	})
@@ -257,7 +257,7 @@ func TestTableApplyAtKeepsPageIdentity(t *testing.T) {
 	page := storage.PageID{Table: 1, Num: 77}
 	tbl.InsertAt(IntKey(200), genOrder(nil, 200), page)
 	got, gotPage, ok := tbl.Get(IntKey(200))
-	if !ok || got[0].I != 200 || gotPage != page {
+	if !ok || got[0].Int() != 200 || gotPage != page {
 		t.Fatalf("InsertAt: %v %v %v", got, gotPage, ok)
 	}
 	if tbl.MaxID() != 200 {
@@ -270,7 +270,7 @@ func TestTableApplyAtKeepsPageIdentity(t *testing.T) {
 	}
 	tbl.UpdateAt(IntKey(200), Row{Int(200), Str("PAID")}, page)
 	got, _, _ = tbl.Get(IntKey(200))
-	if got[1].S != "PAID" {
+	if got[1].Str() != "PAID" {
 		t.Fatal("UpdateAt")
 	}
 	tbl.DeleteAt(IntKey(200), page)

@@ -46,25 +46,66 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is one typed column value.
+// Value is one typed column value in three words (DESIGN.md §15, "Values
+// are three words"). n holds an int as its two's-complement bits, a float as
+// its IEEE-754 bits, and a string's length; p holds a string's data pointer,
+// nil for the empty string, so a Value never points one past the end of the
+// slab chunk or WAL image it views. A string Value owns nothing: its bytes
+// belong to the string it was made from. The zero Value is NULL.
+//
+// Values are not comparable with ==; use Equal, which compares floats as
+// floats (+0 equals -0, NaN equals nothing).
 type Value struct {
+	_    [0]func()
+	p    unsafe.Pointer
+	n    uint64
 	Kind Kind
-	I    int64
-	F    float64
-	S    string
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{Kind: KindInt, I: v} }
+func Int(v int64) Value { return Value{Kind: KindInt, n: uint64(v)} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func Float(v float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(v)} }
 
-// Str returns a string value.
-func Str(s string) Value { return Value{Kind: KindString, S: s} }
+// Str returns a string value viewing s's bytes.
+func Str(s string) Value { return strView(unsafe.StringData(s), len(s)) }
+
+// strView returns a string value viewing the n bytes at data, without
+// copying them; an empty string keeps no pointer.
+func strView(data *byte, n int) Value {
+	if n == 0 {
+		return Value{Kind: KindString}
+	}
+	return Value{Kind: KindString, p: unsafe.Pointer(data), n: uint64(n)}
+}
 
 // Null returns the null value.
 func Null() Value { return Value{Kind: KindNull} }
+
+// Int returns the value's integer, or 0 if it is not an INT.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// Float returns the value's float, or 0 if it is not a FLOAT.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
+
+// Str returns the value's string, or "" if it is not a STRING.
+func (v Value) Str() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
 // String renders the value for reports and debugging.
 func (v Value) String() string {
@@ -72,11 +113,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.S
+		return v.Str()
 	default:
 		return "?"
 	}
@@ -91,11 +132,11 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindInt:
-		return v.I == o.I
+		return v.n == o.n
 	case KindFloat:
-		return v.F == o.F
+		return v.Float() == o.Float()
 	case KindString:
-		return v.S == o.S
+		return v.Str() == o.Str()
 	}
 	return false
 }
@@ -140,12 +181,12 @@ func EncodeRow(dst []byte, r Row) []byte {
 		switch v.Kind {
 		case KindNull:
 		case KindInt:
-			dst = binary.AppendVarint(dst, v.I)
+			dst = binary.AppendVarint(dst, int64(v.n))
 		case KindFloat:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
+			dst = binary.BigEndian.AppendUint64(dst, v.n)
 		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
+			dst = binary.AppendUvarint(dst, v.n)
+			dst = append(dst, v.Str()...)
 		default:
 			panic(fmt.Sprintf("engine: encode of unknown kind %d", v.Kind))
 		}
@@ -198,7 +239,7 @@ func (db *DB) decodeRow(buf []byte) (Row, error) {
 				return nil, ErrBadRow
 			}
 			buf = buf[sz:]
-			row = append(row, Str(unsafe.String(unsafe.SliceData(buf), int(l))))
+			row = append(row, strView(unsafe.SliceData(buf), int(l)))
 			buf = buf[l:]
 		default:
 			return nil, ErrBadRow
@@ -254,11 +295,11 @@ func EncodedRowSize(r Row) int {
 		case KindNull:
 		case KindInt:
 			// Varint zig-zag encodes to the uvarint of 2|v| (±).
-			size += uvarintLen(uint64(v.I)<<1 ^ uint64(v.I>>63))
+			size += uvarintLen(v.n<<1 ^ uint64(int64(v.n)>>63))
 		case KindFloat:
 			size += 8
 		case KindString:
-			size += uvarintLen(uint64(len(v.S))) + len(v.S)
+			size += uvarintLen(v.n) + int(v.n)
 		default:
 			panic(fmt.Sprintf("engine: size of unknown kind %d", v.Kind))
 		}

@@ -126,7 +126,7 @@ func probeOnce(p *sim.Proc, d *cdb.Deployment, replica *node.Node, oid int64) (t
 	deadline := committed + 10*time.Second
 	for p.Elapsed() < deadline {
 		got, ok, err := replica.Read(p, core.TableOrders, key)
-		if err == nil && ok && got[5].I == marker {
+		if err == nil && ok && got[5].Int() == marker {
 			return p.Elapsed() - committed, true
 		}
 		p.Sleep(200 * time.Microsecond)

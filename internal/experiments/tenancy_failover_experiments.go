@@ -188,7 +188,7 @@ func TableIX(s *Session) (string, []metrics.Scores) {
 		return tableIXCells{
 			oltp: evaluator.RunOLTP(evaluator.OLTPConfig{
 				Kind: kind, Mix: core.MixReadWrite, Concurrency: tableIXConcurrency,
-				Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
+				Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
 			}),
 			lag: evaluator.RunLag(evaluator.LagConfig{
 				Kind: kind, IUD: evaluator.PaperIUDMixes[0], Concurrency: sc.LagConc,

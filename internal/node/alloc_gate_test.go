@@ -35,7 +35,7 @@ func TestReadPathAllocatesNothing(t *testing.T) {
 			id = id%100 + 1 // two resident pages: the buffer's hit path
 			key = engine.AppendIntKey(key[:0], id)
 			got, ok, err := n.ReadInto(p, "orders", key, row)
-			if err != nil || !ok || got[0].I != id {
+			if err != nil || !ok || got[0].Int() != id {
 				t.Fatalf("read %d: %v %v %v", id, got, ok, err)
 			}
 		})

@@ -92,7 +92,7 @@ func TestGetForUpdateSerializesWriters(t *testing.T) {
 				return
 			}
 			upd := row.Clone()
-			upd[1] = engine.Str(upd[1].S + "+")
+			upd[1] = engine.Str(upd[1].Str() + "+")
 			p.Sleep(time.Millisecond) // hold the X lock across time
 			if err := tx.Update(tbl, engine.IntKey(5), upd); err != nil {
 				t.Error(err)
@@ -107,8 +107,8 @@ func TestGetForUpdateSerializesWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	row, _, _ := tbl.Get(engine.IntKey(5))
-	if row[1].S != "NEW++" {
-		t.Fatalf("status = %q, want NEW++ (both increments)", row[1].S)
+	if row[1].Str() != "NEW++" {
+		t.Fatalf("status = %q, want NEW++ (both increments)", row[1].Str())
 	}
 	if _, timeouts := n.DB.Locks().Stats(); timeouts != 0 {
 		t.Fatalf("lock timeouts = %d (upgrade deadlock?)", timeouts)

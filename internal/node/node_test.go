@@ -53,7 +53,7 @@ func TestNodeTxCommitAndRead(t *testing.T) {
 			return
 		}
 		row, err := tx.Get(tbl, engine.IntKey(5))
-		if err != nil || row[0].I != 5 {
+		if err != nil || row[0].Int() != 5 {
 			t.Errorf("get: %v %v", row, err)
 		}
 		if err := tx.Update(tbl, engine.IntKey(5), engine.Row{engine.Int(5), engine.Str("PAID")}); err != nil {

@@ -67,7 +67,7 @@ func encodeLog(log *storage.Log) []byte {
 // batched replay and the OnApply hook must only read through them, so the
 // log's encoding is the same before and after everything is applied. The
 // link is still charged what a shipped copy weighs: the size of the record
-// the commit returned, which carries no prior image.
+// the commit returned, less its prior image.
 func TestStreamNeverWritesThroughItsReferences(t *testing.T) {
 	s := sim.New(epoch)
 	rw, _, st, _, rtbl := setup(s, Config{
@@ -79,8 +79,8 @@ func TestStreamNeverWritesThroughItsReferences(t *testing.T) {
 	priors := 0
 	rw.OnCommit = func(p *sim.Proc, recs []storage.Record) {
 		for i := range recs {
-			want += int64(recs[i].Size())
-			priors += len(rw.DB.Log().Slot(recs[i].LSN).Prior)
+			want += int64(recs[i].Size() - len(recs[i].Prior))
+			priors += len(recs[i].Prior)
 		}
 		publish(p, recs)
 	}
@@ -110,7 +110,7 @@ func TestStreamNeverWritesThroughItsReferences(t *testing.T) {
 	if got := st.cfg.Link.BytesSent(); got != want {
 		t.Fatalf("link charged %d bytes, want %d (each record's size without its prior image)", got, want)
 	}
-	if row, _, ok := rtbl.Get(engine.IntKey(2)); !ok || row[1].S != "PAID" {
+	if row, _, ok := rtbl.Get(engine.IntKey(2)); !ok || row[1].Str() != "PAID" {
 		t.Fatalf("replica row 2 = %v %v, want the update", row, ok)
 	}
 }

@@ -175,11 +175,12 @@ func (st *Stream) Publish(p *sim.Proc, recs []storage.Record) {
 }
 
 // PublishFrom is Publish for a commit hook: recs are the records a commit
-// returned (the engine's reused scratch, valid only until the next commit),
-// and the stream keeps, for each, a reference to the slot log holds for its
-// LSN. That slot stays as it is for as long as the stream needs it: under the
-// Chunk ownership rule on storage.Log a slot holding a record is never
-// written again, and a committed record is synced, so no crash cuts it.
+// returned (the committing txn's own buffer, valid only until the DB's next
+// Begin), and the stream keeps, for each, a reference to the slot log holds
+// for its LSN. That slot stays as it is for as long as the stream needs it:
+// under the Chunk ownership rule on storage.Log a slot holding a record is
+// never written again, and a committed record is synced, so no crash cuts
+// it.
 func (st *Stream) PublishFrom(p *sim.Proc, log *storage.Log, recs []storage.Record) {
 	if st.stopped {
 		return

@@ -58,7 +58,7 @@ func TestStreamReplicatesCommittedChanges(t *testing.T) {
 		p.Sleep(time.Second) // let replication drain
 		st.Stop()
 		row, _, ok := rtbl.Get(engine.IntKey(5))
-		if !ok || row[1].S != "PAID" {
+		if !ok || row[1].Str() != "PAID" {
 			t.Errorf("replica row = %v %v", row, ok)
 		}
 	})
@@ -158,8 +158,8 @@ func TestStreamPerKeyOrderPreservedAcrossLanes(t *testing.T) {
 		}
 		st.Stop()
 		row, _, _ := rtbl.Get(engine.IntKey(7))
-		if row[1].S != status(50) {
-			t.Errorf("replica saw %q, want %q (out-of-order replay)", row[1].S, status(50))
+		if row[1].Str() != status(50) {
+			t.Errorf("replica saw %q, want %q (out-of-order replay)", row[1].Str(), status(50))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -246,14 +246,14 @@ func TestStreamBuffersDuringReplicaDowntime(t *testing.T) {
 		}
 		p.Sleep(2 * time.Second)
 		if _, _, ok := rtbl.Get(engine.IntKey(1)); ok {
-			if r, _, _ := rtbl.Get(engine.IntKey(1)); r[1].S == "PAID" {
+			if r, _, _ := rtbl.Get(engine.IntKey(1)); r[1].Str() == "PAID" {
 				t.Error("replica applied records while down")
 			}
 		}
 		ro.SetState(node.Running)
 		p.Sleep(2 * time.Second)
 		row, _, _ := rtbl.Get(engine.IntKey(1))
-		if row[1].S != "PAID" {
+		if row[1].Str() != "PAID" {
 			t.Error("replica did not catch up after restart")
 		}
 		st.Stop()
