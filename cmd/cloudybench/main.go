@@ -6,7 +6,6 @@
 //	cloudybench list
 //	cloudybench run <experiment-id>... [-scale quick|paper|bench] [-o results.txt]
 //	cloudybench run all [-scale quick|paper|bench]
-//	cloudybench soak [-scale quick|paper|bench] [-o DIR]
 //	cloudybench custom -props FILE
 //	cloudybench dataset [-sf 10] [-seed 42] [-sample 5]
 //	cloudybench cost [-vcores 4] [-mem 16] [-net 10] [-fabric tcp|rdma|local] ...
@@ -47,8 +46,6 @@ func run(args []string) error {
 		return list()
 	case "run":
 		return runExperiments(args[1:])
-	case "soak":
-		return runSoak(args[1:])
 	case "custom":
 		return runCustom(args[1:])
 	case "dataset":
@@ -118,8 +115,6 @@ func usage() {
 Commands:
   list                     show all experiments
   run <id>... [flags]      run experiments (or "run all")
-  soak [flags]             multi-day longitudinal soak on every SUT; writes
-                           the soak.csv + soak.md comparison artifact
   custom -props FILE       run a user-defined elasticity pattern from a props file
   dataset [flags]          dataset scaling model and sample rows
                            (-sf N, -seed N, -sample N rows per table)
@@ -139,12 +134,6 @@ Flags for run:
                            the report is byte-identical either way)
   -cpuprofile FILE         write a CPU profile of the run to FILE
   -memprofile FILE         write a post-GC heap profile at exit to FILE
-
-Flags for soak:
-  -scale quick|paper|bench soak scale (default quick: 3 virtual days, 2h windows)
-  -o DIR                   artifact directory for soak.csv and soak.md
-                           (default soak-artifacts)
-  -parallel N              as for run
 
 Experiment ids correspond to the paper's tables and figures.`)
 }
@@ -166,43 +155,6 @@ func runCustom(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
-	return nil
-}
-
-// runSoak is the one-command comparison artifact: it drives the multi-day
-// soak on every SUT and drops soak.csv + soak.md into the artifact
-// directory, printing the Markdown document to stdout.
-func runSoak(args []string) error {
-	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	scaleName := fs.String("scale", "quick", "soak scale: quick, paper, or bench")
-	outDir := fs.String("o", "soak-artifacts", "directory for soak.csv and soak.md")
-	parallel := fs.Int("parallel", 0, "SUT cells run on this many cores (0 = all cores, 1 = sequential); the artifact is byte-identical either way")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a post-GC heap profile at exit to this file")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
-	sc, ok := experiments.ScaleByName(*scaleName)
-	if !ok {
-		return fmt.Errorf("unknown scale %q (quick, paper, or bench)", *scaleName)
-	}
-	sc.ArtifactDir = *outDir
-	experiments.SetParallelism(*parallel)
-
-	fmt.Fprintf(os.Stderr, "== soaking %d virtual days per SUT (%v windows) at scale %s...\n",
-		sc.SoakDays, sc.SoakWindow, sc.Name)
-	start := time.Now()
-	out, err := experiments.Run("soak", sc)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "== soak done in %s\n", time.Since(start).Round(time.Millisecond))
 	fmt.Print(out)
 	return nil
 }
@@ -250,6 +202,16 @@ func runExperiments(args []string) error {
 	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
 		return fmt.Errorf("unknown scale %q (quick, paper, or bench)", *scaleName)
+	}
+	// The output directories exist before anything runs: one that cannot
+	// be created fails the command, not the report.
+	for _, dir := range []string{*traceDir, *artifactDir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("creating %s: %w", dir, err)
+		}
 	}
 	sc.TraceDir = *traceDir
 	sc.ArtifactDir = *artifactDir

@@ -51,7 +51,9 @@ func TestBadArgumentsFailBeforeAnythingRuns(t *testing.T) {
 	}{
 		{[]string{"run", "f9", "-scale", "bench", "bogus-id"}, "bogus-id"},
 		{[]string{"run", "f9", "nosuch", "-scale", "bench"}, "nosuch"},
-		{[]string{"soak", "-scale", "bench", "-o", dir, "extra"}, "extra"},
+		// An output directory under a regular file cannot be created.
+		{[]string{"run", "oltp", "-scale", "bench", "-trace", filepath.Join(props, "trace")}, props},
+		{[]string{"run", "soak", "-scale", "bench", "-artifacts", filepath.Join(props, "soak")}, props},
 		{[]string{"custom", "-props", props, "extra"}, "extra"},
 		{[]string{"custom", "-props", badSlot}, `slot = "20sec"`},
 		{[]string{"custom", "-props", negative}, `cost_slots = "-3"`},

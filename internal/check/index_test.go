@@ -1,7 +1,6 @@
 package check
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -10,8 +9,8 @@ import (
 )
 
 // TestIndexCoherent proves the invariant passes on a live indexed table
-// across committed and rolled-back work, and — the teeth — fails when an
-// index entry is forced out of sync with the table.
+// across committed and rolled-back work. Its teeth are the mutant catalogue's
+// (internal/mutants): an index maintenance bug must fail it.
 func TestIndexCoherent(t *testing.T) {
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	db := engine.NewDB(s)
@@ -27,7 +26,7 @@ func TestIndexCoherent(t *testing.T) {
 	tbl := db.MustCreateTable(schema, 30, func(dst engine.Row, id int64) engine.Row {
 		return append(dst[:0], engine.Int(id), engine.Int(id%5))
 	})
-	ix := db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
+	db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
 
 	s.Go("mutate", func(p *sim.Proc) {
 		txn := db.Begin(p)
@@ -46,16 +45,5 @@ func TestIndexCoherent(t *testing.T) {
 	v := IndexCoherent("rw", db)
 	if !v.Passed || v.Checked != 30 {
 		t.Fatalf("coherent index reported %v (checked %d)", v, v.Checked)
-	}
-
-	// Teeth: a dangling entry (no matching visible row) must fail.
-	ghost := ix.EntryKey(engine.Int(3), engine.IntKey(999))
-	ix.CorruptEntryForTest(ghost, engine.IntKey(999))
-	v = IndexCoherent("rw", db)
-	if v.Passed {
-		t.Fatal("IndexCoherent missed a dangling index entry")
-	}
-	if len(v.Details) == 0 || !strings.Contains(v.Details[0], "ix_items_group") {
-		t.Fatalf("failure detail does not name the index: %v", v.Details)
 	}
 }

@@ -58,8 +58,8 @@ func (d *Differ) Scan(p *sim.Proc, n *node.Node, table string, col int, lo, hi e
 }
 
 // Compare executes one range query under both plans on a table and records
-// any divergence. Exposed so the harness's own failure-detection tests can
-// drive it against a deliberately corrupted index without a deployment.
+// any divergence. Exposed so a test can drive it on a table without a
+// deployment (the engine's recovery differential test).
 func (d *Differ) Compare(tbl *engine.Table, col int, lo, hi engine.Value, limit int) ([]engine.Row, error) {
 	res, err := d.compare(tbl, col, lo, hi, limit)
 	return res.Rows, err

@@ -6,9 +6,7 @@ import (
 
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/core"
-	"cloudybench/internal/engine"
 	"cloudybench/internal/evaluator"
-	"cloudybench/internal/sim"
 )
 
 // runOne executes one suite with the dual-plan hook installed and fails the
@@ -67,42 +65,5 @@ func TestDifferentialUnderFailover(t *testing.T) {
 		runOne(t, suite, cdb.CDB4, evaluator.SuiteConfig{
 			Span: 12 * time.Second, Concurrency: 4, Gauntlet: evaluator.SuitePartition,
 		})
-	}
-}
-
-// TestDifferDetectsCorruption is the harness's teeth: a fabricated index
-// entry (wrong column value for a live row) must surface as a divergence,
-// proving a real maintenance bug could not slip past the comparator.
-func TestDifferDetectsCorruption(t *testing.T) {
-	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	db := engine.NewDB(s)
-	tbl := db.MustCreateTable(&engine.Schema{
-		Name: "items",
-		Cols: []engine.Column{
-			{Name: "IT_ID", Kind: engine.KindInt},
-			{Name: "IT_GROUP", Kind: engine.KindInt},
-		},
-		KeyCols:     []int{0},
-		AvgRowBytes: 32,
-	}, 20, func(dst engine.Row, id int64) engine.Row {
-		return append(dst[:0], engine.Int(id), engine.Int(id%4))
-	})
-	ix := db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
-
-	d := &Differ{}
-	if _, err := d.Compare(tbl, 1, engine.Int(2), engine.Int(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if d.Compared != 1 || !d.Clean() {
-		t.Fatalf("clean index reported diffs: %v", d.Diffs)
-	}
-
-	// Row 1 has IT_GROUP=1; claim the index also files it under group 2.
-	ix.CorruptEntryForTest(ix.EntryKey(engine.Int(2), engine.IntKey(1)), engine.IntKey(1))
-	if _, err := d.Compare(tbl, 1, engine.Int(2), engine.Int(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if d.Clean() {
-		t.Fatal("differ missed a fabricated index entry")
 	}
 }

@@ -190,13 +190,6 @@ func (ix *Index) Bounds() (min, max Value, ok bool) {
 	return lo, hi, ok1 && ok2
 }
 
-// CorruptEntryForTest force-inserts a bogus entry, used by coherence-check
-// tests to prove IndexCoherent has teeth. pk must be the suffix of entryKey,
-// as EntryKey builds it. Never called outside tests.
-func (ix *Index) CorruptEntryForTest(entryKey Key, pk Key) {
-	ix.put(entryKey, len(pk))
-}
-
 // IndexOp is one physical index-entry change produced by a table mutation,
 // surfaced so the writing transaction can append index WAL records and the
 // node layer can charge index page writes.

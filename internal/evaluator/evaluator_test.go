@@ -51,10 +51,7 @@ func TestOLTPShapeCDB4Fastest(t *testing.T) {
 }
 
 func TestRunE2AddingReplicaHelpsReads(t *testing.T) {
-	r := RunE2(E2Config{
-		Kind: cdb.RDS, Mix: core.MixReadOnly, Concurrency: 64,
-		Warmup: time.Second, Measure: 2 * time.Second,
-	})
+	r := RunE2(E2Config{Kind: cdb.RDS, Concurrency: 64, Measure: 2 * time.Second})
 	if len(r.TPS) != 2 {
 		t.Fatalf("TPS series: %v", r.TPS)
 	}

@@ -68,18 +68,6 @@ const (
 	convergence                     // every member but the RW, against the RW
 )
 
-// sabotage doctors what a checker reads so that checker must FAIL; only the
-// in-package teeth tests set it.
-type sabotage struct {
-	// unfenced disables the write lease, so stale-epoch commits are
-	// acknowledged (only the fence can acknowledge them: storage.Fence.Disable).
-	unfenced bool
-	// lostWrite names a member ("rw", "ro0") that loses the RW's last
-	// committed write between quiesce and judge: the write is rolled back on
-	// it through DB.ApplyBatch, the replica path, which fires no observer hook.
-	lostWrite string
-}
-
 // gauntletMix blends all four transactions so every invariant has work to
 // judge (T1 inserts, T2 payments, T3 reads, T4 deletes).
 var gauntletMix = core.Mix{T1: 30, T2: 20, T3: 40, T4: 10}
@@ -127,8 +115,6 @@ type spec struct {
 	drainEvery time.Duration
 	// invariants is the verdict sheet; fenceTrio on it turns ack logging on.
 	invariants []invariant
-
-	sabotage sabotage
 }
 
 func (sp spec) withDefaults() spec {
@@ -206,9 +192,6 @@ func runCell(sp spec) *run {
 	}
 	rc.attachRecorder()
 	d.Fence.SetRecording(slices.Contains(sp.invariants, fenceTrio))
-	if sp.sabotage.unfenced {
-		d.Fence.Disable()
-	}
 	if sp.detector {
 		d.StartDetector()
 	}
@@ -230,9 +213,6 @@ func runCell(sp spec) *run {
 		rc.end = p.Elapsed()
 		d.Shutdown()
 	})
-	if sp.sabotage.lostWrite != "" {
-		rc.loseWrite(sp.sabotage.lostWrite)
-	}
 	rc.verdicts = rc.judge(sp.invariants)
 	return rc
 }
@@ -256,46 +236,6 @@ func finish(s *sim.Sim, name string, ctl func(*sim.Proc)) {
 	s.Go("ctl", ctl)
 	if err := s.Run(); err != nil {
 		panic("evaluator: " + name + " run: " + err.Error())
-	}
-}
-
-// loseWrite rolls the RW's last committed write back on the named member:
-// the key returns to the prior image the RW logged, or disappears if it had
-// none.
-func (rc *run) loseWrite(member string) {
-	lg := rc.d.RW().DB.Log()
-	committed := make(map[uint64]bool)
-	for recs := range lg.Chunks() {
-		for i := range recs {
-			if recs[i].Type == storage.RecCommit {
-				committed[recs[i].Txn] = true
-			}
-		}
-	}
-	var last *storage.Record
-	for recs := range lg.Chunks() {
-		for i := range recs {
-			switch r := &recs[i]; r.Type {
-			case storage.RecInsert, storage.RecUpdate, storage.RecDelete:
-				if committed[r.Txn] {
-					last = r
-				}
-			}
-		}
-	}
-	if last == nil {
-		return
-	}
-	undo := storage.Record{Type: storage.RecDelete, Table: last.Table, Page: last.Page, Key: last.Key}
-	if last.Flags&storage.FlagPriorExisted != 0 {
-		undo.Type, undo.Image = storage.RecUpdate, last.Prior
-	}
-	for _, m := range rc.d.Cluster.Members() {
-		if memberName(m) == member {
-			if err := m.Node.DB.ApplyBatch([]storage.Record{undo}); err != nil {
-				panic("evaluator: sabotage: " + err.Error())
-			}
-		}
 	}
 }
 

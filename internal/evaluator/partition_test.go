@@ -8,12 +8,9 @@ import (
 	"cloudybench/internal/cdb"
 )
 
-// quickPartition runs a short gauntlet; disableFencing sabotages the write
-// lease so stale-epoch commits are acknowledged.
-func quickPartition(kind cdb.Kind, disableFencing bool) PartitionResult {
-	sp := partitionSpec(PartitionConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
-	sp.sabotage.unfenced = disableFencing
-	return partitionResult(runCell(sp))
+// quickPartition runs a short gauntlet.
+func quickPartition(kind cdb.Kind) PartitionResult {
+	return RunPartition(PartitionConfig{Kind: kind, Span: 10 * time.Second, Concurrency: 6, Seed: 7})
 }
 
 // partitionFingerprint flattens a result into a comparable string: every
@@ -38,7 +35,7 @@ func partitionFingerprint(r PartitionResult) string {
 // promote the reachable replica under an advanced lease epoch, fence the
 // still-writing old primary, and keep every invariant green.
 func TestPartitionPromoteArchitectureFailsOverAndFences(t *testing.T) {
-	r := quickPartition(cdb.CDB4, false)
+	r := quickPartition(cdb.CDB4)
 	if !r.Passed() {
 		for _, v := range r.Verdicts {
 			t.Errorf("%s: %s", v.Name, v)
@@ -65,7 +62,7 @@ func TestPartitionPromoteArchitectureFailsOverAndFences(t *testing.T) {
 // replica, so repair must wait out the partition and restart in place —
 // visibly slower than the promote architectures.
 func TestPartitionRestartArchitectureWaitsForHeal(t *testing.T) {
-	rds := quickPartition(cdb.RDS, false)
+	rds := quickPartition(cdb.RDS)
 	if !rds.Passed() {
 		for _, v := range rds.Verdicts {
 			t.Errorf("%s: %s", v.Name, v)
@@ -77,7 +74,7 @@ func TestPartitionRestartArchitectureWaitsForHeal(t *testing.T) {
 	if rds.MTTR <= 0 {
 		t.Fatal("RDS never restored write service")
 	}
-	cdb4 := quickPartition(cdb.CDB4, false)
+	cdb4 := quickPartition(cdb.CDB4)
 	if rds.MTTR <= cdb4.MTTR*2 {
 		t.Errorf("RDS MTTR %v not clearly worse than CDB4's %v — restart-in-place should dominate", rds.MTTR, cdb4.MTTR)
 	}
@@ -86,31 +83,10 @@ func TestPartitionRestartArchitectureWaitsForHeal(t *testing.T) {
 // TestPartitionRunIsDeterministic demands the whole report — metrics,
 // verdicts, timeline, fault log — be identical across two same-seed runs.
 func TestPartitionRunIsDeterministic(t *testing.T) {
-	a := partitionFingerprint(quickPartition(cdb.CDB1, false))
-	b := partitionFingerprint(quickPartition(cdb.CDB1, false))
+	a := partitionFingerprint(quickPartition(cdb.CDB1))
+	b := partitionFingerprint(quickPartition(cdb.CDB1))
 	if a != b {
 		t.Fatalf("partition run diverged:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestPartitionCheckerHasTeeth disables the write lease and demands the
-// no-split-brain checker FAIL: with fencing off, the partitioned old primary
-// keeps acknowledging commits under its stale epoch — two unfenced primaries.
-// It breaks the fence itself (Fence.Disable), the only place a stale-epoch
-// acknowledgement can come from.
-func TestPartitionCheckerHasTeeth(t *testing.T) {
-	r := quickPartition(cdb.CDB4, true)
-	if r.Passed() {
-		t.Fatal("verdict sheet passed with fencing disabled")
-	}
-	var splitBrain bool
-	for _, v := range r.Verdicts {
-		if v.Name == "no-split-brain" && !v.Passed {
-			splitBrain = true
-		}
-	}
-	if !splitBrain {
-		t.Fatalf("expected no-split-brain to fail, verdicts: %v", r.Verdicts)
 	}
 }
 

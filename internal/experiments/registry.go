@@ -8,8 +8,8 @@ import (
 )
 
 // Runner regenerates one paper artifact in a session, returning its
-// rendered report.
-type Runner func(s *Session) string
+// rendered report, or the error that kept it from writing its files.
+type Runner func(s *Session) (string, error)
 
 // registry maps experiment ids to drivers and descriptions.
 var registry = map[string]struct {
@@ -17,41 +17,41 @@ var registry = map[string]struct {
 	Run  Runner
 }{
 	"f5": {"Figure 5 — transaction processing TPS across SF/mix/concurrency",
-		func(s *Session) string { out, _ := Figure5(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Figure5(s.sc); return out, nil }},
 	"t5": {"Table V — P-Score with detailed resource cost",
-		func(s *Session) string { out, _ := TableV(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := TableV(s.sc); return out, nil }},
 	"f6": {"Figure 6 — elasticity: TPS, total cost, E1-Score",
-		Figure6},
+		func(s *Session) (string, error) { return Figure6(s), nil }},
 	"t6": {"Table VI — scaling time and cost during autoscaling",
-		func(s *Session) string { out, _ := TableVI(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := TableVI(s.sc); return out, nil }},
 	"t7": {"Table VII — multi-tenancy TPS, resources, cost, T-Score",
-		TableVII},
+		func(s *Session) (string, error) { return TableVII(s), nil }},
 	"t8": {"Table VIII — fail-over F-Score and R-Score",
-		TableVIII},
+		func(s *Session) (string, error) { return TableVIII(s), nil }},
 	"f7": {"Figure 7 — CDB4 fail-over timeline",
-		func(s *Session) string { out, _ := Figure7(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Figure7(s.sc); return out, nil }},
 	"lag": {"§III-F — replication lag time across IUD mixes",
-		func(s *Session) string { out, _ := LagTable(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := LagTable(s.sc); return out, nil }},
 	"t9": {"Table IX — overall PERFECT scores (with actual-cost variants)",
-		func(s *Session) string { out, _ := TableIX(s); return out }},
+		func(s *Session) (string, error) { out, _ := TableIX(s); return out, nil }},
 	"f8": {"Figure 8 — buffer size sweep for RDS/CDB1/CDB4",
-		func(s *Session) string { out, _ := Figure8(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Figure8(s.sc); return out, nil }},
 	"f9": {"Figure 9 — CPU allocation vs SysBench and TPC-C on CDB3",
-		func(s *Session) string { out, _ := Figure9(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Figure9(s.sc); return out, nil }},
 	"ablations": {"Ablations — parallel replay, remote buffer pool, redo pushdown",
-		func(s *Session) string { return Ablations(s.sc) }},
+		func(s *Session) (string, error) { return Ablations(s.sc), nil }},
 	"chaos": {"Chaos gauntlet — ACID invariants under injected faults, all SUTs",
-		func(s *Session) string { out, _ := Chaos(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Chaos(s.sc); return out, nil }},
 	"crash": {"Crash gauntlet — WAL redo/undo recovery, torn-tail kills, and the durability/no-resurrection verdicts, all SUTs",
-		func(s *Session) string { out, _ := Crash(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Crash(s.sc); return out, nil }},
 	"oltp": {"Stage profile — traced OLTP run with per-SUT virtual-time stage breakdown (honours --trace)",
-		func(s *Session) string { out, _ := OLTPTrace(s.sc); return out }},
+		func(s *Session) (string, error) { out, _, err := OLTPTrace(s.sc); return out, err }},
 	"partition": {"Partition gauntlet — MTTD/MTTR, lease fencing, and resilient-client metrics under a gray partition, all SUTs",
-		func(s *Session) string { out, _ := Partition(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Partition(s.sc); return out, nil }},
 	"suites": {"Scenario suites — registered workload families (indexed range scan, time-series, LOB) on every SUT, with selectivity sweep and chaos/partition composition",
-		func(s *Session) string { out, _ := Suites(s.sc); return out }},
+		func(s *Session) (string, error) { out, _ := Suites(s.sc); return out, nil }},
 	"soak": {"Soak — multi-day longitudinal run per SUT with windowed telemetry, rolling chaos, tenant churn, in-flight invariant sweeps, and the CSV/Markdown comparison artifact (honours --artifacts)",
-		func(s *Session) string { out, _ := Soak(s.sc); return out }},
+		func(s *Session) (string, error) { out, _, err := Soak(s.sc); return out, err }},
 }
 
 // IDs returns all experiment ids in sorted order.
@@ -98,5 +98,5 @@ func (s *Session) Run(id string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return e.Run(s), nil
+	return e.Run(s)
 }

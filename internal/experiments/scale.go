@@ -62,7 +62,7 @@ type Scale struct {
 	SuiteSpan time.Duration
 	SuiteConc int
 
-	// Soak (cloudybench soak) — days of virtual time per SUT, the timeline
+	// Soak (cloudybench run soak) — days of virtual time per SUT, the timeline
 	// window width (must divide 24h into >= 4 windows), the traffic burst
 	// per window, the per-tenant client count, and how many windows pass
 	// between in-flight invariant sweeps.
@@ -74,12 +74,13 @@ type Scale struct {
 
 	// ArtifactDir, when non-empty, makes artifact-emitting experiments
 	// (the "soak" comparison bundle) write their CSV/Markdown files into
-	// the directory (created if missing). Empty keeps output on stdout.
+	// the directory, which must exist (cloudybench creates it before any
+	// experiment runs). Empty keeps output on stdout.
 	ArtifactDir string
 
 	// TraceDir, when non-empty, makes trace-aware experiments (the "oltp"
 	// stage-profile run) write JSONL span files and a Prometheus-text
-	// metrics snapshot into the directory (created if missing). Empty
+	// metrics snapshot into the directory, which must exist. Empty
 	// disables file emission; the stage-breakdown tables still render.
 	TraceDir string
 

@@ -63,8 +63,9 @@ func soakSheet(r evaluator.SoakResult) report.SoakSheet {
 // in-flight invariant sweeps — then renders the comparison artifact. The
 // returned string is the Markdown document; with sc.ArtifactDir set, the
 // same content lands in soak.md next to the flat soak.csv, so one command
-// produces the whole comparison bundle.
-func Soak(sc Scale) (string, []evaluator.SoakResult) {
+// produces the whole comparison bundle. A file it cannot write is the
+// returned error.
+func Soak(sc Scale) (string, []evaluator.SoakResult, error) {
 	results := runCells(len(SUTs), func(i int) evaluator.SoakResult {
 		return evaluator.RunSoak(evaluator.SoakConfig{
 			Kind: SUTs[i], SF: 1,
@@ -86,19 +87,15 @@ func Soak(sc Scale) (string, []evaluator.SoakResult) {
 	md := report.SoakMarkdown(title, sheets)
 
 	if sc.ArtifactDir != "" {
-		if err := os.MkdirAll(sc.ArtifactDir, 0o755); err != nil {
-			return fmt.Sprintf("soak: creating %s: %v\n", sc.ArtifactDir, err), results
-		}
 		for _, f := range []struct{ name, content string }{
 			{"soak.csv", report.SoakCSV(sheets)},
 			{"soak.md", md},
 		} {
-			path := filepath.Join(sc.ArtifactDir, f.name)
-			if err := os.WriteFile(path, []byte(f.content), 0o644); err != nil {
-				return fmt.Sprintf("soak: writing %s: %v\n", path, err), results
+			if err := os.WriteFile(filepath.Join(sc.ArtifactDir, f.name), []byte(f.content), 0o644); err != nil {
+				return "", results, fmt.Errorf("soak: %w", err)
 			}
 		}
 		md += fmt.Sprintf("\nWrote soak.csv and soak.md to %s\n", sc.ArtifactDir)
 	}
-	return md, results
+	return md, results, nil
 }

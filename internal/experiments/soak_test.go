@@ -35,13 +35,16 @@ func checkGolden(t *testing.T, name, out string) {
 
 // TestSoakGolden pins the full comparison artifact — the Markdown document
 // and the flat CSV — byte for byte at the mini scale. These are the files
-// `cloudybench soak -o` ships, so any drift in a window row, sweep verdict,
-// anomaly timestamp, or cost figure is a behaviour change. Regenerate
-// deliberately with -update.
+// `cloudybench run soak -artifacts` ships, so any drift in a window row,
+// sweep verdict, anomaly timestamp, or cost figure is a behaviour change.
+// Regenerate deliberately with -update.
 func TestSoakGolden(t *testing.T) {
 	sc := mini
 	sc.ArtifactDir = t.TempDir()
-	md, results := Soak(sc)
+	md, results, err := Soak(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	csv, err := os.ReadFile(filepath.Join(sc.ArtifactDir, "soak.csv"))
 	if err != nil {
@@ -75,7 +78,10 @@ func TestSoakGolden(t *testing.T) {
 // and each SUT's seeded blackout anomalies land at the same deterministic
 // virtual timestamps.
 func TestSoakExperimentShape(t *testing.T) {
-	out, results := Soak(tiny)
+	out, results, err := Soak(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(SUTs) {
 		t.Fatalf("results = %d, want %d", len(results), len(SUTs))
 	}

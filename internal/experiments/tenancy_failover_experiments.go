@@ -195,7 +195,7 @@ func TableIX(s *Session) (string, []metrics.Scores) {
 				Duration: sc.LagDuration, Seed: sc.Seed,
 			}),
 			e2: evaluator.RunE2(evaluator.E2Config{
-				Kind: kind, Mix: core.MixReadOnly, Concurrency: tableIXConcurrency,
+				Kind: kind, Concurrency: tableIXConcurrency,
 				Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
 			}),
 		}

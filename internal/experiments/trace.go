@@ -17,20 +17,16 @@ import (
 // transaction's virtual time actually goes (CPU, lock waits, page IO, WAL
 // appends, network hops, checkpoint interference). With sc.TraceDir set it
 // additionally writes trace_<sut>.jsonl span files and one combined
-// metrics.prom Prometheus-text snapshot into the directory.
+// metrics.prom Prometheus-text snapshot into the directory; a file it cannot
+// create or write is the returned error, which names the path.
 //
 // This is the paper's "why is SUT X slower" companion to Figure 5: the TPS
 // tables say CDB2 trails CDB1; the stage breakdown shows the extra log-hop
 // and page-service time that explains it.
-func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
+func OLTPTrace(sc Scale) (string, []*obs.StageAgg, error) {
 	var b strings.Builder
 	var aggs []*obs.StageAgg
 	emit := sc.TraceDir != ""
-	if emit {
-		if err := os.MkdirAll(sc.TraceDir, 0o755); err != nil {
-			return fmt.Sprintf("trace: creating %s: %v\n", sc.TraceDir, err), nil
-		}
-	}
 	conc := 50
 	if len(sc.Concurrency) > 0 {
 		conc = sc.Concurrency[0]
@@ -41,7 +37,7 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
 	type traceCell struct {
 		agg *obs.StageAgg
 		res evaluator.OLTPResult
-		err string
+		err error
 	}
 	cells := runCells(len(SUTs), func(i int) traceCell {
 		kind := SUTs[i]
@@ -52,7 +48,7 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
 			path := filepath.Join(sc.TraceDir, fmt.Sprintf("trace_%s.jsonl", kind))
 			f, err := os.Create(path)
 			if err != nil {
-				return traceCell{err: fmt.Sprintf("trace: creating %s: %v\n", path, err)}
+				return traceCell{err: fmt.Errorf("trace: %w", err)}
 			}
 			file = f
 			jsonl = obs.NewJSONLSink(f)
@@ -67,18 +63,19 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
 			Tracer: tr,
 		})
 		if file != nil {
-			if err := jsonl.Err(); err != nil {
-				return traceCell{err: fmt.Sprintf("trace: writing %s spans: %v\n", kind, err)}
+			err := jsonl.Err()
+			if cerr := file.Close(); err == nil {
+				err = cerr
 			}
-			if err := file.Close(); err != nil {
-				return traceCell{err: fmt.Sprintf("trace: closing %s spans: %v\n", kind, err)}
+			if err != nil {
+				return traceCell{err: fmt.Errorf("trace: writing %s: %w", file.Name(), err)}
 			}
 		}
 		return traceCell{agg: tr.Agg(), res: res}
 	})
 	for i, c := range cells {
-		if c.err != "" {
-			return c.err, nil
+		if c.err != nil {
+			return "", nil, c.err
 		}
 		aggs = append(aggs, c.agg)
 		fmt.Fprintf(&b, "%s: TPS=%s p50=%s p99=%s\n\n",
@@ -92,7 +89,7 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
 		path := filepath.Join(sc.TraceDir, "metrics.prom")
 		f, err := os.Create(path)
 		if err != nil {
-			return fmt.Sprintf("trace: creating %s: %v\n", path, err), nil
+			return "", nil, fmt.Errorf("trace: %w", err)
 		}
 		werr := obs.WritePrometheus(f, aggs...)
 		cerr := f.Close()
@@ -100,9 +97,9 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg) {
 			werr = cerr
 		}
 		if werr != nil {
-			return fmt.Sprintf("trace: writing %s: %v\n", path, werr), nil
+			return "", nil, fmt.Errorf("trace: writing %s: %w", path, werr)
 		}
 		fmt.Fprintf(&b, "Wrote %d JSONL trace files and metrics.prom to %s\n", len(SUTs), sc.TraceDir)
 	}
-	return b.String(), aggs
+	return b.String(), aggs, nil
 }

@@ -21,13 +21,12 @@ var harnessPkgs = map[string]string{
 var keepWithoutCaller = map[string]string{
 	// The kernel API TestDispatchOrderOracle's random programs draw from;
 	// its pinned dispatch digests depend on every one of them.
-	"cloudybench/internal/sim.NewMutex":                        "TestDispatchOrderOracle: random programs lock kernel mutexes",
-	"(*cloudybench/internal/sim.Mutex).Lock":                   "TestDispatchOrderOracle: random programs lock kernel mutexes",
-	"(*cloudybench/internal/sim.Mutex).Unlock":                 "TestDispatchOrderOracle: random programs lock kernel mutexes",
-	"(*cloudybench/internal/sim.Proc).Yield":                   "TestDispatchOrderOracle: random programs yield at the same instant",
-	"(*cloudybench/internal/sim.Resource).Use":                 "TestDispatchOrderOracle: random programs hold resources for a span",
-	"(*cloudybench/internal/sim.Resource).Peak":                "TestElasticPoolSharesCapacity (cdb): tenants borrow beyond their fair share of the pool",
-	"(*cloudybench/internal/engine.Index).CorruptEntryForTest": "TestIndexCoherent (check): the checker's teeth against a corrupted index",
+	"cloudybench/internal/sim.NewMutex":         "TestDispatchOrderOracle: random programs lock kernel mutexes",
+	"(*cloudybench/internal/sim.Mutex).Lock":    "TestDispatchOrderOracle: random programs lock kernel mutexes",
+	"(*cloudybench/internal/sim.Mutex).Unlock":  "TestDispatchOrderOracle: random programs lock kernel mutexes",
+	"(*cloudybench/internal/sim.Proc).Yield":    "TestDispatchOrderOracle: random programs yield at the same instant",
+	"(*cloudybench/internal/sim.Resource).Use":  "TestDispatchOrderOracle: random programs hold resources for a span",
+	"(*cloudybench/internal/sim.Resource).Peak": "TestElasticPoolSharesCapacity (cdb): tenants borrow beyond their fair share of the pool",
 
 	// Fixtures that tests of other behaviour build on.
 	"(*cloudybench/internal/lint.Loader).LoadDir":       "TestWallClock and the other analyzer tests (via linttest): fixture packages load outside the module",

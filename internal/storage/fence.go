@@ -62,7 +62,6 @@ type Fence struct {
 	epoch     uint64
 	events    []FenceEvent
 	recording bool
-	disabled  bool
 }
 
 // NewFence returns a fence at epoch 1.
@@ -84,12 +83,9 @@ func (f *Fence) Advance(at time.Duration) uint64 {
 }
 
 // CheckCommit arbitrates one write commit: a commit presenting the current
-// epoch is acknowledged; a stale epoch is rejected with ErrFenced. When the
-// fence is disabled (the split-brain test fixture), stale commits are
-// acknowledged anyway — the audit log still records them, which is exactly
-// how the NoSplitBrain checker proves it would have caught the divergence.
+// epoch is acknowledged; a stale epoch is rejected with ErrFenced.
 func (f *Fence) CheckCommit(at time.Duration, nodeName string, epoch uint64) error {
-	if epoch == f.epoch || f.disabled {
+	if epoch == f.epoch {
 		if f.recording {
 			f.events = append(f.events, FenceEvent{
 				At: at, Kind: FenceAck, Node: nodeName, Epoch: epoch, FenceEpoch: f.epoch,
@@ -107,13 +103,6 @@ func (f *Fence) CheckCommit(at time.Duration, nodeName string, epoch uint64) err
 // NoSplitBrain checker sees every acknowledged commit; throughput runs leave
 // it off to keep memory flat.
 func (f *Fence) SetRecording(on bool) { f.recording = on }
-
-// Disable turns fencing off: stale epochs are acknowledged. It exists only
-// so a teeth test can show that, without fencing, a partitioned old primary
-// produces a real split brain the checker catches. It is the one switch left
-// inside the mechanism it breaks: only the fence can acknowledge a commit
-// under a stale epoch, so a split brain cannot be produced from outside it.
-func (f *Fence) Disable() { f.disabled = true }
 
 // Rejects returns how many commits the fence refused.
 func (f *Fence) Rejects() int64 {

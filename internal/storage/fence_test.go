@@ -40,23 +40,6 @@ func TestFenceAcksCurrentEpochAndRejectsStale(t *testing.T) {
 	}
 }
 
-func TestFenceDisabledAcksStaleEpochButStillLogs(t *testing.T) {
-	f := NewFence()
-	f.SetRecording(true)
-	f.Advance(time.Second)
-	f.Disable()
-	if err := f.CheckCommit(2*time.Second, "rw", 1); err != nil {
-		t.Fatalf("disabled fence rejected stale commit: %v", err)
-	}
-	// The stale ack is in the log with Epoch < FenceEpoch — the split-brain
-	// evidence the checker keys on.
-	evs := f.Events()
-	last := evs[len(evs)-1]
-	if last.Kind != FenceAck || last.Epoch != 1 || last.FenceEpoch != 2 {
-		t.Fatalf("disabled-fence ack = %+v, want stale ack epoch 1 under fence epoch 2", last)
-	}
-}
-
 func TestFenceRecordingOffSkipsAcksKeepsRejects(t *testing.T) {
 	f := NewFence()
 	if err := f.CheckCommit(time.Second, "rw", 1); err != nil {
