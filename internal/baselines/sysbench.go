@@ -5,8 +5,7 @@
 // shows they barely exercise a serverless database's scaling range, while
 // CloudyBench's peak-and-valley patterns drive it across its whole capacity
 // span. Neither suite is registered, so the registry's consumers (run
-// suites, the partition gauntlet, difftest) do not load their tables on
-// every SUT.
+// suites, the partition gauntlet) do not load their tables on every SUT.
 package baselines
 
 import (

@@ -10,6 +10,7 @@ import (
 
 	"cloudybench/internal/core"
 	"cloudybench/internal/engine"
+	"cloudybench/internal/node"
 )
 
 // Verdict is the outcome of one invariant check.
@@ -17,6 +18,7 @@ type Verdict struct {
 	Name    string
 	Passed  bool
 	Checked int      // items the check examined (txns, reads, keys, ...)
+	Every   int      // above 1: a sampled check, which examined one item in Every
 	Details []string // first few violations, for the report
 }
 
@@ -31,6 +33,9 @@ func (v *Verdict) fail(format string, args ...any) {
 
 // String renders "PASS" or "FAIL (first violation)".
 func (v Verdict) String() string {
+	if v.Passed && v.Every > 1 {
+		return fmt.Sprintf("PASS (%d checked, 1 in %d)", v.Checked, v.Every)
+	}
 	if v.Passed {
 		return fmt.Sprintf("PASS (%d checked)", v.Checked)
 	}
@@ -351,6 +356,18 @@ func IndexCoherent(name string, db *engine.DB) Verdict {
 				}
 			}
 		}
+	}
+	return v
+}
+
+// ScanCoherent turns a node's scan cross-checks into a verdict: every
+// sampled read-only scan it served returned, under the planner's plan,
+// exactly what the other plan returns (node.Node.ScanRead).
+func ScanCoherent(name string, n *node.Node) Verdict {
+	checked, every, diff := n.ScanChecks()
+	v := Verdict{Name: "scan-coherent/" + name, Passed: true, Checked: int(checked), Every: every}
+	if diff != "" {
+		v.fail("%s", diff)
 	}
 	return v
 }

@@ -10,21 +10,15 @@ import (
 	"cloudybench/internal/sim"
 )
 
-// ScanFunc intercepts read-only planner scans issued by suite operations.
-// The differential harness installs one that runs both plans and compares;
-// nil uses the node's planner directly.
-type ScanFunc func(p *sim.Proc, n *node.Node, table string, col int, lo, hi engine.Value, limit int) ([]engine.Row, error)
-
 // OpCtx is what one suite operation executes with: the routed node, the
-// worker's deterministic random streams, the scan hook, and the worker's
-// point-access scratch.
+// worker's deterministic random streams, and the worker's point-access
+// scratch.
 type OpCtx struct {
 	P    *sim.Proc
 	Node *node.Node
 	Src  *rng.Source
 	Dist rng.Dist
 
-	scan ScanFunc
 	// key holds the lookup key IntKey encoded last; row is where a base row
 	// read through the *Into forms lands. Nothing below the op retains
 	// either (DESIGN.md §15, "Who owns which buffer"), so ops allocate only
@@ -96,13 +90,9 @@ func (c *OpCtx) Filler(prefix string, n int) engine.Value {
 }
 
 // ScanRead runs a read-only range scan on the op's node through the
-// engine planner, or through the configured override (the differential
-// harness's dual-plan hook).
+// engine planner (node.Node.ScanRead, which cross-checks a sample of them).
 func (c *OpCtx) ScanRead(table string, col int, lo, hi engine.Value, limit int) ([]engine.Row, error) {
-	if c.scan != nil {
-		return c.scan(c.P, c.Node, table, col, lo, hi, limit)
-	}
-	return c.Node.ScanRead(c.P, table, col, lo, hi, limit, engine.PlanAuto)
+	return c.Node.ScanRead(c.P, table, col, lo, hi, limit)
 }
 
 // SuiteOp is one weighted operation of a workload suite. ReadOnly ops route
@@ -118,9 +108,9 @@ type SuiteOp struct {
 // Suite is a workload family: a schema installer applied to every node of
 // a deployment, and a weighted operation set the Runner drives exactly like
 // the Table II mix. Registered suites (RegisterSuite) compose with the same
-// scale, chaos, and partition machinery: every evaluator, gauntlet, and the
-// differential harness picks them up by name. A suite only one experiment
-// runs (the Figure 9 baselines) stays unregistered and is passed directly.
+// scale, chaos, and partition machinery: every evaluator and gauntlet picks
+// them up by name. A suite only one experiment runs (the Figure 9
+// baselines) stays unregistered and is passed directly.
 type Suite struct {
 	Name string
 	// Tables installs the suite's tables and secondary indexes on one

@@ -114,9 +114,6 @@ type Config struct {
 	// operation set (see Suite). Empty means the mix's Table II ops: the
 	// runner only ever drives ops, and records every commit by op name.
 	Ops []SuiteOp
-	// ScanOverride, if set, intercepts OpCtx.ScanRead for every suite op —
-	// the differential harness's dual-plan hook. Nil scans normally.
-	ScanOverride ScanFunc
 }
 
 // Runner drives a workload at a runtime-variable concurrency: the
@@ -196,7 +193,7 @@ func (r *Runner) newWorker(idx int) *worker {
 		src:  rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d", r.cfg.Name, idx)),
 		boff: rng.ChildOf(r.cfg.Seed, fmt.Sprintf("%s/w%d/backoff", r.cfg.Name, idx)),
 	}
-	w.ctx = OpCtx{Src: w.src, Dist: r.makeDist(w.src), scan: r.cfg.ScanOverride, row: make(engine.Row, 0, rowScratchCols), rows: &r.rows}
+	w.ctx = OpCtx{Src: w.src, Dist: r.makeDist(w.src), row: make(engine.Row, 0, rowScratchCols), rows: &r.rows}
 	return w
 }
 

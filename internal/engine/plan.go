@@ -19,8 +19,7 @@ const (
 	PlanAuto PlanMode = iota
 	// PlanForceIndex always uses the index (error if none exists).
 	PlanForceIndex
-	// PlanForceScan always uses the full table scan — the differential
-	// harness's oracle plan.
+	// PlanForceScan always uses the full table scan.
 	PlanForceScan
 )
 
@@ -50,7 +49,7 @@ const IndexScanMaxFraction = 0.25
 type ScanResult struct {
 	// PKs and Rows are the matching primary keys and rows, ordered by
 	// (indexed column value, primary key) — identical for both plans, which
-	// is the differential harness's oracle property.
+	// is the oracle property CrossCheck tests.
 	PKs  []Key
 	Rows []Row
 	// Pages are the distinct physical pages the plan touched, in first-touch
@@ -184,6 +183,40 @@ func (t *Table) fullScan(col int, lo, hi Value, limit int) ScanResult {
 		res.Pages = append(res.Pages, storage.PageID{Table: t.ID, Num: num})
 	}
 	return res
+}
+
+// CrossCheck re-runs the range query that res answered under the plan res
+// did not use — the full-scan oracle for an index scan, the index for a full
+// scan — and compares the two results' primary keys and encoded rows byte
+// for byte. It reports false when col has no index (there is no second
+// plan), and an error naming the first divergence. Like SelectRange it is
+// atomic; unlike it, it leaves ScanStats alone.
+func (t *Table) CrossCheck(res ScanResult, col int, lo, hi Value, limit int) (bool, error) {
+	ix := t.ixByCol[col]
+	if ix == nil {
+		return false, nil
+	}
+	index, oracle := res, t.fullScan(col, lo, hi, limit)
+	if res.Plan == PlanFullScan {
+		index, oracle = t.indexScan(ix, lo, hi, limit), res
+	}
+	where := func() string {
+		return fmt.Sprintf("%s.%s [%v,%v] limit %d", t.Schema.Name, t.Schema.Cols[col].Name, lo, hi, limit)
+	}
+	if len(index.PKs) != len(oracle.PKs) {
+		return true, fmt.Errorf("%s: index returned %d rows, oracle %d", where(), len(index.PKs), len(oracle.PKs))
+	}
+	var iv, ov []byte
+	for i := range index.PKs {
+		if !bytes.Equal(index.PKs[i], oracle.PKs[i]) {
+			return true, fmt.Errorf("%s: pk %d differs: index %x, oracle %x", where(), i, index.PKs[i], oracle.PKs[i])
+		}
+		iv, ov = EncodeRow(iv[:0], index.Rows[i]), EncodeRow(ov[:0], oracle.Rows[i])
+		if !bytes.Equal(iv, ov) {
+			return true, fmt.Errorf("%s: row for pk %x differs between plans", where(), index.PKs[i])
+		}
+	}
+	return true, nil
 }
 
 // ScanStats returns how many range queries each plan has served on this

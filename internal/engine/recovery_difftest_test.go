@@ -5,21 +5,21 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"cloudybench/internal/engine"
-	"cloudybench/internal/engine/difftest"
 	"cloudybench/internal/sim"
 	"cloudybench/internal/storage"
 )
 
 // This file is the exported-API half of the recovery-equivalence
-// differential test: it reuses the difftest dual-plan comparator to prove
-// that a recovered node's secondary indexes are indistinguishable from the
-// full-scan oracle, and that index-plan reads on the recovered node match
-// the same reads on an independent committed-prefix replay. It lives in
-// package engine_test because difftest imports engine.
+// differential test: it uses the planner's own plan comparator
+// (Table.CrossCheck, which node.Node.ScanRead samples in every suite run) to
+// prove that a recovered node's secondary indexes are indistinguishable from
+// the full-scan oracle, and that index-plan reads on the recovered node match
+// the same reads on an independent committed-prefix replay.
 
 func recoverySchema() *engine.Schema {
 	return &engine.Schema{
@@ -55,8 +55,8 @@ func newRecoveryDB(t *testing.T) (*sim.Sim, *engine.DB, *engine.Table) {
 }
 
 // TestRecoveryDifftestIndexEquivalence crashes a node mid-transaction with a
-// torn tail, recovers a fresh instance, and drives the difftest comparator
-// over every indexed column of the recovered table: the index plan must be
+// torn tail, recovers a fresh instance, and drives the plan comparator over
+// every indexed column of the recovered table: the index plan must be
 // byte-identical to the full-scan oracle, and both must match an independent
 // replay of only the committed records.
 func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
@@ -125,7 +125,28 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 		}
 	}
 
-	var d difftest.Differ
+	// indexRead reads a range through the index and cross-checks it against
+	// the full-scan oracle of the same table, and the oracle against the
+	// index.
+	indexRead := func(tbl *engine.Table, col int, lo, hi engine.Value) []engine.Row {
+		t.Helper()
+		var rows []engine.Row
+		for _, mode := range []engine.PlanMode{engine.PlanForceScan, engine.PlanForceIndex} {
+			res, err := tbl.SelectRange(col, lo, hi, 0, mode)
+			if err != nil {
+				t.Fatalf("read col %d: %v", col, err)
+			}
+			checked, err := tbl.CrossCheck(res, col, lo, hi, 0)
+			if !checked {
+				t.Fatalf("col %d: no second plan to cross-check", col)
+			}
+			if err != nil {
+				t.Fatalf("index plan diverged from full-scan oracle after recovery: %v", err)
+			}
+			rows = res.Rows
+		}
+		return rows
+	}
 	ranges := []struct {
 		col    int
 		lo, hi engine.Value
@@ -134,14 +155,8 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 		{3, engine.Str(""), engine.Str("zz")},
 	}
 	for _, q := range ranges {
-		rRows, err := d.Compare(rtbl, q.col, q.lo, q.hi, 0)
-		if err != nil {
-			t.Fatalf("compare recovered col %d: %v", q.col, err)
-		}
-		oRows, err := d.Compare(otbl, q.col, q.lo, q.hi, 0)
-		if err != nil {
-			t.Fatalf("compare oracle col %d: %v", q.col, err)
-		}
+		rRows := indexRead(rtbl, q.col, q.lo, q.hi)
+		oRows := indexRead(otbl, q.col, q.lo, q.hi)
 		if len(rRows) != len(oRows) {
 			t.Fatalf("col %d: recovered index returned %d rows, oracle replay %d", q.col, len(rRows), len(oRows))
 		}
@@ -153,10 +168,43 @@ func TestRecoveryDifftestIndexEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if !d.Clean() {
-		t.Fatalf("index plan diverged from full-scan oracle after recovery: %v", d.Diffs)
+}
+
+// TestCrossCheckNamesTheFirstDivergence doctors a served scan result — a row
+// dropped, a primary key swapped, a row rewritten — and requires the plan
+// comparator to name each divergence, and to leave the table's ScanStats as
+// the planner left them.
+func TestCrossCheckNamesTheFirstDivergence(t *testing.T) {
+	_, _, tbl := newRecoveryDB(t)
+	lo, hi := engine.Int(2), engine.Int(4)
+	serve := func() engine.ScanResult {
+		res, err := tbl.SelectRange(1, lo, hi, 0, engine.PlanForceIndex)
+		if err != nil || len(res.Rows) < 2 {
+			t.Fatalf("index read: %d rows, %v", len(res.Rows), err)
+		}
+		return res
 	}
-	if d.Compared != int64(len(ranges))*2 {
-		t.Fatalf("compared %d scans, want %d", d.Compared, len(ranges)*2)
+	for _, c := range []struct {
+		name   string
+		doctor func(*engine.ScanResult)
+		want   string
+	}{
+		{"dropped row", func(r *engine.ScanResult) { r.PKs, r.Rows = r.PKs[1:], r.Rows[1:] }, "index returned 14 rows, oracle 15"},
+		{"swapped pk", func(r *engine.ScanResult) { r.PKs[0], r.PKs[1] = r.PKs[1], r.PKs[0] }, "pk 0 differs"},
+		{"rewritten row", func(r *engine.ScanResult) { r.Rows[0] = recoveryRow(nil, 1000) }, "differs between plans"},
+	} {
+		res := serve()
+		c.doctor(&res)
+		ix, full := tbl.ScanStats()
+		checked, err := tbl.CrossCheck(res, 1, lo, hi, 0)
+		if !checked || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: checked=%v err=%v, want an error containing %q", c.name, checked, err, c.want)
+		}
+		if ix2, full2 := tbl.ScanStats(); ix2 != ix || full2 != full {
+			t.Errorf("%s: CrossCheck moved ScanStats from %d/%d to %d/%d", c.name, ix, full, ix2, full2)
+		}
+	}
+	if checked, err := tbl.CrossCheck(serve(), 2, engine.Float(0), engine.Float(1), 0); checked || err != nil {
+		t.Errorf("unindexed column: checked=%v err=%v, want false, nil", checked, err)
 	}
 }

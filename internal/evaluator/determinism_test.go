@@ -65,17 +65,22 @@ func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every registered workload suite is held to the same standard:
-		// commits, planner split, index WAL traffic, and per-op counts must
-		// not depend on real parallelism.
+		// commits, planner split, index WAL traffic, per-op counts and every
+		// verdict with its count (the scan cross-checks among them) must not
+		// depend on real parallelism.
 		var suites strings.Builder
 		for _, name := range core.SuiteNames() {
 			sr := RunSuite(SuiteConfig{
 				Suite: name, Kind: cdb.CDB1,
 				Span: 2 * time.Second, Concurrency: 3, Seed: 7,
 			})
-			fmt.Fprintf(&suites, "%s c=%d e=%d tps=%v ix=%d fs=%d wp=%d wd=%d ops=%v pass=%v|",
+			fmt.Fprintf(&suites, "%s c=%d e=%d tps=%v ix=%d fs=%d wp=%d wd=%d ops=%v ",
 				sr.Suite, sr.Commits, sr.Errors, sr.TPS, sr.IndexScans, sr.FullScans,
-				sr.IndexWALPuts, sr.IndexWALDels, sr.Ops, sr.Passed())
+				sr.IndexWALPuts, sr.IndexWALDels, sr.Ops)
+			for _, v := range sr.Verdicts {
+				fmt.Fprintf(&suites, "%s=%s;", v.Name, v)
+			}
+			suites.WriteString("|")
 		}
 		return fmt.Sprintf("tps=%v p50=%v p99=%v hit=%v cost=%v traces=%d spans=%d | %s | %s\n%s",
 			o.TPS, o.P50, o.P99, o.HitRatio, o.CostPerMin.Total(),

@@ -65,6 +65,7 @@ const (
 	durability                      // history vs the RW's tables
 	noResurrection                  // history vs the RW's tables
 	indexCoherent                   // every member
+	scanCoherent                    // every member
 	convergence                     // every member but the RW, against the RW
 )
 
@@ -98,7 +99,6 @@ type spec struct {
 	mix          core.Mix
 	distribution string
 	suite        *core.Suite
-	scanOverride core.ScanFunc
 	// body, if set, replaces the single span (a concurrency schedule, a
 	// burst per soak window, the fail-over's two streams, the lag probes).
 	body func(p *sim.Proc, rc *run)
@@ -268,10 +268,9 @@ func (rc *run) runner(name string, col *core.Collector) *core.Runner {
 		Name: name, Seed: sp.opts.Seed, Mix: sp.mix,
 		Distribution: sp.distribution,
 		Write:        d.RW, Read: d.ReadNode,
-		Collector:    col,
-		Retry:        sp.retry,
-		Tracer:       sp.opts.Tracer,
-		ScanOverride: sp.scanOverride,
+		Collector: col,
+		Retry:     sp.retry,
+		Tracer:    sp.opts.Tracer,
 	}
 	if sp.suite != nil {
 		cfg.Ops = sp.suite.Ops(sp.opts.SF)
@@ -358,16 +357,19 @@ func (rc *run) judge(sheet []invariant) []check.Verdict {
 			vs = append(vs, check.Durability("rw", hist, rw.DB))
 		case noResurrection:
 			vs = append(vs, check.NoResurrection("rw", hist, rw.DB))
-		case indexCoherent, convergence:
+		case indexCoherent, scanCoherent, convergence:
 			perMember = append(perMember, inv)
 		}
 	}
 	for _, m := range d.Cluster.Members() {
 		name := memberName(m)
 		for _, inv := range perMember {
-			if inv == indexCoherent {
+			switch {
+			case inv == indexCoherent:
 				vs = append(vs, check.IndexCoherent(name, m.Node.DB))
-			} else if m.Node != rw {
+			case inv == scanCoherent:
+				vs = append(vs, check.ScanCoherent(name, m.Node))
+			case m.Node != rw: // convergence
 				vs = append(vs, check.Convergence(name, rw.DB, m.Node.DB))
 			}
 		}

@@ -38,9 +38,6 @@ type SuiteConfig struct {
 	Seed int64
 	// Gauntlet is the fault schedule to run under (default SuitePlain).
 	Gauntlet SuiteGauntlet
-	// ScanOverride intercepts every read-only suite scan — the differential
-	// harness's dual-plan hook. Nil scans through the planner normally.
-	ScanOverride core.ScanFunc
 }
 
 // SuiteResult is one suite × SUT verdict sheet plus planner and index-WAL
@@ -76,11 +73,11 @@ type SuiteResult struct {
 // Passed reports whether every invariant held.
 func (r SuiteResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 
-// suiteSpec: no recorder — a suite is judged on final state, IndexCoherent
-// on every node and Convergence on every replica. Under the partition
-// gauntlet the lease trio joins the sheet and the run holds until write
-// service is back, so the post-fail-over index state is judged, not the
-// mid-outage one.
+// suiteSpec: no recorder — a suite is judged on final state and on its
+// scans, IndexCoherent and ScanCoherent on every node and Convergence on
+// every replica. Under the partition gauntlet the lease trio joins the
+// sheet and the run holds until write service is back, so the
+// post-fail-over index state is judged, not the mid-outage one.
 func suiteSpec(cfg SuiteConfig) spec {
 	suite := core.SuiteByName(cfg.Suite)
 	if suite == nil {
@@ -89,9 +86,9 @@ func suiteSpec(cfg SuiteConfig) spec {
 	sp := spec{
 		name: "suite/" + cfg.Suite, prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 8), span: orDefault(cfg.Span, 10*time.Second),
-		suite: suite, scanOverride: cfg.ScanOverride,
+		suite:      suite,
 		resilient:  true,
-		invariants: []invariant{indexCoherent, convergence},
+		invariants: []invariant{indexCoherent, scanCoherent, convergence},
 	}
 	switch cfg.Gauntlet {
 	case SuitePlain:

@@ -1,6 +1,7 @@
 package evaluator
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,18 +9,42 @@ import (
 	"cloudybench/internal/core"
 )
 
+// requirePassed fails the test with every failed verdict of a suite run,
+// one "name: FAIL: …" line each.
+func requirePassed(t *testing.T, label string, res SuiteResult) {
+	t.Helper()
+	for _, v := range res.Verdicts {
+		if !v.Passed {
+			t.Errorf("%s: %s: %s", label, v.Name, v)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// scansChecked totals a suite run's scan cross-checks over its members.
+func scansChecked(res SuiteResult) int {
+	n := 0
+	for _, v := range res.Verdicts {
+		if strings.HasPrefix(v.Name, "scan-coherent/") {
+			n += v.Checked
+		}
+	}
+	return n
+}
+
 // TestRunSuitePlain runs each registered suite briefly on CDB1 and checks
 // the basics: commits flowed, every op fired, the planner exercised the
-// index, index WAL records were emitted, and every invariant passed.
+// index, index WAL records were emitted, scans were cross-checked against
+// their other plan, and every invariant passed.
 func TestRunSuitePlain(t *testing.T) {
 	for _, name := range core.SuiteNames() {
 		res := RunSuite(SuiteConfig{
 			Suite: name, Kind: cdb.CDB1,
 			Span: 4 * time.Second, Concurrency: 6,
 		})
-		if !res.Passed() {
-			t.Fatalf("%s: verdicts failed: %v", name, res.Verdicts)
-		}
+		requirePassed(t, name, res)
 		if res.Commits == 0 {
 			t.Fatalf("%s: no commits", name)
 		}
@@ -32,27 +57,35 @@ func TestRunSuitePlain(t *testing.T) {
 		if res.IndexWALPuts == 0 {
 			t.Fatalf("%s: no index WAL records — index writes bypass the log", name)
 		}
-		if len(res.Verdicts) < 3 { // index-coherent rw + ro0, convergence ro0
+		if len(res.Verdicts) < 5 { // index- and scan-coherent rw + ro0, convergence ro0
 			t.Fatalf("%s: thin verdict sheet: %v", name, res.Verdicts)
+		}
+		if scansChecked(res) == 0 {
+			t.Fatalf("%s: no read-only scan was cross-checked", name)
 		}
 	}
 }
 
-// TestRunSuiteChaos runs the idx-range suite under the standard chaos
-// gauntlet: faults fire, yet index coherence and convergence must hold.
+// TestRunSuiteChaos runs every registered suite on CDB2 under the standard
+// chaos gauntlet: faults fire (node kills among them), yet index coherence,
+// scan coherence and convergence must hold. The scan cross-check counts
+// live on the node, so a crash and recovery keep them.
 func TestRunSuiteChaos(t *testing.T) {
-	res := RunSuite(SuiteConfig{
-		Suite: core.SuiteIdxRange, Kind: cdb.CDB1,
-		Span: 8 * time.Second, Concurrency: 6, Gauntlet: SuiteChaos,
-	})
-	if len(res.Applied) == 0 {
-		t.Fatal("chaos schedule injected nothing")
-	}
-	if !res.Passed() {
-		t.Fatalf("verdicts failed under chaos: %v", res.Verdicts)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits under chaos")
+	for _, name := range core.SuiteNames() {
+		res := RunSuite(SuiteConfig{
+			Suite: name, Kind: cdb.CDB2,
+			Span: 8 * time.Second, Concurrency: 4, Gauntlet: SuiteChaos,
+		})
+		if len(res.Applied) == 0 {
+			t.Fatalf("%s: chaos schedule injected nothing", name)
+		}
+		requirePassed(t, name+" under chaos", res)
+		if res.Commits == 0 {
+			t.Fatalf("%s: no commits under chaos", name)
+		}
+		if scansChecked(res) == 0 {
+			t.Fatalf("%s: no read-only scan was cross-checked under chaos", name)
+		}
 	}
 }
 
@@ -65,9 +98,7 @@ func TestRunSuitePartition(t *testing.T) {
 		Suite: core.SuiteTimeseries, Kind: cdb.CDB4,
 		Span: 12 * time.Second, Concurrency: 6, Gauntlet: SuitePartition,
 	})
-	if !res.Passed() {
-		t.Fatalf("verdicts failed under partition: %v", res.Verdicts)
-	}
+	requirePassed(t, "timeseries under partition", res)
 	if res.Epoch < 2 {
 		t.Fatalf("fail-over never advanced the lease: epoch %d", res.Epoch)
 	}

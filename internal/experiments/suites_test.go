@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ func TestSuitesGolden(t *testing.T) {
 
 // TestSuitesCoversGridAndPasses checks the experiment's shape: every
 // registered suite appears on every SUT plus one chaos and one partition
-// composition cell, every cell's invariants pass, and the report shows the
+// composition cell, every cell's invariants pass, every cell cross-checks at
+// least one read-only scan against its other plan, and the report shows the
 // selectivity cliff (both plans present in the sweep).
 func TestSuitesCoversGridAndPasses(t *testing.T) {
 	out, results := Suites(tiny)
@@ -28,12 +30,22 @@ func TestSuitesCoversGridAndPasses(t *testing.T) {
 	if len(results) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(results), wantCells)
 	}
-	for _, r := range results {
-		if !r.Passed() {
-			t.Errorf("%s on %s: invariants failed: %v", r.Suite, r.Kind, r.Verdicts)
+	for i, r := range results {
+		cell := fmt.Sprintf("%s on %s %s", r.Suite, r.Kind, suiteGrid()[i].gauntlet)
+		compared := 0
+		for _, v := range r.Verdicts {
+			if !v.Passed {
+				t.Errorf("%s: %s: %s", cell, v.Name, v)
+			}
+			if strings.HasPrefix(v.Name, "scan-coherent/") {
+				compared += v.Checked
+			}
 		}
 		if r.Commits == 0 {
-			t.Errorf("%s on %s: no commits", r.Suite, r.Kind)
+			t.Errorf("%s: no commits", cell)
+		}
+		if compared == 0 {
+			t.Errorf("%s: no read-only scan was cross-checked", cell)
 		}
 	}
 	for _, suite := range suites {

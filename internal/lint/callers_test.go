@@ -12,8 +12,7 @@ import (
 // harnessPkgs are packages whose non-test files exist only for tests of
 // other packages; their declarations are exempt as a whole.
 var harnessPkgs = map[string]string{
-	"cloudybench/internal/engine/difftest": "the engine differential oracle's harness (TestDifferential*)",
-	"cloudybench/internal/lint/linttest":   "the analyzer fixture harness (TestWallClock and the other analyzer tests)",
+	"cloudybench/internal/lint/linttest": "the analyzer fixture harness (TestWallClock and the other analyzer tests)",
 }
 
 // keepWithoutCaller lists the functions and methods that no non-test file

@@ -52,7 +52,6 @@ func DefaultConfig() *Config {
 			"cloudybench/internal/config",
 			"cloudybench/internal/core",
 			"cloudybench/internal/engine",
-			"cloudybench/internal/engine/difftest",
 			"cloudybench/internal/evaluator",
 			"cloudybench/internal/experiments",
 			"cloudybench/internal/meter",

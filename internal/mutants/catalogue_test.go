@@ -123,9 +123,9 @@ var catalogue = []mutant{
 		file: "internal/engine/index.go",
 		from: "hiK := append(EncodeKey(hi), 0xFF)",
 		to:   "hiK := EncodeKey(hi)",
-		pkg:  "internal/engine/difftest",
-		run:  "TestDifferentialAllSuitesAllSUTs",
-		want: "index plan diverged from the full-scan oracle",
+		pkg:  "internal/evaluator",
+		run:  "TestRunSuitePlain",
+		want: "scan-coherent/ro0: FAIL",
 	},
 
 	// The slab B-tree.

@@ -12,6 +12,7 @@ package node
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"cloudybench/internal/engine"
@@ -170,6 +171,13 @@ type Node struct {
 	crashed    bool
 	crashSnap  storage.LogSnapshot
 	crashTail  []byte
+
+	// scans counts the read-only range scans this node served; scanChecked
+	// counts those ScanRead cross-checked and scanDiff keeps the first
+	// divergence. They live on the node, not its engine instance, so a crash
+	// and recovery keep them.
+	scans, scanChecked int64
+	scanDiff           string
 }
 
 // New creates a node with its own engine database.
@@ -660,9 +668,19 @@ func (t *Tx) Abort() error {
 	return err
 }
 
+// scanCheckEvery samples the scan cross-check: the first read-only scan a
+// node serves, and every scanCheckEvery-th after it, is re-run under the
+// plan the planner did not choose and compared byte for byte
+// (engine.Table.CrossCheck). Comparing every scan would cost several times
+// the scans' own host time: the full-scan oracle walks and sorts the table.
+const scanCheckEvery = 256
+
 // ScanRead serves a lock-free range query on this node (the replica read
-// path), charging CPU scaled by touched pages plus a page read per page.
-func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value, limit int, mode engine.PlanMode) ([]engine.Row, error) {
+// path) through the planner, charging CPU scaled by touched pages plus a
+// page read per page. A sampled scan is cross-checked at its instant, in
+// host time: the check charges nothing, yields nothing and leaves the
+// table's ScanStats alone, so the run paces exactly as without it.
+func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value, limit int) ([]engine.Row, error) {
 	if err := n.AwaitRunning(p); err != nil {
 		return nil, err
 	}
@@ -673,23 +691,32 @@ func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value,
 	if n.faultReject() {
 		return nil, ErrIOFault
 	}
-	res, err := tbl.SelectRange(col, lo, hi, limit, mode)
+	res, err := tbl.SelectRange(col, lo, hi, limit, engine.PlanAuto)
 	if err != nil {
 		return nil, err
 	}
-	n.ScanCharge(p, res.Pages)
+	if n.scans%scanCheckEvery == 0 {
+		checked, err := tbl.CrossCheck(res, col, lo, hi, limit)
+		if checked {
+			n.scanChecked++
+		}
+		if err != nil && n.scanDiff == "" {
+			n.scanDiff = fmt.Sprintf("scan %d: %v", n.scans, err)
+		}
+	}
+	n.scans++
+	n.ChargeCPU(p, n.opCPU*time.Duration(1+len(res.Pages)))
+	for _, pg := range res.Pages {
+		n.ReadPage(p, pg)
+	}
 	return res.Rows, nil
 }
 
-// ScanCharge pays the CPU and page-read cost of a range scan executed
-// out-of-band: the differential harness runs both plans atomically (no
-// yields between them) and settles the bill afterwards, so a dual-plan run
-// paces virtual time exactly like a planner-served one.
-func (n *Node) ScanCharge(p *sim.Proc, pages []storage.PageID) {
-	n.ChargeCPU(p, n.opCPU*time.Duration(1+len(pages)))
-	for _, pg := range pages {
-		n.ReadPage(p, pg)
-	}
+// ScanChecks reports how many read-only scans this node cross-checked
+// against their other plan, one in how many scans it samples, and the first
+// divergence found ("" if none).
+func (n *Node) ScanChecks() (checked int64, every int, diff string) {
+	return n.scanChecked, scanCheckEvery, n.scanDiff
 }
 
 // Read serves a lock-free read on this node (the replica read path),

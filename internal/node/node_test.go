@@ -378,3 +378,53 @@ func TestLocalDiskIOPSQueueing(t *testing.T) {
 		t.Fatalf("5 fetches at 10 IOPS took %v, want >= 500ms", last)
 	}
 }
+
+// TestScanReadCrossChecksASampleAcrossRecovery serves read-only scans
+// through the planner: the first scan and every scanCheckEvery-th after it
+// are cross-checked against the other plan, the check costs no virtual time
+// and no planner count, and the node keeps its count across a crash and
+// recovery.
+func TestScanReadCrossChecksASampleAcrossRecovery(t *testing.T) {
+	s := sim.New(epoch)
+	n := New(s, Config{Name: "n1", VCores: 1, MemoryBytes: 64 << 20, OpCPU: 100 * time.Microsecond}, NullBackend{})
+	n.RebuildSchema = func(db *engine.DB) {
+		db.MustCreateTable(ordersSchema(), 200, genOrder)
+		db.MustCreateIndex("orders", "ix_orders_status", "O_STATUS")
+	}
+	n.RebuildSchema(n.DB)
+	status := engine.Str("NEW")
+	scan := func(p *sim.Proc) time.Duration {
+		t0 := p.Elapsed()
+		rows, err := n.ScanRead(p, "orders", 1, status, status, 0)
+		if err != nil || len(rows) != 200 {
+			t.Errorf("scan: %d rows, %v", len(rows), err)
+		}
+		return p.Elapsed() - t0
+	}
+	s.Go("client", func(p *sim.Proc) {
+		if checked, unchecked := scan(p), scan(p); checked != unchecked {
+			t.Errorf("a cross-checked scan took %v, an unchecked one %v", checked, unchecked)
+		}
+		for range 2*scanCheckEvery - 1 {
+			scan(p)
+		}
+		if ix, full := n.DB.Table("orders").ScanStats(); ix+full != 2*scanCheckEvery+1 {
+			t.Errorf("planner counted %d scans, want %d", ix+full, 2*scanCheckEvery+1)
+		}
+		n.Crash(storage.TornNone)
+		if _, err := n.Recover(p); err != nil {
+			t.Error(err)
+			return
+		}
+		for range scanCheckEvery {
+			scan(p)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Scans 0, N, 2N before the crash and 3N after it.
+	if checked, every, diff := n.ScanChecks(); checked != 4 || every != scanCheckEvery || diff != "" {
+		t.Fatalf("ScanChecks = %d, %d, %q; want 4, %d, \"\"", checked, every, diff, scanCheckEvery)
+	}
+}
