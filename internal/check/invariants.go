@@ -31,7 +31,9 @@ func (v *Verdict) fail(format string, args ...any) {
 	}
 }
 
-// String renders "PASS" or "FAIL (first violation)".
+// String renders "PASS (<checked> checked)", with ", 1 in <every>" inside the
+// parentheses when the check sampled, or "FAIL: <first violation>", or bare
+// "FAIL" when the failure recorded no detail.
 func (v Verdict) String() string {
 	if v.Passed && v.Every > 1 {
 		return fmt.Sprintf("PASS (%d checked, 1 in %d)", v.Checked, v.Every)

@@ -263,7 +263,7 @@ func opTsRetention(c *OpCtx) error {
 	if cutoff < 0 {
 		return tx.Commit() // nothing old enough yet
 	}
-	rows, err := tx.ScanRange(tbl, 1, engine.Int(0), engine.Int(cutoff), 8, engine.PlanAuto)
+	rows, err := tx.ScanRange(tbl, 1, engine.Int(0), engine.Int(cutoff), 8)
 	if err != nil {
 		tx.Abort()
 		return err

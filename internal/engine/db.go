@@ -561,11 +561,11 @@ func (t *Txn) LastIndexPages() []storage.PageID { return t.lastIxPages }
 // re-read, dropping rows that no longer satisfy the predicate. Phantoms
 // are not prevented — there are no predicate locks, matching common
 // READ COMMITTED behavior. Scans do not emit observer read events.
-func (t *Txn) ScanRange(table *Table, col int, lo, hi Value, limit int, mode PlanMode) (ScanResult, error) {
+func (t *Txn) ScanRange(table *Table, col int, lo, hi Value, limit int) (ScanResult, error) {
 	if t.done {
 		return ScanResult{}, ErrTxnDone
 	}
-	cand, err := table.SelectRange(col, lo, hi, limit, mode)
+	cand, err := table.SelectRange(col, lo, hi, limit)
 	if err != nil {
 		return ScanResult{}, err
 	}

@@ -8,22 +8,20 @@ import (
 )
 
 // benchTable builds an indexed table with n base rows for scan benchmarks.
-func benchTable(n int64) *Table {
+func benchTable(n int64) (*Table, *Index) {
 	s := sim.New(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	db := NewDB(s)
 	tbl := db.MustCreateTable(indexedSchema(), n, genItem)
-	db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
-	return tbl
+	return tbl, db.MustCreateIndex("items", "ix_items_group", "IT_GROUP")
 }
 
 // BenchmarkIndexRangeScan measures a selective indexed range scan (one
 // group out of ten, 10% of rows).
 func BenchmarkIndexRangeScan(b *testing.B) {
-	tbl := benchTable(10_000)
+	tbl, ix := benchTable(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tbl.SelectRange(1, Int(3), Int(3), 0, PlanForceIndex)
-		if err != nil || len(res.Rows) == 0 {
+		if res := tbl.indexScan(ix, Int(3), Int(3), 0); len(res.Rows) == 0 {
 			b.Fatal("empty index scan")
 		}
 	}
@@ -32,11 +30,10 @@ func BenchmarkIndexRangeScan(b *testing.B) {
 // BenchmarkFullScanOracle measures the same query through the full-scan
 // oracle path, the planner's alternative.
 func BenchmarkFullScanOracle(b *testing.B) {
-	tbl := benchTable(10_000)
+	tbl, _ := benchTable(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tbl.SelectRange(1, Int(3), Int(3), 0, PlanForceScan)
-		if err != nil || len(res.Rows) == 0 {
+		if res := tbl.fullScan(1, Int(3), Int(3), 0); len(res.Rows) == 0 {
 			b.Fatal("empty full scan")
 		}
 	}
@@ -45,7 +42,7 @@ func BenchmarkFullScanOracle(b *testing.B) {
 // BenchmarkIndexMaintenance measures the per-write cost of keeping one
 // secondary index coherent (insert + group-moving update + delete).
 func BenchmarkIndexMaintenance(b *testing.B) {
-	tbl := benchTable(1_000)
+	tbl, _ := benchTable(1_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := int64(2_000 + i)

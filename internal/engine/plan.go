@@ -8,21 +8,6 @@ import (
 	"cloudybench/internal/storage"
 )
 
-// PlanMode selects how a range query chooses its access path.
-type PlanMode int
-
-// Plan modes.
-const (
-	// PlanAuto applies the selectivity rule: index scan when an index
-	// exists and the estimated selected fraction is at most
-	// IndexScanMaxFraction, full scan otherwise.
-	PlanAuto PlanMode = iota
-	// PlanForceIndex always uses the index (error if none exists).
-	PlanForceIndex
-	// PlanForceScan always uses the full table scan.
-	PlanForceScan
-)
-
 // PlanKind reports which access path served a query.
 type PlanKind int
 
@@ -61,27 +46,16 @@ type ScanResult struct {
 
 // SelectRange returns visible rows whose column col value lies in [lo, hi],
 // ordered by (column value, primary key). limit > 0 caps the result (taken
-// in order, so both plans truncate identically). The scan is lock-free and
-// atomic (no simulation yields): replicas use it directly, transactions
-// wrap it with lock acquisition.
-func (t *Table) SelectRange(col int, lo, hi Value, limit int, mode PlanMode) (ScanResult, error) {
+// in order, so both plans truncate identically). The selectivity rule picks
+// the plan: the index scan when col has an index and the estimated selected
+// fraction is at most IndexScanMaxFraction, the full scan otherwise. The
+// scan is lock-free and atomic (no simulation yields): replicas use it
+// directly, transactions wrap it with lock acquisition.
+func (t *Table) SelectRange(col int, lo, hi Value, limit int) (ScanResult, error) {
 	if col < 0 || col >= len(t.Schema.Cols) {
 		return ScanResult{}, fmt.Errorf("engine: scan column %d out of range for table %s", col, t.Schema.Name)
 	}
-	ix := t.ixByCol[col]
-	useIndex := false
-	switch mode {
-	case PlanForceIndex:
-		if ix == nil {
-			return ScanResult{}, fmt.Errorf("engine: no index on %s.%s", t.Schema.Name, t.Schema.Cols[col].Name)
-		}
-		useIndex = true
-	case PlanForceScan:
-		useIndex = false
-	default:
-		useIndex = ix != nil && t.estimateFraction(ix, lo, hi) <= IndexScanMaxFraction
-	}
-	if useIndex {
+	if ix := t.ixByCol[col]; ix != nil && t.estimateFraction(ix, lo, hi) <= IndexScanMaxFraction {
 		t.ixScans++
 		return t.indexScan(ix, lo, hi, limit), nil
 	}

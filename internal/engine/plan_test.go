@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,8 +9,8 @@ import (
 )
 
 // TestPlannerSelectivityRule pins the plan choice: narrow ranges go through
-// the index, wide ranges fall back to the sequential scan, and force modes
-// override.
+// the index, wide ranges and unindexed columns fall back to the sequential
+// scan.
 func TestPlannerSelectivityRule(t *testing.T) {
 	_, _, tbl, _ := newIndexedDB(t, 100) // groups 0..9
 	cases := []struct {
@@ -25,7 +24,7 @@ func TestPlannerSelectivityRule(t *testing.T) {
 		{7, 2, PlanIndexScan}, // empty range estimates 0
 	}
 	for _, c := range cases {
-		res, err := tbl.SelectRange(1, Int(c.lo), Int(c.hi), 0, PlanAuto)
+		res, err := tbl.SelectRange(1, Int(c.lo), Int(c.hi), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,28 +32,19 @@ func TestPlannerSelectivityRule(t *testing.T) {
 			t.Fatalf("range [%d,%d]: plan %v, want %v", c.lo, c.hi, res.Plan, c.want)
 		}
 	}
-	if res, _ := tbl.SelectRange(1, Int(0), Int(9), 0, PlanForceIndex); res.Plan != PlanIndexScan {
-		t.Fatal("force-index ignored")
-	}
-	if res, _ := tbl.SelectRange(1, Int(3), Int(3), 0, PlanForceScan); res.Plan != PlanFullScan {
-		t.Fatal("force-scan ignored")
-	}
 	ixScans, fullScans := tbl.ScanStats()
 	if ixScans == 0 || fullScans == 0 {
 		t.Fatalf("scan stats not counted: %d/%d", ixScans, fullScans)
 	}
-	// No index on the column: auto must full-scan, force-index must error.
-	if res, _ := tbl.SelectRange(2, Float(0), Float(1), 0, PlanAuto); res.Plan != PlanFullScan {
+	if res, _ := tbl.SelectRange(2, Float(0), Float(1), 0); res.Plan != PlanFullScan {
 		t.Fatal("unindexed column did not full-scan")
-	}
-	if _, err := tbl.SelectRange(2, Float(0), Float(1), 0, PlanForceIndex); err == nil {
-		t.Fatal("force-index on unindexed column accepted")
 	}
 }
 
 // TestPlansAgreeByteForByte is the in-package differential check: on random
-// mutated tables, the index plan and the full-scan oracle must return
-// byte-identical ordered result sets for random ranges and limits.
+// mutated tables, the plan the planner picks and the plan it did not must
+// return byte-identical ordered result sets for random ranges and limits,
+// as CrossCheck compares them.
 func TestPlansAgreeByteForByte(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -88,21 +78,12 @@ func TestPlansAgreeByteForByte(t *testing.T) {
 			if r.Intn(2) == 0 {
 				limit = 1 + r.Intn(5)
 			}
-			a, err := tbl.SelectRange(1, Int(lo), Int(hi), limit, PlanForceIndex)
+			res, err := tbl.SelectRange(1, Int(lo), Int(hi), limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := tbl.SelectRange(1, Int(lo), Int(hi), limit, PlanForceScan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Rows) != len(b.Rows) {
-				t.Fatalf("seed %d [%d,%d] limit %d: index %d rows, scan %d rows", seed, lo, hi, limit, len(a.Rows), len(b.Rows))
-			}
-			for i := range a.Rows {
-				if !bytes.Equal(a.PKs[i], b.PKs[i]) || !bytes.Equal(EncodeRow(nil, a.Rows[i]), EncodeRow(nil, b.Rows[i])) {
-					t.Fatalf("seed %d [%d,%d] limit %d: row %d differs between plans", seed, lo, hi, limit, i)
-				}
+			if checked, err := tbl.CrossCheck(res, 1, Int(lo), Int(hi), limit); !checked || err != nil {
+				t.Fatalf("seed %d: checked=%v: %v", seed, checked, err)
 			}
 		}
 	}
@@ -116,7 +97,7 @@ func TestTxnScanRangeLocksAndFilters(t *testing.T) {
 	var writerBlocked bool
 	s.Go("scanner", func(p *sim.Proc) {
 		txn := db.Begin(p)
-		res, err := txn.ScanRange(tbl, 1, Int(3), Int(3), 0, PlanAuto)
+		res, err := txn.ScanRange(tbl, 1, Int(3), Int(3), 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return

@@ -25,11 +25,7 @@ func Chaos(sc Scale) (string, []evaluator.ChaosResult) {
 	var detail strings.Builder
 	for _, r := range results {
 		kind := r.Kind
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
-		tbl.AddRow(string(kind), verdict,
+		tbl.AddRow(string(kind), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Errors),
 			fmt.Sprintf("%d", len(r.Applied)),

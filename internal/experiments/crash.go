@@ -32,10 +32,6 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 		"System", "Verdict", "Commits", "Term", "Reroute", "Fenced", "Epoch", "Kills", "Torn", "Redo", "Undo")
 	var detail strings.Builder
 	for _, r := range results {
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
 		// A kill landing while the node is still mid-recovery is recorded as
 		// a skipped no-op (zero stats); the table counts only real crashes.
 		fired, torn, redo, undo := 0, 0, 0, 0
@@ -50,7 +46,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 			redo += c.Stats.RedoSince
 			undo += c.Stats.UndoRecords
 		}
-		tbl.AddRow(string(r.Kind), verdict,
+		tbl.AddRow(string(r.Kind), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
 			fmt.Sprintf("%d", r.Reroutes),

@@ -33,10 +33,6 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 	var detail strings.Builder
 	for _, r := range results {
 		kind := r.Kind
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
 		// FPart enters the O-Score denominator: O' = O - SF*lg(FPart seconds).
 		// dO is that per-system penalty (SF=1 here); "-" means the partition
 		// never interrupted write service, so the published O-Score stands.
@@ -45,7 +41,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		if fpart > 0 {
 			deltaO = fmt.Sprintf("%+.2f", -math.Log10(fpart.Seconds()))
 		}
-		tbl.AddRow(string(kind), verdict,
+		tbl.AddRow(string(kind), passFail(r.Passed()),
 			report.Dur(r.MTTD), report.Dur(r.MTTR), report.Dur(r.Unavailable),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
@@ -80,11 +76,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 	stbl := report.NewTable("Suite gauntlet — registered suites through the same gray partition (cdb4)",
 		"Suite", "Verdict", "Commits", "Fenced", "Epoch", "IxPut", "IxDel")
 	for _, r := range suiteResults {
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
-		stbl.AddRow(r.Suite, verdict,
+		stbl.AddRow(r.Suite, passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Fenced),
 			fmt.Sprintf("%d", r.Epoch),

@@ -30,11 +30,7 @@ func soakSheet(r evaluator.SoakResult) report.SoakSheet {
 	for _, s := range r.Sweeps {
 		detail := make([]string, len(s.Verdicts))
 		for i, v := range s.Verdicts {
-			status := "PASS"
-			if !v.Passed {
-				status = "FAIL"
-			}
-			detail[i] = v.Name + "=" + status
+			detail[i] = v.Name + "=" + passFail(v.Passed)
 		}
 		sh.Sweeps = append(sh.Sweeps, report.SoakSweepRow{
 			At: s.At, Window: s.Window, Detail: strings.Join(detail, " "), Pass: s.Passed(),

@@ -181,3 +181,104 @@ func TestEveryFunctionHasAProductionCaller(t *testing.T) {
 			len(dead), strings.Join(dead, "\n\t"))
 	}
 }
+
+// keepUnnamed lists the types that no non-test file names but that stay on
+// purpose, each with the tests that need it.
+var keepUnnamed = map[string]string{
+	"cloudybench/internal/obs.CountSink": "TestCrossGOMAXPROCSDeterminism, TestTracingDoesNotPerturbResults (evaluator) and BenchmarkTraceOn: a sink that counts traces without retaining them",
+}
+
+// TestEveryTypeIsNamedInProduction fails on any package-level type in a
+// non-test file that no non-test file of the module names outside the
+// type's own declaration and methods. It closes the gap the function gate
+// leaves: a method that implements an interface passes that gate, so a type
+// whose only method is, say, Emit could otherwise go unused. Exempt are the
+// harness packages and the keep-list.
+func TestEveryTypeIsNamedInProduction(t *testing.T) {
+	loader := sharedLoader(t)
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// own maps each declared type to the extents of its declaration and of
+	// its methods' declarations.
+	type extent struct{ start, end token.Pos }
+	own := make(map[*types.TypeName][]extent)
+	for _, p := range pkgs {
+		if harnessPkgs[p.PkgPath] != "" {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							tn := p.Info.Defs[ts.Name].(*types.TypeName)
+							own[tn] = append(own[tn], extent{ts.Pos(), ts.End()})
+						}
+					}
+				case *ast.FuncDecl:
+					fn, ok := p.Info.Defs[d.Name].(*types.Func)
+					if !ok || d.Recv == nil {
+						continue
+					}
+					rt := fn.Type().(*types.Signature).Recv().Type()
+					if ptr, ok := rt.(*types.Pointer); ok {
+						rt = ptr.Elem()
+					}
+					if named, ok := rt.(*types.Named); ok {
+						own[named.Obj()] = append(own[named.Obj()], extent{d.Pos(), d.End()})
+					}
+				}
+			}
+		}
+	}
+
+	named := make(map[*types.TypeName]bool)
+	for _, p := range pkgs {
+		if harnessPkgs[p.PkgPath] != "" {
+			continue
+		}
+	uses:
+		for id, obj := range p.Info.Uses {
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			for _, e := range own[tn] {
+				if id.Pos() >= e.start && id.Pos() < e.end {
+					continue uses
+				}
+			}
+			named[tn] = true
+		}
+	}
+
+	declared := make(map[string]bool, len(own))
+	var dead []string
+	for tn := range own {
+		name := tn.Pkg().Path() + "." + tn.Name()
+		declared[name] = true
+		if named[tn] {
+			if keepUnnamed[name] != "" {
+				t.Errorf("%s is named in a non-test file now; drop it from keepUnnamed", name)
+			}
+			continue
+		}
+		if keepUnnamed[name] == "" {
+			dead = append(dead, name)
+		}
+	}
+	for name := range keepUnnamed {
+		if !declared[name] {
+			t.Errorf("keepUnnamed names %s, which no longer exists", name)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d types are named by no non-test file outside their own declaration and methods; delete them (and their tests), or add each to keepUnnamed with the test that needs it:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+}

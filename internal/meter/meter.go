@@ -195,8 +195,9 @@ func (c *Counter) Restore(snap CounterSnapshot) {
 	c.any = snap.any
 }
 
-// CountIn returns the number of events recorded in [from, to), counted at
-// bucket granularity (partial buckets are attributed by bucket start).
+// CountIn returns the number of events recorded in the buckets that [from,
+// to) touches. Every touched bucket counts whole, so a window that starts or
+// ends mid-bucket also counts that bucket's events outside the window.
 func (c *Counter) CountIn(from, to time.Duration) int64 {
 	if to <= from {
 		return 0

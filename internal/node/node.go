@@ -577,20 +577,25 @@ func (t *Tx) chargeIndexPages() {
 }
 
 // ScanRange runs a range query inside the transaction (see
-// engine.Txn.ScanRange), charging one CPU slice scaled by the pages the
-// chosen plan touched plus a page read per touched page. Full scans pay
-// for every table page — the planner's selectivity cliff is a real
-// resource cliff.
-func (t *Tx) ScanRange(tbl *engine.Table, col int, lo, hi engine.Value, limit int, mode engine.PlanMode) ([]engine.Row, error) {
-	res, err := t.inner.ScanRange(tbl, col, lo, hi, limit, mode)
+// engine.Txn.ScanRange) and pays for it as chargeScan does.
+func (t *Tx) ScanRange(tbl *engine.Table, col int, lo, hi engine.Value, limit int) ([]engine.Row, error) {
+	res, err := t.inner.ScanRange(tbl, col, lo, hi, limit)
 	if err != nil {
 		return nil, err
 	}
-	t.n.ChargeCPU(t.p, t.n.opCPU*time.Duration(1+len(res.Pages)))
-	for _, pg := range res.Pages {
-		t.n.ReadPage(t.p, pg)
-	}
+	t.n.chargeScan(t.p, res.Pages)
 	return res.Rows, nil
+}
+
+// chargeScan pays for a range query: one CPU slice scaled by the pages the
+// chosen plan touched, then a page read per touched page. Full scans pay
+// for every table page — the planner's selectivity cliff is a real
+// resource cliff.
+func (n *Node) chargeScan(p *sim.Proc, pages []storage.PageID) {
+	n.ChargeCPU(p, n.opCPU*time.Duration(1+len(pages)))
+	for _, pg := range pages {
+		n.ReadPage(p, pg)
+	}
 }
 
 // ErrFenced mirrors storage.ErrFenced for callers that only import node.
@@ -676,10 +681,10 @@ func (t *Tx) Abort() error {
 const scanCheckEvery = 256
 
 // ScanRead serves a lock-free range query on this node (the replica read
-// path) through the planner, charging CPU scaled by touched pages plus a
-// page read per page. A sampled scan is cross-checked at its instant, in
-// host time: the check charges nothing, yields nothing and leaves the
-// table's ScanStats alone, so the run paces exactly as without it.
+// path) through the planner and pays for it as chargeScan does. A sampled
+// scan is cross-checked at its instant, in host time: the check charges
+// nothing, yields nothing and leaves the table's ScanStats alone, so the run
+// paces exactly as without it.
 func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value, limit int) ([]engine.Row, error) {
 	if err := n.AwaitRunning(p); err != nil {
 		return nil, err
@@ -691,7 +696,7 @@ func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value,
 	if n.faultReject() {
 		return nil, ErrIOFault
 	}
-	res, err := tbl.SelectRange(col, lo, hi, limit, engine.PlanAuto)
+	res, err := tbl.SelectRange(col, lo, hi, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -705,10 +710,7 @@ func (n *Node) ScanRead(p *sim.Proc, table string, col int, lo, hi engine.Value,
 		}
 	}
 	n.scans++
-	n.ChargeCPU(p, n.opCPU*time.Duration(1+len(res.Pages)))
-	for _, pg := range res.Pages {
-		n.ReadPage(p, pg)
-	}
+	n.chargeScan(p, res.Pages)
 	return res.Rows, nil
 }
 

@@ -428,3 +428,70 @@ func TestScanReadCrossChecksASampleAcrossRecovery(t *testing.T) {
 		t.Fatalf("ScanChecks = %d, %d, %q; want 4, %d, \"\"", checked, every, diff, scanCheckEvery)
 	}
 }
+
+// TestScanPathsChargeAlike runs the same range query once through a
+// transaction's ScanRange and once through ScanRead, each on its own fresh
+// node over a disk backend, for a range the planner serves from the index and
+// one it serves by full scan. Both must take the same virtual time and add
+// the same page reads: the two paths share one charge.
+func TestScanPathsChargeAlike(t *testing.T) {
+	// cost returns the virtual time and page reads that one scan call added
+	// on a quiet node, and the plan that served it.
+	cost := func(inTx bool, col int, lo, hi engine.Value) (took time.Duration, reads int64, plan engine.PlanKind) {
+		s := sim.New(epoch)
+		n, tbl := newTestNode(s, 1, 64<<20, NewLocalDisk(s, 10000))
+		n.DB.MustCreateIndex("orders", "ix_orders_status", "O_STATUS")
+		s.Go("client", func(p *sim.Proc) {
+			var tx *Tx
+			if inTx {
+				var err error
+				if tx, err = n.Begin(p); err != nil {
+					t.Error(err)
+					return
+				}
+				defer tx.Commit()
+			}
+			t0 := p.Elapsed()
+			r0, _ := n.PageStats()
+			var rows []engine.Row
+			var err error
+			if inTx {
+				rows, err = tx.ScanRange(tbl, col, lo, hi, 8)
+			} else {
+				rows, err = n.ScanRead(p, "orders", col, lo, hi, 8)
+			}
+			if err != nil || len(rows) != 8 {
+				t.Errorf("scan: %d rows, %v", len(rows), err)
+			}
+			r1, _ := n.PageStats()
+			took, reads = p.Elapsed()-t0, r1-r0
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if ix, _ := tbl.ScanStats(); ix > 0 {
+			plan = engine.PlanIndexScan
+		}
+		return took, reads, plan
+	}
+	for _, q := range []struct {
+		col    int
+		lo, hi engine.Value
+		want   engine.PlanKind
+	}{
+		{1, engine.Str("NEW"), engine.Str("NEW"), engine.PlanIndexScan},
+		{0, engine.Int(1), engine.Int(50), engine.PlanFullScan},
+	} {
+		txTook, txReads, txPlan := cost(true, q.col, q.lo, q.hi)
+		rdTook, rdReads, rdPlan := cost(false, q.col, q.lo, q.hi)
+		if txPlan != q.want || rdPlan != q.want {
+			t.Fatalf("col %d: plans %v and %v, want %v", q.col, txPlan, rdPlan, q.want)
+		}
+		if txReads == 0 || txTook == 0 {
+			t.Fatalf("%v: ScanRange was free: %v, %d page reads", q.want, txTook, txReads)
+		}
+		if txTook != rdTook || txReads != rdReads {
+			t.Errorf("%v: ScanRange took %v and %d page reads, ScanRead %v and %d", q.want, txTook, txReads, rdTook, rdReads)
+		}
+	}
+}

@@ -269,16 +269,6 @@ func (s *JSONLSink) Emit(tr *Trace) {
 // Err returns the first write error the sink hit, if any.
 func (s *JSONLSink) Err() error { return s.err }
 
-// MultiSink fans a trace out to several sinks.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(tr *Trace) {
-	for _, s := range m {
-		s.Emit(tr)
-	}
-}
-
 // CountSink counts traces and spans without retaining them (benchmarks).
 type CountSink struct {
 	Traces int64
