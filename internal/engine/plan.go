@@ -104,7 +104,12 @@ func (t *Table) estimateFraction(ix *Index, lo, hi Value) float64 {
 
 func (t *Table) indexScan(ix *Index, lo, hi Value, limit int) ScanResult {
 	res := ScanResult{Plan: PlanIndexScan}
-	seen := make(map[storage.PageID]struct{})
+	seen := t.scanSeen
+	if seen == nil {
+		seen = make(map[storage.PageID]struct{})
+		t.scanSeen = seen
+	}
+	clear(seen)
 	touch := func(pg storage.PageID) {
 		if _, ok := seen[pg]; !ok {
 			seen[pg] = struct{}{}
@@ -134,12 +139,14 @@ func (t *Table) fullScan(col int, lo, hi Value, limit int) ScanResult {
 		row     Row
 	}
 	var matches []match
+	var vK Key // every visited row's value encodes here; matches copy it
 	t.VisibleScan(func(pk Key, r Row) bool {
-		vK := EncodeKey(r[col])
+		vK = AppendKey(vK[:0], r[col])
 		if bytes.Compare(vK, loK) < 0 || bytes.Compare(vK, hiK) > 0 {
 			return true
 		}
-		matches = append(matches, match{sortKey: append(vK, pk...), pk: pk, row: r})
+		sortKey := append(append(make(Key, 0, len(vK)+len(pk)), vK...), pk...)
+		matches = append(matches, match{sortKey: sortKey, pk: pk, row: r})
 		return true
 	})
 	sort.Slice(matches, func(i, j int) bool {

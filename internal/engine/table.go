@@ -115,6 +115,9 @@ type Table struct {
 
 	// scan counters: how many range queries each plan served (reports).
 	ixScans, fullScans int64
+	// scanSeen is the index scan's page-dedup set, cleared and refilled by
+	// each scan so that it is allocated once per table.
+	scanSeen map[storage.PageID]struct{}
 }
 
 // NewTable creates a table. baseRows may be zero (fully delta-backed, as in

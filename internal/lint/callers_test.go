@@ -24,7 +24,6 @@ var keepWithoutCaller = map[string]string{
 	"(*cloudybench/internal/sim.Mutex).Lock":    "TestDispatchOrderOracle: random programs lock kernel mutexes",
 	"(*cloudybench/internal/sim.Mutex).Unlock":  "TestDispatchOrderOracle: random programs lock kernel mutexes",
 	"(*cloudybench/internal/sim.Proc).Yield":    "TestDispatchOrderOracle: random programs yield at the same instant",
-	"(*cloudybench/internal/sim.Resource).Use":  "TestDispatchOrderOracle: random programs hold resources for a span",
 	"(*cloudybench/internal/sim.Resource).Peak": "TestElasticPoolSharesCapacity (cdb): tenants borrow beyond their fair share of the pool",
 
 	// Fixtures that tests of other behaviour build on.

@@ -144,25 +144,33 @@ func (l *Link) Heal() {
 // On a cut link the sender blocks until Heal before the transfer starts.
 // It returns the total delay experienced, including any partition wait.
 func (l *Link) Send(p *sim.Proc, bytes int) time.Duration {
-	if bytes < 0 {
-		bytes = 0
-	}
 	tr := l.trace
-	var t0 time.Duration
-	if tr != nil {
-		t0 = p.Elapsed()
-	}
 	start := p.Elapsed()
+	p.Sleep(l.book(p, bytes))
+	if tr != nil {
+		tr.Record(p, obs.KindNetHop, start, p.Elapsed())
+	}
+	return p.Elapsed() - start // transfer delay + any partition wait
+}
+
+// SendThen is Send followed by Sleep(then), resuming the process once
+// instead of twice (sim.Proc.SleepThen). With a tracer attached it keeps
+// the two blocks, so the net-hop span ends where the transfer does.
+func (l *Link) SendThen(p *sim.Proc, bytes int, then time.Duration) {
+	if l.trace != nil {
+		l.Send(p, bytes)
+		p.Sleep(then)
+		return
+	}
+	p.SleepThen(l.book(p, bytes), then)
+}
+
+// book waits out a cut, then reserves the transfer and returns its delay.
+func (l *Link) book(p *sim.Proc, bytes int) time.Duration {
 	for l.cut {
 		l.cutCond.Wait(p)
 	}
-	l.bytes += int64(bytes)
-	d := l.channel.Reserve(bytes) + l.latency
-	p.Sleep(d)
-	if tr != nil {
-		tr.Record(p, obs.KindNetHop, t0, p.Elapsed())
-	}
-	return p.Elapsed() - start // transfer delay + any partition wait
+	return l.Reserve(bytes)
 }
 
 // Reserve books a transfer on the link and returns its total delay

@@ -87,8 +87,7 @@ func (d *DisaggStore) FlushPage(p *sim.Proc, pg storage.PageID) {
 // separate from the page store, so only the wire and the quorum ack are
 // paid.
 func (d *DisaggStore) WriteLog(p *sim.Proc, bytes int) {
-	d.Link.Send(p, bytes)
-	p.Sleep(d.LogAckLatency)
+	d.Link.SendThen(p, bytes, d.LogAckLatency)
 }
 
 // RemoteBuffer is the memory-disaggregation backend (CDB4): local buffer

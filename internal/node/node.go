@@ -317,9 +317,7 @@ func (n *Node) chargeCPU(p *sim.Proc, d time.Duration) {
 			grain = c
 		}
 		stretch := time.Duration(float64(d) * float64(MilliPerCore) / float64(grain))
-		n.cpu.Acquire(p, grain)
-		p.Sleep(stretch)
-		n.cpu.Release(grain)
+		n.cpu.Use(p, grain, stretch)
 		return
 	}
 }

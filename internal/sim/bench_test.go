@@ -8,11 +8,12 @@ import (
 
 // Kernel microbenchmarks. Every virtual-time event in a CloudyBench cell —
 // a sleep, a queue reservation, a mutex handoff — pays one scheduler
-// dispatch, so these three benchmarks bound the kernel overhead of every
-// experiment. The committed measurement is `go run ./benchmark` (its
+// dispatch, so the first three benchmarks bound the kernel overhead of every
+// experiment; the two pairs after them price a continuation against the
+// blocks it replaces. The committed measurement is `go run ./benchmark` (its
 // probe.sim.* rows time the same paths); to compare two commits, run:
 //
-//	go test -run '^$' -bench 'BenchmarkDispatch|BenchmarkSleepWake|BenchmarkQueueContention' -benchtime 1000000x -count 5 ./internal/sim/
+//	go test -run '^$' -bench 'BenchmarkDispatch|BenchmarkSleepWake|BenchmarkQueueContention|BenchmarkContendedUse|BenchmarkContendedAcquireSleepRelease|BenchmarkSleepThen|BenchmarkTwoSleeps' -benchtime 1000000x -count 5 ./internal/sim/
 
 // BenchmarkDispatch measures the self-handoff path: a single process
 // yielding b.N times. Each yield schedules a wake at the current virtual
@@ -72,4 +73,74 @@ func BenchmarkQueueContention(b *testing.B) {
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// contend runs 4 workers through op on a two-unit Resource, b.N ops in
+// all, so nearly every op queues behind another worker's hold. Two units,
+// not one: with a single holder its sleep's end is always the next event,
+// and a spelled-out sleep then runs on without a switch.
+func contend(b *testing.B, op func(r *Resource, p *Proc)) {
+	b.ReportAllocs()
+	const workers = 4
+	s := New(epoch)
+	r := NewResource(s, 2)
+	for i := 0; i < workers; i++ {
+		s.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+			for j := 0; j < b.N/workers; j++ {
+				op(r, p)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkContendedUse measures a contended CPU charge (node.chargeCPU):
+// the admitted worker's hold is its continuation, so it is resumed once,
+// to release.
+func BenchmarkContendedUse(b *testing.B) {
+	contend(b, func(r *Resource, p *Proc) { r.Use(p, 1, time.Microsecond) })
+}
+
+// BenchmarkContendedAcquireSleepRelease is BenchmarkContendedUse spelled
+// out: the admitted worker is resumed to sleep and again to release.
+func BenchmarkContendedAcquireSleepRelease(b *testing.B) {
+	contend(b, func(r *Resource, p *Proc) {
+		r.Acquire(p, 1)
+		p.Sleep(time.Microsecond)
+		r.Release(1)
+	})
+}
+
+// alternate runs two procs through op, b.N ops in all; each op sleeps, so
+// every wake switches coroutines.
+func alternate(b *testing.B, op func(p *Proc)) {
+	b.ReportAllocs()
+	s := New(epoch)
+	for i := 0; i < 2; i++ {
+		s.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for j := 0; j < b.N/2; j++ {
+				op(p)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSleepThen measures a wire-then-ack wait (DisaggStore.WriteLog):
+// two sleeps for one resume.
+func BenchmarkSleepThen(b *testing.B) {
+	alternate(b, func(p *Proc) { p.SleepThen(time.Microsecond, time.Microsecond) })
+}
+
+// BenchmarkTwoSleeps is BenchmarkSleepThen spelled out: two sleeps, two
+// resumes.
+func BenchmarkTwoSleeps(b *testing.B) {
+	alternate(b, func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		p.Sleep(time.Microsecond)
+	})
 }

@@ -21,13 +21,16 @@
 // milliseconds and remain reproducible.
 //
 // Because kernel overhead is 100% of an experiment's wall-clock cost, the
-// scheduler is built around three fast paths: a hand-rolled binary heap over
+// scheduler is built around four fast paths: a hand-rolled binary heap over
 // []event (no container/heap interface boxing, no per-push allocation); a
 // "runnext" direct-handoff slot that lets a wake scheduled at the current
 // virtual time bypass the heap entirely — the dominant case for Yield,
-// mutex handoff, and zero-delay queue reservations; and inline dispatch: a
+// mutex handoff, and zero-delay queue reservations; inline dispatch: a
 // blocking proc pops the next event itself, and when that event is its own
-// wake it runs on without any coroutine switch.
+// wake it runs on without any coroutine switch; and continuations: a proc
+// that would wake only to sleep again (a contended Resource.Use, a
+// Proc.SleepThen) leaves that sleep with the kernel, which books it when
+// the wake is dispatched, without resuming the proc.
 package sim
 
 import (
@@ -77,6 +80,12 @@ type Proc struct {
 	// its last-written reason is current. Keeping it here, instead of in a
 	// kernel-side map, takes the bookkeeping off the dispatch hot path.
 	why string
+
+	// then is the continuation: when hasThen is set, dispatching the
+	// proc's next wake sleeps it for then instead of resuming it (see
+	// dispatch).
+	then    time.Duration
+	hasThen bool
 }
 
 // coro is a reusable coroutine: an iter.Pull pair that runs one proc's body
@@ -296,30 +305,53 @@ func (s *Sim) park(p *Proc, why string) {
 // when no event is pending: the run is over, or, with live processes left,
 // deadlocked (s.err says so).
 //
+// An event whose proc holds a continuation is not returned: the proc
+// would wake only to call Sleep(then), so dispatch books that sleep itself,
+// at the same instant and with the same seq the proc would have taken, and
+// pops on. Nothing runs between the wake and the sleep either way, so the
+// event order is the one the spelled-out program produces.
+//
 //detlint:hotpath
 func (s *Sim) dispatch() *Proc {
-	var ev event
-	switch {
-	// The runnext slot wins unless the heap holds a same-time event pushed
-	// earlier (smaller seq) — runnext.at == now is never later than any
-	// heap entry, so two comparisons decide.
-	case s.runnextSet && (len(s.events) == 0 || lessEv(s.runnext, s.events[0])):
-		ev = s.runnext
-		s.runnext = event{}
-		s.runnextSet = false
-	case len(s.events) > 0:
-		ev = s.heapPop()
-	default:
-		if len(s.procs) > 0 {
-			s.err = s.deadlockError()
+	for {
+		var ev event
+		switch {
+		// The runnext slot wins unless the heap holds a same-time event
+		// pushed earlier (smaller seq) — runnext.at == now is never later
+		// than any heap entry, so two comparisons decide.
+		case s.runnextSet && (len(s.events) == 0 || lessEv(s.runnext, s.events[0])):
+			ev = s.runnext
+			s.runnext = event{}
+			s.runnextSet = false
+		case len(s.events) > 0:
+			ev = s.heapPop()
+		default:
+			if len(s.procs) > 0 {
+				s.err = s.deadlockError()
+			}
+			return nil
 		}
-		return nil
+		if ev.at < s.now {
+			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", s.now, ev.at))
+		}
+		s.now = ev.at
+		if !ev.p.hasThen {
+			return ev.p
+		}
+		s.continueSleep(ev.p)
 	}
-	if ev.at < s.now {
-		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", s.now, ev.at))
-	}
-	s.now = ev.at
-	return ev.p
+}
+
+// continueSleep books p's continuation as the sleep p would have called.
+// It stays out of dispatch's loop body so that the common path, a wake
+// with no continuation, compiles tight: inlined there, BenchmarkDispatch
+// ran about a third slower.
+//
+//go:noinline
+func (s *Sim) continueSleep(p *Proc) {
+	p.hasThen = false
+	p.why = "sleep"
+	s.push(s.after(p.then), p)
 }
 
 // deadlockError reconstructs the blocked-process diagnostic. It runs only
@@ -377,15 +409,31 @@ func (s *Sim) Run() error {
 // durations sleep zero time (yielding to other runnable processes).
 func (p *Proc) Sleep(d time.Duration) {
 	s := p.sim
+	s.push(s.after(d), p)
+	s.park(p, "sleep")
+}
+
+// SleepThen is Sleep(d) followed by Sleep(then), with the second sleep
+// booked by the kernel when the first one's wake is dispatched: the proc
+// is resumed once, not twice. Nothing may need to run at the instant
+// between the two sleeps.
+func (p *Proc) SleepThen(d, then time.Duration) {
+	p.then, p.hasThen = then, true
+	p.Sleep(d)
+}
+
+// after returns the virtual instant d from now. Negative durations count
+// as zero, and an overflowing sum (a pathologically large delay) clamps to
+// the end of time instead of wrapping negative.
+func (s *Sim) after(d time.Duration) time.Duration {
 	if d < 0 {
 		d = 0
 	}
 	at := s.now + d
-	if at < s.now { // overflow from a pathologically large (clamped) delay
+	if at < s.now {
 		at = maxDuration
 	}
-	s.push(at, p)
-	s.park(p, "sleep")
+	return at
 }
 
 // Yield lets any other runnable process scheduled at the current virtual

@@ -625,9 +625,10 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 
 // TestKernelAllocationFloors pins the kernel's steady state: a proc costs
 // one allocation (its Proc) to spawn and run to exit, and every handoff —
-// Sleep, Yield, Mutex, Cond, Resource — costs none. Each run spawns procs
-// that hand off hundreds of times on one warmed Sim, so a per-handoff
-// allocation would show as hundreds.
+// Sleep, Yield, Mutex, Cond, SleepThen, Resource (a contended Use's hold is
+// its continuation) — costs none. Each run spawns procs that hand off
+// hundreds of times on one warmed Sim, so a per-handoff allocation would
+// show as hundreds.
 func TestKernelAllocationFloors(t *testing.T) {
 	const rounds = 200
 	floor := func(name string, procs int, body func(s *Sim) func(p *Proc)) {
@@ -684,6 +685,13 @@ func TestKernelAllocationFloors(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				p.Sleep(time.Microsecond)
 				c.Signal()
+			}
+		}
+	})
+	floor("SleepThen", 2, func(*Sim) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.SleepThen(time.Microsecond, time.Microsecond)
 			}
 		}
 	})

@@ -242,9 +242,20 @@ func (r *Resource) Peak() int64 { return r.peak }
 func (r *Resource) Waiting() int { return r.waiters.len() }
 
 // Use acquires n units, holds them for d of virtual time, and releases them.
-// It is the standard way to model a CPU slice or similar occupancy.
+// It is the standard way to model a CPU slice or similar occupancy. A
+// contended Use queues with d as its continuation (see dispatch), so the
+// admitted proc is resumed once, to release, instead of once to sleep and
+// once more to release.
+//
+//detlint:hotpath
 func (r *Resource) Use(p *Proc, n int64, d time.Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
+	if n > 0 && (r.waiters.len() > 0 || r.used+n > r.cap) {
+		r.waiters.push(resWaiter{p: p, n: n}) //detlint:allow hotalloc(ring growth to the deepest queue seen, then reused)
+		p.then, p.hasThen = d, true
+		r.s.park(p, "resource")
+	} else {
+		r.Acquire(p, n) // uncontended, or n <= 0, which Acquire rejects
+		p.Sleep(d)
+	}
 	r.Release(n)
 }
