@@ -133,12 +133,15 @@ func (t *Table) indexScan(ix *Index, lo, hi Value, limit int) ScanResult {
 func (t *Table) fullScan(col int, lo, hi Value, limit int) ScanResult {
 	res := ScanResult{Plan: PlanFullScan}
 	loK, hiK := EncodeKey(lo), EncodeKey(hi)
+	// VisibleScan reuses its key and row, so a match keeps copies: the pk
+	// as the tail of its sort key, the row's values in vals.
 	type match struct {
-		sortKey Key
-		pk      Key
-		row     Row
+		sortKey     Key // the column value's encoding, then the pk
+		pkAt        int
+		rowAt, rowN int // the row's copy is vals[rowAt:rowN]
 	}
 	var matches []match
+	var vals []Value
 	var vK Key // every visited row's value encodes here; matches copy it
 	t.VisibleScan(func(pk Key, r Row) bool {
 		vK = AppendKey(vK[:0], r[col])
@@ -146,7 +149,8 @@ func (t *Table) fullScan(col int, lo, hi Value, limit int) ScanResult {
 			return true
 		}
 		sortKey := append(append(make(Key, 0, len(vK)+len(pk)), vK...), pk...)
-		matches = append(matches, match{sortKey: sortKey, pk: pk, row: r})
+		matches = append(matches, match{sortKey: sortKey, pkAt: len(vK), rowAt: len(vals), rowN: len(vals) + len(r)})
+		vals = append(vals, r...)
 		return true
 	})
 	sort.Slice(matches, func(i, j int) bool {
@@ -156,8 +160,8 @@ func (t *Table) fullScan(col int, lo, hi Value, limit int) ScanResult {
 		matches = matches[:limit]
 	}
 	for _, m := range matches {
-		res.PKs = append(res.PKs, m.pk)
-		res.Rows = append(res.Rows, m.row)
+		res.PKs = append(res.PKs, m.sortKey[m.pkAt:])
+		res.Rows = append(res.Rows, vals[m.rowAt:m.rowN:m.rowN])
 	}
 	// A sequential scan touches every page of the table.
 	for num := uint64(0); num < t.Pages(); num++ {

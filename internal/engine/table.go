@@ -413,7 +413,9 @@ func (t *Table) ScanDelta(fn func(k Key, row Row, tombstone bool) bool) {
 // VisibleScan visits every visible row in primary-key order, merging the
 // generator-backed base rows with the delta overlay. It backs eager index
 // builds, the full-scan query plan, and the IndexCoherent checker's
-// ground-truth projection.
+// ground-truth projection. Base keys and rows are built into scratch the
+// scan reuses, so k and r are valid only during the call: a caller that
+// keeps either copies it.
 func (t *Table) VisibleScan(fn func(k Key, r Row) bool) {
 	type dent struct {
 		k   Key
@@ -425,8 +427,10 @@ func (t *Table) VisibleScan(fn func(k Key, r Row) bool) {
 		return true
 	})
 	di := 0
+	var k Key
+	var row Row
 	for id := int64(1); id <= t.baseRows; id++ {
-		k := IntKey(id)
+		k = AppendIntKey(k[:0], id)
 		for di < len(delta) && bytes.Compare(delta[di].k, k) < 0 {
 			if delta[di].row != nil && !fn(delta[di].k, delta[di].row) {
 				return
@@ -440,7 +444,8 @@ func (t *Table) VisibleScan(fn func(k Key, r Row) bool) {
 			di++
 			continue
 		}
-		if !fn(k, t.gen(nil, id)) {
+		row = t.gen(row, id)
+		if !fn(k, row) {
 			return
 		}
 	}

@@ -11,33 +11,37 @@ import (
 	"cloudybench/internal/report"
 )
 
-// figure6Cells returns Figure 6's cells, every elastic pattern on every
-// SUT (pattern-major), running them on the session's first request.
-func (s *Session) figure6Cells() []evaluator.ElasticityResult {
-	if s.elasticity != nil {
-		return s.elasticity
-	}
-	var cfgs []evaluator.ElasticityConfig
-	for _, pat := range patterns.ElasticPatterns() {
-		for _, kind := range SUTs {
-			cfgs = append(cfgs, evaluator.ElasticityConfig{
-				Kind: kind, Pattern: pat, Mix: core.MixReadWrite,
-				Tau: s.sc.Tau, SlotLength: s.sc.SlotLength, CostSlots: s.sc.CostSlots,
-				Seed: s.sc.Seed,
-			})
+// elasticCell keys an elasticity cell. Every other field of its config
+// comes from the session's scale.
+type elasticCell struct {
+	kind    cdb.Kind
+	pattern int // index into patterns.ElasticPatterns()
+}
+
+// elasticity returns the session's cells of every elastic pattern on every
+// one of kinds, pattern-major.
+func (s *Session) elasticity(kinds []cdb.Kind) []evaluator.ElasticityResult {
+	pats := patterns.ElasticPatterns()
+	var keys []elasticCell
+	for pat := range pats {
+		for _, kind := range kinds {
+			keys = append(keys, elasticCell{kind, pat})
 		}
 	}
-	s.elasticity = runCells(len(cfgs), func(i int) evaluator.ElasticityResult {
-		return evaluator.RunElasticity(cfgs[i])
+	return sessionCells(s, keys, func(k elasticCell) evaluator.ElasticityResult {
+		return evaluator.RunElasticity(evaluator.ElasticityConfig{
+			Kind: k.kind, Pattern: pats[k.pattern], Mix: core.MixReadWrite,
+			Tau: s.sc.Tau, SlotLength: s.sc.SlotLength, CostSlots: s.sc.CostSlots,
+			Seed: s.sc.Seed,
+		})
 	})
-	return s.elasticity
 }
 
 // Figure6 regenerates the elasticity evaluation: average TPS, total cost
 // (execution plus scaling over the scale's CostSlots-slot costing window),
 // and E1-Score per SUT across the four elastic patterns.
 func Figure6(s *Session) string {
-	results := s.figure6Cells()
+	results := s.elasticity(SUTs)
 	var b strings.Builder
 	b.WriteString("Figure 6 — Elasticity Evaluation (RW mix)\n\n")
 	i := 0
@@ -58,27 +62,16 @@ func Figure6(s *Session) string {
 }
 
 // TableVI regenerates the autoscaling detail: per-transition scaling time
-// and scaling cost for the three serverless SUTs.
-func TableVI(sc Scale) (string, []evaluator.ElasticityResult) {
+// and scaling cost for the three serverless SUTs, from their Figure 6
+// cells.
+func TableVI(s *Session) (string, []evaluator.ElasticityResult) {
 	var autoscaling []cdb.Kind
 	for _, kind := range SUTs {
 		if cdb.ProfileFor(kind).Autoscale != nil {
 			autoscaling = append(autoscaling, kind) // Table VI covers only the autoscaling SUTs
 		}
 	}
-	var cfgs []evaluator.ElasticityConfig
-	for _, pat := range patterns.ElasticPatterns() {
-		for _, kind := range autoscaling {
-			cfgs = append(cfgs, evaluator.ElasticityConfig{
-				Kind: kind, Pattern: pat, Mix: core.MixReadWrite,
-				Tau: sc.Tau, SlotLength: sc.SlotLength, CostSlots: sc.CostSlots,
-				Seed: sc.Seed,
-			})
-		}
-	}
-	results := runCells(len(cfgs), func(i int) evaluator.ElasticityResult {
-		return evaluator.RunElasticity(cfgs[i])
-	})
+	results := s.elasticity(autoscaling)
 	var b strings.Builder
 	b.WriteString("Table VI — Scaling time and cost during autoscaling (serverless SUTs)\n\n")
 	i := 0

@@ -135,8 +135,40 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
+// f5Session is the tiny session TestFigure5ProducesCells and
+// TestTableVRendersAllSystems share, so Figure 5's 15 cells run once per
+// test binary whichever of the two runs first. Neither test calls
+// t.Parallel: a session is used from one goroutine.
+var f5Session *Session
+
+func figure5Session() *Session {
+	if f5Session == nil {
+		f5Session = NewSession(tiny)
+	}
+	return f5Session
+}
+
+func TestFigure5ProducesCells(t *testing.T) {
+	out, cells := Figure5(figure5Session())
+	if len(cells) != 1*3*1*5 { // SFs x mixes x cons x SUTs
+		t.Fatalf("cells = %d", len(cells))
+	}
+	if !strings.Contains(out, "SF1") || !strings.Contains(out, "con=16") {
+		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// TestTableVRendersAllSystems: Table V, which prices Figure 5's cells,
+// renders every system from them without running a cell of its own when
+// both share a session.
 func TestTableVRendersAllSystems(t *testing.T) {
-	out, results := TableV(tiny)
+	sess := figure5Session()
+	Figure5(sess)
+	ran := len(sess.cells)
+	out, results := TableV(sess)
+	if len(sess.cells) != ran {
+		t.Fatalf("Table V ran %d cells after Figure 5", len(sess.cells)-ran)
+	}
 	for _, kind := range SUTs {
 		if !strings.Contains(out, string(kind)) {
 			t.Fatalf("missing %s in:\n%s", kind, out)
@@ -149,16 +181,6 @@ func TestTableVRendersAllSystems(t *testing.T) {
 		if r.TPS <= 0 || r.PScore <= 0 {
 			t.Fatalf("bad result: %+v", r)
 		}
-	}
-}
-
-func TestFigure5ProducesCells(t *testing.T) {
-	out, results := Figure5(tiny)
-	if len(results) != 1*3*1*5 { // SFs x mixes x cons x SUTs
-		t.Fatalf("cells = %d", len(results))
-	}
-	if !strings.Contains(out, "SF1") || !strings.Contains(out, "con=16") {
-		t.Fatalf("render:\n%s", out)
 	}
 }
 

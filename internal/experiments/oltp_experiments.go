@@ -13,24 +13,19 @@ import (
 // Figure5 regenerates the transaction-processing comparison: TPS per SUT
 // across scale factors, workload modes, and concurrency levels. Cells fan
 // out across cores; the tables render afterwards in declaration order.
-func Figure5(sc Scale) (string, []evaluator.OLTPResult) {
+func Figure5(s *Session) (string, []evaluator.OLTPResult) {
+	sc := s.sc
 	var cfgs []evaluator.OLTPConfig
 	for _, sf := range sc.SFs {
 		for _, mix := range Mixes {
 			for _, kind := range SUTs {
 				for _, con := range sc.Concurrency {
-					cfgs = append(cfgs, evaluator.OLTPConfig{
-						Kind: kind, SF: sf, Mix: mix.Mix, Concurrency: con,
-						Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed,
-						Warm: warmCache,
-					})
+					cfgs = append(cfgs, oltpCell(sc, kind, sf, mix.Mix, con))
 				}
 			}
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.OLTPResult {
-		return evaluator.RunOLTP(cfgs[i])
-	})
+	results := sessionCells(s, cfgs, evaluator.RunOLTP)
 	var b strings.Builder
 	b.WriteString("Figure 5 — Transaction Processing Performance (TPS)\n\n")
 	i := 0
@@ -62,26 +57,30 @@ func concurrencyHeaders(cons []int) []string {
 	return out
 }
 
+// oltpCell is the config of an OLTP cell at the scale's windows: Figure
+// 5's, which Table V prices, and Table IX's P.
+func oltpCell(sc Scale, kind cdb.Kind, sf int, mix core.Mix, con int) evaluator.OLTPConfig {
+	return evaluator.OLTPConfig{
+		Kind: kind, SF: sf, Mix: mix, Concurrency: con,
+		Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
+	}
+}
+
 // TableV regenerates the P-Score table: per-SUT resource cost breakdown
-// and productivity per workload mode.
-func TableV(sc Scale) (string, []evaluator.OLTPResult) {
+// and productivity per workload mode, from Figure 5's SF1 cells at its
+// highest concurrency.
+func TableV(s *Session) (string, []evaluator.OLTPResult) {
 	con := 150
-	if len(sc.Concurrency) > 0 {
-		con = sc.Concurrency[len(sc.Concurrency)-1]
+	if len(s.sc.Concurrency) > 0 {
+		con = s.sc.Concurrency[len(s.sc.Concurrency)-1]
 	}
 	var cfgs []evaluator.OLTPConfig
 	for _, kind := range SUTs {
 		for _, mix := range Mixes {
-			cfgs = append(cfgs, evaluator.OLTPConfig{
-				Kind: kind, SF: 1, Mix: mix.Mix, Concurrency: con,
-				Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed,
-				Warm: warmCache,
-			})
+			cfgs = append(cfgs, oltpCell(s.sc, kind, 1, mix.Mix, con))
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.OLTPResult {
-		return evaluator.RunOLTP(cfgs[i])
-	})
+	results := sessionCells(s, cfgs, evaluator.RunOLTP)
 	tbl := report.NewTable("Table V — P-Score with detailed resource cost ($/min, 1 RW + 1 RO)",
 		"System", "CPU", "Memory", "Storage", "IOPS", "Network", "Total",
 		"P(RO)", "P(RW)", "P(WO)", "P(AVG)")

@@ -22,7 +22,8 @@ import (
 // restores writes in seconds while restart-in-place must wait the partition
 // out — and shows each system's FPart penalty to the O-Score. Deterministic:
 // the same scale and seed reproduce the report byte for byte.
-func Partition(sc Scale) (string, []evaluator.PartitionResult) {
+func Partition(s *Session) (string, []evaluator.PartitionResult) {
+	sc := s.sc
 	results := runCells(len(SUTs), func(i int) evaluator.PartitionResult {
 		return evaluator.RunPartition(evaluator.PartitionConfig{
 			Kind: SUTs[i], Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
@@ -60,19 +61,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 			}
 		}
 	}
-	// Suite gauntlet: every registered workload suite rides the same gray
-	// partition on the promote architecture (CDB4), so the fenced-write
-	// check judges secondary-index WAL records, not just heap records — a
-	// stale-epoch primary must have its index maintenance refused along
-	// with the data it derives from.
-	suiteNames := core.SuiteNames()
-	suiteResults := runCells(len(suiteNames), func(i int) evaluator.SuiteResult {
-		return evaluator.RunSuite(evaluator.SuiteConfig{
-			Suite: suiteNames[i], Kind: cdb.CDB4,
-			Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
-			Gauntlet: evaluator.SuitePartition,
-		})
-	})
+	suiteResults := sessionCells(s, partitionSuites(sc), evaluator.RunSuite)
 	stbl := report.NewTable("Suite gauntlet — registered suites through the same gray partition (cdb4)",
 		"Suite", "Verdict", "Commits", "Fenced", "Epoch", "IxPut", "IxDel")
 	for _, r := range suiteResults {
@@ -93,4 +82,20 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		time.Duration(float64(sc.PartSpan)*0.25), time.Duration(float64(sc.PartSpan)*0.60))
 	b.WriteString("dO = -SF*lg(FPart) — the partition-recovery term the MTTR adds to the O-Score denominator\n")
 	return b.String(), results
+}
+
+// partitionSuites are the partition experiment's suite cells, which the
+// suites experiment shares: every registered suite rides the same gray
+// partition on CDB4, so the fenced-write check judges secondary-index WAL
+// records along with the heap records they derive from.
+func partitionSuites(sc Scale) []evaluator.SuiteConfig {
+	var cells []evaluator.SuiteConfig
+	for _, suite := range core.SuiteNames() {
+		cells = append(cells, evaluator.SuiteConfig{
+			Suite: suite, Kind: cdb.CDB4,
+			Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
+			Gauntlet: evaluator.SuitePartition,
+		})
+	}
+	return cells
 }

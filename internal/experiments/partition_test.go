@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // or timeline marks under the fixed seed is a behaviour change. Regenerate
 // deliberately with -update.
 func TestPartitionGolden(t *testing.T) {
-	out, _ := Partition(mini)
+	out, _ := Partition(NewSession(mini))
 	checkGolden(t, "partition", out)
 }
 
@@ -25,7 +25,7 @@ func TestPartitionGolden(t *testing.T) {
 // restart-in-place waits for the heal — must be visible in the rendered
 // report and the raw results.
 func TestPartitionContrastsRepairArchitectures(t *testing.T) {
-	out, results := Partition(tiny)
+	out, results := Partition(NewSession(tiny))
 	if len(results) != len(SUTs) {
 		t.Fatalf("results = %d, want %d", len(results), len(SUTs))
 	}

@@ -13,31 +13,27 @@ import (
 	"cloudybench/internal/sim"
 )
 
-// suiteCell is one (suite, SUT, gauntlet) combination of the scenario-suite
-// experiment grid.
-type suiteCell struct {
-	suite    string
-	kind     cdb.Kind
-	gauntlet evaluator.SuiteGauntlet
-}
-
 // suiteGrid enumerates the experiment's cells in rendering order: every
 // registered suite on every SUT plain, then every suite under the chaos
-// gauntlet (CDB1), then every suite under the partition gauntlet (CDB4).
-func suiteGrid() []suiteCell {
-	var cells []suiteCell
+// gauntlet (CDB1), then the partition experiment's suite cells.
+func suiteGrid(sc Scale) []evaluator.SuiteConfig {
+	var cells []evaluator.SuiteConfig
+	add := func(suite string, kind cdb.Kind, g evaluator.SuiteGauntlet) {
+		cells = append(cells, evaluator.SuiteConfig{
+			Suite: suite, Kind: kind,
+			Span: sc.SuiteSpan, Concurrency: sc.SuiteConc, Seed: sc.Seed,
+			Gauntlet: g,
+		})
+	}
 	for _, suite := range core.SuiteNames() {
 		for _, kind := range SUTs {
-			cells = append(cells, suiteCell{suite: suite, kind: kind})
+			add(suite, kind, evaluator.SuitePlain)
 		}
 	}
 	for _, suite := range core.SuiteNames() {
-		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB1, gauntlet: evaluator.SuiteChaos})
+		add(suite, cdb.CDB1, evaluator.SuiteChaos)
 	}
-	for _, suite := range core.SuiteNames() {
-		cells = append(cells, suiteCell{suite: suite, kind: cdb.CDB4, gauntlet: evaluator.SuitePartition})
-	}
-	return cells
+	return append(cells, partitionSuites(sc)...)
 }
 
 // Suites runs every registered workload suite (indexed range scans,
@@ -50,23 +46,17 @@ func suiteGrid() []suiteCell {
 // sweep demonstrating the planner's cliff at the index-scan fraction
 // threshold. Deterministic: the same scale and seed reproduce the report
 // byte for byte.
-func Suites(sc Scale) (string, []evaluator.SuiteResult) {
-	cells := suiteGrid()
-	results := runCells(len(cells), func(i int) evaluator.SuiteResult {
-		c := cells[i]
-		return evaluator.RunSuite(evaluator.SuiteConfig{
-			Suite: c.suite, Kind: c.kind,
-			Span: sc.SuiteSpan, Concurrency: sc.SuiteConc, Seed: sc.Seed,
-			Gauntlet: c.gauntlet,
-		})
-	})
+func Suites(s *Session) (string, []evaluator.SuiteResult) {
+	sc := s.sc
+	cells := suiteGrid(sc)
+	results := sessionCells(s, cells, evaluator.RunSuite)
 
 	var b strings.Builder
 	tbl := report.NewTable("Scenario suites — registered workload families on every SUT",
 		"Suite", "System", "Verdict", "Commits", "Errors", "TPS", "IdxScan", "FullScan", "IxPut", "IxDel")
 	var detail strings.Builder
 	for i, r := range results {
-		if cells[i].gauntlet != evaluator.SuitePlain {
+		if cells[i].Gauntlet != evaluator.SuitePlain {
 			continue
 		}
 		tbl.AddRow(r.Suite, string(r.Kind), passFail(r.Passed()),
@@ -97,11 +87,10 @@ func Suites(sc Scale) (string, []evaluator.SuiteResult) {
 	gnt := report.NewTable("Suite x gauntlet composition — same suites under chaos (cdb1) and a gray partition (cdb4)",
 		"Suite", "Gauntlet", "Verdict", "Commits", "Faults", "Fenced", "Epoch", "IxPut", "IxDel")
 	for i, r := range results {
-		c := cells[i]
-		if c.gauntlet == evaluator.SuitePlain {
+		if cells[i].Gauntlet == evaluator.SuitePlain {
 			continue
 		}
-		gnt.AddRow(r.Suite, string(c.gauntlet), passFail(r.Passed()),
+		gnt.AddRow(r.Suite, string(cells[i].Gauntlet), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", len(r.Applied)),
 			fmt.Sprintf("%d", r.Fenced),

@@ -50,51 +50,82 @@ func TestPerfectScoresComposes(t *testing.T) {
 	}
 }
 
-// TestTableIXReadsTheSessionTables: in one session, Table IX after Figure
-// 6, Table VII and Table VIII reads their cells instead of running them
-// again and renders byte for byte what a standalone run renders. For every
-// SUT, each composed score equals its mean over those tables, C equals the
-// §III-F table's (60,30,10) row, and both O-Scores are defined. It runs at
-// the mini scale: the tenancy and fail-over cells of the tiny scale would
-// make it three times as long.
+// TestTableIXReadsTheSessionTables: in one session each artifact that is a
+// view of another's cells reads them instead of running them again — Table
+// V after Figure 5, Table VI after Figure 6, Table VIII after Figure 7 (its
+// CDB4 RW cell), and Table IX's C after the §III-F table — and Table IX
+// renders byte for byte what a standalone run renders. For every SUT, each
+// composed score equals its mean over those tables, C equals the §III-F
+// table's (60,30,10) row, and both O-Scores are defined. Run the other way
+// round, Figure 5 after Table V runs no cell either. It runs at the mini
+// scale: the tenancy and fail-over cells of the tiny scale would make it
+// three times as long.
 func TestTableIXReadsTheSessionTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("composite run")
 	}
+	suts := len(SUTs)
+	added := map[string]int{ // cells each artifact adds to the session after the ones before it
+		"f5": 3 * suts, "t5": 0, "f6": 4 * suts, "t6": 0, "f7": 1, "t7": 4 * suts, "t8": 2*suts - 1,
+		"lag": 4 * suts, "t9": 2 * suts, // t9 runs its P and E2 cells only
+	}
 	sess := NewSession(mini)
-	for _, id := range []string{"f6", "t7", "t8"} {
-		if _, err := sess.Run(id); err != nil {
+	outs := map[string]string{}
+	for _, id := range []string{"f5", "t5", "f6", "t6", "f7", "t7", "t8", "lag", "t9"} {
+		before := len(sess.cells)
+		out, err := sess.Run(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	elastic, tenancy, failover := &sess.elasticity[0], &sess.tenancy[0], &sess.failover[0]
-	shared, scores := TableIX(sess)
-	if &sess.elasticity[0] != elastic || &sess.tenancy[0] != tenancy || &sess.failover[0] != failover {
-		t.Fatal("Table IX ran the Figure 6, Table VII or Table VIII cells again")
+		outs[id] = out
+		if got := len(sess.cells) - before; got != added[id] {
+			t.Errorf("%s added %d cells to the session, want %d", id, got, added[id])
+		}
 	}
 	standalone, err := Run("t9", mini)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared != standalone {
-		t.Fatalf("shared-session Table IX differs from a standalone run:\n%s\nvs\n%s", shared, standalone)
+	if outs["t9"] != standalone {
+		t.Fatalf("shared-session Table IX differs from a standalone run:\n%s\nvs\n%s", outs["t9"], standalone)
 	}
 
-	_, lag := LagTable(mini) // the first len(SUTs) rows are the (60,30,10) mix
+	reversed := NewSession(mini)
+	for _, id := range []string{"t5", "f5"} {
+		before := len(reversed.cells)
+		out, err := reversed.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != outs[id] {
+			t.Errorf("%s run after t5 differs from %s run after f5:\n%s\nvs\n%s", id, id, out, outs[id])
+		}
+		if id == "f5" && len(reversed.cells) != before {
+			t.Errorf("f5 after t5 ran %d cells", len(reversed.cells)-before)
+		}
+	}
+
+	before := len(sess.cells)
+	elastic, tenancy, failover := sess.elasticity(SUTs), sess.tableVIICells(), sess.tableVIIICells()
+	_, lag := LagTable(sess) // the first len(SUTs) rows are the (60,30,10) mix
+	_, scores := TableIX(sess)
+	if len(sess.cells) != before {
+		t.Fatalf("re-reading the session's tables ran %d cells", len(sess.cells)-before)
+	}
 	for i, kind := range SUTs {
 		s := scores[i]
 		var e1, e1Star, tsum, tStar, n, m float64
-		for _, r := range sess.elasticity {
+		for _, r := range elastic {
 			if r.Kind == kind {
 				e1, e1Star, n = e1+r.E1Score, e1Star+r.E1StarScore, n+1
 			}
 		}
-		for _, r := range sess.tenancy {
+		for _, r := range tenancy {
 			if r.Kind == kind {
 				tsum, tStar, m = tsum+r.TScore, tStar+r.TScoreStar, m+1
 			}
 		}
-		rw, ro := sess.failover[2*i], sess.failover[2*i+1]
+		rw, ro := failover[2*i], failover[2*i+1]
 		if n != 4 || m != 4 || rw.Kind != kind || ro.Kind != kind {
 			t.Fatalf("%s: %v elasticity and %v tenancy cells, fail-overs of %s and %s", kind, n, m, rw.Kind, ro.Kind)
 		}

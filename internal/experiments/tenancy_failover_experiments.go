@@ -14,25 +14,28 @@ import (
 	"cloudybench/internal/report"
 )
 
+// tenancyCell keys a Table VII cell. Every other field of its config comes
+// from the session's scale.
+type tenancyCell struct {
+	kind    cdb.Kind
+	pattern int // index into patterns.TenancyKinds
+}
+
 // tableVIICells returns Table VII's cells, every tenancy pattern on every
-// SUT (SUT-major), running them on the session's first request.
+// SUT (SUT-major).
 func (s *Session) tableVIICells() []evaluator.TenancyResult {
-	if s.tenancy != nil {
-		return s.tenancy
-	}
-	var cfgs []evaluator.TenancyConfig
+	var keys []tenancyCell
 	for _, kind := range SUTs {
-		for _, pk := range patterns.TenancyKinds {
-			cfgs = append(cfgs, evaluator.TenancyConfig{
-				Kind: kind, Pattern: patterns.PaperTenancy(pk),
-				SlotLength: s.sc.SlotLength, Seed: s.sc.Seed,
-			})
+		for pk := range patterns.TenancyKinds {
+			keys = append(keys, tenancyCell{kind, pk})
 		}
 	}
-	s.tenancy = runCells(len(cfgs), func(i int) evaluator.TenancyResult {
-		return evaluator.RunTenancy(cfgs[i])
+	return sessionCells(s, keys, func(k tenancyCell) evaluator.TenancyResult {
+		return evaluator.RunTenancy(evaluator.TenancyConfig{
+			Kind: k.kind, Pattern: patterns.PaperTenancy(patterns.TenancyKinds[k.pattern]),
+			SlotLength: s.sc.SlotLength, Seed: s.sc.Seed,
+		})
 	})
-	return s.tenancy
 }
 
 // TableVII regenerates the multi-tenancy evaluation: per-pattern TPS,
@@ -64,26 +67,25 @@ func TableVII(s *Session) string {
 	return tbl.String()
 }
 
-// tableVIIICells returns Table VIII's cells, an RW and then an RO node
-// failure on every SUT (SUT-major), running them on the session's first
-// request.
-func (s *Session) tableVIIICells() []evaluator.FailoverResult {
-	if s.failover != nil {
-		return s.failover
+// failoverCell is the config of kind's Table VIII cell for a role's
+// failure.
+func failoverCell(sc Scale, kind cdb.Kind, role cluster.Role) evaluator.FailoverConfig {
+	return evaluator.FailoverConfig{
+		Kind: kind, Role: role, Concurrency: sc.FailConc,
+		Baseline: sc.FailBaseline, Timeout: sc.FailTimeout, Seed: sc.Seed,
 	}
+}
+
+// tableVIIICells returns Table VIII's cells, an RW and then an RO node
+// failure on every SUT (SUT-major).
+func (s *Session) tableVIIICells() []evaluator.FailoverResult {
 	var cfgs []evaluator.FailoverConfig
 	for _, kind := range SUTs {
 		for _, role := range []cluster.Role{cluster.RW, cluster.RO} {
-			cfgs = append(cfgs, evaluator.FailoverConfig{
-				Kind: kind, Role: role, Concurrency: s.sc.FailConc,
-				Baseline: s.sc.FailBaseline, Timeout: s.sc.FailTimeout, Seed: s.sc.Seed,
-			})
+			cfgs = append(cfgs, failoverCell(s.sc, kind, role))
 		}
 	}
-	s.failover = runCells(len(cfgs), func(i int) evaluator.FailoverResult {
-		return evaluator.RunFailover(cfgs[i])
-	})
-	return s.failover
+	return sessionCells(s, cfgs, evaluator.RunFailover)
 }
 
 // TableVIII regenerates the fail-over evaluation: F-Score and R-Score for
@@ -106,12 +108,9 @@ func TableVIII(s *Session) string {
 }
 
 // Figure7 regenerates CDB4's fail-over timeline: the phase trace of the
-// promote-RO switch-over.
-func Figure7(sc Scale) (string, evaluator.FailoverResult) {
-	r := evaluator.RunFailover(evaluator.FailoverConfig{
-		Kind: "cdb4", Role: cluster.RW, Concurrency: sc.FailConc,
-		Baseline: sc.FailBaseline, Timeout: sc.FailTimeout, Seed: sc.Seed,
-	})
+// promote-RO switch-over, which is Table VIII's CDB4 RW cell.
+func Figure7(s *Session) (string, evaluator.FailoverResult) {
+	r := sessionCells(s, []evaluator.FailoverConfig{failoverCell(s.sc, cdb.CDB4, cluster.RW)}, evaluator.RunFailover)[0]
 	var b strings.Builder
 	b.WriteString("Figure 7 — Timeline of CDB4's fail-over process\n\n")
 	tbl := report.NewTable("", "t (since injection)", "Phase")
@@ -131,21 +130,23 @@ func Figure7(sc Scale) (string, evaluator.FailoverResult) {
 	return b.String(), r
 }
 
+// lagCell is the config of kind's §III-F cell for an IUD mix.
+func lagCell(sc Scale, kind cdb.Kind, iud [3]float64) evaluator.LagConfig {
+	return evaluator.LagConfig{
+		Kind: kind, IUD: iud, Concurrency: sc.LagConc, Duration: sc.LagDuration, Seed: sc.Seed,
+	}
+}
+
 // LagTable regenerates the §III-F replication lag evaluation across the
 // four IUD mixes.
-func LagTable(sc Scale) (string, []evaluator.LagResult) {
+func LagTable(s *Session) (string, []evaluator.LagResult) {
 	var cfgs []evaluator.LagConfig
 	for _, iud := range evaluator.PaperIUDMixes {
 		for _, kind := range SUTs {
-			cfgs = append(cfgs, evaluator.LagConfig{
-				Kind: kind, IUD: iud, Concurrency: sc.LagConc,
-				Duration: sc.LagDuration, Seed: sc.Seed,
-			})
+			cfgs = append(cfgs, lagCell(s.sc, kind, iud))
 		}
 	}
-	results := runCells(len(cfgs), func(i int) evaluator.LagResult {
-		return evaluator.RunLag(cfgs[i])
-	})
+	results := sessionCells(s, cfgs, evaluator.RunLag)
 	var b strings.Builder
 	b.WriteString("Replication lag time between RW and RO (§III-F)\n\n")
 	i := 0
@@ -170,7 +171,7 @@ func LagTable(sc Scale) (string, []evaluator.LagResult) {
 // read-write cell P and P* read and the read-only cells E2 reads.
 const tableIXConcurrency = 110
 
-// tableIXCells are the cells Table IX measures itself for one SUT.
+// tableIXCells are Table IX's P, C and E2 cells for one SUT.
 type tableIXCells struct {
 	oltp evaluator.OLTPResult // read-write: P and P*
 	lag  evaluator.LagResult  // §III-F's (60,30,10) IUD mix: C
@@ -178,34 +179,28 @@ type tableIXCells struct {
 }
 
 // TableIX regenerates the overall PERFECT comparison, including the
-// actual-cost starred variants. It measures only the P, C and E2 cells;
-// E1, T, F and R compose the session's Figure 6, Table VII and Table VIII
-// cells.
+// actual-cost starred variants. Its P and E2 cells are its own; C is the
+// §III-F table's (60,30,10) row, and E1, T, F and R compose the Figure 6,
+// Table VII and Table VIII cells, all read from the session.
 func TableIX(s *Session) (string, []metrics.Scores) {
 	sc := s.sc
-	own := runCells(len(SUTs), func(i int) tableIXCells {
-		kind := SUTs[i]
-		return tableIXCells{
-			oltp: evaluator.RunOLTP(evaluator.OLTPConfig{
-				Kind: kind, Mix: core.MixReadWrite, Concurrency: tableIXConcurrency,
-				Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
-			}),
-			lag: evaluator.RunLag(evaluator.LagConfig{
-				Kind: kind, IUD: evaluator.PaperIUDMixes[0], Concurrency: sc.LagConc,
-				Duration: sc.LagDuration, Seed: sc.Seed,
-			}),
-			e2: evaluator.RunE2(evaluator.E2Config{
-				Kind: kind, Concurrency: tableIXConcurrency,
-				Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
-			}),
-		}
-	})
-	elastic, tenancy, failover := s.figure6Cells(), s.tableVIICells(), s.tableVIIICells()
+	var oltp []evaluator.OLTPConfig
+	var lag []evaluator.LagConfig
+	var e2 []evaluator.E2Config
+	for _, kind := range SUTs {
+		oltp = append(oltp, oltpCell(sc, kind, 1, core.MixReadWrite, tableIXConcurrency))
+		lag = append(lag, lagCell(sc, kind, evaluator.PaperIUDMixes[0]))
+		e2 = append(e2, evaluator.E2Config{
+			Kind: kind, Concurrency: tableIXConcurrency, Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
+		})
+	}
+	p, c, e := sessionCells(s, oltp, evaluator.RunOLTP), sessionCells(s, lag, evaluator.RunLag), sessionCells(s, e2, evaluator.RunE2)
+	elastic, tenancy, failover := s.elasticity(SUTs), s.tableVIICells(), s.tableVIIICells()
 	tbl := report.NewTable("Table IX — Overall performance (PERFECT framework)",
 		"System", "P", "P*", "E1", "E1*", "R", "F", "E2", "C", "T", "T*", "O", "O*")
 	scores := make([]metrics.Scores, len(SUTs))
 	for i, kind := range SUTs {
-		row := perfectScores(kind, own[i], elastic, tenancy, failover)
+		row := perfectScores(kind, tableIXCells{p[i], c[i], e[i]}, elastic, tenancy, failover)
 		scores[i] = row
 		tbl.AddRow(string(kind),
 			report.F(row.P), report.F(row.PStar),

@@ -124,12 +124,9 @@ func (s *Series) Sample(from, to, interval time.Duration) []float64 {
 // Counter counts events into fixed-width virtual-time buckets, the basis of
 // every TPS measurement in the testbed.
 type Counter struct {
-	bucket  time.Duration
-	counts  []int64
-	total   int64
-	firstAt time.Duration
-	lastAt  time.Duration
-	any     bool
+	bucket time.Duration
+	counts []int64
+	total  int64
 }
 
 // NewCounter returns a counter with the given bucket width (e.g. 1 second
@@ -149,13 +146,6 @@ func (c *Counter) Add(at time.Duration, n int64) {
 	}
 	c.counts[idx] += n
 	c.total += n
-	if !c.any || at < c.firstAt {
-		c.firstAt = at
-	}
-	if !c.any || at > c.lastAt {
-		c.lastAt = at
-	}
-	c.any = true
 }
 
 // Total returns the total event count.
@@ -164,23 +154,17 @@ func (c *Counter) Total() int64 { return c.total }
 // CounterSnapshot is a point-in-time capture of a Counter (warm-up
 // memoization).
 type CounterSnapshot struct {
-	bucket  time.Duration
-	counts  []int64
-	total   int64
-	firstAt time.Duration
-	lastAt  time.Duration
-	any     bool
+	bucket time.Duration
+	counts []int64
+	total  int64
 }
 
 // Snapshot captures the counter's current state.
 func (c *Counter) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		bucket:  c.bucket,
-		counts:  append([]int64(nil), c.counts...),
-		total:   c.total,
-		firstAt: c.firstAt,
-		lastAt:  c.lastAt,
-		any:     c.any,
+		bucket: c.bucket,
+		counts: append([]int64(nil), c.counts...),
+		total:  c.total,
 	}
 }
 
@@ -190,9 +174,6 @@ func (c *Counter) Restore(snap CounterSnapshot) {
 	c.bucket = snap.bucket
 	c.counts = append(c.counts[:0:0], snap.counts...)
 	c.total = snap.total
-	c.firstAt = snap.firstAt
-	c.lastAt = snap.lastAt
-	c.any = snap.any
 }
 
 // CountIn returns the number of events recorded in the buckets that [from,
