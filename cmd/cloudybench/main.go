@@ -238,10 +238,6 @@ func runExperiments(args []string) error {
 		out.WriteString(text)
 		out.WriteString("\n")
 	}
-	if req, comp := experiments.WarmStats(); req > 0 {
-		fmt.Fprintf(os.Stderr, "== warm-up cache: %d requests, %d computed (%d reused)\n",
-			req, comp, req-comp)
-	}
 	fmt.Print(out.String())
 	if *outFile != "" {
 		if err := os.WriteFile(*outFile, []byte(out.String()), 0o644); err != nil {

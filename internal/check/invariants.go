@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"cloudybench/internal/core"
 	"cloudybench/internal/engine"
@@ -382,4 +383,22 @@ func AllPassed(vs []Verdict) bool {
 		}
 	}
 	return true
+}
+
+// PassFail is a verdict's outcome in one word, as every report prints it.
+func PassFail(passed bool) string {
+	if passed {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// SweepLine renders verdicts on one line, "name=PASS name=FAIL ...": an
+// in-flight sweep's timeline mark and its row in the soak artifact.
+func SweepLine(vs []Verdict) string {
+	words := make([]string, len(vs))
+	for i, v := range vs {
+		words[i] = v.Name + "=" + PassFail(v.Passed)
+	}
+	return strings.Join(words, " ")
 }

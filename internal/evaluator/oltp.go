@@ -39,8 +39,7 @@ type OLTPConfig struct {
 	// run (both warmup and measure windows). Nil runs untraced at zero cost.
 	Tracer *obs.Tracer
 	// Warm, if non-nil, memoizes the warm-up phase across cells sharing a
-	// WarmKey: the first cell runs the warm-up and snapshots the quiescent
-	// cluster; later cells fork the measurement phase straight from the
+	// WarmKey: later cells fork their measurement phase from the first's
 	// snapshot. Results are byte-identical with or without a cache (a traced
 	// run bypasses it so warm-up spans are recorded).
 	Warm *WarmCache
@@ -152,9 +151,6 @@ type E2Config struct {
 	Concurrency int
 	Measure     time.Duration
 	Seed        int64
-	// Warm forwards to OLTPConfig.Warm (each replica count is its own
-	// WarmKey, so cells memoize per deployment shape).
-	Warm *WarmCache
 }
 
 // E2Result holds TPS per replica count and the resulting score.
@@ -172,7 +168,6 @@ func RunE2(cfg E2Config) E2Result {
 			Kind: cfg.Kind, Mix: core.MixReadOnly,
 			Concurrency: cfg.Concurrency, Replicas: cmp.Or(replicas, NoReplicas),
 			Warmup: e2Warmup, Measure: cfg.Measure, Seed: cfg.Seed,
-			Warm: cfg.Warm,
 		})
 		res.TPS = append(res.TPS, r.TPS)
 	}

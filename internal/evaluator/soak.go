@@ -2,7 +2,6 @@ package evaluator
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -220,15 +219,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 					check.IndexCoherent("rw", rc.d.RW().DB),
 					check.NoSplitBrain(rc.d.Fence.Events()))
 				sw := SoakSweep{At: p.Elapsed(), Window: w, Verdicts: verdicts}
-				var names []string
-				for _, v := range verdicts {
-					status := "PASS"
-					if !v.Passed {
-						status = "FAIL"
-					}
-					names = append(names, v.Name+"="+status)
-				}
-				tl.Mark(sw.At, "sweep", strings.Join(names, " "), sw.Passed())
+				tl.Mark(sw.At, "sweep", check.SweepLine(verdicts), sw.Passed())
 				res.Sweeps = append(res.Sweeps, sw)
 				rc.attachRecorder()
 			}

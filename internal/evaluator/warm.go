@@ -52,17 +52,15 @@ type WarmSnapshot struct {
 	col    core.CollectorSnapshot
 }
 
-// WarmCache memoizes warm-up snapshots across sweep cells sharing a WarmKey.
-// It is safe under the experiment layer's parallel cell pool: the mutex
-// guards the map, and a per-entry sync.Once makes the first cell to want a
-// key compute it while the rest block and reuse it. Snapshots are immutable
-// once computed (restore copies), so any number of cells fork concurrently.
+// WarmCache memoizes warm-up snapshots across cells sharing a WarmKey, so
+// the benchmark forks its timed rounds from one warm-up. It is safe for
+// concurrent cells: the mutex guards the map, and a per-entry sync.Once
+// makes the first cell to want a key compute it while the rest block and
+// reuse it. Snapshots are immutable once computed (restore copies), so any
+// number of cells fork concurrently.
 type WarmCache struct {
 	mu      sync.Mutex
 	entries map[WarmKey]*warmEntry
-
-	computed int64 // warm-ups actually run (misses)
-	requests int64
 }
 
 type warmEntry struct {
@@ -112,35 +110,17 @@ func (rc *run) restore(snap *WarmSnapshot) {
 }
 
 // NewWarmCache returns an empty warm-up cache.
-func NewWarmCache() *WarmCache { return &WarmCache{} }
+func NewWarmCache() *WarmCache { return &WarmCache{entries: map[WarmKey]*warmEntry{}} }
 
 // get returns the snapshot for key, running compute exactly once per key.
 func (c *WarmCache) get(key WarmKey, compute func() *WarmSnapshot) *WarmSnapshot {
 	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[WarmKey]*warmEntry)
-	}
-	c.requests++
 	e := c.entries[key]
 	if e == nil {
 		e = &warmEntry{}
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		snap := compute()
-		c.mu.Lock()
-		c.computed++
-		c.mu.Unlock()
-		e.snap = snap
-	})
+	e.once.Do(func() { e.snap = compute() })
 	return e.snap
-}
-
-// Stats returns how many snapshot lookups the cache served and how many
-// warm-ups it actually ran (requests - computed = cells that skipped one).
-func (c *WarmCache) Stats() (requests, computed int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.requests, c.computed
 }

@@ -32,17 +32,17 @@ func TestWarmCacheHitMatchesMissMatchesUncached(t *testing.T) {
 	if hit != uncached {
 		t.Errorf("cache hit result differs from uncached run:\nhit:      %+v\nuncached: %+v", hit, uncached)
 	}
-	if req, comp := cache.Stats(); req != 2 || comp != 1 {
-		t.Errorf("cache stats = %d requests / %d computed, want 2/1", req, comp)
+	if n := len(cache.entries); n != 1 {
+		t.Errorf("cache holds %d warm-ups, want 1", n)
 	}
 
 	// A different measure window shares the warm key: the warm-up must be
-	// reused (computed stays 1) and the longer run still measures real work.
+	// reused (one warm-up still) and the longer run still measures real work.
 	longer := cached
 	longer.Measure = 2 * time.Second
 	lr := RunOLTP(longer)
-	if req, comp := cache.Stats(); req != 3 || comp != 1 {
-		t.Errorf("cache stats after shared-key reuse = %d/%d, want 3/1", req, comp)
+	if n := len(cache.entries); n != 1 {
+		t.Errorf("cache holds %d warm-ups after shared-key reuse, want 1", n)
 	}
 	if lr.TPS <= 0 {
 		t.Errorf("reused-warm-up run measured no throughput: %+v", lr)
@@ -52,8 +52,8 @@ func TestWarmCacheHitMatchesMissMatchesUncached(t *testing.T) {
 	other := cached
 	other.Seed = 8
 	RunOLTP(other)
-	if req, comp := cache.Stats(); req != 4 || comp != 2 {
-		t.Errorf("cache stats after distinct key = %d/%d, want 4/2", req, comp)
+	if n := len(cache.entries); n != 2 {
+		t.Errorf("cache holds %d warm-ups after a distinct key, want 2", n)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestForkedIUDCellsMatchSequential(t *testing.T) {
 			t.Errorf("cell %d: concurrent fork differs from sequential run:\ngot:  %+v\nwant: %+v", i, got[i], want[i])
 		}
 	}
-	if req, comp := cache.Stats(); req != int64(len(measures)) || comp != 1 {
-		t.Errorf("cache stats = %d requests / %d computed, want %d/1", req, comp, len(measures))
+	if n := len(cache.entries); n != 1 {
+		t.Errorf("cache holds %d warm-ups for one warm key, want 1", n)
 	}
 }
 

@@ -4,31 +4,18 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"cloudybench/internal/evaluator"
 )
 
 // Every experiment is a grid of independent cells — one (SUT, SF, mix,
 // concurrency, pattern, ...) combination, each building its own sim.Sim —
-// so cells can execute on all cores at once. runCells is the shared fan-out
-// every driver goes through; rendering always happens afterwards, from the
-// results slice in declaration order, so the report is byte-identical to a
-// sequential run no matter how many workers raced.
+// so cells can execute on all cores at once. runCells is the one fan-out,
+// and sessionCells (registry.go) its one caller: every driver reads its
+// cells through the session's memo. Rendering always happens afterwards,
+// from the results slice in declaration order, so the report is
+// byte-identical to a sequential run no matter how many workers raced.
 
-// warmCache memoizes OLTP warm-ups across every experiment in a process:
-// sweep grids (Figure 5's concurrency axis, Figure 8's buffer axis, Table V
-// vs Figure 5 overlaps) re-run the same (SUT, scale, mix, seed) warm-up many
-// times, and a cache hit is byte-identical to a miss by construction, so
-// sharing one cache process-wide only saves wall-clock. Safe under the cell
-// pool below (WarmCache locks internally).
-var warmCache = evaluator.NewWarmCache()
-
-// WarmStats reports the shared warm-up cache's request/computed counters
-// (the run-all summary prints the wall-clock win).
-func WarmStats() (requests, computed int64) { return warmCache.Stats() }
-
-// parallelism is the cell worker-pool width. Guarded by parMu; read through
-// cellWorkers at the start of each fan-out.
+// parallelism is the cell worker-pool width. Guarded by parMu; read at the
+// start of each fan-out.
 var (
 	parMu       sync.Mutex
 	parallelism = runtime.GOMAXPROCS(0)
@@ -46,13 +33,6 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism reports the current cell worker-pool width.
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parallelism
-}
-
 // runCells executes fn(0..n-1) on a bounded worker pool and returns the
 // results indexed by cell. Each cell must be self-contained (its own Sim,
 // collector, and deployment — true for every evaluator entry point). A
@@ -60,10 +40,9 @@ func Parallelism() int {
 // sequential path's failure behaviour.
 func runCells[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	parMu.Lock()
+	workers := min(parallelism, n)
+	parMu.Unlock()
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = fn(i)

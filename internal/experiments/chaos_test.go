@@ -6,7 +6,12 @@ import "testing"
 // verdict sheets, commit/error counts, fault counts, TPS and quiesce time
 // for every SUT under the fixed seed. Regenerate deliberately with -update.
 func TestChaosGolden(t *testing.T) {
-	out, results := Chaos(mini)
+	sess := shared(t, mini)
+	results := read(sess.chaosCells)
+	out, err := Chaos(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "chaos", out)
 	for _, r := range results {
 		if !r.Passed() {

@@ -5,9 +5,18 @@ import (
 	"strings"
 	"time"
 
+	"cloudybench/internal/cdb"
+	"cloudybench/internal/check"
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/report"
 )
+
+// crashCells returns the crash gauntlet's cells, one per SUT.
+func (s *Session) crashCells() []evaluator.CrashResult {
+	return sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.CrashConfig {
+		return evaluator.CrashConfig{Kind: kind, Span: s.sc.CrashSpan, Concurrency: s.sc.CrashConc, Seed: s.sc.Seed}
+	}), evaluator.RunCrash)
+}
 
 // Crash runs every SUT through the durability gauntlet: steady mixed traffic
 // while the crash schedule kills the primary with a torn WAL tail, kills the
@@ -22,12 +31,8 @@ import (
 // every acknowledged commit survives, and no unacknowledged write
 // resurrects. Deterministic: the same scale and seed reproduce the report
 // byte for byte.
-func Crash(sc Scale) (string, []evaluator.CrashResult) {
-	results := runCells(len(SUTs), func(i int) evaluator.CrashResult {
-		return evaluator.RunCrash(evaluator.CrashConfig{
-			Kind: SUTs[i], Span: sc.CrashSpan, Concurrency: sc.CrashConc, Seed: sc.Seed,
-		})
-	})
+func Crash(s *Session) (string, error) {
+	results := s.crashCells()
 	tbl := report.NewTable("Crash gauntlet — WAL redo/undo, torn tails, durability verdicts",
 		"System", "Verdict", "Commits", "Term", "Reroute", "Fenced", "Epoch", "Kills", "Torn", "Redo", "Undo")
 	var detail strings.Builder
@@ -46,7 +51,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 			redo += c.Stats.RedoSince
 			undo += c.Stats.UndoRecords
 		}
-		tbl.AddRow(string(r.Kind), passFail(r.Passed()),
+		tbl.AddRow(string(r.Kind), check.PassFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
 			fmt.Sprintf("%d", r.Reroutes),
@@ -57,10 +62,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 			fmt.Sprintf("%d", redo),
 			fmt.Sprintf("%d", undo))
 
-		fmt.Fprintf(&detail, "\n%s invariants:\n", r.Kind)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&detail, "  %-18s %s\n", v.Name, v)
-		}
+		writeVerdicts(&detail, r.Kind, r.Verdicts)
 		fmt.Fprintf(&detail, "%s kills:\n", r.Kind)
 		for _, c := range r.Crashes {
 			switch {
@@ -90,9 +92,9 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 	var b strings.Builder
 	b.WriteString(tbl.String())
 	b.WriteString(detail.String())
-	frac := func(f float64) time.Duration { return time.Duration(float64(sc.CrashSpan) * f) }
+	frac := func(f float64) time.Duration { return time.Duration(float64(s.sc.CrashSpan) * f) }
 	fmt.Fprintf(&b, "\nCrash schedule (per run): kill rw@%v (torn tail), ro0@%v (resync), rw@%v, rw@%v (torn tail)\n",
 		frac(0.25), frac(0.45), frac(0.65), frac(0.85))
 	b.WriteString("Redo/Undo are records actually replayed/rolled back by recovery — the inputs recovery time is priced from\n")
-	return b.String(), results
+	return b.String(), nil
 }

@@ -12,7 +12,12 @@ import (
 // or timeline marks under the fixed seed is a behaviour change. Regenerate
 // deliberately with -update.
 func TestCrashGolden(t *testing.T) {
-	out, _ := Crash(mini)
+	sess := shared(t, mini)
+	read(sess.crashCells)
+	out, err := Crash(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "crash", out)
 }
 
@@ -22,7 +27,12 @@ func TestCrashGolden(t *testing.T) {
 // tail is detected and cut) — must be visible in the raw results and the
 // rendered report.
 func TestCrashGauntletShapes(t *testing.T) {
-	out, results := Crash(tiny)
+	sess := shared(t, tiny)
+	results := read(sess.crashCells)
+	out, err := Crash(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(SUTs) {
 		t.Fatalf("results = %d, want %d", len(results), len(SUTs))
 	}

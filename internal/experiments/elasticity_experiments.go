@@ -40,7 +40,7 @@ func (s *Session) elasticity(kinds []cdb.Kind) []evaluator.ElasticityResult {
 // Figure6 regenerates the elasticity evaluation: average TPS, total cost
 // (execution plus scaling over the scale's CostSlots-slot costing window),
 // and E1-Score per SUT across the four elastic patterns.
-func Figure6(s *Session) string {
+func Figure6(s *Session) (string, error) {
 	results := s.elasticity(SUTs)
 	var b strings.Builder
 	b.WriteString("Figure 6 — Elasticity Evaluation (RW mix)\n\n")
@@ -58,13 +58,13 @@ func Figure6(s *Session) string {
 		b.WriteString(tbl.String())
 		b.WriteString("\n")
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // TableVI regenerates the autoscaling detail: per-transition scaling time
 // and scaling cost for the three serverless SUTs, from their Figure 6
 // cells.
-func TableVI(s *Session) (string, []evaluator.ElasticityResult) {
+func TableVI(s *Session) (string, error) {
 	var autoscaling []cdb.Kind
 	for _, kind := range SUTs {
 		if cdb.ProfileFor(kind).Autoscale != nil {
@@ -91,5 +91,5 @@ func TableVI(s *Session) (string, []evaluator.ElasticityResult) {
 		b.WriteString(tbl.String())
 		b.WriteString("\n")
 	}
-	return b.String(), results
+	return b.String(), nil
 }

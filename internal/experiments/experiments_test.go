@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -71,37 +70,6 @@ var mini = Scale{
 	Seed:           42,
 }
 
-// TestParallelCellsAreByteIdentical is the parallel cell runner's
-// determinism contract: the same experiment must render byte-identically
-// with sequential cells, with a worker pool, and regardless of how many OS
-// threads Go may schedule underneath (GOMAXPROCS). This extends the
-// evaluator-level cross-GOMAXPROCS test up through the fan-out layer.
-func TestParallelCellsAreByteIdentical(t *testing.T) {
-	defer SetParallelism(0)
-	run := func(id string) string {
-		out, err := Run(id, mini)
-		if err != nil {
-			t.Fatal(id, err)
-		}
-		return out
-	}
-	for _, id := range []string{"crash", "f5", "f6", "lag", "partition", "soak", "suites"} {
-		SetParallelism(1)
-		seq := run(id)
-		SetParallelism(4)
-		par := run(id)
-		if seq != par {
-			t.Fatalf("%s: parallel output differs from sequential:\n--- parallel=1:\n%s\n--- parallel=4:\n%s", id, seq, par)
-		}
-		prev := runtime.GOMAXPROCS(1)
-		pinned := run(id) // 4 workers multiplexed onto one OS thread
-		runtime.GOMAXPROCS(prev)
-		if pinned != seq {
-			t.Fatalf("%s: output differs at GOMAXPROCS=1:\n%s\nvs\n%s", id, pinned, seq)
-		}
-	}
-}
-
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"ablations", "chaos", "crash", "f5", "f6", "f7", "f8", "f9", "lag", "oltp", "partition", "soak", "suites", "t5", "t6", "t7", "t8", "t9"}
 	got := IDs()
@@ -135,23 +103,14 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
-// f5Session is the tiny session TestFigure5ProducesCells and
-// TestTableVRendersAllSystems share, so Figure 5's 15 cells run once per
-// test binary whichever of the two runs first. Neither test calls
-// t.Parallel: a session is used from one goroutine.
-var f5Session *Session
-
-func figure5Session() *Session {
-	if f5Session == nil {
-		f5Session = NewSession(tiny)
-	}
-	return f5Session
-}
-
 func TestFigure5ProducesCells(t *testing.T) {
-	out, cells := Figure5(figure5Session())
-	if len(cells) != 1*3*1*5 { // SFs x mixes x cons x SUTs
+	sess := shared(t, tiny)
+	if cells := read(sess.figure5Cells); len(cells) != 1*3*1*5 { // SFs x mixes x cons x SUTs
 		t.Fatalf("cells = %d", len(cells))
+	}
+	out, err := Figure5(sess)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(out, "SF1") || !strings.Contains(out, "con=16") {
 		t.Fatalf("render:\n%s", out)
@@ -162,10 +121,14 @@ func TestFigure5ProducesCells(t *testing.T) {
 // renders every system from them without running a cell of its own when
 // both share a session.
 func TestTableVRendersAllSystems(t *testing.T) {
-	sess := figure5Session()
-	Figure5(sess)
+	sess := shared(t, tiny)
+	read(sess.figure5Cells)
 	ran := len(sess.cells)
-	out, results := TableV(sess)
+	results := read(sess.tableVCells)
+	out, err := TableV(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sess.cells) != ran {
 		t.Fatalf("Table V ran %d cells after Figure 5", len(sess.cells)-ran)
 	}
@@ -185,7 +148,12 @@ func TestTableVRendersAllSystems(t *testing.T) {
 }
 
 func TestFigure8BufferSweepShape(t *testing.T) {
-	out, results := Figure8(tiny)
+	sess := shared(t, tiny)
+	results := read(sess.figure8Cells)
+	out, err := Figure8(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 12 { // 3 SUTs x 4 buffers
 		t.Fatalf("cells = %d", len(results))
 	}
@@ -208,7 +176,12 @@ func TestAblationsShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	out := Ablations(tiny)
+	sess := shared(t, tiny)
+	read(sess.ablationCells)
+	out, err := Ablations(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"parallel log replay", "remote buffer pool", "redo pushdown"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablation output missing %q:\n%s", want, out)
@@ -220,7 +193,12 @@ func TestFigure9ScalingRangeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
-	out, results := Figure9(tiny)
+	sess := shared(t, tiny)
+	results := read(sess.figure9Cells)
+	out, err := Figure9(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}

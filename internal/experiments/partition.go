@@ -7,11 +7,19 @@ import (
 	"time"
 
 	"cloudybench/internal/cdb"
+	"cloudybench/internal/check"
 	"cloudybench/internal/core"
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/metrics"
 	"cloudybench/internal/report"
 )
+
+// partitionCells returns the partition gauntlet's SUT cells, one per SUT.
+func (s *Session) partitionCells() []evaluator.PartitionResult {
+	return sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.PartitionConfig {
+		return evaluator.PartitionConfig{Kind: kind, Span: s.sc.PartSpan, Concurrency: s.sc.PartConc, Seed: s.sc.Seed}
+	}), evaluator.RunPartition)
+}
 
 // Partition runs every SUT through the partition gauntlet: a gray network
 // partition cuts the primary off from the control plane and its replica
@@ -22,13 +30,8 @@ import (
 // restores writes in seconds while restart-in-place must wait the partition
 // out — and shows each system's FPart penalty to the O-Score. Deterministic:
 // the same scale and seed reproduce the report byte for byte.
-func Partition(s *Session) (string, []evaluator.PartitionResult) {
-	sc := s.sc
-	results := runCells(len(SUTs), func(i int) evaluator.PartitionResult {
-		return evaluator.RunPartition(evaluator.PartitionConfig{
-			Kind: SUTs[i], Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
-		})
-	})
+func Partition(s *Session) (string, error) {
+	sc, results := s.sc, s.partitionCells()
 	tbl := report.NewTable("Partition gauntlet — detection, lease-fenced repair, resilient client",
 		"System", "Verdict", "MTTD", "MTTR", "Unavail", "Commits", "Term", "Reroute", "Fenced", "Epoch", "dO")
 	var detail strings.Builder
@@ -42,7 +45,7 @@ func Partition(s *Session) (string, []evaluator.PartitionResult) {
 		if fpart > 0 {
 			deltaO = fmt.Sprintf("%+.2f", -math.Log10(fpart.Seconds()))
 		}
-		tbl.AddRow(string(kind), passFail(r.Passed()),
+		tbl.AddRow(string(kind), check.PassFail(r.Passed()),
 			report.Dur(r.MTTD), report.Dur(r.MTTR), report.Dur(r.Unavailable),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
@@ -50,10 +53,7 @@ func Partition(s *Session) (string, []evaluator.PartitionResult) {
 			fmt.Sprintf("%d", r.Fenced),
 			fmt.Sprintf("%d", r.Epoch),
 			deltaO)
-		fmt.Fprintf(&detail, "\n%s invariants:\n", kind)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&detail, "  %-18s %s\n", v.Name, v)
-		}
+		writeVerdicts(&detail, kind, r.Verdicts)
 		for _, ev := range r.Timeline {
 			if strings.HasPrefix(ev.Phase, "partition") || strings.HasPrefix(ev.Phase, "fence") ||
 				strings.HasPrefix(ev.Phase, "RW' serving") || strings.HasPrefix(ev.Phase, "RW service restored") {
@@ -65,7 +65,7 @@ func Partition(s *Session) (string, []evaluator.PartitionResult) {
 	stbl := report.NewTable("Suite gauntlet — registered suites through the same gray partition (cdb4)",
 		"Suite", "Verdict", "Commits", "Fenced", "Epoch", "IxPut", "IxDel")
 	for _, r := range suiteResults {
-		stbl.AddRow(r.Suite, passFail(r.Passed()),
+		stbl.AddRow(r.Suite, check.PassFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Fenced),
 			fmt.Sprintf("%d", r.Epoch),
@@ -81,7 +81,7 @@ func Partition(s *Session) (string, []evaluator.PartitionResult) {
 	fmt.Fprintf(&b, "\nPartition schedule (per run): cut rw | {ctrl, ro0} at %v (gray: clients still reach rw), heal at %v\n",
 		time.Duration(float64(sc.PartSpan)*0.25), time.Duration(float64(sc.PartSpan)*0.60))
 	b.WriteString("dO = -SF*lg(FPart) — the partition-recovery term the MTTR adds to the O-Score denominator\n")
-	return b.String(), results
+	return b.String(), nil
 }
 
 // partitionSuites are the partition experiment's suite cells, which the

@@ -16,7 +16,13 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // or timeline marks under the fixed seed is a behaviour change. Regenerate
 // deliberately with -update.
 func TestPartitionGolden(t *testing.T) {
-	out, _ := Partition(NewSession(mini))
+	sess := shared(t, mini)
+	read(sess.partitionCells)
+	read(sess.suiteCells) // holds the partition experiment's suite cells
+	out, err := Partition(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "partition", out)
 }
 
@@ -25,7 +31,13 @@ func TestPartitionGolden(t *testing.T) {
 // restart-in-place waits for the heal — must be visible in the rendered
 // report and the raw results.
 func TestPartitionContrastsRepairArchitectures(t *testing.T) {
-	out, results := Partition(NewSession(tiny))
+	sess := shared(t, tiny)
+	results := read(sess.partitionCells)
+	read(sess.suiteCells) // holds the partition experiment's suite cells
+	out, err := Partition(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(SUTs) {
 		t.Fatalf("results = %d, want %d", len(results), len(SUTs))
 	}

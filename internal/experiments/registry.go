@@ -2,54 +2,35 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Runner regenerates one paper artifact in a session, returning its
-// rendered report, or the error that kept it from writing its files.
-type Runner func(s *Session) (string, error)
-
-// registry maps experiment ids to drivers and descriptions.
+// registry maps experiment ids to descriptions and drivers. A driver
+// regenerates one paper artifact in a session, returning its rendered
+// report, or the error that kept it from writing its files.
 var registry = map[string]struct {
 	Desc string
-	Run  Runner
+	Run  func(*Session) (string, error)
 }{
-	"f5": {"Figure 5 — transaction processing TPS across SF/mix/concurrency",
-		func(s *Session) (string, error) { out, _ := Figure5(s); return out, nil }},
-	"t5": {"Table V — P-Score with detailed resource cost",
-		func(s *Session) (string, error) { out, _ := TableV(s); return out, nil }},
-	"f6": {"Figure 6 — elasticity: TPS, total cost, E1-Score",
-		func(s *Session) (string, error) { return Figure6(s), nil }},
-	"t6": {"Table VI — scaling time and cost during autoscaling",
-		func(s *Session) (string, error) { out, _ := TableVI(s); return out, nil }},
-	"t7": {"Table VII — multi-tenancy TPS, resources, cost, T-Score",
-		func(s *Session) (string, error) { return TableVII(s), nil }},
-	"t8": {"Table VIII — fail-over F-Score and R-Score",
-		func(s *Session) (string, error) { return TableVIII(s), nil }},
-	"f7": {"Figure 7 — CDB4 fail-over timeline",
-		func(s *Session) (string, error) { out, _ := Figure7(s); return out, nil }},
-	"lag": {"§III-F — replication lag time across IUD mixes",
-		func(s *Session) (string, error) { out, _ := LagTable(s); return out, nil }},
-	"t9": {"Table IX — overall PERFECT scores (with actual-cost variants)",
-		func(s *Session) (string, error) { out, _ := TableIX(s); return out, nil }},
-	"f8": {"Figure 8 — buffer size sweep for RDS/CDB1/CDB4",
-		func(s *Session) (string, error) { out, _ := Figure8(s.sc); return out, nil }},
-	"f9": {"Figure 9 — CPU allocation vs SysBench and TPC-C on CDB3",
-		func(s *Session) (string, error) { out, _ := Figure9(s.sc); return out, nil }},
-	"ablations": {"Ablations — parallel replay, remote buffer pool, redo pushdown",
-		func(s *Session) (string, error) { return Ablations(s.sc), nil }},
-	"chaos": {"Chaos gauntlet — ACID invariants under injected faults, all SUTs",
-		func(s *Session) (string, error) { out, _ := Chaos(s.sc); return out, nil }},
-	"crash": {"Crash gauntlet — WAL redo/undo recovery, torn-tail kills, and the durability/no-resurrection verdicts, all SUTs",
-		func(s *Session) (string, error) { out, _ := Crash(s.sc); return out, nil }},
-	"oltp": {"Stage profile — traced OLTP run with per-SUT virtual-time stage breakdown (honours --trace)",
-		func(s *Session) (string, error) { out, _, err := OLTPTrace(s.sc); return out, err }},
-	"partition": {"Partition gauntlet — MTTD/MTTR, lease fencing, and resilient-client metrics under a gray partition, all SUTs",
-		func(s *Session) (string, error) { out, _ := Partition(s); return out, nil }},
-	"suites": {"Scenario suites — registered workload families (indexed range scan, time-series, LOB) on every SUT, with selectivity sweep and chaos/partition composition",
-		func(s *Session) (string, error) { out, _ := Suites(s); return out, nil }},
-	"soak": {"Soak — multi-day longitudinal run per SUT with windowed telemetry, rolling chaos, tenant churn, in-flight invariant sweeps, and the CSV/Markdown comparison artifact (honours --artifacts)",
-		func(s *Session) (string, error) { out, _, err := Soak(s.sc); return out, err }},
+	"f5":        {"Figure 5 — transaction processing TPS across SF/mix/concurrency", Figure5},
+	"t5":        {"Table V — P-Score with detailed resource cost", TableV},
+	"f6":        {"Figure 6 — elasticity: TPS, total cost, E1-Score", Figure6},
+	"t6":        {"Table VI — scaling time and cost during autoscaling", TableVI},
+	"t7":        {"Table VII — multi-tenancy TPS, resources, cost, T-Score", TableVII},
+	"t8":        {"Table VIII — fail-over F-Score and R-Score", TableVIII},
+	"f7":        {"Figure 7 — CDB4 fail-over timeline", Figure7},
+	"lag":       {"§III-F — replication lag time across IUD mixes", LagTable},
+	"t9":        {"Table IX — overall PERFECT scores (with actual-cost variants)", TableIX},
+	"f8":        {"Figure 8 — buffer size sweep for RDS/CDB1/CDB4", Figure8},
+	"f9":        {"Figure 9 — CPU allocation vs SysBench and TPC-C on CDB3", Figure9},
+	"ablations": {"Ablations — parallel replay, remote buffer pool, redo pushdown", Ablations},
+	"chaos":     {"Chaos gauntlet — ACID invariants under injected faults, all SUTs", Chaos},
+	"crash":     {"Crash gauntlet — WAL redo/undo recovery, torn-tail kills, and the durability/no-resurrection verdicts, all SUTs", Crash},
+	"oltp":      {"Stage profile — traced OLTP run with per-SUT virtual-time stage breakdown (honours --trace)", OLTPTrace},
+	"partition": {"Partition gauntlet — MTTD/MTTR, lease fencing, and resilient-client metrics under a gray partition, all SUTs", Partition},
+	"suites":    {"Scenario suites — registered workload families (indexed range scan, time-series, LOB) on every SUT, with selectivity sweep and chaos/partition composition", Suites},
+	"soak":      {"Soak — multi-day longitudinal run per SUT with windowed telemetry, rolling chaos, tenant churn, in-flight invariant sweeps, and the CSV/Markdown comparison artifact (honours --artifacts)", Soak},
 }
 
 // IDs returns all experiment ids in sorted order.
@@ -89,13 +70,14 @@ type Session struct {
 func NewSession(sc Scale) *Session { return &Session{sc: sc, cells: map[any]any{}} }
 
 // sessionCells returns run(k) for every key, in key order. It sends through
-// runCells only the keys the session has not run, and memoizes their
-// results; those are shared between artifacts, so callers only read them. A
-// key's type names its grid, so two grids' keys never collide.
+// runCells, once each, only the keys the session has not run, and memoizes
+// their results; those are shared between artifacts, so callers only read
+// them. A key's type names its grid, so two grids' keys never collide.
+// sessionCells is the only caller of runCells.
 func sessionCells[K comparable, R any](s *Session, keys []K, run func(K) R) []R {
 	var todo []K
 	for _, k := range keys {
-		if _, ok := s.cells[k]; !ok {
+		if _, ok := s.cells[k]; !ok && !slices.Contains(todo, k) {
 			todo = append(todo, k)
 		}
 	}

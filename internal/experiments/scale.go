@@ -210,3 +210,12 @@ var Mixes = []struct {
 
 // SUTs lists the systems in the paper's reporting order.
 var SUTs = cdb.Kinds
+
+// perSUT returns cell(kind) for every SUT, in SUTs' order.
+func perSUT[C any](cell func(cdb.Kind) C) []C {
+	out := make([]C, len(SUTs))
+	for i, kind := range SUTs {
+		out[i] = cell(kind)
+	}
+	return out
+}

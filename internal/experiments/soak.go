@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"cloudybench/internal/cdb"
+	"cloudybench/internal/check"
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/report"
 )
@@ -28,12 +29,8 @@ func soakSheet(r evaluator.SoakResult) report.SoakSheet {
 		})
 	}
 	for _, s := range r.Sweeps {
-		detail := make([]string, len(s.Verdicts))
-		for i, v := range s.Verdicts {
-			detail[i] = v.Name + "=" + passFail(v.Passed)
-		}
 		sh.Sweeps = append(sh.Sweeps, report.SoakSweepRow{
-			At: s.At, Window: s.Window, Detail: strings.Join(detail, " "), Pass: s.Passed(),
+			At: s.At, Window: s.Window, Detail: check.SweepLine(s.Verdicts), Pass: s.Passed(),
 		})
 	}
 	for _, a := range r.Anomalies {
@@ -54,6 +51,19 @@ func soakSheet(r evaluator.SoakResult) report.SoakSheet {
 	return sh
 }
 
+// soakCells returns the soak's cells, one per SUT.
+func (s *Session) soakCells() []evaluator.SoakResult {
+	sc := s.sc
+	return sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.SoakConfig {
+		return evaluator.SoakConfig{
+			Kind: kind, SF: 1,
+			Days: sc.SoakDays, Window: sc.SoakWindow, Burst: sc.SoakBurst,
+			Concurrency: sc.SoakConc, SweepEvery: sc.SoakSweepEvery,
+			Seed: sc.Seed,
+		}
+	}), evaluator.RunSoak)
+}
+
 // Soak runs the multi-day longitudinal soak on every SUT — duty-cycled
 // bursts per timeline window, the rolling chaos schedule, tenant churn, and
 // in-flight invariant sweeps — then renders the comparison artifact. The
@@ -61,15 +71,8 @@ func soakSheet(r evaluator.SoakResult) report.SoakSheet {
 // same content lands in soak.md next to the flat soak.csv, so one command
 // produces the whole comparison bundle. A file it cannot write is the
 // returned error.
-func Soak(sc Scale) (string, []evaluator.SoakResult, error) {
-	results := runCells(len(SUTs), func(i int) evaluator.SoakResult {
-		return evaluator.RunSoak(evaluator.SoakConfig{
-			Kind: SUTs[i], SF: 1,
-			Days: sc.SoakDays, Window: sc.SoakWindow, Burst: sc.SoakBurst,
-			Concurrency: sc.SoakConc, SweepEvery: sc.SoakSweepEvery,
-			Seed: sc.Seed,
-		})
-	})
+func Soak(s *Session) (string, error) {
+	sc, results := s.sc, s.soakCells()
 	sheets := make([]report.SoakSheet, len(results))
 	for i, r := range results {
 		sheets[i] = soakSheet(r)
@@ -88,10 +91,10 @@ func Soak(sc Scale) (string, []evaluator.SoakResult, error) {
 			{"soak.md", md},
 		} {
 			if err := os.WriteFile(filepath.Join(sc.ArtifactDir, f.name), []byte(f.content), 0o644); err != nil {
-				return "", results, fmt.Errorf("soak: %w", err)
+				return "", fmt.Errorf("soak: %w", err)
 			}
 		}
 		md += fmt.Sprintf("\nWrote soak.csv and soak.md to %s\n", sc.ArtifactDir)
 	}
-	return md, results, nil
+	return md, nil
 }

@@ -39,9 +39,12 @@ func checkGolden(t *testing.T, name, out string) {
 // sweep verdict, anomaly timestamp, or cost figure is a behaviour change.
 // Regenerate deliberately with -update.
 func TestSoakGolden(t *testing.T) {
+	sess := shared(t, mini)
+	results := read(sess.soakCells)
 	sc := mini
 	sc.ArtifactDir = t.TempDir()
-	md, results, err := Soak(sc)
+	// A session over the shared memo that writes into the temporary directory.
+	md, err := Soak(&Session{sc: sc, cells: sess.cells})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,9 @@ func TestSoakGolden(t *testing.T) {
 // and each SUT's seeded blackout anomalies land at the same deterministic
 // virtual timestamps.
 func TestSoakExperimentShape(t *testing.T) {
-	out, results, err := Soak(tiny)
+	sess := shared(t, tiny)
+	results := read(sess.soakCells)
+	out, err := Soak(sess)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudybench/internal/cdb"
+	"cloudybench/internal/check"
 	"cloudybench/internal/core"
 	"cloudybench/internal/engine"
 	"cloudybench/internal/evaluator"
@@ -36,6 +37,11 @@ func suiteGrid(sc Scale) []evaluator.SuiteConfig {
 	return append(cells, partitionSuites(sc)...)
 }
 
+// suiteCells returns the suites experiment's cells, in suiteGrid's order.
+func (s *Session) suiteCells() []evaluator.SuiteResult {
+	return sessionCells(s, suiteGrid(s.sc), evaluator.RunSuite)
+}
+
 // Suites runs every registered workload suite (indexed range scans,
 // append-heavy time-series, large-object read/write) on every SUT, then
 // re-runs each suite composed with the chaos and partition gauntlets —
@@ -46,10 +52,8 @@ func suiteGrid(sc Scale) []evaluator.SuiteConfig {
 // sweep demonstrating the planner's cliff at the index-scan fraction
 // threshold. Deterministic: the same scale and seed reproduce the report
 // byte for byte.
-func Suites(s *Session) (string, []evaluator.SuiteResult) {
-	sc := s.sc
-	cells := suiteGrid(sc)
-	results := sessionCells(s, cells, evaluator.RunSuite)
+func Suites(s *Session) (string, error) {
+	cells, results := suiteGrid(s.sc), s.suiteCells()
 
 	var b strings.Builder
 	tbl := report.NewTable("Scenario suites — registered workload families on every SUT",
@@ -59,7 +63,7 @@ func Suites(s *Session) (string, []evaluator.SuiteResult) {
 		if cells[i].Gauntlet != evaluator.SuitePlain {
 			continue
 		}
-		tbl.AddRow(r.Suite, string(r.Kind), passFail(r.Passed()),
+		tbl.AddRow(r.Suite, string(r.Kind), check.PassFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Errors),
 			report.F(r.TPS),
@@ -82,7 +86,7 @@ func Suites(s *Session) (string, []evaluator.SuiteResult) {
 	b.WriteString(detail.String())
 
 	b.WriteString("\n")
-	b.WriteString(selectivitySweep(sc.Seed))
+	b.WriteString(selectivitySweep(s.sc.Seed))
 
 	gnt := report.NewTable("Suite x gauntlet composition — same suites under chaos (cdb1) and a gray partition (cdb4)",
 		"Suite", "Gauntlet", "Verdict", "Commits", "Faults", "Fenced", "Epoch", "IxPut", "IxDel")
@@ -90,7 +94,7 @@ func Suites(s *Session) (string, []evaluator.SuiteResult) {
 		if cells[i].Gauntlet == evaluator.SuitePlain {
 			continue
 		}
-		gnt.AddRow(r.Suite, string(cells[i].Gauntlet), passFail(r.Passed()),
+		gnt.AddRow(r.Suite, string(cells[i].Gauntlet), check.PassFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", len(r.Applied)),
 			fmt.Sprintf("%d", r.Fenced),
@@ -101,14 +105,7 @@ func Suites(s *Session) (string, []evaluator.SuiteResult) {
 	b.WriteString(gnt.String())
 	b.WriteString("Index maintenance flows through the WAL (IxPut/IxDel), so fenced writes refuse index\n")
 	b.WriteString("records with their data and IndexCoherent holds on every node after fail-over.\n")
-	return b.String(), results
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "PASS"
-	}
-	return "FAIL"
+	return b.String(), nil
 }
 
 // selectivitySweep renders the planner's cliff: the idx-range suite's table

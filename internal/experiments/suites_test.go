@@ -14,7 +14,12 @@ import (
 // selectivity sweep, and the gauntlet composition table all feed
 // EXPERIMENTS.md verbatim. Regenerate deliberately with -update.
 func TestSuitesGolden(t *testing.T) {
-	out, _ := Suites(NewSession(mini))
+	sess := shared(t, mini)
+	read(sess.suiteCells)
+	out, err := Suites(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkGolden(t, "suites", out)
 }
 
@@ -24,7 +29,12 @@ func TestSuitesGolden(t *testing.T) {
 // least one read-only scan against its other plan, and the report shows the
 // selectivity cliff (both plans present in the sweep).
 func TestSuitesCoversGridAndPasses(t *testing.T) {
-	out, results := Suites(NewSession(tiny))
+	sess := shared(t, tiny)
+	results := read(sess.suiteCells)
+	out, err := Suites(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
 	grid := suiteGrid(tiny)
 	suites := core.SuiteNames()
 	wantCells := len(suites)*len(SUTs) + 2*len(suites)

@@ -107,8 +107,8 @@ func TestTableIXReadsTheSessionTables(t *testing.T) {
 
 	before := len(sess.cells)
 	elastic, tenancy, failover := sess.elasticity(SUTs), sess.tableVIICells(), sess.tableVIIICells()
-	_, lag := LagTable(sess) // the first len(SUTs) rows are the (60,30,10) mix
-	_, scores := TableIX(sess)
+	lag := sess.lagCells() // the first len(SUTs) rows are the (60,30,10) mix
+	scores := sess.tableIXScores()
 	if len(sess.cells) != before {
 		t.Fatalf("re-reading the session's tables ran %d cells", len(sess.cells)-before)
 	}

@@ -40,7 +40,7 @@ func (s *Session) tableVIICells() []evaluator.TenancyResult {
 
 // TableVII regenerates the multi-tenancy evaluation: per-pattern TPS,
 // total provisioned resources, cost, and T-Score per SUT.
-func TableVII(s *Session) string {
+func TableVII(s *Session) (string, error) {
 	results := s.tableVIICells()
 	tbl := report.NewTable("Table VII — Multi-Tenancy Evaluation (3 tenants)",
 		"System", "TPS(a)", "TPS(b)", "TPS(c)", "TPS(d)",
@@ -64,7 +64,7 @@ func TableVII(s *Session) string {
 			report.F(tscores[0]), report.F(tscores[1]), report.F(tscores[2]), report.F(tscores[3]),
 			report.F(avg))
 	}
-	return tbl.String()
+	return tbl.String(), nil
 }
 
 // failoverCell is the config of kind's Table VIII cell for a role's
@@ -90,7 +90,7 @@ func (s *Session) tableVIIICells() []evaluator.FailoverResult {
 
 // TableVIII regenerates the fail-over evaluation: F-Score and R-Score for
 // RW and RO node failures per SUT.
-func TableVIII(s *Session) string {
+func TableVIII(s *Session) (string, error) {
 	results := s.tableVIIICells()
 	tbl := report.NewTable("Table VIII — F-Score and R-Score",
 		"System", "F(RW)", "F(RO)", "F(AVG)", "R(RW)", "R(RO)", "R(AVG)", "Total")
@@ -104,12 +104,12 @@ func TableVIII(s *Session) string {
 			report.Dur(rw.R), report.Dur(ro.R), report.Dur(rAvg),
 			report.Dur(total))
 	}
-	return tbl.String()
+	return tbl.String(), nil
 }
 
 // Figure7 regenerates CDB4's fail-over timeline: the phase trace of the
 // promote-RO switch-over, which is Table VIII's CDB4 RW cell.
-func Figure7(s *Session) (string, evaluator.FailoverResult) {
+func Figure7(s *Session) (string, error) {
 	r := sessionCells(s, []evaluator.FailoverConfig{failoverCell(s.sc, cdb.CDB4, cluster.RW)}, evaluator.RunFailover)[0]
 	var b strings.Builder
 	b.WriteString("Figure 7 — Timeline of CDB4's fail-over process\n\n")
@@ -127,7 +127,7 @@ func Figure7(s *Session) (string, evaluator.FailoverResult) {
 	b.WriteString(tbl.String())
 	fmt.Fprintf(&b, "\nService recovery F = %s, throughput recovery R = %s\n",
 		report.Dur(r.F), report.Dur(r.R))
-	return b.String(), r
+	return b.String(), nil
 }
 
 // lagCell is the config of kind's §III-F cell for an IUD mix.
@@ -137,16 +137,22 @@ func lagCell(sc Scale, kind cdb.Kind, iud [3]float64) evaluator.LagConfig {
 	}
 }
 
-// LagTable regenerates the §III-F replication lag evaluation across the
-// four IUD mixes.
-func LagTable(s *Session) (string, []evaluator.LagResult) {
+// lagCells returns the §III-F cells, every SUT under each of the four IUD
+// mixes (mix-major).
+func (s *Session) lagCells() []evaluator.LagResult {
 	var cfgs []evaluator.LagConfig
 	for _, iud := range evaluator.PaperIUDMixes {
 		for _, kind := range SUTs {
 			cfgs = append(cfgs, lagCell(s.sc, kind, iud))
 		}
 	}
-	results := sessionCells(s, cfgs, evaluator.RunLag)
+	return sessionCells(s, cfgs, evaluator.RunLag)
+}
+
+// LagTable regenerates the §III-F replication lag evaluation across the
+// four IUD mixes.
+func LagTable(s *Session) (string, error) {
+	results := s.lagCells()
 	var b strings.Builder
 	b.WriteString("Replication lag time between RW and RO (§III-F)\n\n")
 	i := 0
@@ -164,7 +170,7 @@ func LagTable(s *Session) (string, []evaluator.LagResult) {
 		b.WriteString(tbl.String())
 		b.WriteString("\n")
 	}
-	return b.String(), results
+	return b.String(), nil
 }
 
 // tableIXConcurrency is the client count of Table IX's OLTP cells: the
@@ -178,31 +184,36 @@ type tableIXCells struct {
 	e2   evaluator.E2Result   // read-only scale-out: E2
 }
 
-// TableIX regenerates the overall PERFECT comparison, including the
-// actual-cost starred variants. Its P and E2 cells are its own; C is the
-// §III-F table's (60,30,10) row, and E1, T, F and R compose the Figure 6,
-// Table VII and Table VIII cells, all read from the session.
-func TableIX(s *Session) (string, []metrics.Scores) {
+// tableIXScores returns Table IX's rows, one per SUT. Its P and E2 cells
+// are its own; C is the §III-F table's (60,30,10) row, and E1, T, F and R
+// compose the Figure 6, Table VII and Table VIII cells, all read from the
+// session.
+func (s *Session) tableIXScores() []metrics.Scores {
 	sc := s.sc
-	var oltp []evaluator.OLTPConfig
-	var lag []evaluator.LagConfig
-	var e2 []evaluator.E2Config
-	for _, kind := range SUTs {
-		oltp = append(oltp, oltpCell(sc, kind, 1, core.MixReadWrite, tableIXConcurrency))
-		lag = append(lag, lagCell(sc, kind, evaluator.PaperIUDMixes[0]))
-		e2 = append(e2, evaluator.E2Config{
-			Kind: kind, Concurrency: tableIXConcurrency, Measure: sc.Measure, Seed: sc.Seed, Warm: warmCache,
-		})
-	}
-	p, c, e := sessionCells(s, oltp, evaluator.RunOLTP), sessionCells(s, lag, evaluator.RunLag), sessionCells(s, e2, evaluator.RunE2)
+	p := sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.OLTPConfig {
+		return oltpCell(sc, kind, 1, core.MixReadWrite, tableIXConcurrency)
+	}), evaluator.RunOLTP)
+	c := sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.LagConfig {
+		return lagCell(sc, kind, evaluator.PaperIUDMixes[0])
+	}), evaluator.RunLag)
+	e := sessionCells(s, perSUT(func(kind cdb.Kind) evaluator.E2Config {
+		return evaluator.E2Config{Kind: kind, Concurrency: tableIXConcurrency, Measure: sc.Measure, Seed: sc.Seed}
+	}), evaluator.RunE2)
 	elastic, tenancy, failover := s.elasticity(SUTs), s.tableVIICells(), s.tableVIIICells()
-	tbl := report.NewTable("Table IX — Overall performance (PERFECT framework)",
-		"System", "P", "P*", "E1", "E1*", "R", "F", "E2", "C", "T", "T*", "O", "O*")
 	scores := make([]metrics.Scores, len(SUTs))
 	for i, kind := range SUTs {
-		row := perfectScores(kind, tableIXCells{p[i], c[i], e[i]}, elastic, tenancy, failover)
-		scores[i] = row
-		tbl.AddRow(string(kind),
+		scores[i] = perfectScores(kind, tableIXCells{p[i], c[i], e[i]}, elastic, tenancy, failover)
+	}
+	return scores
+}
+
+// TableIX regenerates the overall PERFECT comparison, including the
+// actual-cost starred variants.
+func TableIX(s *Session) (string, error) {
+	tbl := report.NewTable("Table IX — Overall performance (PERFECT framework)",
+		"System", "P", "P*", "E1", "E1*", "R", "F", "E2", "C", "T", "T*", "O", "O*")
+	for _, row := range s.tableIXScores() {
+		tbl.AddRow(row.System,
 			report.F(row.P), report.F(row.PStar),
 			report.F(row.E1), report.F(row.E1Star),
 			report.Dur(row.R), report.Dur(row.F),
@@ -210,7 +221,7 @@ func TableIX(s *Session) (string, []metrics.Scores) {
 			report.F(row.T), report.F(row.TStar),
 			fmt.Sprintf("%.2f", row.O()), fmt.Sprintf("%.2f", row.OStar()))
 	}
-	return tbl.String(), scores
+	return tbl.String(), nil
 }
 
 // perfectScores composes kind's Table IX row: P, P*, C and E2 from its own

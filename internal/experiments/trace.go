@@ -6,11 +6,63 @@ import (
 	"path/filepath"
 	"strings"
 
+	"cloudybench/internal/cdb"
 	"cloudybench/internal/core"
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/obs"
 	"cloudybench/internal/report"
 )
+
+// traceCell keys a traced OLTP cell by its SUT.
+type traceCell struct{ kind cdb.Kind }
+
+// tracedRun is a traced OLTP cell: its stage aggregate and result, or the
+// error that kept it from writing its trace file.
+type tracedRun struct {
+	agg *obs.StageAgg
+	res evaluator.OLTPResult
+	err error
+}
+
+// traceCells returns the traced OLTP cells, one per SUT. With sc.TraceDir
+// set, each writes its own trace_<sut>.jsonl once per session, so the
+// files are identical to a sequential run's.
+func (s *Session) traceCells() []tracedRun {
+	sc := s.sc
+	conc := 50
+	if len(sc.Concurrency) > 0 {
+		conc = sc.Concurrency[0]
+	}
+	keys := perSUT(func(kind cdb.Kind) traceCell { return traceCell{kind} })
+	return sessionCells(s, keys, func(k traceCell) tracedRun {
+		var sink obs.Sink
+		var file *os.File
+		var jsonl *obs.JSONLSink
+		if sc.TraceDir != "" {
+			f, err := os.Create(filepath.Join(sc.TraceDir, fmt.Sprintf("trace_%s.jsonl", k.kind)))
+			if err != nil {
+				return tracedRun{err: fmt.Errorf("trace: %w", err)}
+			}
+			file, jsonl = f, obs.NewJSONLSink(f)
+			sink = jsonl
+		}
+		tr := obs.NewTracer(string(k.kind), sink)
+		res := evaluator.RunOLTP(evaluator.OLTPConfig{
+			Kind: k.kind, SF: 1, Mix: core.MixReadWrite, Concurrency: conc,
+			Warmup: sc.Warmup, Measure: sc.Measure, Seed: sc.Seed, Tracer: tr,
+		})
+		if file != nil {
+			err := jsonl.Err()
+			if cerr := file.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return tracedRun{err: fmt.Errorf("trace: writing %s: %w", file.Name(), err)}
+			}
+		}
+		return tracedRun{agg: tr.Agg(), res: res}
+	})
+}
 
 // OLTPTrace runs one read-write OLTP cell per SUT with the virtual-time
 // tracer attached and renders each system's stage breakdown — where a
@@ -23,59 +75,12 @@ import (
 // This is the paper's "why is SUT X slower" companion to Figure 5: the TPS
 // tables say CDB2 trails CDB1; the stage breakdown shows the extra log-hop
 // and page-service time that explains it.
-func OLTPTrace(sc Scale) (string, []*obs.StageAgg, error) {
+func OLTPTrace(s *Session) (string, error) {
 	var b strings.Builder
 	var aggs []*obs.StageAgg
-	emit := sc.TraceDir != ""
-	conc := 50
-	if len(sc.Concurrency) > 0 {
-		conc = sc.Concurrency[0]
-	}
-	// Each cell traces one SUT's OLTP run and, when emitting, owns its own
-	// trace_<sut>.jsonl file — cells never share file handles, so the fan-out
-	// is safe and the per-SUT files are identical to a sequential run.
-	type traceCell struct {
-		agg *obs.StageAgg
-		res evaluator.OLTPResult
-		err error
-	}
-	cells := runCells(len(SUTs), func(i int) traceCell {
-		kind := SUTs[i]
-		var sink obs.Sink
-		var file *os.File
-		var jsonl *obs.JSONLSink
-		if emit {
-			path := filepath.Join(sc.TraceDir, fmt.Sprintf("trace_%s.jsonl", kind))
-			f, err := os.Create(path)
-			if err != nil {
-				return traceCell{err: fmt.Errorf("trace: %w", err)}
-			}
-			file = f
-			jsonl = obs.NewJSONLSink(f)
-			sink = jsonl
-		}
-		tr := obs.NewTracer(string(kind), sink)
-		res := evaluator.RunOLTP(evaluator.OLTPConfig{
-			Kind: kind, SF: 1, Mix: core.MixReadWrite,
-			Concurrency: conc,
-			Warmup:      sc.Warmup, Measure: sc.Measure,
-			Seed:   sc.Seed,
-			Tracer: tr,
-		})
-		if file != nil {
-			err := jsonl.Err()
-			if cerr := file.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return traceCell{err: fmt.Errorf("trace: writing %s: %w", file.Name(), err)}
-			}
-		}
-		return traceCell{agg: tr.Agg(), res: res}
-	})
-	for i, c := range cells {
+	for i, c := range s.traceCells() {
 		if c.err != nil {
-			return "", nil, c.err
+			return "", c.err
 		}
 		aggs = append(aggs, c.agg)
 		fmt.Fprintf(&b, "%s: TPS=%s p50=%s p99=%s\n\n",
@@ -85,11 +90,11 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg, error) {
 		b.WriteString(report.StageBreakdown(c.agg))
 		b.WriteByte('\n')
 	}
-	if emit {
-		path := filepath.Join(sc.TraceDir, "metrics.prom")
+	if dir := s.sc.TraceDir; dir != "" {
+		path := filepath.Join(dir, "metrics.prom")
 		f, err := os.Create(path)
 		if err != nil {
-			return "", nil, fmt.Errorf("trace: %w", err)
+			return "", fmt.Errorf("trace: %w", err)
 		}
 		werr := obs.WritePrometheus(f, aggs...)
 		cerr := f.Close()
@@ -97,9 +102,9 @@ func OLTPTrace(sc Scale) (string, []*obs.StageAgg, error) {
 			werr = cerr
 		}
 		if werr != nil {
-			return "", nil, fmt.Errorf("trace: writing %s: %w", path, werr)
+			return "", fmt.Errorf("trace: writing %s: %w", path, werr)
 		}
-		fmt.Fprintf(&b, "Wrote %d JSONL trace files and metrics.prom to %s\n", len(SUTs), sc.TraceDir)
+		fmt.Fprintf(&b, "Wrote %d JSONL trace files and metrics.prom to %s\n", len(SUTs), dir)
 	}
-	return b.String(), aggs, nil
+	return b.String(), nil
 }

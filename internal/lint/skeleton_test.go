@@ -95,3 +95,42 @@ func TestOnlyTheCellSkeletonBuildsADeployment(t *testing.T) {
 			len(sites), strings.Join(sites, "\n\t"))
 	}
 }
+
+// TestOnlySessionCellsFansOut fails if a function in a non-test file other
+// than sessionCells calls runCells, the experiments' cell worker pool: a
+// driver reads its cells through the session's memo (DESIGN.md §18), so
+// each cell runs once per session and a pool never nests inside another.
+func TestOnlySessionCellsFansOut(t *testing.T) {
+	const fanOut, memo = "cloudybench/internal/experiments.runCells", "cloudybench/internal/experiments.sessionCells"
+	pkgs, err := sharedLoader(t).Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				caller := "a package-level declaration of " + p.Fset.Position(d.Pos()).Filename
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					caller = p.Info.Defs[fd.Name].(*types.Func).FullName()
+				}
+				calls := false
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := p.Info.Uses[id].(*types.Func); ok && fn.Origin().FullName() == fanOut {
+							calls = true
+						}
+					}
+					return true
+				})
+				if calls {
+					callers = append(callers, caller)
+				}
+			}
+		}
+	}
+	sort.Strings(callers)
+	if len(callers) != 1 || callers[0] != memo {
+		t.Errorf("runCells is called by %v; only sessionCells may fan cells out — read them through it", callers)
+	}
+}

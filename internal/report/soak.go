@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"cloudybench/internal/check"
 	"cloudybench/internal/obs"
 )
 
@@ -96,13 +97,6 @@ func csvMs(d time.Duration) string {
 	return fmt.Sprintf("%.3f", float64(d)/float64(time.Millisecond))
 }
 
-func passFail(p bool) string {
-	if p {
-		return "PASS"
-	}
-	return "FAIL"
-}
-
 // SoakCSV renders every sheet into one flat CSV. The leading kind column
 // discriminates the row type (window, sweep, anomaly, chaos, verdict,
 // total); rows of all SUTs share one superset header so the file loads
@@ -124,7 +118,7 @@ func SoakCSV(sheets []SoakSheet) string {
 		}
 		for _, s := range sh.Sweeps {
 			row("sweep", sut, fmt.Sprint(s.Window), csvSecs(s.At), "", "", "", "",
-				"", "", "", "", "", passFail(s.Pass), csvField(s.Detail))
+				"", "", "", "", "", check.PassFail(s.Pass), csvField(s.Detail))
 		}
 		for _, a := range sh.Anomalies {
 			row("anomaly", sut, fmt.Sprint(a.Window), csvSecs(a.At), "", "", "", "",
@@ -140,7 +134,7 @@ func SoakCSV(sheets []SoakSheet) string {
 		}
 		for _, v := range sh.Verdicts {
 			row("verdict", sut, "", "", "", fmt.Sprint(v.Checked), "", "",
-				"", "", "", "", "", passFail(v.Passed), csvField(v.Name))
+				"", "", "", "", "", check.PassFail(v.Passed), csvField(v.Name))
 		}
 		per1k := 0.0
 		if sh.Commits > 0 {
@@ -189,7 +183,7 @@ func SoakMarkdown(title string, sheets []SoakSheet) string {
 			b.WriteString("| at | window | verdicts | result |\n|---|---|---|---|\n")
 			for _, s := range sh.Sweeps {
 				fmt.Fprintf(&b, "| %s | %d | %s | %s |\n",
-					mdDur(s.At), s.Window, s.Detail, passFail(s.Pass))
+					mdDur(s.At), s.Window, s.Detail, check.PassFail(s.Pass))
 			}
 		}
 
@@ -220,7 +214,7 @@ func SoakMarkdown(title string, sheets []SoakSheet) string {
 		if len(sh.Verdicts) > 0 {
 			b.WriteString("\n### Final verdicts\n\n")
 			for _, v := range sh.Verdicts {
-				fmt.Fprintf(&b, "- %s: %s (%d checked)\n", v.Name, passFail(v.Passed), v.Checked)
+				fmt.Fprintf(&b, "- %s: %s (%d checked)\n", v.Name, check.PassFail(v.Passed), v.Checked)
 			}
 		}
 
