@@ -66,7 +66,7 @@ func realMain(argv []string, stdout, stderr *os.File) int {
 		patterns = []string{"./..."}
 	}
 
-	root, err := findModuleRoot()
+	root, err := lint.FindModuleRoot()
 	if err != nil {
 		fmt.Fprintln(stderr, "detlint:", err)
 		return 2
@@ -166,21 +166,4 @@ type jsonDiag struct {
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
 	Fixable bool   `json:"fixable"`
-}
-
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
 }

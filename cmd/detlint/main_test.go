@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cloudybench/internal/lint"
 )
 
 // capture runs realMain with stdout/stderr captured to temp files.
@@ -78,10 +80,10 @@ func TestCleanPackageJSON(t *testing.T) {
 	}
 }
 
-// TestFindModuleRoot sanity-checks the go.mod walk from the test's own
-// working directory.
+// TestFindModuleRoot sanity-checks the go.mod walk detlint starts from,
+// run from the command's own directory.
 func TestFindModuleRoot(t *testing.T) {
-	root, err := findModuleRoot()
+	root, err := lint.FindModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}

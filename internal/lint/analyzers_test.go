@@ -1,8 +1,8 @@
 package lint_test
 
 import (
-	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,6 +62,50 @@ func TestRawGoKernelBlessing(t *testing.T) {
 	}
 }
 
+// TestGateDecidesStaleness pins the one gate per rule: an allow for a
+// gated rule, in a package with no violation, is stale where the rule's
+// gate covers the package and left alone where the gate excludes it (the
+// rule skipping the package is a config decision, not rot).
+func TestGateDecidesStaleness(t *testing.T) {
+	pkg, err := sharedLoader(t).LoadDir(filepath.Join("testdata", "src", "gate"), "gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		rule    *lint.Analyzer
+		exclude func(*lint.Config)
+	}{
+		{lint.GlobalRand, func(c *lint.Config) { c.RandExempt = []string{"gate"} }},
+		{lint.RawGo, func(c *lint.Config) { c.Kernel = []string{"gate"} }},
+		{lint.VTBlock, func(c *lint.Config) { c.Kernel = []string{"gate"} }},
+	}
+	for _, tc := range cases {
+		excluded := fixtureCfg("gate")
+		tc.exclude(excluded)
+		for _, run := range []struct {
+			cfg   *lint.Config
+			stale int
+		}{{fixtureCfg("gate"), 1}, {excluded, 0}} {
+			diags, err := lint.Run(run.cfg, []*lint.Analyzer{tc.rule}, []*lint.Package{pkg}, lint.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := 0
+			for _, d := range diags {
+				if d.Analyzer == lint.AllowStale.Name && strings.Contains(d.Message, "allow "+tc.rule.Name+"(") {
+					stale++
+				} else {
+					t.Errorf("%s: unexpected diagnostic %s", tc.rule.Name, d)
+				}
+			}
+			if stale != run.stale {
+				t.Errorf("%s: %d stale allows, want %d (gate covers the package: %v)",
+					tc.rule.Name, stale, run.stale, run.stale == 1)
+			}
+		}
+	}
+}
+
 func TestFloatFold(t *testing.T) {
 	linttest.Run(t, "floatfold", fixtureCfg("floatfold"), lint.FloatFold)
 }
@@ -84,7 +128,7 @@ var (
 func sharedLoader(t *testing.T) *lint.Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
-		root, err := moduleRoot()
+		root, err := lint.FindModuleRoot()
 		if err != nil {
 			loaderErr = err
 			return
@@ -95,21 +139,4 @@ func sharedLoader(t *testing.T) *lint.Loader {
 		t.Fatal(loaderErr)
 	}
 	return loaderVal
-}
-
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", os.ErrNotExist
-		}
-		dir = parent
-	}
 }

@@ -33,7 +33,6 @@ var keepWithoutCaller = map[string]string{
 	"(*cloudybench/internal/engine.Table).Update":       "TestTableUpdateOverlaysBase (engine) and the snapshot tests write rows outside a transaction",
 	"(*cloudybench/internal/engine.Table).Delete":       "TestTableDeleteTombstonesBase (engine) tombstones rows outside a transaction",
 	"(*cloudybench/internal/obs.StageAgg).AddSpan":      "TestGoldenStageBreakdown (report): the flame-table fixture feeds spans directly",
-	"(*cloudybench/internal/obs.StageAgg).Merge":        "TestGoldenStageBreakdown (report): the fixture folds a tracer's transactions in",
 
 	// Observation points that tests of other behaviour read through.
 	"(*cloudybench/internal/cluster.Cluster).Fence":         "TestPartitionPromoteFencesOldPrimary: the fence epoch after a fail-over",

@@ -15,7 +15,7 @@ import (
 // allowstale deletion are detlint's machine-applicable set).
 func runFixable(t *testing.T, dir, pkgPath string) []lint.Diagnostic {
 	t.Helper()
-	root, err := moduleRoot()
+	root, err := lint.FindModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}

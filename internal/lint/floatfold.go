@@ -17,13 +17,11 @@ var FloatFold = &Analyzer{
 	Name: "floatfold",
 	Doc: "flag float accumulation inside map iteration; fold over sorted keys instead " +
 		"(float addition is not associative)",
-	Run: runFloatFold,
+	Gate: deterministic,
+	Run:  runFloatFold,
 }
 
 func runFloatFold(pass *Pass) error {
-	if !pass.Cfg.IsDeterministic(pass.PkgPath) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
@@ -51,21 +49,16 @@ func runFloatFold(pass *Pass) error {
 					}
 				}
 				as, ok := bn.(*ast.AssignStmt)
-				if !ok || len(as.Lhs) != 1 {
+				if !ok {
 					return true
 				}
-				lhs := ast.Unparen(as.Lhs[0])
-				if !isEscapingFloat(pass, lhs, rng) {
-					return true
-				}
-				switch as.Tok {
-				case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-					pass.Report(as.Pos(),
-						"float accumulation %s in map iteration order is nondeterministic; fold over sorted keys", as.Tok)
-				case token.ASSIGN:
-					if selfReferencingFold(pass, lhs, as.Rhs[0]) {
+				if lhs := foldTarget(pass.Info, as); lhs != nil && outlivesRange(pass.Info, lhs, rng) {
+					if as.Tok == token.ASSIGN {
 						pass.Report(as.Pos(),
 							"float accumulation in map iteration order is nondeterministic; fold over sorted keys")
+					} else {
+						pass.Report(as.Pos(),
+							"float accumulation %s in map iteration order is nondeterministic; fold over sorted keys", as.Tok)
 					}
 				}
 				return true
@@ -76,26 +69,44 @@ func runFloatFold(pass *Pass) error {
 	return nil
 }
 
-// isEscapingFloat reports whether lhs is a float-typed variable or field
-// whose storage outlives the range statement.
-func isEscapingFloat(pass *Pass, lhs ast.Expr, rng *ast.RangeStmt) bool {
-	tv, ok := pass.Info.Types[lhs]
+// foldTarget returns the target of as when as folds a float into it — a
+// compound +=, -=, *= or /=, or its spelled-out x = x op v form — and nil
+// otherwise.
+func foldTarget(info *types.Info, as *ast.AssignStmt) ast.Expr {
+	if len(as.Lhs) != 1 {
+		return nil
+	}
+	lhs := ast.Unparen(as.Lhs[0])
+	tv, ok := info.Types[lhs]
 	if !ok {
-		return false
+		return nil
 	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsFloat == 0 {
-		return false
+	if basic, ok := tv.Type.Underlying().(*types.Basic); !ok || basic.Info()&types.IsFloat == 0 {
+		return nil
 	}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		return lhs
+	case token.ASSIGN:
+		if selfReferencingFold(info, lhs, as.Rhs[0]) {
+			return lhs
+		}
+	}
+	return nil
+}
+
+// outlivesRange reports whether the variable or field lhs has storage
+// that outlives the range statement.
+func outlivesRange(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) bool {
 	switch lhs := lhs.(type) {
 	case *ast.Ident:
-		return !declaredWithin(pass.Info.Uses[lhs], rng.Pos(), rng.End())
+		return !declaredWithin(info.Uses[lhs], rng.Pos(), rng.End())
 	case *ast.SelectorExpr:
 		// A field or qualified variable always outlives the loop body —
 		// unless the whole receiver is loop-local (the per-key accumulator
 		// pattern `s := get(k); s.total += v`, which is keyed, not folded).
 		if root := rootIdent(lhs); root != nil {
-			return !declaredWithin(pass.Info.Uses[root], rng.Pos(), rng.End())
+			return !declaredWithin(info.Uses[root], rng.Pos(), rng.End())
 		}
 		return true
 	}
@@ -120,7 +131,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 
 // selfReferencingFold detects `x = x + expr` (and -, *, /) — the spelled-out
 // form of a compound accumulation.
-func selfReferencingFold(pass *Pass, lhs ast.Expr, rhs ast.Expr) bool {
+func selfReferencingFold(info *types.Info, lhs ast.Expr, rhs ast.Expr) bool {
 	bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
 	if !ok {
 		return false
@@ -130,11 +141,11 @@ func selfReferencingFold(pass *Pass, lhs ast.Expr, rhs ast.Expr) bool {
 	default:
 		return false
 	}
-	lobj := exprObject(pass.Info, lhs)
+	lobj := exprObject(info, lhs)
 	if lobj == nil {
 		return false
 	}
-	return exprObject(pass.Info, bin.X) == lobj || exprObject(pass.Info, bin.Y) == lobj
+	return exprObject(info, bin.X) == lobj || exprObject(info, bin.Y) == lobj
 }
 
 // exprObject resolves an ident or selector to its object (field selectors

@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -175,8 +174,7 @@ var escapeLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*(?:escapes to h
 // runHotAlloc drives the compiler over every package containing hotpath
 // annotations and converts in-region escape sites to hotalloc diagnostics.
 // moduleRoot anchors the build; it must be the go.mod directory.
-func runHotAlloc(cfg *Config, pkgs []*Package, moduleRoot string) ([]Diagnostic, error) {
-	_ = cfg
+func runHotAlloc(pkgs []*Package, moduleRoot string) ([]Diagnostic, error) {
 	if moduleRoot == "" {
 		return nil, fmt.Errorf("lint: hotalloc needs a module root")
 	}
@@ -266,15 +264,5 @@ func runHotAlloc(cfg *Config, pkgs []*Package, moduleRoot string) ([]Diagnostic,
 			Message:  fmt.Sprintf("heap allocation on the hot path: %s in %s", msg, where),
 		})
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Pos.Column < b.Pos.Column
-	})
 	return diags, nil
 }

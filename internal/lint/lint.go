@@ -26,10 +26,17 @@
 //	hotalloc   — no heap allocation in //detlint:hotpath functions,
 //	             checked against the compiler's escape analysis
 //
-// The first six see through helper chains: per-function hazard summaries
-// propagate bottom-up over the module call graph (summary.go), so a
+// Each thing is decided once. A rule's package gate (Analyzer.Gate) is
+// checked by the runner, both before the rule runs on a package and when
+// the allowstale audit asks whether a package's allow could have fired.
+// Which syntax is itself a hazard — a time.Now, a global rand draw, a
+// channel, an output call — is decided by ground (summary.go), which
+// both grounds the per-function hazard summaries and gives the rules
+// their direct sites. The summaries propagate bottom-up over the module
+// call graph, so the first six rules see through helper chains: a
 // time.Now five helpers deep is reported at the deterministic call site
-// with the full chain in the message.
+// with the full chain in the message. wallclock, globalrand and rawgo
+// are one rule shape over three hazards (boundary.go).
 //
 // Exceptions are declared in place with a suppression comment:
 //
@@ -58,8 +65,30 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the rule and its rationale.
 	Doc string
+	// Gate reports whether the rule polices pkgPath under cfg. The runner
+	// runs the rule only on packages its gate covers, and only there can
+	// an allow for the rule be stale. Nil covers every package.
+	Gate func(cfg *Config, pkgPath string) bool
 	// Run inspects one package and reports violations via pass.Report.
 	Run func(pass *Pass) error
+}
+
+// covers applies the rule's gate.
+func (a *Analyzer) covers(cfg *Config, pkgPath string) bool {
+	return a.Gate == nil || a.Gate(cfg, pkgPath)
+}
+
+// The package gates the rules share: the deterministic packages, less the
+// randomness home (globalrand) or the concurrency kernel (rawgo, vtblock),
+// whose use of the primitive is the point.
+func deterministic(cfg *Config, pkgPath string) bool { return cfg.IsDeterministic(pkgPath) }
+
+func deterministicOutsideRandHome(cfg *Config, pkgPath string) bool {
+	return cfg.IsDeterministic(pkgPath) && !cfg.IsRandExempt(pkgPath)
+}
+
+func deterministicOutsideKernel(cfg *Config, pkgPath string) bool {
+	return cfg.IsDeterministic(pkgPath) && !cfg.IsKernel(pkgPath)
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -115,8 +144,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// sortDiagnostics orders diagnostics by (file, line, column, analyzer) so
-// output is stable regardless of analyzer or package scheduling.
+// sortDiagnostics orders diagnostics by (file, line, column, analyzer,
+// message) so output is stable regardless of analyzer, package or
+// compiler-output order.
 func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
@@ -129,7 +159,10 @@ func sortDiagnostics(ds []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 

@@ -13,9 +13,7 @@
 package linttest
 
 import (
-	"fmt"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -44,7 +42,7 @@ func Run(t *testing.T, dir string, cfg *lint.Config, analyzers ...*lint.Analyzer
 func RunWith(t *testing.T, dir string, cfg *lint.Config, opts lint.Options, deps []string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 
-	moduleRoot, err := findModuleRoot()
+	moduleRoot, err := lint.FindModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +133,4 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *lint.Package) []want {
 		}
 	}
 	return out
-}
-
-// findModuleRoot walks up from the working directory to the go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("linttest: no go.mod above working directory")
-		}
-		dir = parent
-	}
 }

@@ -38,6 +38,25 @@ type Loader struct {
 	loading map[string]bool
 }
 
+// FindModuleRoot walks up from the working directory to the directory
+// that holds go.mod.
+func FindModuleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lint: no go.mod found above the working directory")
+		}
+		dir = parent
+	}
+}
+
 // NewLoader returns a loader rooted at the module directory. The module
 // path is read from go.mod.
 func NewLoader(moduleRoot string) (*Loader, error) {

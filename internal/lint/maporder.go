@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MapOrder flags range statements over maps whose body makes iteration
@@ -21,21 +20,11 @@ var MapOrder = &Analyzer{
 	Doc: "flag map iteration that emits output or escapes results in iteration order, " +
 		"including through helper chains; sort keys first (collect-then-sort, " +
 		"machine-applicable via -fix) or suppress with a reason",
-	Run: runMapOrder,
-}
-
-// fmtOutputFuncs are the fmt functions that produce ordered output as a
-// side effect. Sprint* build values and are only hazardous if the result
-// escapes, which the append rule already covers.
-var fmtOutputFuncs = map[string]bool{
-	"Print": true, "Printf": true, "Println": true,
-	"Fprint": true, "Fprintf": true, "Fprintln": true,
+	Gate: deterministic,
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) error {
-	if !pass.Cfg.IsDeterministic(pass.PkgPath) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -72,26 +61,6 @@ func isAppend(info *types.Info, call *ast.CallExpr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// directHazard classifies a call that makes ordering observable by itself:
-// fmt output, a Write*/Emit* method, or a call into an emitter package.
-// Returns a short description or "".
-func directHazard(pass *Pass, call *ast.CallExpr) string {
-	if f := calleeFunc(pass.Info, call); f != nil && f.Pkg() != nil {
-		switch {
-		case f.Pkg().Path() == "fmt" && fmtOutputFuncs[f.Name()]:
-			return "fmt." + f.Name()
-		case pass.Cfg.IsEmitter(f.Pkg().Path()) && f.Pkg().Path() != pass.PkgPath:
-			return f.Pkg().Name() + "." + f.Name()
-		}
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if strings.HasPrefix(sel.Sel.Name, "Write") || strings.HasPrefix(sel.Sel.Name, "Emit") {
-			return "." + sel.Sel.Name
-		}
-	}
-	return ""
 }
 
 // appendTarget returns the object a range-body append accumulates into, or
@@ -168,8 +137,8 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt, file *ast.File) {
 			if !ok {
 				return true
 			}
-			if h := directHazard(pass, call); h != "" {
-				hazard = "calls " + h
+			if h, term, ok := ground(pass.Info, pass.Cfg, pass.PkgPath, call); ok && h == HazardEmit {
+				hazard = "calls " + term
 				return false
 			}
 			if f := calleeFunc(pass.Info, call); f != nil {

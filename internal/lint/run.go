@@ -28,16 +28,16 @@ func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]D
 	}
 	sums := BuildSummaries(cfg, universe)
 
-	// active is the set of rules whose diagnostics this run can produce;
-	// a suppression for an inactive rule (e.g. hotalloc when -hotalloc is
+	// active holds the rules whose diagnostics this run can produce; a
+	// suppression for an inactive rule (e.g. hotalloc when -hotalloc is
 	// off) is exempt from staleness because the run cannot tell whether
 	// it still earns its keep.
-	active := make(map[string]bool, len(analyzers)+1)
+	active := make(map[string]*Analyzer, len(analyzers)+1)
 	for _, a := range analyzers {
-		active[a.Name] = true
+		active[a.Name] = a
 	}
 	if opts.HotAlloc {
-		active[HotAlloc.Name] = true
+		active[HotAlloc.Name] = HotAlloc
 	}
 
 	known := knownRuleNames()
@@ -59,7 +59,7 @@ func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]D
 		allSups = append(allSups, ps)
 
 		for _, a := range analyzers {
-			if a.Run == nil {
+			if a.Run == nil || !a.covers(cfg, pkg.PkgPath) {
 				continue
 			}
 			pass := &Pass{
@@ -87,7 +87,7 @@ func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]D
 	}
 
 	if opts.HotAlloc {
-		hot, err := runHotAlloc(cfg, pkgs, opts.ModuleRoot)
+		hot, err := runHotAlloc(pkgs, opts.ModuleRoot)
 		if err != nil {
 			return nil, err
 		}
@@ -107,14 +107,14 @@ func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]D
 	}
 
 	// allowstale: every suppression for an active rule must have earned
-	// its keep this run. Suppressions in packages the rule does not police
+	// its keep this run. Suppressions in packages the rule's gate excludes
 	// (a kernel-blessed package's rawgo allow, a rand-exempt package's
 	// globalrand allow) are left alone: the rule skipping the package is a
 	// config decision, not evidence the exception rotted. The deletion is
 	// machine-applicable (-fix).
 	for _, ps := range allSups {
 		for i, s := range ps.sups {
-			if ps.used[i] || !active[s.rule] || !ruleCovers(cfg, s.rule, ps.pkg.PkgPath) {
+			if a := active[s.rule]; ps.used[i] || a == nil || !a.covers(cfg, ps.pkg.PkgPath) {
 				continue
 			}
 			pos := ps.pkg.Fset.Position(s.pos)
@@ -138,23 +138,6 @@ func Run(cfg *Config, analyzers []*Analyzer, pkgs []*Package, opts Options) ([]D
 
 	sortDiagnostics(out)
 	return out, nil
-}
-
-// ruleCovers mirrors each rule's package gate: whether the named rule can
-// report diagnostics in pkgPath at all under cfg. Kept next to the audit
-// that depends on it; a new analyzer with a package gate must be added here
-// or its suppressions in skipped packages will be called stale.
-func ruleCovers(cfg *Config, rule, pkgPath string) bool {
-	switch rule {
-	case GlobalRand.Name:
-		return cfg.IsDeterministic(pkgPath) && !cfg.IsRandExempt(pkgPath)
-	case RawGo.Name, VTBlock.Name:
-		return cfg.IsDeterministic(pkgPath) && !cfg.IsKernel(pkgPath)
-	case HotAlloc.Name:
-		return true // hotpath annotations are legal in any package
-	default:
-		return cfg.IsDeterministic(pkgPath)
-	}
 }
 
 // AllowStale is the suppression-rot rule: a //detlint:allow comment that no

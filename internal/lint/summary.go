@@ -33,7 +33,8 @@ const (
 	HazardWallclock Hazard = iota
 	// HazardGlobalRand: reaches a process-global math/rand function.
 	HazardGlobalRand
-	// HazardRawGo: spawns goroutines or performs channel operations.
+	// HazardRawGo: spawns goroutines, touches channels, or joins through
+	// sync.WaitGroup.
 	HazardRawGo
 	// HazardEmit: writes ordered output (fmt print, Write*/Emit* methods,
 	// emitter packages) or stores formatted text in call order.
@@ -149,6 +150,107 @@ func extendChain(link string, rest []string) []string {
 	return append(out, rest...)
 }
 
+// wallClockFuncs are the time-package functions that read or schedule
+// against the machine clock. Types and constants (time.Duration,
+// time.Millisecond) stay legal: the testbed measures virtual durations, it
+// just must never sample real ones.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+}
+
+// randConstructors are the math/rand and math/rand/v2 functions that build
+// an explicitly-seeded local generator. They are the raw material
+// internal/rng is made of; everything else on the package surface reads or
+// mutates the process-global generator, whose state is shared across every
+// caller in the binary and therefore depends on execution interleaving.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true, // math/rand/v2
+}
+
+// fmtOutputFuncs are the fmt functions that produce ordered output as a
+// side effect. Sprint* build values and are only hazardous if the result
+// escapes, which maporder's append rule covers.
+var fmtOutputFuncs = map[string]bool{
+	"Print": true, "Printf": true, "Println": true,
+	"Fprint": true, "Fprintf": true, "Fprintln": true,
+}
+
+// ground decides whether the syntax node n, written in package pkgPath, is
+// itself a wallclock, globalrand, rawgo or emit hazard, and names it. The
+// name is the terminal of a summary's witness chain and the subject of a
+// rule's direct diagnostic. Emit grounds on fmt output, a Write*/Emit*
+// method, or a call into an emitter package other than pkgPath.
+func ground(info *types.Info, cfg *Config, pkgPath string, n ast.Node) (Hazard, string, bool) {
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		return HazardRawGo, "go statement", true
+	case *ast.SendStmt:
+		return HazardRawGo, "channel send", true
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return HazardRawGo, "channel receive", true
+		}
+	case *ast.SelectStmt:
+		return HazardRawGo, "select statement", true
+	case *ast.ChanType:
+		return HazardRawGo, "channel type", true
+	case *ast.RangeStmt:
+		if tv, ok := info.Types[n.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				return HazardRawGo, "range over channel", true
+			}
+		}
+	case *ast.SelectorExpr:
+		_, isFunc := info.Uses[n.Sel].(*types.Func)
+		switch importedPackage(info, n.X) {
+		case "time":
+			if isFunc && wallClockFuncs[n.Sel.Name] {
+				return HazardWallclock, "time." + n.Sel.Name, true
+			}
+		case "math/rand", "math/rand/v2":
+			if isFunc && !randConstructors[n.Sel.Name] {
+				return HazardGlobalRand, "rand." + n.Sel.Name, true
+			}
+		case "sync":
+			if n.Sel.Name == "WaitGroup" {
+				return HazardRawGo, "sync.WaitGroup", true
+			}
+		}
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
+				return HazardRawGo, "close", true
+			}
+		}
+		if f := calleeFunc(info, n); f != nil && f.Pkg() != nil {
+			switch path := f.Pkg().Path(); {
+			case path == "fmt" && fmtOutputFuncs[f.Name()]:
+				return HazardEmit, "fmt." + f.Name(), true
+			case cfg.IsEmitter(path) && path != pkgPath:
+				return HazardEmit, f.Pkg().Name() + "." + f.Name(), true
+			}
+		}
+		if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+			if strings.HasPrefix(sel.Sel.Name, "Write") || strings.HasPrefix(sel.Sel.Name, "Emit") {
+				return HazardEmit, "." + sel.Sel.Name, true
+			}
+		}
+	}
+	return 0, "", false
+}
+
 // localFacts extracts the hazards a single function body grounds directly,
 // with the primitive's name as the chain terminal.
 func localFacts(cfg *Config, pkg *Package, fd *ast.FuncDecl) *FuncSummary {
@@ -161,41 +263,17 @@ func localFacts(cfg *Config, pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 	info := pkg.Info
 	formats, fieldAppend := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if h, term, ok := ground(info, cfg, pkg.PkgPath, n); ok {
+			set(h, term)
+		}
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			set(HazardRawGo, "go statement")
-		case *ast.SendStmt:
-			set(HazardRawGo, "channel send")
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				set(HazardRawGo, "channel receive")
-			}
-		case *ast.SelectStmt:
-			set(HazardRawGo, "select statement")
-		case *ast.SelectorExpr:
-			switch importedPackage(info, n.X) {
-			case "time":
-				if _, isFunc := info.Uses[n.Sel].(*types.Func); isFunc && wallClockFuncs[n.Sel.Name] {
-					set(HazardWallclock, "time."+n.Sel.Name)
-				}
-			case "math/rand", "math/rand/v2":
-				if _, isFunc := info.Uses[n.Sel].(*types.Func); isFunc && !randConstructors[n.Sel.Name] {
-					set(HazardGlobalRand, "rand."+n.Sel.Name)
-				}
-			}
 		case *ast.AssignStmt:
 			if floatAccumulation(info, n, fd) {
 				set(HazardFloatAccum, "float accumulation")
 			}
 		case *ast.CallExpr:
 			if f := calleeFunc(info, n); f != nil && f.Pkg() != nil {
-				path := f.Pkg().Path()
-				switch {
-				case path == "fmt" && fmtOutputFuncs[f.Name()]:
-					set(HazardEmit, "fmt."+f.Name())
-				case cfg.IsEmitter(path) && path != pkg.PkgPath:
-					set(HazardEmit, f.Pkg().Name()+"."+f.Name())
-				case path == "fmt" && (strings.HasPrefix(f.Name(), "Sprint") || f.Name() == "Errorf"):
+				if f.Pkg().Path() == "fmt" && (strings.HasPrefix(f.Name(), "Sprint") || f.Name() == "Errorf") {
 					formats = true
 				}
 				// The kernel packages are exempt from grounding OSBlock:
@@ -205,11 +283,6 @@ func localFacts(cfg *Config, pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 				// that touches the OS carries the fact outward.
 				if term, ok := osBlockCall(f); ok && !cfg.IsKernel(pkg.PkgPath) {
 					set(HazardOSBlock, term)
-				}
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if strings.HasPrefix(sel.Sel.Name, "Write") || strings.HasPrefix(sel.Sel.Name, "Emit") {
-					set(HazardEmit, "."+sel.Sel.Name)
 				}
 			}
 			if isAppend(info, n) && len(n.Args) > 0 {
@@ -234,41 +307,10 @@ func localFacts(cfg *Config, pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 // a field reached through a receiver/parameter, or a package variable.
 // Calling such a function once per map key folds floats in random order.
 func floatAccumulation(info *types.Info, as *ast.AssignStmt, fd *ast.FuncDecl) bool {
-	if len(as.Lhs) != 1 {
-		return false
-	}
-	lhs := ast.Unparen(as.Lhs[0])
-	tv, ok := info.Types[lhs]
-	if !ok {
-		return false
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsFloat == 0 {
-		return false
-	}
-	switch as.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-	case token.ASSIGN:
-		bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr)
-		if !ok {
-			return false
-		}
-		switch bin.Op {
-		case token.ADD, token.SUB, token.MUL, token.QUO:
-		default:
-			return false
-		}
-		lobj := exprObject(info, lhs)
-		if lobj == nil || (exprObject(info, bin.X) != lobj && exprObject(info, bin.Y) != lobj) {
-			return false
-		}
-	default:
-		return false
-	}
 	// Only selector targets (x.field, pkg.Var) reach storage the caller
 	// can observe across calls; plain locals (including named results)
 	// stay frame-local and commute freely with call order.
-	sel, ok := lhs.(*ast.SelectorExpr)
+	sel, ok := foldTarget(info, as).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -276,16 +318,10 @@ func floatAccumulation(info *types.Info, as *ast.AssignStmt, fd *ast.FuncDecl) b
 	if root == nil {
 		return true // conservatively escaping (chained calls etc.)
 	}
-	obj := info.Uses[root]
-	if obj == nil {
-		return false
-	}
 	// Frame-local root (a local struct value) does not outlive the call
 	// unless it is the receiver or a parameter, which alias caller state.
-	if declaredWithin(obj, fd.Body.Pos(), fd.Body.End()) {
-		return false
-	}
-	return true
+	obj := info.Uses[root]
+	return obj != nil && !declaredWithin(obj, fd.Body.Pos(), fd.Body.End())
 }
 
 // osBlockFuncs are package-level functions that block on the operating
@@ -339,50 +375,4 @@ func osBlockCall(f *types.Func) (string, bool) {
 		return f.FullName(), true
 	}
 	return "", false
-}
-
-// reachable reports whether a call to f grounds hazard h somewhere down
-// its helper chain, consulting both the direct primitive tables (for
-// stdlib callees, which have no summaries) and the summary table.
-func (s *Summaries) reachable(f *types.Func, h Hazard) (string, bool) {
-	if fs := s.Lookup(f); fs.Has(h) {
-		return fs.Chain(h), true
-	}
-	return "", false
-}
-
-// checkPropagated reports calls in deterministic code whose callee lives
-// outside the contract (a module package not bound deterministic) but
-// whose helper chain still grounds hazard h. Direct uses inside
-// deterministic packages are the per-package analyzers' job; this closes
-// the boundary-crossing gap where a deterministic package delegates to an
-// unvetted helper tower. Callees inside deterministic packages are skipped
-// on purpose: their bodies are flagged (or deliberately suppressed) at the
-// declaration site, and re-reporting every caller would turn one reviewed
-// exception into a diagnostic storm.
-func checkPropagated(pass *Pass, h Hazard, what string) {
-	if !pass.Cfg.IsDeterministic(pass.PkgPath) {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(pass.Info, call)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			if pass.Cfg.IsDeterministic(callee.Pkg().Path()) {
-				return true
-			}
-			if chain, ok := pass.Summaries.reachable(callee, h); ok {
-				pass.Report(call.Pos(), "call to %s reaches %s (%s → %s); deterministic packages must not delegate to it",
-					callee.Name(), what, callee.Name(), chain)
-				return false
-			}
-			return true
-		})
-	}
 }

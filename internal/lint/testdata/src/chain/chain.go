@@ -19,6 +19,13 @@ func harmless() int {
 	return chainhelper.Pure()
 }
 
+// join delegates to a helper that joins through a sync.WaitGroup and
+// closes a channel: raw concurrency a deterministic package must not
+// reach through a helper any more than write itself.
+func join() {
+	chainhelper.Join() // want `call to Join reaches raw concurrency \(Join → sync\.WaitGroup\); deterministic packages must not delegate to it`
+}
+
 // suppressed carries a reviewed exception; the allow is live (consumed by
 // the boundary diagnostic), so allowstale stays quiet too.
 func suppressed() int64 {

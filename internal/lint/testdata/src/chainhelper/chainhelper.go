@@ -2,10 +2,14 @@
 // chain fixture: it is NOT configured deterministic, so nothing here is
 // flagged directly — the violation is the deterministic caller in the
 // chain fixture delegating to it. Stamp grounds the wall clock three
-// helpers deep to exercise chain propagation across the package boundary.
+// helpers deep to exercise chain propagation across the package boundary;
+// Join grounds raw concurrency with no go statement, send or receive.
 package chainhelper
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Stamp is the tower's entry point: Stamp → mid → leaf → time.Now.
 func Stamp() int64 {
@@ -28,4 +32,13 @@ func Pure() int {
 
 func pureMid() int {
 	return 42
+}
+
+// Join joins through a sync.WaitGroup and closes a channel: raw
+// concurrency that only rawgo's wider set of constructs grounds.
+func Join() {
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Wait()
+	close(done)
 }

@@ -15,10 +15,13 @@ import (
 // boundary call with the full witness chain — three helpers deep, across
 // the package boundary (chain → chainhelper: Stamp → mid → leaf →
 // time.Now), and through an in-package mutual-recursion cycle whose
-// deeper half emits.
+// deeper half emits. rawgo runs over the pair too: a helper that only
+// joins through a sync.WaitGroup and closes a channel grounds raw
+// concurrency in its summary exactly as the same body written in the
+// deterministic package is flagged.
 func TestChainPropagation(t *testing.T) {
 	linttest.RunWith(t, "chain", fixtureCfg("chain"), lint.Options{},
-		[]string{"chainhelper"}, lint.WallClock, lint.MapOrder)
+		[]string{"chainhelper"}, lint.WallClock, lint.MapOrder, lint.RawGo)
 }
 
 // TestVTBlock covers the sim-proc OS-blocking rule: direct primitives,
@@ -112,7 +115,7 @@ func TestRunWritesNothingToDisk(t *testing.T) {
 	t.Setenv("XDG_CACHE_HOME", cacheHome)
 	t.Setenv("HOME", home)
 
-	root, err := moduleRoot()
+	root, err := lint.FindModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,11 @@ var VTBlock = &Analyzer{
 	Name: "vtblock",
 	Doc: "forbid OS-blocking calls (file IO, sockets, syscalls, real sync waits) in " +
 		"sim-proc context, including through helper chains; block in virtual time instead",
-	Run: runVTBlock,
+	Gate: deterministicOutsideKernel,
+	Run:  runVTBlock,
 }
 
 func runVTBlock(pass *Pass) error {
-	if !pass.Cfg.IsDeterministic(pass.PkgPath) || pass.Cfg.IsKernel(pass.PkgPath) {
-		return nil
-	}
 	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

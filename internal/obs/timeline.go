@@ -31,16 +31,8 @@ import (
 type Timeline struct {
 	sut     string
 	width   time.Duration
-	windows map[int]*timelineWindow
+	windows map[int]*StageAgg
 	marks   []Mark
-}
-
-// timelineWindow mirrors StageAgg's internals for one window of virtual
-// time: per-(txn, kind) span histograms plus per-txn end-to-end histograms
-// and outcome counters.
-type timelineWindow struct {
-	spans map[stageKey]*meter.Histogram
-	txns  map[string]*txnAgg
 }
 
 // Mark is a point event stamped onto the timeline at a virtual timestamp:
@@ -63,7 +55,7 @@ func NewTimeline(sut string, width time.Duration) *Timeline {
 	return &Timeline{
 		sut:     sut,
 		width:   width,
-		windows: make(map[int]*timelineWindow),
+		windows: make(map[int]*StageAgg),
 	}
 }
 
@@ -80,13 +72,10 @@ func (tl *Timeline) WindowStart(i int) time.Duration {
 	return time.Duration(i) * tl.width
 }
 
-func (tl *Timeline) window(i int) *timelineWindow {
+func (tl *Timeline) window(i int) *StageAgg {
 	w := tl.windows[i]
 	if w == nil {
-		w = &timelineWindow{
-			spans: make(map[stageKey]*meter.Histogram),
-			txns:  make(map[string]*txnAgg),
-		}
+		w = NewStageAgg(tl.sut)
 		tl.windows[i] = w
 	}
 	return w
@@ -95,27 +84,15 @@ func (tl *Timeline) window(i int) *timelineWindow {
 // Emit implements Sink: the trace's end-to-end duration, outcome, and every
 // span land in the window of its End time. Traces with an empty Outcome are
 // background activities (RecordBG single-span traces): their spans are
-// bucketed but they carry no end-to-end transaction sample, exactly
-// mirroring StageAgg's split between addSpan and addTrace.
+// bucketed but they carry no end-to-end transaction sample, exactly as a
+// Tracer feeds its StageAgg.
 func (tl *Timeline) Emit(tr *Trace) {
 	w := tl.window(tl.WindowIndex(tr.End))
 	if tr.Outcome != "" {
-		t := w.txns[tr.Txn]
-		if t == nil {
-			t = &txnAgg{outcomes: make(map[string]int64)}
-			w.txns[tr.Txn] = t
-		}
-		t.hist.Add(tr.Duration())
-		t.outcomes[tr.Outcome]++
+		w.addTrace(tr)
 	}
 	for _, sp := range tr.Spans {
-		k := stageKey{txn: tr.Txn, kind: sp.Kind}
-		h := w.spans[k]
-		if h == nil {
-			h = &meter.Histogram{}
-			w.spans[k] = h
-		}
-		h.Add(sp.End - sp.Start)
+		w.addSpan(tr.Txn, sp.Kind, sp.End-sp.Start)
 	}
 }
 
@@ -175,12 +152,11 @@ func (tl *Timeline) Row(i int) WindowRow {
 	if w == nil {
 		return row
 	}
+	// Integer counts and histogram buckets sum the same in any order.
 	var all meter.Histogram
-	for _, txn := range sortedTxnKeys(w.txns) {
-		t := w.txns[txn]
+	for _, t := range w.txns {
 		all.Merge(&t.hist)
-		for _, o := range sortedOutcomeKeys(t.outcomes) {
-			n := t.outcomes[o]
+		for o, n := range t.outcomes {
 			row.Txns += n
 			if o == "commit" {
 				row.Commits += n
@@ -212,66 +188,14 @@ func (tl *Timeline) Rows() []WindowRow {
 }
 
 // Aggregate collapses the whole timeline into a StageAgg — the whole-run
-// view. Because both structures share the same histogram buckets and keys,
-// feeding the same trace stream to a Timeline and to a StageAgg (via a
-// Tracer) yields Aggregate() equal to the tracer's Agg() bucket-for-bucket;
-// timeline_test.go holds that as a property.
+// view: the windows merged. Feeding the same trace stream to a Timeline
+// and to a StageAgg (via a Tracer) yields Aggregate() equal to the
+// tracer's Agg() bucket-for-bucket; timeline_test.go holds that as a
+// property.
 func (tl *Timeline) Aggregate() *StageAgg {
 	agg := NewStageAgg(tl.sut)
-	for _, i := range tl.WindowIndexes() {
-		w := tl.windows[i]
-		for _, k := range sortedStageKeys(w.spans) {
-			h := agg.spans[k]
-			if h == nil {
-				h = &meter.Histogram{}
-				agg.spans[k] = h
-			}
-			h.Merge(w.spans[k])
-		}
-		for _, txn := range sortedTxnKeys(w.txns) {
-			t := w.txns[txn]
-			dst := agg.txns[txn]
-			if dst == nil {
-				dst = &txnAgg{outcomes: make(map[string]int64)}
-				agg.txns[txn] = dst
-			}
-			dst.hist.Merge(&t.hist)
-			for _, o := range sortedOutcomeKeys(t.outcomes) {
-				dst.outcomes[o] += t.outcomes[o]
-			}
-		}
+	for _, w := range tl.windows {
+		agg.Merge(w)
 	}
 	return agg
-}
-
-func sortedStageKeys(m map[stageKey]*meter.Histogram) []stageKey {
-	keys := make([]stageKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].txn != keys[j].txn {
-			return keys[i].txn < keys[j].txn
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	return keys
-}
-
-func sortedTxnKeys(m map[string]*txnAgg) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedOutcomeKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
