@@ -92,10 +92,9 @@ type Deployment struct {
 	// commit path checks it, and fail-overs advance it before promoting.
 	Fence *storage.Fence
 
-	nodes      []*node.Node
-	storeQueue *sim.Queue
-	streams    []*replication.Stream
-	links      []*netsim.Link
+	nodes   []*node.Node
+	streams []*replication.Stream
+	links   []*netsim.Link
 }
 
 // Deploy instantiates a profile.
@@ -119,8 +118,9 @@ func Deploy(s *sim.Sim, prof Profile, opts Options) (*Deployment, error) {
 	}
 	// The storage service (and its IOPS) is shared across the cluster's
 	// compute nodes for disaggregated SUTs; RDS nodes get private volumes.
+	var store *sim.Queue
 	if !prof.LocalStorage {
-		d.storeQueue = sim.NewQueue(s, prof.DeviceIOPS)
+		store = sim.NewQueue(s, prof.DeviceIOPS)
 	}
 
 	serverless := prof.Autoscale != nil
@@ -129,16 +129,20 @@ func Deploy(s *sim.Sim, prof Profile, opts Options) (*Deployment, error) {
 	}
 
 	makeNode := func(name string, checkpoint bool) (*node.Node, error) {
-		backend := d.makeBackend(name)
-		cfg := node.Config{
-			Name:        fmt.Sprintf("%s/%s", prof.Kind, name),
-			VCores:      prof.VCores,
-			MemoryBytes: bufBytes,
-			OpCPU:       prof.OpCPU,
-			TxnCPU:      prof.TxnCPU,
-			Recovery:    prof.Recovery,
-			Trace:       opts.Tracer,
+		cfg, backend := baseNode(s, prof, name, store)
+		if ds, ok := backend.(*node.DisaggStore); ok {
+			d.links = append(d.links, ds.Link)
+			if d.Remote != nil {
+				rb := &node.RemoteBuffer{
+					Remote:   d.Remote,
+					RDMA:     netsim.NewLink(s, netsim.RDMA, prof.NetGbps),
+					Fallback: ds,
+				}
+				d.links = append(d.links, rb.RDMA)
+				backend = rb
+			}
 		}
+		cfg.MemoryBytes, cfg.Trace = bufBytes, opts.Tracer
 		if serverless {
 			// A serverless instance idles at its minimum allocation and
 			// scales up only after the autoscaler reacts — the source of
@@ -275,33 +279,34 @@ func MustDeploy(s *sim.Sim, prof Profile, opts Options) *Deployment {
 	return d
 }
 
-func (d *Deployment) makeBackend(name string) node.StorageBackend {
-	prof := d.Profile
+// baseNode is what a profile gives every node it deploys, named name: the
+// node config at the profile's size, and its storage path — a private local
+// disk, or a fabric link to the shared storage service store.
+func baseNode(s *sim.Sim, prof Profile, name string, store *sim.Queue) (node.Config, node.StorageBackend) {
+	var backend node.StorageBackend
 	if prof.LocalStorage {
-		disk := node.NewLocalDisk(d.S, prof.DeviceIOPS)
+		disk := node.NewLocalDisk(s, prof.DeviceIOPS)
 		disk.ReadLatency = prof.StorageLatency
 		disk.WriteLatency = prof.StorageLatency
 		disk.LogLatency = prof.LogAckLatency
-		return disk
-	}
-	store := &node.DisaggStore{
-		Link:            netsim.NewLink(d.S, prof.Fabric, prof.NetGbps),
-		Store:           d.storeQueue,
-		PageServiceTime: prof.StorageLatency,
-		LogAckLatency:   prof.LogAckLatency,
-		RedoPushdown:    prof.RedoPushdown,
-	}
-	d.links = append(d.links, store.Link)
-	if d.Remote != nil {
-		rb := &node.RemoteBuffer{
-			Remote:   d.Remote,
-			RDMA:     netsim.NewLink(d.S, netsim.RDMA, prof.NetGbps),
-			Fallback: store,
+		backend = disk
+	} else {
+		backend = &node.DisaggStore{
+			Link:            netsim.NewLink(s, prof.Fabric, prof.NetGbps),
+			Store:           store,
+			PageServiceTime: prof.StorageLatency,
+			LogAckLatency:   prof.LogAckLatency,
+			RedoPushdown:    prof.RedoPushdown,
 		}
-		d.links = append(d.links, rb.RDMA)
-		return rb
 	}
-	return store
+	return node.Config{
+		Name:        fmt.Sprintf("%s/%s", prof.Kind, name),
+		VCores:      prof.VCores,
+		MemoryBytes: prof.MemoryBytes,
+		OpCPU:       prof.OpCPU,
+		TxnCPU:      prof.TxnCPU,
+		Recovery:    prof.Recovery,
+	}, backend
 }
 
 // shortName strips the profile prefix from a node name ("rds/rw" -> "rw"),
@@ -363,14 +368,15 @@ func (d *Deployment) Shutdown() {
 // pages, approximating the steady-state cache of a warmed-up service.
 func (d *Deployment) PreWarm() {
 	for _, n := range d.nodes {
-		d.warmPool(n.Buf, n)
+		warmPool(n.Buf, n)
 	}
 	if d.Remote != nil {
-		d.warmPool(d.Remote, d.nodes[0])
+		warmPool(d.Remote, d.nodes[0])
 	}
 }
 
-func (d *Deployment) warmPool(buf *storage.BufferPool, n *node.Node) {
+// warmPool admits n's base pages into buf, up to its capacity.
+func warmPool(buf *storage.BufferPool, n *node.Node) {
 	capacity := buf.Capacity()
 	if capacity <= 0 {
 		return

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cloudybench/internal/core"
-	"cloudybench/internal/netsim"
 	"cloudybench/internal/node"
 	"cloudybench/internal/pricing"
 	"cloudybench/internal/sim"
@@ -34,9 +33,7 @@ type TenantSet struct {
 	// Pool is the shared vCore pool (pool model only).
 	Pool *sim.Resource
 
-	nodes      []*node.Node
-	storeQueue *sim.Queue
-	dataset    core.Dataset
+	nodes []*node.Node
 }
 
 // DeployTenants builds an n-tenant deployment of the profile. Each tenant
@@ -44,9 +41,11 @@ type TenantSet struct {
 // allows) at the given scale factor.
 func DeployTenants(s *sim.Sim, prof Profile, n int, opts Options) (*TenantSet, error) {
 	opts = opts.withDefaults()
-	ts := &TenantSet{Profile: prof, S: s, dataset: core.NewDataset(opts.SF, opts.Seed)}
+	ts := &TenantSet{Profile: prof, S: s}
+	dataset := core.NewDataset(opts.SF, opts.Seed)
+	var store *sim.Queue
 	if !prof.LocalStorage {
-		ts.storeQueue = sim.NewQueue(s, prof.DeviceIOPS)
+		store = sim.NewQueue(s, prof.DeviceIOPS)
 	}
 	if prof.Tenancy == TenancyPool {
 		// The elastic pool holds n x the single-instance vCores (the paper
@@ -54,8 +53,12 @@ func DeployTenants(s *sim.Sim, prof Profile, n int, opts Options) (*TenantSet, e
 		ts.Pool = sim.NewResource(s, int64(prof.VCores*float64(n)*node.MilliPerCore))
 	}
 	for i := 0; i < n; i++ {
-		nd, err := ts.makeTenantNode(i, opts)
-		if err != nil {
+		cfg, backend := baseNode(s, prof, fmt.Sprintf("tenant%d", i), store)
+		if prof.Tenancy == TenancyPool {
+			cfg.SharedCPU = ts.Pool
+		}
+		nd := node.New(s, cfg, backend)
+		if err := dataset.CreateTables(nd.DB); err != nil {
 			return nil, err
 		}
 		ts.Tenants = append(ts.Tenants, &Tenant{Index: i, Node: nd})
@@ -63,8 +66,7 @@ func DeployTenants(s *sim.Sim, prof Profile, n int, opts Options) (*TenantSet, e
 	}
 	if opts.PreWarm {
 		for _, nd := range ts.nodes {
-			d := &Deployment{Profile: prof, S: s}
-			d.warmPool(nd.Buf, nd)
+			warmPool(nd.Buf, nd)
 		}
 	}
 	return ts, nil
@@ -77,42 +79,6 @@ func MustDeployTenants(s *sim.Sim, prof Profile, n int, opts Options) *TenantSet
 		panic(err)
 	}
 	return ts
-}
-
-func (ts *TenantSet) makeTenantNode(i int, opts Options) (*node.Node, error) {
-	prof := ts.Profile
-	var backend node.StorageBackend
-	if prof.LocalStorage {
-		disk := node.NewLocalDisk(ts.S, prof.DeviceIOPS)
-		disk.ReadLatency = prof.StorageLatency
-		disk.WriteLatency = prof.StorageLatency
-		disk.LogLatency = prof.LogAckLatency
-		backend = disk
-	} else {
-		backend = &node.DisaggStore{
-			Link:            netsim.NewLink(ts.S, prof.Fabric, prof.NetGbps),
-			Store:           ts.storeQueue,
-			PageServiceTime: prof.StorageLatency,
-			LogAckLatency:   prof.LogAckLatency,
-			RedoPushdown:    prof.RedoPushdown,
-		}
-	}
-	cfg := node.Config{
-		Name:        fmt.Sprintf("%s/tenant%d", prof.Kind, i),
-		VCores:      prof.VCores,
-		MemoryBytes: prof.MemoryBytes,
-		OpCPU:       prof.OpCPU,
-		TxnCPU:      prof.TxnCPU,
-		Recovery:    prof.Recovery,
-	}
-	if prof.Tenancy == TenancyPool {
-		cfg.SharedCPU = ts.Pool
-	}
-	nd := node.New(ts.S, cfg, backend)
-	if err := ts.dataset.CreateTables(nd.DB); err != nil {
-		return nil, err
-	}
-	return nd, nil
 }
 
 // Shutdown stops background processes.

@@ -6,23 +6,17 @@ import (
 	"cloudybench/internal/cdb"
 	"cloudybench/internal/chaos"
 	"cloudybench/internal/check"
-	"cloudybench/internal/obs"
 )
 
 // ChaosConfig parameterizes one SUT's run through the chaos gauntlet.
 type ChaosConfig struct {
 	Kind cdb.Kind
-	SF   int
 	// Concurrency is the client count (default 16).
 	Concurrency int
 	// Span is the traffic window the fault schedule is compiled onto
 	// (default 20s; see chaos.Standard for the fault instants).
 	Span time.Duration
 	Seed int64
-	// Tracer, if non-nil, records per-transaction stage traces through the
-	// gauntlet. Attaching it must not change the verdict sheet: the chaos
-	// determinism test asserts byte-identical reports with tracing on/off.
-	Tracer *obs.Tracer
 }
 
 // ChaosResult is one SUT's verdict sheet plus recovery metrics.
@@ -52,10 +46,8 @@ func (r ChaosResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 // every standard fault heals itself inside the window.
 func chaosSpec(cfg ChaosConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
-	opts := fixed(cfg.SF, cfg.Seed)
-	opts.Tracer = cfg.Tracer
 	return spec{
-		name: "chaos", prof: cdb.ProfileFor(cfg.Kind), opts: opts,
+		name: "chaos", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 16), span: span, mix: gauntletMix,
 		schedule:   chaos.Standard(span),
 		observe:    observePrimary,

@@ -18,7 +18,6 @@ import (
 // unacknowledged write resurrected.
 type CrashConfig struct {
 	Kind cdb.Kind
-	SF   int
 	// Concurrency is the client count (default 12).
 	Concurrency int
 	// Span is the traffic window the crash schedule is compiled onto
@@ -81,7 +80,7 @@ func (r CrashResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 func crashSpec(cfg CrashConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
 	return spec{
-		name: "crash", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
+		name: "crash", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
 		schedule:  CrashSchedule(span),
 		observe:   observeAll,

@@ -102,10 +102,9 @@ func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 // observation, never a virtual-time side effect (obs determinism rule 2).
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	chaosRun := func(tr *obs.Tracer) string {
-		return chaosFingerprint(RunChaos(ChaosConfig{
-			Kind: cdb.CDB2, Span: 4 * time.Second, Concurrency: 4, Seed: 7,
-			Tracer: tr,
-		}))
+		sp := chaosSpec(ChaosConfig{Kind: cdb.CDB2, Span: 4 * time.Second, Concurrency: 4, Seed: 7})
+		sp.opts.Tracer = tr
+		return chaosFingerprint(chaosResult(runCell(sp)))
 	}
 	off := chaosRun(nil)
 	on := chaosRun(obs.NewTracer("cdb2", &obs.CountSink{}))

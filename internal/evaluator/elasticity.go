@@ -30,7 +30,6 @@ type ElasticityConfig struct {
 	CostSlots int
 	// Serverless overrides the profile's default autoscaling.
 	Serverless *bool
-	SF         int
 	Seed       int64
 }
 
@@ -81,7 +80,7 @@ func RunElasticity(cfg ElasticityConfig) ElasticityResult {
 	rc := runCell(spec{
 		name: "elastic", prof: cdb.ProfileFor(cfg.Kind),
 		opts: cdb.Options{
-			SF: cfg.SF, Seed: cfg.Seed, PreWarm: true,
+			Seed: cfg.Seed, PreWarm: true,
 			Serverless:   cfg.Serverless,
 			CadenceScale: float64(time.Minute) / float64(slot),
 		},

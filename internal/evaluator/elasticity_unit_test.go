@@ -54,13 +54,10 @@ func TestFailoverConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestTenancyConfigDefaultsMix(t *testing.T) {
+func TestTenancyConfigDefaults(t *testing.T) {
 	c := TenancyConfig{}.withDefaults()
-	if c.Mix.T3 != 80 {
-		t.Fatalf("default mix: %+v", c.Mix)
-	}
-	if c.SlotLength != time.Minute {
-		t.Fatalf("default slot: %v", c.SlotLength)
+	if c.SlotLength != time.Minute || c.Seed != 42 {
+		t.Fatalf("defaults: %+v", c)
 	}
 }
 

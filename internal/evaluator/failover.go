@@ -28,7 +28,6 @@ type FailoverConfig struct {
 	Baseline time.Duration
 	// Timeout bounds the post-injection observation (default 120s).
 	Timeout time.Duration
-	SF      int
 	Seed    int64
 }
 
@@ -36,7 +35,7 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	c.Concurrency = orDefault(c.Concurrency, 150)
 	c.Baseline = orDefault(c.Baseline, 10*time.Second)
 	c.Timeout = orDefault(c.Timeout, 120*time.Second)
-	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
+	c.Seed = cmp.Or(c.Seed, 42)
 	return c
 }
 
@@ -97,7 +96,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	var col *core.Collector
 	var stop time.Duration
 	rc := runCell(spec{
-		name: "failover", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
+		name: "failover", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.Seed),
 		schedule: chaos.Schedule{Events: []chaos.Event{{At: killAt, Kind: chaos.NodeCrash, Target: target}}},
 		await:    await,
 		body: func(p *sim.Proc, rc *run) {

@@ -94,11 +94,10 @@ type spec struct {
 
 	// Traffic: closed-loop clients for span over the Table II mix — or,
 	// with suite set, its ops over its tables.
-	clients      int
-	span         time.Duration
-	mix          core.Mix
-	distribution string
-	suite        *core.Suite
+	clients int
+	span    time.Duration
+	mix     core.Mix
+	suite   *core.Suite
 	// body, if set, replaces the single span (a concurrency schedule, a
 	// burst per soak window, the fail-over's two streams, the lag probes).
 	body func(p *sim.Proc, rc *run)
@@ -125,8 +124,8 @@ func (sp spec) withDefaults() spec {
 
 // fixed is the deployment the fault runs and the lag cells share: one RW and
 // one RO, pre-warmed, at the provisioned size.
-func fixed(sf int, seed int64) cdb.Options {
-	return cdb.Options{SF: sf, Seed: seed, Replicas: 1, PreWarm: true, Serverless: cdb.Bool(false)}
+func fixed(seed int64) cdb.Options {
+	return cdb.Options{Seed: seed, Replicas: 1, PreWarm: true, Serverless: cdb.Bool(false)}
 }
 
 // orDefault returns v, or def when v is unset.
@@ -266,8 +265,7 @@ func (rc *run) runner(name string, col *core.Collector) *core.Runner {
 	sp, d := rc.spec, rc.d
 	cfg := core.Config{
 		Name: name, Seed: sp.opts.Seed, Mix: sp.mix,
-		Distribution: sp.distribution,
-		Write:        d.RW, Read: d.ReadNode,
+		Write: d.RW, Read: d.ReadNode,
 		Collector: col,
 		Retry:     sp.retry,
 		Tracer:    sp.opts.Tracer,

@@ -22,7 +22,6 @@ type LagConfig struct {
 	IUD         [3]float64
 	Concurrency int
 	Duration    time.Duration
-	SF          int
 	Seed        int64
 	// Probes adds client-observed consistency probes: after a primary
 	// commit the client polls the replica until the change is visible
@@ -62,7 +61,7 @@ func runLag(name string, prof cdb.Profile, cfg LagConfig) LagResult {
 	var probeTotal time.Duration
 	var probeCount int
 	rc := runCell(spec{
-		name: name, prof: prof, opts: fixed(cfg.SF, cfg.Seed),
+		name: name, prof: prof, opts: fixed(cfg.Seed),
 		mix: core.IUDMix(cfg.IUD[0], cfg.IUD[1], cfg.IUD[2]),
 		body: func(p *sim.Proc, rc *run) {
 			rc.burst(p, name, cfg.Concurrency, cfg.Duration, rc.col)

@@ -23,8 +23,6 @@ type OLTPConfig struct {
 	SF          int
 	Mix         core.Mix
 	Concurrency int
-	// Distribution is "uniform" (default) or "latest".
-	Distribution string
 	// Replicas defaults to 1 (the paper deploys 1 RW + 1 RO); pass
 	// NoReplicas for a single-node deployment.
 	Replicas int
@@ -77,8 +75,7 @@ type OLTPResult struct {
 // warmKey builds the memoization key for this configuration's warm-up.
 func (c OLTPConfig) warmKey() WarmKey {
 	return WarmKey{
-		Kind: c.Kind, SF: c.SF, Mix: c.Mix, Concurrency: c.Concurrency,
-		Distribution: c.Distribution, Replicas: c.Replicas,
+		Kind: c.Kind, SF: c.SF, Mix: c.Mix, Concurrency: c.Concurrency, Replicas: c.Replicas,
 		Warmup: c.Warmup, BufferBytes: c.BufferBytes, Seed: c.Seed,
 	}
 }
@@ -96,7 +93,7 @@ func oltpSpec(cfg OLTPConfig, span time.Duration, warm *WarmSnapshot) spec {
 			Serverless: cdb.Bool(false),
 			Tracer:     cfg.Tracer,
 		},
-		clients: cfg.Concurrency, span: span, mix: cfg.Mix, distribution: cfg.Distribution,
+		clients: cfg.Concurrency, span: span, mix: cfg.Mix,
 	}
 }
 

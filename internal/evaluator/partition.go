@@ -16,7 +16,6 @@ import (
 // resilient client riding through on backoff, breakers, and reroutes.
 type PartitionConfig struct {
 	Kind cdb.Kind
-	SF   int
 	// Concurrency is the client count (default 12).
 	Concurrency int
 	// Span is the traffic window the partition schedule is compiled onto
@@ -75,7 +74,7 @@ func (r PartitionResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 func partitionSpec(cfg PartitionConfig) spec {
 	span := orDefault(cfg.Span, 20*time.Second)
 	return spec{
-		name: "partition", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
+		name: "partition", prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 12), span: span, mix: gauntletMix,
 		schedule:   PartitionSchedule(span),
 		observe:    observePrimary,

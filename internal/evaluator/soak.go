@@ -21,7 +21,6 @@ import (
 // invariant sweeps stamped into the timeline.
 type SoakConfig struct {
 	Kind cdb.Kind
-	SF   int
 	// Days is the virtual run length in days (default 3).
 	Days int
 	// Window is the timeline window width; it must divide 24h into at
@@ -189,7 +188,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	tr := obs.NewTracer(string(cfg.Kind), tl)
 	res := SoakResult{Kind: cfg.Kind, Days: cfg.Days, Window: cfg.Window, Timeline: tl, Agg: tr.Agg()}
 
-	opts := fixed(cfg.SF, cfg.Seed)
+	opts := fixed(cfg.Seed)
 	opts.Tracer = tr
 	// A secondary index on the order status column: T2 payments rewrite
 	// O_STATUS, so index maintenance runs for days and the in-flight

@@ -12,7 +12,7 @@ import (
 
 func soakTestConfig(seed int64) SoakConfig {
 	return SoakConfig{
-		Kind: cdb.CDB1, SF: 1, Days: 3, Window: 6 * time.Hour,
+		Kind: cdb.CDB1, Days: 3, Window: 6 * time.Hour,
 		Burst: 500 * time.Millisecond, Concurrency: 2, SweepEvery: 2, Seed: seed,
 	}
 }

@@ -30,7 +30,6 @@ type SuiteConfig struct {
 	// Suite is a registered suite name (core.SuiteNames()).
 	Suite string
 	Kind  cdb.Kind
-	SF    int
 	// Concurrency is the client count (default 8).
 	Concurrency int
 	// Span is the traffic window (default 10s).
@@ -84,7 +83,7 @@ func suiteSpec(cfg SuiteConfig) spec {
 		panic(fmt.Sprintf("evaluator: unknown suite %q (have %v)", cfg.Suite, core.SuiteNames()))
 	}
 	sp := spec{
-		name: "suite/" + cfg.Suite, prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.SF, cfg.Seed),
+		name: "suite/" + cfg.Suite, prof: cdb.ProfileFor(cfg.Kind), opts: fixed(cfg.Seed),
 		clients: orDefault(cfg.Concurrency, 8), span: orDefault(cfg.Span, 10*time.Second),
 		suite:      suite,
 		resilient:  true,

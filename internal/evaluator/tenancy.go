@@ -21,19 +21,14 @@ import (
 type TenancyConfig struct {
 	Kind    cdb.Kind
 	Pattern patterns.Tenancy
-	Mix     core.Mix
 	// SlotLength is one pattern slot (paper: one minute).
 	SlotLength time.Duration
-	SF         int
 	Seed       int64
 }
 
 func (c TenancyConfig) withDefaults() TenancyConfig {
 	c.SlotLength = orDefault(c.SlotLength, time.Minute)
-	c.SF, c.Seed = max(c.SF, 1), cmp.Or(c.Seed, 42)
-	if c.Mix.T1+c.Mix.T2+c.Mix.T3+c.Mix.T4 == 0 {
-		c.Mix = core.MixReadWrite
-	}
+	c.Seed = cmp.Or(c.Seed, 42)
 	return c
 }
 
@@ -60,14 +55,14 @@ func RunTenancy(cfg TenancyConfig) TenancyResult {
 	collectors := make([]*core.Collector, nTenants)
 	slots := cfg.Pattern.Slots()
 	total := time.Duration(slots) * cfg.SlotLength
-	opts := cdb.Options{SF: cfg.SF, Seed: cfg.Seed, PreWarm: true}
+	opts := cdb.Options{Seed: cfg.Seed, PreWarm: true}
 	ts := runTenants("tenancy", cdb.ProfileFor(cfg.Kind), nTenants, opts, func(p *sim.Proc, ts *cdb.TenantSet) {
 		runners := make([]*core.Runner, nTenants)
 		for i := range runners {
 			collectors[i] = core.NewCollector()
 			tn := ts.Tenants[i].Node
 			runners[i] = core.NewRunner(ts.S, core.Config{
-				Name: fmt.Sprintf("tenant%d", i), Seed: cfg.Seed + int64(i), Mix: cfg.Mix,
+				Name: fmt.Sprintf("tenant%d", i), Seed: cfg.Seed + int64(i), Mix: core.MixReadWrite,
 				Write:     func() *node.Node { return tn },
 				Read:      func() *node.Node { return tn },
 				Collector: collectors[i],

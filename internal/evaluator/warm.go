@@ -24,15 +24,14 @@ import (
 // pre-measurement state. Measure is excluded (it only extends the fork);
 // Tracer and Warm are instrumentation, not workload.
 type WarmKey struct {
-	Kind         cdb.Kind
-	SF           int
-	Mix          core.Mix
-	Concurrency  int
-	Distribution string
-	Replicas     int
-	Warmup       time.Duration
-	BufferBytes  int64
-	Seed         int64
+	Kind        cdb.Kind
+	SF          int
+	Mix         core.Mix
+	Concurrency int
+	Replicas    int
+	Warmup      time.Duration
+	BufferBytes int64
+	Seed        int64
 }
 
 type nodeWarmState struct {

@@ -280,3 +280,133 @@ func TestEveryTypeIsNamedInProduction(t *testing.T) {
 			len(dead), strings.Join(dead, "\n\t"))
 	}
 }
+
+// keepUnset lists the configuration fields that no non-test file writes but
+// that stay on purpose, each with the reason.
+var keepUnset = map[string]string{
+	"cloudybench/internal/core.Config.Distribution": "the paper's §II-B uniform/latest-k access; TestRunnerLatestDistributionSkewsAccess (core) pins it",
+}
+
+// TestEveryConfigFieldIsSet fails on any field of a configuration struct —
+// a package-level struct type named *Config or *Options, or experiments.Scale
+// — that no non-test file of the module writes outside the methods of its
+// own type (the benchmark, the commands and the examples count, as for
+// functions). A write is a composite-literal key (every field, for an
+// unkeyed literal), an assignment target or an inc/dec target. A field only
+// its own defaults ever set holds one value, and is a constant.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	loader := sharedLoader(t)
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// owner maps each configuration field to its struct type.
+	owner := make(map[*types.Var]*types.TypeName)
+	for _, p := range pkgs {
+		if harnessPkgs[p.PkgPath] != "" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+				p.PkgPath == "cloudybench/internal/experiments" && name == "Scale") {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owner[st.Field(i)] = tn
+				}
+			}
+		}
+	}
+
+	written := make(map[*types.Var]bool)
+	for _, p := range pkgs {
+		if harnessPkgs[p.PkgPath] != "" {
+			continue
+		}
+		for _, f := range p.Files {
+			// recv is the named type whose method encloses the node, if any.
+			var recv *types.TypeName
+			write := func(v *types.Var) {
+				if tn := owner[v.Origin()]; tn != nil && tn != recv {
+					written[v.Origin()] = true
+				}
+			}
+			target := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						write(s.Obj().(*types.Var))
+					}
+				}
+			}
+			for _, d := range f.Decls {
+				recv = nil
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						rt := fn.Type().(*types.Signature).Recv().Type()
+						if ptr, ok := rt.(*types.Pointer); ok {
+							rt = ptr.Elem()
+						}
+						if named, ok := rt.(*types.Named); ok {
+							recv = named.Origin().Obj()
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := p.Info.TypeOf(n).Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if v, ok := p.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									write(v)
+								}
+							} else if i < st.NumFields() {
+								write(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	declared := make(map[string]bool, len(owner))
+	var unset []string
+	for v, tn := range owner {
+		name := tn.Pkg().Path() + "." + tn.Name() + "." + v.Name()
+		declared[name] = true
+		if written[v] {
+			if keepUnset[name] != "" {
+				t.Errorf("%s is written in a non-test file now; drop it from keepUnset", name)
+			}
+			continue
+		}
+		if keepUnset[name] == "" {
+			unset = append(unset, name)
+		}
+	}
+	for name := range keepUnset {
+		if !declared[name] {
+			t.Errorf("keepUnset names %s, which no longer exists", name)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d configuration fields are written by no non-test file outside their own type's methods; make each a constant, or add it to keepUnset with the reason it stays:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+}
